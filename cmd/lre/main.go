@@ -88,7 +88,6 @@ func main() {
 		reportOut  = flag.String("report-out", "", "write the full run report (trace + metrics + meta) as JSON to this path")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile of the whole run to this path")
 		pprofMem   = flag.String("pprof-mem", "", "write a heap profile at end of run to this path")
-		benchHot   = flag.String("bench-hotpath", "", "run the hot-path before/after benchmark protocol and write the JSON report to this path (see EXPERIMENTS.md)")
 		compEval   = flag.String("compress-eval", "", "run the rank × precision compression sweep (size, load time, throughput, fused ΔEER) and write the JSON report (BENCH_compress.json) to this path")
 		compRank   = flag.Int("compress-rank", 0, "with -export-models: export a compressed bundle at this projection rank (0 = uncompressed)")
 		compPrec   = flag.String("compress-precision", "int8", "with -compress-rank: packed basis/kernel precision: float64|float32|int8")
@@ -108,10 +107,6 @@ func main() {
 		}
 		faultinject.Enable(plan)
 		log.Printf("chaos plan armed: %s", *chaos)
-	}
-	if *benchHot != "" {
-		runBenchHotpath(*benchHot)
-		return
 	}
 	if *table == "" && *fig == "" && *ablation == "" && *exportDir == "" && *exportReqs == "" && *cascEval == "" && *compEval == "" {
 		*table = "all"

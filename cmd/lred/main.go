@@ -103,18 +103,10 @@
 // coordinator reloads + redistributes (generation-consistent: the plan
 // only advances when every worker acked).
 //
-// Benchmark modes (write a report and exit):
-//
-//	lred -bench-out BENCH_serve.json -bench-scale small -bench-requests 2000
-//	lred -bench-obs BENCH_obs.json -bench-scale small -bench-requests 2000
-//	lred -bench-fleet BENCH_serve.json -bench-workers 2
-//
-// -bench-out measures micro-batching speedup; -bench-obs measures the
-// overhead of request tracing + rolling windows (merged under the
-// "serve_overhead" key, other keys in the file are preserved);
-// -bench-fleet measures standalone vs coordinator + N workers over
-// loopback (merged under the "fleet" key). All check every response
-// bit-identical against the offline pipeline.
+// Measuring: the daemon carries no load generator. `bash bench/run.sh`
+// (the bench/ harness) boots it out of process, standalone and as a
+// fleet, and checks every response bit for bit against the offline
+// pipeline.
 package main
 
 import (
@@ -167,42 +159,8 @@ func main() {
 		spool         = flag.String("spool", "", "worker: local shard-bundle directory the coordinator distributes into")
 		shardTimeout  = flag.Duration("shard-timeout", time.Second, "coordinator: per-shard RPC deadline (a late shard degrades like a failed front-end)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "coordinator: worker health-probe and re-push cadence")
-
-		benchOut      = flag.String("bench-out", "", "run the micro-batching load benchmark, write the report here, and exit")
-		benchObsOut   = flag.String("bench-obs", "", "run the tracing-overhead benchmark, merge the report into this file, and exit")
-		benchFleetOut = flag.String("bench-fleet", "", "run the fleet load benchmark (standalone vs coordinator+workers), merge the report into this file, and exit")
-		benchWorkers  = flag.Int("bench-workers", 2, "fleet benchmark worker count")
-		benchScale    = flag.String("bench-scale", "small", "benchmark corpus scale")
-		benchSeed     = flag.Uint64("bench-seed", 42, "benchmark pipeline seed")
-		benchRequests = flag.Int("bench-requests", 2000, "benchmark requests per phase run")
-		benchClients  = flag.Int("bench-clients", 128, "benchmark concurrent clients")
-		benchRepeats  = flag.Int("bench-repeats", 3, "interleaved repeats per benchmark configuration")
 	)
 	flag.Parse()
-
-	if *benchOut != "" || *benchObsOut != "" || *benchFleetOut != "" {
-		cfg := benchConfig{
-			scale:    *benchScale,
-			seed:     *benchSeed,
-			requests: *benchRequests,
-			clients:  *benchClients,
-			repeats:  *benchRepeats,
-			maxBatch: *maxBatch,
-			workers:  *benchWorkers,
-			out:      *benchOut,
-		}
-		run := runBench
-		if *benchObsOut != "" {
-			cfg.out, run = *benchObsOut, runBenchObs
-		}
-		if *benchFleetOut != "" {
-			cfg.out, run = *benchFleetOut, runBenchFleet
-		}
-		if err := run(cfg); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	switch *role {
 	case "standalone", "coordinator", "worker":
@@ -302,7 +260,7 @@ func main() {
 			ShardTimeout:   *shardTimeout,
 			RequestTimeout: *timeout,
 			ProbeInterval:  *probeInterval,
-			Breaker:        cluster.BreakerPolicy{TripAfter: *breakerTrip, Cooldown: *breakerCool},
+			Breaker:        serve.BreakerPolicy{TripAfter: *breakerTrip, Cooldown: *breakerCool},
 			PushRetries:    *reloadRetries,
 			PushBackoff:    *reloadBackoff,
 			DrainTimeout:   *drainTimeout,

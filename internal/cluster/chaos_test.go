@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // The cluster chaos suite: worker crash/restart schedules driven either
@@ -21,7 +22,7 @@ import (
 
 func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
-		cfg.Breaker = BreakerPolicy{TripAfter: 3, Cooldown: 10 * time.Second}
+		cfg.Breaker = serve.BreakerPolicy{TripAfter: 3, Cooldown: 10 * time.Second}
 	})
 	mustDistribute(t, f)
 	req := scoreRequestFor(f.bundle, testVector(29))
@@ -32,7 +33,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("baseline: status %d degraded=%v", rec.Code, sr.Degraded)
 	}
-	if st := f.peerStatus(t, f.hosts[1]); st.Breaker != BreakerClosed || !st.Up {
+	if st := f.peerStatus(t, f.hosts[1]); st.Breaker != serve.BreakerClosed || !st.Up {
 		t.Fatalf("baseline peer state %+v", st)
 	}
 
@@ -46,7 +47,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 		}
 	}
 	st := f.peerStatus(t, f.hosts[1])
-	if st.Breaker != BreakerOpen || st.Up || st.Failures != 3 {
+	if st.Breaker != serve.BreakerOpen || st.Up || st.Failures != 3 {
 		t.Fatalf("after 3 failures: %+v, want open/down/3", st)
 	}
 	if got := trips.Value(); got != 1 {
@@ -66,7 +67,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 	// Cooldown elapses → half-open → the probe fails (worker still dead)
 	// → the breaker re-arms for a fresh cooldown without a new trip event.
 	f.clock.Advance(10 * time.Second)
-	if st = f.peerStatus(t, f.hosts[1]); st.Breaker != BreakerHalfOpen {
+	if st = f.peerStatus(t, f.hosts[1]); st.Breaker != serve.BreakerHalfOpen {
 		t.Fatalf("after cooldown: %+v, want half-open", st)
 	}
 	rec, sr = f.score(t, req)
@@ -74,7 +75,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 		t.Fatalf("failed-probe request: status %d degraded=%v", rec.Code, sr.Degraded)
 	}
 	st = f.peerStatus(t, f.hosts[1])
-	if st.Breaker != BreakerOpen || st.Failures != 4 {
+	if st.Breaker != serve.BreakerOpen || st.Failures != 4 {
 		t.Fatalf("after failed probe: %+v, want re-armed open with 4 failures", st)
 	}
 	if got := trips.Value(); got != 1 {
@@ -90,7 +91,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 		t.Fatalf("recovered request: status %d degraded=%v (%s)", rec.Code, sr.Degraded, rec.Body.String())
 	}
 	sameRows(t, sr.Scores, expectedScores(f.bundle, testVector(29)))
-	if st = f.peerStatus(t, f.hosts[1]); st.Breaker != BreakerClosed || !st.Up {
+	if st = f.peerStatus(t, f.hosts[1]); st.Breaker != serve.BreakerClosed || !st.Up {
 		t.Fatalf("after recovery: %+v, want closed/up", st)
 	}
 }
@@ -143,7 +144,7 @@ func TestCoordinatorSurvivesConcurrentCrashes(t *testing.T) {
 // snapshot, and disabling the plan restores exact scoring.
 func TestChaosPlanDrivesShardRPCs(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
-		cfg.Breaker = BreakerPolicy{TripAfter: 1000} // isolate injection from breaker effects
+		cfg.Breaker = serve.BreakerPolicy{TripAfter: 1000} // isolate injection from breaker effects
 	})
 	mustDistribute(t, f)
 	req := scoreRequestFor(f.bundle, testVector(37))
@@ -179,7 +180,7 @@ func TestChaosPlanDrivesShardRPCs(t *testing.T) {
 // CI cluster-smoke job assert exact degradation behavior.
 func TestChaosScheduleIsDeterministic(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
-		cfg.Breaker = BreakerPolicy{TripAfter: 1000} // keep every RPC site-gated, not breaker-gated
+		cfg.Breaker = serve.BreakerPolicy{TripAfter: 1000} // keep every RPC site-gated, not breaker-gated
 	})
 	mustDistribute(t, f)
 	req := scoreRequestFor(f.bundle, testVector(41))

@@ -29,9 +29,9 @@
 // repair loop re-pushes the current generation to workers that restart
 // empty or fall behind.
 //
-// Peer health reuses the retry/backoff + circuit-breaker machinery
-// introduced for model reloads (serve/reloader.go), generalized per
-// peer: TripAfter consecutive RPC failures open the breaker, scoring
+// Peer health reuses the retry/backoff loop and circuit breaker of
+// model reloads (serve.Retry, serve.Breaker), one breaker per peer:
+// TripAfter consecutive RPC failures open the breaker, scoring
 // then fails fast (degrading instead of stalling on a dead worker)
 // until Cooldown elapses and a half-open probe re-tests the peer.
 //
@@ -47,25 +47,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/persist"
 )
-
-// Clock abstracts the time source of the breaker cooldowns and the
-// repair loop so tests drive them deterministically (same de-flake
-// contract as internal/serve: no test asserts on a wall-clock race).
-type Clock interface {
-	Now() time.Time
-	Sleep(d time.Duration)
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // bundlePush is the body of POST /-/bundle: the shard's manifest (with
 // ClusterGeneration stamped) plus the sealed bundle bytes exactly as

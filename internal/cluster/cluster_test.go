@@ -176,10 +176,10 @@ func (n *testNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// fakeClock drives breaker cooldowns and push backoffs by hand. After
-// never fires (the repair loop stays dormant; tests call repair
-// directly), and Sleep advances time instead of blocking — the de-flake
-// contract: no cluster test waits on a wall clock.
+// fakeClock drives breaker cooldowns by hand. After never fires (the
+// repair loop stays dormant; tests call repair directly, and fleets push
+// without retries) — the de-flake contract: no cluster test waits on a
+// wall clock.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -198,8 +198,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
 }
-
-func (c *fakeClock) Sleep(d time.Duration) { c.Advance(d) }
 
 func (c *fakeClock) After(d time.Duration) <-chan time.Time { return make(chan time.Time) }
 

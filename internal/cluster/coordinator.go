@@ -35,10 +35,10 @@ type CoordinatorConfig struct {
 	// re-pushes the current generation to ones that restarted (2 s).
 	ProbeInterval time.Duration
 	// Breaker governs the per-peer circuit breakers.
-	Breaker BreakerPolicy
+	Breaker serve.BreakerPolicy
 	// PushRetries/PushBackoff govern bundle-distribution retries per
-	// worker (2 extra attempts, 100 ms doubling) — the same retry shape
-	// as model reloads.
+	// worker (2 extra attempts, 100 ms doubling up to
+	// serve.DefaultMaxBackoff) — the same retry loop as model reloads.
 	PushRetries int
 	PushBackoff time.Duration
 	// DrainTimeout bounds graceful shutdown (10 s).
@@ -58,7 +58,7 @@ type CoordinatorConfig struct {
 	Transport http.RoundTripper
 
 	// clock substitutes the time source in tests (nil: real time).
-	clock Clock
+	clock serve.Clock
 }
 
 func (c *CoordinatorConfig) setDefaults() {
@@ -87,7 +87,7 @@ func (c *CoordinatorConfig) setDefaults() {
 		c.MaxBodyBytes = 32 << 20
 	}
 	if c.clock == nil {
-		c.clock = realClock{}
+		c.clock = serve.RealClock{}
 	}
 }
 

@@ -38,8 +38,8 @@ type peer struct {
 	base   string   // http://host:port
 	fes    []string // assigned front-end names, bundle order
 	client *http.Client
-	br     *breaker
-	clock  Clock
+	br     *serve.Breaker
+	clock  serve.Clock
 
 	// ackedGen is the generation the worker last acked an install for
 	// (0 before the first push); the repair loop keys re-pushes off it.
@@ -52,7 +52,7 @@ type peer struct {
 	rpcWin   *obs.Window
 }
 
-func newPeer(addr string, pol BreakerPolicy, transport http.RoundTripper, clock Clock) *peer {
+func newPeer(addr string, pol serve.BreakerPolicy, transport http.RoundTripper, clock serve.Clock) *peer {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -62,7 +62,7 @@ func newPeer(addr string, pol BreakerPolicy, transport http.RoundTripper, clock 
 		addr:     key,
 		base:     base,
 		client:   &http.Client{Transport: transport},
-		br:       newBreaker(pol),
+		br:       serve.NewBreaker(pol),
 		clock:    clock,
 		up:       obs.GetGauge("cluster.peer." + key + ".up"),
 		brOpen:   obs.GetGauge("cluster.peer." + key + ".breaker_open"),
@@ -78,7 +78,7 @@ func (p *peer) status() PeerStatus {
 		Addr:       p.addr,
 		FrontEnds:  p.fes,
 		Up:         p.up.Value() > 0,
-		Breaker:    p.br.state(p.clock.Now()),
+		Breaker:    p.br.State(p.clock.Now()),
 		Failures:   p.failures.Value(),
 		Generation: p.ackedGen.Load(),
 	}
@@ -88,7 +88,7 @@ func (p *peer) status() PeerStatus {
 // cluster.rpc.<addr> fault-injection site, and per-peer latency/health
 // metrics. out, when non-nil, receives the decoded 2xx JSON body.
 func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body []byte, out any) error {
-	if !p.br.allow(p.clock.Now()) {
+	if ok, _ := p.br.Allow(p.clock.Now()); !ok {
 		// Failing fast is the point of the breaker: the shard degrades
 		// without a network timeout. Not a recorded failure — the breaker
 		// state only moves on real probe outcomes.
@@ -98,15 +98,15 @@ func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body []byt
 	if err != nil {
 		p.failures.Inc()
 		p.up.Set(0)
-		if p.br.failure(p.clock.Now()) {
+		if p.br.Failure(p.clock.Now()) {
 			obs.Inc("cluster.breaker.trips")
 		}
-		if p.br.state(p.clock.Now()) == BreakerOpen {
+		if p.br.State(p.clock.Now()) == serve.BreakerOpen {
 			p.brOpen.Set(1)
 		}
 		return err
 	}
-	p.br.success()
+	p.br.Success()
 	p.up.Set(1)
 	p.brOpen.Set(0)
 	return nil
@@ -197,32 +197,29 @@ func (p *peer) batch(ctx context.Context, gen int64, traceparent string, req *se
 }
 
 // push installs a shard bundle on the worker and records the acked
-// generation. Distribution retries with backoff (the reload-policy
-// idiom) because a push races worker startup; the breaker still gates
-// and observes each attempt.
+// generation. Distribution retries with the reload retry loop (capped
+// doubling, cut short by ctx) because a push races worker startup; the
+// breaker still gates and observes each attempt.
 func (p *peer) push(ctx context.Context, m persist.Manifest, sealed []byte, retries int, backoff time.Duration) (*bundleAck, error) {
 	body, err := json.Marshal(&bundlePush{Manifest: m, BundleB64: base64.StdEncoding.EncodeToString(sealed)})
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		var ack bundleAck
-		lastErr = p.rpc(ctx, "/-/bundle", nil, body, &ack)
-		if lastErr == nil {
-			if ack.Generation != m.ClusterGeneration {
-				return nil, fmt.Errorf("worker %s acked generation %d, pushed %d", p.addr, ack.Generation, m.ClusterGeneration)
-			}
-			p.ackedGen.Store(ack.Generation)
-			return &ack, nil
-		}
-		if attempt >= retries || ctx.Err() != nil {
-			return nil, lastErr
-		}
+	var ack bundleAck
+	err = serve.Retry(ctx, p.clock, retries, backoff, serve.DefaultMaxBackoff, func() {
 		obs.Inc("cluster.distribute.retries")
-		p.clock.Sleep(backoff)
-		backoff *= 2
+	}, func() error {
+		ack = bundleAck{}
+		return p.rpc(ctx, "/-/bundle", nil, body, &ack)
+	})
+	if err != nil {
+		return nil, err
 	}
+	if ack.Generation != m.ClusterGeneration {
+		return nil, fmt.Errorf("worker %s acked generation %d, pushed %d", p.addr, ack.Generation, m.ClusterGeneration)
+	}
+	p.ackedGen.Store(ack.Generation)
+	return &ack, nil
 }
 
 func (p *peer) headers(gen int64, traceparent string) http.Header {

@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchhot"
 	"repro/internal/fusion"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -363,7 +362,7 @@ func durKey(dur float64) string { return fmt.Sprintf("%gs", dur) }
 
 // RunCompressEval measures the full rank × precision grid against the
 // uncompressed baseline: serialized size, load time, batch-scoring
-// throughput (benchhot's min-of-3 protocol), and fused EER per duration
+// throughput (min-of-3 testing.Benchmark runs), and fused EER per duration
 // tier.
 func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*CompressReport, error) {
 	sp := obs.StartSpan("compress-eval")
@@ -397,7 +396,7 @@ func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*Compress
 	rep.Baseline.BundleBytes = len(sealed)
 	rep.Baseline.LoadMs = loadMs(sealed)
 	nTest := len(p.TestLabels)
-	baseNs := benchhot.Bench(func(b *testing.B) {
+	baseNs := bestOf3(func(b *testing.B) {
 		out := make([]float64, NumLangs)
 		for n := 0; n < b.N; n++ {
 			for q := range p.Baseline {
@@ -521,7 +520,7 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 		}
 	}
 	project(false) // prepare projected vectors for the kernel-only run
-	kern := benchhot.Bench(func(b *testing.B) {
+	kern := bestOf3(func(b *testing.B) {
 		pv := &sparse.Vector{Idx: idxs}
 		out := make([]float64, NumLangs)
 		for n := 0; n < b.N; n++ {
@@ -532,7 +531,7 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 	if base.ThroughputUttPerSec > 0 {
 		pt.Speedup = pt.KernelUttPerSec / base.ThroughputUttPerSec
 	}
-	serving := benchhot.Bench(func(b *testing.B) {
+	serving := bestOf3(func(b *testing.B) {
 		pv := &sparse.Vector{Idx: idxs}
 		out := make([]float64, NumLangs)
 		for n := 0; n < b.N; n++ {
@@ -541,7 +540,7 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 		}
 	})
 	pt.ThroughputUttPerSec = uttPerSec(serving, nTest)
-	seq := benchhot.Bench(func(b *testing.B) {
+	seq := bestOf3(func(b *testing.B) {
 		pv := &sparse.Vector{Idx: idxs}
 		out := make([]float64, NumLangs)
 		for n := 0; n < b.N; n++ {
@@ -566,7 +565,7 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 }
 
 func loadMs(sealed []byte) float64 {
-	res := benchhot.Bench(func(b *testing.B) {
+	res := bestOf3(func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			var bb persist.Bundle
 			if err := persist.UnmarshalSealed(sealed, &bb); err != nil {
@@ -574,13 +573,33 @@ func loadMs(sealed []byte) float64 {
 			}
 		}
 	})
-	return benchhot.MetricOf(res).NsPerOp / 1e6
+	return nsPerOp(res) / 1e6
 }
 
 func uttPerSec(res testing.BenchmarkResult, nUtt int) float64 {
-	ns := benchhot.MetricOf(res).NsPerOp
+	ns := nsPerOp(res)
 	if ns <= 0 {
 		return 0
 	}
 	return float64(nUtt) / (ns / 1e9)
+}
+
+// bestOf3 runs f under testing.Benchmark three times and keeps the run
+// with the lowest ns/op: wall time on a busy box is noisy, and the
+// minimum strips scheduler interference from a CPU-bound measurement.
+func bestOf3(f func(b *testing.B)) testing.BenchmarkResult {
+	best := testing.Benchmark(f)
+	for i := 0; i < 2; i++ {
+		if r := testing.Benchmark(f); r.N > 0 && (best.N == 0 || nsPerOp(r) < nsPerOp(best)) {
+			best = r
+		}
+	}
+	return best
+}
+
+func nsPerOp(res testing.BenchmarkResult) float64 {
+	if res.N == 0 {
+		return 0
+	}
+	return float64(res.T.Nanoseconds()) / float64(res.N)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -21,8 +22,8 @@ var ErrCorrupt = errors.New("persist: data corrupt")
 
 // footerMagic terminates every sealed file. Putting the magic at the very
 // end makes sealed files self-describing from the tail: a file that does
-// not end in the magic either predates the footer (legacy v1) or lost its
-// tail to a torn write.
+// not end in the magic either lost its tail to a torn write or was never
+// sealed.
 const footerMagic = "RPRSEAL1"
 
 // footerSize is the fixed footer layout appended after the payload:
@@ -87,8 +88,12 @@ func Unseal(data []byte) ([]byte, error) {
 // written by Save.
 func MarshalSealed(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := encodeTo(&buf, magicSealed, v); err != nil {
-		return nil, err
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(magicSealed); err != nil {
+		return nil, fmt.Errorf("persist: header: %w", err)
+	}
+	if err := enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("persist: body: %w", err)
 	}
 	return Seal(buf.Bytes()), nil
 }

@@ -2,9 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -118,26 +120,27 @@ func TestLoadTornTailIsErrCorrupt(t *testing.T) {
 	}
 }
 
-func TestLegacyV1FileStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.gob")
-	in := sealedPayload{Name: "old", Vals: []float64{7, 8}}
-	f, err := os.Create(path)
-	if err != nil {
+// TestLegacyV1FileRejected: the footerless v1 stream format is retired,
+// so a v1 file fails with the bad-magic error instead of decoding.
+func TestLegacyV1FileRejected(t *testing.T) {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode("repro-model-v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveTo(f, &in); err != nil { // v1: footerless stream
-		t.Fatalf("SaveTo: %v", err)
+	if err := enc.Encode(&sealedPayload{Name: "old", Vals: []float64{7, 8}}); err != nil {
+		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "legacy.gob")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out sealedPayload
-	if err := Load(path, &out); err != nil {
-		t.Fatalf("legacy v1 file failed to load: %v", err)
+	if err := Load(path, &out); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("v1 file: err %v, want bad magic", err)
 	}
-	if out.Name != "old" || len(out.Vals) != 2 {
-		t.Fatalf("legacy round trip mismatch: %+v", out)
+	if out.Name != "" || out.Vals != nil {
+		t.Fatalf("rejected v1 file still decoded into %+v", out)
 	}
 }
 

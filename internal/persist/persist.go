@@ -7,9 +7,10 @@
 // Files written by Save are *sealed*: the gob stream carries a v2 header
 // and the file ends in a CRC32 + SHA-256 + length integrity footer (see
 // footer.go), so a flipped byte or a torn tail is detected at load time
-// as a typed ErrCorrupt instead of decoding into garbage. Legacy v1 files
-// (no footer) still load. internal/checkpoint reuses the same sealed
-// format for pipeline snapshots.
+// as a typed ErrCorrupt instead of decoding into garbage. The footerless
+// v1 stream format is retired: its header is rejected like any bad
+// magic. internal/checkpoint reuses the same sealed format for pipeline
+// snapshots.
 package persist
 
 import (
@@ -23,45 +24,28 @@ import (
 	"repro/internal/faultinject"
 )
 
-// magic versions the on-disk format: v1 is the legacy footerless stream,
-// v2 declares that an integrity footer follows the gob body. A v2 header
-// with no valid footer means the file lost its tail.
-const (
-	magic       = "repro-model-v1"
-	magicSealed = "repro-model-v2"
-)
+// magicSealed heads every stream this package writes. It declares that
+// an integrity footer follows the gob body, so a stream with this header
+// and no valid footer lost its tail.
+const magicSealed = "repro-model-v2"
 
-// encodeTo writes the versioned gob stream (header + body) to w.
-func encodeTo(w io.Writer, header string, v any) error {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header); err != nil {
-		return fmt.Errorf("persist: header: %w", err)
-	}
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("persist: body: %w", err)
-	}
-	return nil
-}
-
-// SaveTo writes a model to a writer as a legacy (footerless) v1 stream —
-// for pipes and embedded streams where a trailing footer has no tail to
-// live in. Files should go through Save, which seals them.
-func SaveTo(w io.Writer, v any) error {
-	return encodeTo(w, magic, v)
-}
-
-// LoadFrom reads a model from a reader into v (a pointer). Both v1 and v2
-// headers are accepted; any trailing footer bytes are left unread, so a
-// sealed file can be streamed through LoadFrom (without integrity
-// verification — use Load for that).
-func LoadFrom(r io.Reader, v any) error {
-	dec := gob.NewDecoder(r)
+// readHeader decodes the stream header and checks its magic.
+func readHeader(dec *gob.Decoder) error {
 	var got string
 	if err := dec.Decode(&got); err != nil {
 		return fmt.Errorf("persist: header: %w (%w)", err, ErrCorrupt)
 	}
-	if got != magic && got != magicSealed {
-		return fmt.Errorf("persist: bad magic %q (want %q or %q)", got, magic, magicSealed)
+	if got != magicSealed {
+		return fmt.Errorf("persist: bad magic %q (want %q)", got, magicSealed)
+	}
+	return nil
+}
+
+// decode reads a footer-verified payload (header + gob body) into v.
+func decode(payload []byte, v any) error {
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	if err := readHeader(dec); err != nil {
+		return err
 	}
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("persist: body: %w (%w)", err, ErrCorrupt)
@@ -86,8 +70,7 @@ func Save(path string, v any) error {
 // through the persist.load.read fault site, so chaos plans can simulate
 // partial reads and torn files; a sealed file that fails its footer check
 // — flipped byte, torn tail, truncation — returns a wrapped ErrCorrupt,
-// never a panic or garbage decode. Legacy v1 files load without a footer
-// check (their decode failures are still reported as ErrCorrupt).
+// never a panic or garbage decode.
 func Load(path string, v any) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -101,31 +84,19 @@ func Load(path string, v any) error {
 	return unseal(data, v)
 }
 
-// unseal decodes a complete file image: footer-verified when sealed,
-// legacy path when the v1 header says no footer ever existed.
+// unseal verifies and decodes a complete file image.
 func unseal(data []byte, v any) error {
-	if hasFooter(data) {
-		payload, err := Unseal(data)
-		if err != nil {
+	if !hasFooter(data) {
+		// No footer at the tail: a sealed file whose tail was torn off, or
+		// not a sealed stream at all. The header tells them apart.
+		if err := readHeader(gob.NewDecoder(bytes.NewReader(data))); err != nil {
 			return err
 		}
-		return LoadFrom(bytes.NewReader(payload), v)
-	}
-	// No footer at the tail: either a legacy v1 file, or a sealed file
-	// whose tail was torn off. The header tells them apart.
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var got string
-	if err := dec.Decode(&got); err != nil {
-		return fmt.Errorf("persist: header: %w (%w)", err, ErrCorrupt)
-	}
-	switch got {
-	case magicSealed:
 		return fmt.Errorf("%w: sealed file lost its integrity footer (torn tail)", ErrCorrupt)
-	case magic:
-		if err := dec.Decode(v); err != nil {
-			return fmt.Errorf("persist: body: %w (%w)", err, ErrCorrupt)
-		}
-		return nil
 	}
-	return fmt.Errorf("persist: bad magic %q (want %q or %q)", got, magic, magicSealed)
+	payload, err := Unseal(data)
+	if err != nil {
+		return err
+	}
+	return decode(payload, v)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fusion"
@@ -54,12 +55,12 @@ func TestRoundTripGMMRestoresCaches(t *testing.T) {
 	}
 	g := gmm.Train(r, data, 2, 3, 5, 5)
 
-	var buf bytes.Buffer
-	if err := SaveTo(&buf, g); err != nil {
+	sealed, err := MarshalSealed(g)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var loaded gmm.GMM
-	if err := LoadFrom(&buf, &loaded); err != nil {
+	if err := UnmarshalSealed(sealed, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	// LogProb uses the rebuilt cache — must match exactly and be finite.
@@ -77,12 +78,12 @@ func TestRoundTripGMMRestoresCaches(t *testing.T) {
 func TestRoundTripTFLLR(t *testing.T) {
 	vecs := []*sparse.Vector{sparse.FromMap(map[int32]float64{0: 0.5, 3: 0.5})}
 	tf := ngram.EstimateTFLLR(vecs, 6, 1e-5)
-	var buf bytes.Buffer
-	if err := SaveTo(&buf, tf); err != nil {
+	sealed, err := MarshalSealed(tf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var loaded ngram.TFLLR
-	if err := LoadFrom(&buf, &loaded); err != nil {
+	if err := UnmarshalSealed(sealed, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Dim() != 6 {
@@ -97,12 +98,12 @@ func TestRoundTripTFLLR(t *testing.T) {
 
 func TestRoundTripBigramLM(t *testing.T) {
 	m := lm.TrainKneserNey(5, [][]int{{0, 1, 2, 3, 4, 0, 1}}, 0.75)
-	var buf bytes.Buffer
-	if err := SaveTo(&buf, m); err != nil {
+	sealed, err := MarshalSealed(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var loaded lm.Bigram
-	if err := LoadFrom(&buf, &loaded); err != nil {
+	if err := UnmarshalSealed(sealed, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	if err := loaded.Validate(); err != nil {
@@ -130,12 +131,12 @@ func TestRoundTripFusionBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveTo(&buf, b); err != nil {
+	sealed, err := MarshalSealed(b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var loaded fusion.Backend
-	if err := LoadFrom(&buf, &loaded); err != nil {
+	if err := UnmarshalSealed(sealed, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	for _, xi := range x[:10] {
@@ -149,21 +150,21 @@ func TestRoundTripFusionBackend(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	var buf bytes.Buffer
-	// Write a gob stream with a wrong header string.
-	if err := SaveTo(&buf, 42); err != nil {
+	data, err := MarshalSealed(42)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Corrupt the header by flipping a byte inside the magic string.
-	idx := bytes.Index(data, []byte("repro-model"))
+	// Corrupt the header by flipping a byte inside the magic string, then
+	// reseal so the footer check passes and the header check must catch it.
+	payload := data[:len(data)-footerSize]
+	idx := bytes.Index(payload, []byte("repro-model"))
 	if idx < 0 {
 		t.Fatal("magic not found in stream")
 	}
-	data[idx] ^= 0xff
+	payload[idx] ^= 0xff
 	var v int
-	if err := LoadFrom(bytes.NewReader(data), &v); err == nil {
-		t.Fatal("accepted corrupted header")
+	if err := UnmarshalSealed(Seal(payload), &v); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("corrupted header: err %v, want bad magic", err)
 	}
 }
 

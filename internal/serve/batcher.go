@@ -128,7 +128,7 @@ func newBatcher(maxBatch, queueDepth, workers int, maxWait time.Duration, proces
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if clock == nil {
-		clock = realClock{}
+		clock = RealClock{}
 	}
 	b := &Batcher{
 		maxBatch: maxBatch,

@@ -5,27 +5,25 @@ import (
 	"time"
 )
 
-// Clock abstracts the time source of the batcher and the reload circuit
-// breaker so tests can drive timeouts and backoff deterministically
-// instead of racing real sleeps (the de-flake contract: no test asserts
-// on the outcome of a wall-clock race).
+// Clock abstracts the time source of the batcher, the circuit breakers
+// and retry backoff (here and in the fleet coordinator) so tests can
+// drive timeouts deterministically instead of racing real sleeps (the
+// de-flake contract: no test asserts on the outcome of a wall-clock
+// race).
 type Clock interface {
 	Now() time.Time
-	Sleep(d time.Duration)
 	// After behaves like time.After.
 	After(d time.Duration) <-chan time.Time
 }
 
-// realClock is the production clock.
-type realClock struct{}
+// RealClock is the production clock.
+type RealClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (RealClock) Now() time.Time                         { return time.Now() }
+func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // fakeClock is a manually advanced clock for tests. After-waiters fire
-// when Advance moves the clock past their deadline; Sleep blocks until
-// advanced past. WaitForWaiters lets a test rendezvous with code that is
+// when Advance moves the clock past their deadline. WaitForWaiters lets a test rendezvous with code that is
 // about to block on the clock, eliminating sleep-based synchronization.
 type fakeClock struct {
 	mu      sync.Mutex
@@ -61,8 +59,6 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 	return w.ch
 }
 
-func (c *fakeClock) Sleep(d time.Duration) { <-c.After(d) }
-
 // Advance moves the clock forward and fires every waiter whose deadline
 // passed.
 func (c *fakeClock) Advance(d time.Duration) {
@@ -86,7 +82,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // WaitForWaiters blocks until at least n goroutines are parked on the
-// clock (After/Sleep), so a test can Advance exactly when the code under
+// clock (After), so a test can Advance exactly when the code under
 // test is listening.
 func (c *fakeClock) WaitForWaiters(n int) {
 	for {

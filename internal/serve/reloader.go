@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,7 +45,7 @@ func (p *ReloadPolicy) setDefaults() {
 		p.BaseBackoff = 100 * time.Millisecond
 	}
 	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
+		p.MaxBackoff = DefaultMaxBackoff
 	}
 	if p.TripAfter <= 0 {
 		p.TripAfter = 3
@@ -63,28 +64,27 @@ var (
 )
 
 // reloader wraps Registry.Reload with retry/backoff and a circuit
-// breaker. States: closed (reloads pass through, with retries), open
-// (reloads are rejected with ErrBreakerOpen until Cooldown elapses), and
-// half-open (after the cooldown one probe attempt runs; success closes
-// the breaker, failure re-arms the cooldown). A reload failure never
-// disturbs serving — the registry keeps the previous model active.
+// breaker: while the breaker is open, reloads are rejected with
+// ErrBreakerOpen until the cooldown elapses, then one probe runs. A
+// reload failure never disturbs serving — the registry keeps the
+// previous model active.
 type reloader struct {
 	reg   *Registry
 	pol   ReloadPolicy
 	clock Clock
+	br    *Breaker
 
-	mu        sync.Mutex // serializes reload operations and breaker state
-	fails     int        // consecutive failed Reload calls
-	openUntil time.Time  // breaker rejects until here while fails >= TripAfter
+	mu sync.Mutex // serializes reload operations
 }
 
 func newReloader(reg *Registry, pol ReloadPolicy, clock Clock) *reloader {
 	pol.setDefaults()
 	if clock == nil {
-		clock = realClock{}
+		clock = RealClock{}
 	}
 	obs.SetGauge("serve.reload.breaker_open", 0)
-	return &reloader{reg: reg, pol: pol, clock: clock}
+	br := NewBreaker(BreakerPolicy{TripAfter: pol.TripAfter, Cooldown: pol.Cooldown})
+	return &reloader{reg: reg, pol: pol, clock: clock, br: br}
 }
 
 // breakerOpen reports whether the circuit breaker currently rejects
@@ -92,9 +92,7 @@ func newReloader(reg *Registry, pol ReloadPolicy, clock Clock) *reloader {
 // model is not ready for orchestration purposes) and as the
 // serve.reload.breaker_open gauge.
 func (rl *reloader) breakerOpen() bool {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.fails >= rl.pol.TripAfter && rl.clock.Now().Before(rl.openUntil)
+	return rl.br.State(rl.clock.Now()) == BreakerOpen
 }
 
 // Reload runs one reload operation: up to 1+Retries attempts with
@@ -102,39 +100,31 @@ func (rl *reloader) breakerOpen() bool {
 func (rl *reloader) Reload() (*Model, error) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	now := rl.clock.Now()
-	if rl.fails >= rl.pol.TripAfter && now.Before(rl.openUntil) {
+	if ok, wait := rl.br.Allow(rl.clock.Now()); !ok {
 		obsBreakerDenied.Inc()
-		return nil, fmt.Errorf("%w (cooldown ends in %v)",
-			ErrBreakerOpen, rl.openUntil.Sub(now).Round(time.Millisecond))
+		return nil, fmt.Errorf("%w (cooldown ends in %v)", ErrBreakerOpen, wait.Round(time.Millisecond))
 	}
 	// Closed, or half-open: the cooldown elapsed and this call is the
 	// probe.
-	var lastErr error
-	backoff := rl.pol.BaseBackoff
-	for attempt := 0; attempt <= rl.pol.Retries; attempt++ {
-		if attempt > 0 {
-			obsReloadRetries.Inc()
-			rl.clock.Sleep(backoff)
-			backoff *= 2
-			if backoff > rl.pol.MaxBackoff {
-				backoff = rl.pol.MaxBackoff
-			}
-		}
-		m, err := rl.reg.Reload()
-		if err == nil {
-			rl.fails = 0
-			obs.SetGauge("serve.reload.breaker_open", 0)
-			return m, nil
-		}
-		lastErr = err
+	var m *Model
+	err := Retry(context.Background(), rl.clock, rl.pol.Retries, rl.pol.BaseBackoff, rl.pol.MaxBackoff,
+		obsReloadRetries.Inc, func() (err error) {
+			m, err = rl.reg.Reload()
+			return err
+		})
+	if err == nil {
+		rl.br.Success()
+		obs.SetGauge("serve.reload.breaker_open", 0)
+		return m, nil
 	}
 	obsReloadFailures.Inc()
-	rl.fails++
-	if rl.fails >= rl.pol.TripAfter {
+	now := rl.clock.Now()
+	rl.br.Failure(now)
+	// Every failure that leaves the breaker open, a failed half-open
+	// probe included, counts as a trip.
+	if rl.br.State(now) == BreakerOpen {
 		obsBreakerTrips.Inc()
-		rl.openUntil = rl.clock.Now().Add(rl.pol.Cooldown)
 		obs.SetGauge("serve.reload.breaker_open", 1)
 	}
-	return nil, lastErr
+	return nil, err
 }
