@@ -96,12 +96,13 @@
 // The coordinator owns the full bundle: it splits the front-end battery
 // round-robin across the workers, pushes each shard its sub-bundle
 // (generation-stamped, fusion stripped), and serves the standalone
-// scoring API by scattering per-front-end RPCs and fusing the gathered
-// rows — bit-identical to standalone when every shard answers, survivor
-// fusion (degraded:true) when one misses its -shard-timeout. Workers
-// start with an empty -spool and wait for the push. SIGHUP on the
-// coordinator reloads + redistributes (generation-consistent: the plan
-// only advances when every worker acked).
+// scoring API through the standalone server's own request path, with a
+// scoring step that scatters per-front-end RPCs and gathers the rows for
+// fusion — bit-identical to standalone when every shard answers,
+// survivor fusion (degraded:true) when one misses its -shard-timeout.
+// Workers start with an empty -spool and wait for the push. SIGHUP on
+// the coordinator reloads + redistributes (generation-consistent: the
+// plan only advances when every worker acked).
 //
 // Measuring: the daemon carries no load generator. `bash bench/run.sh`
 // (the bench/ harness) boots it out of process, standalone and as a

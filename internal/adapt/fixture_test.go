@@ -32,9 +32,9 @@ const (
 // synthVector draws one weight-space vector of language k.
 func synthVector(r *rng.RNG, dim, k, f int) *sparse.Vector {
 	m := map[int32]float64{
-		int32(k * 7):              2 + 0.3*r.Norm(),
+		int32(k * 7):               2 + 0.3*r.Norm(),
 		int32((k*7 + f + 1) % dim): 1 + 0.2*r.Norm(),
-		int32(r.Intn(dim)):        0.5 * r.Float64(),
+		int32(r.Intn(dim)):         0.5 * r.Float64(),
 	}
 	return sparse.FromMap(m)
 }

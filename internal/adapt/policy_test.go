@@ -37,19 +37,19 @@ func TestParsePolicyOverrides(t *testing.T) {
 
 func TestParsePolicyRejects(t *testing.T) {
 	for _, spec := range []string{
-		"bogus-key=1",          // unknown key
-		"votes",                // not key=value
-		"votes=",               // empty value
-		"votes=zero",           // bad integer
-		"votes=0",              // below floor
-		"cadence=fast",         // bad duration
-		"cadence=-1m",          // non-positive duration
-		"method=m3",            // unknown method
-		"shadow-rate=1.5",      // out of [0,1]
-		"shadow-rate=NaN",      // non-finite
-		"eer-budget=-1",        // negative
-		"keep=0",               // below floor
-		"votes=2;votes=3",      // duplicate key
+		"bogus-key=1",           // unknown key
+		"votes",                 // not key=value
+		"votes=",                // empty value
+		"votes=zero",            // bad integer
+		"votes=0",               // below floor
+		"cadence=fast",          // bad duration
+		"cadence=-1m",           // non-positive duration
+		"method=m3",             // unknown method
+		"shadow-rate=1.5",       // out of [0,1]
+		"shadow-rate=NaN",       // non-finite
+		"eer-budget=-1",         // negative
+		"keep=0",                // below floor
+		"votes=2;votes=3",       // duplicate key
 		"min-utts=100;buffer=8", // buffer < min-utts
 	} {
 		if _, err := ParsePolicy(spec); err == nil {

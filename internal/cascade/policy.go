@@ -55,7 +55,7 @@ func formatThreshold(v float64) string {
 //	"default=0;30s=0.2;3s=-1"   per-tier overrides, ';' or ',' separated
 //
 // Values are Go floats (±Inf allowed, NaN rejected); tier names are free
-//-form but must be nonempty and unique. Unknown tier names are tolerated
+// -form but must be nonempty and unique. Unknown tier names are tolerated
 // at parse time — the policy is validated against a concrete model's tier
 // set when serving starts.
 func ParsePolicy(s string) (Policy, error) {

@@ -4,12 +4,17 @@
 // that each load only their assigned front-ends and score them on
 // demand.
 //
-// The coordinator accepts the exact /v1/score and /v1/score/batch API
-// of internal/serve, scatters per-front-end scoring RPCs to the workers
-// that own them, gathers the partial score rows under a per-shard
-// deadline, and fuses the survivors with serve.AssembleResult — i.e.
-// fusion.Score when every shard answered and fusion.ScoreMasked
-// survivor fusion when one did not. A shard that misses its deadline,
+// The coordinator is a serve.Server: the standalone daemon's own request
+// path (admission, decode, cascade fast path, fusion, tracing, metrics,
+// reload, drain) under the cluster.* metric namespace, so it serves the
+// exact /v1/score and /v1/score/batch API by construction. Only its
+// scoring step differs (a serve.Role): it scatters per-front-end scoring
+// RPCs to the workers that own them and gathers the partial score rows
+// under a per-shard deadline, and the shared path fuses the survivors
+// with serve.AssembleResult — fusion.Score when every shard answered and
+// fusion.ScoreMasked survivor fusion when one did not. Workers mount
+// /-/bundle and the coordinator /clusterz on a mux in front of their
+// server. A shard that misses its deadline,
 // trips its circuit breaker, or answers for the wrong model generation
 // degrades the request exactly like a failed in-process front-end does
 // in standalone mode: the response stays 2xx, marked Degraded with the
@@ -44,12 +49,41 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 
 	"repro/internal/persist"
+	"repro/internal/serve"
 )
+
+// node is one cluster process: the serve.Server request path with the
+// role's cluster endpoints (/-/bundle, /clusterz) mounted in front of it
+// on one mux.
+type node struct {
+	srv *serve.Server
+	mux *http.ServeMux
+}
+
+// newNode routes everything the cluster endpoints do not claim to root,
+// the server's handler tree (or a wrapper around it).
+func newNode(srv *serve.Server, root http.Handler) node {
+	n := node{srv: srv, mux: http.NewServeMux()}
+	n.mux.Handle("/", root)
+	return n
+}
+
+// Handler returns the process's HTTP handler tree.
+func (n *node) Handler() http.Handler { return n.mux }
+
+// Run serves until ctx is cancelled, then drains like the standalone
+// daemon: queued scoring work finishes before connections close, and
+// the role's background loop has exited when Run returns.
+func (n *node) Run(ctx context.Context, l net.Listener) error {
+	return n.srv.RunHandler(ctx, l, n.mux)
+}
 
 // bundlePush is the body of POST /-/bundle: the shard's manifest (with
 // ClusterGeneration stamped) plus the sealed bundle bytes exactly as

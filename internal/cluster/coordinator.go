@@ -2,15 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cascade"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/serve"
@@ -92,30 +91,30 @@ func (c *CoordinatorConfig) setDefaults() {
 }
 
 // fleetPlan is one immutable routing generation: the coordinator model
-// it was split from and the front-end → peer routing table. Swapped
-// atomically only after every worker acked its shard bundle for gen, so
-// a request admitted under a plan always finds workers that can serve
-// its generation (or degrades).
+// it was split from, the front-end → peer routing table, and each peer's
+// front-end list. Swapped atomically only after every worker acked its
+// shard bundle for gen, so a request admitted under a plan always finds
+// workers that can serve its generation (or degrades).
 type fleetPlan struct {
+	c     *Coordinator
 	gen   int64
 	model *serve.Model
-	route map[string]*peer // front-end name → owning peer
+	route map[string]int // front-end name → index into c.peers
+	fes   [][]string     // per peer, its assigned front-ends in bundle order
 }
 
-// Coordinator is the scatter–gather front of the fleet. It serves the
-// exact standalone scoring API; see the package comment for the
-// contract.
+// Coordinator is the scatter–gather front of the fleet: a serve.Server
+// whose scoring step fans each request out to the shard workers, with
+// /clusterz mounted in front. It serves the exact standalone scoring
+// API; see the package comment for the contract.
 type Coordinator struct {
+	node
 	cfg   CoordinatorConfig
 	reg   *serve.Registry
 	peers []*peer
-	mux   *http.ServeMux
 
-	plan          atomic.Pointer[fleetPlan]
-	traces        *obs.TraceBuffer
-	draining      atomic.Bool
-	distMu        sync.Mutex // serializes Distribute/repair
-	cascadePolicy cascade.Policy
+	plan   atomic.Pointer[fleetPlan]
+	distMu sync.Mutex // serializes Distribute/repair
 }
 
 // NewCoordinator loads the full bundle and prepares the fleet clients.
@@ -131,37 +130,31 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: coordinator has no worker peers")
 	}
 	c := &Coordinator{cfg: cfg, reg: serve.NewRegistry(cfg.ModelDir)}
-	if cfg.Cascade.Enabled {
-		pol, err := cascade.ParsePolicy(cfg.Cascade.Margin)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: cascade margin: %w", err)
-		}
-		c.cascadePolicy = pol
-	}
 	if _, err := c.reg.Reload(); err != nil {
 		return nil, fmt.Errorf("cluster: initial model load: %w", err)
 	}
 	for _, addr := range cfg.Peers {
 		c.peers = append(c.peers, newPeer(addr, cfg.Breaker, cfg.Transport, cfg.clock))
 	}
-	c.traces = obs.NewTraceBuffer(0, 0, 0)
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("/v1/score", c.instrument("score", c.handleScore))
-	c.mux.HandleFunc("/v1/score/batch", c.instrument("batch", c.handleScoreBatch))
-	c.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	c.mux.HandleFunc("/readyz", c.handleReadyz)
-	c.mux.HandleFunc("/metricsz", c.handleMetricsz)
-	c.mux.HandleFunc("/tracez", c.handleTracez)
+	// Coordinator-side metrics and spans live under cluster.* (the
+	// workers' serve.* names stay theirs, so a co-resident bench or test
+	// keeps the two tiers apart in one obs registry). The access log
+	// stays off.
+	srv, err := serve.NewWithRole(serve.Config{
+		RequestTimeout: cfg.RequestTimeout,
+		DrainTimeout:   cfg.DrainTimeout,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
+		DisableTracing: cfg.DisableTracing,
+		Cascade:        cfg.Cascade,
+	}, "cluster", (*fleetRole)(c))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	c.node = newNode(srv, srv.Handler())
 	c.mux.HandleFunc("/clusterz", c.handleClusterz)
-	c.mux.HandleFunc("/-/reload", c.instrument("reload", c.handleReload))
 	obs.SetGauge("cluster.peers", float64(len(c.peers)))
 	return c, nil
 }
-
-// Handler returns the coordinator's HTTP handler tree.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 // Plan returns the active routing generation (0 before the first
 // successful distribution).
@@ -185,20 +178,18 @@ func (c *Coordinator) Distribute(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	pl := &fleetPlan{c: c, gen: gen, model: m, route: make(map[string]int, len(m.Manifest.FrontEnds))}
 	for i, p := range c.peers {
 		if _, err := p.push(ctx, shards[i].manifest, shards[i].sealed, c.cfg.PushRetries, c.cfg.PushBackoff); err != nil {
 			obs.Inc("cluster.distribute.failures")
 			return fmt.Errorf("cluster: distribute generation %d to %s: %w", gen, p.addr, err)
 		}
-		p.fes = shards[i].fes
-	}
-	route := make(map[string]*peer, len(m.Manifest.FrontEnds))
-	for i, p := range c.peers {
+		pl.fes = append(pl.fes, shards[i].fes)
 		for _, fe := range shards[i].fes {
-			route[fe] = p
+			pl.route[fe] = i
 		}
 	}
-	c.plan.Store(&fleetPlan{gen: gen, model: m, route: route})
+	c.plan.Store(pl)
 	obs.Inc("cluster.distributions")
 	obs.SetGauge("cluster.generation", float64(gen))
 	return nil
@@ -307,656 +298,259 @@ func (c *Coordinator) repair(ctx context.Context) {
 	}
 }
 
-// Run serves on l until ctx is cancelled, with the repair loop ticking
-// in the background, then drains gracefully.
-func (c *Coordinator) Run(ctx context.Context, l net.Listener) error {
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	go func() {
-		for {
-			select {
-			case <-rctx.Done():
-				return
-			case <-c.cfg.clock.After(c.cfg.ProbeInterval):
-				c.repair(rctx)
-			}
+// Reload reloads the full bundle from disk and redistributes it; the
+// routing plan only advances when every worker acked the new
+// generation. It returns the active generation (SIGHUP parity with the
+// standalone daemon's hot reload; POST /-/reload runs the same path).
+func (c *Coordinator) Reload(ctx context.Context) (int64, error) {
+	_, _, err := (*fleetRole)(c).Reload(ctx)
+	return c.Plan(), err
+}
+
+func (c *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
+	cz := Clusterz{Role: "coordinator"}
+	pl := c.plan.Load()
+	if pl != nil {
+		cz.Generation = pl.gen
+		cz.ModelVersion = pl.model.Version
+		cz.FrontEnds = pl.model.Manifest.FrontEnds
+	}
+	for i, p := range c.peers {
+		var fes []string
+		if pl != nil {
+			fes = pl.fes[i]
 		}
-	}()
-	hs := &http.Server{Handler: c.mux}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.Serve(l) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
+		cz.Peers = append(cz.Peers, p.status(fes))
 	}
-	c.draining.Store(true)
-	obs.SetGauge("cluster.draining", 1)
-	dctx, cancel := context.WithTimeout(context.Background(), c.cfg.DrainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("cluster: shutdown: %w", err)
-	}
-	return nil
+	writeJSON(w, http.StatusOK, cz)
 }
 
-// ---- request handling ----
+// fleetRole is the coordinator's serve.Role: requests pin the active routing
+// plan (never reg.Current(), which may hold a bundle whose distribution
+// has not completed), reloads redistribute, and the background loop is
+// the repair tick.
+type fleetRole Coordinator
 
-// Coordinator-side RED metrics live under cluster.http.* (the workers'
-// serve.http.* names stay theirs, so a co-resident bench or test keeps
-// the two tiers apart in one obs registry).
-func (c *Coordinator) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := obs.GetCounter("cluster.http." + name + ".requests")
-	lat := obs.GetHistogram("cluster.http." + name + ".seconds")
-	wlat := obs.GetWindow("cluster.http." + name + ".seconds")
-	errs := obs.GetCounter("cluster.http.errors")
-	werrs := obs.GetWindowCounter("cluster.http.errors")
-	return func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		defer func() {
-			d := time.Since(t0).Seconds()
-			lat.Observe(d)
-			if !c.cfg.DisableTracing {
-				wlat.Observe(d)
-			}
-			if sw.status >= 500 {
-				errs.Inc()
-				if !c.cfg.DisableTracing {
-					werrs.Inc()
-				}
-			}
-		}()
-		h(sw, r)
+func (f *fleetRole) Resolve() (*serve.Pin, error) {
+	pl := f.plan.Load()
+	if pl == nil {
+		return nil, errors.New("fleet not yet distributed")
 	}
+	return &serve.Pin{Model: pl.model, Generation: pl.gen, Score: pl.score}, nil
 }
 
-type statusWriter struct {
-	http.ResponseWriter
-	status int
+func (f *fleetRole) Ready(p *serve.Pin) (any, error) {
+	m := p.Model
+	return map[string]any{
+		"status":     "ready",
+		"generation": p.Generation,
+		"peers":      len(f.peers),
+		"front_ends": m.Manifest.FrontEnds,
+		"languages":  len(m.Bundle.Languages),
+	}, nil
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// coordTrace is the per-request tracing state (nil when tracing off).
-type coordTrace struct {
-	id     string
-	parent string
-	spanID string
-	start  time.Time
-	root   *obs.Span
-}
-
-// span returns the request's root span for child annotations (nil when
-// tracing is off).
-func (tr *coordTrace) span() *obs.Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.root
-}
-
-func (c *Coordinator) startTrace(w http.ResponseWriter, r *http.Request, endpoint string) *coordTrace {
-	if c.cfg.DisableTracing {
-		return nil
-	}
-	id, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
-	if !ok {
-		id, parent = obs.NewTraceID(), ""
-	}
-	tr := &coordTrace{
-		id:     id,
-		parent: parent,
-		spanID: obs.NewSpanID(),
-		start:  time.Now(),
-		root:   obs.NewSpan("cluster." + endpoint),
-	}
-	tr.root.SetLabel("trace_id", id)
-	w.Header().Set("traceparent", obs.Traceparent(id, tr.spanID))
-	return tr
-}
-
-func (c *Coordinator) finishTrace(tr *coordTrace, endpoint string, status int, degraded bool, surviving []string, errMsg string) {
-	if tr == nil {
+func (f *fleetRole) Describe(meta map[string]string) {
+	meta["role"] = "coordinator"
+	pl := f.plan.Load()
+	if pl == nil {
 		return
 	}
-	dur := tr.root.End()
-	c.traces.Add(&obs.TraceEntry{
-		TraceID:      tr.id,
-		SpanID:       tr.spanID,
-		ParentSpanID: tr.parent,
-		Endpoint:     endpoint,
-		Start:        tr.start,
-		DurationSec:  dur.Seconds(),
-		Status:       status,
-		Degraded:     degraded,
-		Surviving:    surviving,
-		Error:        errMsg,
-		Root:         tr.root.Data(),
-	})
+	meta["cluster_generation"] = fmt.Sprintf("%d", pl.gen)
+	meta["model_version"] = fmt.Sprintf("%d", pl.model.Version)
+	for i, p := range f.peers {
+		meta["shard."+p.addr] = strings.Join(pl.fes[i], ",")
+	}
 }
 
-func statusOf(w http.ResponseWriter) int {
-	if sw, ok := w.(*statusWriter); ok {
-		return sw.status
+// Reload reloads the full bundle (reg.Reload, no reload breaker) and
+// redistributes it. A bundle that fails to load answers 500, a
+// distribution that fails answers 503; either way the previous plan
+// keeps routing.
+func (f *fleetRole) Reload(ctx context.Context) (any, int, error) {
+	c := (*Coordinator)(f)
+	if _, err := c.reg.Reload(); err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("reload failed (previous bundle still active): %w", err)
 	}
-	return http.StatusOK
-}
-
-// admit runs the common scoring-request checks and resolves the active
-// plan, or writes the response and returns nil.
-func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) *fleetPlan {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return nil
-	}
-	if c.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return nil
+	if err := c.Distribute(ctx); err != nil {
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("distribution failed (previous plan still routing): %w", err)
 	}
 	pl := c.plan.Load()
-	if pl == nil {
-		writeError(w, http.StatusServiceUnavailable, "fleet not yet distributed")
-		return nil
-	}
-	return pl
+	return map[string]any{"generation": pl.gen, "manifest": pl.model.Manifest}, http.StatusOK, nil
 }
 
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// shardCall groups the front-ends of one request that live on one peer.
-type shardCall struct {
-	p   *peer
-	fes []string
-}
-
-// planShards groups a request's front-ends by owning peer, validating
-// names against the plan's model. The groups come out in routing-table
-// (bundle) order via the peers slice, keeping scatter order stable.
-func (c *Coordinator) planShards(pl *fleetPlan, req *serve.ScoreRequest) ([]shardCall, error) {
-	byPeer := make(map[*peer][]string, len(c.peers))
-	for name := range req.FrontEnds {
-		p, ok := pl.route[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown front-end %q (model has %v)", name, pl.model.Manifest.FrontEnds)
-		}
-		byPeer[p] = append(byPeer[p], name)
-	}
-	var calls []shardCall
-	for _, p := range c.peers {
-		if fes, ok := byPeer[p]; ok {
-			calls = append(calls, shardCall{p: p, fes: fes})
-		}
-	}
-	return calls, nil
-}
-
-// gather collects one request's per-front-end score rows across shard
-// RPC outcomes into AssembleResult's input maps: scores by bundle
-// front-end index, and per-front-end errors for everything a shard
-// failed to score (peer down, deadline missed, breaker open, generation
-// conflict, or the worker's own per-front-end degradation).
-type gather struct {
-	model  *serve.Model
-	scores map[int][]float64
-	feErrs map[int]error
-}
-
-func newGather(m *serve.Model) *gather {
-	return &gather{model: m, scores: make(map[int][]float64), feErrs: make(map[int]error)}
-}
-
-func (g *gather) failShard(p *peer, fes []string, err error) {
-	for _, name := range fes {
-		if q, ok := g.model.FrontEndIndex(name); ok {
-			g.feErrs[q] = fmt.Errorf("shard %s: %w", p.addr, err)
-		}
-	}
-	obs.Inc("cluster.rpc.errors")
-	wobsShardFailed.Inc()
-}
-
-func (g *gather) mergeResult(p *peer, fes []string, res *serve.ScoreResult) {
-	for _, name := range fes {
-		q, ok := g.model.FrontEndIndex(name)
-		if !ok {
-			continue
-		}
-		if row, ok := res.Scores[name]; ok {
-			g.scores[q] = row
-			continue
-		}
-		msg := res.FrontEndErrors[name]
-		if msg == "" {
-			if msg = res.Error; msg == "" {
-				msg = "no score returned"
-			}
-		}
-		g.feErrs[q] = fmt.Errorf("shard %s: %s", p.addr, msg)
-	}
-}
-
-var (
-	obsDegraded     = obs.GetCounter("cluster.score.degraded")
-	wobsDegraded    = obs.GetWindowCounter("cluster.score.degraded")
-	wobsShardFailed = obs.GetWindowCounter("cluster.rpc.errors")
-)
-
-// assemble fuses one gathered utterance exactly like the standalone
-// serving path (AssembleResult: exact fusion when everything survived,
-// ScoreMasked survivor fusion otherwise). ok=false when nothing
-// survived — the all-shards-lost error path.
-func (g *gather) assemble(id string) (serve.ScoreResult, bool) {
-	if len(g.scores) == 0 {
-		return serve.ScoreResult{}, false
-	}
-	res := serve.AssembleResult(g.model, id, g.scores, g.feErrs)
-	if res.Degraded {
-		obsDegraded.Inc()
-		wobsDegraded.Inc()
-	}
-	return res, true
-}
-
-// firstErr surfaces a representative shard error for an all-lost
-// utterance (deterministic: lowest front-end index).
-func (g *gather) firstErr() error {
-	for q := 0; ; q++ {
-		if err, ok := g.feErrs[q]; ok {
-			return err
-		}
-		if q > len(g.model.Bundle.FrontEnds) {
-			return fmt.Errorf("no shard produced scores")
-		}
-	}
-}
-
-func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
-	pl := c.admit(w, r)
-	if pl == nil {
-		return
-	}
-	tr := c.startTrace(w, r, "score")
-	var req serve.ScoreRequest
-	if !c.decodeBody(w, r, &req) {
-		c.finishTrace(tr, "score", statusOf(w), false, nil, "bad request")
-		return
-	}
-	if len(req.FrontEnds) == 0 {
-		writeError(w, http.StatusBadRequest, "request names no front-ends")
-		c.finishTrace(tr, "score", statusOf(w), false, nil, "no front-ends")
-		return
-	}
-	// Cascade fast path: a high-margin tier-1 decision answers here, with
-	// zero shard RPCs in flight; everything else falls through into the
-	// ordinary scatter–gather carrying its escalation outcome.
-	var casc *serve.CascadeOutcome
-	if c.cfg.Cascade.Enabled {
-		var fast *serve.ScoreResult
-		casc, fast = c.tryCascade(pl, &req, tr.span())
-		if fast != nil {
-			resp := serve.ScoreResponse{
-				ModelVersion:      pl.model.Version,
-				ClusterGeneration: pl.gen,
-				Languages:         pl.model.Bundle.Languages,
-				ScoreResult:       *fast,
-			}
-			if tr != nil {
-				resp.TraceID = tr.id
-			}
-			writeJSON(w, http.StatusOK, resp)
-			c.finishTrace(tr, "score", http.StatusOK, false, nil, "")
+// Loop ticks the repair loop every ProbeInterval until ctx is done.
+func (f *fleetRole) Loop(ctx context.Context) {
+	c := (*Coordinator)(f)
+	for {
+		select {
+		case <-ctx.Done():
 			return
+		case <-c.cfg.clock.After(c.cfg.ProbeInterval):
+			c.repair(ctx)
 		}
 	}
-	calls, err := c.planShards(pl, &req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		c.finishTrace(tr, "score", statusOf(w), false, nil, err.Error())
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
-	defer cancel()
+}
 
-	g := newGather(pl.model)
+// shardCall is one peer's cut of a request: the sub-request carrying, per
+// utterance, only the front-ends that peer owns; uttIdx maps its
+// utterances back to request positions.
+type shardCall struct {
+	p      *peer
+	sub    serve.BatchRequest
+	uttIdx []int
+	fes    [][]string // per sub-utterance front-end subset
+}
+
+// score is the fleet's scoring step. Each utterance's front-ends are
+// grouped by owning peer; each peer gets one RPC for its cut of the whole
+// request (/v1/score for a single request, /v1/score/batch for a batch),
+// and the shard rows are gathered back per utterance. Degradation stays
+// per utterance end to end: a peer-level failure fails that peer's
+// front-ends for its utterances, and a worker-side per-utterance
+// degradation degrades exactly the utterances it named.
+func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
+	calls := make([]*shardCall, len(pl.c.peers))
+	for i := range sc.Utts {
+		u := &sc.Utts[i]
+		byPeer, err := pl.planShards(u.Req)
+		if err != nil {
+			u.Err, u.Status = err, http.StatusBadRequest
+			continue
+		}
+		u.Scores, u.FrontEndErrs = make(map[int][]float64), make(map[int]error)
+		for k, fes := range byPeer {
+			if len(fes) == 0 {
+				continue
+			}
+			if calls[k] == nil {
+				calls[k] = &shardCall{p: pl.c.peers[k]}
+			}
+			call := calls[k]
+			sub := serve.ScoreRequest{ID: u.Req.ID, FrontEnds: make(map[string]serve.FrontEndInput, len(fes))}
+			for _, fe := range fes {
+				sub.FrontEnds[fe] = u.Req.FrontEnds[fe]
+			}
+			call.sub.Utterances = append(call.sub.Utterances, sub)
+			call.uttIdx = append(call.uttIdx, i)
+			call.fes = append(call.fes, fes)
+		}
+	}
+
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, call := range calls {
+		if call == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(call shardCall) {
+		go func(call *shardCall) {
 			defer wg.Done()
-			sub := &serve.ScoreRequest{ID: req.ID, FrontEnds: make(map[string]serve.FrontEndInput, len(call.fes))}
-			for _, fe := range call.fes {
-				sub.FrontEnds[fe] = req.FrontEnds[fe]
-			}
-			res, err := c.scatterOne(ctx, tr, pl.gen, call, sub)
+			results, err := pl.scatter(ctx, sc, call)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				g.failShard(call.p, call.fes, err)
-				return
-			}
-			g.mergeResult(call.p, call.fes, &res.ScoreResult)
+			pl.gather(sc.Utts, call, results, err)
 		}(call)
 	}
 	wg.Wait()
 
-	result, ok := g.assemble(req.ID)
-	if !ok {
-		err := g.firstErr()
-		writeError(w, http.StatusServiceUnavailable, "all shards failed: %v", err)
-		c.finishTrace(tr, "score", statusOf(w), false, nil, err.Error())
-		return
+	for i := range sc.Utts {
+		if u := &sc.Utts[i]; u.Err == nil && len(u.Scores) == 0 {
+			u.Err, u.Status = fmt.Errorf("all shards failed: %v", firstErr(u.FrontEndErrs)), http.StatusServiceUnavailable
+		}
 	}
-	result.Cascade = casc
-	resp := serve.ScoreResponse{
-		ModelVersion:      pl.model.Version,
-		ClusterGeneration: pl.gen,
-		Languages:         pl.model.Bundle.Languages,
-		ScoreResult:       result,
-	}
-	if tr != nil {
-		resp.TraceID = tr.id
-	}
-	writeJSON(w, http.StatusOK, resp)
-	c.finishTrace(tr, "score", http.StatusOK, result.Degraded, result.Surviving, result.Error)
 }
 
-// scatterOne runs one shard's /v1/score RPC under the shard deadline,
-// with an rpc.shard child span whose span id becomes the traceparent
-// the worker continues — /tracez then shows the coordinator→shard
-// subtree on both sides of the hop.
-func (c *Coordinator) scatterOne(ctx context.Context, tr *coordTrace, gen int64, call shardCall, sub *serve.ScoreRequest) (*serve.ScoreResponse, error) {
-	sctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+// planShards groups a request's front-ends by owning peer index,
+// validating names against the plan's model.
+func (pl *fleetPlan) planShards(req *serve.ScoreRequest) ([][]string, error) {
+	if len(req.FrontEnds) == 0 {
+		return nil, errors.New("request names no front-ends")
+	}
+	byPeer := make([][]string, len(pl.c.peers))
+	for name := range req.FrontEnds {
+		k, ok := pl.route[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown front-end %q (model has %v)", name, pl.model.Manifest.FrontEnds)
+		}
+		byPeer[k] = append(byPeer[k], name)
+	}
+	return byPeer, nil
+}
+
+// scatter runs one peer's RPC under the shard deadline, with an
+// rpc.shard child span whose span id becomes the traceparent the worker
+// continues — /tracez then shows the coordinator→shard subtree on both
+// sides of the hop. It returns one result per sub-utterance.
+func (pl *fleetPlan) scatter(ctx context.Context, sc *serve.Scoring, call *shardCall) ([]serve.ScoreResult, error) {
+	ctx, cancel := context.WithTimeout(ctx, pl.c.cfg.ShardTimeout)
 	defer cancel()
 	var sp *obs.Span
 	var traceparent string
-	if tr != nil {
-		sp = tr.root.StartChild("rpc.shard")
+	if sc.Root != nil {
+		sp = sc.Root.StartChild("rpc.shard")
 		sp.SetLabel("shard", call.p.addr)
+		if sc.Batch {
+			sp.SetAttr("utterances", float64(len(call.sub.Utterances)))
+		}
 		spanID := obs.NewSpanID()
 		sp.SetLabel("span_id", spanID)
-		traceparent = obs.Traceparent(tr.id, spanID)
+		traceparent = obs.Traceparent(sc.TraceID, spanID)
 	}
-	res, err := call.p.score(sctx, gen, traceparent, sub)
+	results, err := call.p.score(ctx, pl.gen, traceparent, &call.sub, sc.Batch)
 	if sp != nil {
 		if err != nil {
 			sp.SetLabel("error", err.Error())
 		}
 		sp.End()
 	}
-	return res, err
+	return results, err
 }
 
-func (c *Coordinator) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
-	pl := c.admit(w, r)
-	if pl == nil {
-		return
-	}
-	tr := c.startTrace(w, r, "batch")
-	var req serve.BatchRequest
-	if !c.decodeBody(w, r, &req) {
-		c.finishTrace(tr, "batch", statusOf(w), false, nil, "bad request")
-		return
-	}
-	if len(req.Utterances) == 0 {
-		writeError(w, http.StatusBadRequest, "batch names no utterances")
-		c.finishTrace(tr, "batch", statusOf(w), false, nil, "empty batch")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
-	defer cancel()
+var wobsShardFailed = obs.GetWindowCounter("cluster.rpc.errors")
 
-	// Scatter one batch RPC per peer, carrying only the utterances (and
-	// front-end subsets) that peer owns; uttIdx maps the sub-batch back
-	// to request positions. Degradation stays per utterance end to end:
-	// a peer-level failure fails that peer's front-ends for its
-	// utterances, and a worker-side per-utterance degradation (the
-	// per-utterance sets on BatchResponse.Results) degrades exactly the
-	// utterances it named.
-	gathers := make([]*gather, len(req.Utterances))
-	for i := range gathers {
-		gathers[i] = newGather(pl.model)
+// gather folds one peer's RPC outcome into its utterances' rows,
+// AssembleResult's input maps: scores by bundle front-end index, and
+// per-front-end errors for everything the shard failed to score (peer
+// down, deadline missed, breaker open, generation conflict, or the
+// worker's own per-front-end degradation).
+func (pl *fleetPlan) gather(utts []serve.Utterance, call *shardCall, results []serve.ScoreResult, err error) {
+	if err != nil {
+		obs.Inc("cluster.rpc.errors")
+		wobsShardFailed.Inc()
 	}
-	// Cascade runs per utterance, exactly like the standalone batch path:
-	// a tier-1 exit carries its finished result straight to the response
-	// and contributes nothing to any peer's sub-batch.
-	fast := make([]*serve.ScoreResult, len(req.Utterances))
-	cascOut := make([]*serve.CascadeOutcome, len(req.Utterances))
-	var badReq error
-	type peerBatch struct {
-		call   shardCall
-		sub    serve.BatchRequest
-		uttIdx []int
-		fes    [][]string // per sub-utterance front-end subset
-	}
-	var batches []*peerBatch
-	byPeer := make(map[*peer]*peerBatch, len(c.peers))
-	for i := range req.Utterances {
-		u := &req.Utterances[i]
-		if c.cfg.Cascade.Enabled {
-			casc, res := c.tryCascade(pl, u, tr.span())
-			if res != nil {
-				fast[i] = res
+	for k, i := range call.uttIdx {
+		u := &utts[i]
+		for _, name := range call.fes[k] {
+			q, _ := pl.model.FrontEndIndex(name) // routed names are the model's
+			if err != nil {
+				u.FrontEndErrs[q] = fmt.Errorf("shard %s: %w", call.p.addr, err)
 				continue
 			}
-			cascOut[i] = casc
-		}
-		calls, err := c.planShards(pl, u)
-		if err != nil {
-			badReq = err
-			break
-		}
-		for _, call := range calls {
-			pb, ok := byPeer[call.p]
-			if !ok {
-				pb = &peerBatch{call: call}
-				byPeer[call.p] = pb
-				batches = append(batches, pb)
+			res := &results[k]
+			if row, ok := res.Scores[name]; ok {
+				u.Scores[q] = row
+				continue
 			}
-			sub := serve.ScoreRequest{ID: u.ID, FrontEnds: make(map[string]serve.FrontEndInput, len(call.fes))}
-			for _, fe := range call.fes {
-				sub.FrontEnds[fe] = u.FrontEnds[fe]
-			}
-			pb.sub.Utterances = append(pb.sub.Utterances, sub)
-			pb.uttIdx = append(pb.uttIdx, i)
-			pb.fes = append(pb.fes, call.fes)
-		}
-	}
-	if badReq != nil {
-		writeError(w, http.StatusBadRequest, "%v", badReq)
-		c.finishTrace(tr, "batch", statusOf(w), false, nil, badReq.Error())
-		return
-	}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, pb := range batches {
-		wg.Add(1)
-		go func(pb *peerBatch) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-			defer cancel()
-			var sp *obs.Span
-			var traceparent string
-			if tr != nil {
-				sp = tr.root.StartChild("rpc.shard")
-				sp.SetLabel("shard", pb.call.p.addr)
-				sp.SetAttr("utterances", float64(len(pb.sub.Utterances)))
-				spanID := obs.NewSpanID()
-				sp.SetLabel("span_id", spanID)
-				traceparent = obs.Traceparent(tr.id, spanID)
-			}
-			res, err := pb.call.p.batch(sctx, pl.gen, traceparent, &pb.sub)
-			if sp != nil {
-				if err != nil {
-					sp.SetLabel("error", err.Error())
+			msg := res.FrontEndErrors[name]
+			if msg == "" {
+				if msg = res.Error; msg == "" {
+					msg = "no score returned"
 				}
-				sp.End()
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				for k, i := range pb.uttIdx {
-					gathers[i].failShard(pb.call.p, pb.fes[k], err)
-				}
-				return
-			}
-			for k, i := range pb.uttIdx {
-				gathers[i].mergeResult(pb.call.p, pb.fes[k], &res.Results[k])
-			}
-		}(pb)
-	}
-	wg.Wait()
-
-	resp := serve.BatchResponse{
-		ModelVersion:      pl.model.Version,
-		ClusterGeneration: pl.gen,
-		Languages:         pl.model.Bundle.Languages,
-		Results:           make([]serve.ScoreResult, len(req.Utterances)),
-	}
-	for i := range req.Utterances {
-		if fast[i] != nil {
-			resp.Results[i] = *fast[i]
-			continue
+			u.FrontEndErrs[q] = fmt.Errorf("shard %s: %s", call.p.addr, msg)
 		}
-		res, ok := gathers[i].assemble(req.Utterances[i].ID)
-		if !ok {
-			res = serve.ScoreResult{ID: req.Utterances[i].ID, Error: fmt.Sprintf("all shards failed: %v", gathers[i].firstErr())}
+	}
+}
+
+// firstErr is a representative shard error for an all-lost utterance
+// (deterministic: the lowest front-end index).
+func firstErr(errs map[int]error) error {
+	first := -1
+	for q := range errs {
+		if first < 0 || q < first {
+			first = q
 		}
-		res.Cascade = cascOut[i]
-		if res.Degraded {
-			resp.Degraded = true
-			resp.DegradedCount++
-		}
-		resp.Results[i] = res
 	}
-	if tr != nil {
-		resp.TraceID = tr.id
-	}
-	writeJSON(w, http.StatusOK, resp)
-	c.finishTrace(tr, "batch", http.StatusOK, resp.Degraded, nil, "")
-}
-
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	pl := c.plan.Load()
-	if pl == nil {
-		writeError(w, http.StatusServiceUnavailable, "fleet not yet distributed")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ready",
-		"generation": pl.gen,
-		"peers":      len(c.peers),
-		"front_ends": pl.model.Manifest.FrontEnds,
-		"languages":  len(pl.model.Bundle.Languages),
-	})
-}
-
-func (c *Coordinator) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	rep := obs.Snapshot().MetricsOnly()
-	rep.Meta = map[string]string{"service": "lred", "role": "coordinator"}
-	if pl := c.plan.Load(); pl != nil {
-		rep.Meta["cluster_generation"] = fmt.Sprintf("%d", pl.gen)
-		rep.Meta["model_version"] = fmt.Sprintf("%d", pl.model.Version)
-	}
-	for _, p := range c.peers {
-		rep.Meta["shard."+p.addr] = joinFEs(p.fes)
-	}
-	switch r.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		rep.WritePrometheus(w)
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		rep.WriteJSON(w)
-	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (want json or prom)", r.URL.Query().Get("format"))
-	}
-}
-
-func (c *Coordinator) handleTracez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.traces.Snapshot())
-}
-
-func (c *Coordinator) handleClusterz(w http.ResponseWriter, r *http.Request) {
-	cz := Clusterz{Role: "coordinator"}
-	if pl := c.plan.Load(); pl != nil {
-		cz.Generation = pl.gen
-		cz.ModelVersion = pl.model.Version
-		cz.FrontEnds = pl.model.Manifest.FrontEnds
-	}
-	for _, p := range c.peers {
-		cz.Peers = append(cz.Peers, p.status())
-	}
-	writeJSON(w, http.StatusOK, cz)
-}
-
-// Reload reloads the full bundle from disk and redistributes it; the
-// routing plan only advances when every worker acked the new
-// generation. It returns the active generation (SIGHUP parity with the
-// standalone daemon's hot reload).
-func (c *Coordinator) Reload(ctx context.Context) (int64, error) {
-	if _, err := c.reg.Reload(); err != nil {
-		return c.Plan(), fmt.Errorf("reload failed (previous bundle still active): %w", err)
-	}
-	if err := c.Distribute(ctx); err != nil {
-		return c.Plan(), fmt.Errorf("distribution failed (previous plan still routing): %w", err)
-	}
-	return c.Plan(), nil
-}
-
-// handleReload reloads the full bundle from disk and redistributes it;
-// the routing plan only advances when every worker acked the new
-// generation.
-func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if c.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-	if _, err := c.reg.Reload(); err != nil {
-		writeError(w, http.StatusInternalServerError, "reload failed (previous bundle still active): %v", err)
-		return
-	}
-	if err := c.Distribute(r.Context()); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "distribution failed (previous plan still routing): %v", err)
-		return
-	}
-	pl := c.plan.Load()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": pl.gen,
-		"manifest":   pl.model.Manifest,
-	})
-}
-
-func joinFEs(fes []string) string {
-	out := ""
-	for i, fe := range fes {
-		if i > 0 {
-			out += ","
-		}
-		out += fe
-	}
-	return out
+	return errs[first]
 }

@@ -28,15 +28,14 @@ var ErrBreakerOpen = errors.New("cluster: peer circuit breaker open")
 const GenerationHeader = "X-Cluster-Generation"
 
 // peer is the coordinator's client for one shard worker: base URL,
-// assigned front-ends, circuit breaker, and per-peer metrics. The
-// metric names are flat obs keys suffixed by the peer address —
+// circuit breaker, and per-peer metrics. The metric names are flat obs
+// keys suffixed by the peer address —
 // cluster.peer.<addr>.up, cluster.peer.<addr>.breaker_open,
 // cluster.peer.<addr>.failures, cluster.rpc.<addr>.seconds — which is
 // what lrestat's shards panel reads off /metricsz.
 type peer struct {
-	addr   string   // host:port (metric and log key)
-	base   string   // http://host:port
-	fes    []string // assigned front-end names, bundle order
+	addr   string // host:port (metric and log key)
+	base   string // http://host:port
 	client *http.Client
 	br     *serve.Breaker
 	clock  serve.Clock
@@ -72,11 +71,12 @@ func newPeer(addr string, pol serve.BreakerPolicy, transport http.RoundTripper, 
 	}
 }
 
-// status snapshots the peer for /clusterz and the shards panel.
-func (p *peer) status() PeerStatus {
+// status snapshots the peer for /clusterz; fes is its front-end list
+// in the active plan.
+func (p *peer) status(fes []string) PeerStatus {
 	return PeerStatus{
 		Addr:       p.addr,
-		FrontEnds:  p.fes,
+		FrontEnds:  fes,
 		Up:         p.up.Value() > 0,
 		Breaker:    p.br.State(p.clock.Now()),
 		Failures:   p.failures.Value(),
@@ -157,43 +157,42 @@ func (p *peer) do(ctx context.Context, path string, hdr http.Header, body []byte
 	return json.Unmarshal(data, out)
 }
 
-// score runs one /v1/score RPC routed for generation gen; traceparent,
-// when non-empty, propagates the coordinator's trace across the hop.
-// The generation echoed in the response is re-checked so a worker that
-// hot-swapped between routing and admission degrades this shard instead
-// of silently contributing scores from another generation.
-func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *serve.ScoreRequest) (*serve.ScoreResponse, error) {
-	body, err := json.Marshal(req)
+// score runs one scoring RPC routed for generation gen and returns one
+// result per utterance of req: /v1/score/batch for a batch, /v1/score for
+// a single utterance. traceparent, when non-empty, propagates the
+// coordinator's trace across the hop. The generation echoed in the
+// response is re-checked so a worker that hot-swapped between routing and
+// admission degrades this shard instead of silently contributing scores
+// from another generation.
+func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *serve.BatchRequest, batch bool) ([]serve.ScoreResult, error) {
+	path, payload := "/v1/score/batch", any(req)
+	if !batch {
+		path, payload = "/v1/score", &req.Utterances[0]
+	}
+	body, err := json.Marshal(payload)
 	if err != nil {
 		return nil, err
 	}
-	var out serve.ScoreResponse
-	if err := p.rpc(ctx, "/v1/score", p.headers(gen, traceparent), body, &out); err != nil {
+	// Decodes either response: a ScoreResponse's result is the embedded
+	// ScoreResult, a BatchResponse's are the Results.
+	var out struct {
+		ClusterGeneration int64               `json:"cluster_generation"`
+		Results           []serve.ScoreResult `json:"results"`
+		serve.ScoreResult
+	}
+	if err := p.rpc(ctx, path, p.headers(gen, traceparent), body, &out); err != nil {
 		return nil, err
 	}
 	if out.ClusterGeneration != gen {
 		return nil, fmt.Errorf("shard answered for generation %d, routed for %d", out.ClusterGeneration, gen)
 	}
-	return &out, nil
-}
-
-// batch runs one /v1/score/batch RPC (same contract as score).
-func (p *peer) batch(ctx context.Context, gen int64, traceparent string, req *serve.BatchRequest) (*serve.BatchResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var out serve.BatchResponse
-	if err := p.rpc(ctx, "/v1/score/batch", p.headers(gen, traceparent), body, &out); err != nil {
-		return nil, err
-	}
-	if out.ClusterGeneration != gen {
-		return nil, fmt.Errorf("shard answered for generation %d, routed for %d", out.ClusterGeneration, gen)
+	if !batch {
+		out.Results = []serve.ScoreResult{out.ScoreResult}
 	}
 	if len(out.Results) != len(req.Utterances) {
 		return nil, fmt.Errorf("shard returned %d results for %d utterances", len(out.Results), len(req.Utterances))
 	}
-	return &out, nil
+	return out.Results, nil
 }
 
 // push installs a shard bundle on the worker and records the acked

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -42,9 +40,8 @@ type WorkerConfig struct {
 // rather than fusing scores across model generations. Requests without
 // the header (ops curl, standalone clients) pass through unchanged.
 type Worker struct {
-	srv   *serve.Server
+	node
 	spool string
-	mux   *http.ServeMux
 
 	installMu sync.Mutex // serializes bundle installs
 }
@@ -65,26 +62,16 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{srv: srv, spool: cfg.Spool}
-	w.mux = http.NewServeMux()
+	w := &Worker{spool: cfg.Spool}
+	w.node = newNode(srv, w.generationCheck(srv.Handler()))
 	w.mux.HandleFunc("/-/bundle", w.handleBundle)
 	w.mux.HandleFunc("/clusterz", w.handleClusterz)
-	w.mux.Handle("/", w.generationCheck(srv.Handler()))
 	obs.SetGauge("cluster.worker", 1)
 	return w, nil
 }
 
 // Server exposes the embedded scoring server (tests, reload loops).
 func (w *Worker) Server() *serve.Server { return w.srv }
-
-// Handler returns the worker's HTTP handler tree.
-func (w *Worker) Handler() http.Handler { return w.mux }
-
-// Run serves until ctx is cancelled, then drains like the standalone
-// daemon (queued scoring work finishes before connections close).
-func (w *Worker) Run(ctx context.Context, l net.Listener) error {
-	return w.srv.RunHandler(ctx, l, w.mux)
-}
 
 // generationCheck rejects scoring requests routed for a generation
 // other than the one currently loaded. The check reads the same model
@@ -129,7 +116,7 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	}
 	var push bundlePush
 	r.Body = http.MaxBytesReader(rw, r.Body, 256<<20)
-	if err := decodeJSON(r, &push); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&push); err != nil {
 		writeError(rw, http.StatusBadRequest, "bad bundle push: %v", err)
 		return
 	}
@@ -175,8 +162,4 @@ func (w *Worker) handleClusterz(rw http.ResponseWriter, r *http.Request) {
 		cz.FrontEnds = m.Manifest.FrontEnds
 	}
 	writeJSON(rw, http.StatusOK, cz)
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	return json.NewDecoder(r.Body).Decode(v)
 }

@@ -171,7 +171,7 @@ type CascadeTierEval struct {
 	// important points of the curve.
 	Threshold string `json:"threshold"`
 	Total     int    `json:"total"`
-	Exited    int     `json:"exited"`
+	Exited    int    `json:"exited"`
 	// ExitFrac is the traffic fraction answered at tier 1.
 	ExitFrac float64 `json:"exit_frac"`
 	// Tier1AccPct is the argmax accuracy of the exited subset (100 when
@@ -444,4 +444,3 @@ func (t *CascadeTable) String() string {
 	}
 	return b.String()
 }
-

@@ -64,19 +64,15 @@ func (s *Server) initAdapter() error {
 // daemon's status logging.
 func (s *Server) Adapter() *adapt.Adapter { return s.adapter }
 
-// observeAdapt offers one served utterance to the adaptation buffer:
-// full-battery, non-degraded results only (a partial battery cannot vote,
-// and a degraded row would poison self-training with scores the client
-// was warned about). scores is the raw per-front-end-index row map the
-// result was assembled from.
-func (s *Server) observeAdapt(j *job, res *ScoreResult, scores map[int][]float64) {
-	if s.adapter == nil || j == nil || res == nil {
+// observeAdapt offers one scored job to the adaptation buffer: results
+// with no failed front-end only (a degraded row would poison
+// self-training with scores the client was warned about; the adapter
+// itself skips partial batteries, which cannot vote).
+func (s *Server) observeAdapt(j *job, res jobResult) {
+	if s.adapter == nil || len(res.feErrs) > 0 {
 		return
 	}
-	if res.Degraded || res.Error != "" {
-		return
-	}
-	s.adapter.Observe(j.vectors, scores)
+	s.adapter.Observe(j.vectors, res.scores)
 }
 
 func (s *Server) handleAdaptz(w http.ResponseWriter, r *http.Request) {
@@ -87,16 +83,10 @@ func (s *Server) handleAdaptz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.adapter.Status())
 }
 
-// adaptAdmin gates the two mutating endpoints: POST only, not while
-// draining, 503 when adaptation is off.
+// adaptAdmin gates the two mutating endpoints: the admin checks, then
+// 503 when adaptation is off.
 func (s *Server) adaptAdmin(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	if !s.adminPost(w, r) {
 		return false
 	}
 	if s.adapter == nil {

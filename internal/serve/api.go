@@ -220,13 +220,12 @@ func latticeFromSlots(slots [][]Slot, numPhones int) (*lattice.Lattice, error) {
 	return lattice.ParseSausage(ls, numPhones)
 }
 
-// Degradation counters: cumulative (obs run reports and /metricsz) and
-// rolling-window (the RED "errors" of the serving path — degradation is
-// the failure mode scoring absorbs instead of surfacing as a 5xx).
-var (
-	obsDegraded  = obs.GetCounter("serve.score.degraded")
-	wobsDegraded = obs.GetWindowCounter("serve.score.degraded")
-)
+// obsDegraded counts every degraded fused result in the process,
+// whatever the serving role (obs run reports and /metricsz). Its
+// rolling window — the RED "errors" of the serving path, since
+// degradation is the failure mode scoring absorbs instead of surfacing
+// as a 5xx — is the server's (Server.degraded).
+var obsDegraded = obs.GetCounter("serve.score.degraded")
 
 // AssembleResult turns one utterance's per-front-end score rows into the
 // wire result: named scores, the fused row (when the bundle has a backend
@@ -240,11 +239,11 @@ var (
 // the fused row is computed by fusion.ScoreMasked over the survivors (the
 // documented degraded-fusion contract in DESIGN.md).
 //
-// Exported because the cluster coordinator (internal/cluster) gathers
-// score rows from remote shard workers and must fuse them exactly like
-// the in-process scoring path does — a shard that missed its deadline is
-// fed in as a feErrs entry per front-end and degrades the request
-// precisely like a failed local front-end.
+// Every serving role fuses through here: the coordinator's scoring step
+// feeds a shard that missed its deadline in as a feErrs entry per
+// front-end, which degrades the request precisely like a failed local
+// front-end. Exported for the bench harness, which times fusion in
+// process.
 func AssembleResult(m *Model, id string, scores map[int][]float64, feErrs map[int]error) ScoreResult {
 	res := ScoreResult{ID: id, Scores: make(map[string][]float64, len(scores))}
 	for q, row := range scores {

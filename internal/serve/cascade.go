@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cascade"
 	"repro/internal/faultinject"
@@ -57,82 +56,31 @@ type CascadeOutcome struct {
 	Margin float64 `json:"margin,omitempty"`
 }
 
-// Cascade counters and per-path latency windows. Exit/escalate partition
-// every scoring request of a cascade-enabled server; tier1.failed counts
-// transparent fault-escalations (a subset of escalate). The two latency
-// histograms split the /v1/score request latency by path — the observable
-// the BENCH_cascade.json speedup claims are checked against in
-// production.
-var (
-	cascExit    = obs.GetCounter("serve.cascade.exit")
-	wcascExit   = obs.GetWindowCounter("serve.cascade.exit")
-	cascEsc     = obs.GetCounter("serve.cascade.escalate")
-	wcascEsc    = obs.GetWindowCounter("serve.cascade.escalate")
-	cascFailed  = obs.GetCounter("serve.cascade.tier1.failed")
-	wcascFailed = obs.GetWindowCounter("serve.cascade.tier1.failed")
-	cascT1Lat   = obs.GetHistogram("serve.cascade.tier1.seconds")
-	wcascT1Lat  = obs.GetWindow("serve.cascade.tier1.seconds")
-	cascEscLat  = obs.GetHistogram("serve.cascade.escalated.seconds")
-	wcascEscLat = obs.GetWindow("serve.cascade.escalated.seconds")
-	// cascEscDegraded counts escalated requests whose heavy result came
-	// back degraded — the per-tier degradation split (tier-1 exits never
-	// degrade: they touch no front-end battery).
-	cascEscDegraded  = obs.GetCounter("serve.cascade.escalated.degraded")
-	wcascEscDegraded = obs.GetWindowCounter("serve.cascade.escalated.degraded")
-)
-
-// noteCascadeExit / noteCascadeEscalate fold one request into the
-// cascade accounting. d < 0 skips the latency histograms (batch
-// utterances share dispatch, so a per-utterance wall time would price
-// batch-mates' work; only the counters are meaningful there).
-func (s *Server) noteCascadeExit(d time.Duration) {
-	cascExit.Inc()
-	if d >= 0 {
-		cascT1Lat.Observe(d.Seconds())
-	}
-	if !s.cfg.DisableTracing {
-		wcascExit.Inc()
-		if d >= 0 {
-			wcascT1Lat.Observe(d.Seconds())
-		}
-	}
+// cascadeTallies are a server's cascade counters and per-path latency
+// histograms, under its namespace (serve.cascade.* standalone,
+// cluster.cascade.* at the coordinator). Exit/escalate partition every
+// scoring utterance of a cascade-enabled server; tier1.failed counts
+// transparent fault-escalations (a subset of escalate);
+// escalated.degraded counts escalations whose heavy result came back
+// degraded (tier-1 exits never degrade: they touch no front-end
+// battery). The two latency histograms split the /v1/score request
+// latency by path — the observable the BENCH_cascade.json speedup claims
+// are checked against in production.
+type cascadeTallies struct {
+	exit, escalate, failed, escDegraded tally
+	tier1, escalated                    timing
 }
 
-func (s *Server) noteCascadeEscalate(d time.Duration, degraded bool) {
-	cascEsc.Inc()
-	if d >= 0 {
-		cascEscLat.Observe(d.Seconds())
+func newCascadeTallies(ns string, windowed bool) cascadeTallies {
+	p := ns + ".cascade."
+	return cascadeTallies{
+		exit:        newTally(p+"exit", windowed),
+		escalate:    newTally(p+"escalate", windowed),
+		failed:      newTally(p+"tier1.failed", windowed),
+		escDegraded: newTally(p+"escalated.degraded", windowed),
+		tier1:       newTiming(p+"tier1.seconds", windowed),
+		escalated:   newTiming(p+"escalated.seconds", windowed),
 	}
-	if degraded {
-		cascEscDegraded.Inc()
-	}
-	if !s.cfg.DisableTracing {
-		wcascEsc.Inc()
-		if d >= 0 {
-			wcascEscLat.Observe(d.Seconds())
-		}
-		if degraded {
-			wcascEscDegraded.Inc()
-		}
-	}
-}
-
-func (s *Server) noteCascadeFault() {
-	cascFailed.Inc()
-	if !s.cfg.DisableTracing {
-		wcascFailed.Inc()
-	}
-}
-
-// tryCascade runs tier 1 on one utterance under the server's policy and
-// folds the fault accounting in. It returns the outcome (never nil) and,
-// on a tier-1 exit, the finished result.
-func (s *Server) tryCascade(m *Model, req *ScoreRequest, parent *obs.Span) (*CascadeOutcome, *ScoreResult) {
-	out, fast := CascadeTier1(m, s.cascadePolicy, req, parent)
-	if out.Reason == ReasonTier1Fault {
-		s.noteCascadeFault()
-	}
-	return out, fast
 }
 
 // CascadeTier1 runs the tier-1 decision for one utterance against a
@@ -143,10 +91,9 @@ func (s *Server) tryCascade(m *Model, req *ScoreRequest, parent *obs.Span) (*Cas
 // reason (ReasonTier1Fault — the caller owns the failure counter) and
 // the trace span.
 //
-// Exported because the cluster coordinator (internal/cluster) runs the
-// identical decision before scattering any shard RPC: a tier-1 exit
-// answers from the coordinator alone, so the fast path's latency win
-// compounds with the saved fan-out.
+// Exported for the bench harness, which times the same decision in
+// process. On the coordinator it runs before any shard RPC, so a tier-1
+// exit also saves the whole fan-out.
 func CascadeTier1(m *Model, pol cascade.Policy, req *ScoreRequest, parent *obs.Span) (*CascadeOutcome, *ScoreResult) {
 	out := &CascadeOutcome{Reason: ReasonNoCascadeModel}
 	cm := m.Bundle.Cascade

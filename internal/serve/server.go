@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -97,43 +96,53 @@ func (c *Config) setDefaults() {
 	c.Reload.setDefaults()
 }
 
-// Server is the scoring daemon: registry + batcher + HTTP handlers.
+// Server is the scoring daemon's HTTP request path, the same for every
+// serving role: admission, decode, the cascade fast path, fusion, the
+// response, tracing, RED metrics, reload and drain. What differs between
+// roles — where the model comes from and how front-ends get scored — is
+// its Role (role.go). New builds the standalone daemon.
 type Server struct {
 	cfg       Config
-	reg       *Registry
-	reloader  *reloader
-	batcher   *Batcher
+	role      Role
 	mux       *http.ServeMux
 	traces    *obs.TraceBuffer
 	accessLog *accessLogger
 	draining  atomic.Bool
 	inflight  atomic.Int64
 
+	// ns prefixes the request path's metric and span names (see
+	// NewWithRole); degraded and casc are its namespaced tallies.
+	ns       string
+	degraded tally
+	casc     cascadeTallies
+
 	// cascadePolicy is the parsed threshold-offset policy; read-only
-	// after New. Meaningful only when cfg.Cascade.Enabled.
+	// after construction. Meaningful only when cfg.Cascade.Enabled.
 	cascadePolicy cascade.Policy
 
+	// The standalone role's state, nil on a server built by NewWithRole.
 	// adapter is the online self-training loop, nil unless cfg.Adapt
 	// selects a policy (see adapt.go).
-	adapter *adapt.Adapter
+	reg      *Registry
+	reloader *reloader
+	batcher  *Batcher
+	adapter  *adapt.Adapter
 }
 
 // New loads the bundle and starts the batching dispatcher. The returned
 // server is ready to serve; pass its Handler to an http.Server or call
 // Run.
 func New(cfg Config) (*Server, error) {
-	cfg.setDefaults()
 	if cfg.ModelDir == "" {
 		return nil, fmt.Errorf("serve: no model directory configured")
 	}
-	s := &Server{cfg: cfg, reg: NewRegistry(cfg.ModelDir)}
-	if cfg.Cascade.Enabled {
-		pol, err := cascade.ParsePolicy(cfg.Cascade.Margin)
-		if err != nil {
-			return nil, fmt.Errorf("serve: cascade margin: %w", err)
-		}
-		s.cascadePolicy = pol
+	s, err := newServer(cfg, "serve")
+	if err != nil {
+		return nil, err
 	}
+	cfg = s.cfg
+	s.role = (*standalone)(s)
+	s.reg = NewRegistry(cfg.ModelDir)
 	if _, err := s.reg.Reload(); err != nil && !cfg.WaitForModel {
 		return nil, fmt.Errorf("serve: initial model load: %w", err)
 	}
@@ -143,13 +152,38 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.batcher = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Workers, cfg.BatchWait, nil, cfg.clock)
 	s.batcher.windowed = !cfg.DisableTracing
-	s.traces = obs.NewTraceBuffer(0, 0, 0) // default bounds (see obs.NewTraceBuffer)
-	if !cfg.DisableTracing {
+	return s, nil
+}
+
+// newServer builds the role-independent request path under namespace ns.
+func newServer(cfg Config, ns string) (*Server, error) {
+	cfg.setDefaults()
+	s := &Server{cfg: cfg, ns: ns, traces: obs.NewTraceBuffer(0, 0, 0)}
+	if cfg.Cascade.Enabled {
+		pol, err := cascade.ParsePolicy(cfg.Cascade.Margin)
+		if err != nil {
+			return nil, fmt.Errorf("serve: cascade margin: %w", err)
+		}
+		s.cascadePolicy = pol
+	}
+	windowed := !cfg.DisableTracing
+	if windowed {
 		s.accessLog = newAccessLogger(cfg.AccessLog, cfg.AccessLogEvery)
 	}
+	s.degraded = newTally(ns+".score.degraded", windowed)
+	if ns == "serve" {
+		// AssembleResult counts serve.score.degraded for every role; only
+		// the window is this server's.
+		s.degraded.c = nil
+	}
+	s.casc = newCascadeTallies(ns, windowed)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/score", s.instrument("score", s.handleScore))
-	s.mux.HandleFunc("/v1/score/batch", s.instrument("batch", s.handleScoreBatch))
+	s.mux.HandleFunc("/v1/score", s.instrument("score", func(w http.ResponseWriter, r *http.Request) {
+		s.serveScore(w, r, false)
+	}))
+	s.mux.HandleFunc("/v1/score/batch", s.instrument("batch", func(w http.ResponseWriter, r *http.Request) {
+		s.serveScore(w, r, true)
+	}))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
@@ -161,16 +195,61 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the model registry (reload loops, tests).
+// Registry exposes the model registry (reload loops, tests); nil on a
+// server built by NewWithRole.
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Reload swaps in a fresh bundle through the retry/backoff and
-// circuit-breaker policy; SIGHUP handlers and the /-/reload endpoint both
-// go through here. On failure the previous model stays active.
+// circuit-breaker policy; SIGHUP handlers and the /-/reload endpoint of a
+// standalone server both go through here. On failure the previous model
+// stays active.
 func (s *Server) Reload() (*Model, error) { return s.reloader.Reload() }
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// tally is a cumulative counter with its rolling-window twin; the window
+// moves only while tracing is on. A nil counter keeps only the window.
+type tally struct {
+	c        *obs.Counter
+	w        *obs.WindowCounter
+	windowed bool
+}
+
+func newTally(name string, windowed bool) tally {
+	return tally{obs.GetCounter(name), obs.GetWindowCounter(name), windowed}
+}
+
+func (t tally) inc() {
+	if t.c != nil {
+		t.c.Inc()
+	}
+	if t.windowed {
+		t.w.Inc()
+	}
+}
+
+// timing is a latency histogram with its rolling-window twin; a
+// negative duration is not observed.
+type timing struct {
+	h        *obs.Histogram
+	w        *obs.Window
+	windowed bool
+}
+
+func newTiming(name string, windowed bool) timing {
+	return timing{obs.GetHistogram(name), obs.GetWindow(name), windowed}
+}
+
+func (t timing) observe(d time.Duration) {
+	if d < 0 {
+		return
+	}
+	t.h.Observe(d.Seconds())
+	if t.windowed {
+		t.w.Observe(d.Seconds())
+	}
+}
 
 // statusWriter records the response status so instrumentation, the
 // trace buffer, and the access log can see the request's outcome.
@@ -195,40 +274,32 @@ func statusOf(w http.ResponseWriter) int {
 
 // instrument wraps a handler with per-endpoint request counts, latency
 // histograms (cumulative + rolling windows), server-error counters, and
-// the shared in-flight gauge.
+// the shared in-flight gauge, all under the server's namespace.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := obs.GetCounter("serve.http." + name + ".requests")
-	lat := obs.GetHistogram("serve.http." + name + ".seconds")
-	wlat := obs.GetWindow("serve.http." + name + ".seconds")
-	errs := obs.GetCounter("serve.http.errors")
-	werrs := obs.GetWindowCounter("serve.http.errors")
+	windowed := !s.cfg.DisableTracing
+	reqs := obs.GetCounter(s.ns + ".http." + name + ".requests")
+	lat := newTiming(s.ns+".http."+name+".seconds", windowed)
+	errs := newTally(s.ns+".http.errors", windowed)
+	inflight := obs.GetGauge(s.ns + ".http.inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
-		obs.SetGauge("serve.http.inflight", float64(s.inflight.Add(1)))
+		inflight.Set(float64(s.inflight.Add(1)))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
 		defer func() {
-			d := time.Since(t0).Seconds()
-			lat.Observe(d)
-			if !s.cfg.DisableTracing {
-				wlat.Observe(d)
-			}
+			lat.observe(time.Since(t0))
 			if sw.status >= 500 {
-				errs.Inc()
-				if !s.cfg.DisableTracing {
-					werrs.Inc()
-				}
+				errs.inc()
 			}
-			obs.SetGauge("serve.http.inflight", float64(s.inflight.Add(-1)))
+			inflight.Set(float64(s.inflight.Add(-1)))
 		}()
 		h(sw, r)
 	}
 }
 
 // reqTrace is the per-request tracing context of a scoring handler:
-// W3C identifiers plus the detached root span the batcher hangs its
-// stage spans off. Fields past root are written only by the handler
-// goroutine.
+// W3C identifiers plus the detached root span the scoring step hangs its
+// stage spans off.
 type reqTrace struct {
 	id        string // 32-hex trace id (accepted or minted)
 	parent    string // caller's span id when the request carried a traceparent
@@ -258,7 +329,7 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, endpoint str
 		parent: parent,
 		spanID: obs.NewSpanID(),
 		start:  time.Now(),
-		root:   obs.NewSpan("serve." + endpoint),
+		root:   obs.NewSpan(s.ns + "." + endpoint),
 	}
 	tr.root.SetLabel("trace_id", id)
 	w.Header().Set("traceparent", obs.Traceparent(id, tr.spanID))
@@ -293,24 +364,22 @@ func (s *Server) finishTrace(tr *reqTrace, endpoint string, status int) {
 	}
 }
 
-// noteResult folds one job result into the trace: degradation state,
-// survivors, and the dispatch batch the job rode in.
-func (tr *reqTrace) noteResult(j *job, res *ScoreResult) {
+// noteResult folds one utterance's result into the degradation tally and
+// the trace: degradation state, survivors, error, and the dispatch batch
+// it rode in.
+func (s *Server) noteResult(tr *reqTrace, u *Utterance, res *ScoreResult) {
+	if res.Degraded {
+		s.degraded.inc()
+	}
 	if tr == nil {
 		return
 	}
-	if j != nil {
-		if id := j.batchID.Load(); id > tr.batchID {
-			tr.batchID = id
-		}
-	}
-	if res == nil {
-		return
+	if u.batchID > tr.batchID {
+		tr.batchID = u.batchID
 	}
 	if res.Degraded {
 		tr.degraded = true
 		tr.surviving = mergeSurvivors(tr.surviving, res.Surviving)
-		wobsDegraded.Inc()
 	}
 	if res.Error != "" {
 		tr.errMsg = res.Error
@@ -349,9 +418,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // admit runs the checks every scoring request passes before decode:
-// method, drain state, and model presence. It returns the model to score
-// against, or nil after writing the response.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Model {
+// method, drain state, and the role's model pin. It returns the pin to
+// score against, or nil after writing the response.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Pin {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -367,21 +436,44 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Model {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return nil
 	}
-	m := s.reg.Current()
-	if m == nil {
-		writeError(w, http.StatusServiceUnavailable, "no model loaded")
+	pin, err := s.role.Resolve()
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return nil
 	}
-	return m
+	return pin
 }
 
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+// decodeUtterances reads the body — one ScoreRequest, or a BatchRequest
+// when batch — under a "decode" span, or writes the 400 and returns false.
+func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *obs.Span, batch bool) ([]ScoreRequest, bool) {
+	var dsp *obs.Span
+	if root != nil {
+		dsp = root.StartChild("decode")
 	}
-	return true
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var utts []ScoreRequest
+	var err error
+	if batch {
+		var req BatchRequest
+		err = dec.Decode(&req)
+		utts = req.Utterances
+	} else {
+		utts = make([]ScoreRequest, 1)
+		err = dec.Decode(&utts[0])
+	}
+	if dsp != nil {
+		dsp.End()
+	}
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil, false
+	case len(utts) == 0:
+		writeError(w, http.StatusBadRequest, "batch names no utterances")
+		return nil, false
+	}
+	return utts, true
 }
 
 // submit admits one resolved utterance into the batcher and translates
@@ -443,213 +535,139 @@ func await(ctx context.Context, j *job) (jobResult, error) {
 	}
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	m := s.admit(w, r)
-	if m == nil {
+// serveScore is every role's scoring request path, for /v1/score and
+// (batch) /v1/score/batch: admit, decode, the cascade fast path per
+// utterance, the role's scoring step for everything tier 1 did not
+// answer, fusion, and the response. In a batch a failed utterance
+// carries its own error and its batch-mates still score; a single
+// request answers with the failure's status.
+func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) {
+	pin := s.admit(w, r)
+	if pin == nil {
 		return
 	}
-	tr := s.startTrace(w, r, "score")
-	defer func() { s.finishTrace(tr, "score", statusOf(w)) }()
-	var jobSpan *obs.Span
+	endpoint := "score"
+	if batch {
+		endpoint = "batch"
+	}
+	m := pin.Model
+	tr := s.startTrace(w, r, endpoint)
+	defer func() { s.finishTrace(tr, endpoint, statusOf(w)) }()
+	sc := &Scoring{Batch: batch}
 	if tr != nil {
 		tr.modelVer = m.Version
-		jobSpan = tr.root
+		sc.Root, sc.TraceID = tr.root, tr.id
 	}
-	var req ScoreRequest
-	var dsp *obs.Span
-	if tr != nil {
-		dsp = tr.root.StartChild("decode")
-	}
-	ok := s.decodeBody(w, r, &req)
-	if dsp != nil {
-		dsp.End()
-	}
+	utts, ok := s.decodeUtterances(w, r, sc.Root, batch)
 	if !ok {
 		return
 	}
-	// Cascade fast path: a confident tier-1 answer returns here without
-	// touching the batcher or the SVM battery. Escalations (including
-	// tier-1 faults) fall through to the heavy path unchanged, carrying
-	// the outcome for the response.
-	var casc *CascadeOutcome
-	cascStart := time.Now()
-	if s.cfg.Cascade.Enabled {
-		var fast *ScoreResult
-		var parent *obs.Span
-		if tr != nil {
-			parent = tr.root
-		}
-		casc, fast = s.tryCascade(m, &req, parent)
-		if fast != nil {
-			s.noteCascadeExit(time.Since(cascStart))
-			resp := ScoreResponse{
-				ModelVersion:      m.Version,
-				ClusterGeneration: m.ClusterGeneration(),
-				Languages:         m.Bundle.Languages,
-				ScoreResult:       *fast,
-			}
-			if tr != nil {
-				resp.TraceID = tr.id
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	j, status, err := s.submit(ctx, m, req.ID, &req, jobSpan)
-	if err != nil {
-		if tr != nil {
-			tr.errMsg = err.Error()
-		}
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	res, err := await(ctx, j)
-	tr.noteResult(j, nil)
-	if err != nil {
-		if tr != nil {
-			tr.errMsg = err.Error()
-		}
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
-		return
-	}
-	if res.err != nil {
-		if tr != nil {
-			tr.errMsg = res.err.Error()
-		}
-		status := http.StatusInternalServerError
-		if errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled) {
-			status = http.StatusGatewayTimeout
-		}
-		writeError(w, status, "%v", res.err)
-		return
-	}
-	var fsp *obs.Span
-	if tr != nil {
-		fsp = tr.root.StartChild("fuse")
-	}
-	result := AssembleResult(m, req.ID, res.scores, res.feErrs)
-	if fsp != nil {
-		fsp.End()
-	}
-	if casc != nil {
-		result.Cascade = casc
-		s.noteCascadeEscalate(time.Since(cascStart), result.Degraded)
-	}
-	s.observeAdapt(j, &result, res.scores)
-	tr.noteResult(j, &result)
-	resp := ScoreResponse{
-		ModelVersion:      m.Version,
-		ClusterGeneration: m.ClusterGeneration(),
-		Languages:         m.Bundle.Languages,
-		ScoreResult:       result,
-	}
-	if tr != nil {
-		resp.TraceID = tr.id
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
 
-func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
-	m := s.admit(w, r)
-	if m == nil {
-		return
-	}
-	tr := s.startTrace(w, r, "batch")
-	defer func() { s.finishTrace(tr, "batch", statusOf(w)) }()
-	if tr != nil {
-		tr.modelVer = m.Version
-	}
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Utterances) == 0 {
-		writeError(w, http.StatusBadRequest, "batch names no utterances")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	// Admit every utterance first (they coalesce into shared scoring
-	// passes), then gather; per-utterance faults degrade that item only.
-	// Each utterance gets its own "utt" child span, so a batch trace shows
-	// the fan-out: queue wait and per-front-end scoring per utterance.
-	jobs := make([]*job, len(req.Utterances))
-	results := make([]ScoreResult, len(req.Utterances))
-	cascOut := make([]*CascadeOutcome, len(req.Utterances))
-	for i := range req.Utterances {
-		u := &req.Utterances[i]
-		var uttSpan *obs.Span
-		if tr != nil {
-			uttSpan = tr.root.StartChild("utt")
-			uttSpan.SetLabel("id", u.ID)
+	// Cascade latency is per request (elapsed is negative in a batch):
+	// batch utterances share dispatch, so a per-utterance wall time would
+	// price batch-mates' work.
+	start := time.Now()
+	elapsed := func() time.Duration {
+		if batch {
+			return -1
 		}
-		// Cascade fast path, per utterance: a tier-1 exit finishes the
-		// utterance without a batcher submit; escalations fall through
-		// and carry their outcome onto the heavy result.
+		return time.Since(start)
+	}
+	results := make([]ScoreResult, len(utts))
+	cascOut := make([]*CascadeOutcome, len(utts))
+	pos := make([]int, 0, len(utts)) // request position of each sc.Utts entry
+	for i := range utts {
+		u := &utts[i]
+		span := sc.Root
+		if batch && span != nil {
+			span = span.StartChild("utt")
+			span.SetLabel("id", u.ID)
+		}
+		// Cascade fast path: a confident tier-1 answer finishes the
+		// utterance without the scoring step. Escalations (tier-1 faults
+		// included) fall through and carry their outcome onto the result.
 		if s.cfg.Cascade.Enabled {
-			casc, fast := s.tryCascade(m, u, uttSpan)
+			casc, fast := CascadeTier1(m, s.cascadePolicy, u, span)
+			if casc.Reason == ReasonTier1Fault {
+				s.casc.failed.inc()
+			}
 			if fast != nil {
-				s.noteCascadeExit(-1)
+				s.casc.exit.inc()
+				s.casc.tier1.observe(elapsed())
 				results[i] = *fast
-				if uttSpan != nil {
-					uttSpan.End()
+				if batch && span != nil {
+					span.End()
 				}
 				continue
 			}
 			cascOut[i] = casc
 		}
-		j, _, err := s.submit(ctx, m, u.ID, u, uttSpan)
-		if err != nil {
-			if uttSpan != nil {
-				uttSpan.SetLabel("error", err.Error())
-				uttSpan.End()
-			}
-			results[i] = ScoreResult{ID: u.ID, Error: err.Error()}
-			tr.noteResult(nil, &results[i])
-			continue
-		}
-		jobs[i] = j
+		sc.Utts = append(sc.Utts, Utterance{Req: u, Span: span})
+		pos = append(pos, i)
 	}
-	for i, j := range jobs {
-		if j == nil {
-			continue
-		}
-		res, err := await(ctx, j)
-		tr.noteResult(j, nil)
-		switch {
-		case err != nil:
-			results[i] = ScoreResult{ID: j.id, Error: err.Error()}
-		case res.err != nil:
-			results[i] = ScoreResult{ID: j.id, Error: res.err.Error()}
-		default:
-			var fsp *obs.Span
-			if j.span != nil {
-				fsp = j.span.StartChild("fuse")
+	if len(sc.Utts) > 0 {
+		pin.Score(ctx, sc)
+	}
+	for k := range sc.Utts {
+		u, i := &sc.Utts[k], pos[k]
+		if u.Err != nil && !batch {
+			s.noteResult(tr, u, &ScoreResult{Error: u.Err.Error()})
+			if u.Status == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
 			}
-			results[i] = AssembleResult(m, j.id, res.scores, res.feErrs)
+			writeError(w, u.Status, "%v", u.Err)
+			return
+		}
+		if u.Err != nil {
+			results[i] = ScoreResult{ID: u.Req.ID, Error: u.Err.Error()}
+			if u.Span != nil {
+				u.Span.SetLabel("error", u.Err.Error())
+			}
+		} else {
+			var fsp *obs.Span
+			if u.Span != nil {
+				fsp = u.Span.StartChild("fuse")
+			}
+			results[i] = AssembleResult(m, u.Req.ID, u.Scores, u.FrontEndErrs)
 			if fsp != nil {
 				fsp.End()
 			}
-			s.observeAdapt(j, &results[i], res.scores)
 		}
 		if cascOut[i] != nil {
 			results[i].Cascade = cascOut[i]
-			s.noteCascadeEscalate(-1, results[i].Degraded)
+			s.casc.escalate.inc()
+			s.casc.escalated.observe(elapsed())
+			if results[i].Degraded {
+				s.casc.escDegraded.inc()
+			}
 		}
-		tr.noteResult(j, &results[i])
-		if j.span != nil {
-			j.span.End()
+		s.noteResult(tr, u, &results[i])
+		if batch && u.Span != nil {
+			u.Span.End()
 		}
+	}
+
+	traceID := ""
+	if tr != nil {
+		traceID = tr.id
+	}
+	if !batch {
+		writeJSON(w, http.StatusOK, ScoreResponse{
+			ModelVersion:      m.Version,
+			ClusterGeneration: pin.Generation,
+			Languages:         m.Bundle.Languages,
+			TraceID:           traceID,
+			ScoreResult:       results[0],
+		})
+		return
 	}
 	resp := BatchResponse{
 		ModelVersion:      m.Version,
-		ClusterGeneration: m.ClusterGeneration(),
+		ClusterGeneration: pin.Generation,
 		Languages:         m.Bundle.Languages,
+		TraceID:           traceID,
 		Results:           results,
 	}
 	// Per-utterance degradation rolls up into the batch summary; the
@@ -660,9 +678,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Degraded = true
 			resp.DegradedCount++
 		}
-	}
-	if tr != nil {
-		resp.TraceID = tr.id
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -676,27 +691,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	m := s.reg.Current()
-	if m == nil {
-		writeError(w, http.StatusServiceUnavailable, "no model loaded")
+	pin, err := s.role.Resolve()
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	// An open reload breaker means the process cannot pick up new models
-	// (SIGHUP, cluster pushes, adapt promotions all route through it) —
-	// not ready for orchestration purposes even though in-flight scoring
-	// still works against the current model.
-	if s.reloader != nil && s.reloader.breakerOpen() {
-		writeError(w, http.StatusServiceUnavailable, "reload circuit breaker open")
+	body, err := s.role.Ready(pin)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":        "ready",
-		"model_version": m.Version,
-		"loaded_at":     m.LoadedAt.UTC().Format(time.RFC3339),
-		"front_ends":    m.Manifest.FrontEnds,
-		"languages":     len(m.Bundle.Languages),
-		"fusion":        m.Bundle.Fusion != nil,
-	})
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleMetricsz serves the process metrics in two formats, negotiated
@@ -708,15 +713,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	rep := obs.Snapshot().MetricsOnly()
 	rep.Meta = map[string]string{"service": "lred"}
-	if m := s.reg.Current(); m != nil {
-		rep.Meta["model_version"] = fmt.Sprintf("%d", m.Version)
-		rep.Meta["front_ends"] = strings.Join(m.Manifest.FrontEnds, ",")
-		rank, prec := m.CompressionSummary()
-		rep.Meta["model_precision"] = prec
-		if rank > 0 {
-			rep.Meta["model_rank"] = fmt.Sprintf("%d", rank)
-		}
-	}
+	s.role.Describe(rep.Meta)
 	switch r.URL.Query().Get("format") {
 	case "prom", "prometheus":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -735,30 +732,34 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.traces.Snapshot())
 }
 
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+// adminPost gates the mutating admin endpoints: POST only, not while
+// draining.
+func (s *Server) adminPost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+		return false
 	}
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	if !s.adminPost(w, r) {
 		return
 	}
-	m, err := s.reloader.Reload()
+	body, status, err := s.role.Reload(r.Context())
 	if err != nil {
 		if errors.Is(err, ErrBreakerOpen) {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.Reload.Cooldown/time.Second)+1))
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
 		}
-		writeError(w, http.StatusInternalServerError, "reload failed (previous model still active): %v", err)
+		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"model_version": m.Version,
-		"manifest":      m.Manifest,
-	})
+	writeJSON(w, http.StatusOK, body)
 }
 
 // Run serves on l until ctx is cancelled (the daemon wires SIGTERM/SIGINT
@@ -770,18 +771,14 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 }
 
 // RunHandler is Run with a caller-supplied handler tree — a wrapper
-// that extends this server's endpoints (the cluster shard worker mounts
-// /-/bundle and a generation check in front of the scoring handlers)
-// while keeping the server's drain discipline: on ctx cancellation the
-// queue finishes, new scoring work gets 503, and connections close
-// within DrainTimeout.
+// that extends this server's endpoints (the cluster roles mount their
+// /-/bundle, /clusterz and generation check in front of the scoring
+// handlers) while keeping the server's drain discipline. The role's
+// background loop runs alongside and has exited when RunHandler returns.
 func (s *Server) RunHandler(ctx context.Context, l net.Listener, h http.Handler) error {
+	stopLoop := background(ctx, s.role.Loop)
+	defer stopLoop()
 	hs := &http.Server{Handler: h}
-	if s.adapter != nil {
-		actx, acancel := context.WithCancel(ctx)
-		defer acancel()
-		go s.adapter.Run(actx)
-	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(l) }()
 	select {
@@ -794,15 +791,17 @@ func (s *Server) RunHandler(ctx context.Context, l net.Listener, h http.Handler)
 
 func (s *Server) drain(hs *http.Server) error {
 	s.draining.Store(true)
-	obs.SetGauge("serve.draining", 1)
+	obs.SetGauge(s.ns+".draining", 1)
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	// Finish the queue first: handlers blocked in await are the open
 	// connections Shutdown waits on, and they can only finish once the
 	// dispatcher delivers their results.
-	if err := s.batcher.Drain(ctx); err != nil {
-		hs.Close()
-		return fmt.Errorf("serve: drain: %w", err)
+	if s.batcher != nil {
+		if err := s.batcher.Drain(ctx); err != nil {
+			hs.Close()
+			return fmt.Errorf("serve: drain: %w", err)
+		}
 	}
 	if err := hs.Shutdown(ctx); err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)
