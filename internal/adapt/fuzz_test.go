@@ -1,6 +1,74 @@
 package adapt
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/persist"
+	"repro/internal/sparse"
+)
+
+// sidecarPayload returns the payload (footer stripped) of a sidecar
+// written by write into a fresh directory.
+func sidecarPayload(f *testing.F, write func(dir string)) []byte {
+	dir := f.TempDir()
+	write(dir)
+	data, err := os.ReadFile(filepath.Join(dir, SetFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := persist.Unseal(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return payload
+}
+
+// FuzzLoadSet drives the v2 sidecar reader with arbitrary streams. Inputs
+// are sealed before they reach LoadSet — the footer would otherwise
+// reject every mutation — so the skeleton and chunk decoding see them.
+// Every input must end in an error or a Set that Validate accepts: never
+// a panic, a hang, or an allocation the input does not pay for.
+func FuzzLoadSet(f *testing.F) {
+	s := plainSet(3, 2)
+	fe0, fe1 := s.FrontEnds[0], s.FrontEnds[1]
+	valid := sidecarPayload(f, func(dir string) {
+		if err := SaveSet(dir, s); err != nil {
+			f.Fatal(err)
+		}
+	})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add(sidecarPayload(f, func(dir string) { // an empty chunk
+		writeRaw(f, dir, skeletonOf(s), []*sparse.Vector{}, fe0.Train, fe0.Holdout, fe1.Train, fe1.Holdout)
+	}))
+	f.Add(sidecarPayload(f, func(dir string) { // a chunk past the label count
+		writeRaw(f, dir, skeletonOf(s), append(fe0.Train[:3:3], fe0.Holdout[0]), fe0.Holdout, fe1.Train, fe1.Holdout)
+	}))
+	f.Add(sidecarPayload(f, func(dir string) { // version 1: one gob value
+		v1 := *s
+		v1.FormatVersion = 1
+		if err := persist.Save(filepath.Join(dir, SetFile), &v1); err != nil {
+			f.Fatal(err)
+		}
+	}))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SetFile), persist.Seal(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadSet(dir)
+		if err != nil {
+			return
+		}
+		if verr := got.Validate(); verr != nil {
+			t.Fatalf("LoadSet returned a set Validate refuses: %v", verr)
+		}
+	})
+}
 
 // FuzzParsePolicy asserts the parser never panics and that accepted
 // specs are a canonical fixed point: ParsePolicy(p.String()) == p, and

@@ -21,8 +21,15 @@ import (
 // referee scores the canary gate checks candidates against.
 const SetFile = "adapt.gob"
 
-// SetFormatVersion versions the sidecar layout.
-const SetFormatVersion = 1
+// SetFormatVersion versions the sidecar layout. Version 2 streams the
+// vectors in chunks after a vector-free skeleton (see SaveSet); version 1
+// sidecars (one gob value holding everything) are refused — re-export.
+const SetFormatVersion = 2
+
+// chunkSize is how many vectors one sidecar chunk carries: each chunk is
+// one gob message, so it bounds what saving or loading a sidecar holds in
+// flight beyond the Set itself.
+const chunkSize = 256
 
 // ErrNoSet marks a bundle directory exported without an adapt sidecar —
 // such bundles serve normally but cannot self-train.
@@ -83,8 +90,8 @@ func (s *Set) NumReferee() int {
 // Validate checks the internal consistency the trainer and gates rely
 // on.
 func (s *Set) Validate() error {
-	if s.FormatVersion != SetFormatVersion {
-		return fmt.Errorf("adapt: sidecar format %d (want %d)", s.FormatVersion, SetFormatVersion)
+	if err := s.checkFormat(); err != nil {
+		return err
 	}
 	if len(s.Languages) == 0 {
 		return fmt.Errorf("adapt: sidecar lists no languages")
@@ -138,12 +145,51 @@ func (s *Set) Validate() error {
 	return nil
 }
 
+// checkFormat refuses every sidecar layout but the current one.
+func (s *Set) checkFormat() error {
+	if s.FormatVersion != SetFormatVersion {
+		return fmt.Errorf("adapt: sidecar format %d (want %d): re-export the bundle with a current lre",
+			s.FormatVersion, SetFormatVersion)
+	}
+	return nil
+}
+
 // SaveSet writes the sidecar into a bundle directory (sealed, atomic).
+// The layout streams: first the Set with every front-end's Train and
+// Holdout left nil (the skeleton), then, front-end by front-end, its
+// train vectors and its holdout vectors as chunks of chunkSize, one gob
+// message each (the last chunk of a split holds the remainder; an empty
+// split has none). The label counts in the skeleton say how many vectors
+// follow, so the file needs no other framing.
 func SaveSet(dir string, s *Set) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	return persist.Save(filepath.Join(dir, SetFile), s)
+	skel := *s
+	skel.FrontEnds = make([]SetFrontEnd, len(s.FrontEnds))
+	for i, fe := range s.FrontEnds {
+		fe.Train, fe.Holdout = nil, nil
+		skel.FrontEnds[i] = fe
+	}
+	w, err := persist.Create(filepath.Join(dir, SetFile))
+	if err != nil {
+		return err
+	}
+	if err := w.Encode(&skel); err != nil {
+		return err
+	}
+	for i := range s.FrontEnds {
+		for _, split := range [][]*sparse.Vector{s.FrontEnds[i].Train, s.FrontEnds[i].Holdout} {
+			for len(split) > 0 {
+				n := min(chunkSize, len(split))
+				if err := w.Encode(split[:n]); err != nil {
+					return err
+				}
+				split = split[n:]
+			}
+		}
+	}
+	return w.Close()
 }
 
 // LoadSet reads and validates a bundle directory's sidecar. A missing
@@ -153,12 +199,51 @@ func LoadSet(dir string) (*Set, error) {
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		return nil, ErrNoSet
 	}
-	var s Set
-	if err := persist.Load(path, &s); err != nil {
+	r, err := persist.Open(path)
+	if err != nil {
 		return nil, fmt.Errorf("adapt: sidecar: %w", err)
+	}
+	defer r.Close()
+	var s Set
+	if err := r.Decode(&s); err != nil {
+		return nil, fmt.Errorf("adapt: sidecar: %w", err)
+	}
+	if err := s.checkFormat(); err != nil {
+		return nil, err
+	}
+	for i := range s.FrontEnds {
+		fe := &s.FrontEnds[i]
+		if fe.Train != nil || fe.Holdout != nil {
+			return nil, fmt.Errorf("adapt: sidecar skeleton carries front-end %q's vectors (%w)", fe.Name, persist.ErrCorrupt)
+		}
+		if fe.Train, err = readSplit(r, len(s.TrainLabels)); err != nil {
+			return nil, fmt.Errorf("adapt: sidecar front-end %q train: %w", fe.Name, err)
+		}
+		if fe.Holdout, err = readSplit(r, len(s.HoldoutLabels)); err != nil {
+			return nil, fmt.Errorf("adapt: sidecar front-end %q holdout: %w", fe.Name, err)
+		}
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// readSplit reads the chunks of one n-vector split. Every chunk must hold
+// exactly min(chunkSize, vectors still due): an empty chunk, or one that
+// overruns the label count, is corruption.
+func readSplit(r *persist.Reader, n int) ([]*sparse.Vector, error) {
+	var out []*sparse.Vector
+	for len(out) < n {
+		var chunk []*sparse.Vector
+		if err := r.Decode(&chunk); err != nil {
+			return nil, err
+		}
+		if want := min(chunkSize, n-len(out)); len(chunk) != want {
+			return nil, fmt.Errorf("chunk of %d vectors at %d/%d, want %d (%w)",
+				len(chunk), len(out), n, want, persist.ErrCorrupt)
+		}
+		out = append(out, chunk...)
+	}
+	return out, nil
 }

@@ -46,13 +46,9 @@
 package checkpoint
 
 import (
-	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -194,29 +190,31 @@ func readManifest(path string) (*manifest, error) {
 // size, integrity footer, and the manifest-pinned SHA-256.
 func (s *Store) verifyGeneration(m *manifest) error {
 	for key, ref := range m.Entries {
-		data, err := os.ReadFile(filepath.Join(s.dir, ref.File))
+		r, err := s.openEntry(ref, "")
 		if err != nil {
-			return fmt.Errorf("checkpoint: entry %q: %w", key, err)
-		}
-		if err := verifyEntry(data, ref); err != nil {
 			return fmt.Errorf("checkpoint: entry %q (%s): %w", key, ref.File, err)
 		}
+		r.Close()
 	}
 	return nil
 }
 
-// verifyEntry checks one entry image against its manifest ref.
-func verifyEntry(data []byte, ref EntryRef) error {
-	if int64(len(data)) != ref.Bytes {
-		return fmt.Errorf("%w: %d bytes on disk, manifest says %d", persist.ErrCorrupt, len(data), ref.Bytes)
+// openEntry opens one entry file — one streaming pass checks its footer,
+// size and manifest-pinned SHA-256 — positioned to decode its value.
+func (s *Store) openEntry(ref EntryRef, faultSite string) (*persist.Reader, error) {
+	r, err := persist.OpenAt(filepath.Join(s.dir, ref.File), faultSite)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := persist.Unseal(data); err != nil {
-		return err
+	if r.Size() != ref.Bytes {
+		r.Close()
+		return nil, fmt.Errorf("%w: %d bytes on disk, manifest says %d", persist.ErrCorrupt, r.Size(), ref.Bytes)
 	}
-	if sha256Hex(data) != ref.SHA256 {
-		return fmt.Errorf("%w: SHA-256 does not match manifest", persist.ErrCorrupt)
+	if r.SHA256() != ref.SHA256 {
+		r.Close()
+		return nil, fmt.Errorf("%w: SHA-256 does not match manifest", persist.ErrCorrupt)
 	}
-	return nil
+	return r, nil
 }
 
 // Generation returns the loaded (or last published) generation number; 0
@@ -279,27 +277,17 @@ func (s *Store) Load(key string, v any) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	f, err := os.Open(filepath.Join(s.dir, ref.File))
+	r, err := s.openEntry(ref, "checkpoint.load.read")
+	if err == nil {
+		defer r.Close()
+		err = r.Decode(v)
+	}
 	if err != nil {
-		obs.Inc("checkpoint.load.error")
-		return fmt.Errorf("checkpoint: entry %q: %w", key, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(faultinject.Reader("checkpoint.load.read", bufio.NewReader(f)))
-	if err != nil {
-		obs.Inc("checkpoint.load.error")
-		return fmt.Errorf("checkpoint: entry %q: %w", key, err)
-	}
-	if err := verifyEntry(data, ref); err != nil {
-		obs.Inc("checkpoint.load.error")
-		return fmt.Errorf("checkpoint: entry %q: %w", key, err)
-	}
-	if err := persist.UnmarshalSealed(data, v); err != nil {
 		obs.Inc("checkpoint.load.error")
 		return fmt.Errorf("checkpoint: entry %q: %w", key, err)
 	}
 	obs.Inc("checkpoint.load")
-	obs.Add("checkpoint.load.bytes", int64(len(data)))
+	obs.Add("checkpoint.load.bytes", r.Size())
 	return nil
 }
 
@@ -319,17 +307,13 @@ func (s *Store) Save(key string, v any) error {
 		obs.Inc("checkpoint.save.error")
 		return err
 	}
-	data, err := persist.MarshalSealed(v)
-	if err != nil {
-		obs.Inc("checkpoint.save.error")
-		return fmt.Errorf("checkpoint: encode %q: %w", key, err)
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gen := s.gen + 1
 	file := fmt.Sprintf("%s.g%06d.ckpt", sanitizeKey(key), gen)
-	if err := persist.WriteFileAtomic(filepath.Join(s.dir, file), data, ""); err != nil {
+	ref, err := s.writeEntry(file, v)
+	if err != nil {
 		obs.Inc("checkpoint.save.error")
 		return fmt.Errorf("checkpoint: entry %q: %w", key, err)
 	}
@@ -338,7 +322,7 @@ func (s *Store) Save(key string, v any) error {
 	for k, r := range s.entries {
 		entries[k] = r
 	}
-	entries[key] = EntryRef{File: file, Bytes: int64(len(data)), SHA256: sha256Hex(data)}
+	entries[key] = ref
 	mdata, err := json.MarshalIndent(&manifest{
 		FormatVersion: FormatVersion,
 		Generation:    gen,
@@ -364,8 +348,24 @@ func (s *Store) Save(key string, v any) error {
 	s.gen = gen
 	s.entries = entries
 	obs.Inc("checkpoint.save")
-	obs.Add("checkpoint.save.bytes", int64(len(data)))
+	obs.Add("checkpoint.save.bytes", ref.Bytes)
 	return nil
+}
+
+// writeEntry streams v into a sealed entry file (no fault site: the
+// save's sites bracket the whole generation) and returns its manifest ref.
+func (s *Store) writeEntry(file string, v any) (EntryRef, error) {
+	w, err := persist.CreateAt(filepath.Join(s.dir, file), "")
+	if err != nil {
+		return EntryRef{}, err
+	}
+	if err := w.Encode(v); err != nil {
+		return EntryRef{}, err
+	}
+	if err := w.Close(); err != nil {
+		return EntryRef{}, err
+	}
+	return EntryRef{File: file, Bytes: w.Size(), SHA256: w.SHA256()}, nil
 }
 
 // Prune removes all but the newest keep generations: older manifests are
@@ -412,12 +412,6 @@ func (s *Store) Prune(keep int) error {
 		}
 	}
 	return nil
-}
-
-// sha256Hex hashes a complete entry image for the manifest pin.
-func sha256Hex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // sanitizeKey maps an entry key to a safe file-name stem.

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/persist"
+	"repro/internal/sparse"
 	"repro/internal/synthlang"
 )
 
@@ -85,5 +89,52 @@ func TestBuildBundleValidates(t *testing.T) {
 		if fe.NumPhones != p.FEs[q].Set.Size || fe.Order != p.FEs[q].Space.Order {
 			t.Fatalf("front-end %q space %d^%d does not match pipeline", fe.Name, fe.NumPhones, fe.Order)
 		}
+	}
+}
+
+// TestExportModelsSidecarRoundTrip: the streamed adapt sidecar an export
+// writes loads back as exactly the set BuildAdaptSet freezes — every
+// train and holdout vector bit for bit, and every other field.
+func TestExportModelsSidecarRoundTrip(t *testing.T) {
+	p := sharedPipeline(t)
+	dir := t.TempDir()
+	if _, err := p.ExportModels(dir, "test"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := adapt.LoadSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.BuildAdaptSet()
+	if len(got.FrontEnds) != len(want.FrontEnds) {
+		t.Fatalf("sidecar has %d front-ends, want %d", len(got.FrontEnds), len(want.FrontEnds))
+	}
+	for q := range want.FrontEnds {
+		g, w := &got.FrontEnds[q], &want.FrontEnds[q]
+		for _, split := range []struct {
+			name      string
+			got, want []*sparse.Vector
+		}{{"train", g.Train, w.Train}, {"holdout", g.Holdout, w.Holdout}} {
+			if len(split.got) != len(split.want) {
+				t.Fatalf("%s %s: %d vectors, want %d", w.Name, split.name, len(split.got), len(split.want))
+			}
+			for i, wv := range split.want {
+				gv := split.got[i]
+				if len(gv.Idx) != len(wv.Idx) || len(gv.Val) != len(wv.Val) {
+					t.Fatalf("%s %s vector %d: %d/%d entries, want %d/%d",
+						w.Name, split.name, i, len(gv.Idx), len(gv.Val), len(wv.Idx), len(wv.Val))
+				}
+				for j := range wv.Idx {
+					if gv.Idx[j] != wv.Idx[j] || math.Float64bits(gv.Val[j]) != math.Float64bits(wv.Val[j]) {
+						t.Fatalf("%s %s vector %d entry %d differs", w.Name, split.name, i, j)
+					}
+				}
+			}
+		}
+		// Vectors compared; the rest of the set must match as a whole.
+		g.Train, g.Holdout, w.Train, w.Holdout = nil, nil, nil, nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sidecar fields differ from BuildAdaptSet:\n got %+v\nwant %+v", got, want)
 	}
 }

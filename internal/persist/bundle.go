@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -393,15 +391,11 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 	m.FormatVersion = BundleFormatVersion
 	m.BundleFile = defaultBundleFile
 	m.StampContents(b)
-	sealed, err := MarshalSealed(b)
+	w, err := saveAt(filepath.Join(dir, m.BundleFile), "persist.save", b)
 	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(sealed)
-	m.BundleSHA256 = hex.EncodeToString(sum[:])
-	if err := WriteFileAtomic(filepath.Join(dir, m.BundleFile), sealed, "persist.save"); err != nil {
-		return err
-	}
+	m.BundleSHA256 = w.SHA256()
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("persist: manifest: %w", err)
@@ -411,6 +405,10 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 	}
 	return nil
 }
+
+// testHookBundleOpened runs between LoadBundle's verification pass and its
+// decode; tests swap files there.
+var testHookBundleOpened = func() {}
 
 // LoadBundle reads and validates a bundle directory written by SaveBundle.
 func LoadBundle(dir string) (*Bundle, *Manifest, error) {
@@ -429,18 +427,20 @@ func LoadBundle(dir string) (*Bundle, *Manifest, error) {
 	if file == "" {
 		file = defaultBundleFile
 	}
-	if m.BundleSHA256 != "" {
-		raw, err := os.ReadFile(filepath.Join(dir, file))
-		if err != nil {
-			return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
-		}
-		sum := sha256.Sum256(raw)
-		if hex.EncodeToString(sum[:]) != m.BundleSHA256 {
-			return nil, nil, fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", file, ErrCorrupt)
-		}
+	// One pass verifies the footer and hashes the whole file; the decode
+	// reads the same descriptor, so the bundle decoded is the one whose
+	// SHA-256 matched even if the path is renamed over in between.
+	r, err := Open(filepath.Join(dir, file))
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+	}
+	defer r.Close()
+	testHookBundleOpened()
+	if m.BundleSHA256 != "" && r.SHA256() != m.BundleSHA256 {
+		return nil, nil, fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", file, ErrCorrupt)
 	}
 	var b Bundle
-	if err := Load(filepath.Join(dir, file), &b); err != nil {
+	if err := r.Decode(&b); err != nil {
 		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
 	}
 	if err := b.Validate(); err != nil {

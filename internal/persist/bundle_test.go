@@ -318,3 +318,56 @@ func TestSaveBundleRejectsInvalid(t *testing.T) {
 		t.Fatal("class/language mismatch saved")
 	}
 }
+
+// TestLoadBundleSwapAfterOpen renames another valid bundle over
+// bundle.gob between LoadBundle's verification pass and its decode. The
+// load must return the bundle whose SHA-256 the manifest pins (or fail),
+// never the swapped-in one under the original manifest.
+func TestLoadBundleSwapAfterOpen(t *testing.T) {
+	orig, probes := trainedBundle(t, 11)
+	other, _ := trainedBundle(t, 12)
+	dir, otherDir := t.TempDir(), t.TempDir()
+	if err := SaveBundle(dir, orig, Manifest{Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveBundle(otherDir, other, Manifest{Seed: 12}); err != nil {
+		t.Fatal(err)
+	}
+	swapped := false
+	testHookBundleOpened = func() {
+		if err := os.Rename(filepath.Join(otherDir, "bundle.gob"), filepath.Join(dir, "bundle.gob")); err != nil {
+			t.Error(err)
+		}
+		swapped = true
+	}
+	defer func() { testHookBundleOpened = func() {} }()
+
+	lb, _, err := LoadBundle(dir)
+	if !swapped {
+		t.Fatal("the swap hook never ran")
+	}
+	if err == nil {
+		differs := false
+		for _, v := range probes {
+			for f := range orig.FrontEnds {
+				want, got, swap := orig.FrontEnds[f].OVR.Scores(v), lb.FrontEnds[f].OVR.Scores(v), other.FrontEnds[f].OVR.Scores(v)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("front-end %d class %d: loaded %v, the manifest's bundle scores %v", f, k, got[k], want[k])
+					}
+					differs = differs || swap[k] != want[k]
+				}
+			}
+		}
+		if !differs {
+			t.Fatal("the two bundles score alike; the test cannot tell them apart")
+		}
+	}
+
+	// The swap is visible to the next load: the manifest no longer
+	// matches the file on disk.
+	testHookBundleOpened = func() {}
+	if _, _, err := LoadBundle(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("load after the swap: %v, want ErrCorrupt", err)
+	}
+}

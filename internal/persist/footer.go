@@ -3,12 +3,13 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
-	"os"
+	"io"
 
 	"repro/internal/faultinject"
 )
@@ -19,6 +20,10 @@ import (
 // back to an older copy, recompute, quarantine) from environmental
 // errors (missing file, permissions) with errors.Is(err, ErrCorrupt).
 var ErrCorrupt = errors.New("persist: data corrupt")
+
+// errNoFooter: the image does not end in the footer magic — a sealed
+// file whose tail was torn off, or not a sealed image at all.
+var errNoFooter = fmt.Errorf("%w: integrity footer missing (torn tail?)", ErrCorrupt)
 
 // footerMagic terminates every sealed file. Putting the magic at the very
 // end makes sealed files self-describing from the tail: a file that does
@@ -37,92 +42,129 @@ const footerMagic = "RPRSEAL1"
 // splice corruptions CRC32 can alias on.
 const footerSize = 4 + sha256.Size + 8 + 8
 
-// Seal appends the integrity footer to a payload. The result is what
-// sealed writers put on disk; Unseal verifies and strips it.
+// sealer computes the footer: payload bytes pass through it to out while
+// their CRC32, SHA-256 and count accumulate, and finish appends the
+// footer. It never holds more than the caller's current write. Writer and
+// Seal write through it; verify recomputes the checksums with it.
+type sealer struct {
+	out io.Writer
+	crc hash.Hash32
+	sha hash.Hash
+	n   int64
+}
+
+func newSealer(out io.Writer) sealer {
+	return sealer{out: out, crc: crc32.NewIEEE(), sha: sha256.New()}
+}
+
+func (s *sealer) Write(p []byte) (int, error) {
+	n, err := s.out.Write(p)
+	s.crc.Write(p[:n])
+	s.sha.Write(p[:n])
+	s.n += int64(n)
+	return n, err
+}
+
+// finish appends the footer and returns the complete image's size and
+// SHA-256.
+func (s *sealer) finish() (int64, [sha256.Size]byte, error) {
+	var foot [footerSize]byte
+	binary.LittleEndian.PutUint32(foot[:4], s.crc.Sum32())
+	s.sha.Sum(foot[4:4])
+	binary.LittleEndian.PutUint64(foot[4+sha256.Size:], uint64(s.n))
+	copy(foot[footerSize-8:], footerMagic)
+	if _, err := s.out.Write(foot[:]); err != nil {
+		return 0, [sha256.Size]byte{}, err
+	}
+	return s.n + footerSize, imageSum(s.sha, foot[:]), nil
+}
+
+// imageSum finishes the whole-image SHA-256 (payload + footer) from the
+// payload hash's running state, so neither side hashes the payload twice.
+func imageSum(payload hash.Hash, foot []byte) (sum [sha256.Size]byte) {
+	state, err := payload.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 always marshals its state
+	}
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic(err)
+	}
+	h.Write(foot)
+	h.Sum(sum[:0])
+	return sum
+}
+
+// verify streams a sealed image of size bytes once — through faultSite
+// when it is non-empty — and checks its footer. It returns the payload
+// length and the SHA-256 of the whole image. Every integrity failure is a
+// wrapped ErrCorrupt (errNoFooter when the magic is missing); a failing
+// read is returned as is.
+func verify(src io.ReaderAt, size int64, faultSite string) (int64, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
+	var in io.Reader = io.NewSectionReader(src, 0, size)
+	if faultSite != "" {
+		in = faultinject.Reader(faultSite, in)
+	}
+	payload := size - footerSize
+	if payload < 0 {
+		if _, err := io.Copy(io.Discard, in); err != nil {
+			return 0, sum, err
+		}
+		return 0, sum, errNoFooter
+	}
+	hashes := newSealer(io.Discard)
+	if _, err := io.CopyN(&hashes, in, payload); err != nil {
+		return 0, sum, shortRead(err)
+	}
+	var foot [footerSize]byte
+	if _, err := io.ReadFull(in, foot[:]); err != nil {
+		return 0, sum, shortRead(err)
+	}
+	if string(foot[footerSize-8:]) != footerMagic {
+		return 0, sum, errNoFooter
+	}
+	wantLen := binary.LittleEndian.Uint64(foot[4+sha256.Size:])
+	if wantLen != uint64(payload) {
+		return 0, sum, fmt.Errorf("%w: footer says %d payload bytes, file holds %d", ErrCorrupt, wantLen, payload)
+	}
+	if hashes.crc.Sum32() != binary.LittleEndian.Uint32(foot[:4]) {
+		return 0, sum, fmt.Errorf("%w: CRC32 mismatch", ErrCorrupt)
+	}
+	if !bytes.Equal(hashes.sha.Sum(nil), foot[4:4+sha256.Size]) {
+		return 0, sum, fmt.Errorf("%w: SHA-256 mismatch", ErrCorrupt)
+	}
+	return payload, imageSum(hashes.sha, foot[:]), nil
+}
+
+// shortRead maps an image that ended before its stated size (it shrank
+// while being read) to ErrCorrupt; other read errors pass through.
+func shortRead(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: image ended early", ErrCorrupt)
+	}
+	return err
+}
+
+// Seal appends the integrity footer to a raw payload — the sealed form of
+// small non-gob files such as checkpoint manifests. Gob values are sealed
+// by Writer instead; Unseal verifies and strips the footer.
 func Seal(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+footerSize)
-	out = append(out, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	out = append(out, crc[:]...)
-	sum := sha256.Sum256(payload)
-	out = append(out, sum[:]...)
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(payload)))
-	out = append(out, n[:]...)
-	return append(out, footerMagic...)
+	var buf bytes.Buffer
+	buf.Grow(len(payload) + footerSize)
+	s := newSealer(&buf)
+	s.Write(payload)
+	s.finish() // writes into a bytes.Buffer cannot fail
+	return buf.Bytes()
 }
 
-// hasFooter reports whether data ends in the sealed-file magic.
-func hasFooter(data []byte) bool {
-	return len(data) >= footerSize && string(data[len(data)-8:]) == footerMagic
-}
-
-// Unseal verifies a sealed byte stream and returns the payload. Every
+// Unseal verifies a sealed byte image and returns the payload. Every
 // failure mode — missing footer, length mismatch, CRC32 or SHA-256
 // mismatch — is reported as a wrapped ErrCorrupt.
 func Unseal(data []byte) ([]byte, error) {
-	if !hasFooter(data) {
-		return nil, fmt.Errorf("%w: integrity footer missing (torn tail?)", ErrCorrupt)
+	n, _, err := verify(bytes.NewReader(data), int64(len(data)), "")
+	if err != nil {
+		return nil, err
 	}
-	payload := data[:len(data)-footerSize]
-	foot := data[len(data)-footerSize:]
-	wantCRC := binary.LittleEndian.Uint32(foot[:4])
-	wantSHA := foot[4 : 4+sha256.Size]
-	wantLen := binary.LittleEndian.Uint64(foot[4+sha256.Size : 4+sha256.Size+8])
-	if wantLen != uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: footer says %d payload bytes, file holds %d", ErrCorrupt, wantLen, len(payload))
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, fmt.Errorf("%w: CRC32 mismatch", ErrCorrupt)
-	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], wantSHA) {
-		return nil, fmt.Errorf("%w: SHA-256 mismatch", ErrCorrupt)
-	}
-	return payload, nil
-}
-
-// MarshalSealed gob-encodes a value (with the sealed-format header) and
-// appends the integrity footer — the byte-for-byte content of a file
-// written by Save.
-func MarshalSealed(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(magicSealed); err != nil {
-		return nil, fmt.Errorf("persist: header: %w", err)
-	}
-	if err := enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("persist: body: %w", err)
-	}
-	return Seal(buf.Bytes()), nil
-}
-
-// UnmarshalSealed verifies and decodes bytes produced by MarshalSealed.
-func UnmarshalSealed(data []byte, v any) error {
-	return unseal(data, v)
-}
-
-// WriteFileAtomic publishes data at path with the write-rename protocol:
-// the bytes land in a sibling temp file first, so readers only ever see
-// the previous complete file or the new one. faultSite, when non-empty,
-// names a faultinject site checked after the temp file is complete but
-// before the rename — a fired fault models a crash-before-publish, and
-// the destination must be untouched.
-func WriteFileAtomic(path string, data []byte, faultSite string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if faultSite != "" {
-		if err := faultinject.At(faultSite); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return data[:n], nil
 }

@@ -97,11 +97,8 @@ func WriteCurrent(root string, p GenPointer, faultSite string) error {
 	if err != nil {
 		return fmt.Errorf("persist: CURRENT: %w", err)
 	}
-	sealed, err := MarshalSealed(data)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(filepath.Join(root, CurrentName), sealed, faultSite)
+	_, err = saveAt(filepath.Join(root, CurrentName), faultSite, data)
+	return err
 }
 
 // ReadCurrent reads and verifies the CURRENT pointer. A missing file
@@ -109,12 +106,16 @@ func WriteCurrent(root string, p GenPointer, faultSite string) error {
 // torn or corrupt pointer returns a wrapped ErrCorrupt.
 func ReadCurrent(root string) (GenPointer, error) {
 	var p GenPointer
-	raw, err := os.ReadFile(filepath.Join(root, CurrentName))
-	if err != nil {
+	r, err := OpenAt(filepath.Join(root, CurrentName), "")
+	if os.IsNotExist(err) {
 		return p, err
 	}
+	if err != nil {
+		return p, fmt.Errorf("persist: CURRENT: %w", err)
+	}
+	defer r.Close()
 	var data []byte
-	if err := UnmarshalSealed(raw, &data); err != nil {
+	if err := r.Decode(&data); err != nil {
 		return p, fmt.Errorf("persist: CURRENT: %w", err)
 	}
 	if err := json.Unmarshal(data, &p); err != nil {

@@ -1,0 +1,297 @@
+package persist
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+
+	"repro/internal/faultinject"
+)
+
+// ioBufSize is the buffer between the gob codecs and the file in both
+// directions: large enough to keep syscalls rare, small enough that a
+// sealed file of any size costs a constant amount of memory to stream.
+const ioBufSize = 64 << 10
+
+// errClosed is what a Writer returns once Close has succeeded.
+var errClosed = errors.New("persist: writer closed")
+
+// Writer streams gob values into a sealed file. The header, every Encode
+// and the footer pass through one gob encoder and a fixed-size buffer
+// into a sibling temp file while the footer's CRC32, SHA-256 and length
+// accumulate; Close appends the footer and publishes the file with the
+// write-rename protocol. No value, and no file image, is ever held in
+// memory as a whole. Every failure removes the temp file and leaves the
+// destination untouched.
+type Writer struct {
+	s    sealer
+	enc  *gob.Encoder
+	err  error // first failure (or errClosed); every later call returns it
+	size int64
+	sum  [sha256.Size]byte
+
+	// File-backed writers only (nil/empty for MarshalSealed's).
+	f         *os.File
+	bw        *bufio.Writer
+	path      string
+	faultSite string
+}
+
+// Create starts a sealed file at path. The persist.save fault site sits
+// between the complete temp file and the rename, modeling a crash after
+// the bytes are written but before they are published.
+func Create(path string) (*Writer, error) {
+	return CreateAt(path, "persist.save")
+}
+
+// CreateAt is Create with the caller's fault site ("" for none).
+func CreateAt(path, faultSite string) (*Writer, error) {
+	f, err := createTemp(path)
+	if err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriterSize(f, ioBufSize)
+	w := &Writer{f: f, bw: bw, path: path, faultSite: faultSite}
+	if err := w.start(bw); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// start points the writer at out and encodes the stream header.
+func (w *Writer) start(out io.Writer) error {
+	w.s = newSealer(out)
+	w.enc = gob.NewEncoder(&w.s)
+	if err := w.enc.Encode(magicSealed); err != nil {
+		return w.fail(fmt.Errorf("persist: header: %w", err))
+	}
+	return nil
+}
+
+// Encode appends one gob value to the stream. A failure abandons the
+// file: the temp file is removed and Close returns the same error.
+func (w *Writer) Encode(v any) error {
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.enc.Encode(v); err != nil {
+		return w.fail(fmt.Errorf("persist: body: %w", err))
+	}
+	return nil
+}
+
+// Close appends the integrity footer and, for a file, publishes it:
+// flush, close, the fault site, then the rename over the destination.
+func (w *Writer) Close() error {
+	if w.err != nil {
+		return w.err
+	}
+	size, sum, err := w.s.finish()
+	if err != nil {
+		return w.fail(err)
+	}
+	if w.f != nil {
+		if err := w.bw.Flush(); err != nil {
+			return w.fail(err)
+		}
+		f := w.f
+		w.f = nil // publish owns the temp file from here on
+		if err := publish(f, w.path, w.faultSite); err != nil {
+			w.err = err
+			return err
+		}
+	}
+	w.size, w.sum, w.err = size, sum, errClosed
+	return nil
+}
+
+// fail records the writer's first error and removes its temp file.
+func (w *Writer) fail(err error) error {
+	w.err = err
+	if w.f != nil {
+		discard(w.f)
+		w.f = nil
+	}
+	return err
+}
+
+// Size reports the complete sealed image's length (after Close).
+func (w *Writer) Size() int64 { return w.size }
+
+// SHA256 reports the hex SHA-256 of the complete sealed image, footer
+// included (after Close) — what manifests pin.
+func (w *Writer) SHA256() string { return hex.EncodeToString(w.sum[:]) }
+
+// Reader decodes gob values from a sealed image. Opening it verifies the
+// footer in one streaming pass; Decode then reads the values in a second
+// pass over the same descriptor, so the bytes decoded are the bytes
+// verified even if the path is renamed over in between.
+type Reader struct {
+	f    *os.File // nil for an in-memory image
+	dec  *gob.Decoder
+	size int64
+	sum  [sha256.Size]byte
+}
+
+// Open verifies the sealed file at path and positions a Reader at its
+// first value. The verification pass runs through the persist.load.read
+// fault site, so chaos plans can simulate partial reads and torn files.
+// A file that fails its footer check — flipped byte, torn tail,
+// truncation — returns a wrapped ErrCorrupt; a missing file returns the
+// os error unwrapped.
+func Open(path string) (*Reader, error) {
+	return OpenAt(path, "persist.load.read")
+}
+
+// OpenAt is Open with the caller's fault site ("" for none).
+func OpenAt(path, faultSite string) (*Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := newReader(f, st.Size(), faultSite, path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r.f = f
+	return r, nil
+}
+
+// newReader verifies src[0:size) and decodes the stream header; name
+// labels read errors.
+func newReader(src io.ReaderAt, size int64, faultSite, name string) (*Reader, error) {
+	payload, sum, err := verify(src, size, faultSite)
+	switch {
+	case errors.Is(err, errNoFooter):
+		// A torn sealed file still starts with the sealed header; anything
+		// else is not a sealed stream at all (bad magic).
+		if herr := readHeader(gob.NewDecoder(io.NewSectionReader(src, 0, size))); herr != nil {
+			return nil, herr
+		}
+		return nil, fmt.Errorf("%w: sealed file lost its integrity footer (torn tail)", ErrCorrupt)
+	case errors.Is(err, ErrCorrupt):
+		return nil, err
+	case err != nil:
+		return nil, fmt.Errorf("persist: read %s: %w", name, err)
+	}
+	r := &Reader{size: size, sum: sum}
+	r.dec = gob.NewDecoder(bufio.NewReaderSize(io.NewSectionReader(src, 0, payload), ioBufSize))
+	if err := readHeader(r.dec); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Decode reads the next gob value into v (a pointer). Running out of
+// values, or a value that does not decode, is a wrapped ErrCorrupt.
+func (r *Reader) Decode(v any) error {
+	if err := r.dec.Decode(v); err != nil {
+		return fmt.Errorf("persist: body: %w (%w)", err, ErrCorrupt)
+	}
+	return nil
+}
+
+// Close releases the file.
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	return r.f.Close()
+}
+
+// Size reports the sealed image's length, footer included.
+func (r *Reader) Size() int64 { return r.size }
+
+// SHA256 reports the hex SHA-256 of the whole verified image, computed in
+// the same pass that checked the footer.
+func (r *Reader) SHA256() string { return hex.EncodeToString(r.sum[:]) }
+
+// MarshalSealed gob-encodes a value (with the sealed-format header) and
+// appends the integrity footer — the byte-for-byte content of a file
+// written by Save.
+func MarshalSealed(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	var w Writer
+	if err := w.start(&buf); err != nil {
+		return nil, err
+	}
+	if err := w.Encode(v); err != nil {
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// UnmarshalSealed verifies and decodes bytes produced by MarshalSealed.
+func UnmarshalSealed(data []byte, v any) error {
+	r, err := newReader(bytes.NewReader(data), int64(len(data)), "", "sealed image")
+	if err != nil {
+		return err
+	}
+	return r.Decode(v)
+}
+
+// WriteFileAtomic publishes data at path with the write-rename protocol:
+// the bytes land in a sibling temp file first, so readers only ever see
+// the previous complete file or the new one. faultSite, when non-empty,
+// names a faultinject site checked after the temp file is complete but
+// before the rename — a fired fault models a crash-before-publish, and
+// the destination must be untouched. A failed write removes the temp
+// file.
+func WriteFileAtomic(path string, data []byte, faultSite string) error {
+	f, err := createTemp(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		discard(f)
+		return err
+	}
+	return publish(f, path, faultSite)
+}
+
+// createTemp opens path's sibling temp file for writing.
+func createTemp(path string) (*os.File, error) {
+	return os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+}
+
+// publish closes a complete temp file, checks the fault site and renames
+// the file over path. Every error removes the temp file; an injected
+// panic leaves it behind, as a crash would.
+func publish(f *os.File, path, faultSite string) error {
+	if err := f.Close(); err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	if faultSite != "" {
+		if err := faultinject.At(faultSite); err != nil {
+			os.Remove(f.Name())
+			return err
+		}
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	return nil
+}
+
+// discard abandons an unpublished temp file.
+func discard(f *os.File) {
+	f.Close()
+	os.Remove(f.Name())
+}
