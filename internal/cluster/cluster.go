@@ -24,15 +24,22 @@
 // The coordinator splits its bundle into per-worker sub-bundles
 // (internal/persist format, fusion stripped — fusion happens only at
 // the coordinator), stamps each with the fleet generation, and pushes
-// them over POST /-/bundle; a worker installs the bundle into its spool
-// directory and hot-swaps it through the ordinary serve reload path.
+// them to every worker at once over POST /-/bundle: the body is the
+// sealed sub-bundle bytes as they are (application/octet-stream, its
+// footer's CRC32 and SHA-256 covering every byte) and the manifest rides
+// as JSON in the X-Cluster-Manifest header. A worker unseals and
+// validates the body, installs the bundle into its spool directory and
+// hot-swaps it through the ordinary serve reload path. The routing plan
+// advances only when every worker acked; a failed distribution can leave
+// any subset of workers on the unrouted generation, and they answer 409
+// until repair restores them.
 // Scoring RPCs carry the generation in the X-Cluster-Generation header:
 // a worker rejects routed requests for a different generation with 409,
 // and the coordinator re-checks the generation echoed in every shard
 // response, so a request never fuses scores from mixed model
 // generations even across a concurrent redistribution. A background
-// repair loop re-pushes the current generation to workers that restart
-// empty or fall behind.
+// repair loop re-pushes the plan's generation, through the same
+// fan-out, to workers that restart empty or fall off the plan.
 //
 // Peer health reuses the retry/backoff loop and circuit breaker of
 // model reloads (serve.Retry, serve.Breaker), one breaker per peer:
@@ -55,7 +62,6 @@ import (
 	"net"
 	"net/http"
 
-	"repro/internal/persist"
 	"repro/internal/serve"
 )
 
@@ -85,13 +91,17 @@ func (n *node) Run(ctx context.Context, l net.Listener) error {
 	return n.srv.RunHandler(ctx, l, n.mux)
 }
 
-// bundlePush is the body of POST /-/bundle: the shard's manifest (with
-// ClusterGeneration stamped) plus the sealed bundle bytes exactly as
-// persist.MarshalSealed produced them.
-type bundlePush struct {
-	Manifest  persist.Manifest `json:"manifest"`
-	BundleB64 string           `json:"bundle_b64"`
-}
+// ManifestHeader carries a bundle push's shard manifest (ClusterGeneration
+// stamped) as JSON, at most maxManifestHeader bytes. The POST /-/bundle
+// body is the sealed sub-bundle exactly as persist.MarshalSealed produced
+// it, sent as bundleContentType; its footer's CRC32 and SHA-256 cover
+// every byte.
+const ManifestHeader = "X-Cluster-Manifest"
+
+const (
+	bundleContentType = "application/octet-stream"
+	maxManifestHeader = 64 << 10
+)
 
 // bundleAck is a worker's response to a successful bundle install.
 type bundleAck struct {

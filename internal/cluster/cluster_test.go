@@ -218,14 +218,14 @@ var fleetSeq atomic.Int64
 // newFleet builds an n-worker fleet over the seed-1 test bundle. Hosts
 // are unique per call so per-peer obs metrics never bleed across tests.
 // Distribution is NOT run — tests choose when (and whether) it happens.
-func newFleet(t *testing.T, n int, mutate func(*CoordinatorConfig)) *fleet {
+func newFleet(t testing.TB, n int, mutate func(*CoordinatorConfig)) *fleet {
 	t.Helper()
 	return newFleetBundle(t, n, writeTestBundle, mutate)
 }
 
 // newFleetBundle is newFleet over any bundle writer (the cascade tests
 // need the tier-1 model in the coordinator's full bundle).
-func newFleetBundle(t *testing.T, n int, write func(t testing.TB, dir string, seed uint64) *persist.Bundle, mutate func(*CoordinatorConfig)) *fleet {
+func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, seed uint64) *persist.Bundle, mutate func(*CoordinatorConfig)) *fleet {
 	t.Helper()
 	obs.Reset()
 	dir := t.TempDir()
@@ -333,7 +333,7 @@ func (f *fleet) peerStatus(t *testing.T, host string) PeerStatus {
 	return PeerStatus{}
 }
 
-func mustDistribute(t *testing.T, f *fleet) {
+func mustDistribute(t testing.TB, f *fleet) {
 	t.Helper()
 	if err := f.coord.Distribute(context.Background()); err != nil {
 		t.Fatal(err)

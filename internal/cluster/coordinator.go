@@ -166,26 +166,37 @@ func (c *Coordinator) Plan() int64 {
 }
 
 // Distribute splits the current bundle into per-worker shard bundles,
-// pushes each to its worker (retry/backoff per peer), and — only when
-// every worker acked the new generation — atomically swaps the routing
-// plan. On any failure the previous plan keeps routing.
+// pushes them to every worker at once (retry/backoff and breaker per
+// peer), and — only when every worker acked the new generation —
+// atomically swaps the routing plan. On any failure the previous plan
+// keeps routing and the error names the first failing peer in peer
+// order; the pushes that did land leave those workers on the unrouted
+// generation, answering 409 until the repair loop walks them back.
 func (c *Coordinator) Distribute(ctx context.Context) error {
 	c.distMu.Lock()
 	defer c.distMu.Unlock()
+	t0 := time.Now()
+	defer func() { obs.Observe("cluster.distribute.seconds", time.Since(t0).Seconds()) }()
 	m := c.reg.Current()
 	gen := m.Version
 	shards, err := c.splitShards(m, gen)
 	if err != nil {
 		return err
 	}
-	pl := &fleetPlan{c: c, gen: gen, model: m, route: make(map[string]int, len(m.Manifest.FrontEnds))}
-	for i, p := range c.peers {
-		if _, err := p.push(ctx, shards[i].manifest, shards[i].sealed, c.cfg.PushRetries, c.cfg.PushBackoff); err != nil {
+	all := make([]int, len(c.peers))
+	for i := range all {
+		all[i] = i
+	}
+	for i, err := range c.pushAll(ctx, shards, all, c.cfg.PushRetries) {
+		if err != nil {
 			obs.Inc("cluster.distribute.failures")
-			return fmt.Errorf("cluster: distribute generation %d to %s: %w", gen, p.addr, err)
+			return fmt.Errorf("cluster: distribute generation %d to %s: %w", gen, c.peers[i].addr, err)
 		}
-		pl.fes = append(pl.fes, shards[i].fes)
-		for _, fe := range shards[i].fes {
+	}
+	pl := &fleetPlan{c: c, gen: gen, model: m, route: make(map[string]int, len(m.Manifest.FrontEnds))}
+	for i, sh := range shards {
+		pl.fes = append(pl.fes, sh.fes)
+		for _, fe := range sh.fes {
 			pl.route[fe] = i
 		}
 	}
@@ -195,11 +206,35 @@ func (c *Coordinator) Distribute(ctx context.Context) error {
 	return nil
 }
 
-// shard is one worker's cut of the bundle, sealed for the wire.
+// pushAll seals and pushes the peers listed in idx their shards
+// concurrently, each push with its own retry loop and breaker, and
+// returns once every push has finished; errs[k] is peer idx[k]'s
+// outcome. No push cancels another, so every reachable peer ends on the
+// pushed generation.
+func (c *Coordinator) pushAll(ctx context.Context, shards []shard, idx []int, retries int) (errs []error) {
+	errs = make([]error, len(idx))
+	var wg sync.WaitGroup
+	for k, i := range idx {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sealed, err := persist.MarshalSealed(shards[i].sub)
+			if err == nil {
+				_, err = c.peers[i].push(ctx, shards[i].manifest, sealed, retries, c.cfg.PushBackoff)
+			}
+			errs[k] = err
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// shard is one worker's cut of the bundle; pushAll seals it for the
+// wire.
 type shard struct {
 	fes      []string
 	manifest persist.Manifest
-	sealed   []byte
+	sub      *persist.Bundle
 }
 
 // splitShards cuts the bundle round-robin across the peers. Fusion and
@@ -225,10 +260,6 @@ func (c *Coordinator) splitShards(m *serve.Model, gen int64) ([]shard, error) {
 		if err := sub.Validate(); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		sealed, err := persist.MarshalSealed(sub)
-		if err != nil {
-			return nil, err
-		}
 		mf := *m.Manifest
 		mf.ShardOf = m.Manifest.BundleSHA256
 		mf.ClusterGeneration = gen
@@ -243,16 +274,16 @@ func (c *Coordinator) splitShards(m *serve.Model, gen int64) ([]shard, error) {
 		mf.FrontEnds = nil
 		mf.FrontEndDims = nil
 		mf.StampContents(sub)
-		shards[i] = shard{fes: fes, manifest: mf, sealed: sealed}
+		shards[i] = shard{fes: fes, manifest: mf, sub: sub}
 	}
 	return shards, nil
 }
 
 // repair is the self-healing tick: with no plan yet it retries the
 // initial distribution; with a plan it probes each worker's /clusterz
-// and re-pushes the current generation to any worker that restarted
-// empty or is serving an older generation. A healthy probe (or
-// successful re-push) closes the peer's breaker.
+// and re-pushes the current generation, through Distribute's fan-out, to
+// every worker that restarted empty or is serving another generation. A
+// healthy probe (or successful re-push) closes the peer's breaker.
 func (c *Coordinator) repair(ctx context.Context) {
 	pl := c.plan.Load()
 	if pl == nil {
@@ -261,40 +292,41 @@ func (c *Coordinator) repair(ctx context.Context) {
 		}
 		return
 	}
-	var shards []shard
+	var stale []int
 	for i, p := range c.peers {
 		pctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 		var cz Clusterz
 		err := p.rpc(pctx, "/clusterz", nil, nil, &cz)
 		cancel()
-		if err != nil {
-			continue // stays down; the breaker already accounted it
+		// A failed probe leaves the peer down; the breaker already
+		// accounted it.
+		if err == nil && cz.Generation != pl.gen {
+			stale = append(stale, i)
 		}
-		if cz.Generation == pl.gen {
-			continue
-		}
-		// Worker is off-plan: restarted with an empty spool, missed the
-		// last distribution, or took a push from a distribution that
-		// failed partway. Re-push the shard split from the PLAN's pinned
-		// model — not reg.Current(), which may already hold a newer bundle
-		// whose distribution never completed; stamping that content with
-		// the plan generation would be exactly the mixed-generation fusion
-		// this subsystem exists to prevent.
-		if shards == nil {
-			var serr error
-			if shards, serr = c.splitShards(pl.model, pl.gen); serr != nil {
-				obs.Inc("cluster.repair.failures")
-				return
-			}
-		}
-		pctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		_, err = p.push(pctx, shards[i].manifest, shards[i].sealed, 0, c.cfg.PushBackoff)
-		cancel()
+	}
+	if len(stale) == 0 {
+		return
+	}
+	// The stale workers are off-plan: restarted with an empty spool,
+	// missed the last distribution, or took a push from a distribution
+	// that failed. Re-push the shard split from the PLAN's pinned model —
+	// not reg.Current(), which may already hold a newer bundle whose
+	// distribution never completed; stamping that content with the plan
+	// generation would be exactly the mixed-generation fusion this
+	// subsystem exists to prevent.
+	shards, err := c.splitShards(pl.model, pl.gen)
+	if err != nil {
+		obs.Inc("cluster.repair.failures")
+		return
+	}
+	pctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
+	for _, err := range c.pushAll(pctx, shards, stale, 0) {
 		if err != nil {
 			obs.Inc("cluster.repair.failures")
-			continue
+		} else {
+			obs.Inc("cluster.repair.repushes")
 		}
-		obs.Inc("cluster.repair.repushes")
 	}
 }
 

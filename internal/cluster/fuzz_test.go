@@ -1,0 +1,49 @@
+package cluster
+
+import (
+	"encoding/json"
+	"net/http"
+	"testing"
+)
+
+// FuzzBundlePush drives a worker's POST /-/bundle handler with arbitrary
+// X-Cluster-Manifest values and bodies. Every push must answer 200 or a
+// 4xx, never panic, and only a 200 may change the spool's bundle.gob and
+// manifest.json bytes or the generation the worker serves. Seeds: a valid
+// push and truncated, bit-flipped and header-mangled copies of it.
+func FuzzBundlePush(f *testing.F) {
+	fl := newFleet(f, 1, nil)
+	mustDistribute(f, fl)
+	mf, sealed := validPush(f, fl, 0, 2)
+	f.Add(mf, sealed)
+	f.Add(mf, sealed[:len(sealed)/2])
+	f.Add(mf, sealed[:len(sealed)-1])
+	flipped := append([]byte(nil), sealed...)
+	flipped[len(flipped)/3] ^= 0x80
+	f.Add(mf, flipped)
+	f.Add("", sealed)
+	f.Add("{}", sealed)
+	f.Add(`{"cluster_generation":-1}`, sealed)
+	f.Add(mf[:len(mf)/2], sealed)
+	f.Add(mf, []byte{})
+
+	h := fl.workers[0].Handler()
+	f.Fuzz(func(t *testing.T, manifest string, body []byte) {
+		before := readSpool(t, fl, 0)
+		rec := servePush(h, bundleContentType, manifest, body)
+		after := readSpool(t, fl, 0)
+		switch {
+		case rec.Code == http.StatusOK:
+			var ack bundleAck
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Generation != after.gen {
+				t.Fatalf("200 ack %s (%v) does not name the served generation %d", rec.Body.String(), err, after.gen)
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			if after != before {
+				t.Fatalf("refused push (%d %s) changed the spool or the served generation (%d → %d)", rec.Code, rec.Body.String(), before.gen, after.gen)
+			}
+		default:
+			t.Fatalf("push answered %d: %s", rec.Code, rec.Body.String())
+		}
+	})
+}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,7 +85,8 @@ func (p *peer) status(fes []string) PeerStatus {
 
 // rpc runs one POST against the peer with breaker gating, the
 // cluster.rpc.<addr> fault-injection site, and per-peer latency/health
-// metrics. out, when non-nil, receives the decoded 2xx JSON body.
+// metrics. hdr is added to the request and may override its JSON
+// Content-Type; out, when non-nil, receives the decoded 2xx JSON body.
 func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body []byte, out any) error {
 	if ok, _ := p.br.Allow(p.clock.Now()); !ok {
 		// Failing fast is the point of the breaker: the shard degrades
@@ -196,20 +196,25 @@ func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *se
 }
 
 // push installs a shard bundle on the worker and records the acked
-// generation. Distribution retries with the reload retry loop (capped
+// generation. The body is the sealed sub-bundle exactly as
+// persist.MarshalSealed produced it; the manifest rides as JSON in the
+// ManifestHeader. Distribution retries with the reload retry loop (capped
 // doubling, cut short by ctx) because a push races worker startup; the
 // breaker still gates and observes each attempt.
 func (p *peer) push(ctx context.Context, m persist.Manifest, sealed []byte, retries int, backoff time.Duration) (*bundleAck, error) {
-	body, err := json.Marshal(&bundlePush{Manifest: m, BundleB64: base64.StdEncoding.EncodeToString(sealed)})
+	mf, err := json.Marshal(&m)
 	if err != nil {
 		return nil, err
 	}
+	hdr := make(http.Header, 2)
+	hdr.Set("Content-Type", bundleContentType)
+	hdr.Set(ManifestHeader, string(mf))
 	var ack bundleAck
 	err = serve.Retry(ctx, p.clock, retries, backoff, serve.DefaultMaxBackoff, func() {
 		obs.Inc("cluster.distribute.retries")
 	}, func() error {
 		ack = bundleAck{}
-		return p.rpc(ctx, "/-/bundle", nil, body, &ack)
+		return p.rpc(ctx, "/-/bundle", hdr, sealed, &ack)
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
 	"os"
 	"strconv"
@@ -103,26 +104,35 @@ func (w *Worker) generationCheck(next http.Handler) http.Handler {
 	})
 }
 
-// handleBundle installs a coordinator-pushed shard bundle: decode and
-// validate the sealed payload, write it into the spool through the
-// ordinary persist bundle writer (manifest-last, atomic), and hot-swap
-// it through the serve reload path (retry/backoff + breaker). On any
-// failure the previously installed bundle keeps serving.
+// handleBundle installs a coordinator-pushed shard bundle: check the
+// content type and the manifest header, unseal and validate the body,
+// write it into the spool through the ordinary persist bundle writer
+// (manifest-last, atomic), and hot-swap it through the serve reload path
+// (retry/backoff + breaker). On any failure the previously installed
+// bundle keeps serving.
 func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rw.Header().Set("Allow", http.MethodPost)
 		writeError(rw, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var push bundlePush
-	r.Body = http.MaxBytesReader(rw, r.Body, 256<<20)
-	if err := json.NewDecoder(r.Body).Decode(&push); err != nil {
-		writeError(rw, http.StatusBadRequest, "bad bundle push: %v", err)
+	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct != bundleContentType {
+		writeError(rw, http.StatusUnsupportedMediaType, "bundle push must be Content-Type %s, got %q", bundleContentType, r.Header.Get("Content-Type"))
 		return
 	}
-	sealed, err := base64.StdEncoding.DecodeString(push.BundleB64)
+	raw := r.Header.Get(ManifestHeader)
+	if raw == "" || len(raw) > maxManifestHeader {
+		writeError(rw, http.StatusBadRequest, "bundle push needs a %s header of 1 to %d bytes, got %d", ManifestHeader, maxManifestHeader, len(raw))
+		return
+	}
+	var mf persist.Manifest
+	if err := json.Unmarshal([]byte(raw), &mf); err != nil {
+		writeError(rw, http.StatusBadRequest, "bad %s header: %v", ManifestHeader, err)
+		return
+	}
+	sealed, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, 256<<20))
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "bad bundle payload: %v", err)
+		writeError(rw, http.StatusBadRequest, "bad bundle push body: %v", err)
 		return
 	}
 	var b persist.Bundle
@@ -136,7 +146,7 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.installMu.Lock()
 	defer w.installMu.Unlock()
-	if err := persist.SaveBundle(w.spool, &b, push.Manifest); err != nil {
+	if err := persist.SaveBundle(w.spool, &b, mf); err != nil {
 		writeError(rw, http.StatusInternalServerError, "spool write: %v", err)
 		return
 	}
