@@ -28,13 +28,14 @@
 // three-stage safety gate: a golden-score canary on a frozen referee
 // set, an EER-must-not-regress check on a frozen holdout, and shadow
 // rescoring of sampled live traffic. Promotions are generation-versioned
-// on disk (gen-NNNNNN directories + a sealed CURRENT pointer), crash-safe
-// (a torn candidate is quarantined, never served), and reversible: the
-// post-promotion canary probe rolls back to last-known-good
-// automatically, and POST /-/adapt/rollback does it on demand. The
-// default ('-adapt=off') leaves serving bit-identical to a daemon
-// without the subsystem. See DESIGN.md "Online adaptation & safe
-// promotion".
+// on disk (gen-NNNNNN directories, each committed by a sealed numbered
+// record), crash-safe (a torn or uncommitted candidate is never served),
+// and reversible: the post-promotion canary probe rolls back to
+// last-known-good automatically, and POST /-/adapt/rollback does it on
+// demand. A model dir promoted by an earlier build, which kept a single
+// rewritten pointer file and no commit record, is refused at load. The
+// default ('-adapt=off') leaves serving bit-identical to a daemon without
+// the subsystem. See DESIGN.md "Online adaptation & safe promotion".
 //
 // Metrics format negotiation: /metricsz serves the metrics-only
 // internal/obs report — counters, gauges, histograms, and 1m/5m rolling

@@ -38,22 +38,18 @@ func TestPromoteSuccess(t *testing.T) {
 		t.Fatalf("swap called %d times, want 1", h.swaps)
 	}
 
-	ptr, err := persist.ReadCurrent(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ptr.Dir != persist.GenDirName(1) || ptr.Generation != 1 {
-		t.Fatalf("CURRENT = %+v, want gen 1", ptr)
-	}
-	if ptr.LastKnownGood != persist.BaseGenDir {
-		t.Fatalf("last-known-good %q, want %q", ptr.LastKnownGood, persist.BaseGenDir)
+	if rec, _, err := persist.BundleRoot(dir).Open(); err != nil || rec == nil || rec.Generation != 1 {
+		t.Fatalf("newest commit record %+v (err %v), want generation 1", rec, err)
 	}
 	b, _, info, err := persist.ResolveBundle(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Generation != 1 || info.Fallback {
+	if info.Generation != 1 || info.DirName != persist.GenDirName(1) || info.Fallback {
 		t.Fatalf("resolved %+v, want generation 1 without fallback", info)
+	}
+	if info.LastKnownGood != persist.BaseGenDir {
+		t.Fatalf("last-known-good %q, want %q", info.LastKnownGood, persist.BaseGenDir)
 	}
 	// The host's serving bundle is the promoted candidate, and the
 	// post-promotion probe already verified it against the pinned scores.
@@ -80,24 +76,37 @@ func TestPromoteSkipsBelowMinUtts(t *testing.T) {
 	if res.Outcome != OutcomeNoData {
 		t.Fatalf("outcome %q, want %q", res.Outcome, OutcomeNoData)
 	}
-	if _, err := persist.ReadCurrent(dir); !os.IsNotExist(err) {
-		t.Fatalf("a skipped pass must not create CURRENT (err %v)", err)
+	if rec, _, _ := persist.BundleRoot(dir).Open(); rec != nil {
+		t.Fatalf("a skipped pass committed generation %d", rec.Generation)
 	}
 }
 
 // assertUntouched verifies the serving side survived an attempt intact:
-// base files bit-identical, no CURRENT pointer, no live generation.
+// base files bit-identical, no commit record, no live generation.
 func assertUntouched(t *testing.T, dir string, before [32]byte) {
 	t.Helper()
 	if rootDigest(t, dir) != before {
 		t.Fatal("base bundle files changed")
 	}
-	if _, err := persist.ReadCurrent(dir); !os.IsNotExist(err) {
-		t.Fatalf("CURRENT exists after a failed attempt (err %v)", err)
+	if rec, _, _ := persist.BundleRoot(dir).Open(); rec != nil {
+		t.Fatalf("a failed attempt committed generation %d", rec.Generation)
 	}
-	if gens := persist.ListGenerations(dir); len(gens) != 0 {
+	if gens := liveGenerations(t, dir); len(gens) != 0 {
 		t.Fatalf("live generations after a failed attempt: %v", gens)
 	}
+}
+
+// liveGenerations lists the root's gen-* directories, oldest first.
+func liveGenerations(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "gen-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
 }
 
 // isQuarantined reports whether generation gen exists only under the
@@ -333,13 +342,8 @@ func TestPromotePruneKeepsPinned(t *testing.T) {
 	}
 	// keep=1 plus the pins: gen 4 (serving) and gen 3 (last-known-good)
 	// are pinned, gen 2 is the one kept generation, gen 1 is pruned.
-	gens := persist.ListGenerations(dir)
-	names := make([]string, len(gens))
-	for i, g := range gens {
-		names[i] = g.Name
-	}
-	want := persist.GenDirName(4) + "," + persist.GenDirName(3) + "," + persist.GenDirName(2)
-	if got := strings.Join(names, ","); got != want {
+	want := persist.GenDirName(2) + "," + persist.GenDirName(3) + "," + persist.GenDirName(4)
+	if got := strings.Join(liveGenerations(t, dir), ","); got != want {
 		t.Fatalf("live generations %q, want %q", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "bundle.gob")); err != nil {

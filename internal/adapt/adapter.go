@@ -25,8 +25,8 @@ const (
 	// gate and the post-promotion probe hit it, so one rule can fail
 	// either stage deterministically.
 	SiteCanary = "adapt.canary"
-	// SitePromote guards the CURRENT pointer flip (the promotion commit
-	// point); a fault here models a crash mid-promotion.
+	// SitePromote guards the commit record that promotes a candidate (the
+	// promotion commit point); a fault here models a crash mid-promotion.
 	SitePromote = "adapt.promote"
 )
 
@@ -47,12 +47,12 @@ const (
 
 // Config wires an Adapter to its serving process without importing it.
 type Config struct {
-	// Dir is the registry's bundle root (generation pointer + sidecar).
+	// Dir is the registry's bundle root (commit records + sidecar).
 	Dir string
 	// Policy parameterizes the loop; must Validate.
 	Policy Policy
-	// Swap triggers the serving process's model reload after a pointer
-	// flip (the serve layer routes it through its retry/backoff +
+	// Swap triggers the serving process's model reload after a commit
+	// (the serve layer routes it through its retry/backoff +
 	// circuit-breaker reloader). Required.
 	Swap func() error
 	// Current returns the bundle the serving process is answering with
@@ -101,8 +101,8 @@ type Adapter struct {
 	set   *Set
 	numFE int
 
-	// mu serializes promotion attempts, probes, and rollbacks — the
-	// pointer flip and its bookkeeping are one critical section. The
+	// mu serializes promotion attempts, probes, and rollbacks — each
+	// commit and its bookkeeping are one critical section. The
 	// accumulator has its own lock, so Observe never contends with a
 	// training pass.
 	mu          sync.Mutex
@@ -262,7 +262,7 @@ func (a *Adapter) TryPromote(force bool) (Result, error) {
 
 func (a *Adapter) tryPromoteLocked(force bool) Result {
 	pol := a.cfg.Policy
-	root := a.cfg.Dir
+	root := persist.BundleRoot(a.cfg.Dir)
 	res := Result{Generation: a.generation}
 
 	obss, shadow := a.acc.snapshot()
@@ -272,10 +272,10 @@ func (a *Adapter) tryPromoteLocked(force bool) Result {
 		return res
 	}
 
-	// The serving side of every comparison is the generation the pointer
-	// designates on disk — the same bundle a crash-restarted process
-	// would load.
-	serving, manifest, info, err := persist.ResolveBundle(root)
+	// The serving side of every comparison is the generation the commit
+	// records designate on disk — the same bundle a crash-restarted
+	// process would load.
+	serving, manifest, info, err := persist.ResolveBundle(a.cfg.Dir)
 	if err != nil {
 		res.Outcome, res.Err = OutcomeTrainErr, err.Error()
 		return res
@@ -305,14 +305,17 @@ func (a *Adapter) tryPromoteLocked(force bool) Result {
 		return res
 	}
 
-	// Stage the candidate as a complete generation directory. Until the
-	// pointer flips, nothing resolves it.
-	gen := persist.NextGeneration(root)
+	// Stage the candidate as a complete generation directory. Until a
+	// record commits it, nothing resolves it.
+	gen, err := root.Next()
 	name := persist.GenDirName(gen)
-	genDir := filepath.Join(root, name)
+	genDir := filepath.Join(a.cfg.Dir, name)
 	m := *manifest
 	m.AdaptGeneration = gen
-	if err := persist.SaveBundle(genDir, cand, m); err != nil {
+	if err == nil {
+		err = persist.SaveBundle(genDir, cand, m)
+	}
+	if err != nil {
 		obs.Inc("adapt.train_failures")
 		res.Outcome, res.Err = OutcomeSaveErr, err.Error()
 		return res
@@ -322,7 +325,7 @@ func (a *Adapter) tryPromoteLocked(force bool) Result {
 	quarantine := func(outcome, msg string) Result {
 		a.vetoes++
 		obs.Inc("adapt.vetoes")
-		if q, qerr := persist.QuarantineGeneration(root, name); qerr == nil {
+		if q, qerr := root.Quarantine(name); qerr == nil {
 			a.quarantined++
 			obs.Inc("adapt.quarantined")
 			a.logf("candidate gen %d %s — quarantined as %s: %s", gen, outcome, q, msg)
@@ -374,20 +377,15 @@ func (a *Adapter) tryPromoteLocked(force bool) Result {
 			fmt.Sprintf("shadow divergence %.4f over %d sampled utterances exceeds bound %.4f", div, sampled, pol.ShadowBound))
 	}
 
-	// Commit point: flip the pointer. A fault here models a crash
-	// mid-promotion — the staged generation is quarantined and the
-	// previous pointer keeps serving.
-	prevPtr, prevErr := persist.ReadCurrent(root)
+	// Commit point: the record naming the candidate, the generation it
+	// replaces as last-known-good, and its bundle's SHA-256. A fault here
+	// models a crash mid-promotion — the staged generation is quarantined
+	// and the previous record keeps serving.
 	err = guard(func() error {
 		if err := faultinject.At(SitePromote); err != nil {
 			return err
 		}
-		return persist.WriteCurrent(root, persist.GenPointer{
-			Generation:    gen,
-			Dir:           name,
-			BundleSHA256:  diskMan.BundleSHA256,
-			LastKnownGood: info.DirName,
-		}, SitePromote)
+		return persist.CommitBundle(root, gen, name, diskMan.BundleSHA256, info.DirName, SitePromote)
 	})
 	if err != nil {
 		obs.Inc("adapt.promote_failures")
@@ -395,13 +393,12 @@ func (a *Adapter) tryPromoteLocked(force bool) Result {
 	}
 
 	// Hot swap through the serving process's reloader. If the swap is
-	// refused (breaker open), un-flip: the gates passed, but a promotion
-	// the process cannot pick up must not outlive the attempt.
+	// refused (breaker open), commit the previous state again: the gates
+	// passed, but a promotion the process cannot pick up must not outlive
+	// the attempt.
 	if err := a.cfg.Swap(); err != nil {
-		if prevErr == nil {
-			_ = persist.WriteCurrent(root, prevPtr, "")
-		} else {
-			_ = persist.WriteCurrent(root, persist.GenPointer{Generation: 0, Dir: persist.BaseGenDir}, "")
+		if next, nerr := root.Next(); nerr == nil {
+			_ = persist.CommitBundle(root, next, info.DirName, manifest.BundleSHA256, info.LastKnownGood, "")
 		}
 		obs.Inc("adapt.promote_failures")
 		return quarantine(OutcomeSwapErr, fmt.Sprintf("hot swap refused: %v", err))
@@ -412,7 +409,7 @@ func (a *Adapter) tryPromoteLocked(force bool) Result {
 	obs.Inc("adapt.promotions")
 	obs.SetGauge("adapt.generation", float64(gen))
 	a.acc.reset()
-	if _, err := persist.PruneGenerations(root, pol.Keep, name, info.DirName); err != nil {
+	if err := root.Prune(pol.Keep, name, info.DirName); err != nil {
 		a.logf("prune after promotion: %v", err)
 	}
 	a.logf("promoted generation %d (selected %d/%d, EER %.2f%% vs %.2f%%, shadow %.4f/%d)",
@@ -473,8 +470,8 @@ func (a *Adapter) Probe() error {
 	return a.probeLocked()
 }
 
-// Rollback restores last-known-good: a pure pointer rewrite plus a hot
-// swap. One command, no retraining, no byte movement. The abandoned
+// Rollback restores last-known-good: one commit record naming it plus a
+// hot swap. One command, no retraining, no byte movement. The abandoned
 // generation is quarantined.
 func (a *Adapter) Rollback(reason string) (Result, error) {
 	a.mu.Lock()
@@ -485,43 +482,41 @@ func (a *Adapter) Rollback(reason string) (Result, error) {
 }
 
 func (a *Adapter) rollbackLocked(reason string) error {
-	root := a.cfg.Dir
-	ptr, err := persist.ReadCurrent(root)
+	root := persist.BundleRoot(a.cfg.Dir)
+	_, _, info, err := persist.ResolveBundle(a.cfg.Dir)
 	if err != nil {
-		return fmt.Errorf("adapt: rollback: no promoted generation to roll back (%v)", err)
+		return fmt.Errorf("adapt: rollback: %w", err)
 	}
-	target := ptr.LastKnownGood
+	target := info.LastKnownGood
 	if target == "" {
 		target = persist.BaseGenDir
 	}
-	if ptr.Dir == target {
+	if info.DirName == target {
 		return fmt.Errorf("adapt: rollback: already serving %s (nothing to roll back)", target)
 	}
-	var tgen int64
-	if target != persist.BaseGenDir {
-		if g, ok := persist.ParseGeneration(target); ok {
-			tgen = g
-		}
-	}
-	next := persist.GenPointer{Generation: tgen, Dir: target}
+	tgen, _ := persist.ParseGeneration(target)
+	lkg := ""
 	if target != persist.BaseGenDir {
 		// The restored generation's own fallback is the base bundle.
-		next.LastKnownGood = persist.BaseGenDir
+		lkg = persist.BaseGenDir
 	}
-	if err := persist.WriteCurrent(root, next, ""); err != nil {
+	next, err := root.Next()
+	if err == nil {
+		err = persist.CommitBundle(root, next, target, "", lkg, "")
+	}
+	if err != nil {
 		return fmt.Errorf("adapt: rollback: %w", err)
 	}
 	if err := a.cfg.Swap(); err != nil {
 		return fmt.Errorf("adapt: rollback swap: %w", err)
 	}
-	abandoned := ptr.Dir
-	if abandoned != persist.BaseGenDir && abandoned != target {
-		if _, qerr := persist.QuarantineGeneration(root, abandoned); qerr == nil {
+	if info.DirName != persist.BaseGenDir {
+		if _, qerr := root.Quarantine(info.DirName); qerr == nil {
 			a.quarantined++
 			obs.Inc("adapt.quarantined")
 		}
 	}
-	a.generation, a.lkg = tgen, next.LastKnownGood
+	a.generation, a.lkg = tgen, lkg
 	a.rollbacks++
 	obs.Inc("adapt.rollbacks")
 	obs.SetGauge("adapt.generation", float64(tgen))

@@ -19,8 +19,8 @@
 //     than ShadowBound on the fused decision scale.
 //
 // Promotion is crash-safe (the generation directory is complete and
-// verified before the sealed CURRENT pointer flips; see
-// persist.ResolveBundle), reversible (Rollback rewrites the pointer to
+// verified before a sealed commit record names it; see
+// persist.ResolveBundle), reversible (Rollback commits a record naming
 // last-known-good), and automatically reverted when the post-promotion
 // canary probe fails. The adapt.train, adapt.canary, and adapt.promote
 // fault sites let the chaos suite prove an injected failure at any stage
@@ -72,9 +72,10 @@ type Policy struct {
 	// CanaryTol is the largest absolute drift from the pinned referee
 	// scores the canary (and the post-promotion probe) tolerates (5).
 	CanaryTol float64
-	// Keep is how many live generation directories survive the
-	// post-promotion prune; the serving generation and last-known-good
-	// are always pinned (4).
+	// Keep is how many generations committed before the serving one
+	// survive the post-promotion prune, each with the bundle directories
+	// its record names; the serving generation and last-known-good are
+	// always pinned (4).
 	Keep int
 }
 

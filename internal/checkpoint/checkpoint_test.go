@@ -328,7 +328,7 @@ func TestPruneKeepsNewestGenerations(t *testing.T) {
 	}
 	var manifests, ckpts []string
 	for _, de := range des {
-		if strings.HasPrefix(de.Name(), manifestPrefix) {
+		if strings.HasPrefix(de.Name(), "MANIFEST-") {
 			manifests = append(manifests, de.Name())
 		}
 		if strings.HasSuffix(de.Name(), ".ckpt") {
@@ -352,6 +352,37 @@ func TestPruneKeepsNewestGenerations(t *testing.T) {
 		if err := s2.Load(name, &got); err != nil {
 			t.Fatalf("after prune, %s: %v", name, err)
 		}
+	}
+}
+
+// TestPruneKeepsCorruptSurvivorsFiles: when a generation Prune keeps has
+// an unreadable record, the entries it references are unknown, so no entry
+// file may be swept — and the readable generation behind it stays the
+// fallback.
+func TestPruneKeepsCorruptSurvivorsFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.Save("a", &payload{Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("b", &payload{Name: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST-000002.json"), []byte("overwritten"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prune(1); err != nil {
+		t.Fatalf("Prune: %v", err)
+	}
+	for _, f := range []string{"a.g000001.ckpt", "b.g000002.ckpt"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Fatalf("prune swept %s behind a corrupt survivor: %v", f, err)
+		}
+	}
+	s2 := openStore(t, dir)
+	var got payload
+	if s2.Generation() != 1 || s2.Load("a", &got) != nil || got.Name != "a" {
+		t.Fatalf("after prune: gen=%d a=%+v, want the generation-1 fallback", s2.Generation(), got)
 	}
 }
 

@@ -38,8 +38,9 @@
 //	                       gate and the post-promotion probe, so after=N can
 //	                       fail either one deterministically (error/panic →
 //	                       quarantine or automatic rollback)
-//	adapt.promote          the CURRENT pointer flip — the promotion commit
-//	                       point (error/panic models a crash mid-promotion)
+//	adapt.promote          the commit record that promotes a candidate — the
+//	                       promotion commit point (error/panic models a
+//	                       crash mid-promotion)
 //
 // Cluster sites (the coordinator hits one per shard RPC — scoring,
 // bundle push, and health probe alike; internal/cluster):

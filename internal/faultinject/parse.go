@@ -33,7 +33,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			continue
 		}
 		parts := strings.SplitN(clause, ":", 3)
-		if len(parts) < 2 {
+		if len(parts) < 2 || parts[0] == "" {
 			return nil, fmt.Errorf("faultinject: rule %q needs <site>:<kind>", clause)
 		}
 		r := Rule{Site: parts[0]}
@@ -61,7 +61,7 @@ func ParsePlan(spec string) (*Plan, error) {
 				switch key {
 				case "p":
 					r.Prob, err = strconv.ParseFloat(val, 64)
-					if err == nil && (r.Prob < 0 || r.Prob > 1) {
+					if err == nil && !(r.Prob >= 0 && r.Prob <= 1) {
 						err = fmt.Errorf("probability %v outside [0,1]", r.Prob)
 					}
 				case "every":
@@ -78,6 +78,9 @@ func ParsePlan(spec string) (*Plan, error) {
 					r.Err = val
 				default:
 					err = fmt.Errorf("unknown option %q", key)
+				}
+				if err == nil && (r.Every < 0 || r.After < 0 || r.Count < 0) {
+					err = fmt.Errorf("option %q is negative", opt)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("faultinject: rule %q: %v", clause, err)

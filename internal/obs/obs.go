@@ -181,56 +181,39 @@ func Default() *Registry { return defaultRegistry }
 
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return lookup(r, r.counters, name, newZero[Counter])
 }
 
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return lookup(r, r.gauges, name, newZero[Gauge])
 }
 
 // Histogram returns (creating if needed) the named latency histogram.
 func (r *Registry) Histogram(name string) *Histogram {
+	return lookup(r, r.hists, name, newZero[Histogram])
+}
+
+// newZero makes a zero-valued metric.
+func newZero[T any]() *T { return new(T) }
+
+// lookup returns the metric registered under name in m, creating it with
+// mk on first use. The hit path takes only the read lock.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return h
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
+	if v, ok = m[name]; ok {
+		return v
 	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	v = mk()
+	m[name] = v
+	return v
 }
 
 // Reset zeroes every metric in place (existing handles stay valid) and

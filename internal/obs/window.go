@@ -13,16 +13,19 @@ import (
 // windowed latency quantiles, windowed error and degradation counts)
 // next to the cumulative values, without sacrificing the "recording is a
 // few atomics" cost model: Observe/Add touch exactly one shard, selected
-// by quantized wall time, and stale shards are recycled lazily by the
-// first writer (or reader) that lands on them in a new epoch.
+// by quantized wall time. The first writer to reach a ring slot in a new
+// epoch installs a fresh shard for that epoch with one compare-and-swap;
+// the old shard is dropped, never zeroed in place.
 //
 // Accuracy contract: a window of W seconds merges every shard whose
 // epoch lies inside (now-W, now], i.e. the current partial shard plus
 // the full shards behind it, so a "1m" view covers between W and
-// W+shardDur seconds of traffic. Shard recycling races (two writers
-// hitting a stale shard at an epoch boundary) can smear a handful of
-// observations between adjacent shards; that is within the tolerance of
-// a live view and never perturbs the cumulative metrics.
+// W+shardDur seconds of traffic. Every observation made within its epoch
+// lands in that epoch's shard and stays there: writers racing to open
+// an epoch all end up on the one shard that won the swap. Only a writer
+// stalled for a whole ring lap (over 5 minutes) between reading the clock
+// and recording can land in a newer shard or in one already dropped; the
+// cumulative metrics are never affected.
 
 const (
 	// windowShardDur is the ring's resolution; windows are multiples of it.
@@ -50,68 +53,94 @@ type WindowsData struct {
 	M5 WindowStats `json:"5m"`
 }
 
-// windowShard is one ring slot: the quantized epoch it currently belongs
-// to (0 = never used) and its data.
-type windowShard struct {
-	epoch atomic.Int64
-	hist  Histogram
+// shard is one epoch's data in a ring slot.
+type shard[T any] struct {
+	epoch int64
+	data  T
+}
+
+// ring is the shard ring over quantized wall time that Window and
+// WindowCounter share.
+type ring[T any] struct {
+	shardDur time.Duration
+	now      func() time.Time
+	slots    []atomic.Pointer[shard[T]]
+}
+
+func newRing[T any](shardDur time.Duration, slots int, now func() time.Time) ring[T] {
+	if now == nil {
+		now = time.Now
+	}
+	return ring[T]{shardDur: shardDur, now: now, slots: make([]atomic.Pointer[shard[T]], slots)}
+}
+
+// epochNow quantizes the clock to shard units.
+func (r *ring[T]) epochNow() int64 { return r.now().UnixNano() / int64(r.shardDur) }
+
+// current returns the data of the current epoch's shard, installing a
+// fresh shard when the slot still holds an older epoch.
+func (r *ring[T]) current() *T {
+	e := r.epochNow()
+	slot := &r.slots[int(e%int64(len(r.slots)))]
+	for {
+		sh := slot.Load()
+		if sh != nil && sh.epoch >= e {
+			return &sh.data
+		}
+		if fresh := (&shard[T]{epoch: e}); slot.CompareAndSwap(sh, fresh) {
+			return &fresh.data
+		}
+	}
+}
+
+// each calls fn on every shard inside the trailing window and returns the
+// window's nominal length.
+func (r *ring[T]) each(window time.Duration, fn func(*T)) time.Duration {
+	if window < r.shardDur {
+		window = r.shardDur
+	}
+	nowE := r.epochNow()
+	k := int64(window / r.shardDur)
+	for i := range r.slots {
+		if sh := r.slots[i].Load(); sh != nil && sh.epoch > nowE-k && sh.epoch <= nowE {
+			fn(&sh.data)
+		}
+	}
+	return window
+}
+
+// reset drops every shard (Registry.Reset).
+func (r *ring[T]) reset() {
+	for i := range r.slots {
+		r.slots[i].Store(nil)
+	}
 }
 
 // Window is a rolling-window histogram: a ring of shard Histograms over
 // quantized wall time.
-type Window struct {
-	shardDur time.Duration
-	now      func() time.Time
-	shards   []windowShard
-}
+type Window struct{ ring[Histogram] }
 
 func newWindow(shardDur time.Duration, shards int, now func() time.Time) *Window {
-	if now == nil {
-		now = time.Now
-	}
-	return &Window{shardDur: shardDur, now: now, shards: make([]windowShard, shards)}
-}
-
-// epochNow quantizes the clock to shard units.
-func (w *Window) epochNow() int64 { return w.now().UnixNano() / int64(w.shardDur) }
-
-// shardFor returns the ring slot for epoch e, recycling it if it still
-// holds an older epoch's data.
-func (w *Window) shardFor(e int64) *windowShard {
-	sh := &w.shards[int(e%int64(len(w.shards)))]
-	if old := sh.epoch.Load(); old != e && sh.epoch.CompareAndSwap(old, e) {
-		sh.hist.reset()
-	}
-	return sh
+	return &Window{newRing[Histogram](shardDur, shards, now)}
 }
 
 // Observe records one value (seconds) into the current shard.
-func (w *Window) Observe(v float64) { w.shardFor(w.epochNow()).hist.Observe(v) }
+func (w *Window) Observe(v float64) { w.current().Observe(v) }
 
 // Stats merges every shard inside the trailing window into one
 // HistogramData-equivalent summary. Rate is count over the nominal
 // window length.
 func (w *Window) Stats(window time.Duration) WindowStats {
-	if window < w.shardDur {
-		window = w.shardDur
-	}
-	nowE := w.epochNow()
-	k := int64(window / w.shardDur)
 	var counts [numBuckets + 1]int64
 	var count int64
 	var sum float64
-	for i := range w.shards {
-		sh := &w.shards[i]
-		e := sh.epoch.Load()
-		if e == 0 || e <= nowE-k || e > nowE {
-			continue
-		}
+	window = w.each(window, func(h *Histogram) {
 		for b := 0; b <= numBuckets; b++ {
-			counts[b] += sh.hist.counts[b].Load()
+			counts[b] += h.counts[b].Load()
 		}
-		count += sh.hist.count.Load()
-		sum += sh.hist.Sum()
-	}
+		count += h.count.Load()
+		sum += h.Sum()
+	})
 	st := WindowStats{Count: count, RatePerSec: float64(count) / window.Seconds(), SumSec: sum}
 	if count > 0 {
 		st.MeanSec = sum / float64(count)
@@ -122,112 +151,40 @@ func (w *Window) Stats(window time.Duration) WindowStats {
 	return st
 }
 
-// reset recycles every shard (Registry.Reset).
-func (w *Window) reset() {
-	for i := range w.shards {
-		w.shards[i].epoch.Store(0)
-		w.shards[i].hist.reset()
-	}
-}
-
-// wcShard is one WindowCounter ring slot.
-type wcShard struct {
-	epoch atomic.Int64
-	v     atomic.Int64
-}
-
 // WindowCounter is a rolling-window counter: the same shard ring as
 // Window over a single atomic count per shard.
-type WindowCounter struct {
-	shardDur time.Duration
-	now      func() time.Time
-	shards   []wcShard
-}
+type WindowCounter struct{ ring[atomic.Int64] }
 
 func newWindowCounter(shardDur time.Duration, shards int, now func() time.Time) *WindowCounter {
-	if now == nil {
-		now = time.Now
-	}
-	return &WindowCounter{shardDur: shardDur, now: now, shards: make([]wcShard, shards)}
+	return &WindowCounter{newRing[atomic.Int64](shardDur, shards, now)}
 }
 
 // Add increments the current shard by d.
-func (w *WindowCounter) Add(d int64) {
-	e := w.now().UnixNano() / int64(w.shardDur)
-	sh := &w.shards[int(e%int64(len(w.shards)))]
-	if old := sh.epoch.Load(); old != e && sh.epoch.CompareAndSwap(old, e) {
-		sh.v.Store(0)
-	}
-	sh.v.Add(d)
-}
+func (w *WindowCounter) Add(d int64) { w.current().Add(d) }
 
 // Inc increments the current shard by one.
 func (w *WindowCounter) Inc() { w.Add(1) }
 
 // Stats sums the trailing window.
 func (w *WindowCounter) Stats(window time.Duration) WindowStats {
-	if window < w.shardDur {
-		window = w.shardDur
-	}
-	nowE := w.now().UnixNano() / int64(w.shardDur)
-	k := int64(window / w.shardDur)
 	var count int64
-	for i := range w.shards {
-		sh := &w.shards[i]
-		e := sh.epoch.Load()
-		if e == 0 || e <= nowE-k || e > nowE {
-			continue
-		}
-		count += sh.v.Load()
-	}
+	window = w.each(window, func(v *atomic.Int64) { count += v.Load() })
 	return WindowStats{Count: count, RatePerSec: float64(count) / window.Seconds()}
-}
-
-// reset recycles every shard (Registry.Reset).
-func (w *WindowCounter) reset() {
-	for i := range w.shards {
-		w.shards[i].epoch.Store(0)
-		w.shards[i].v.Store(0)
-	}
 }
 
 // Registry accessors, mirroring Counter/Gauge/Histogram.
 
 // Window returns (creating if needed) the named rolling-window histogram.
 func (r *Registry) Window(name string) *Window {
-	r.mu.RLock()
-	w, ok := r.windows[name]
-	r.mu.RUnlock()
-	if ok {
-		return w
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok = r.windows[name]; ok {
-		return w
-	}
-	w = newWindow(windowShardDur, windowShardCount, nil)
-	r.windows[name] = w
-	return w
+	return lookup(r, r.windows, name, func() *Window { return newWindow(windowShardDur, windowShardCount, nil) })
 }
 
 // WindowCounter returns (creating if needed) the named rolling-window
 // counter.
 func (r *Registry) WindowCounter(name string) *WindowCounter {
-	r.mu.RLock()
-	w, ok := r.wcounters[name]
-	r.mu.RUnlock()
-	if ok {
-		return w
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok = r.wcounters[name]; ok {
-		return w
-	}
-	w = newWindowCounter(windowShardDur, windowShardCount, nil)
-	r.wcounters[name] = w
-	return w
+	return lookup(r, r.wcounters, name, func() *WindowCounter {
+		return newWindowCounter(windowShardDur, windowShardCount, nil)
+	})
 }
 
 // GetWindow returns the named rolling-window histogram of the default

@@ -111,21 +111,39 @@ func TestWindowCounter(t *testing.T) {
 	}
 }
 
+// TestWindowConcurrentObserve: writers racing into each new epoch — the
+// moment its ring slot is opened or recycled — must not lose a single
+// observation, in the histogram ring or the counter ring.
 func TestWindowConcurrentObserve(t *testing.T) {
-	w := newWindow(10*time.Second, 32, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				w.Observe(0.001)
-			}
-		}()
+	clk := newManualClock()
+	w := newWindow(10*time.Second, 32, clk.Now)
+	c := newWindowCounter(10*time.Second, 32, clk.Now)
+	// 40 epochs lap the 32-slot ring; the 5m window holds the last 30.
+	const epochs, writers, per = 40, 8, 100
+	for e := 0; e < epochs; e++ {
+		clk.Advance(10 * time.Second)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < per; i++ {
+					w.Observe(0.001)
+					c.Inc()
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
-	wg.Wait()
-	if got := w.Stats(time.Minute).Count; got != 8000 {
-		t.Fatalf("count = %d, want 8000", got)
+	want := int64(30 * writers * per)
+	if got := w.Stats(5 * time.Minute).Count; got != want {
+		t.Fatalf("window count = %d, want %d", got, want)
+	}
+	if got := c.Stats(5 * time.Minute).Count; got != want {
+		t.Fatalf("counter count = %d, want %d", got, want)
 	}
 }
 

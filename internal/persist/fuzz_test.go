@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/proj"
@@ -154,4 +156,55 @@ func fuzzCompressedBundle() *Bundle {
 			Proj: pk, Quant: q, Precision: "int8",
 		}},
 	}
+}
+
+// FuzzOpenStore: arbitrary bytes as a store's newest commit record must
+// come back as the older verified record (or the newest, if the bytes
+// happen to be a valid record whose payloads verify) — never a panic, and
+// never an adopted record whose payloads fail verification.
+func FuzzOpenStore(f *testing.F) {
+	dir := f.TempDir()
+	s := fileStore(dir)
+	commitFile(f, s, 1, "one")
+	good := commitFile(f, s, 2, "two")
+	sealed, err := os.ReadFile(filepath.Join(dir, recordName(2)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
+	f.Add(sealed[:len(sealed)/2])
+	f.Add([]byte{})
+	for _, rec := range []string{
+		`{"format_version":1,"generation":2,"entries":{"k":{"file":"v1","bytes":1,"sha256":"00"}}}`,
+		`{"format_version":1,"generation":2,"entries":{"k":{"file":"../v1"}}}`,
+		`{"format_version":1,"generation":3,"entries":{}}`,
+		`{"format_version":2,"generation":2}`,
+		`not json`,
+	} {
+		f.Add(Seal([]byte(rec)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, recordName(2)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, _, err := s.Open()
+		if err != nil || rec == nil {
+			t.Fatalf("Open lost the verified older record: %+v err %v", rec, err)
+		}
+		if rec.Generation != 1 && rec.Generation != good.Generation {
+			t.Fatalf("adopted generation %d", rec.Generation)
+		}
+		for key, ref := range rec.Entries {
+			r, err := s.OpenPayload(ref, "")
+			if err != nil {
+				t.Fatalf("adopted record's entry %q does not verify: %v", key, err)
+			}
+			var v string
+			err = r.Decode(&v)
+			r.Close()
+			if err != nil {
+				t.Fatalf("adopted record's entry %q does not decode: %v", key, err)
+			}
+		}
+	})
 }

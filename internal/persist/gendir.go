@@ -1,63 +1,44 @@
 package persist
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Generation-versioned bundle roots (internal/adapt's promotion target).
+// Generation-versioned bundle roots (internal/adapt's promotion target),
+// the second user of the generation store (store.go).
 //
 // A plain bundle directory — manifest.json + bundle.gob at the root — is
 // "generation 0": every registry that predates online adaptation keeps
-// loading it unchanged. A promotion adds a gen-%06d subdirectory (itself
-// a complete SaveBundle directory) and then atomically publishes a sealed
-// CURRENT pointer file naming it. Commit order mirrors the checkpoint
-// store's manifest-last protocol: the generation directory is fully
-// written and verified before the pointer flips, so a reader either
-// resolves the previous generation or the new one, never a torn mix. A
-// crash between the two leaves an orphan gen directory that prune
-// eventually collects; the serving pointer is untouched.
-//
-// The pointer also records the last-known-good generation, making
-// rollback a pure pointer rewrite — no bundle bytes move.
+// loading it unchanged. A promotion stages a gen-%06d subdirectory (itself
+// a complete SaveBundle directory), and once the candidate has passed its
+// gates it commits a record naming that directory, the last-known-good
+// directory rollback returns to, and the SHA-256 of the new bundle file.
+// Only committed records resolve: a candidate staged but never committed
+// (a crash during the gates) is invisible to ResolveBundle and collected
+// by Prune. Rollback commits a record naming the last-known-good
+// directory; no bundle bytes move.
 
-// CurrentName is the sealed pointer file a generation-versioned bundle
-// root carries. Absent on plain (pre-adaptation) bundle directories.
-const CurrentName = "CURRENT"
-
-// BaseGenDir is the pointer target meaning "the root directory itself"
+// BaseGenDir is the record entry meaning "the root directory itself"
 // (generation 0, the exported base bundle).
 const BaseGenDir = "."
 
-// genPrefix and quarantinePrefix name generation subdirectories and
-// quarantined (gate-failed or corrupt) candidates.
-const (
-	genPrefix        = "gen-"
-	quarantinePrefix = "quarantine-"
-)
+// genPrefix names generation subdirectories.
+const genPrefix = "gen-"
 
-// GenPointer is the decoded CURRENT file: which generation directory
-// serves, and which one rollback returns to.
-type GenPointer struct {
-	// Generation is the monotonically increasing adaptation generation
-	// (0 = the base export at the root).
-	Generation int64 `json:"generation"`
-	// Dir is the bundle directory relative to the root: "gen-000001", or
-	// "." for the base bundle.
-	Dir string `json:"dir"`
-	// BundleSHA256 pins the sealed bundle file the pointer promotes (for
-	// status surfaces; LoadBundle re-verifies the manifest's own SHA).
-	BundleSHA256 string `json:"bundle_sha256,omitempty"`
-	// LastKnownGood is the Dir-style name of the generation rollback
-	// restores ("." when the base bundle is the fallback). Empty means
-	// the base.
-	LastKnownGood string `json:"last_known_good,omitempty"`
-}
+// legacyPointer is the generation pointer file earlier builds rewrote on
+// every promotion. A root that still has one but no commit record is
+// refused rather than silently served as generation 0.
+const legacyPointer = "CURRENT"
+
+// Entry keys of a bundle root's commit records.
+const (
+	servingEntry = "serving"
+	lkgEntry     = "last_known_good"
+)
 
 // GenDirName formats the directory name of generation gen.
 func GenDirName(gen int64) string {
@@ -67,12 +48,6 @@ func GenDirName(gen int64) string {
 // ParseGeneration extracts the generation number from a gen-%06d (or
 // quarantine-gen-%06d) directory name; ok is false for anything else.
 func ParseGeneration(name string) (int64, bool) {
-	return parseGenName(name)
-}
-
-// parseGenName extracts the generation number from a gen-%06d (or
-// quarantine-gen-%06d) directory name; ok is false for anything else.
-func parseGenName(name string) (int64, bool) {
 	name = strings.TrimPrefix(name, quarantinePrefix)
 	rest, ok := strings.CutPrefix(name, genPrefix)
 	if !ok {
@@ -85,234 +60,90 @@ func parseGenName(name string) (int64, bool) {
 	return n, true
 }
 
-// WriteCurrent atomically publishes the CURRENT pointer. The write runs
-// through the persist.save fault site's atomic-rename protocol via
-// faultSite, so chaos plans can model a crash between the staged pointer
-// and its publication (the previous pointer then keeps serving).
-func WriteCurrent(root string, p GenPointer, faultSite string) error {
-	if p.Dir == "" {
-		return fmt.Errorf("persist: CURRENT pointer names no directory")
-	}
-	data, err := json.Marshal(&p)
-	if err != nil {
-		return fmt.Errorf("persist: CURRENT: %w", err)
-	}
-	_, err = saveAt(filepath.Join(root, CurrentName), faultSite, data)
-	return err
-}
+// BundleRoot returns the generation store of a bundle root: its payloads
+// are the gen-%06d directories.
+func BundleRoot(root string) *Store { return NewStore(root, ParseGeneration) }
 
-// ReadCurrent reads and verifies the CURRENT pointer. A missing file
-// returns os.ErrNotExist (the root is a plain generation-0 bundle); a
-// torn or corrupt pointer returns a wrapped ErrCorrupt.
-func ReadCurrent(root string) (GenPointer, error) {
-	var p GenPointer
-	r, err := OpenAt(filepath.Join(root, CurrentName), "")
-	if os.IsNotExist(err) {
-		return p, err
+// CommitBundle commits record gen on a bundle root: dir is the bundle
+// directory that serves from now on (bundleSHA, when set, pins its sealed
+// bundle file) and lkg, when set, the one rollback returns to.
+func CommitBundle(st *Store, gen int64, dir, bundleSHA, lkg, faultSite string) error {
+	entries := map[string]Ref{servingEntry: {File: dir, SHA256: bundleSHA}}
+	if lkg != "" {
+		entries[lkgEntry] = Ref{File: lkg}
 	}
-	if err != nil {
-		return p, fmt.Errorf("persist: CURRENT: %w", err)
-	}
-	defer r.Close()
-	var data []byte
-	if err := r.Decode(&data); err != nil {
-		return p, fmt.Errorf("persist: CURRENT: %w", err)
-	}
-	if err := json.Unmarshal(data, &p); err != nil {
-		return p, fmt.Errorf("persist: CURRENT: %w (%w)", err, ErrCorrupt)
-	}
-	if p.Dir == "" {
-		return p, fmt.Errorf("persist: CURRENT names no directory (%w)", ErrCorrupt)
-	}
-	return p, nil
-}
-
-// GenEntry is one generation subdirectory of a bundle root.
-type GenEntry struct {
-	Name       string
-	Generation int64
-}
-
-// ListGenerations returns the root's gen-* subdirectories, newest first.
-// Quarantined directories are excluded — they must never be resolvable.
-func ListGenerations(root string) []GenEntry {
-	ents, err := os.ReadDir(root)
-	if err != nil {
-		return nil
-	}
-	var out []GenEntry
-	for _, e := range ents {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), quarantinePrefix) {
-			continue
-		}
-		if g, ok := parseGenName(e.Name()); ok {
-			out = append(out, GenEntry{Name: e.Name(), Generation: g})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Generation > out[j].Generation })
-	return out
-}
-
-// NextGeneration returns 1 + the highest generation number in use at the
-// root — counting live gen directories, quarantined ones (their numbers
-// are burned, never reused), and the CURRENT pointer itself.
-func NextGeneration(root string) int64 {
-	var max int64
-	ents, err := os.ReadDir(root)
-	if err == nil {
-		for _, e := range ents {
-			if g, ok := parseGenName(e.Name()); ok && g > max {
-				max = g
-			}
-		}
-	}
-	if p, err := ReadCurrent(root); err == nil && p.Generation > max {
-		max = p.Generation
-	}
-	return max + 1
+	return st.Commit(&Record{Generation: gen, Entries: entries}, faultSite)
 }
 
 // ResolveInfo reports how a bundle root was resolved to a concrete
 // bundle directory.
 type ResolveInfo struct {
-	// Dir is the directory the bundle was loaded from.
-	Dir string
-	// DirName is the pointer-style name of Dir ("." or "gen-%06d").
+	// DirName names the directory the bundle was loaded from, relative to
+	// the root: "." or "gen-%06d".
 	DirName string
 	// Generation is the adaptation generation served (0 = base).
 	Generation int64
-	// LastKnownGood is the pointer's recorded rollback target ("" when
-	// the root has no pointer).
+	// LastKnownGood is the resolved record's rollback target ("" when the
+	// root has no record, or the record names none).
 	LastKnownGood string
-	// Fallback is true when the pointer (or its target) was unusable and
-	// an older generation or the base bundle was served instead.
+	// Fallback is true when the newest record (or the directory it names)
+	// was unusable and an older generation or the base bundle was served
+	// instead.
 	Fallback bool
 }
 
 // ResolveBundle loads the bundle a generation-versioned root currently
-// designates. Resolution order: the CURRENT pointer's target; on a
-// missing pointer, the root itself (plain generation-0 layout, exactly
-// LoadBundle's historical behavior). A corrupt pointer, or a pointer
-// whose target fails to load, falls back — last-known-good first, then
-// every remaining generation newest-first, then the base — so a serving
-// process survives a torn promotion or post-promotion disk rot by
-// serving the newest loadable generation rather than nothing.
+// designates. A root without commit records is a plain bundle directory:
+// one listing, then exactly LoadBundle's historical behavior. Otherwise
+// the records are walked newest-first, and each offers the directory it
+// commits, then its last-known-good; the first that loads (and matches
+// the record's pinned SHA-256) serves. When no record yields a bundle the
+// base export serves. Only committed directories are ever candidates, so
+// a staged candidate that never passed its gates cannot resolve.
 func ResolveBundle(root string) (*Bundle, *Manifest, ResolveInfo, error) {
-	ptr, perr := ReadCurrent(root)
-	if perr != nil && os.IsNotExist(perr) {
+	base := ResolveInfo{DirName: BaseGenDir}
+	// A missing root fails in LoadBundle below, with its usual error.
+	ents, _ := os.ReadDir(root)
+	gens := records(ents)
+	if len(gens) == 0 {
+		for _, e := range ents {
+			if e.Name() == legacyPointer {
+				return nil, nil, base, fmt.Errorf("persist: %s is a legacy generation pointer with no commit record beside it: remove it (the base export then serves) and re-promote",
+					filepath.Join(root, legacyPointer))
+			}
+		}
 		b, m, err := LoadBundle(root)
-		return b, m, ResolveInfo{Dir: root, DirName: BaseGenDir}, err
+		return b, m, base, err
 	}
 
-	info := ResolveInfo{LastKnownGood: ptr.LastKnownGood}
-	var tried []string
-	try := func(name string, gen int64, fallback bool) (*Bundle, *Manifest, bool) {
-		for _, t := range tried {
-			if t == name {
-				return nil, nil, false
+	var b *Bundle
+	var m *Manifest
+	var info ResolveInfo
+	rec, skipped := BundleRoot(root).walk(gens, func(r *Record) error {
+		lkg := r.Entries[lkgEntry]
+		for i, ref := range []Ref{r.Entries[servingEntry], lkg} {
+			if ref.File == "" {
+				continue
 			}
-		}
-		tried = append(tried, name)
-		dir := root
-		if name != BaseGenDir {
-			dir = filepath.Join(root, name)
-		}
-		b, m, err := LoadBundle(dir)
-		if err != nil {
-			return nil, nil, false
-		}
-		info.Dir, info.DirName, info.Generation, info.Fallback = dir, name, gen, fallback
-		return b, m, true
-	}
-
-	if perr == nil {
-		if b, m, ok := try(ptr.Dir, ptr.Generation, false); ok {
-			return b, m, info, nil
-		}
-		if lkg := ptr.LastKnownGood; lkg != "" {
-			g, _ := parseGenName(lkg)
-			if b, m, ok := try(lkg, g, true); ok {
-				return b, m, info, nil
+			bb, mm, err := LoadBundle(filepath.Join(root, ref.File))
+			if err != nil || (ref.SHA256 != "" && mm.BundleSHA256 != ref.SHA256) {
+				continue
 			}
+			gen, _ := ParseGeneration(ref.File)
+			b, m = bb, mm
+			info = ResolveInfo{DirName: ref.File, Generation: gen, LastKnownGood: lkg.File, Fallback: i > 0}
+			return nil
 		}
-	}
-	for _, e := range ListGenerations(root) {
-		if b, m, ok := try(e.Name, e.Generation, true); ok {
-			return b, m, info, nil
-		}
-	}
-	if b, m, ok := try(BaseGenDir, 0, true); ok {
+		return ErrCorrupt
+	})
+	if rec != nil {
+		info.Fallback = info.Fallback || skipped > 0
 		return b, m, info, nil
 	}
-	return nil, nil, info, fmt.Errorf("persist: no loadable generation under %s (%w)", root, ErrCorrupt)
-}
-
-// QuarantineGeneration renames a gate-failed or corrupt candidate
-// generation out of the resolvable namespace (gen-000007 →
-// quarantine-gen-000007), keeping the bytes for forensics. Prune bounds
-// how many quarantined directories accumulate.
-func QuarantineGeneration(root, name string) (string, error) {
-	if _, ok := parseGenName(name); !ok || strings.HasPrefix(name, quarantinePrefix) {
-		return "", fmt.Errorf("persist: %q is not a generation directory", name)
-	}
-	q := quarantinePrefix + name
-	if err := os.Rename(filepath.Join(root, name), filepath.Join(root, q)); err != nil {
-		return "", fmt.Errorf("persist: quarantine %s: %w", name, err)
-	}
-	return q, nil
-}
-
-// PruneGenerations bounds the root's disk growth after a promotion,
-// mirroring the checkpoint store's Prune semantics: the newest keep live
-// generation directories survive, pinned names (the serving generation
-// and last-known-good) always survive regardless of age, and everything
-// older is deleted. Quarantined directories are pruned to the same keep
-// bound by name. The base bundle at the root is never touched. Returns
-// the removed directory names.
-func PruneGenerations(root string, keep int, pinned ...string) ([]string, error) {
-	if keep < 1 {
-		keep = 1
-	}
-	pin := make(map[string]bool, len(pinned))
-	for _, p := range pinned {
-		pin[p] = true
-	}
-	var removed []string
-	live := ListGenerations(root)
-	kept := 0
-	for _, e := range live {
-		if pin[e.Name] {
-			continue
-		}
-		if kept < keep {
-			kept++
-			continue
-		}
-		if err := os.RemoveAll(filepath.Join(root, e.Name)); err != nil {
-			return removed, fmt.Errorf("persist: prune %s: %w", e.Name, err)
-		}
-		removed = append(removed, e.Name)
-	}
-
-	ents, err := os.ReadDir(root)
+	b, m, err := LoadBundle(root)
 	if err != nil {
-		return removed, nil
+		return nil, nil, base, fmt.Errorf("persist: no loadable generation under %s (%w)", root, ErrCorrupt)
 	}
-	var quarantined []string
-	for _, e := range ents {
-		if e.IsDir() && strings.HasPrefix(e.Name(), quarantinePrefix) {
-			quarantined = append(quarantined, e.Name())
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(quarantined))) // newest gen numbers first
-	for i, name := range quarantined {
-		if i < keep {
-			continue
-		}
-		if err := os.RemoveAll(filepath.Join(root, name)); err != nil {
-			return removed, fmt.Errorf("persist: prune %s: %w", name, err)
-		}
-		removed = append(removed, name)
-	}
-	return removed, nil
+	base.Fallback = true
+	return b, m, base, nil
 }

@@ -12,8 +12,9 @@
 // bad magic. Sealed files are streamed both ways (see stream.go): Writer
 // encodes any number of values through a fixed-size buffer, and Reader
 // verifies the footer in one pass before decoding in a second, so no file
-// is ever held in memory whole. Save, Load, the bundle and CURRENT files,
-// internal/checkpoint and internal/adapt's sidecar all go through them.
+// is ever held in memory whole. Save, Load, the bundle files, the
+// generation store's payloads (store.go), internal/checkpoint and
+// internal/adapt's sidecar all go through them.
 package persist
 
 import (

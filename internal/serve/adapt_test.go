@@ -385,8 +385,8 @@ func TestConcurrentReloadRacesPromotion(t *testing.T) {
 	if m.Gen.Generation != 1 || m.Gen.Fallback {
 		t.Fatalf("final state %+v, want generation 1", m.Gen)
 	}
-	ptr, err := persist.ReadCurrent(dir)
-	if err != nil || ptr.Generation != 1 {
-		t.Fatalf("CURRENT after race: %+v err %v", ptr, err)
+	rec, _, err := persist.BundleRoot(dir).Open()
+	if err != nil || rec == nil || rec.Generation != 1 {
+		t.Fatalf("newest commit record after race: %+v err %v", rec, err)
 	}
 }

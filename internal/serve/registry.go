@@ -43,7 +43,7 @@ type Model struct {
 	LoadedAt time.Time
 	// Gen records how the bundle root resolved: which adaptation
 	// generation is serving (0 = the base export) and whether resolution
-	// had to fall back past an unusable pointer target.
+	// had to fall back past an unusable commit record or directory.
 	Gen persist.ResolveInfo
 
 	feIndex map[string]int
@@ -129,8 +129,8 @@ func (r *Registry) Current() *Model { return r.cur.Load() }
 // Dir returns the bundle directory the registry reloads from.
 func (r *Registry) Dir() string { return r.dir }
 
-// Reload resolves the bundle root (honoring a CURRENT generation pointer
-// when internal/adapt has promoted one; plain roots load exactly as
+// Reload resolves the bundle root (honoring its commit records when
+// internal/adapt has promoted a generation; plain roots load exactly as
 // before) and atomically swaps the result in. On error the previous model
 // stays active — a failed reload must never take a serving process down
 // or degrade it.
@@ -151,9 +151,8 @@ func (r *Registry) Reload() (*Model, error) {
 		return nil, err
 	}
 	if info.Fallback {
-		// The pointer's designated generation was unusable (torn
-		// promotion, disk rot) — an older generation or the base bundle is
-		// serving instead.
+		// The newest committed generation was unusable (torn record, disk
+		// rot) — an older generation or the base bundle is serving instead.
 		obs.Inc("serve.model.gen_fallback")
 	}
 	r.gen++
@@ -163,7 +162,7 @@ func (r *Registry) Reload() (*Model, error) {
 	obs.SetGauge("serve.model.version", float64(mod.Version))
 	obs.SetGauge("serve.model.front_ends", float64(len(b.FrontEnds)))
 	obs.SetGauge("serve.model.generation", float64(info.Generation))
-	setFootprintGauges(info.Dir, b, m)
+	setFootprintGauges(filepath.Join(r.dir, info.DirName), b, m)
 	return mod, nil
 }
 
