@@ -68,7 +68,7 @@
 //
 // Chaos mode enables the deterministic fault-injection layer for the
 // whole process (see internal/faultinject; TESTING.md documents the spec
-// grammar). The CI chaos-smoke job runs the daemon this way:
+// grammar). The internal/e2e chaos drill runs the daemon this way:
 //
 //	lred -models ./models -chaos 'seed=7; serve.score.fe.HU:error:p=0.2'
 //

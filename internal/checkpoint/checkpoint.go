@@ -4,8 +4,8 @@
 // baseline scoring, every DBA boosting round, the fusion backend — run
 // for minutes at full scale; a Store lets a killed run restart from the
 // last completed phase boundary instead of from zero, with bit-identical
-// final results (the resume-equivalence suite and the CI
-// crash-resume-smoke job are the referees).
+// final results (the resume-equivalence suite and the internal/e2e
+// crash-resume drill are the referees).
 //
 // The directory is a persist generation store (see persist.Store):
 //

@@ -12,55 +12,8 @@ import (
 	"repro/internal/persist"
 	"repro/internal/rng"
 	"repro/internal/serve"
+	"repro/internal/testbundle"
 )
-
-// Fleet cascade fixture: the shared test bundle plus a tier-1 model over
-// FE0's inventory, the same construction as internal/serve's cascade
-// suite — sequences strongly biased to one phone per language exit,
-// near-uniform ones escalate.
-
-func cascadeBundle(seed uint64) *persist.Bundle {
-	b := testBundle(seed)
-	r := rng.New(seed ^ 0xca5c)
-	train := make([][][]int, tbLangs)
-	var dev []cascade.DevExample
-	for k := 0; k < tbLangs; k++ {
-		for i := 0; i < 15; i++ {
-			train[k] = append(train[k], cascSeq(r, k, 50, 0.8))
-		}
-		for i := 0; i < 10; i++ {
-			dev = append(dev, cascade.DevExample{Seq: cascSeq(r, k, 60, 0.8), Label: k, Tier: 0})
-			dev = append(dev, cascade.DevExample{Seq: cascSeq(r, k, 10, 0.8), Label: k, Tier: 1})
-		}
-	}
-	m, err := cascade.Train("FE0", tbPhones, train, []string{"30s", "3s"}, dev, cascade.TrainConfig{})
-	if err != nil {
-		panic(err)
-	}
-	b.Cascade = m
-	return b
-}
-
-func cascSeq(r *rng.RNG, k, length int, bias float64) []int {
-	seq := make([]int, length)
-	for i := range seq {
-		if r.Float64() < bias {
-			seq[i] = k % tbPhones
-		} else {
-			seq[i] = r.Intn(tbPhones)
-		}
-	}
-	return seq
-}
-
-func writeCascadeBundle(t testing.TB, dir string, seed uint64) *persist.Bundle {
-	t.Helper()
-	b := cascadeBundle(seed)
-	if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: seed, Scale: "test"}); err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 // latticeRequestFor covers the full battery with the same
 // single-alternative sausage, so the fused row is present and the
@@ -82,7 +35,7 @@ func sameScoreResult(t *testing.T, ctx string, got, want *serve.ScoreResult) {
 	if got.Best != want.Best {
 		t.Fatalf("%s: best %q vs %q", ctx, got.Best, want.Best)
 	}
-	sameRows(t, got.Scores, want.Scores)
+	testbundle.SameRows(t, got.Scores, want.Scores)
 	if len(got.Fused) != len(want.Fused) {
 		t.Fatalf("%s: fused %d vs %d", ctx, len(got.Fused), len(want.Fused))
 	}
@@ -100,7 +53,7 @@ func sameScoreResult(t *testing.T, ctx string, got, want *serve.ScoreResult) {
 // escalates into the ordinary scatter–gather, and the only permitted
 // difference is the escalation annotation.
 func TestFleetCascadeEscalateAllBitIdentity(t *testing.T) {
-	f := newFleetBundle(t, 2, writeCascadeBundle, func(cfg *CoordinatorConfig) {
+	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
 		cfg.Cascade = serve.CascadeConfig{Enabled: true, Margin: "-inf"}
 	})
 	mustDistribute(t, f)
@@ -112,7 +65,7 @@ func TestFleetCascadeEscalateAllBitIdentity(t *testing.T) {
 	r := rng.New(99)
 	var seqs [][]int
 	for k := 0; k < 4; k++ {
-		seqs = append(seqs, cascSeq(r, k%tbLangs, 40+r.Intn(30), 0.8))
+		seqs = append(seqs, testbundle.CascSeq(r, k%testbundle.Langs, 40+r.Intn(30), 0.8))
 	}
 
 	// Single requests.
@@ -171,7 +124,7 @@ func TestFleetCascadeEscalateAllBitIdentity(t *testing.T) {
 // out and collapses to the all-shards-failed 503. The shard split also
 // strips the cascade model, like fusion: tier 1 is coordinator-only.
 func TestFleetCascadeExitSkipsShards(t *testing.T) {
-	f := newFleetBundle(t, 2, writeCascadeBundle, func(cfg *CoordinatorConfig) {
+	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
 		cfg.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
 	mustDistribute(t, f)
@@ -185,7 +138,7 @@ func TestFleetCascadeExitSkipsShards(t *testing.T) {
 		f.net.setDown(h, true)
 	}
 
-	seq := cascSeq(rng.New(3), 1, 40, 0.8)
+	seq := testbundle.CascSeq(rng.New(3), 1, 40, 0.8)
 	rec, sr := f.score(t, latticeRequestFor(f.bundle, "x", seq))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("tier-1 exit needed a shard: status %d: %s", rec.Code, rec.Body.String())
@@ -206,7 +159,7 @@ func TestFleetCascadeExitSkipsShards(t *testing.T) {
 		}
 	}
 
-	rec2, _ := f.score(t, scoreRequestFor(f.bundle, testVector(4)))
+	rec2, _ := f.score(t, scoreRequestFor(f.bundle, testbundle.Vector(4)))
 	if rec2.Code != http.StatusServiceUnavailable {
 		t.Fatalf("supervector request with all shards down: status %d, want 503", rec2.Code)
 	}
@@ -216,7 +169,7 @@ func TestFleetCascadeExitSkipsShards(t *testing.T) {
 // fails NewCoordinator, not the first request.
 func TestFleetCascadeBadMarginRejectedAtStartup(t *testing.T) {
 	dir := t.TempDir()
-	writeCascadeBundle(t, dir, 1)
+	testbundle.WriteCascade(t, dir, 1)
 	_, err := NewCoordinator(CoordinatorConfig{
 		ModelDir: dir,
 		Peers:    []string{"w0.test:9101"},

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/testbundle"
 )
 
 // The cluster chaos suite: worker crash/restart schedules driven either
@@ -25,7 +26,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 		cfg.Breaker = serve.BreakerPolicy{TripAfter: 3, Cooldown: 10 * time.Second}
 	})
 	mustDistribute(t, f)
-	req := scoreRequestFor(f.bundle, testVector(29))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(29))
 	trips := obs.GetCounter("cluster.breaker.trips")
 
 	// Healthy baseline: breaker closed, peer up.
@@ -90,7 +91,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("recovered request: status %d degraded=%v (%s)", rec.Code, sr.Degraded, rec.Body.String())
 	}
-	sameRows(t, sr.Scores, expectedScores(f.bundle, testVector(29)))
+	testbundle.SameRows(t, sr.Scores, testbundle.ExpectedScores(f.bundle, testbundle.Vector(29)))
 	if st = f.peerStatus(t, f.hosts[1]); st.Breaker != serve.BreakerClosed || !st.Up {
 		t.Fatalf("after recovery: %+v, want closed/up", st)
 	}
@@ -103,7 +104,7 @@ func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 func TestCoordinatorSurvivesConcurrentCrashes(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	req := scoreRequestFor(f.bundle, testVector(31))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(31))
 
 	const goroutines, perG = 8, 25
 	var wg sync.WaitGroup
@@ -147,7 +148,7 @@ func TestChaosPlanDrivesShardRPCs(t *testing.T) {
 		cfg.Breaker = serve.BreakerPolicy{TripAfter: 1000} // isolate injection from breaker effects
 	})
 	mustDistribute(t, f)
-	req := scoreRequestFor(f.bundle, testVector(37))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(37))
 
 	plan, err := faultinject.ParsePlan("seed=7; cluster.rpc.*:error:p=1")
 	if err != nil {
@@ -171,19 +172,19 @@ func TestChaosPlanDrivesShardRPCs(t *testing.T) {
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("after disabling chaos: status %d degraded=%v", rec.Code, sr.Degraded)
 	}
-	sameRows(t, sr.Scores, expectedScores(f.bundle, testVector(37)))
+	testbundle.SameRows(t, sr.Scores, testbundle.ExpectedScores(f.bundle, testbundle.Vector(37)))
 }
 
 // TestChaosScheduleIsDeterministic replays the same seeded plan twice
 // against the same fleet: the per-request (status, degraded, surviving)
 // schedule must repeat exactly — the determinism contract that lets the
-// CI cluster-smoke job assert exact degradation behavior.
+// internal/e2e cluster drill assert exact degradation behavior.
 func TestChaosScheduleIsDeterministic(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
 		cfg.Breaker = serve.BreakerPolicy{TripAfter: 1000} // keep every RPC site-gated, not breaker-gated
 	})
 	mustDistribute(t, f)
-	req := scoreRequestFor(f.bundle, testVector(41))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(41))
 
 	type outcome struct {
 		Status    int

@@ -13,118 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fusion"
-	"repro/internal/ngram"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/sparse"
-	"repro/internal/svm"
+	"repro/internal/testbundle"
 )
-
-// Test fixture: the same tiny synthetic bundle as internal/serve's tests
-// (2 front-ends over a 5-phone order-2 space, 3 languages, fusion
-// backend) so fleet results can be checked bit-identical against the
-// in-process scoring they shard out.
-
-const (
-	tbPhones = 5
-	tbOrder  = 2
-	tbLangs  = 3
-)
-
-func testBundle(seed uint64) *persist.Bundle {
-	space := ngram.NewSpace(tbPhones, tbOrder)
-	r := rng.New(seed)
-	b := &persist.Bundle{Languages: []string{"alpha", "beta", "gamma"}}
-	var all [][]*sparse.Vector
-	var labels []int
-	for f := 0; f < 2; f++ {
-		var xs []*sparse.Vector
-		labels = labels[:0]
-		for i := 0; i < 60; i++ {
-			k := i % tbLangs
-			m := map[int32]float64{
-				int32(k * 7):                       2 + 0.3*r.Norm(),
-				int32((k*7 + f + 1) % space.Dim()): 1 + 0.2*r.Norm(),
-				int32(r.Intn(space.Dim())):         0.5 * r.Float64(),
-			}
-			xs = append(xs, sparse.FromMap(m))
-			labels = append(labels, k)
-		}
-		tf := ngram.EstimateTFLLR(xs, space.Dim(), 1e-5)
-		for _, v := range xs {
-			tf.Apply(v)
-		}
-		opt := svm.DefaultOptions()
-		opt.Seed = seed + uint64(f)
-		b.FrontEnds = append(b.FrontEnds, persist.FrontEndModel{
-			Name:      fmt.Sprintf("FE%d", f),
-			NumPhones: tbPhones,
-			Order:     tbOrder,
-			TFLLR:     tf,
-			OVR:       svm.TrainOneVsRest(xs, labels, tbLangs, space.Dim(), opt),
-		})
-		all = append(all, xs)
-	}
-	var devX [][]float64
-	var devY []int
-	for i := range all[0] {
-		s0 := b.FrontEnds[0].OVR.Scores(all[0][i])
-		s1 := b.FrontEnds[1].OVR.Scores(all[1][i])
-		for k := 0; k < tbLangs; k++ {
-			devX = append(devX, []float64{s0[k], s1[k]})
-			if labels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
-		}
-	}
-	bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	b.Fusion = bk
-	return b
-}
-
-func writeTestBundle(t testing.TB, dir string, seed uint64) *persist.Bundle {
-	t.Helper()
-	b := testBundle(seed)
-	if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: seed, Scale: "test"}); err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// testVector is a deterministic raw (pre-TFLLR) supervector inside the
-// fixture space.
-func testVector(seed uint64) *sparse.Vector {
-	r := rng.New(seed ^ 0xbeef)
-	space := ngram.NewSpace(tbPhones, tbOrder)
-	m := make(map[int32]float64)
-	for i := 0; i < 6; i++ {
-		m[int32(r.Intn(space.Dim()))] = r.Float64()
-	}
-	return sparse.FromMap(m)
-}
-
-// expectedScores is the per-front-end ground truth: TFLLR-apply then
-// OVR-score on a fresh copy, exactly what each shard must produce.
-func expectedScores(b *persist.Bundle, raw *sparse.Vector) map[string][]float64 {
-	out := make(map[string][]float64)
-	for i := range b.FrontEnds {
-		fe := &b.FrontEnds[i]
-		v := raw.Clone()
-		if fe.TFLLR != nil {
-			fe.TFLLR.Apply(v)
-		}
-		out[fe.Name] = fe.OVR.Scores(v)
-	}
-	return out
-}
 
 func scoreRequestFor(b *persist.Bundle, raw *sparse.Vector) serve.ScoreRequest {
 	req := serve.ScoreRequest{ID: "u1", FrontEnds: make(map[string]serve.FrontEndInput)}
@@ -220,7 +114,7 @@ var fleetSeq atomic.Int64
 // Distribution is NOT run — tests choose when (and whether) it happens.
 func newFleet(t testing.TB, n int, mutate func(*CoordinatorConfig)) *fleet {
 	t.Helper()
-	return newFleetBundle(t, n, writeTestBundle, mutate)
+	return newFleetBundle(t, n, testbundle.Write, mutate)
 }
 
 // newFleetBundle is newFleet over any bundle writer (the cascade tests
@@ -337,23 +231,5 @@ func mustDistribute(t testing.TB, f *fleet) {
 	t.Helper()
 	if err := f.coord.Distribute(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func sameRows(t *testing.T, got, want map[string][]float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("scored %d front-ends, want %d", len(got), len(want))
-	}
-	for fe, wrow := range want {
-		grow := got[fe]
-		if len(grow) != len(wrow) {
-			t.Fatalf("%s: %d scores, want %d", fe, len(grow), len(wrow))
-		}
-		for k := range wrow {
-			if grow[k] != wrow[k] {
-				t.Fatalf("%s score[%d] = %v, want %v (not bit-identical)", fe, k, grow[k], wrow[k])
-			}
-		}
 	}
 }

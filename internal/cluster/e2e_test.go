@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/testbundle"
 )
 
 // standaloneResponse scores the same request on a plain internal/serve
@@ -36,8 +37,8 @@ func TestFleetBitIdenticalToStandalone(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
 
-	req := scoreRequestFor(f.bundle, testVector(7))
-	want := expectedScores(f.bundle, testVector(7))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(7))
+	want := testbundle.ExpectedScores(f.bundle, testbundle.Vector(7))
 
 	rec, sr := f.score(t, req)
 	if rec.Code != http.StatusOK {
@@ -46,7 +47,7 @@ func TestFleetBitIdenticalToStandalone(t *testing.T) {
 	if sr.Degraded {
 		t.Fatalf("healthy fleet degraded: %+v", sr.ScoreResult)
 	}
-	sameRows(t, sr.Scores, want)
+	testbundle.SameRows(t, sr.Scores, want)
 
 	// The full scoring payload — scores, fused row, decision — must be
 	// byte-for-byte what the standalone daemon serves from the same
@@ -72,7 +73,7 @@ func TestFleetBitIdenticalToStandalone(t *testing.T) {
 
 func TestFleetRejectsBeforeDistribution(t *testing.T) {
 	f := newFleet(t, 2, nil)
-	req := scoreRequestFor(f.bundle, testVector(3))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(3))
 	rec, _ := f.score(t, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("score before distribution: status %d, want 503", rec.Code)
@@ -99,7 +100,7 @@ func TestFleetRejectsBeforeDistribution(t *testing.T) {
 func TestFleetUnknownFrontEndIs400(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	req := scoreRequestFor(f.bundle, testVector(4))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(4))
 	req.FrontEnds["nope"] = req.FrontEnds["FE0"]
 	rec, _ := f.score(t, req)
 	if rec.Code != http.StatusBadRequest {
@@ -110,7 +111,7 @@ func TestFleetUnknownFrontEndIs400(t *testing.T) {
 func TestKillWorkerDegradesWithSurvivorFusion(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	raw := testVector(9)
+	raw := testbundle.Vector(9)
 	req := scoreRequestFor(f.bundle, raw)
 
 	// Kill the worker owning FE1 (round-robin: FE0→shard0, FE1→shard1).
@@ -132,14 +133,11 @@ func TestKillWorkerDegradesWithSurvivorFusion(t *testing.T) {
 	// The fused row must be exactly fusion.ScoreMasked over the
 	// survivors — the documented degraded-fusion contract, now across a
 	// process boundary.
-	want := expectedScores(f.bundle, raw)
-	sameRows(t, sr.Scores, map[string][]float64{"FE0": want["FE0"]})
-	present := []bool{true, false}
-	for k := range f.bundle.Languages {
-		x := []float64{want["FE0"][k], 0}
-		if got, exp := sr.Fused[k], f.bundle.Fusion.ScoreMasked(x, present)[1]; got != exp {
-			t.Fatalf("fused[%d] = %v, want ScoreMasked %v", k, got, exp)
-		}
+	want := testbundle.ExpectedScores(f.bundle, raw)
+	survivor := map[string][]float64{"FE0": want["FE0"]}
+	testbundle.SameRows(t, sr.Scores, survivor)
+	if mf := testbundle.MaskedFused(f.bundle, survivor); !reflect.DeepEqual(sr.Fused, mf) {
+		t.Fatalf("fused = %v, want ScoreMasked %v", sr.Fused, mf)
 	}
 
 	// Both workers dead: nothing survives — that is a 503, not a
@@ -158,13 +156,13 @@ func TestKillWorkerDegradesWithSurvivorFusion(t *testing.T) {
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("revived fleet: status %d degraded=%v (%s)", rec.Code, sr.Degraded, rec.Body.String())
 	}
-	sameRows(t, sr.Scores, want)
+	testbundle.SameRows(t, sr.Scores, want)
 }
 
 func TestBatchDegradationStaysPerUtterance(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	raw := testVector(11)
+	raw := testbundle.Vector(11)
 	full := scoreRequestFor(f.bundle, raw) // FE0 + FE1
 	only0 := serve.ScoreRequest{ID: "only-fe0", FrontEnds: map[string]serve.FrontEndInput{
 		"FE0": full.FrontEnds["FE0"],
@@ -196,8 +194,8 @@ func TestBatchDegradationStaysPerUtterance(t *testing.T) {
 	if br.Results[1].Degraded || br.Results[1].Error != "" {
 		t.Fatalf("utterance %q must not degrade: %+v", br.Results[1].ID, br.Results[1])
 	}
-	want := expectedScores(f.bundle, raw)
-	sameRows(t, br.Results[1].Scores, map[string][]float64{"FE0": want["FE0"]})
+	want := testbundle.ExpectedScores(f.bundle, raw)
+	testbundle.SameRows(t, br.Results[1].Scores, map[string][]float64{"FE0": want["FE0"]})
 	if !br.Degraded || br.DegradedCount != 1 {
 		t.Fatalf("batch summary degraded=%v count=%d, want true/1", br.Degraded, br.DegradedCount)
 	}
@@ -206,13 +204,13 @@ func TestBatchDegradationStaysPerUtterance(t *testing.T) {
 func TestGenerationConsistencyAcrossFailedRedistribution(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	raw := testVector(13)
+	raw := testbundle.Vector(13)
 	req := scoreRequestFor(f.bundle, raw)
 
 	// A new bundle lands on disk, but worker 1 is down when the reload
 	// tries to distribute it: worker 0 installs generation 2, the fleet
 	// plan must stay pinned at generation 1.
-	writeTestBundle(t, f.coord.cfg.ModelDir, 2)
+	testbundle.Write(t, f.coord.cfg.ModelDir, 2)
 	f.net.setDown(f.hosts[1], true)
 	if _, err := f.coord.Reload(context.Background()); err == nil {
 		t.Fatal("reload with a dead worker must fail distribution")
@@ -238,8 +236,8 @@ func TestGenerationConsistencyAcrossFailedRedistribution(t *testing.T) {
 	if sr.ModelVersion != 1 || sr.ClusterGeneration != 1 {
 		t.Fatalf("response v%d gen%d, want the pinned v1 gen1", sr.ModelVersion, sr.ClusterGeneration)
 	}
-	want1 := expectedScores(f.bundle, raw)
-	sameRows(t, sr.Scores, map[string][]float64{"FE1": want1["FE1"]})
+	want1 := testbundle.ExpectedScores(f.bundle, raw)
+	testbundle.SameRows(t, sr.Scores, map[string][]float64{"FE1": want1["FE1"]})
 
 	// The repair loop walks worker 0 back onto the active plan (its
 	// pinned generation-1 model — not the undistributed on-disk bundle).
@@ -248,7 +246,7 @@ func TestGenerationConsistencyAcrossFailedRedistribution(t *testing.T) {
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("after repair: status %d degraded=%v (%s)", rec.Code, sr.Degraded, rec.Body.String())
 	}
-	sameRows(t, sr.Scores, want1)
+	testbundle.SameRows(t, sr.Scores, want1)
 
 	// With both workers reachable the redistribution completes and the
 	// fleet advances atomically. Generations are monotone registry
@@ -261,7 +259,7 @@ func TestGenerationConsistencyAcrossFailedRedistribution(t *testing.T) {
 	if gen != 3 {
 		t.Fatalf("plan at %d after successful reload, want 3", gen)
 	}
-	b2 := testBundle(2)
+	b2 := testbundle.New(2)
 	rec, sr = f.score(t, req)
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("new generation: status %d degraded=%v", rec.Code, sr.Degraded)
@@ -269,13 +267,13 @@ func TestGenerationConsistencyAcrossFailedRedistribution(t *testing.T) {
 	if sr.ModelVersion != gen || sr.ClusterGeneration != gen {
 		t.Fatalf("response v%d gen%d, want v%d gen%d", sr.ModelVersion, sr.ClusterGeneration, gen, gen)
 	}
-	sameRows(t, sr.Scores, expectedScores(b2, raw))
+	testbundle.SameRows(t, sr.Scores, testbundle.ExpectedScores(b2, raw))
 }
 
 func TestWorkerRestartRepushedByRepair(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	raw := testVector(17)
+	raw := testbundle.Vector(17)
 	req := scoreRequestFor(f.bundle, raw)
 
 	// Worker 0 is replaced by a fresh process with an empty spool (lost
@@ -296,13 +294,13 @@ func TestWorkerRestartRepushedByRepair(t *testing.T) {
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("after re-push: status %d degraded=%v (%s)", rec.Code, sr.Degraded, rec.Body.String())
 	}
-	sameRows(t, sr.Scores, expectedScores(f.bundle, raw))
+	testbundle.SameRows(t, sr.Scores, testbundle.ExpectedScores(f.bundle, raw))
 }
 
 func TestTraceparentPropagatesToShards(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	req := scoreRequestFor(f.bundle, testVector(19))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(19))
 	data, _ := json.Marshal(req)
 
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -360,7 +358,7 @@ func TestDistributionStampsShardManifests(t *testing.T) {
 		}
 	}
 	// Worker without the routing header still serves (ops curl paths).
-	req := scoreRequestFor(f.bundle, testVector(23))
+	req := scoreRequestFor(f.bundle, testbundle.Vector(23))
 	sub := serve.ScoreRequest{ID: "direct", FrontEnds: map[string]serve.FrontEndInput{
 		"FE0": req.FrontEnds["FE0"],
 	}}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/serve"
+	"repro/internal/testbundle"
 )
 
 var updateNames = flag.Bool("update", false, "rewrite testdata/metric_names.json from this tree")
@@ -74,7 +75,7 @@ func TestMetricNameContract(t *testing.T) {
 // request, a malformed body and a reload.
 func standaloneMetricNames(t *testing.T) []string {
 	dir := t.TempDir()
-	b := writeCascadeBundle(t, dir, 1)
+	b := testbundle.WriteCascade(t, dir, 1)
 	s, err := serve.New(serve.Config{
 		ModelDir:  dir,
 		BatchWait: time.Millisecond,
@@ -85,8 +86,8 @@ func standaloneMetricNames(t *testing.T) []string {
 	}
 	h := s.Handler()
 	obs.Reset()
-	exit := latticeRequestFor(b, "exit", cascSeq(rng.New(3), 1, 40, 0.8))
-	heavy := scoreRequestFor(b, testVector(7))
+	exit := latticeRequestFor(b, "exit", testbundle.CascSeq(rng.New(3), 1, 40, 0.8))
+	heavy := scoreRequestFor(b, testbundle.Vector(7))
 	bad := serve.ScoreRequest{ID: "bad", FrontEnds: map[string]serve.FrontEndInput{"nope": heavy.FrontEnds["FE0"]}}
 	postJSON(t, h, "/v1/score", exit)
 	postJSON(t, h, "/v1/score", heavy)
@@ -110,7 +111,7 @@ func workerMetricNames(t *testing.T) []string {
 	mustDistribute(t, f)
 	h := f.workers[0].Handler()
 	obs.Reset()
-	full := scoreRequestFor(f.bundle, testVector(11))
+	full := scoreRequestFor(f.bundle, testbundle.Vector(11))
 	sub := serve.ScoreRequest{ID: "w", FrontEnds: map[string]serve.FrontEndInput{"FE0": full.FrontEnds["FE0"]}}
 	postJSON(t, h, "/v1/score", sub)
 	postJSON(t, h, "/v1/score/batch", serve.BatchRequest{Utterances: []serve.ScoreRequest{sub, sub}})
@@ -131,14 +132,14 @@ func workerMetricNames(t *testing.T) []string {
 // and introspection. The workers share the process, so their names are
 // part of the list too.
 func coordinatorMetricNames(t *testing.T) []string {
-	f := newFleetBundle(t, 2, writeCascadeBundle, func(cfg *CoordinatorConfig) {
+	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
 		cfg.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
 	mustDistribute(t, f)
 	h := f.coord.Handler()
 	obs.Reset()
-	exit := latticeRequestFor(f.bundle, "exit", cascSeq(rng.New(3), 1, 40, 0.8))
-	heavy := scoreRequestFor(f.bundle, testVector(13))
+	exit := latticeRequestFor(f.bundle, "exit", testbundle.CascSeq(rng.New(3), 1, 40, 0.8))
+	heavy := scoreRequestFor(f.bundle, testbundle.Vector(13))
 	postJSON(t, h, "/v1/score", exit)
 	postJSON(t, h, "/v1/score", heavy)
 	postJSON(t, h, "/v1/score/batch", serve.BatchRequest{Utterances: []serve.ScoreRequest{exit, heavy}})

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/testbundle"
 )
 
 // TestFleetStandaloneEdgeParity: the coordinator serves the standalone
@@ -27,7 +28,7 @@ func TestFleetStandaloneEdgeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	good := scoreRequestFor(f.bundle, testVector(5))
+	good := scoreRequestFor(f.bundle, testbundle.Vector(5))
 	unknown := serve.ScoreRequest{ID: "unknown", FrontEnds: map[string]serve.FrontEndInput{
 		"nope": good.FrontEnds["FE0"],
 	}}

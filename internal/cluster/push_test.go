@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/testbundle"
 )
 
 // The bundle-push suite: the binary POST /-/bundle wire (sealed body,
@@ -185,11 +186,11 @@ func TestDistributePushesConcurrently(t *testing.T) {
 func TestParallelDistributeFirstWorkerDown(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	raw := testVector(43)
+	raw := testbundle.Vector(43)
 	req := scoreRequestFor(f.bundle, raw)
 	want := standaloneResponse(t, f.dir, req)
 
-	writeTestBundle(t, f.coord.cfg.ModelDir, 2)
+	testbundle.Write(t, f.coord.cfg.ModelDir, 2)
 	f.net.setDown(f.hosts[0], true)
 	_, err := f.coord.Reload(context.Background())
 	if err == nil || !strings.Contains(err.Error(), f.hosts[0]) {
@@ -215,13 +216,10 @@ func TestParallelDistributeFirstWorkerDown(t *testing.T) {
 	if sr.ModelVersion != 1 || sr.ClusterGeneration != 1 {
 		t.Fatalf("response v%d gen%d, want the pinned v1 gen1", sr.ModelVersion, sr.ClusterGeneration)
 	}
-	sameRows(t, sr.Scores, map[string][]float64{"FE0": want.Scores["FE0"]})
-	present := []bool{true, false}
-	for k := range f.bundle.Languages {
-		x := []float64{want.Scores["FE0"][k], 0}
-		if got, exp := sr.Fused[k], f.bundle.Fusion.ScoreMasked(x, present)[1]; got != exp {
-			t.Fatalf("fused[%d] = %v, want ScoreMasked over the generation-1 survivor %v", k, got, exp)
-		}
+	survivor := map[string][]float64{"FE0": want.Scores["FE0"]}
+	testbundle.SameRows(t, sr.Scores, survivor)
+	if mf := testbundle.MaskedFused(f.bundle, survivor); !reflect.DeepEqual(sr.Fused, mf) {
+		t.Fatalf("fused = %v, want ScoreMasked over the generation-1 survivor %v", sr.Fused, mf)
 	}
 
 	// One repair tick re-pushes the plan's generation to worker 1 only.

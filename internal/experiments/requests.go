@@ -16,7 +16,7 @@ import (
 // supervector marked scaled, so a daemon serving the matching exported
 // bundle scores each line bit-identically to the offline pipeline — the
 // replay file is a deterministic traffic source for smoke tests, load
-// generation, and the adapt-smoke promotion drill.
+// generation, and the internal/e2e adapt promotion drill.
 //
 // The local wire types mirror internal/serve's request schema (the
 // export round-trip test decodes a line with the real server types).

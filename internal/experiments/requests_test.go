@@ -28,7 +28,7 @@ func TestExportRequestsRoundTrip(t *testing.T) {
 		t.Fatalf("wrote %d requests, want %d", written, n)
 	}
 	// The head of the file is the vote-selected slice — the property the
-	// adapt-smoke drill replays it for.
+	// adapt drill (internal/e2e) replays it for.
 	if voted < 1 {
 		t.Fatalf("no vote-selected requests in the first %d", n)
 	}

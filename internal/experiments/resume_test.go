@@ -39,7 +39,7 @@ func golden(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		// Matches the package convention: pipeline builds are too slow for
-		// -short. CI's crash-resume-smoke job covers kill-and-resume there.
+		// -short. internal/e2e's crash-resume drill covers kill-and-resume.
 		t.Skip("pipeline build is slow")
 	}
 	if goldenRun == "" {

@@ -8,7 +8,7 @@ import (
 )
 
 // ParsePlan builds a Plan from the compact spec the lred -chaos flag (and
-// the CI chaos-smoke job) uses. The spec is semicolon-separated; the
+// the internal/e2e drills) uses. The spec is semicolon-separated; the
 // first clause may set the seed, every other clause is one rule:
 //
 //	seed=7; serve.score.fe.HU:error:p=0.3; parallel.task:panic:every=50;

@@ -98,7 +98,7 @@ func TestCompressedBundleRoundTrip(t *testing.T) {
 			// The int8 compressed bundle must be smaller on disk even at
 			// this toy dimension (20-dim space, where TFLLR and gob
 			// framing dominate); the ≥5× ratio at real supervector
-			// dimensions is gated by the compress-smoke CI job and
+			// dimensions is gated by the internal/e2e compress drill and
 			// BENCH_compress.json.
 			if prec == svm.Int8 {
 				udir := t.TempDir()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/sparse"
 	"repro/internal/svm"
+	"repro/internal/testbundle"
 )
 
 // adaptTestPolicy is permissive on every gate: these tests exercise the
@@ -25,7 +26,7 @@ const adaptTestPolicy = "cadence=1h;probe=1h;votes=1;min-utts=1;buffer=64;" +
 // sidecar, the layout `lre -export-models` produces.
 func writeAdaptBundle(t *testing.T, dir string, seed uint64) *persist.Bundle {
 	t.Helper()
-	b := testBundle(seed)
+	b := testbundle.New(seed)
 	const (
 		nTrain   = 18
 		nHoldout = 12
@@ -38,10 +39,10 @@ func writeAdaptBundle(t *testing.T, dir string, seed uint64) *persist.Bundle {
 	}
 	set.SVM.Seed = seed
 	for i := 0; i < nTrain; i++ {
-		set.TrainLabels = append(set.TrainLabels, i%tbLangs)
+		set.TrainLabels = append(set.TrainLabels, i%testbundle.Langs)
 	}
 	for i := 0; i < nHoldout; i++ {
-		set.HoldoutLabels = append(set.HoldoutLabels, i%tbLangs)
+		set.HoldoutLabels = append(set.HoldoutLabels, i%testbundle.Langs)
 	}
 	for q := range b.FrontEnds {
 		fe := &b.FrontEnds[q]
@@ -50,7 +51,7 @@ func writeAdaptBundle(t *testing.T, dir string, seed uint64) *persist.Bundle {
 		weightSpace := func(n int, salt uint64) []*sparse.Vector {
 			out := make([]*sparse.Vector, n)
 			for i := range out {
-				v := testVector(seed + salt + uint64(i)*17).Clone()
+				v := testbundle.Vector(seed + salt + uint64(i)*17).Clone()
 				if fe.TFLLR != nil {
 					fe.TFLLR.Apply(v)
 				}
@@ -85,17 +86,17 @@ func feedAdapter(s *Server, n int) {
 	a := s.Adapter()
 	m := s.reg.Current()
 	for j := 0; j < n; j++ {
-		k := j % tbLangs
+		k := j % testbundle.Langs
 		vectors := make(map[int]*sparse.Vector)
 		scores := make(map[int][]float64)
 		for q := range m.Bundle.FrontEnds {
 			fe := &m.Bundle.FrontEnds[q]
-			v := testVector(900 + uint64(j)*31).Clone()
+			v := testbundle.Vector(900 + uint64(j)*31).Clone()
 			if fe.TFLLR != nil {
 				fe.TFLLR.Apply(v)
 			}
 			vectors[q] = v
-			row := make([]float64, tbLangs)
+			row := make([]float64, testbundle.Langs)
 			for i := range row {
 				row[i] = -0.25
 			}
@@ -108,7 +109,7 @@ func feedAdapter(s *Server, n int) {
 
 func TestAdaptDisabledSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 40)
+	testbundle.Write(t, dir, 40)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -145,7 +146,7 @@ func TestAdaptDisabledSurfaces(t *testing.T) {
 
 func TestAdaptRequiresSidecar(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 41) // no sidecar
+	testbundle.Write(t, dir, 41) // no sidecar
 	_, err := New(Config{ModelDir: dir, Adapt: "on"})
 	if err == nil {
 		t.Fatal("server started with -adapt but no sidecar")
@@ -212,7 +213,7 @@ func TestAdaptPromoteAndRollbackEndpoints(t *testing.T) {
 	}
 
 	// Scoring keeps answering 200 against the promoted generation.
-	raw := testVector(7)
+	raw := testbundle.Vector(7)
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score after promote: status %d: %s", resp.StatusCode, body)
@@ -235,7 +236,7 @@ func TestAdaptPromoteAndRollbackEndpoints(t *testing.T) {
 	}
 	// Rolled back to the base export: scores are bit-identical to a fresh
 	// load of the original bundle.
-	want := expectedScores(b, raw)
+	want := testbundle.ExpectedScores(b, raw)
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score after rollback: status %d: %s", resp.StatusCode, body)
@@ -244,13 +245,7 @@ func TestAdaptPromoteAndRollbackEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	for fe, row := range want {
-		for k := range row {
-			if sr.Scores[fe][k] != row[k] {
-				t.Fatalf("post-rollback %s score[%d] = %v, want %v", fe, k, sr.Scores[fe][k], row[k])
-			}
-		}
-	}
+	testbundle.SameRows(t, sr.Scores, want)
 }
 
 // TestReadyzBreakerOpen: an open reload circuit breaker makes the process
@@ -258,7 +253,7 @@ func TestAdaptPromoteAndRollbackEndpoints(t *testing.T) {
 // as the serve.reload.breaker_open gauge on /metricsz.
 func TestReadyzBreakerOpen(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 43)
+	testbundle.Write(t, dir, 43)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.Reload = ReloadPolicy{BaseBackoff: time.Millisecond, TripAfter: 1, Cooldown: time.Hour}
 	})
@@ -312,7 +307,7 @@ func TestReadyzBreakerOpen(t *testing.T) {
 	}
 	// Scoring is unaffected: the previous model keeps serving.
 	b := s.reg.Current().Bundle
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testVector(9)))
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testbundle.Vector(9)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("score with open breaker: %d: %s", resp.StatusCode, body)
 	}

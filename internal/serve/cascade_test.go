@@ -12,48 +12,8 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/persist"
 	"repro/internal/rng"
+	"repro/internal/testbundle"
 )
-
-// Cascade fixture: testBundle plus a tier-1 model over FE0's 5-phone
-// inventory, trained so that sequences strongly biased to one phone per
-// language carry a high margin (tier-1 exit) and near-uniform sequences a
-// low one (escalation).
-
-func cascadeTestBundle(seed uint64) *persist.Bundle {
-	b := testBundle(seed)
-	r := rng.New(seed ^ 0xca5c)
-	train := make([][][]int, tbLangs)
-	var dev []cascade.DevExample
-	for k := 0; k < tbLangs; k++ {
-		for i := 0; i < 15; i++ {
-			train[k] = append(train[k], cascSeq(r, k, 50, 0.8))
-		}
-		for i := 0; i < 10; i++ {
-			dev = append(dev, cascade.DevExample{Seq: cascSeq(r, k, 60, 0.8), Label: k, Tier: 0})
-			dev = append(dev, cascade.DevExample{Seq: cascSeq(r, k, 10, 0.8), Label: k, Tier: 1})
-		}
-	}
-	m, err := cascade.Train("FE0", tbPhones, train, []string{"30s", "3s"}, dev, cascade.TrainConfig{})
-	if err != nil {
-		panic(err)
-	}
-	b.Cascade = m
-	return b
-}
-
-// cascSeq draws a sequence biased toward language k's signature phone
-// with probability bias (0.8 = clean high-margin, 0.34 = confusable).
-func cascSeq(r *rng.RNG, k, length int, bias float64) []int {
-	seq := make([]int, length)
-	for i := range seq {
-		if r.Float64() < bias {
-			seq[i] = k % tbPhones
-		} else {
-			seq[i] = r.Intn(tbPhones)
-		}
-	}
-	return seq
-}
 
 // slotsFor renders a phone string as a single-alternative sausage: the
 // server's 1-best decode recovers exactly seq.
@@ -63,15 +23,6 @@ func slotsFor(seq []int) [][]Slot {
 		slots[i] = []Slot{{Phone: ph, Prob: 1}}
 	}
 	return slots
-}
-
-func writeCascadeBundle(t testing.TB, dir string, seed uint64) *persist.Bundle {
-	t.Helper()
-	b := cascadeTestBundle(seed)
-	if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: seed, Scale: "test"}); err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // latticeRequestFor covers the full battery with the same lattice so the
@@ -91,7 +42,7 @@ func latticeRequestFor(b *persist.Bundle, id string, seq []int) ScoreRequest {
 // alike. The only permitted difference is the cascade outcome annotation.
 func TestCascadeEscalateAllBitIdentity(t *testing.T) {
 	dir := t.TempDir()
-	b := writeCascadeBundle(t, dir, 21)
+	b := testbundle.WriteCascade(t, dir, 21)
 
 	plain := newTestServer(t, dir, nil)
 	tsPlain := httptest.NewServer(plain.Handler())
@@ -105,7 +56,7 @@ func TestCascadeEscalateAllBitIdentity(t *testing.T) {
 	r := rng.New(99)
 	var seqs [][]int
 	for k := 0; k < 6; k++ {
-		seqs = append(seqs, cascSeq(r, k%tbLangs, 40+r.Intn(30), 0.8))
+		seqs = append(seqs, testbundle.CascSeq(r, k%testbundle.Langs, 40+r.Intn(30), 0.8))
 	}
 
 	sameResult := func(t *testing.T, ctx string, got, want *ScoreResult) {
@@ -204,7 +155,7 @@ func TestCascadeEscalateAllBitIdentity(t *testing.T) {
 // decision row, and Best matches the model's own Decide.
 func TestCascadeAllTier1AtPlusInf(t *testing.T) {
 	dir := t.TempDir()
-	b := writeCascadeBundle(t, dir, 22)
+	b := testbundle.WriteCascade(t, dir, 22)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.Cascade = CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
@@ -212,10 +163,10 @@ func TestCascadeAllTier1AtPlusInf(t *testing.T) {
 	defer ts.Close()
 
 	r := rng.New(5)
-	for k := 0; k < tbLangs; k++ {
+	for k := 0; k < testbundle.Langs; k++ {
 		// Even a deliberately confusable sequence exits at +Inf.
 		for _, bias := range []float64{0.8, 0.34} {
-			seq := cascSeq(r, k, 30, bias)
+			seq := testbundle.CascSeq(r, k, 30, bias)
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", latticeRequestFor(b, "x", seq))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -248,7 +199,7 @@ func TestCascadeAllTier1AtPlusInf(t *testing.T) {
 // +Inf), request by request.
 func TestCascadeExitMonotoneInThreshold(t *testing.T) {
 	dir := t.TempDir()
-	b := writeCascadeBundle(t, dir, 23)
+	b := testbundle.WriteCascade(t, dir, 23)
 
 	margins := []string{"-inf", "-0.1", "0", "0.2", "+inf"}
 	exits := make([]map[string]bool, len(margins))
@@ -259,7 +210,7 @@ func TestCascadeExitMonotoneInThreshold(t *testing.T) {
 		if i%2 == 1 {
 			bias = 0.34
 		}
-		reqs = append(reqs, latticeRequestFor(b, fmt.Sprintf("u%d", i), cascSeq(r, i%tbLangs, 20+3*i, bias)))
+		reqs = append(reqs, latticeRequestFor(b, fmt.Sprintf("u%d", i), testbundle.CascSeq(r, i%testbundle.Langs, 20+3*i, bias)))
 	}
 	for mi, margin := range margins {
 		s := newTestServer(t, dir, func(c *Config) {
@@ -301,7 +252,7 @@ func TestCascadeExitMonotoneInThreshold(t *testing.T) {
 // tier1_fault, the failure counter bumped — and never surface as a 5xx.
 func TestCascadeTier1FaultDegradesToEscalation(t *testing.T) {
 	dir := t.TempDir()
-	b := writeCascadeBundle(t, dir, 24)
+	b := testbundle.WriteCascade(t, dir, 24)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.Cascade = CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
@@ -309,7 +260,7 @@ func TestCascadeTier1FaultDegradesToEscalation(t *testing.T) {
 	defer ts.Close()
 
 	r := rng.New(31)
-	seq := cascSeq(r, 1, 40, 0.8)
+	seq := testbundle.CascSeq(r, 1, 40, 0.8)
 	req := latticeRequestFor(b, "chaos", seq)
 
 	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
@@ -331,7 +282,7 @@ func TestCascadeTier1FaultDegradesToEscalation(t *testing.T) {
 				t.Fatalf("outcome: %+v", sr.Cascade)
 			}
 			// The heavy path served the request in full.
-			if len(sr.Scores) != len(b.FrontEnds) || len(sr.Fused) != tbLangs || sr.Degraded {
+			if len(sr.Scores) != len(b.FrontEnds) || len(sr.Fused) != testbundle.Langs || sr.Degraded {
 				t.Fatalf("escalated result incomplete: %d rows, %d fused, degraded=%v",
 					len(sr.Scores), len(sr.Fused), sr.Degraded)
 			}
@@ -352,14 +303,14 @@ func TestCascadeTier1FaultDegradesToEscalation(t *testing.T) {
 func TestCascadeEscalationReasons(t *testing.T) {
 	t.Run("no_tier1_input", func(t *testing.T) {
 		dir := t.TempDir()
-		b := writeCascadeBundle(t, dir, 25)
+		b := testbundle.WriteCascade(t, dir, 25)
 		s := newTestServer(t, dir, func(c *Config) {
 			c.Cascade = CascadeConfig{Enabled: true, Margin: "+inf"}
 		})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		// Full battery by supervector: no lattice for FE0 → no 1-best.
-		req := scoreRequestFor(b, testVector(9))
+		req := scoreRequestFor(b, testbundle.Vector(9))
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -377,7 +328,7 @@ func TestCascadeEscalationReasons(t *testing.T) {
 	})
 	t.Run("no_cascade_model", func(t *testing.T) {
 		dir := t.TempDir()
-		b := writeTestBundle(t, dir, 26) // legacy bundle, no cascade
+		b := testbundle.Write(t, dir, 26) // legacy bundle, no cascade
 		s := newTestServer(t, dir, func(c *Config) {
 			c.Cascade = CascadeConfig{Enabled: true, Margin: "+inf"}
 		})
@@ -402,7 +353,7 @@ func TestCascadeEscalationReasons(t *testing.T) {
 // New, not the first request.
 func TestCascadeBadMarginRejectedAtStartup(t *testing.T) {
 	dir := t.TempDir()
-	writeCascadeBundle(t, dir, 27)
+	testbundle.WriteCascade(t, dir, 27)
 	_, err := New(Config{
 		ModelDir: dir,
 		Cascade:  CascadeConfig{Enabled: true, Margin: "30s=nan"},

@@ -12,34 +12,8 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/persist"
+	"repro/internal/testbundle"
 )
-
-// maskedFused recomputes the documented degraded-fusion contract from a
-// response's surviving per-front-end scores: missing subsystems are
-// mean-imputed by fusion.ScoreMasked, exactly what the server must have
-// done.
-func maskedFused(b *persist.Bundle, scores map[string][]float64) []float64 {
-	nFE := len(b.FrontEnds)
-	present := make([]bool, nFE)
-	for q := range b.FrontEnds {
-		_, present[q] = scores[b.FrontEnds[q].Name]
-	}
-	numLangs := len(b.Languages)
-	fused := make([]float64, numLangs)
-	x := make([]float64, nFE)
-	for k := 0; k < numLangs; k++ {
-		for q := range b.FrontEnds {
-			if row, ok := scores[b.FrontEnds[q].Name]; ok {
-				x[q] = row[k]
-			} else {
-				x[q] = 0
-			}
-		}
-		fused[k] = b.Fusion.ScoreMasked(x, present)[1]
-	}
-	return fused
-}
 
 // TestSingleFrontEndLossDegradesFusion is the acceptance property: killing
 // any single front-end yields degraded: true responses whose fused scores
@@ -47,13 +21,13 @@ func maskedFused(b *persist.Bundle, scores map[string][]float64) []float64 {
 // scores bit-identical to a healthy run.
 func TestSingleFrontEndLossDegradesFusion(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 21)
+	b := testbundle.Write(t, dir, 21)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	raw := testVector(9)
-	want := expectedScores(b, raw)
+	raw := testbundle.Vector(9)
+	want := testbundle.ExpectedScores(b, raw)
 	req := scoreRequestFor(b, raw)
 
 	for _, victim := range []string{"FE0", "FE1"} {
@@ -93,7 +67,7 @@ func TestSingleFrontEndLossDegradesFusion(t *testing.T) {
 		}
 		// The fused row follows the documented masked-fusion path, nothing
 		// else.
-		wantFused := maskedFused(b, sr.Scores)
+		wantFused := testbundle.MaskedFused(b, sr.Scores)
 		if len(sr.Fused) != len(wantFused) {
 			t.Fatalf("victim %s: fused has %d entries, want %d", victim, len(sr.Fused), len(wantFused))
 		}
@@ -117,13 +91,7 @@ func TestSingleFrontEndLossDegradesFusion(t *testing.T) {
 	if sr.Degraded || len(sr.Surviving) != 0 || len(sr.FrontEndErrors) != 0 {
 		t.Fatalf("healthy response carries degradation markers: %s", body)
 	}
-	for fe, row := range want {
-		for k := range row {
-			if sr.Scores[fe][k] != row[k] {
-				t.Fatalf("healthy %s score[%d] changed after chaos", fe, k)
-			}
-		}
-	}
+	testbundle.SameRows(t, sr.Scores, want)
 }
 
 // TestChaosServeUnderSeededFaults is the chaos schedule of the acceptance
@@ -134,23 +102,23 @@ func TestSingleFrontEndLossDegradesFusion(t *testing.T) {
 // (d) degraded 200s follow the documented masked-fusion contract.
 func TestChaosServeUnderSeededFaults(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 22)
+	b := testbundle.Write(t, dir, 22)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.QueueDepth = 4096 // the chaos run measures fault handling, not backpressure
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	raw := testVector(13)
-	want := expectedScores(b, raw)
+	raw := testbundle.Vector(13)
+	want := testbundle.ExpectedScores(b, raw)
 	req := scoreRequestFor(b, raw)
 	reqBody, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFusedFull := make([]float64, tbLangs)
+	wantFusedFull := make([]float64, testbundle.Langs)
 	x := make([]float64, len(b.FrontEnds))
-	for k := 0; k < tbLangs; k++ {
+	for k := 0; k < testbundle.Langs; k++ {
 		for q := range b.FrontEnds {
 			x[q] = want[b.FrontEnds[q].Name][k]
 		}
@@ -224,7 +192,7 @@ func TestChaosServeUnderSeededFaults(t *testing.T) {
 							}
 						}
 					}
-					mf := maskedFused(b, sr.Scores)
+					mf := testbundle.MaskedFused(b, sr.Scores)
 					for k := range mf {
 						if sr.Fused[k] != mf[k] {
 							fail("degraded: fused[%d] = %v, want %v (masked fusion)", k, sr.Fused[k], mf[k])
@@ -320,13 +288,7 @@ func TestChaosServeUnderSeededFaults(t *testing.T) {
 	if sr.Degraded {
 		t.Fatal("post-chaos response still degraded")
 	}
-	for fe, row := range want {
-		for k := range row {
-			if sr.Scores[fe][k] != row[k] {
-				t.Fatalf("post-chaos %s score[%d] not bit-identical", fe, k)
-			}
-		}
-	}
+	testbundle.SameRows(t, sr.Scores, want)
 }
 
 // TestReloadRetryRecoversFromTransientFault: a reload that fails once and
@@ -334,7 +296,7 @@ func TestChaosServeUnderSeededFaults(t *testing.T) {
 // error or tripping the breaker.
 func TestReloadRetryRecoversFromTransientFault(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 23)
+	testbundle.Write(t, dir, 23)
 	reg := NewRegistry(dir)
 	rl := newReloader(reg, ReloadPolicy{Retries: 2, BaseBackoff: time.Millisecond}, nil)
 
@@ -378,7 +340,7 @@ func TestReloadBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// Open: rejected up front with ErrBreakerOpen, even after the
 	// underlying cause is fixed.
-	writeTestBundle(t, dir, 24)
+	testbundle.Write(t, dir, 24)
 	if _, err := rl.Reload(); err == nil || !strings.Contains(err.Error(), ErrBreakerOpen.Error()) {
 		t.Fatalf("open breaker let a reload through: %v", err)
 	}
@@ -434,7 +396,7 @@ func TestReloadBreakerHalfOpenFailureReArms(t *testing.T) {
 // breaker to 503 + Retry-After while scoring keeps working.
 func TestReloadEndpointBreaker503(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 25)
+	b := testbundle.Write(t, dir, 25)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.Reload = ReloadPolicy{Retries: -1, TripAfter: 2, Cooldown: 30 * time.Second}
 	})
@@ -459,7 +421,7 @@ func TestReloadEndpointBreaker503(t *testing.T) {
 		t.Error("open breaker response has no Retry-After")
 	}
 	// Scoring is unaffected: the previous model still serves.
-	raw := testVector(11)
+	raw := testbundle.Vector(11)
 	sresp, sbody := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
 	if sresp.StatusCode != http.StatusOK {
 		t.Fatalf("scoring during open breaker: status %d: %s", sresp.StatusCode, sbody)
@@ -473,13 +435,13 @@ func TestReloadEndpointBreaker503(t *testing.T) {
 // tallies the per-utterance sets without replacing them.
 func TestBatchDegradationIsPerUtterance(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 23)
+	b := testbundle.Write(t, dir, 23)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	raw := testVector(15)
-	want := expectedScores(b, raw)
+	raw := testbundle.Vector(15)
+	want := testbundle.ExpectedScores(b, raw)
 	full := scoreRequestFor(b, raw)
 	full.ID = "both-fes"
 	only1 := ScoreRequest{ID: "fe1-only", FrontEnds: map[string]FrontEndInput{

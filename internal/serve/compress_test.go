@@ -17,6 +17,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sparse"
 	"repro/internal/svm"
+	"repro/internal/testbundle"
 )
 
 // compressTestBundle rewrites the serve fixture bundle into compressed
@@ -26,8 +27,8 @@ import (
 // sees score rows, whatever space they came from.
 func compressTestBundle(t *testing.T, seed uint64, rank int, prec svm.Precision) *persist.Bundle {
 	t.Helper()
-	b := testBundle(seed)
-	space := ngram.NewSpace(tbPhones, tbOrder)
+	b := testbundle.New(seed)
+	space := ngram.NewSpace(testbundle.Phones, testbundle.Order)
 	dim := space.Dim()
 	r := rng.New(seed ^ 0xc0ffee)
 	var probes []*sparse.Vector
@@ -114,7 +115,7 @@ func TestServeCompressedBundleEndToEnd(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			raw := testVector(31)
+			raw := testbundle.Vector(31)
 			want := expectedCompressedScores(b, raw)
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
 			if resp.StatusCode != http.StatusOK {
@@ -124,19 +125,9 @@ func TestServeCompressedBundleEndToEnd(t *testing.T) {
 			if err := json.Unmarshal(body, &sr); err != nil {
 				t.Fatal(err)
 			}
-			for fe, row := range want {
-				got := sr.Scores[fe]
-				if len(got) != len(row) {
-					t.Fatalf("%s: %d scores, want %d", fe, len(got), len(row))
-				}
-				for k := range row {
-					if got[k] != row[k] {
-						t.Fatalf("%s score[%d] = %v, want %v", fe, k, got[k], row[k])
-					}
-				}
-			}
-			if len(sr.Fused) != tbLangs {
-				t.Fatalf("fused has %d entries, want %d (full battery)", len(sr.Fused), tbLangs)
+			testbundle.SameRows(t, sr.Scores, want)
+			if len(sr.Fused) != testbundle.Langs {
+				t.Fatalf("fused has %d entries, want %d (full battery)", len(sr.Fused), testbundle.Langs)
 			}
 
 			// The model footprint surfaces on /metricsz: precision/rank meta
@@ -190,7 +181,7 @@ func getJSON(t *testing.T, client *http.Client, url string) (*http.Response, []b
 // corruption while the previously loaded model keeps serving.
 func TestReloadRejectsDimensionMismatchedBundle(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 4)
+	testbundle.Write(t, dir, 4)
 	reg := NewRegistry(dir)
 	if _, err := reg.Reload(); err != nil {
 		t.Fatal(err)

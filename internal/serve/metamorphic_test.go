@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/testbundle"
 )
 
 // Metamorphic properties of the scoring API: transformations of a request
@@ -59,13 +60,13 @@ func resultsEqual(t *testing.T, label string, a, b ScoreResult) {
 // not matter.
 func TestTFLLRScalingInvariance(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 11)
+	b := testbundle.Write(t, dir, 11)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	for trial := uint64(0); trial < 5; trial++ {
-		raw := testVector(100 + trial)
+		raw := testbundle.Vector(100 + trial)
 		rawReq := scoreRequestFor(b, raw)
 
 		preReq := ScoreRequest{ID: "pre", FrontEnds: make(map[string]FrontEndInput)}
@@ -92,7 +93,7 @@ func TestTFLLRScalingInvariance(t *testing.T) {
 // rounding) and the decision identical.
 func TestLatticeProbScalingInvariance(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 12)
+	b := testbundle.Write(t, dir, 12)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -102,7 +103,7 @@ func TestLatticeProbScalingInvariance(t *testing.T) {
 	for i := range slots {
 		nAlt := 1 + r.Intn(3)
 		for a := 0; a < nAlt; a++ {
-			slots[i] = append(slots[i], Slot{Phone: r.Intn(tbPhones), Prob: 0.1 + r.Float64()})
+			slots[i] = append(slots[i], Slot{Phone: r.Intn(testbundle.Phones), Prob: 0.1 + r.Float64()})
 		}
 	}
 	scale := func(c float64) ScoreRequest {
@@ -146,7 +147,7 @@ func TestLatticeProbScalingInvariance(t *testing.T) {
 // semantic one.
 func TestBatchVsSequentialPermutationInvariance(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 13)
+	b := testbundle.Write(t, dir, 13)
 	s := newTestServer(t, dir, func(c *Config) { c.MaxBatch = 4 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -155,7 +156,7 @@ func TestBatchVsSequentialPermutationInvariance(t *testing.T) {
 	utts := make([]ScoreRequest, n)
 	seq := make([]ScoreResult, n)
 	for i := range utts {
-		utts[i] = scoreRequestFor(b, testVector(uint64(500+i)))
+		utts[i] = scoreRequestFor(b, testbundle.Vector(uint64(500+i)))
 		utts[i].ID = fmt.Sprintf("u%02d", i)
 		seq[i] = scoreOne(t, ts, utts[i]).ScoreResult
 	}
@@ -200,11 +201,11 @@ func TestBatchVsSequentialPermutationInvariance(t *testing.T) {
 // column-blocked weight matrix (svm.ScoresInto), and that kernel must be
 // bit-identical to scoring each language model independently.
 func TestPackedKernelMatchesPerModelScoring(t *testing.T) {
-	b := testBundle(31)
+	b := testbundle.New(31)
 	for q := range b.FrontEnds {
 		fe := &b.FrontEnds[q]
 		for trial := 0; trial < 50; trial++ {
-			raw := testVector(uint64(900 + trial))
+			raw := testbundle.Vector(uint64(900 + trial))
 			v := raw.Clone()
 			if fe.TFLLR != nil {
 				fe.TFLLR.Apply(v)

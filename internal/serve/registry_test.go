@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/testbundle"
 )
 
 func TestRegistryReloadAndVersioning(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 1)
+	testbundle.Write(t, dir, 1)
 	reg := NewRegistry(dir)
 	if reg.Current() != nil {
 		t.Fatal("model present before any reload")
@@ -29,7 +30,7 @@ func TestRegistryReloadAndVersioning(t *testing.T) {
 		t.Fatalf("%d spaces for %d front-ends", len(m1.spaces), len(m1.Bundle.FrontEnds))
 	}
 
-	writeTestBundle(t, dir, 2)
+	testbundle.Write(t, dir, 2)
 	m2, err := reg.Reload()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestRegistryReloadAndVersioning(t *testing.T) {
 
 func TestRegistryFailedReloadKeepsPreviousModel(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 1)
+	testbundle.Write(t, dir, 1)
 	reg := NewRegistry(dir)
 	m1, err := reg.Reload()
 	if err != nil {
@@ -66,7 +67,7 @@ func TestRegistryFailedReloadKeepsPreviousModel(t *testing.T) {
 	}
 
 	// A repaired bundle loads and resumes version numbering.
-	writeTestBundle(t, dir, 3)
+	testbundle.Write(t, dir, 3)
 	m2, err := reg.Reload()
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestRegistryMissingDir(t *testing.T) {
 
 func TestManifestRoundTripThroughRegistry(t *testing.T) {
 	dir := t.TempDir()
-	b := testBundle(9)
+	b := testbundle.New(9)
 	if err := persist.SaveBundle(dir, b, persist.Manifest{
 		Seed: 9, Scale: "test", GitDescribe: "deadbeef",
 	}); err != nil {

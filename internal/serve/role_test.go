@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testbundle"
 )
 
 // loopRole swaps a role's background loop for a test's.
@@ -21,7 +23,7 @@ func (r loopRole) Loop(ctx context.Context) { r.loop(ctx) }
 // Run returns — no loop outlives the server that started it.
 func TestRunWaitsForBackgroundLoop(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 1)
+	testbundle.Write(t, dir, 1)
 	s := newTestServer(t, dir, nil)
 	started := make(chan struct{})
 	var exited atomic.Bool

@@ -462,6 +462,13 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *
 		utts = make([]ScoreRequest, 1)
 		err = dec.Decode(&utts[0])
 	}
+	// The body is exactly one JSON value: anything but whitespace after it
+	// is a malformed request, not something to ignore.
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
 	if dsp != nil {
 		dsp.End()
 	}

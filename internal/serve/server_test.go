@@ -9,121 +9,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/fusion"
 	"repro/internal/ngram"
 	"repro/internal/persist"
-	"repro/internal/rng"
 	"repro/internal/sparse"
-	"repro/internal/svm"
+	"repro/internal/testbundle"
 )
-
-// Test fixture: a tiny synthetic bundle (2 front-ends over a 5-phone
-// order-2 space, 3 languages, fusion backend) that trains in
-// milliseconds. Different seeds give different SVM weights, which is what
-// the hot-reload test uses to tell model generations apart.
-
-const (
-	tbPhones = 5
-	tbOrder  = 2
-	tbLangs  = 3
-)
-
-func testBundle(seed uint64) *persist.Bundle {
-	space := ngram.NewSpace(tbPhones, tbOrder)
-	r := rng.New(seed)
-	b := &persist.Bundle{Languages: []string{"alpha", "beta", "gamma"}}
-	var all [][]*sparse.Vector
-	var labels []int
-	for f := 0; f < 2; f++ {
-		var xs []*sparse.Vector
-		labels = labels[:0]
-		for i := 0; i < 60; i++ {
-			k := i % tbLangs
-			m := map[int32]float64{
-				int32(k * 7):                       2 + 0.3*r.Norm(),
-				int32((k*7 + f + 1) % space.Dim()): 1 + 0.2*r.Norm(),
-				int32(r.Intn(space.Dim())):         0.5 * r.Float64(),
-			}
-			xs = append(xs, sparse.FromMap(m))
-			labels = append(labels, k)
-		}
-		tf := ngram.EstimateTFLLR(xs, space.Dim(), 1e-5)
-		for _, v := range xs {
-			tf.Apply(v)
-		}
-		opt := svm.DefaultOptions()
-		opt.Seed = seed + uint64(f)
-		b.FrontEnds = append(b.FrontEnds, persist.FrontEndModel{
-			Name:      fmt.Sprintf("FE%d", f),
-			NumPhones: tbPhones,
-			Order:     tbOrder,
-			TFLLR:     tf,
-			OVR:       svm.TrainOneVsRest(xs, labels, tbLangs, space.Dim(), opt),
-		})
-		all = append(all, xs)
-	}
-	var devX [][]float64
-	var devY []int
-	for i := range all[0] {
-		s0 := b.FrontEnds[0].OVR.Scores(all[0][i])
-		s1 := b.FrontEnds[1].OVR.Scores(all[1][i])
-		for k := 0; k < tbLangs; k++ {
-			devX = append(devX, []float64{s0[k], s1[k]})
-			if labels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
-		}
-	}
-	bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	b.Fusion = bk
-	return b
-}
-
-func writeTestBundle(t testing.TB, dir string, seed uint64) *persist.Bundle {
-	t.Helper()
-	b := testBundle(seed)
-	if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: seed, Scale: "test"}); err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// testVector is a deterministic raw (pre-TFLLR) supervector inside the
-// fixture space.
-func testVector(seed uint64) *sparse.Vector {
-	r := rng.New(seed ^ 0xbeef)
-	space := ngram.NewSpace(tbPhones, tbOrder)
-	m := make(map[int32]float64)
-	for i := 0; i < 6; i++ {
-		m[int32(r.Intn(space.Dim()))] = r.Float64()
-	}
-	return sparse.FromMap(m)
-}
-
-// expectedScores is the ground truth the server must reproduce exactly:
-// TFLLR-apply then OVR-score, per front-end, on a fresh copy.
-func expectedScores(b *persist.Bundle, raw *sparse.Vector) map[string][]float64 {
-	out := make(map[string][]float64)
-	for i := range b.FrontEnds {
-		fe := &b.FrontEnds[i]
-		v := raw.Clone()
-		if fe.TFLLR != nil {
-			fe.TFLLR.Apply(v)
-		}
-		out[fe.Name] = fe.OVR.Scores(v)
-	}
-	return out
-}
 
 func newTestServer(t *testing.T, dir string, mutate func(*Config)) *Server {
 	t.Helper()
@@ -171,13 +67,13 @@ func scoreRequestFor(b *persist.Bundle, raw *sparse.Vector) ScoreRequest {
 
 func TestScoreSupervectorMatchesDirectScoring(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	raw := testVector(7)
-	want := expectedScores(b, raw)
+	raw := testbundle.Vector(7)
+	want := testbundle.ExpectedScores(b, raw)
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -189,22 +85,13 @@ func TestScoreSupervectorMatchesDirectScoring(t *testing.T) {
 	if sr.ModelVersion != 1 {
 		t.Fatalf("model version %d, want 1", sr.ModelVersion)
 	}
-	if len(sr.Scores) != len(want) {
-		t.Fatalf("scored %d front-ends, want %d", len(sr.Scores), len(want))
-	}
-	for fe, row := range want {
-		for k := range row {
-			if sr.Scores[fe][k] != row[k] {
-				t.Fatalf("%s score[%d] = %v, want %v", fe, k, sr.Scores[fe][k], row[k])
-			}
-		}
-	}
+	testbundle.SameRows(t, sr.Scores, want)
 	// All front-ends present → fused scores from the trial backend.
-	if len(sr.Fused) != tbLangs {
-		t.Fatalf("fused has %d entries, want %d", len(sr.Fused), tbLangs)
+	if len(sr.Fused) != testbundle.Langs {
+		t.Fatalf("fused has %d entries, want %d", len(sr.Fused), testbundle.Langs)
 	}
 	x := make([]float64, len(b.FrontEnds))
-	for k := 0; k < tbLangs; k++ {
+	for k := 0; k < testbundle.Langs; k++ {
 		for q := range b.FrontEnds {
 			x[q] = want[b.FrontEnds[q].Name][k]
 		}
@@ -219,7 +106,7 @@ func TestScoreSupervectorMatchesDirectScoring(t *testing.T) {
 
 func TestScoreLatticeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 2)
+	b := testbundle.Write(t, dir, 2)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -242,11 +129,11 @@ func TestScoreLatticeEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	l, err := latticeFromSlots(slots, tbPhones)
+	l, err := latticeFromSlots(slots, testbundle.Phones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := ngram.NewSpace(tbPhones, tbOrder).Supervector(l)
+	v := ngram.NewSpace(testbundle.Phones, testbundle.Order).Supervector(l)
 	b.FrontEnds[0].TFLLR.Apply(v)
 	want := b.FrontEnds[0].OVR.Scores(v)
 	got := sr.Scores[b.FrontEnds[0].Name]
@@ -263,7 +150,7 @@ func TestScoreLatticeEndToEnd(t *testing.T) {
 
 func TestScoreBatchEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 3)
+	b := testbundle.Write(t, dir, 3)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -271,11 +158,11 @@ func TestScoreBatchEndpoint(t *testing.T) {
 	var req BatchRequest
 	var wants []map[string][]float64
 	for i := 0; i < 9; i++ {
-		raw := testVector(uint64(100 + i))
+		raw := testbundle.Vector(uint64(100 + i))
 		u := scoreRequestFor(b, raw)
 		u.ID = fmt.Sprintf("u%d", i)
 		req.Utterances = append(req.Utterances, u)
-		wants = append(wants, expectedScores(b, raw))
+		wants = append(wants, testbundle.ExpectedScores(b, raw))
 	}
 	// One utterance with a bogus front-end degrades only itself.
 	req.Utterances[4].FrontEnds = map[string]FrontEndInput{"NOPE": {}}
@@ -301,19 +188,13 @@ func TestScoreBatchEndpoint(t *testing.T) {
 		if res.Error != "" {
 			t.Fatalf("utterance %d failed: %s", i, res.Error)
 		}
-		for fe, row := range wants[i] {
-			for k := range row {
-				if res.Scores[fe][k] != row[k] {
-					t.Fatalf("utterance %d %s score[%d] mismatch", i, fe, k)
-				}
-			}
-		}
+		testbundle.SameRows(t, res.Scores, wants[i])
 	}
 }
 
 func TestBadRequests(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 4)
+	b := testbundle.Write(t, dir, 4)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -356,19 +237,38 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := ts.Client().Get(ts.URL + "/v1/score"); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/score: status %d (want 405)", resp.StatusCode)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d (want 400)", resp.StatusCode)
+
+	// A body is exactly one JSON value: trailing whitespace is fine, a
+	// second value or garbage after it is not.
+	one, _ := json.Marshal(scoreRequestFor(b, testbundle.Vector(7)))
+	batch := `{"utterances":[` + string(one) + `]}`
+	for i, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/score", "{not json", http.StatusBadRequest},
+		{"/v1/score", string(one) + " \n\t", http.StatusOK},
+		{"/v1/score", string(one) + " garbage", http.StatusBadRequest},
+		{"/v1/score", string(one) + `{"frontends":{}}`, http.StatusBadRequest},
+		{"/v1/score", string(one) + "]", http.StatusBadRequest},
+		{"/v1/score/batch", batch + "\n", http.StatusOK},
+		{"/v1/score/batch", batch + "[1,2", http.StatusBadRequest},
+	} {
+		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || (tc.want != http.StatusOK && !strings.Contains(string(out), "bad request body")) {
+			t.Fatalf("raw body %d to %s: status %d (want %d): %s", i, tc.path, resp.StatusCode, tc.want, out)
+		}
 	}
 }
 
 func TestHealthReadyMetrics(t *testing.T) {
 	dir := t.TempDir()
-	writeTestBundle(t, dir, 5)
+	testbundle.Write(t, dir, 5)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -396,20 +296,20 @@ func TestHealthReadyMetrics(t *testing.T) {
 // one of the model generations' direct scores.
 func TestHotReloadUnderLoad(t *testing.T) {
 	dir := t.TempDir()
-	bundles := map[int64]*persist.Bundle{1: writeTestBundle(t, dir, 10)}
+	bundles := map[int64]*persist.Bundle{1: testbundle.Write(t, dir, 10)}
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	raw := testVector(42)
+	raw := testbundle.Vector(42)
 	// Reloads are deterministic (seed 20+i%2 for generation 2+i), so every
 	// generation's expected scores are known before the storm starts — no
 	// window where a client can see a version the test can't check.
-	wantByVersion := map[int64]map[string][]float64{1: expectedScores(bundles[1], raw)}
+	wantByVersion := map[int64]map[string][]float64{1: testbundle.ExpectedScores(bundles[1], raw)}
 	nextBundles := make([]*persist.Bundle, 6)
 	for i := range nextBundles {
-		nextBundles[i] = testBundle(uint64(20 + i%2))
-		wantByVersion[int64(2+i)] = expectedScores(nextBundles[i], raw)
+		nextBundles[i] = testbundle.New(uint64(20 + i%2))
+		wantByVersion[int64(2+i)] = testbundle.ExpectedScores(nextBundles[i], raw)
 	}
 	reqBody, err := json.Marshal(scoreRequestFor(bundles[1], raw))
 	if err != nil {
@@ -508,7 +408,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 // deadline.
 func TestGracefulDrain(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 11)
+	b := testbundle.Write(t, dir, 11)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.DrainTimeout = 30 * time.Second
 		c.MaxBatch = 64
@@ -533,7 +433,7 @@ func TestGracefulDrain(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	raw := testVector(3)
+	raw := testbundle.Vector(3)
 	reqBody, _ := json.Marshal(scoreRequestFor(b, raw))
 
 	const accepted = 24
@@ -614,7 +514,7 @@ func TestNewFailsFastOnBadBundleDir(t *testing.T) {
 
 func TestRequestDeadlineWhileQueued(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 12)
+	b := testbundle.Write(t, dir, 12)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.RequestTimeout = 30 * time.Millisecond
 	})
@@ -631,7 +531,7 @@ func TestRequestDeadlineWhileQueued(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	raw := testVector(4)
+	raw := testbundle.Vector(4)
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (want 504): %s", resp.StatusCode, body)

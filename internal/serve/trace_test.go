@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/testbundle"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing access logs
@@ -67,7 +68,7 @@ func findTrace(rep *obs.TracezReport, id string) *obs.TraceEntry {
 // pipeline stage with internally consistent durations.
 func TestTraceparentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	var logBuf syncBuffer
 	s := newTestServer(t, dir, func(c *Config) {
 		c.AccessLog = &logBuf
@@ -78,7 +79,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 
 	const callerTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
 	const callerSpan = "00f067aa0ba902b7"
-	data, _ := json.Marshal(scoreRequestFor(b, testVector(7)))
+	data, _ := json.Marshal(scoreRequestFor(b, testbundle.Vector(7)))
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/score", bytes.NewReader(data))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("traceparent", "00-"+callerTrace+"-"+callerSpan+"-01")
@@ -193,14 +194,14 @@ func TestTraceparentRoundTrip(t *testing.T) {
 // traceparent gets a fresh valid trace id.
 func TestTraceMintedWhenAbsent(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	seen := map[string]bool{}
 	for _, hdr := range []string{"", "00-zz-bad-01", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"} {
-		data, _ := json.Marshal(scoreRequestFor(b, testVector(7)))
+		data, _ := json.Marshal(scoreRequestFor(b, testbundle.Vector(7)))
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/score", bytes.NewReader(data))
 		req.Header.Set("Content-Type", "application/json")
 		if hdr != "" {
@@ -240,7 +241,7 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 // is emitted even though sampling would have dropped it.
 func TestDegradedTraceRetainedAsExemplar(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	var logBuf syncBuffer
 	s := newTestServer(t, dir, func(c *Config) {
 		c.AccessLog = &logBuf
@@ -250,7 +251,7 @@ func TestDegradedTraceRetainedAsExemplar(t *testing.T) {
 	defer ts.Close()
 
 	// A healthy request first occupies the sampling grid's first slot...
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testVector(7)))
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testbundle.Vector(7)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy request status %d: %s", resp.StatusCode, body)
 	}
@@ -259,7 +260,7 @@ func TestDegradedTraceRetainedAsExemplar(t *testing.T) {
 	disable := faultinject.Enable(&faultinject.Plan{Seed: 5, Rules: []faultinject.Rule{
 		{Site: "serve.score.fe.FE0", Kind: faultinject.KindError, Every: 1, Err: "injected outage"},
 	}})
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testVector(7)))
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testbundle.Vector(7)))
 	disable()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded request status %d: %s", resp.StatusCode, body)
@@ -320,7 +321,7 @@ func TestDegradedTraceRetainedAsExemplar(t *testing.T) {
 // trace whose tree contains one "utt" subtree per utterance.
 func TestBatchTraceFansOut(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -328,7 +329,7 @@ func TestBatchTraceFansOut(t *testing.T) {
 	const n = 3
 	var batch BatchRequest
 	for i := 0; i < n; i++ {
-		u := scoreRequestFor(b, testVector(uint64(i+10)))
+		u := scoreRequestFor(b, testbundle.Vector(uint64(i+10)))
 		u.ID = fmt.Sprintf("u%d", i)
 		batch.Utterances = append(batch.Utterances, u)
 	}
@@ -370,13 +371,13 @@ func TestBatchTraceFansOut(t *testing.T) {
 // windows), Prometheus exposition on ?format=prom, 400 on junk.
 func TestMetricszFormats(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// Score once so serve metrics exist.
-	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testVector(7))); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testbundle.Vector(7))); resp.StatusCode != http.StatusOK {
 		t.Fatalf("score status %d: %s", resp.StatusCode, body)
 	}
 
@@ -442,7 +443,7 @@ func TestMetricszFormats(t *testing.T) {
 // ids minted, nothing buffered, nothing logged.
 func TestDisableTracing(t *testing.T) {
 	dir := t.TempDir()
-	b := writeTestBundle(t, dir, 1)
+	b := testbundle.Write(t, dir, 1)
 	var logBuf syncBuffer
 	s := newTestServer(t, dir, func(c *Config) {
 		c.DisableTracing = true
@@ -452,7 +453,7 @@ func TestDisableTracing(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testVector(7)))
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testbundle.Vector(7)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
