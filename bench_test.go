@@ -190,7 +190,7 @@ func BenchmarkSupervectorGen(b *testing.B) {
 func BenchmarkSupervectorProduct(b *testing.B) {
 	p := benchPipeline(b)
 	v := p.Data[0].Test[0]
-	ovr := p.SubsystemModels()[0]
+	ovr := p.Baseline[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ovr.Scores(v)
@@ -227,7 +227,7 @@ func BenchmarkAblationTFLLR(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42, DisableTFLLR: variant.disable})
 				trainX := f.Vectors(c.Train)
-				ovr := svm.TrainOneVsRest(trainX, c.Train.Labels(), experiments.NumLangs,
+				ovr := svm.TrainOVR(trainX, c.Train.Labels(), experiments.NumLangs,
 					f.Dim(), vsm.DefaultSVMOptions())
 				sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
 				scores := sub.ScoreMatrix(f.Vectors(c.Test[30]))
@@ -255,8 +255,21 @@ func BenchmarkAblationMMIFusion(b *testing.B) {
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			var eer float64
+			rows := make([][]float64, len(p.BaselineScores))
 			for i := 0; i < b.N; i++ {
-				eer = p.FusedBaselineEER(variant.cfg, 3)
+				x, y := fusion.Trials(p.BaselineDev, nil, p.DevLabels, p.DevIdx[3])
+				bk, err := fusion.Train(x, y, 2, variant.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fused := make([][]float64, len(p.TestLabels))
+				for _, j := range p.TestIdx[3] {
+					for q := range rows {
+						rows[q] = p.BaselineScores[q][j]
+					}
+					fused[j] = fusion.Decide(bk, rows)
+				}
+				eer, _ = experiments.Eval(fused, p.TestLabels, p.TestIdx[3])
 			}
 			b.ReportMetric(eer, "fusedEER3s%")
 		})
@@ -378,7 +391,7 @@ func BenchmarkAblationTrigram(b *testing.B) {
 			var eer float64
 			for i := 0; i < b.N; i++ {
 				f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42})
-				ovr := svm.TrainOneVsRest(f.Vectors(c.Train), c.Train.Labels(),
+				ovr := svm.TrainOVR(f.Vectors(c.Train), c.Train.Labels(),
 					experiments.NumLangs, f.Dim(), vsm.DefaultSVMOptions())
 				sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
 				scores := sub.ScoreMatrix(f.Vectors(c.Test[30]))
@@ -445,7 +458,7 @@ func BenchmarkExtensionNAP(b *testing.B) {
 					test30 = project(test30)
 					test3 = project(test3)
 				}
-				ovr := svm.TrainOneVsRest(trainX, trainY, experiments.NumLangs,
+				ovr := svm.TrainOVR(trainX, trainY, experiments.NumLangs,
 					f.Dim(), vsm.DefaultSVMOptions())
 				sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
 				eval := func(xs []*sparse.Vector, labels []int) float64 {
@@ -506,7 +519,7 @@ func BenchmarkBaselinePRLMvsVSM(b *testing.B) {
 		var eer float64
 		for i := 0; i < b.N; i++ {
 			f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42})
-			ovr := svm.TrainOneVsRest(f.Vectors(c.Train), c.Train.Labels(),
+			ovr := svm.TrainOVR(f.Vectors(c.Train), c.Train.Labels(),
 				experiments.NumLangs, f.Dim(), vsm.DefaultSVMOptions())
 			sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
 			scores := sub.ScoreMatrix(f.Vectors(c.Test[30]))

@@ -70,7 +70,7 @@ func main() {
 	for _, v := range trainX {
 		tf.Apply(v)
 	}
-	ovr := svm.TrainOneVsRest(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
+	ovr := svm.TrainOVR(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
 
 	correct, total := 0, 0
 	for li, lang := range langs {

@@ -112,7 +112,7 @@ func main() {
 	for _, v := range trainX {
 		tf.Apply(v)
 	}
-	ovr := svm.TrainOneVsRest(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
+	ovr := svm.TrainOVR(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
 	phonoCorrect := 0
 	for _, u := range test {
 		v := supervector(u.wav)

@@ -51,7 +51,7 @@ func main() {
 	for _, v := range trainX {
 		tf.Apply(v)
 	}
-	ovr := svm.TrainOneVsRest(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
+	ovr := svm.TrainOVR(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
 
 	var trials []metrics.Trial
 	for li, lang := range langs {

@@ -59,7 +59,7 @@ func main() {
 
 	fmt.Printf("training %d one-vs-rest SVMs on %d utterances (dim %d)…\n",
 		numLangs, len(trainX), fe.Space.Dim())
-	ovr := svm.TrainOneVsRest(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
+	ovr := svm.TrainOVR(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
 
 	// Test.
 	var trials []metrics.Trial

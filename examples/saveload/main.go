@@ -62,7 +62,7 @@ func main() {
 	for _, v := range trainX {
 		tf.Apply(v)
 	}
-	ovr := svm.TrainOneVsRest(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
+	ovr := svm.TrainOVR(trainX, trainY, numLangs, fe.Space.Dim(), svm.DefaultOptions())
 
 	ovrPath := filepath.Join(dir, "models.gob")
 	tfPath := filepath.Join(dir, "tfllr.gob")

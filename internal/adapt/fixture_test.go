@@ -61,7 +61,7 @@ func buildFixture(seed uint64) (*persist.Bundle, *Set) {
 		set.HoldoutLabels = append(set.HoldoutLabels, i%tfLangs)
 	}
 
-	var all [][]*sparse.Vector
+	var dev [][][]float64
 	for f := 0; f < 2; f++ {
 		var train, holdout []*sparse.Vector
 		for i := 0; i < tfTrain; i++ {
@@ -88,24 +88,15 @@ func buildFixture(seed uint64) (*persist.Bundle, *Set) {
 			Train:   train,
 			Holdout: holdout,
 		})
-		all = append(all, train)
+		rows := make([][]float64, len(train))
+		for i, v := range train {
+			rows[i] = ovr.Scores(v)
+		}
+		dev = append(dev, rows)
 	}
 
-	var devX [][]float64
-	var devY []int
-	for i := range all[0] {
-		s0 := b.FrontEnds[0].OVR.Scores(all[0][i])
-		s1 := b.FrontEnds[1].OVR.Scores(all[1][i])
-		for k := 0; k < tfLangs; k++ {
-			devX = append(devX, []float64{s0[k], s1[k]})
-			if set.TrainLabels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
-		}
-	}
-	bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig())
+	x, y := fusion.Trials(dev, nil, set.TrainLabels, nil)
+	bk, err := fusion.Train(x, y, 2, fusion.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}

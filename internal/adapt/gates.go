@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fusion"
 	"repro/internal/metrics"
 	"repro/internal/persist"
 	"repro/internal/sparse"
@@ -31,31 +32,6 @@ func refereeScores(b *persist.Bundle, set *Set) [][][]float64 {
 	out := make([][][]float64, len(set.FrontEnds))
 	for q := range set.FrontEnds {
 		out[q] = scoreRows(b, q, set.FrontEnds[q].Holdout[:nRef])
-	}
-	return out
-}
-
-// decisionRow fuses one utterance's per-front-end rows exactly like the
-// serving path's full-battery AssembleResult: the fusion backend's
-// target log-odds per language when the bundle carries one, the mean row
-// otherwise.
-func decisionRow(b *persist.Bundle, rows [][]float64) []float64 {
-	numLangs := len(b.Languages)
-	out := make([]float64, numLangs)
-	if b.Fusion != nil && len(rows) == len(b.FrontEnds) {
-		x := make([]float64, len(rows))
-		for k := 0; k < numLangs; k++ {
-			for q, row := range rows {
-				x[q] = row[k]
-			}
-			out[k] = b.Fusion.Score(x)[1]
-		}
-		return out
-	}
-	for _, row := range rows {
-		for k, v := range row {
-			out[k] += v / float64(len(rows))
-		}
 	}
 	return out
 }
@@ -90,21 +66,17 @@ func canaryCompare(mem, disk [][][]float64, set *Set, tol float64) (maxDrift flo
 
 // holdoutEER evaluates a bundle's fused EER (fraction, not percent) on
 // the sidecar's frozen holdout split — the same pooled pair-trial EER
-// the offline tables report.
+// the offline tables report, over the serving path's decision rows
+// (fusion.Decide).
 func holdoutEER(b *persist.Bundle, set *Set) float64 {
 	rowBufs := make([][][]float64, len(set.FrontEnds))
 	for q := range set.FrontEnds {
 		rowBufs[q] = scoreRows(b, q, set.FrontEnds[q].Holdout)
 	}
 	var pairs []metrics.PairTrial
-	rows := make([][]float64, len(set.FrontEnds))
-	for j, label := range set.HoldoutLabels {
-		for q := range rows {
-			rows[q] = rowBufs[q][j]
-		}
-		dec := decisionRow(b, rows)
+	for j, dec := range fusion.DecideAll(b.Fusion, rowBufs) {
 		for k, s := range dec {
-			pairs = append(pairs, metrics.PairTrial{Model: k, True: label, Score: s})
+			pairs = append(pairs, metrics.PairTrial{Model: k, True: set.HoldoutLabels[j], Score: s})
 		}
 	}
 	return metrics.EER(metrics.PairTrialsToDetection(pairs))
@@ -125,8 +97,8 @@ func shadowDivergence(cand *persist.Bundle, obss []Observation) (mean float64, s
 		for q := range cand.FrontEnds {
 			candRows[q] = cand.FrontEnds[q].Scores(o.Vectors[q])
 		}
-		cd := decisionRow(cand, candRows)
-		sd := decisionRow(cand, o.Scores)
+		cd := fusion.Decide(cand.Fusion, candRows)
+		sd := fusion.Decide(cand.Fusion, o.Scores)
 		var utt float64
 		for k := range cd {
 			utt += math.Abs(cd[k] - sd[k])

@@ -34,15 +34,7 @@ func voteMatrices(set *Set, obss []Observation) [][][]float64 {
 		shifts := set.FrontEnds[q].VoteShifts
 		mats[q] = make([][]float64, len(obss))
 		for j, o := range obss {
-			row := o.Scores[q]
-			if len(shifts) == len(row) {
-				cal := make([]float64, len(row))
-				for k, v := range row {
-					cal[k] = v - shifts[k]
-				}
-				row = cal
-			}
-			mats[q][j] = row
+			mats[q][j] = dba.Calibrate(o.Scores[q], shifts)
 		}
 	}
 	return mats

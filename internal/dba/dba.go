@@ -76,6 +76,21 @@ func Vote(scores []float64) int {
 	return best
 }
 
+// Calibrate shifts one subsystem's score row onto the vote scale: a copy
+// of row with per-model thresholds shifts[k] subtracted, so that Vote's
+// zero sits at each model's calibrated operating point. A row whose
+// length differs from shifts (e.g. no shifts at all) is returned as is.
+func Calibrate(row, shifts []float64) []float64 {
+	if len(shifts) != len(row) {
+		return row
+	}
+	out := make([]float64, len(row))
+	for k, v := range row {
+		out[k] = v - shifts[k]
+	}
+	return out
+}
+
 // CountVotes tallies the votes-counting matrix C_v (Eq. 10–12) from the Q
 // subsystems' score matrices. scoreMats[q][j][k] is subsystem q's score
 // for test utterance j against language k. The result is votes[j][k].

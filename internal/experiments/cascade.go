@@ -10,6 +10,7 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/corpus"
 	"repro/internal/frontend"
+	"repro/internal/fusion"
 	"repro/internal/lattice"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -89,39 +90,13 @@ func (p *Pipeline) cascadeSeqsOnce() (*cascadeSeqs, error) {
 	return p.cascadeSeq, nil
 }
 
-// heavyDecisionScores computes the heavy path's decision matrix for a
-// pooled score set: the fusion backend's target log-odds when the bundle
-// fuses, else the mean across front-ends (mirroring serve.AssembleResult's
-// fallback).
-func (p *Pipeline) heavyDecisionScores(perFE [][][]float64) [][]float64 {
-	bk := p.fusionBackend()
-	n := len(perFE[0])
-	out := make([][]float64, n)
-	x := make([]float64, len(perFE))
-	for j := 0; j < n; j++ {
-		row := make([]float64, NumLangs)
-		for k := 0; k < NumLangs; k++ {
-			if bk != nil {
-				for q := range perFE {
-					x[q] = perFE[q][j][k]
-				}
-				row[k] = bk.Score(x)[1]
-			} else {
-				for q := range perFE {
-					row[k] += perFE[q][j][k] / float64(len(perFE))
-				}
-			}
-		}
-		out[j] = row
-	}
-	return out
-}
-
 // TrainCascade fits and calibrates the tier-1 cascade model on the
 // pipeline's train/dev splits: per-language Kneser–Ney bigrams over the
 // designated front-end's 1-best decodes, per-tier required margins at the
 // default accuracy target, and the affine map onto the heavy fused-score
-// scale. Memoized — BuildBundle and the eval/bench paths share one model.
+// scale — the bundle backend's decision rows (fusion.DecideAll), exactly
+// what the server answers an escalated request with. Memoized —
+// BuildBundle and the eval/bench paths share one model.
 func (p *Pipeline) TrainCascade() (*cascade.Model, error) {
 	p.cascadeModelMu.Lock()
 	defer p.cascadeModelMu.Unlock()
@@ -142,7 +117,7 @@ func (p *Pipeline) TrainCascade() (*cascade.Model, error) {
 	for i, it := range p.Corpus.Train.Items {
 		trainSeqs[it.Label] = append(trainSeqs[it.Label], seqs.Train[i])
 	}
-	heavyDev := p.heavyDecisionScores(p.BaselineDev)
+	heavyDev := fusion.DecideAll(p.fusionBackend(), p.BaselineDev)
 	var dev []cascade.DevExample
 	for ti, dur := range corpus.Durations {
 		for _, i := range p.DevIdx[dur] {
@@ -197,20 +172,19 @@ func (p *Pipeline) evalCascadeTier(m *cascade.Model, seqs *cascadeSeqs, heavy []
 		Total:       len(idx),
 		Tier1AccPct: 100,
 	}
-	var pairs []metrics.PairTrial
+	// mixed answers each utterance the way the cascade would: tier 1's
+	// scores where it exits, the heavy path's elsewhere.
+	mixed := make([][]float64, len(heavy))
 	correct := 0
 	for _, j := range idx {
-		row := heavy[j]
+		mixed[j] = heavy[j]
 		d := m.Decide(seqs.Test[j], threshold)
 		if d.Exit {
 			ev.Exited++
-			row = d.Scores
+			mixed[j] = d.Scores
 			if d.Best == p.TestLabels[j] {
 				correct++
 			}
-		}
-		for k, s := range row {
-			pairs = append(pairs, metrics.PairTrial{Model: k, True: p.TestLabels[j], Score: s})
 		}
 	}
 	if ev.Total > 0 {
@@ -219,9 +193,11 @@ func (p *Pipeline) evalCascadeTier(m *cascade.Model, seqs *cascadeSeqs, heavy []
 	if ev.Exited > 0 {
 		ev.Tier1AccPct = 100 * float64(correct) / float64(ev.Exited)
 	}
-	ev.EERCascadePct = 100 * metrics.EER(metrics.PairTrialsToDetection(pairs))
-	heavyEER, _ := Eval(heavy, p.TestLabels, idx)
-	ev.EERHeavyPct = heavyEER
+	eerPct := func(mat [][]float64) float64 {
+		return 100 * metrics.EER(metrics.PairTrialsToDetection(pairTrials(mat, p.TestLabels, idx)))
+	}
+	ev.EERCascadePct = eerPct(mixed)
+	ev.EERHeavyPct = eerPct(heavy)
 	ev.EERDeltaPct = ev.EERCascadePct - ev.EERHeavyPct
 	return ev
 }
@@ -233,7 +209,7 @@ func (p *Pipeline) EvalCascade(m *cascade.Model, pol cascade.Policy) ([]CascadeT
 	if err != nil {
 		return nil, err
 	}
-	heavy := p.heavyDecisionScores(p.BaselineScores)
+	heavy := fusion.DecideAll(p.fusionBackend(), p.BaselineScores)
 	out := make([]CascadeTierEval, len(corpus.Durations))
 	for ti, dur := range corpus.Durations {
 		out[ti] = p.evalCascadeTier(m, seqs, heavy, ti, pol.Threshold(TierNameFor(dur)))
@@ -257,7 +233,7 @@ func (p *Pipeline) SweepCascade(m *cascade.Model) ([]CascadeTierEval, error) {
 	if err != nil {
 		return nil, err
 	}
-	heavy := p.heavyDecisionScores(p.BaselineScores)
+	heavy := fusion.DecideAll(p.fusionBackend(), p.BaselineScores)
 	var out []CascadeTierEval
 	for ti := range corpus.Durations {
 		for _, th := range CascadeSweepThresholds {
@@ -313,7 +289,6 @@ func (p *Pipeline) BenchCascadeTier(m *cascade.Model, ti int, threshold float64)
 	bk := p.fusionBackend()
 
 	heavyScore := func(i int) []float64 {
-		x := make([]float64, len(p.FEs))
 		rows := make([][]float64, len(p.FEs))
 		for q := range p.FEs {
 			v := p.FEs[q].Space.Supervector(lats[q][i])
@@ -322,16 +297,7 @@ func (p *Pipeline) BenchCascadeTier(m *cascade.Model, ti int, threshold float64)
 			}
 			rows[q] = p.Baseline[q].Scores(v)
 		}
-		fused := make([]float64, NumLangs)
-		for k := 0; k < NumLangs; k++ {
-			for q := range rows {
-				x[q] = rows[q][k]
-			}
-			if bk != nil {
-				fused[k] = bk.Score(x)[1]
-			}
-		}
-		return fused
+		return fusion.Decide(bk, rows)
 	}
 
 	start := time.Now()

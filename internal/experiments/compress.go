@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fusion"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/persist"
@@ -223,35 +222,8 @@ func (cs *CompressedSystem) BuildBundle(p *Pipeline) *persist.Bundle {
 		}
 		b.FrontEnds = append(b.FrontEnds, fem)
 	}
-	b.Fusion = cs.fusionBackend(p)
+	b.Fusion = pooledDevBackend(cs.DevScores, p.DevLabels)
 	return b
-}
-
-// fusionBackend trains the compressed bundle's pooled-dev fusion backend
-// on the compressed dev score matrices (same trial construction as the
-// uncompressed Pipeline.fusionBackend).
-func (cs *CompressedSystem) fusionBackend(p *Pipeline) *fusion.Backend {
-	var devX [][]float64
-	var devY []int
-	for i := range p.DevLabels {
-		for k := 0; k < NumLangs; k++ {
-			x := make([]float64, len(cs.DevScores))
-			for q := range cs.DevScores {
-				x[q] = cs.DevScores[q][i][k]
-			}
-			devX = append(devX, x)
-			if p.DevLabels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
-		}
-	}
-	bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig())
-	if err != nil {
-		return nil
-	}
-	return bk
 }
 
 // ExportModelsCompressed writes the compressed serving bundle + manifest

@@ -272,11 +272,17 @@ func TestVoteAblationStrictIsCleaner(t *testing.T) {
 
 func TestFusedBaselineEERAblation(t *testing.T) {
 	p := sharedPipeline(t)
-	ldaOnly := p.FusedBaselineEER(fusion.Config{MMIIters: 0, LearnRate: 0.05, Ridge: 1e-3}, 30)
-	ldaMMI := p.FusedBaselineEER(fusion.DefaultConfig(), 30)
-	if ldaOnly < 0 || ldaMMI < 0 {
-		t.Fatal("fusion training failed")
+	fusedEER := func(cfg fusion.Config) float64 {
+		x, y := fusion.Trials(p.BaselineDev, nil, p.DevLabels, p.DevIdx[30])
+		bk, err := fusion.Train(x, y, 2, cfg)
+		if err != nil {
+			t.Fatalf("fusion training failed: %v", err)
+		}
+		eer, _ := Eval(fusion.DecideAll(bk, p.BaselineScores), p.TestLabels, p.TestIdx[30])
+		return eer
 	}
+	ldaOnly := fusedEER(fusion.Config{MMIIters: 0, LearnRate: 0.05, Ridge: 1e-3})
+	ldaMMI := fusedEER(fusion.DefaultConfig())
 	// MMI refinement should not catastrophically hurt.
 	if ldaMMI > ldaOnly+5 {
 		t.Fatalf("MMI degraded fusion badly: %.2f vs %.2f", ldaMMI, ldaOnly)

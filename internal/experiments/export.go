@@ -57,26 +57,17 @@ func (p *Pipeline) fusionBackend() *fusion.Backend {
 		return p.fusionBk
 	}
 	p.fusionTrained = true
-	var devX [][]float64
-	var devY []int
-	for i := range p.DevLabels {
-		for k := 0; k < NumLangs; k++ {
-			x := make([]float64, len(p.FEs))
-			for q := range p.FEs {
-				x[q] = p.BaselineDev[q][i][k]
-			}
-			devX = append(devX, x)
-			if p.DevLabels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
-		}
-	}
-	if bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig()); err == nil {
-		p.fusionBk = bk
-	}
+	p.fusionBk = pooledDevBackend(p.BaselineDev, p.DevLabels)
 	return p.fusionBk
+}
+
+// pooledDevBackend trains a bundle's fusion backend on the trials of every
+// dev utterance (all duration tiers pooled) of the dev score matrices
+// dev[q][i][k]; nil on a degenerate dev set.
+func pooledDevBackend(dev [][][]float64, labels []int) *fusion.Backend {
+	x, y := fusion.Trials(dev, nil, labels, nil)
+	bk, _ := fusion.Train(x, y, 2, fusion.DefaultConfig())
+	return bk
 }
 
 // ExportModels writes the pipeline's serving bundle plus a provenance

@@ -26,23 +26,7 @@ func (p *Pipeline) IterativeDBA(v int, method dba.Method, rounds int) *dba.Itera
 		Checkpoint:   p.ck.roundCheckpoint(v, method),
 	}
 	recal := func(models []*svm.OneVsRest, scores [][][]float64) [][][]float64 {
-		dev := p.DevScores(models)
-		out := make([][][]float64, len(scores))
-		for q, mat := range scores {
-			out[q] = make([][]float64, len(mat))
-			for _, dur := range corpus.Durations {
-				shifts := voteShiftsForTier(dev[q], p.DevLabels, p.DevIdx[dur], VoteCalibrationFA)
-				for _, j := range p.TestIdx[dur] {
-					row := mat[j]
-					nr := make([]float64, len(row))
-					for k, val := range row {
-						nr[k] = val - shifts[k]
-					}
-					out[q][j] = nr
-				}
-			}
-		}
-		return out
+		return p.voteScores(scores, p.DevScores(models), VoteCalibrationFA)
 	}
 	return dba.RunIterative(p.Data, p.TrainLabels, p.Baseline, p.VoteScores, cfg, recal)
 }
@@ -87,22 +71,7 @@ type SelectionStats struct {
 // SelectionStatsAtFA recomputes vote thresholds at an arbitrary dev
 // false-alarm rate (reusing the cached baseline scores; no retraining).
 func (p *Pipeline) SelectionStatsAtFA(fa float64, v int) SelectionStats {
-	voteScores := make([][][]float64, len(p.BaselineScores))
-	for q, mat := range p.BaselineScores {
-		voteScores[q] = make([][]float64, len(mat))
-		for _, dur := range corpus.Durations {
-			shifts := voteShiftsForTier(p.BaselineDev[q], p.DevLabels, p.DevIdx[dur], fa)
-			for _, j := range p.TestIdx[dur] {
-				row := mat[j]
-				nr := make([]float64, len(row))
-				for k, val := range row {
-					nr[k] = val - shifts[k]
-				}
-				voteScores[q][j] = nr
-			}
-		}
-	}
-	sel := dba.Select(dba.CountVotes(voteScores), v)
+	sel := dba.Select(dba.CountVotes(p.voteScores(p.BaselineScores, p.BaselineDev, fa)), v)
 	return SelectionStats{
 		FA:           fa,
 		V:            v,

@@ -48,10 +48,11 @@ func RunOpenSet(p *Pipeline, oosLangs, perLang int) *OpenSetResult {
 	for _, dur := range corpus.Durations {
 		// Closed-set trials from the cached baseline scores, pooled over
 		// front-ends.
-		var closed []metrics.Trial
+		var pairs []metrics.PairTrial
 		for q := range p.BaselineScores {
-			closed = append(closed, TrialsFor(p.BaselineScores[q], p.TestLabels, p.TestIdx[dur])...)
+			pairs = append(pairs, pairTrials(p.BaselineScores[q], p.TestLabels, p.TestIdx[dur])...)
 		}
+		closed := metrics.PairTrialsToDetection(pairs)
 		eerClosed, th := metrics.EERPoint(closed)
 		res.Closed[dur] = eerClosed * 100
 

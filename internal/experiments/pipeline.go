@@ -306,7 +306,7 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 	// calibrated copy drives voting only — EER/Cavg are computed from the
 	// unshifted scores, keeping evaluation and selection concerns separate.
 	calSp := sp.StartChild("vote-calibrate")
-	p.VoteScores = p.calibratedVoteScores()
+	p.VoteScores = p.voteScores(p.BaselineScores, p.BaselineDev, VoteCalibrationFA)
 	calSp.End()
 	return p, nil
 }
@@ -316,21 +316,17 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 // the paper's Table 1 selection/error trade-off.
 const VoteCalibrationFA = 0.03
 
-// calibratedVoteScores returns a copy of the baseline test scores with
-// per-(subsystem, duration, model) dev thresholds subtracted.
-func (p *Pipeline) calibratedVoteScores() [][][]float64 {
-	out := make([][][]float64, len(p.BaselineScores))
-	for q, mat := range p.BaselineScores {
+// voteScores returns a copy of the pooled test scores with
+// per-(subsystem, duration, model) thresholds subtracted, each placed at
+// dev false-alarm rate fa on the matching dev scores.
+func (p *Pipeline) voteScores(test, dev [][][]float64, fa float64) [][][]float64 {
+	out := make([][][]float64, len(test))
+	for q, mat := range test {
 		out[q] = make([][]float64, len(mat))
 		for _, dur := range corpus.Durations {
-			shifts := voteShiftsForTier(p.BaselineDev[q], p.DevLabels, p.DevIdx[dur], VoteCalibrationFA)
+			shifts := voteShiftsForTier(dev[q], p.DevLabels, p.DevIdx[dur], fa)
 			for _, j := range p.TestIdx[dur] {
-				row := mat[j]
-				nr := make([]float64, len(row))
-				for k, v := range row {
-					nr[k] = v - shifts[k]
-				}
-				out[q][j] = nr
+				out[q][j] = dba.Calibrate(mat[j], shifts)
 			}
 		}
 	}
@@ -434,25 +430,20 @@ func (p *Pipeline) DevScores(models []*svm.OneVsRest) [][][]float64 {
 // Eval computes EER and minimum Cavg (both in percent) of one subsystem's
 // pooled score matrix restricted to the given test indices.
 func Eval(scoreMat [][]float64, labels []int, idx []int) (eerPct, cavgPct float64) {
-	var pairs []metrics.PairTrial
-	for _, j := range idx {
-		for k, s := range scoreMat[j] {
-			pairs = append(pairs, metrics.PairTrial{Model: k, True: labels[j], Score: s})
-		}
-	}
+	pairs := pairTrials(scoreMat, labels, idx)
 	eer := metrics.EER(metrics.PairTrialsToDetection(pairs))
 	cavg, _ := metrics.MinCavg(pairs, NumLangs)
 	return eer * 100, cavg * 100
 }
 
-// TrialsFor builds the pooled detection trials of a score matrix subset
-// (for DET curves).
-func TrialsFor(scoreMat [][]float64, labels []int, idx []int) []metrics.Trial {
+// pairTrials lists the (utterance, language) pair trials of a score
+// matrix subset: every score of row j for j in idx, against labels[j].
+func pairTrials(scoreMat [][]float64, labels []int, idx []int) []metrics.PairTrial {
 	var pairs []metrics.PairTrial
 	for _, j := range idx {
 		for k, s := range scoreMat[j] {
 			pairs = append(pairs, metrics.PairTrial{Model: k, True: labels[j], Score: s})
 		}
 	}
-	return metrics.PairTrialsToDetection(pairs)
+	return pairs
 }

@@ -61,14 +61,7 @@ func (p *Pipeline) ExportRequests(path string, n int) (written, voted int, err e
 		shifts := voteShiftsForTier(p.BaselineDev[q], p.DevLabels, allDev, VoteCalibrationFA)
 		cal[q] = make([][]float64, total)
 		for j := 0; j < total; j++ {
-			row := make([]float64, len(p.BaselineScores[q][j]))
-			for k, v := range p.BaselineScores[q][j] {
-				row[k] = v
-				if k < len(shifts) {
-					row[k] = v - shifts[k]
-				}
-			}
-			cal[q][j] = row
+			cal[q][j] = dba.Calibrate(p.BaselineScores[q][j], shifts)
 		}
 	}
 	sel := dba.Select(dba.CountVotes(cal), 1)

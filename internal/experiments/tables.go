@@ -8,7 +8,6 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/svm"
 )
 
 // Cell is one EER/Cavg measurement in percent.
@@ -137,76 +136,51 @@ type Table4 struct {
 	V int
 }
 
-// fusePerDuration trains per-duration LDA-MMI backends on dev scores and
-// returns the fused test score matrix over the pooled test order.
+// fusePerDuration trains one trial-level LDA-MMI backend per duration tier
+// on the dev trials (fusion.Trials, features scaled by the Eq. 15
+// subsystem weights; nil: unweighted) and returns the fused test score
+// matrix over the pooled test order.
 //
-// Fusion operates at the detection-trial level: every (utterance, language)
-// pair becomes one trial whose feature vector collects the Q subsystems'
-// scores for that pair (scaled by the Eq. 15 subsystem weights), and the
-// backend discriminates target from non-target trials — LDA projection
-// followed by an MMI-refined Gaussian backend, scored as target log-odds.
-// This is the small-sample-sound form of the paper's Eq. 14–15 backend:
-// with K = 23 and Q·K-dimensional per-utterance stacks, a per-language
-// Gaussian backend needs far more development data than the corpus scales
-// this repository runs (the paper had 22,701 dev conversations).
+// Trial-level fusion is the small-sample-sound form of the paper's
+// Eq. 14–15 backend: with K = 23 and Q·K-dimensional per-utterance
+// stacks, a per-language Gaussian backend needs far more development data
+// than the corpus scales this repository runs (the paper had 22,701 dev
+// conversations). A degenerate dev tier (never at supported scales)
+// trains no backend, and fusion.Decide falls back to the mean row.
 func (p *Pipeline) fusePerDuration(devMats, testMats [][][]float64, weights []float64) [][]float64 {
-	q := len(devMats)
-	if weights == nil {
-		weights = make([]float64, q)
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	trialFeat := func(mats [][][]float64, j, k int) []float64 {
-		x := make([]float64, q)
-		for s := 0; s < q; s++ {
-			x[s] = weights[s] * mats[s][j][k]
-		}
-		return x
+	if weights != nil {
+		testMats = scaleMats(testMats, weights)
 	}
 	fused := make([][]float64, len(testMats[0]))
+	rows := make([][]float64, len(testMats))
 	for _, dur := range corpus.Durations {
-		var devX [][]float64
-		var devY []int
-		for _, i := range p.DevIdx[dur] {
-			for k := 0; k < NumLangs; k++ {
-				devX = append(devX, trialFeat(devMats, i, k))
-				if p.DevLabels[i] == k {
-					devY = append(devY, 1)
-				} else {
-					devY = append(devY, 0)
-				}
-			}
-		}
-		cfg := fusion.DefaultConfig()
-		b, err := fusion.Train(devX, devY, 2, cfg)
-		if err != nil {
-			// Degenerate dev tier: fall back to the weighted mean score
-			// (never happens at supported scales, but keeps the harness
-			// total).
-			for _, j := range p.TestIdx[dur] {
-				row := make([]float64, NumLangs)
-				for k := range row {
-					f := trialFeat(testMats, j, k)
-					var s float64
-					for _, v := range f {
-						s += v
-					}
-					row[k] = s / float64(q)
-				}
-				fused[j] = row
-			}
-			continue
-		}
+		x, y := fusion.Trials(devMats, weights, p.DevLabels, p.DevIdx[dur])
+		b, _ := fusion.Train(x, y, 2, fusion.DefaultConfig())
 		for _, j := range p.TestIdx[dur] {
-			row := make([]float64, NumLangs)
-			for k := range row {
-				row[k] = b.Score(trialFeat(testMats, j, k))[1]
+			for q := range rows {
+				rows[q] = testMats[q][j]
 			}
-			fused[j] = row
+			fused[j] = fusion.Decide(b, rows)
 		}
 	}
 	return fused
+}
+
+// scaleMats returns a copy of mats with subsystem q's scores multiplied by
+// weights[q] — the test-side half of the Eq. 15 weighting whose dev-side
+// half fusion.Trials applies to the training trials.
+func scaleMats(mats [][][]float64, weights []float64) [][][]float64 {
+	out := make([][][]float64, len(mats))
+	for q, mat := range mats {
+		out[q] = make([][]float64, len(mat))
+		for j, row := range mat {
+			out[q][j] = make([]float64, len(row))
+			for k, v := range row {
+				out[q][j][k] = v * weights[q]
+			}
+		}
+	}
+	return out
 }
 
 // evalFused computes EER/Cavg per duration of a fused pooled score matrix.
@@ -244,39 +218,35 @@ func RunTable4(p *Pipeline, v int) *Table4 {
 		}
 	}
 
-	m1 := p.DBAOutcome(v, dba.M1)
-	m2 := p.DBAOutcome(v, dba.M2)
-	devM1 := p.DevScores(m1.Retrained)
-	devM2 := p.DevScores(m2.Retrained)
-
+	dev, test, weights := p.dbaSubsystems(v)
 	// Per-front-end DBA rows: LDA-MMI fusion of that front-end's M1 and
 	// M2 second-pass scores.
+	nFE := len(p.Data)
 	for q, d := range p.Data {
-		devMats := [][][]float64{devM1[q], devM2[q]}
-		testMats := [][][]float64{m1.Scores[q], m2.Scores[q]}
-		fused := p.fusePerDuration(devMats, testMats, nil)
-		t.DBASingle[d.Name] = p.evalFused(fused)
+		devMats := [][][]float64{dev[q], dev[nFE+q]}
+		testMats := [][][]float64{test[q], test[nFE+q]}
+		t.DBASingle[d.Name] = p.evalFused(p.fusePerDuration(devMats, testMats, nil))
 	}
-
-	// Baseline fusion: all six baseline subsystems.
 	t.BaselineFusion = p.evalFused(p.fusePerDuration(p.BaselineDev, p.BaselineScores, nil))
-
-	// DBA fusion: all twelve second-pass subsystems (6 × {M1, M2}),
-	// weighted by each subsystem's selection counts (paper Eq. 15).
-	var devAll, testAll [][][]float64
-	devAll = append(devAll, devM1...)
-	devAll = append(devAll, devM2...)
-	testAll = append(testAll, m1.Scores...)
-	testAll = append(testAll, m2.Scores...)
-	// Eq. 15 weights: M_n is how many test utterances met subsystem n's
-	// confidence criterion (its Eq. 13 vote fired); each front-end's count
-	// applies to both its M1 and M2 second-pass subsystems.
-	perFE := p.SubsystemVoteCounts()
-	counts := append(append([]int{}, perFE...), perFE...)
-	weights := fusion.SelectionWeights(counts)
-	t.DBAFusion = p.evalFused(p.fusePerDuration(devAll, testAll, weights))
+	t.DBAFusion = p.evalFused(p.fusePerDuration(dev, test, weights))
 	p.ck.save(ckKey, t)
 	return t
+}
+
+// dbaSubsystems returns the twelve (DBA-M1)+(DBA-M2) second-pass
+// subsystems at threshold v — dev and test score matrices, the six M1
+// systems then the six M2 ones — and their paper Eq. 15 fusion weights:
+// M_n is how many test utterances met subsystem n's confidence criterion
+// (its Eq. 13 vote fired), and each front-end's count applies to both its
+// M1 and M2 second-pass subsystems.
+func (p *Pipeline) dbaSubsystems(v int) (dev, test [][][]float64, weights []float64) {
+	m1 := p.DBAOutcome(v, dba.M1)
+	m2 := p.DBAOutcome(v, dba.M2)
+	dev = append(p.DevScores(m1.Retrained), p.DevScores(m2.Retrained)...)
+	test = append(append(test, m1.Scores...), m2.Scores...)
+	perFE := p.SubsystemVoteCounts()
+	weights = fusion.SelectionWeights(append(append([]int{}, perFE...), perFE...))
+	return dev, test, weights
 }
 
 // Fig3 reproduces paper Fig. 3: DET curves of the baseline fusion vs the
@@ -296,22 +266,14 @@ type Fig3Curves struct {
 // RunFig3 computes the DET curves from the same fusions as Table 4.
 func RunFig3(p *Pipeline, v int) *Fig3 {
 	baseFused := p.fusePerDuration(p.BaselineDev, p.BaselineScores, nil)
-	m1 := p.DBAOutcome(v, dba.M1)
-	m2 := p.DBAOutcome(v, dba.M2)
-	var devAll, testAll [][][]float64
-	devAll = append(devAll, p.DevScores(m1.Retrained)...)
-	devAll = append(devAll, p.DevScores(m2.Retrained)...)
-	testAll = append(testAll, m1.Scores...)
-	testAll = append(testAll, m2.Scores...)
-	perFE := p.SubsystemVoteCounts()
-	weights := fusion.SelectionWeights(append(append([]int{}, perFE...), perFE...))
-	dbaFused := p.fusePerDuration(devAll, testAll, weights)
+	dev, test, weights := p.dbaSubsystems(v)
+	dbaFused := p.fusePerDuration(dev, test, weights)
 
 	f := &Fig3{Curves: make(map[float64]Fig3Curves), V: v}
 	for _, dur := range corpus.Durations {
 		f.Curves[dur] = Fig3Curves{
-			Baseline: metrics.DET(TrialsFor(baseFused, p.TestLabels, p.TestIdx[dur])),
-			DBA:      metrics.DET(TrialsFor(dbaFused, p.TestLabels, p.TestIdx[dur])),
+			Baseline: metrics.DET(metrics.PairTrialsToDetection(pairTrials(baseFused, p.TestLabels, p.TestIdx[dur]))),
+			DBA:      metrics.DET(metrics.PairTrialsToDetection(pairTrials(dbaFused, p.TestLabels, p.TestIdx[dur]))),
 		}
 	}
 	return f
@@ -357,48 +319,4 @@ func RunVoteAblation(p *Pipeline, v int) *VoteAblation {
 		StrictErrorPct: dba.SelectionErrorRate(strictSel, p.TestLabels) * 100,
 		NaiveErrorPct:  dba.SelectionErrorRate(naiveSel, p.TestLabels) * 100,
 	}
-}
-
-// SubsystemModels exposes the baseline models (used by benches).
-func (p *Pipeline) SubsystemModels() []*svm.OneVsRest { return p.Baseline }
-
-// FusedBaselineEER fuses the six baseline subsystems with an explicit
-// fusion configuration and returns the EER (%) at one duration — used by
-// the LDA-only vs LDA-MMI ablation bench. It uses the same trial-level
-// construction as fusePerDuration.
-func (p *Pipeline) FusedBaselineEER(cfg fusion.Config, dur float64) float64 {
-	q := len(p.BaselineDev)
-	trialFeat := func(mats [][][]float64, j, k int) []float64 {
-		x := make([]float64, q)
-		for s := 0; s < q; s++ {
-			x[s] = mats[s][j][k]
-		}
-		return x
-	}
-	var devX [][]float64
-	var devY []int
-	for _, i := range p.DevIdx[dur] {
-		for k := 0; k < NumLangs; k++ {
-			devX = append(devX, trialFeat(p.BaselineDev, i, k))
-			if p.DevLabels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
-		}
-	}
-	b, err := fusion.Train(devX, devY, 2, cfg)
-	if err != nil {
-		return -1
-	}
-	fused := make([][]float64, len(p.TestLabels))
-	for _, j := range p.TestIdx[dur] {
-		row := make([]float64, NumLangs)
-		for k := range row {
-			row[k] = b.Score(trialFeat(p.BaselineScores, j, k))[1]
-		}
-		fused[j] = row
-	}
-	eer, _ := Eval(fused, p.TestLabels, p.TestIdx[dur])
-	return eer
 }

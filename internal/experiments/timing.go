@@ -132,7 +132,7 @@ func RunTable5(cfg Table5Config) (*Table5, error) {
 	}
 	opt := svm.DefaultOptions()
 	opt.MaxIters = 5
-	ovr := svm.TrainOneVsRest(trainVecs, labels, NumLangs, space.Dim(), opt)
+	ovr := svm.TrainOVR(trainVecs, labels, NumLangs, space.Dim(), opt)
 	trainSp.End()
 
 	// Repeat the product enough times to measure reliably.

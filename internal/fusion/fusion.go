@@ -1,9 +1,11 @@
 // Package fusion implements the paper's LDA-MMI score-fusion backend
-// (step g, Eq. 14–15): per-utterance subsystem score vectors are stacked
-// (optionally weighted per subsystem), projected by linear discriminant
-// analysis, and classified by a Gaussian backend whose means and priors
-// are refined by gradient ascent on the maximum-mutual-information
-// objective
+// (step g, Eq. 14–15) at the detection-trial level: every (utterance,
+// language) pair is one trial whose feature vector holds the Q
+// subsystems' scores for that pair (optionally weighted per subsystem,
+// Eq. 15), and the backend tells target from non-target trials. Features
+// are projected by linear discriminant analysis and classified by a
+// Gaussian backend whose means and priors are refined by gradient ascent
+// on the maximum-mutual-information objective
 //
 //	F_MMI(λ) = Σ_i log [ p(x_i|λ_{g(i)})·P(g(i)) / Σ_j p(x_i|λ_j)·P(j) ],
 //
@@ -11,6 +13,12 @@
 // Gaussians; MMI sharpens the decision boundaries — exactly the
 // discriminative calibration the paper fuses its six (or twelve, for
 // (DBA-M1)+(DBA-M2)) subsystems with.
+//
+// Trials builds the training trials every backend in the repository is
+// fit on, and Decide turns one utterance's per-subsystem rows into its
+// decision row — the fused target log-odds, or the mean row without a
+// backend. Offline tables, exported bundles, the cascade's heavy path,
+// the adapt gates and the serving daemon all fuse through these two.
 package fusion
 
 import (
@@ -20,40 +28,107 @@ import (
 	"repro/internal/linalg"
 )
 
-// StackScores concatenates per-subsystem score rows into one feature
-// vector per utterance (Eq. 15). weights[q] scales subsystem q; pass nil
-// for uniform weights. scoreMats[q][j][k] → out[j][q*K+k].
-func StackScores(scoreMats [][][]float64, weights []float64) [][]float64 {
-	if len(scoreMats) == 0 {
-		return nil
-	}
-	q := len(scoreMats)
-	m := len(scoreMats[0])
-	k := 0
-	if m > 0 {
-		k = len(scoreMats[0][0])
-	}
-	if weights == nil {
-		weights = make([]float64, q)
-		for i := range weights {
-			weights[i] = 1 / float64(q)
-		}
-	}
-	if len(weights) != q {
+// Trials builds the detection trials of the utterances in idx (nil: every
+// utterance of labels, in order) from per-subsystem score matrices
+// mats[q][i][k]. Trial (i, k) has feature q = weights[q]·mats[q][i][k]
+// (nil weights: the raw score) and label 1 when labels[i] == k (target),
+// 0 otherwise. Trials come utterance-major, languages in order; the
+// feature vectors share one row-major arena.
+func Trials(mats [][][]float64, weights []float64, labels, idx []int) (x [][]float64, y []int) {
+	q := len(mats)
+	if weights != nil && len(weights) != q {
 		panic("fusion: weights length mismatch")
 	}
-	out := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		row := make([]float64, q*k)
-		for s := 0; s < q; s++ {
-			if len(scoreMats[s]) != m {
-				panic("fusion: subsystems scored different test-set sizes")
+	if idx == nil {
+		idx = make([]int, len(labels))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	if q == 0 || len(idx) == 0 {
+		return nil, nil
+	}
+	k := len(mats[0][idx[0]])
+	arena := make([]float64, len(idx)*k*q)
+	x = make([][]float64, 0, len(idx)*k)
+	y = make([]int, 0, len(idx)*k)
+	for _, i := range idx {
+		for c := 0; c < k; c++ {
+			feat := arena[:q:q]
+			arena = arena[q:]
+			for s := range feat {
+				v := mats[s][i][c]
+				if weights != nil {
+					v *= weights[s]
+				}
+				feat[s] = v
 			}
-			for c, v := range scoreMats[s][j] {
-				row[s*k+c] = weights[s] * v
+			x = append(x, feat)
+			if labels[i] == c {
+				y = append(y, 1)
+			} else {
+				y = append(y, 0)
 			}
 		}
-		out[j] = row
+	}
+	return x, y
+}
+
+// Decide turns one utterance's per-subsystem score rows into its decision
+// row. rows[q] is subsystem q's row over the languages, nil when q is
+// missing. With a backend (trained on len(rows) subsystems by Trials) the
+// row is the target log-odds per language: Score when every row is
+// present, ScoreMasked over the survivors otherwise. Without one it is
+// the mean of the present rows, accumulated in subsystem order. Nil when
+// no row is present.
+func Decide(b *Backend, rows [][]float64) []float64 {
+	n, numLangs := 0, 0
+	present := make([]bool, len(rows))
+	for q, row := range rows {
+		if row != nil {
+			present[q] = true
+			n++
+			numLangs = len(row)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, numLangs)
+	if b == nil {
+		for _, row := range rows {
+			for k, v := range row {
+				out[k] += v / float64(n)
+			}
+		}
+		return out
+	}
+	x := make([]float64, len(rows))
+	for k := range out {
+		for q, row := range rows {
+			if row != nil {
+				x[q] = row[k]
+			}
+		}
+		// Class 1 of the two-class trial backend is "target".
+		out[k] = b.ScoreMasked(x, present)[1]
+	}
+	return out
+}
+
+// DecideAll applies Decide to every utterance j of per-subsystem score
+// matrices mats[q][j][k].
+func DecideAll(b *Backend, mats [][][]float64) [][]float64 {
+	if len(mats) == 0 {
+		return nil
+	}
+	out := make([][]float64, len(mats[0]))
+	rows := make([][]float64, len(mats))
+	for j := range out {
+		for q := range rows {
+			rows[q] = mats[q][j]
+		}
+		out[j] = Decide(b, rows)
 	}
 	return out
 }
@@ -354,7 +429,7 @@ func (b *Backend) Score(x []float64) []float64 {
 // the LDA projection's input scale (and hence the backend's calibration)
 // intact instead of zeroing a feature the projection weights heavily.
 // With every feature present the result is bit-identical to Score; with
-// none present it returns nil (the caller falls back to its own combiner).
+// none present it returns nil.
 func (b *Backend) ScoreMasked(x []float64, present []bool) []float64 {
 	if len(present) != len(x) {
 		panic("fusion: present mask length mismatch")
@@ -383,15 +458,6 @@ func (b *Backend) ScoreMasked(x []float64, present []bool) []float64 {
 		}
 	}
 	return b.Score(filled)
-}
-
-// ScoreAll scores a batch.
-func (b *Backend) ScoreAll(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, xi := range x {
-		out[i] = b.Score(xi)
-	}
-	return out
 }
 
 // Accuracy is a convenience diagnostic.

@@ -7,25 +7,31 @@ import (
 	"repro/internal/rng"
 )
 
-func TestStackScores(t *testing.T) {
+func TestTrials(t *testing.T) {
 	mats := [][][]float64{
 		{{1, 2}, {3, 4}}, // subsystem 0: 2 utts × 2 langs
 		{{5, 6}, {7, 8}}, // subsystem 1
 	}
-	out := StackScores(mats, nil)
-	if len(out) != 2 || len(out[0]) != 4 {
-		t.Fatalf("shape %dx%d", len(out), len(out[0]))
+	labels := []int{0, 1}
+	x, y := Trials(mats, nil, labels, nil)
+	// Utterance-major, one feature per subsystem, target when k == label.
+	wantX := [][]float64{{1, 5}, {2, 6}, {3, 7}, {4, 8}}
+	wantY := []int{1, 0, 0, 1}
+	if len(x) != len(wantX) || len(y) != len(wantY) {
+		t.Fatalf("%d trials, %d labels; want %d", len(x), len(y), len(wantX))
 	}
-	// Uniform weights = 0.5 each.
-	want := []float64{0.5, 1, 2.5, 3}
-	for j, v := range want {
-		if math.Abs(out[0][j]-v) > 1e-12 {
-			t.Fatalf("out[0] = %v", out[0])
+	for i := range wantX {
+		if y[i] != wantY[i] || x[i][0] != wantX[i][0] || x[i][1] != wantX[i][1] || len(x[i]) != 2 {
+			t.Fatalf("trial %d = %v/%d, want %v/%d", i, x[i], y[i], wantX[i], wantY[i])
 		}
 	}
-	weighted := StackScores(mats, []float64{1, 0})
-	if weighted[0][2] != 0 || weighted[0][0] != 1 {
-		t.Fatalf("weighted = %v", weighted[0])
+	weighted, _ := Trials(mats, []float64{1, 0}, labels, nil)
+	if weighted[1][0] != 2 || weighted[1][1] != 0 {
+		t.Fatalf("weighted trial 1 = %v", weighted[1])
+	}
+	sub, subY := Trials(mats, nil, labels, []int{1})
+	if len(sub) != 2 || sub[0][0] != 3 || sub[1][1] != 8 || subY[0] != 0 || subY[1] != 1 {
+		t.Fatalf("idx {1}: %v %v", sub, subY)
 	}
 }
 

@@ -115,13 +115,15 @@ func TestFusedMonotoneUnderDuplicatedSubsystems(t *testing.T) {
 	}
 }
 
-// TestStackScoresDuplicationLinearity: duplicating every subsystem while
-// halving its weight leaves the total evidence per (utterance, class)
-// unchanged — each duplicated column pair sums to the original column.
-func TestStackScoresDuplicationLinearity(t *testing.T) {
+// TestTrialsDuplicationLinearity: duplicating every subsystem while
+// halving its weight leaves the total evidence per (utterance, language)
+// trial unchanged — each duplicated feature pair sums to the original
+// feature, and the trial labels do not move.
+func TestTrialsDuplicationLinearity(t *testing.T) {
 	r := rng.New(35)
 	const q, m, k = 3, 7, 4
 	mats := make([][][]float64, q)
+	labels := make([]int, m)
 	for s := range mats {
 		mats[s] = make([][]float64, m)
 		for j := range mats[s] {
@@ -130,10 +132,11 @@ func TestStackScoresDuplicationLinearity(t *testing.T) {
 				row[c] = r.Norm()
 			}
 			mats[s][j] = row
+			labels[j] = j % k
 		}
 	}
 	weights := []float64{0.5, 0.3, 0.2}
-	orig := StackScores(mats, weights)
+	orig, origY := Trials(mats, weights, labels, nil)
 
 	dup := make([][][]float64, 0, 2*q)
 	dupW := make([]float64, 0, 2*q)
@@ -141,14 +144,15 @@ func TestStackScoresDuplicationLinearity(t *testing.T) {
 		dup = append(dup, mats[s], mats[s])
 		dupW = append(dupW, weights[s]/2, weights[s]/2)
 	}
-	doubled := StackScores(dup, dupW)
-	for j := 0; j < m; j++ {
+	doubled, doubledY := Trials(dup, dupW, labels, nil)
+	for tr := range orig {
+		if origY[tr] != doubledY[tr] {
+			t.Fatalf("trial %d relabelled: %d vs %d", tr, doubledY[tr], origY[tr])
+		}
 		for s := 0; s < q; s++ {
-			for c := 0; c < k; c++ {
-				sum := doubled[j][(2*s)*k+c] + doubled[j][(2*s+1)*k+c]
-				if math.Abs(sum-orig[j][s*k+c]) > 1e-12 {
-					t.Fatalf("duplicated columns (%d,%d,%d) sum to %v, want %v", j, s, c, sum, orig[j][s*k+c])
-				}
+			sum := doubled[tr][2*s] + doubled[tr][2*s+1]
+			if math.Abs(sum-orig[tr][s]) > 1e-12 {
+				t.Fatalf("trial %d: duplicated features of subsystem %d sum to %v, want %v", tr, s, sum, orig[tr][s])
 			}
 		}
 	}
@@ -284,5 +288,40 @@ func TestScoreMaskedLossOrderIrrelevant(t *testing.T) {
 				t.Fatalf("survivor-set scoring depends on construction order: %v vs %v", a, d)
 			}
 		}
+	}
+}
+
+// TestDecideContract: the decision row is the backend's target log-odds
+// per language — Score with every row present, ScoreMasked over the
+// survivors otherwise — and the mean of the present rows without a
+// backend; no present row gives no decision.
+func TestDecideContract(t *testing.T) {
+	const nSub = 3
+	b, _, _ := trainedBackend(t, nSub, 39)
+	r := rng.New(40)
+	rows := make([][]float64, nSub)
+	for q := range rows {
+		rows[q] = []float64{r.Norm(), r.Norm(), r.Norm(), r.Norm()}
+	}
+	x := make([]float64, nSub)
+	full := Decide(b, rows)
+	partial := Decide(b, [][]float64{rows[0], nil, rows[2]})
+	mean := Decide(nil, [][]float64{rows[0], nil, rows[2]})
+	for k := range full {
+		for q := range rows {
+			x[q] = rows[q][k]
+		}
+		if want := b.Score(x)[1]; full[k] != want {
+			t.Fatalf("full battery [%d] = %v, want Score %v", k, full[k], want)
+		}
+		if want := b.ScoreMasked(x, []bool{true, false, true})[1]; partial[k] != want {
+			t.Fatalf("one missing [%d] = %v, want ScoreMasked %v", k, partial[k], want)
+		}
+		if want := rows[0][k]/2 + rows[2][k]/2; mean[k] != want {
+			t.Fatalf("no backend [%d] = %v, want mean %v", k, mean[k], want)
+		}
+	}
+	if got := Decide(b, make([][]float64, nSub)); got != nil {
+		t.Fatalf("no rows present: %v, want nil", got)
 	}
 }

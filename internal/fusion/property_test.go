@@ -8,7 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-func TestPropertyStackScoresShapeAndWeights(t *testing.T) {
+func TestPropertyTrialsShapeAndWeights(t *testing.T) {
 	r := rng.New(1)
 	f := func(seed uint16) bool {
 		rr := r.Split(uint64(seed))
@@ -26,20 +26,35 @@ func TestPropertyStackScoresShapeAndWeights(t *testing.T) {
 				mats[s][j] = row
 			}
 		}
-		out := StackScores(mats, nil)
-		if len(out) != m {
-			return false
+		labels := make([]int, m)
+		for j := range labels {
+			labels[j] = rr.Intn(k)
 		}
-		for _, row := range out {
-			if len(row) != q*k {
-				return false
+		var weights []float64
+		if rr.Intn(2) == 0 {
+			weights = make([]float64, q)
+			for s := range weights {
+				weights[s] = rr.Float64()
 			}
 		}
-		// Uniform weights: entry (s,c) equals mats[s][j][c]/q.
+		x, y := Trials(mats, weights, labels, nil)
+		if len(x) != m*k || len(y) != m*k {
+			return false
+		}
+		// Trial (j, c) carries feature s = weights[s]·mats[s][j][c] (the
+		// raw score without weights), labelled target iff c is j's label.
 		for j := 0; j < m; j++ {
-			for s := 0; s < q; s++ {
-				for c := 0; c < k; c++ {
-					if math.Abs(out[j][s*k+c]-mats[s][j][c]/float64(q)) > 1e-12 {
+			for c := 0; c < k; c++ {
+				tr := j*k + c
+				if len(x[tr]) != q || (y[tr] == 1) != (labels[j] == c) {
+					return false
+				}
+				for s := 0; s < q; s++ {
+					want := mats[s][j][c]
+					if weights != nil {
+						want = weights[s] * mats[s][j][c]
+					}
+					if x[tr][s] != want {
 						return false
 					}
 				}

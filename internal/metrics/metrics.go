@@ -101,7 +101,9 @@ func ThresholdAtFA(trials []Trial, fa float64) float64 {
 	if fa <= 0 {
 		return non[0] + 1e-9
 	}
-	if fa >= 1 {
+	if fa >= 1 || len(non) == 1 {
+		// Accept every non-target. With a single one there is no next
+		// score to interpolate towards, and any 0 < fa < 1 rounds up to it.
 		return non[len(non)-1] - 1e-9
 	}
 	// Accepting the top ceil(fa·n) non-targets yields rate ≥ fa; place the

@@ -303,3 +303,20 @@ func TestPairwiseEER(t *testing.T) {
 		t.Fatalf("confusable pair EER %v not above easy pair %v", m[2][0], m[2][1])
 	}
 }
+
+// TestThresholdAtFASingleNonTarget: with one non-target trial there is no
+// second score to interpolate towards, so any 0 < fa < 1 accepts it — the
+// threshold sits just below it, as for fa >= 1 — instead of indexing past
+// the end.
+func TestThresholdAtFASingleNonTarget(t *testing.T) {
+	trials := []Trial{{Score: 2, Target: true}, {Score: 0.5}, {Score: 3, Target: true}}
+	for _, fa := range []float64{0.01, 0.5, 0.99, 1} {
+		th := ThresholdAtFA(trials, fa)
+		if !(th < 0.5 && th > 0.5-1e-6) {
+			t.Fatalf("fa=%v: threshold %v, want just below the non-target score 0.5", fa, th)
+		}
+	}
+	if th := ThresholdAtFA(trials, 0); !(th > 0.5) {
+		t.Fatalf("fa=0: threshold %v accepts the non-target", th)
+	}
+}

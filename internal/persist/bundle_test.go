@@ -52,7 +52,7 @@ func trainedBundle(t *testing.T, seed uint64) (*Bundle, []*sparse.Vector) {
 			NumPhones: numPhones,
 			Order:     order,
 			TFLLR:     tf,
-			OVR:       svm.TrainOneVsRest(xs, labels, langs, space.Dim(), svm.DefaultOptions()),
+			OVR:       svm.TrainOVR(xs, labels, langs, space.Dim(), svm.DefaultOptions()),
 		})
 		if f == 0 {
 			probes = xs[:8]
@@ -63,19 +63,8 @@ func trainedBundle(t *testing.T, seed uint64) (*Bundle, []*sparse.Vector) {
 		}
 		feScores = append(feScores, rows)
 	}
-	var devX [][]float64
-	var devY []int
-	for i := range labels {
-		for k := 0; k < langs; k++ {
-			devX = append(devX, []float64{feScores[0][i][k], feScores[1][i][k]})
-			y := 0
-			if labels[i] == k {
-				y = 1
-			}
-			devY = append(devY, y)
-		}
-	}
-	bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig())
+	x, y := fusion.Trials(feScores, nil, labels, nil)
+	bk, err := fusion.Train(x, y, 2, fusion.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

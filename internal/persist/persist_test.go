@@ -27,7 +27,7 @@ func TestRoundTripSVMOneVsRest(t *testing.T) {
 		xs = append(xs, sparse.FromDense(x))
 		ys = append(ys, k)
 	}
-	ovr := svm.TrainOneVsRest(xs, ys, 3, 10, svm.DefaultOptions())
+	ovr := svm.TrainOVR(xs, ys, 3, 10, svm.DefaultOptions())
 
 	path := filepath.Join(t.TempDir(), "ovr.gob")
 	if err := Save(path, ovr); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/fusion"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -237,7 +238,8 @@ var obsDegraded = obs.GetCounter("serve.score.degraded")
 // battery, fusion is the backend's exact Score — bit-identical to the
 // offline pipeline. When some failed, the result is marked Degraded and
 // the fused row is computed by fusion.ScoreMasked over the survivors (the
-// documented degraded-fusion contract in DESIGN.md).
+// documented degraded-fusion contract in DESIGN.md). Both come from
+// fusion.Decide, the decision row the offline pipeline fuses with too.
 //
 // Every serving role fuses through here: the coordinator's scoring step
 // feeds a shard that missed its deadline in as a feErrs entry per
@@ -246,8 +248,10 @@ var obsDegraded = obs.GetCounter("serve.score.degraded")
 // process.
 func AssembleResult(m *Model, id string, scores map[int][]float64, feErrs map[int]error) ScoreResult {
 	res := ScoreResult{ID: id, Scores: make(map[string][]float64, len(scores))}
+	rows := make([][]float64, len(m.Bundle.FrontEnds))
 	for q, row := range scores {
 		res.Scores[m.Bundle.FrontEnds[q].Name] = row
+		rows[q] = row
 	}
 	if len(feErrs) > 0 {
 		obsDegraded.Inc()
@@ -261,42 +265,17 @@ func AssembleResult(m *Model, id string, scores map[int][]float64, feErrs map[in
 		}
 		sort.Strings(res.Surviving)
 	}
-	numLangs := len(m.Bundle.Languages)
 	// The backend applies when the request asked for the complete battery,
 	// even if some front-ends later failed — the fused row then comes from
-	// the masked (survivor-rescaled) combination.
-	requested := len(scores) + len(feErrs)
-	if m.Bundle.Fusion != nil && requested == len(m.Bundle.FrontEnds) {
-		nFE := len(m.Bundle.FrontEnds)
-		present := make([]bool, nFE)
-		for q := range scores {
-			present[q] = true
-		}
-		fused := make([]float64, numLangs)
-		x := make([]float64, nFE)
-		for k := 0; k < numLangs; k++ {
-			for q, row := range scores {
-				x[q] = row[k]
-			}
-			// Class 1 of the 2-class trial backend is "target".
-			if len(feErrs) == 0 {
-				fused[k] = m.Bundle.Fusion.Score(x)[1]
-			} else {
-				fused[k] = m.Bundle.Fusion.ScoreMasked(x, present)[1]
-			}
-		}
-		res.Fused = fused
+	// the masked (survivor-rescaled) combination. A partial request
+	// decides on the mean of its rows.
+	bk := m.Bundle.Fusion
+	if len(scores)+len(feErrs) != len(rows) {
+		bk = nil
 	}
-	// Decision scores: fused when available, otherwise the mean across the
-	// surviving front-ends.
-	decision := res.Fused
-	if decision == nil {
-		decision = make([]float64, numLangs)
-		for _, row := range scores {
-			for k, v := range row {
-				decision[k] += v / float64(len(scores))
-			}
-		}
+	decision := fusion.Decide(bk, rows)
+	if bk != nil {
+		res.Fused = decision
 	}
 	best := 0
 	for k, v := range decision {

@@ -97,7 +97,7 @@ func TestPropertyOneVsRestScoresMatchBinaryModels(t *testing.T) {
 		xs = append(xs, sparse.FromDense(x))
 		labels = append(labels, k)
 	}
-	o := TrainOneVsRest(xs, labels, 3, dim, DefaultOptions())
+	o := TrainOVR(xs, labels, 3, dim, DefaultOptions())
 	for _, x := range xs[:15] {
 		s := o.Scores(x)
 		for k, m := range o.Models {

@@ -288,11 +288,6 @@ func TrainOVR(xs []*sparse.Vector, labels []int, numClasses, dim int, opt Option
 	return o
 }
 
-// TrainOneVsRest is the historical name for TrainOVR.
-func TrainOneVsRest(xs []*sparse.Vector, labels []int, numClasses, dim int, opt Options) *OneVsRest {
-	return TrainOVR(xs, labels, numClasses, dim, opt)
-}
-
 // pack builds the column-blocked weight matrix. All models must share
 // one weight length for the blocked layout to apply; heterogeneous
 // models (hand-assembled, partial) fall back to per-model scoring.

@@ -171,7 +171,7 @@ func TestOneVsRest(t *testing.T) {
 		}))
 		labels = append(labels, c)
 	}
-	o := TrainOneVsRest(xs, labels, 4, 2, DefaultOptions())
+	o := TrainOVR(xs, labels, 4, 2, DefaultOptions())
 	if acc := o.Accuracy(xs, labels); acc < 0.98 {
 		t.Fatalf("OvR accuracy = %v", acc)
 	}

@@ -33,7 +33,7 @@ func New(seed uint64) *persist.Bundle {
 	space := ngram.NewSpace(Phones, Order)
 	r := rng.New(seed)
 	b := &persist.Bundle{Languages: []string{"alpha", "beta", "gamma"}}
-	var all [][]*sparse.Vector
+	var dev [][][]float64
 	var labels []int
 	for f := 0; f < 2; f++ {
 		var xs []*sparse.Vector
@@ -59,25 +59,16 @@ func New(seed uint64) *persist.Bundle {
 			NumPhones: Phones,
 			Order:     Order,
 			TFLLR:     tf,
-			OVR:       svm.TrainOneVsRest(xs, labels, Langs, space.Dim(), opt),
+			OVR:       svm.TrainOVR(xs, labels, Langs, space.Dim(), opt),
 		})
-		all = append(all, xs)
-	}
-	var devX [][]float64
-	var devY []int
-	for i := range all[0] {
-		s0 := b.FrontEnds[0].OVR.Scores(all[0][i])
-		s1 := b.FrontEnds[1].OVR.Scores(all[1][i])
-		for k := 0; k < Langs; k++ {
-			devX = append(devX, []float64{s0[k], s1[k]})
-			if labels[i] == k {
-				devY = append(devY, 1)
-			} else {
-				devY = append(devY, 0)
-			}
+		rows := make([][]float64, len(xs))
+		for i, v := range xs {
+			rows[i] = b.FrontEnds[f].OVR.Scores(v)
 		}
+		dev = append(dev, rows)
 	}
-	bk, err := fusion.Train(devX, devY, 2, fusion.DefaultConfig())
+	x, y := fusion.Trials(dev, nil, labels, nil)
+	bk, err := fusion.Train(x, y, 2, fusion.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
