@@ -91,13 +91,16 @@ type FrontEnd struct {
 	// confuses *differently* (different spectral tilt shifts which phones
 	// collide), which is what makes train/test mismatch a distribution
 	// shift rather than plain noise — the effect DBA adapts to.
-	confusion [synthlang.NumChannels][][]confusand
+	confusion [synthlang.NumChannels][]confusionSet
 	seed      uint64
 }
 
-type confusand struct {
-	phone  int
-	weight float64
+// confusionSet holds one (channel, phone) pair's candidates and their
+// weights as parallel slices, so a draw hands weights straight to
+// rng.Categorical without copying them.
+type confusionSet struct {
+	phones  []int
+	weights []float64
 }
 
 // NgramOrder is the supervector order used throughout the reproduction
@@ -192,21 +195,18 @@ func (f *FrontEnd) buildConfusion() {
 		rBase := rng.New(f.seed ^ 0xc0f5)
 		rCh := rng.New(f.seed ^ 0xc0f5 ^ (0x9e37 * uint64(ch+1)))
 		blend := channelConfusionBlend[ch]
-		f.confusion[ch] = make([][]confusand, n)
+		f.confusion[ch] = make([]confusionSet, n)
 		for p := 0; p < n; p++ {
 			cands := candsFor(p)
 			base := make([]float64, len(cands))
 			rBase.Dirichlet(0.8, base)
 			chw := make([]float64, len(cands))
 			rCh.Dirichlet(0.8, chw)
-			list := make([]confusand, len(cands))
-			for i, q := range cands {
-				list[i] = confusand{
-					phone:  q,
-					weight: (1-blend)*base[i] + blend*chw[i],
-				}
+			weights := make([]float64, len(cands))
+			for i := range cands {
+				weights[i] = (1-blend)*base[i] + blend*chw[i]
 			}
-			f.confusion[ch][p] = list
+			f.confusion[ch][p] = confusionSet{phones: cands, weights: weights}
 		}
 	}
 }
@@ -223,12 +223,8 @@ func (f *FrontEnd) accuracy(ch synthlang.Channel) float64 {
 // drawConfusion samples a confusion for front-end phone p under a
 // recording condition.
 func (f *FrontEnd) drawConfusion(r *rng.RNG, p int, ch synthlang.Channel) int {
-	list := f.confusion[ch][p]
-	w := make([]float64, len(list))
-	for i, c := range list {
-		w[i] = c.weight
-	}
-	return list[r.Categorical(w)].phone
+	c := &f.confusion[ch][p]
+	return c.phones[r.Categorical(c.weights)]
 }
 
 // Decode runs the simulated recognizer on an utterance, producing a
@@ -269,10 +265,15 @@ func (f *FrontEnd) DecodeChecked(r *rng.RNG, u *synthlang.Utterance) (*lattice.L
 
 // decodeSlots runs the simulated error process and emits the confusion
 // network slots; Decode and DecodeChecked share it so both consume the
-// caller's randomness stream identically.
+// caller's randomness stream identically. Every segment emits at most two
+// slots of at most TopK alternatives, so the slot list and each slot are
+// allocated once at full size, and one Dirichlet scratch serves every
+// slot.
 func (f *FrontEnd) decodeSlots(r *rng.RNG, u *synthlang.Utterance) []lattice.SausageSlot {
 	acc := f.accuracy(u.Channel)
-	var slots []lattice.SausageSlot
+	slots := make([]lattice.SausageSlot, 0, 2*len(u.Segments))
+	k := f.TopK - 1
+	w := make([]float64, max(k, 0))
 	emit := func(truePhone int) {
 		correct := r.Bernoulli(acc)
 		// Top-hypothesis posterior: decoders are better calibrated when
@@ -287,15 +288,13 @@ func (f *FrontEnd) decodeSlots(r *rng.RNG, u *synthlang.Utterance) []lattice.Sau
 		if !correct {
 			topPhone = f.drawConfusion(r, truePhone, u.Channel)
 		}
-		slot := lattice.SausageSlot{{Phone: topPhone, Prob: top}}
+		slot := make(lattice.SausageSlot, 1, 1+len(w))
+		slot[0].Phone, slot[0].Prob = topPhone, top
 		// Remaining mass over confusion alternatives (and, when the top is
 		// wrong, the true phone competes among them).
 		rest := 1 - top
-		k := f.TopK - 1
 		if k > 0 {
-			w := make([]float64, k)
 			r.Dirichlet(1.0, w)
-			used := map[int]bool{topPhone: true}
 			for i := 0; i < k; i++ {
 				var alt int
 				if !correct && i == 0 {
@@ -303,10 +302,10 @@ func (f *FrontEnd) decodeSlots(r *rng.RNG, u *synthlang.Utterance) []lattice.Sau
 				} else {
 					alt = f.drawConfusion(r, truePhone, u.Channel)
 				}
-				if used[alt] {
+				// The slot holds every phone used so far (at most TopK).
+				if slotHas(slot, alt) {
 					continue
 				}
-				used[alt] = true
 				slot = append(slot, struct {
 					Phone int
 					Prob  float64
@@ -340,6 +339,16 @@ func (f *FrontEnd) decodeSlots(r *rng.RNG, u *synthlang.Utterance) []lattice.Sau
 // supervector in one step.
 func (f *FrontEnd) Supervector(r *rng.RNG, u *synthlang.Utterance) *sparse.Vector {
 	return f.Space.Supervector(f.Decode(r, u))
+}
+
+// slotHas reports whether phone already labels an alternative of slot.
+func slotHas(slot lattice.SausageSlot, phone int) bool {
+	for _, a := range slot {
+		if a.Phone == phone {
+			return true
+		}
+	}
+	return false
 }
 
 func clamp(x, lo, hi float64) float64 {

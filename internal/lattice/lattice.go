@@ -292,21 +292,21 @@ func FromSausage(slots []SausageSlot) *Lattice {
 	if len(slots) == 0 {
 		panic("lattice: empty sausage")
 	}
-	l := New(len(slots) + 1)
+	numEdges := 0
 	for i, slot := range slots {
 		added := 0
 		for _, alt := range slot {
 			if alt.Prob <= 0 {
 				continue
 			}
-			l.AddEdge(i, i+1, alt.Phone, math.Log(alt.Prob))
 			added++
 		}
 		if added == 0 {
 			panic(fmt.Sprintf("lattice: sausage slot %d has no positive-probability alternative", i))
 		}
+		numEdges += added
 	}
-	return l
+	return buildSausage(slots, numEdges)
 }
 
 // ParseSausage is the error-returning sausage builder for untrusted input
@@ -322,7 +322,7 @@ func ParseSausage(slots []SausageSlot, numPhones int) (*Lattice, error) {
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("lattice: empty sausage")
 	}
-	l := New(len(slots) + 1)
+	numEdges := 0
 	for i, slot := range slots {
 		added := 0
 		for _, alt := range slot {
@@ -335,14 +335,44 @@ func ParseSausage(slots []SausageSlot, numPhones int) (*Lattice, error) {
 			if alt.Prob == 0 {
 				continue
 			}
-			l.AddEdge(i, i+1, alt.Phone, math.Log(alt.Prob))
 			added++
 		}
 		if added == 0 {
 			return nil, fmt.Errorf("lattice: slot %d has no positive-probability alternative", i)
 		}
+		numEdges += added
 	}
-	return l, nil
+	return buildSausage(slots, numEdges), nil
+}
+
+// buildSausage lays out a checked sausage with numEdges kept alternatives:
+// those the Prob <= 0 drop rule both callers count with lets through.
+// Edges is sized exactly, and every slot's edge indices form one run of a
+// single int32 arena that serves as both node i's out list and node i+1's
+// in list: in a sausage they are the same edges. Each run is a 3-index
+// slice capped at its length, so a later AddEdge copies it instead of
+// writing into the next slot's run.
+func buildSausage(slots []SausageSlot, numEdges int) *Lattice {
+	l := &Lattice{
+		NumNodes: len(slots) + 1,
+		Edges:    make([]Edge, 0, numEdges),
+		out:      make([][]int32, len(slots)+1),
+		in:       make([][]int32, len(slots)+1),
+	}
+	arena := make([]int32, numEdges)
+	for i, slot := range slots {
+		first := len(l.Edges)
+		for _, alt := range slot {
+			if alt.Prob <= 0 {
+				continue
+			}
+			arena[len(l.Edges)] = int32(len(l.Edges))
+			l.Edges = append(l.Edges, Edge{From: i, To: i + 1, Phone: alt.Phone, LogScore: math.Log(alt.Prob)})
+		}
+		run := arena[first:len(l.Edges):len(l.Edges)]
+		l.out[i], l.in[i+1] = run, run
+	}
+	return l
 }
 
 // FromString builds the degenerate single-path lattice of a 1-best phone

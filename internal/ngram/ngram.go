@@ -17,6 +17,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/lattice"
 	"repro/internal/sparse"
@@ -29,6 +30,10 @@ type Space struct {
 	// offsets[n-1] is the first index of order-n grams.
 	offsets []int32
 	dim     int32
+	// accs recycles dense accumulators of this space's dimension across
+	// utterances; one pool per space keeps spaces of different
+	// dimensions from trading each other's buffers.
+	accs sync.Pool
 }
 
 // NewSpace builds an n-gram index space. Order must be ≥ 1; dimension
@@ -51,6 +56,7 @@ func NewSpace(numPhones, order int) *Space {
 		}
 	}
 	s.dim = int32(off)
+	s.accs.New = func() any { return sparse.NewAccumulator(int(s.dim)) }
 	return s
 }
 
@@ -108,9 +114,10 @@ func (s *Space) Supervector(l *lattice.Lattice) *sparse.Vector {
 	// orders: the count stream arrives order by order in the same
 	// sequence as per-order ExpectedNgramCounts calls, so the per-index
 	// and per-total addition chains (and hence the float results) are
-	// bit-identical to the old path.
-	acc := sparse.GetAccumulator()
-	defer sparse.PutAccumulator(acc)
+	// bit-identical to the old path. Vector leaves the accumulator empty,
+	// so it goes back to the pool only after Vector: a panic mid-count
+	// drops it instead of handing a dirty one to the next utterance.
+	acc := s.accs.Get().(*sparse.Accumulator)
 	// Per-order totals for normalization.
 	totals := make([]float64, s.Order)
 	l.ExpectedNgramCountsAll(s.Order, func(order int, gram []int, w float64) {
@@ -121,6 +128,7 @@ func (s *Space) Supervector(l *lattice.Lattice) *sparse.Vector {
 		totals[order-1] += w
 	})
 	v := acc.Vector()
+	s.accs.Put(acc)
 	// Normalize each order block.
 	v.Map(func(idx int32, val float64) float64 {
 		t := totals[s.OrderOf(idx)-1]

@@ -1,206 +1,70 @@
 package sparse
 
-import (
-	"slices"
-	"sync"
-)
+import "math/bits"
 
-// accumulator.go is the map-free accumulation hot path. Expected N-gram
-// counting touches every (index, weight) observation of every utterance ×
-// every order, so the accumulator's constant factors dominate supervector
-// extraction. A Go map pays hashing, bucket chasing, and (worst of all)
-// fresh bucket allocations per utterance; this open-addressing table over
-// two flat arrays is allocation-free in steady state and is recycled
-// across utterances and orders via a sync.Pool (GetAccumulator /
-// PutAccumulator).
+// accumulator.go is the expected-count accumulation hot path. Expected
+// N-gram counting touches every (index, weight) observation of every
+// utterance × every order, so the accumulator's constant factors dominate
+// supervector extraction. The index space is known up front (an n-gram
+// space's dimension), so the accumulator is a dense array indexed directly
+// by supervector index plus a bitmap of touched indices: no hashing, no
+// probing, and no sort — the bitmap scan emits indices in ascending order.
 
-// accMinSlots is the initial table size (power of two). Typical
-// utterances populate a few hundred distinct grams, so the table rarely
-// grows more than once after warm-up.
-const accMinSlots = 1024
-
-// accEmptyKey marks a free slot. Accumulator indices are supervector
-// indices and therefore non-negative.
-const accEmptyKey = int32(-1)
-
-// Accumulator builds supervectors incrementally from (index, weight)
-// observations without requiring sorted insertion. It is the workhorse of
-// expected N-gram counting. Indices must be non-negative. The zero value
-// is not usable; construct with NewAccumulator or GetAccumulator.
-//
-// State machine note: Total iterates `used`, which holds first-insertion
-// order only until Vector() is called — Vector() sorts `used` in place,
-// so Total afterwards sums in ascending-index order (still deterministic,
-// just a different float addition sequence). Callers that want the
-// insertion-order sum must call Total before Vector, as Normalized does.
-// Reset and correctness of the table do not depend on the order of
-// `used`; only Total's summation order is affected.
+// Accumulator builds a sparse vector incrementally from (index, weight)
+// observations over the index range [0, dim) without requiring sorted
+// insertion. Indices outside the range panic. Vector empties it again, so
+// one instance is reused across utterances and orders (callers pool them
+// per index space).
 type Accumulator struct {
-	// keys/vals form an open-addressing (linear probing) hash table;
-	// keys[s] == accEmptyKey means slot s is free.
-	keys []int32
-	vals []float64
-	// used records distinct indices in first-insertion order, giving
-	// deterministic iteration (unlike map range order) and cheap Reset.
-	used []int32
-	// slots is Reset's scratch: the sparse-clear path must resolve every
-	// live slot before clearing any (see Reset), so it stages them here.
-	slots []uint32
+	// vals[i] is live only while bit i of touched is set; the first Add
+	// to an index overwrites whatever a previous use left there.
+	vals    []float64
+	touched []uint64
+	// n counts the touched indices, sizing Vector's output exactly.
+	n int
 }
 
-// NewAccumulator returns an empty accumulator.
-func NewAccumulator() *Accumulator {
-	a := &Accumulator{
-		keys: make([]int32, accMinSlots),
-		vals: make([]float64, accMinSlots),
+// NewAccumulator returns an empty accumulator over indices [0, dim).
+func NewAccumulator(dim int) *Accumulator {
+	return &Accumulator{
+		vals:    make([]float64, dim),
+		touched: make([]uint64, (dim+63)/64),
 	}
-	for i := range a.keys {
-		a.keys[i] = accEmptyKey
-	}
-	return a
 }
 
-// accPool recycles accumulators across utterances and N-gram orders; the
-// tables inside survive, so steady-state accumulation allocates nothing.
-var accPool = sync.Pool{New: func() any { return NewAccumulator() }}
-
-// GetAccumulator returns a reset accumulator from the shared pool. Pair
-// with PutAccumulator; safe for concurrent use from worker pools (each
-// caller owns the instance it got until it puts it back).
-func GetAccumulator() *Accumulator { return accPool.Get().(*Accumulator) }
-
-// PutAccumulator resets a and returns it to the shared pool. a must not
-// be used afterwards.
-func PutAccumulator(a *Accumulator) {
-	a.Reset()
-	accPool.Put(a)
-}
-
-// accHash is Fibonacci multiplicative hashing onto a power-of-two table.
-func accHash(k int32, mask uint32) uint32 {
-	return (uint32(k) * 2654435761) & mask
-}
-
-// slot returns the table position of key k: its current slot if present,
-// otherwise the free slot where it would be inserted.
-func (a *Accumulator) slot(k int32) uint32 {
-	mask := uint32(len(a.keys) - 1)
-	s := accHash(k, mask)
-	for a.keys[s] != k && a.keys[s] != accEmptyKey {
-		s = (s + 1) & mask
-	}
-	return s
-}
-
-// Add accumulates weight w at index i (i must be ≥ 0).
+// Add accumulates weight w at index i. The first Add to an index sets its
+// value and later ones add to it, so each index's sum is the same float
+// chain a map's m[i] += w would build.
 func (a *Accumulator) Add(i int32, w float64) {
-	if i < 0 {
-		panic("sparse: accumulator index must be non-negative")
-	}
-	s := a.slot(i)
-	if a.keys[s] == i {
-		a.vals[s] += w
+	word, bit := i>>6, uint64(1)<<(i&63)
+	if a.touched[word]&bit != 0 {
+		a.vals[i] += w
 		return
 	}
-	// Keep the load factor under 3/4 so probe chains stay short.
-	if (len(a.used)+1)*4 > len(a.keys)*3 {
-		a.grow()
-		s = a.slot(i)
-	}
-	a.keys[s] = i
-	a.vals[s] = w
-	a.used = append(a.used, i)
+	a.vals[i] = w
+	a.touched[word] |= bit
+	a.n++
 }
-
-// grow doubles the table and rehashes every live entry. The used list is
-// keyed by index, not slot, so it survives unchanged.
-func (a *Accumulator) grow() {
-	oldKeys, oldVals := a.keys, a.vals
-	a.keys = make([]int32, 2*len(oldKeys))
-	a.vals = make([]float64, 2*len(oldVals))
-	for i := range a.keys {
-		a.keys[i] = accEmptyKey
-	}
-	for s, k := range oldKeys {
-		if k == accEmptyKey {
-			continue
-		}
-		ns := a.slot(k)
-		a.keys[ns] = k
-		a.vals[ns] = oldVals[s]
-	}
-}
-
-// at returns the accumulated value of index k (which must be present).
-func (a *Accumulator) at(k int32) float64 { return a.vals[a.slot(k)] }
-
-// Reset empties the accumulator, keeping its table capacity.
-func (a *Accumulator) Reset() {
-	if len(a.used)*8 < len(a.keys) {
-		// Sparse occupancy: clear only the live slots. This must happen
-		// in two passes — resolve every key's slot first, then clear —
-		// because deleting from a linear-probe table entry by entry
-		// breaks the probe chains of keys displaced past a cleared slot:
-		// slot(k) would stop at the fresh hole and miss k's real slot,
-		// leaving a stale entry that later silently absorbs Add mass
-		// without appearing in `used`. (No single clearing order is safe:
-		// insertion order fails as above, and reverse insertion order
-		// fails after grow(), which rehashes in slot order.)
-		if cap(a.slots) < len(a.used) {
-			a.slots = make([]uint32, len(a.used))
-		}
-		slots := a.slots[:len(a.used)]
-		for i, k := range a.used {
-			slots[i] = a.slot(k)
-		}
-		for _, s := range slots {
-			a.keys[s] = accEmptyKey
-		}
-	} else {
-		for i := range a.keys {
-			a.keys[i] = accEmptyKey
-		}
-	}
-	a.used = a.used[:0]
-}
-
-// Total returns the sum of all accumulated mass, in first-insertion
-// order (deterministic, unlike the map-backed predecessor).
-func (a *Accumulator) Total() float64 {
-	var s float64
-	for _, k := range a.used {
-		s += a.at(k)
-	}
-	return s
-}
-
-// Len returns the number of distinct indices seen.
-func (a *Accumulator) Len() int { return len(a.used) }
 
 // Vector materializes the accumulated contents as a sorted sparse vector,
-// dropping exact zeros (matching FromMap semantics). The used list is
-// sorted in place — after this call Total sums in index order rather
-// than insertion order (still deterministic; call Total first if the
-// insertion-order sum is wanted, as Normalized does).
+// dropping exact zeros (matching FromMap semantics), and leaves the
+// accumulator empty: the bitmap is scanned in ascending order and cleared
+// as it goes.
 func (a *Accumulator) Vector() *Vector {
-	slices.Sort(a.used)
-	v := New(len(a.used))
-	for _, k := range a.used {
-		if x := a.at(k); x != 0 {
-			v.Idx = append(v.Idx, k)
-			v.Val = append(v.Val, x)
+	v := New(a.n)
+	for w, word := range a.touched {
+		if word == 0 {
+			continue
+		}
+		a.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if x := a.vals[i]; x != 0 {
+				v.Idx = append(v.Idx, int32(i))
+				v.Val = append(v.Val, x)
+			}
 		}
 	}
-	return v
-}
-
-// Normalized materializes the contents scaled to sum to one. An empty
-// accumulator yields an empty vector.
-func (a *Accumulator) Normalized() *Vector {
-	t := a.Total()
-	v := a.Vector()
-	if t > 0 {
-		v.Scale(1 / t)
-	}
+	a.n = 0
 	return v
 }

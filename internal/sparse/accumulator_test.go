@@ -2,16 +2,17 @@ package sparse
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
-// refAccumulate is the old map-backed accumulation path, kept as the
+// refAccumulate is the map-backed accumulation path, kept as the
 // equivalence oracle: per-index addition order under a map equals
-// emission order, which is exactly what the open-addressing table does,
-// so results must match bit for bit.
+// emission order, which is exactly what the dense accumulator does, and
+// FromMap sorts the indices, so results must match bit for bit.
 func refAccumulate(obs []struct {
 	idx int32
 	w   float64
@@ -39,181 +40,96 @@ func randObservations(r *rng.RNG, n, idxRange int) []struct {
 	return obs
 }
 
+// sameVector fails the test unless got and want hold the same indices and
+// bit-identical values.
+func sameVector(t *testing.T, what string, got, want *Vector) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if len(got.Idx) != len(want.Idx) {
+		t.Fatalf("%s: nnz %d != %d", what, len(got.Idx), len(want.Idx))
+	}
+	for k := range got.Idx {
+		if got.Idx[k] != want.Idx[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+			t.Fatalf("%s entry %d: got (%d,%v) want (%d,%v)",
+				what, k, got.Idx[k], got.Val[k], want.Idx[k], want.Val[k])
+		}
+	}
+}
+
 func TestAccumulatorMatchesMapReference(t *testing.T) {
 	root := rng.New(42)
+	ranges := []int{7, 100, 5000, 200000}
+	// One accumulator per range, reused across trials: each Vector must
+	// leave it empty for the next.
+	accs := make([]*Accumulator, len(ranges))
+	for i, n := range ranges {
+		accs[i] = NewAccumulator(n)
+	}
 	for trial := 0; trial < 200; trial++ {
 		r := root.Split(uint64(trial))
 		n := r.Intn(3000) + 1
-		idxRange := []int{7, 100, 5000, 200000}[trial%4]
-		obs := randObservations(r, n, idxRange)
+		obs := randObservations(r, n, ranges[trial%4])
 
-		acc := GetAccumulator()
+		acc := accs[trial%4]
 		for _, o := range obs {
 			acc.Add(o.idx, o.w)
 		}
-		got := acc.Vector()
-		gotTotal := acc.Total()
-		PutAccumulator(acc)
-
-		want := refAccumulate(obs)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if len(got.Idx) != len(want.Idx) {
-			t.Fatalf("trial %d: nnz %d != %d", trial, len(got.Idx), len(want.Idx))
-		}
-		for k := range got.Idx {
-			if got.Idx[k] != want.Idx[k] || got.Val[k] != want.Val[k] {
-				t.Fatalf("trial %d entry %d: got (%d,%v) want (%d,%v)",
-					trial, k, got.Idx[k], got.Val[k], want.Idx[k], want.Val[k])
-			}
-		}
-		// Total sums in first-insertion order — deterministic, but only
-		// approximately equal to the map-ordered sum.
-		var wantTotal float64
-		for _, x := range want.Val {
-			wantTotal += x
-		}
-		if math.Abs(gotTotal-wantTotal) > 1e-9*(1+math.Abs(wantTotal)) {
-			t.Fatalf("trial %d: total %v != %v", trial, gotTotal, wantTotal)
-		}
+		sameVector(t, "trial", acc.Vector(), refAccumulate(obs))
 	}
 }
 
 func TestAccumulatorResetReuse(t *testing.T) {
-	a := NewAccumulator()
+	a := NewAccumulator(1500)
 	for round := 0; round < 5; round++ {
 		for i := int32(0); i < 500; i++ {
 			a.Add(i*3, float64(i+int32(round)))
 		}
-		if a.Len() != 500 {
-			t.Fatalf("round %d: len %d", round, a.Len())
+		// First value is 0+round, which is zero only in round 0.
+		wantNNZ := 500
+		if round == 0 {
+			wantNNZ = 499
 		}
-		v := a.Vector()
-		if v.NNZ() == 500 {
-			// First value is 0+round which is zero only in round 0.
-			wantNNZ := 500
-			if round == 0 {
-				wantNNZ = 499
-			}
-			if v.NNZ() != wantNNZ {
-				t.Fatalf("round %d: nnz %d", round, v.NNZ())
-			}
+		if v := a.Vector(); v.NNZ() != wantNNZ {
+			t.Fatalf("round %d: nnz %d, want %d", round, v.NNZ(), wantNNZ)
 		}
-		a.Reset()
-		if a.Len() != 0 || a.Total() != 0 {
-			t.Fatalf("round %d: reset left %d entries", round, a.Len())
+		// Vector emptied the accumulator: a fresh pass sees no leftovers.
+		if v := a.Vector(); v.NNZ() != 0 {
+			t.Fatalf("round %d: Vector left %d entries behind", round, v.NNZ())
 		}
 	}
 }
 
-// TestAccumulatorResetSparseCollisions forces the sparse-occupancy Reset
-// branch (few live keys, so len(used)*8 < len(keys)) with keys that
-// collide under accHash: the multiplier is odd, so k and k+len(keys)
-// hash to the same slot of the power-of-two table. A Reset that clears
-// probe chains entry by entry leaves the displaced key's slot live; the
-// next round's Add then accumulates into that hidden stale slot without
-// appending to used, and Vector() silently drops the key's mass.
-func TestAccumulatorResetSparseCollisions(t *testing.T) {
-	a := NewAccumulator()
-	span := int32(len(a.keys))
-	k1, k2, k3 := int32(7), int32(7)+span, int32(7)+2*span
-	if accHash(k1, uint32(span-1)) != accHash(k2, uint32(span-1)) ||
-		accHash(k1, uint32(span-1)) != accHash(k3, uint32(span-1)) {
-		t.Fatal("test premise broken: keys no longer collide under accHash")
-	}
-	for round := 0; round < 4; round++ {
-		// Insertion order makes k2/k3 displaced past k1's slot.
-		a.Add(k1, 1)
-		a.Add(k2, 2)
-		a.Add(k3, 4)
-		if a.Len() != 3 {
-			t.Fatalf("round %d: len %d, want 3", round, a.Len())
-		}
-		if got := a.Total(); got != 7 {
-			t.Fatalf("round %d: total %v, want 7 (stale colliding slot survived Reset)", round, got)
-		}
-		v := a.Vector()
-		if v.NNZ() != 3 || v.At(k1) != 1 || v.At(k2) != 2 || v.At(k3) != 4 {
-			t.Fatalf("round %d: vector %v dropped or corrupted a colliding key", round, v)
-		}
-		a.Reset() // 3*8 < len(keys): must take the sparse-clear path
-	}
-}
-
-// TestAccumulatorResetSparseCollisionsAfterGrow repeats the collision
-// check after grow() has rehashed the table in slot order (not insertion
-// order), which defeats reverse-insertion-order clearing too. Each round
-// stays under the sparse-Reset threshold of the grown table.
-func TestAccumulatorResetSparseCollisionsAfterGrow(t *testing.T) {
-	a := NewAccumulator()
-	// Grow once: exceed 3/4 of accMinSlots, then Reset (dense path).
-	for i := int32(0); i < int32(accMinSlots); i++ {
-		a.Add(i, 1)
-	}
-	if len(a.keys) == accMinSlots {
-		t.Fatal("test premise broken: table did not grow")
-	}
-	a.Reset()
-	span := int32(len(a.keys))
-	for round := 0; round < 4; round++ {
-		var want float64
-		for c := int32(0); c < 8; c++ { // 8 clusters × 3 colliding keys = 24 live ≪ span/8
-			base := 11 + c*997
-			for j := int32(0); j < 3; j++ {
-				a.Add(base+j*span, float64(base+j))
-				want += float64(base + j)
-			}
-		}
-		if a.Len() != 24 {
-			t.Fatalf("round %d: len %d, want 24", round, a.Len())
-		}
-		if got := a.Total(); got != want {
-			t.Fatalf("round %d: total %v, want %v", round, got, want)
-		}
-		if v := a.Vector(); v.NNZ() != 24 {
-			t.Fatalf("round %d: nnz %d, want 24", round, v.NNZ())
-		}
-		a.Reset()
-	}
-}
-
-func TestAccumulatorGrow(t *testing.T) {
-	a := NewAccumulator()
-	const n = 100_000
-	for i := int32(0); i < n; i++ {
-		a.Add(i, 1)
-	}
-	if a.Len() != n {
-		t.Fatalf("len %d", a.Len())
-	}
-	v := a.Vector()
-	if v.NNZ() != n || v.Idx[0] != 0 || v.Idx[n-1] != n-1 {
-		t.Fatalf("bad vector after grow: nnz=%d", v.NNZ())
-	}
-}
-
+// TestAccumulatorNegativeIndexPanics: indices outside [0, dim) panic,
+// negative ones and ones past the end alike.
 func TestAccumulatorNegativeIndexPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative index")
-		}
-	}()
-	NewAccumulator().Add(-1, 1)
+	for _, i := range []int32{-1, 64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic on index %d of a 64-wide accumulator", i)
+				}
+			}()
+			NewAccumulator(64).Add(i, 1)
+		}()
+	}
 }
 
-// TestPooledAccumulatorRace exercises the pool from a worker pool: every
-// worker must get an exclusive instance and produce correct results.
-// Run with -race to check the pool handoff.
+// TestPooledAccumulatorRace exercises a shared pool of accumulators (the
+// way ngram.Space recycles them) from a worker pool: every worker must get
+// an exclusive instance and produce correct results. Run with -race to
+// check the pool handoff.
 func TestPooledAccumulatorRace(t *testing.T) {
 	root := rng.New(7)
 	const tasks = 64
+	pool := sync.Pool{New: func() any { return NewAccumulator(300) }}
 	out := make([]*Vector, tasks)
 	parallel.ForPool("test-acc", tasks, func(i int) {
 		r := root.Split(uint64(i))
 		obs := randObservations(r, 2000, 300)
-		acc := GetAccumulator()
-		defer PutAccumulator(acc)
+		acc := pool.Get().(*Accumulator)
+		defer pool.Put(acc)
 		for _, o := range obs {
 			acc.Add(o.idx, o.w)
 		}
@@ -221,22 +137,13 @@ func TestPooledAccumulatorRace(t *testing.T) {
 	})
 	for i := range out {
 		r := root.Split(uint64(i))
-		want := refAccumulate(randObservations(r, 2000, 300))
-		got := out[i]
-		if len(got.Idx) != len(want.Idx) {
-			t.Fatalf("task %d: nnz %d != %d", i, len(got.Idx), len(want.Idx))
-		}
-		for k := range got.Idx {
-			if got.Idx[k] != want.Idx[k] || got.Val[k] != want.Val[k] {
-				t.Fatalf("task %d entry %d mismatch", i, k)
-			}
-		}
+		sameVector(t, "task", out[i], refAccumulate(randObservations(r, 2000, 300)))
 	}
 }
 
-// Benchmarks: map-backed vs open-addressing accumulation over a
-// realistic workload (a few thousand observations over a few hundred
-// distinct grams, the shape of one utterance × order pass).
+// Benchmarks: map-backed vs dense accumulation over a realistic workload
+// (a few thousand observations over a few hundred distinct grams, the
+// shape of one utterance × order pass).
 
 func benchObservations() []struct {
 	idx int32
@@ -260,17 +167,15 @@ func BenchmarkAccumulateMap(b *testing.B) {
 	}
 }
 
-func BenchmarkAccumulateOpenAddressing(b *testing.B) {
+func BenchmarkAccumulateDense(b *testing.B) {
 	obs := benchObservations()
+	acc := NewAccumulator(400)
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		acc := GetAccumulator()
 		for _, o := range obs {
 			acc.Add(o.idx, o.w)
 		}
-		v := acc.Vector()
-		PutAccumulator(acc)
-		if v.NNZ() == 0 {
+		if v := acc.Vector(); v.NNZ() == 0 {
 			b.Fatal("empty")
 		}
 	}

@@ -158,30 +158,24 @@ func TestMap(t *testing.T) {
 }
 
 func TestAccumulator(t *testing.T) {
-	a := NewAccumulator()
+	a := NewAccumulator(8)
 	a.Add(4, 0.5)
 	a.Add(1, 1.5)
 	a.Add(4, 0.5)
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	if a.Total() != 2.5 {
-		t.Fatalf("Total = %v", a.Total())
-	}
-	v := a.Normalized()
+	a.Add(6, 2)
+	a.Add(6, -2)
+	v := a.Vector()
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(v.Sum()-1) > 1e-12 {
-		t.Fatalf("Normalized sum = %v", v.Sum())
-	}
-	if math.Abs(v.At(4)-0.4) > 1e-12 {
-		t.Fatalf("At(4) = %v, want 0.4", v.At(4))
+	// Index 6 sums to an exact zero and is dropped.
+	if v.NNZ() != 2 || v.At(1) != 1.5 || v.At(4) != 1 {
+		t.Fatalf("Vector = %v, want [1:1.5 4:1]", v)
 	}
 }
 
-func TestEmptyAccumulatorNormalized(t *testing.T) {
-	v := NewAccumulator().Normalized()
+func TestEmptyAccumulatorVector(t *testing.T) {
+	v := NewAccumulator(100).Vector()
 	if v.NNZ() != 0 {
 		t.Fatalf("empty accumulator gave %v", v)
 	}
@@ -212,7 +206,7 @@ func TestString(t *testing.T) {
 	if v.String() != "[]" {
 		t.Fatalf("empty String = %q", v.String())
 	}
-	big := NewAccumulator()
+	big := NewAccumulator(20)
 	for i := int32(0); i < 20; i++ {
 		big.Add(i, 1)
 	}
