@@ -27,9 +27,11 @@
 // them to every worker at once over POST /-/bundle: the body is the
 // sealed sub-bundle bytes as they are (application/octet-stream, its
 // footer's CRC32 and SHA-256 covering every byte) and the manifest rides
-// as JSON in the X-Cluster-Manifest header. A worker unseals and
-// validates the body, installs the bundle into its spool directory and
-// hot-swaps it through the ordinary serve reload path. The routing plan
+// as JSON in the X-Cluster-Manifest header. A worker unseals, decodes
+// and validates the body once, writes the received bytes unchanged into
+// its spool directory (manifest last), and swaps the decoded bundle in
+// through the registry's one swap step — the step every serve reload
+// ends in. The routing plan
 // advances only when every worker acked; a failed distribution can leave
 // any subset of workers on the unrouted generation, and they answer 409
 // until repair restores them.

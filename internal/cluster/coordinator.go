@@ -263,7 +263,7 @@ func (c *Coordinator) splitShards(m *serve.Model, gen int64) ([]shard, error) {
 		mf := *m.Manifest
 		mf.ShardOf = m.Manifest.BundleSHA256
 		mf.ClusterGeneration = gen
-		mf.BundleSHA256 = "" // recomputed by the worker's SaveBundle
+		mf.BundleSHA256 = "" // stamped by the worker's install
 		// Restamp the contents summary for the shard's cut: fresh slices
 		// first (the copy above shares backing arrays with the parent
 		// manifest), then the sub-bundle's own front-end list and

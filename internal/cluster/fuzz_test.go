@@ -3,14 +3,19 @@ package cluster
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 // FuzzBundlePush drives a worker's POST /-/bundle handler with arbitrary
 // X-Cluster-Manifest values and bodies. Every push must answer 200 or a
 // 4xx, never panic, and only a 200 may change the spool's bundle.gob and
-// manifest.json bytes or the generation the worker serves. Seeds: a valid
-// push and truncated, bit-flipped and header-mangled copies of it.
+// manifest.json bytes or the generation the worker serves. A 200 leaves
+// the pushed body itself as bundle.gob, and a fresh LoadBundle of the
+// spool equals the model served. Seeds: a valid push and truncated,
+// bit-flipped and header-mangled copies of it.
 func FuzzBundlePush(f *testing.F) {
 	fl := newFleet(f, 1, nil)
 	mustDistribute(f, fl)
@@ -37,6 +42,14 @@ func FuzzBundlePush(f *testing.F) {
 			var ack bundleAck
 			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Generation != after.gen {
 				t.Fatalf("200 ack %s (%v) does not name the served generation %d", rec.Body.String(), err, after.gen)
+			}
+			if after.bundle != string(body) {
+				t.Fatal("200 left a spool bundle.gob that is not the pushed body")
+			}
+			b, m, err := persist.LoadBundle(fl.spools[0])
+			cur := fl.workers[0].Server().Registry().Current()
+			if err != nil || !reflect.DeepEqual(b, cur.Bundle) || !reflect.DeepEqual(m, cur.Manifest) {
+				t.Fatalf("200 serves a model the spool does not load back (%v)", err)
 			}
 		case rec.Code >= 400 && rec.Code < 500:
 			if after != before {

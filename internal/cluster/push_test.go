@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/serve"
 	"repro/internal/testbundle"
 )
 
@@ -135,6 +137,168 @@ func TestBundlePushRejectsMalformed(t *testing.T) {
 	}
 	if after := readSpool(t, f, 0); after.gen != 2 || after.manifest == before.manifest {
 		t.Fatalf("valid push: worker serves generation %d, spool manifest changed %v", after.gen, after.manifest != before.manifest)
+	}
+}
+
+// futureBundle is a shard bundle as a later build might seal it: one more
+// gob-additive field, which this build's decode ignores and a re-encode
+// would drop.
+type futureBundle struct {
+	Languages  []string
+	FrontEnds  []persist.FrontEndModel
+	Provenance string
+}
+
+// TestPushInstallsTheBytesItVerified: a worker installs the pushed image
+// itself, next to the manifest persist.SaveBundle writes for the same
+// shard and header, and swaps in exactly the model a fresh registry
+// resolves from its spool — which a restarted worker resumes.
+func TestPushInstallsTheBytesItVerified(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	mustDistribute(t, f)
+	h, spool := f.workers[0].Handler(), f.spools[0]
+	mf, sealed := validPush(t, f, 0, 2)
+	if rec := servePush(h, bundleContentType, mf, sealed); rec.Code != http.StatusOK {
+		t.Fatalf("push: status %d: %s", rec.Code, rec.Body.String())
+	}
+	got := readSpool(t, f, 0)
+	if got.bundle != string(sealed) {
+		t.Fatal("spool bundle.gob differs from the pushed body")
+	}
+	var hdr persist.Manifest
+	if err := json.Unmarshal([]byte(mf), &hdr); err != nil {
+		t.Fatal(err)
+	}
+	var sub persist.Bundle
+	if err := persist.UnmarshalSealed(sealed, &sub); err != nil {
+		t.Fatal(err)
+	}
+	ref := t.TempDir()
+	if err := persist.SaveBundle(ref, &sub, hdr); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bundle.gob", persist.ManifestName} {
+		want, err := os.ReadFile(filepath.Join(ref, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := os.ReadFile(filepath.Join(spool, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(have, want) {
+			t.Errorf("spool %s differs from what SaveBundle writes for the same shard:\nspool     %q\nSaveBundle %q", name, have, want)
+		}
+	}
+
+	cur := f.workers[0].Server().Registry().Current()
+	fresh, err := serve.NewRegistry(spool).Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cur.Bundle, fresh.Bundle) || !reflect.DeepEqual(cur.Manifest, fresh.Manifest) || cur.Gen != fresh.Gen {
+		t.Fatalf("installed model differs from the spool reloaded:\ninstalled %+v %+v\nreloaded  %+v %+v", cur.Manifest, cur.Gen, fresh.Manifest, fresh.Gen)
+	}
+	restarted, err := NewWorker(WorkerConfig{Spool: spool, Serve: serve.Config{BatchWait: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := restarted.Server().Registry().Current(); m == nil || m.ClusterGeneration() != 2 {
+		t.Fatalf("worker restarted on the spool serves %+v, want generation 2", m)
+	}
+
+	// A later build's shard, with a field this build does not know: the
+	// spool keeps it, and the manifest pins the bytes received.
+	future, err := persist.MarshalSealed(&futureBundle{Languages: sub.Languages, FrontEnds: sub.FrontEnds, Provenance: "later build"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := servePush(h, bundleContentType, mf, future); rec.Code != http.StatusOK {
+		t.Fatalf("later-build push: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := readSpool(t, f, 0); got.bundle != string(future) {
+		t.Fatal("later-build push: spool bundle.gob is not the pushed body")
+	}
+	if _, _, err := persist.LoadBundle(spool); err != nil {
+		t.Fatalf("later-build push: spool does not load: %v", err)
+	}
+
+	// A header manifest recording another shard's geometry is refused
+	// before the spool is touched.
+	before := readSpool(t, f, 0)
+	other, _ := validPush(t, f, 1, 3)
+	rec := servePush(h, bundleContentType, other, sealed)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "manifest front-end") {
+		t.Fatalf("mismatched manifest: status %d %s, want 400 naming the manifest front-end", rec.Code, rec.Body.String())
+	}
+	if after := readSpool(t, f, 0); after != before {
+		t.Fatalf("mismatched manifest changed the spool or the served generation (now %d)", after.gen)
+	}
+}
+
+// TestPushSpoolWriteFaultKeepsPreviousBundle: a persist.save fault while
+// a push installs answers 500. The previous generation keeps serving the
+// same scores, the spool keeps its bytes, no temp file is left, and a
+// worker that had nothing installed stays unready.
+func TestPushSpoolWriteFaultKeepsPreviousBundle(t *testing.T) {
+	f := newFleet(t, 1, nil)
+	mustDistribute(t, f)
+	w := f.workers[0]
+	emptySpool := t.TempDir()
+	empty, err := NewWorker(WorkerConfig{Spool: emptySpool, Serve: serve.Config{BatchWait: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := scoreRequestFor(f.bundle, testbundle.Vector(31))
+	scoreWorker := func() serve.ScoreResponse {
+		t.Helper()
+		rec, body := postJSON(t, w.Handler(), "/v1/score", req)
+		var sr serve.ScoreResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(body, &sr) != nil {
+			t.Fatalf("worker score: status %d: %s", rec.Code, body)
+		}
+		return sr
+	}
+	wantScore := scoreWorker()
+	before, model := readSpool(t, f, 0), w.Server().Registry().Current()
+	mf, sealed := validPush(t, f, 0, 2)
+
+	disable := faultinject.Enable(&faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+		{Site: "persist.save", Kind: faultinject.KindError, Every: 1, Err: "disk full"},
+	}})
+	for _, target := range []*Worker{w, empty} {
+		rec := servePush(target.Handler(), bundleContentType, mf, sealed)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "disk full") {
+			t.Errorf("push under a persist.save fault: status %d %s, want 500 naming the fault", rec.Code, rec.Body.String())
+		}
+	}
+	fires := faultinject.Snapshot()["persist.save"].Fires
+	disable()
+	if fires != 2 {
+		t.Fatalf("persist.save fired %d times, want once per push", fires)
+	}
+
+	if after := readSpool(t, f, 0); after != before {
+		t.Fatalf("failed install changed the spool or the served generation (now %d)", after.gen)
+	}
+	if w.Server().Registry().Current() != model {
+		t.Fatal("failed install swapped the served model")
+	}
+	if got := scoreWorker(); !reflect.DeepEqual(got.ScoreResult, wantScore.ScoreResult) || got.ModelVersion != wantScore.ModelVersion || got.ClusterGeneration != 1 {
+		t.Fatalf("after the failed install the worker answers %+v, want %+v", got, wantScore)
+	}
+	for _, dir := range []string{f.spools[0], emptySpool} {
+		if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
+			t.Errorf("failed install left %v behind", tmp)
+		}
+	}
+	if ents, err := os.ReadDir(emptySpool); err != nil || len(ents) != 0 {
+		t.Fatalf("empty spool after a failed install holds %v (%v)", ents, err)
+	}
+	rec := httptest.NewRecorder()
+	empty.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("empty worker /readyz after a failed install: %d, want 503", rec.Code)
 	}
 }
 

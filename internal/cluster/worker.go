@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -104,12 +106,15 @@ func (w *Worker) generationCheck(next http.Handler) http.Handler {
 	})
 }
 
+// maxPushBytes caps a bundle push body.
+const maxPushBytes = 256 << 20
+
 // handleBundle installs a coordinator-pushed shard bundle: check the
-// content type and the manifest header, unseal and validate the body,
-// write it into the spool through the ordinary persist bundle writer
-// (manifest-last, atomic), and hot-swap it through the serve reload path
-// (retry/backoff + breaker). On any failure the previously installed
-// bundle keeps serving.
+// content type and the manifest header, unseal, decode and validate the
+// body once (persist.UnsealBundle), publish the received bytes unchanged
+// into the spool with the manifest last (SealedBundle.Install), and swap
+// the decoded bundle in through the registry's one swap step. On any
+// failure the previously installed bundle keeps serving.
 func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rw.Header().Set("Allow", http.MethodPost)
@@ -130,31 +135,26 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, "bad %s header: %v", ManifestHeader, err)
 		return
 	}
-	sealed, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, 256<<20))
+	sealed, err := readPush(http.MaxBytesReader(rw, r.Body, maxPushBytes), r.ContentLength)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, "bad bundle push body: %v", err)
 		return
 	}
-	var b persist.Bundle
-	if err := persist.UnmarshalSealed(sealed, &b); err != nil {
-		writeError(rw, http.StatusBadRequest, "bundle does not unseal: %v", err)
-		return
-	}
-	if err := b.Validate(); err != nil {
-		writeError(rw, http.StatusBadRequest, "invalid shard bundle: %v", err)
+	t0 := time.Now()
+	sb, err := persist.UnsealBundle(sealed, mf)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, "bundle does not unseal into a valid shard: %v", err)
 		return
 	}
 	w.installMu.Lock()
 	defer w.installMu.Unlock()
-	if err := persist.SaveBundle(w.spool, &b, mf); err != nil {
-		writeError(rw, http.StatusInternalServerError, "spool write: %v", err)
-		return
-	}
-	m, err := w.srv.Reload()
+	written, err := sb.Install(w.spool)
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, "install reload failed (previous bundle still active): %v", err)
+		writeError(rw, http.StatusInternalServerError, "spool write (previous bundle still active): %v", err)
 		return
 	}
+	m := w.srv.Registry().Swap(sb.Bundle, written)
+	obs.Observe("cluster.worker.install.seconds", time.Since(t0).Seconds())
 	obs.Inc("cluster.worker.installs")
 	obs.SetGauge("cluster.generation", float64(m.ClusterGeneration()))
 	writeJSON(rw, http.StatusOK, bundleAck{
@@ -162,6 +162,19 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 		ModelVersion: m.Version,
 		FrontEnds:    m.Manifest.FrontEnds,
 	})
+}
+
+// readPush reads a push body to its end. A declared length within
+// maxPushBytes sizes the buffer once, with the bytes.MinRead of spare room
+// ReadFrom needs to see EOF without growing; a missing or lying length
+// only changes how often the buffer grows.
+func readPush(body io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 && declared <= maxPushBytes {
+		buf.Grow(int(declared) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 func (w *Worker) handleClusterz(rw http.ResponseWriter, r *http.Request) {

@@ -19,13 +19,13 @@
 //
 //	lattice.sausage        confusion-network construction (panic/delay)
 //	frontend.decode        simulated recognizer decode (error→quarantine/panic/delay)
-//	persist.save           model save before the atomic rename (error)
+//	persist.save           model save or worker spool install before the atomic rename (error)
 //	persist.load.read      model read stream — partial/torn reads (error)
 //	parallel.task          worker-pool task body (panic/stall)
 //	serve.handler          HTTP scoring handler entry (delay/error)
 //	serve.batch            batch dispatch — queue pressure (delay/panic)
 //	serve.score.fe.<name>  one front-end's scoring pass (error/panic)
-//	serve.reload           model registry reload (error)
+//	serve.reload           model registry reload from disk (error)
 //	cascade.tier1          cascade tier-1 scoring (error/panic → transparent
 //	                       escalation to the heavy path, never a 5xx)
 //

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -388,15 +389,23 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("persist: bundle dir: %w", err)
 	}
-	m.FormatVersion = BundleFormatVersion
-	m.BundleFile = defaultBundleFile
-	m.StampContents(b)
-	w, err := saveAt(filepath.Join(dir, m.BundleFile), "persist.save", b)
+	w, err := saveAt(filepath.Join(dir, defaultBundleFile), "persist.save", b)
 	if err != nil {
 		return err
 	}
-	m.BundleSHA256 = w.SHA256()
-	data, err := json.MarshalIndent(&m, "", "  ")
+	return writeManifest(dir, &m, b, w.SHA256())
+}
+
+// writeManifest stamps m for the bundle file just published in dir — format
+// version, file name, contents summary from b, the file's SHA-256 — and
+// writes it atomically, last, so the directory then holds the complete new
+// bundle.
+func writeManifest(dir string, m *Manifest, b *Bundle, sha string) error {
+	m.FormatVersion = BundleFormatVersion
+	m.BundleFile = defaultBundleFile
+	m.StampContents(b)
+	m.BundleSHA256 = sha
+	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("persist: manifest: %w", err)
 	}
@@ -404,6 +413,58 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 		return fmt.Errorf("persist: manifest: %w", err)
 	}
 	return nil
+}
+
+// SealedBundle is a bundle received as a sealed image — MarshalSealed's
+// bytes, which are exactly the bundle.gob SaveBundle writes — verified and
+// decoded once by UnsealBundle, ready to Install.
+type SealedBundle struct {
+	Bundle   *Bundle
+	image    []byte
+	sha      string // of the whole image, from the unseal pass
+	manifest Manifest
+}
+
+// UnsealBundle verifies a sealed bundle image in one pass, decodes it once,
+// and checks the bundle against itself (Validate) and against the manifest
+// it arrived with (checkDims: a manifest recording another bundle's
+// geometry is ErrCorrupt). Nothing is written.
+func UnsealBundle(image []byte, m Manifest) (*SealedBundle, error) {
+	r, err := newReader(bytes.NewReader(image), int64(len(image)), "", "sealed image")
+	if err != nil {
+		return nil, err
+	}
+	var b Bundle
+	if err := r.Decode(&b); err != nil {
+		return nil, err
+	}
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkDims(&m, &b); err != nil {
+		return nil, err
+	}
+	return &SealedBundle{Bundle: &b, image: image, sha: r.SHA256(), manifest: m}, nil
+}
+
+// Install publishes the bundle into dir exactly as SaveBundle would have:
+// the received image, unchanged, as bundle.gob (atomically, through the
+// persist.save fault site), then the stamped manifest, last. It returns
+// that manifest; with the decoded Bundle it is what LoadBundle(dir) reads
+// back. On error dir keeps its previous bundle.
+func (s *SealedBundle) Install(dir string) (*Manifest, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("persist: bundle dir: %w", err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, defaultBundleFile), s.image, "persist.save"); err != nil {
+		return nil, err
+	}
+	m := s.manifest
+	m.FrontEnds, m.FrontEndDims = nil, nil // restamped into fresh slices
+	if err := writeManifest(dir, &m, s.Bundle, s.sha); err != nil {
+		return nil, err
+	}
+	return &m, nil
 }
 
 // testHookBundleOpened runs between LoadBundle's verification pass and its

@@ -106,12 +106,12 @@ func (m *Model) ClusterGeneration() int64 {
 	return m.Manifest.ClusterGeneration
 }
 
-// Registry owns the current model of a scoring process. Reload is
-// serialized; Current is a single atomic load on the hot path.
+// Registry owns the current model of a scoring process. Reload and Swap
+// are serialized; Current is a single atomic load on the hot path.
 type Registry struct {
 	dir string
 
-	mu  sync.Mutex // serializes Reload
+	mu  sync.Mutex // serializes Reload and Swap
 	gen int64
 	cur atomic.Pointer[Model]
 }
@@ -155,6 +155,22 @@ func (r *Registry) Reload() (*Model, error) {
 		// rot) — an older generation or the base bundle is serving instead.
 		obs.Inc("serve.model.gen_fallback")
 	}
+	return r.swap(b, m, info), nil
+}
+
+// Swap atomically installs a bundle the caller has already published into
+// the registry's directory, a plain bundle root without commit records,
+// and decoded: b and m must be what persist.LoadBundle(Dir()) returns now.
+// A cluster worker swaps in the shard it just wrote to its spool, so the
+// bundle is decoded once, not read back.
+func (r *Registry) Swap(b *persist.Bundle, m *persist.Manifest) *Model {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.swap(b, m, persist.ResolveInfo{DirName: persist.BaseGenDir})
+}
+
+// swap is the one step every model install ends in; r.mu is held.
+func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, info persist.ResolveInfo) *Model {
 	r.gen++
 	mod := newModel(b, m, r.gen, info)
 	r.cur.Store(mod)
@@ -163,7 +179,7 @@ func (r *Registry) Reload() (*Model, error) {
 	obs.SetGauge("serve.model.front_ends", float64(len(b.FrontEnds)))
 	obs.SetGauge("serve.model.generation", float64(info.Generation))
 	setFootprintGauges(filepath.Join(r.dir, info.DirName), b, m)
-	return mod, nil
+	return mod
 }
 
 // setFootprintGauges publishes the live generation's serving footprint:

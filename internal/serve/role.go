@@ -138,8 +138,8 @@ func (s *standalone) Resolve() (*Pin, error) {
 
 func (s *standalone) Ready(p *Pin) (any, error) {
 	// An open reload breaker means the process cannot pick up new models
-	// (SIGHUP, cluster pushes, adapt promotions all route through it) —
-	// not ready for orchestration purposes even though in-flight scoring
+	// from disk (SIGHUP, /-/reload and adapt promotions route through it)
+	// — not ready for orchestration purposes even though in-flight scoring
 	// still works against the current model.
 	if s.reloader.breakerOpen() {
 		return nil, errors.New("reload circuit breaker open")
