@@ -301,8 +301,8 @@ func main() {
 		log.Fatal(err)
 	}
 	m := s.Registry().Current()
-	log.Printf("loaded bundle v%d from %s: %d front-ends, %d languages, fusion=%v",
-		m.Version, *models, len(m.Bundle.FrontEnds), len(m.Bundle.Languages), m.Bundle.Fusion != nil)
+	log.Printf("loaded bundle v%d from %s in %.1f ms: %d front-ends, %d languages, fusion=%v",
+		m.Version, *models, float64(m.LoadTime.Microseconds())/1e3, len(m.Bundle.FrontEnds), len(m.Bundle.Languages), m.Bundle.Fusion != nil)
 	if a := s.Adapter(); a != nil {
 		st := a.Status()
 		log.Printf("online adaptation on: generation %d, policy %s", st.Generation, st.Policy)

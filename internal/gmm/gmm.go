@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/gobwire"
 	"repro/internal/rng"
 )
 
@@ -396,7 +397,7 @@ func (g *GMM) GobEncode() ([]byte, error) {
 // GobDecode implements gob.GobDecoder and rebuilds the likelihood caches.
 func (g *GMM) GobDecode(data []byte) error {
 	var w gmmWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := gobwire.Unmarshal(data, &w); err != nil {
 		return err
 	}
 	g.Dim, g.NumComp = w.Dim, w.NumComp

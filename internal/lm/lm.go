@@ -13,6 +13,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+
+	"repro/internal/gobwire"
 )
 
 // Bigram is a smoothed bigram language model over a phone inventory.
@@ -237,7 +239,7 @@ func (m *Bigram) GobEncode() ([]byte, error) {
 // GobDecode implements gob.GobDecoder.
 func (m *Bigram) GobDecode(data []byte) error {
 	var w bigramWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := gobwire.Unmarshal(data, &w); err != nil {
 		return err
 	}
 	m.NumPhones, m.logProb, m.logInit = w.NumPhones, w.LogProb, w.LogInit

@@ -19,6 +19,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/gobwire"
 	"repro/internal/lattice"
 	"repro/internal/sparse"
 )
@@ -212,7 +213,7 @@ func (t *TFLLR) GobEncode() ([]byte, error) {
 // GobDecode implements gob.GobDecoder.
 func (t *TFLLR) GobDecode(data []byte) error {
 	var w tfllrWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := gobwire.Unmarshal(data, &w); err != nil {
 		return err
 	}
 	t.dim, t.scale = w.Dim, w.Scale

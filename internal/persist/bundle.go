@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -430,7 +429,7 @@ type SealedBundle struct {
 // it arrived with (checkDims: a manifest recording another bundle's
 // geometry is ErrCorrupt). Nothing is written.
 func UnsealBundle(image []byte, m Manifest) (*SealedBundle, error) {
-	r, err := newReader(bytes.NewReader(image), int64(len(image)), "", "sealed image")
+	r, err := imageReader(image, "sealed image")
 	if err != nil {
 		return nil, err
 	}
@@ -467,8 +466,8 @@ func (s *SealedBundle) Install(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// testHookBundleOpened runs between LoadBundle's verification pass and its
-// decode; tests swap files there.
+// testHookBundleOpened runs between LoadBundle's verification and its
+// decode; tests rewrite files there.
 var testHookBundleOpened = func() {}
 
 // LoadBundle reads and validates a bundle directory written by SaveBundle.
@@ -488,14 +487,14 @@ func LoadBundle(dir string) (*Bundle, *Manifest, error) {
 	if file == "" {
 		file = defaultBundleFile
 	}
-	// One pass verifies the footer and hashes the whole file; the decode
-	// reads the same descriptor, so the bundle decoded is the one whose
-	// SHA-256 matched even if the path is renamed over in between.
-	r, err := Open(filepath.Join(dir, file))
+	// One read brings the whole file into memory; the footer and the
+	// manifest's SHA-256 are checked over those bytes and the same bytes
+	// are decoded, so whatever happens to the file meanwhile, the bundle
+	// decoded is the one whose SHA-256 matched.
+	r, err := readImage(filepath.Join(dir, file), "persist.load.read")
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
 	}
-	defer r.Close()
 	testHookBundleOpened()
 	if m.BundleSHA256 != "" && r.SHA256() != m.BundleSHA256 {
 		return nil, nil, fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", file, ErrCorrupt)

@@ -20,10 +20,15 @@ import (
 // held-out vectors to compare scores on after the round trip.
 func trainedBundle(t *testing.T, seed uint64) (*Bundle, []*sparse.Vector) {
 	t.Helper()
+	return trainedBundleOver(t, seed, 4)
+}
+
+// trainedBundleOver is trainedBundle over numPhones phones.
+func trainedBundleOver(t *testing.T, seed uint64, numPhones int) (*Bundle, []*sparse.Vector) {
+	t.Helper()
 	const (
-		numPhones = 4
-		order     = 2
-		langs     = 3
+		order = 2
+		langs = 3
 	)
 	space := ngram.NewSpace(numPhones, order)
 	r := rng.New(seed)
@@ -308,55 +313,82 @@ func TestSaveBundleRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestLoadBundleSwapAfterOpen renames another valid bundle over
-// bundle.gob between LoadBundle's verification pass and its decode. The
-// load must return the bundle whose SHA-256 the manifest pins (or fail),
-// never the swapped-in one under the original manifest.
+// TestLoadBundleSwapAfterOpen replaces bundle.gob with another valid
+// bundle between LoadBundle's verification and its decode — renamed over
+// the path, or rewritten in place (same inode). The load must return the
+// bundle whose SHA-256 the manifest pins, never the one swapped in under
+// the original manifest. The bundles are a few hundred KB, more than any
+// read-ahead buffer holds.
 func TestLoadBundleSwapAfterOpen(t *testing.T) {
-	orig, probes := trainedBundle(t, 11)
-	other, _ := trainedBundle(t, 12)
-	dir, otherDir := t.TempDir(), t.TempDir()
-	if err := SaveBundle(dir, orig, Manifest{Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveBundle(otherDir, other, Manifest{Seed: 12}); err != nil {
-		t.Fatal(err)
-	}
-	swapped := false
-	testHookBundleOpened = func() {
-		if err := os.Rename(filepath.Join(otherDir, "bundle.gob"), filepath.Join(dir, "bundle.gob")); err != nil {
-			t.Error(err)
-		}
-		swapped = true
-	}
-	defer func() { testHookBundleOpened = func() {} }()
+	orig, probes := trainedBundleOver(t, 11, 96)
+	other, _ := trainedBundleOver(t, 12, 96)
+	for _, tc := range []struct {
+		name string
+		swap func(src, dst string) error
+	}{
+		{"rename", os.Rename},
+		{"overwrite in place", func(src, dst string) error {
+			data, err := os.ReadFile(src)
+			if err != nil {
+				return err
+			}
+			f, err := os.OpenFile(dst, os.O_WRONLY|os.O_TRUNC, 0)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write(data); err != nil {
+				f.Close()
+				return err
+			}
+			return f.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, otherDir := t.TempDir(), t.TempDir()
+			if err := SaveBundle(dir, orig, Manifest{Seed: 11}); err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveBundle(otherDir, other, Manifest{Seed: 12}); err != nil {
+				t.Fatal(err)
+			}
+			swapped := false
+			testHookBundleOpened = func() {
+				if err := tc.swap(filepath.Join(otherDir, "bundle.gob"), filepath.Join(dir, "bundle.gob")); err != nil {
+					t.Error(err)
+				}
+				swapped = true
+			}
+			defer func() { testHookBundleOpened = func() {} }()
 
-	lb, _, err := LoadBundle(dir)
-	if !swapped {
-		t.Fatal("the swap hook never ran")
-	}
-	if err == nil {
-		differs := false
-		for _, v := range probes {
-			for f := range orig.FrontEnds {
-				want, got, swap := orig.FrontEnds[f].OVR.Scores(v), lb.FrontEnds[f].OVR.Scores(v), other.FrontEnds[f].OVR.Scores(v)
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("front-end %d class %d: loaded %v, the manifest's bundle scores %v", f, k, got[k], want[k])
+			lb, _, err := LoadBundle(dir)
+			if !swapped {
+				t.Fatal("the swap hook never ran")
+			}
+			if err != nil {
+				t.Fatalf("load across the swap: %v", err)
+			}
+			differs := false
+			for _, v := range probes {
+				for f := range orig.FrontEnds {
+					want, got, swap := orig.FrontEnds[f].OVR.Scores(v), lb.FrontEnds[f].OVR.Scores(v), other.FrontEnds[f].OVR.Scores(v)
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("front-end %d class %d: loaded %v, the manifest's bundle scores %v", f, k, got[k], want[k])
+						}
+						differs = differs || swap[k] != want[k]
 					}
-					differs = differs || swap[k] != want[k]
 				}
 			}
-		}
-		if !differs {
-			t.Fatal("the two bundles score alike; the test cannot tell them apart")
-		}
-	}
+			if !differs {
+				t.Fatal("the two bundles score alike; the test cannot tell them apart")
+			}
 
-	// The swap is visible to the next load: the manifest no longer
-	// matches the file on disk.
-	testHookBundleOpened = func() {}
-	if _, _, err := LoadBundle(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("load after the swap: %v, want ErrCorrupt", err)
+			// The swap is visible to the next load: the manifest no
+			// longer matches the file on disk.
+			testHookBundleOpened = func() {}
+			if _, _, err := LoadBundle(dir); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("load after the swap: %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

@@ -121,9 +121,29 @@ func verify(src io.ReaderAt, size int64, faultSite string) (int64, [sha256.Size]
 	if _, err := io.ReadFull(in, foot[:]); err != nil {
 		return 0, sum, shortRead(err)
 	}
+	return checkFooter(&hashes, foot[:])
+}
+
+// verifyImage checks the footer of a sealed image held in memory, hashing
+// the bytes in place; it returns what verify does.
+func verifyImage(image []byte) (int64, [sha256.Size]byte, error) {
+	payload := len(image) - footerSize
+	if payload < 0 {
+		return 0, [sha256.Size]byte{}, errNoFooter
+	}
+	hashes := newSealer(io.Discard)
+	hashes.Write(image[:payload])
+	return checkFooter(&hashes, image[payload:])
+}
+
+// checkFooter compares a footer against the checksums of the payload that
+// preceded it.
+func checkFooter(hashes *sealer, foot []byte) (int64, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
 	if string(foot[footerSize-8:]) != footerMagic {
 		return 0, sum, errNoFooter
 	}
+	payload := hashes.n
 	wantLen := binary.LittleEndian.Uint64(foot[4+sha256.Size:])
 	if wantLen != uint64(payload) {
 		return 0, sum, fmt.Errorf("%w: footer says %d payload bytes, file holds %d", ErrCorrupt, wantLen, payload)
@@ -134,7 +154,7 @@ func verify(src io.ReaderAt, size int64, faultSite string) (int64, [sha256.Size]
 	if !bytes.Equal(hashes.sha.Sum(nil), foot[4:4+sha256.Size]) {
 		return 0, sum, fmt.Errorf("%w: SHA-256 mismatch", ErrCorrupt)
 	}
-	return payload, imageSum(hashes.sha, foot[:]), nil
+	return payload, imageSum(hashes.sha, foot), nil
 }
 
 // shortRead maps an image that ended before its stated size (it shrank
@@ -162,7 +182,7 @@ func Seal(payload []byte) []byte {
 // failure mode — missing footer, length mismatch, CRC32 or SHA-256
 // mismatch — is reported as a wrapped ErrCorrupt.
 func Unseal(data []byte) ([]byte, error) {
-	n, _, err := verify(bytes.NewReader(data), int64(len(data)), "")
+	n, _, err := verifyImage(data)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
-// Package persist saves and loads trained models with encoding/gob: SVM
+// Package persist saves and loads trained models as gob streams: SVM
 // language models, GMMs (including the UBM and acoustic emissions), TFLLR
-// scalers, phone language models, and fusion backends. A production
+// scalers, phone language models, and fusion backends. Values are encoded
+// with encoding/gob and decoded with internal/gobwire. A production
 // deployment trains once and scores many times; this package is the
 // boundary between the two.
 //
@@ -9,17 +10,20 @@
 // footer (see footer.go), so a flipped byte or a torn tail is detected at
 // load time as a typed ErrCorrupt instead of decoding into garbage. The
 // footerless v1 stream format is retired: its header is rejected like any
-// bad magic. Sealed files are streamed both ways (see stream.go): Writer
-// encodes any number of values through a fixed-size buffer, and Reader
-// verifies the footer in one pass before decoding in a second, so no file
-// is ever held in memory whole. Save, Load, the bundle files, the
-// generation store's payloads (store.go), internal/checkpoint and
-// internal/adapt's sidecar all go through them.
+// bad magic. Writer encodes any number of values through a fixed-size
+// buffer (see stream.go). Open streams a file back — one pass verifies
+// the footer, a second decodes — so checkpoints and internal/adapt's
+// sidecar cost bounded memory; bundles are read once into memory,
+// verified and decoded in place, so the bytes decoded are the bytes
+// verified. Save, Load, the bundle files, the generation store's payloads
+// (store.go), internal/checkpoint and internal/adapt's sidecar all go
+// through them.
 package persist
 
 import (
-	"encoding/gob"
 	"fmt"
+
+	"repro/internal/gobwire"
 )
 
 // magicSealed heads every stream this package writes. It declares that
@@ -28,7 +32,7 @@ import (
 const magicSealed = "repro-model-v2"
 
 // readHeader decodes the stream header and checks its magic.
-func readHeader(dec *gob.Decoder) error {
+func readHeader(dec *gobwire.Decoder) error {
 	var got string
 	if err := dec.Decode(&got); err != nil {
 		return fmt.Errorf("persist: header: %w (%w)", err, ErrCorrupt)

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"repro/internal/faultinject"
+	"repro/internal/gobwire"
 )
 
 // ioBufSize is the buffer between the gob codecs and the file in both
@@ -128,13 +129,18 @@ func (w *Writer) Size() int64 { return w.size }
 // included (after Close) — what manifests pin.
 func (w *Writer) SHA256() string { return hex.EncodeToString(w.sum[:]) }
 
-// Reader decodes gob values from a sealed image. Opening it verifies the
-// footer in one streaming pass; Decode then reads the values in a second
-// pass over the same descriptor, so the bytes decoded are the bytes
-// verified even if the path is renamed over in between.
+// Reader decodes gob values from a sealed image, verified before its
+// first value is decoded. A file opened with Open is streamed: one pass
+// verifies the footer, a second decodes through a fixed-size buffer,
+// over the same descriptor, so a rename over the path in between is
+// harmless — but an overwrite of the file in place between the passes
+// would be decoded unverified. That is acceptable for checkpoints and the
+// adapt sidecar, which only their own process rewrites; bundles, which
+// other processes publish, are read once into memory instead
+// (LoadBundle), and the bytes verified are the bytes decoded.
 type Reader struct {
 	f    *os.File // nil for an in-memory image
-	dec  *gob.Decoder
+	dec  *gobwire.Decoder
 	size int64
 	sum  [sha256.Size]byte
 }
@@ -160,7 +166,7 @@ func OpenAt(path, faultSite string) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	r, err := newReader(f, st.Size(), faultSite, path)
+	r, err := streamReader(f, st.Size(), faultSite, path)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -169,29 +175,74 @@ func OpenAt(path, faultSite string) (*Reader, error) {
 	return r, nil
 }
 
-// newReader verifies src[0:size) and decodes the stream header; name
-// labels read errors.
-func newReader(src io.ReaderAt, size int64, faultSite, name string) (*Reader, error) {
-	payload, sum, err := verify(src, size, faultSite)
+// streamReader verifies f[0:size) in one streaming pass and positions a
+// Reader at its first value for a second; name labels read errors.
+func streamReader(f *os.File, size int64, faultSite, name string) (*Reader, error) {
+	payload, sum, err := verify(f, size, faultSite)
+	if err != nil {
+		return nil, verifyErr(err, name, gobwire.NewDecoder(io.NewSectionReader(f, 0, size)))
+	}
+	return newReader(gobwire.NewDecoder(bufio.NewReaderSize(io.NewSectionReader(f, 0, payload), ioBufSize)), size, sum)
+}
+
+// readImage reads the sealed file at path into memory in one pass,
+// through faultSite when it is non-empty, and verifies it: the Reader
+// then decodes the very bytes it verified, however the file changes
+// meanwhile. Errors are Open's.
+func readImage(path, faultSite string) (*Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	var in io.Reader = f
+	if faultSite != "" {
+		in = faultinject.Reader(faultSite, in)
+	}
+	image := make([]byte, st.Size())
+	if _, err := io.ReadFull(in, image); err != nil {
+		return nil, verifyErr(shortRead(err), path, nil)
+	}
+	return imageReader(image, path)
+}
+
+// imageReader verifies an in-memory sealed image and positions a Reader
+// at its first value, decoding the image in place; name labels errors.
+func imageReader(image []byte, name string) (*Reader, error) {
+	payload, sum, err := verifyImage(image)
+	if err != nil {
+		return nil, verifyErr(err, name, gobwire.NewBytesDecoder(image))
+	}
+	return newReader(gobwire.NewBytesDecoder(image[:payload]), int64(len(image)), sum)
+}
+
+// verifyErr reports a failed verification. A torn sealed file still
+// starts with the sealed header, read through whole; anything else is
+// not a sealed stream at all (bad magic). Read errors are labelled with
+// name.
+func verifyErr(err error, name string, whole *gobwire.Decoder) error {
 	switch {
-	case errors.Is(err, errNoFooter):
-		// A torn sealed file still starts with the sealed header; anything
-		// else is not a sealed stream at all (bad magic).
-		if herr := readHeader(gob.NewDecoder(io.NewSectionReader(src, 0, size))); herr != nil {
-			return nil, herr
+	case errors.Is(err, errNoFooter) && whole != nil:
+		if herr := readHeader(whole); herr != nil {
+			return herr
 		}
-		return nil, fmt.Errorf("%w: sealed file lost its integrity footer (torn tail)", ErrCorrupt)
+		return fmt.Errorf("%w: sealed file lost its integrity footer (torn tail)", ErrCorrupt)
 	case errors.Is(err, ErrCorrupt):
-		return nil, err
-	case err != nil:
-		return nil, fmt.Errorf("persist: read %s: %w", name, err)
+		return err
 	}
-	r := &Reader{size: size, sum: sum}
-	r.dec = gob.NewDecoder(bufio.NewReaderSize(io.NewSectionReader(src, 0, payload), ioBufSize))
-	if err := readHeader(r.dec); err != nil {
+	return fmt.Errorf("persist: read %s: %w", name, err)
+}
+
+// newReader decodes the stream header of a verified image.
+func newReader(dec *gobwire.Decoder, size int64, sum [sha256.Size]byte) (*Reader, error) {
+	if err := readHeader(dec); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &Reader{dec: dec, size: size, sum: sum}, nil
 }
 
 // Decode reads the next gob value into v (a pointer). Running out of
@@ -238,7 +289,7 @@ func MarshalSealed(v any) ([]byte, error) {
 
 // UnmarshalSealed verifies and decodes bytes produced by MarshalSealed.
 func UnmarshalSealed(data []byte, v any) error {
-	r, err := newReader(bytes.NewReader(data), int64(len(data)), "", "sealed image")
+	r, err := imageReader(data, "sealed image")
 	if err != nil {
 		return err
 	}

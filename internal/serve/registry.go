@@ -45,6 +45,9 @@ type Model struct {
 	// generation is serving (0 = the base export) and whether resolution
 	// had to fall back past an unusable commit record or directory.
 	Gen persist.ResolveInfo
+	// LoadTime is how long resolving, verifying and decoding the bundle
+	// took; zero for a bundle installed by Swap, decoded by its caller.
+	LoadTime time.Duration
 
 	feIndex map[string]int
 	spaces  []*ngram.Space
@@ -143,8 +146,11 @@ func (r *Registry) Reload() (*Model, error) {
 	// Chaos hook: an injected fault behaves exactly like a failed bundle
 	// load (exercises the retry/backoff and circuit-breaker path).
 	err := faultinject.At("serve.reload")
+	var took time.Duration
 	if err == nil {
+		t0 := time.Now()
 		b, m, info, err = persist.ResolveBundle(r.dir)
+		took = time.Since(t0)
 	}
 	if err != nil {
 		obs.Inc("serve.model.reload_errors")
@@ -155,7 +161,8 @@ func (r *Registry) Reload() (*Model, error) {
 		// rot) — an older generation or the base bundle is serving instead.
 		obs.Inc("serve.model.gen_fallback")
 	}
-	return r.swap(b, m, info), nil
+	obs.Observe("serve.model.load_seconds", took.Seconds())
+	return r.swap(b, m, info, took), nil
 }
 
 // Swap atomically installs a bundle the caller has already published into
@@ -166,13 +173,14 @@ func (r *Registry) Reload() (*Model, error) {
 func (r *Registry) Swap(b *persist.Bundle, m *persist.Manifest) *Model {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.swap(b, m, persist.ResolveInfo{DirName: persist.BaseGenDir})
+	return r.swap(b, m, persist.ResolveInfo{DirName: persist.BaseGenDir}, 0)
 }
 
 // swap is the one step every model install ends in; r.mu is held.
-func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, info persist.ResolveInfo) *Model {
+func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, info persist.ResolveInfo, took time.Duration) *Model {
 	r.gen++
 	mod := newModel(b, m, r.gen, info)
+	mod.LoadTime = took
 	r.cur.Store(mod)
 	obs.Inc("serve.model.reloads")
 	obs.SetGauge("serve.model.version", float64(mod.Version))
