@@ -25,7 +25,7 @@ func render(rep *obs.Report, target string) string {
 	b.WriteByte('\n')
 
 	// Model footprint: present once a bundle has been loaded (the
-	// registry publishes its on-disk and packed-weight sizes at Reload).
+	// registry publishes its on-disk and scoring-weight sizes at Reload).
 	// Compressed bundles additionally carry precision and rank.
 	if bb, ok := rep.Gauges["serve.model.bundle_bytes"]; ok {
 		prec := rep.Meta["model_precision"]
@@ -38,7 +38,7 @@ func render(rep *obs.Report, target string) string {
 		} else {
 			b.WriteString(" full-rank")
 		}
-		fmt.Fprintf(&b, " — bundle %s (packed weights %s)\n",
+		fmt.Fprintf(&b, " — bundle %s (scoring weights %s)\n",
 			bytesHuman(bb), bytesHuman(rep.Gauges["serve.model.packed_bytes"]))
 	}
 

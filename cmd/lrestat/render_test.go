@@ -228,7 +228,7 @@ func TestRenderNoCascadeRowWithoutTraffic(t *testing.T) {
 }
 
 // TestRenderModelPanel pins the model footprint line: precision, rank,
-// bundle and packed-weight sizes from the serve.model.* gauges and
+// bundle and scoring-weight sizes from the serve.model.* gauges and
 // /metricsz meta — shown only once a bundle has actually loaded.
 func TestRenderModelPanel(t *testing.T) {
 	rep := sampleReport()
@@ -240,7 +240,7 @@ func TestRenderModelPanel(t *testing.T) {
 	for _, want := range []string{
 		"model int8 rank 16",
 		"bundle 716.8 KiB",
-		"packed weights 402.3 KiB",
+		"scoring weights 402.3 KiB",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("model panel missing %q:\n%s", want, out)

@@ -202,7 +202,7 @@ func TrainBaseline(data []*SubsystemData, trainLabels []int, numLangs int, opt s
 func ScoreAll(models []*svm.OneVsRest, data []*SubsystemData) [][][]float64 {
 	out := make([][][]float64, len(models))
 	for q, mdl := range models {
-		// ScoreAll runs the packed one-pass kernel over the "score" pool
+		// ScoreAll runs the class-grouped kernel over the "score" pool
 		// with a single flat arena per subsystem.
 		out[q] = mdl.ScoreAll(data[q].Test)
 	}

@@ -292,7 +292,7 @@ type CompressPoint struct {
 
 // CompressBaseline is the uncompressed reference the sweep compares
 // against: the full serving bundle (float64 weights, cascade included).
-// Its throughput is the serialized full-dimension packed kernel over
+// Its throughput is the serialized full-dimension OVR kernel over
 // prepared CSR test vectors — the micro-batcher's critical section,
 // which is the denominator of every point's Speedup. The baseline has
 // no per-utterance model work outside that stage (vector building is

@@ -51,7 +51,7 @@ type FrontEndModel struct {
 	Quant *svm.Quantized
 	// Precision is the scoring precision ("" or "float64", "float32",
 	// "int8") the bundle was exported for; the serve layer dispatches the
-	// packed kernel on it.
+	// scoring kernel on it.
 	Precision string
 }
 
@@ -85,7 +85,7 @@ func (fe *FrontEndModel) NumClasses() int {
 // ScoresInto scores a supervector already in the front-end's weight
 // space (projected if Proj is set) against every language, dispatching
 // on the bundle's precision: the int8 kernel when Quant is present,
-// otherwise the float64/float32 packed OVR kernel. out must have
+// otherwise the float64/float32 OVR kernel. out must have
 // NumClasses elements.
 func (fe *FrontEndModel) ScoresInto(x *sparse.Vector, out []float64) []float64 {
 	if fe.Quant != nil {
@@ -103,15 +103,15 @@ func (fe *FrontEndModel) Scores(x *sparse.Vector) []float64 {
 	return fe.ScoresInto(x, make([]float64, fe.NumClasses()))
 }
 
-// PackedBytes reports the in-memory footprint of the front-end's scoring
-// artifacts once packed (projection basis + weight kernel), for the
-// serve layer's model-footprint gauges.
+// PackedBytes reports the in-memory footprint of the front-end's
+// resident scoring weights (projection basis + weight kernel), for the
+// serve layer's model-footprint gauges. The OVR kernels score the
+// decoded float64 weights and biases in place, at either precision.
 func (fe *FrontEndModel) PackedBytes() int {
 	n := fe.Proj.Bytes()
 	if fe.Quant != nil {
 		n += fe.Quant.Bytes()
 	} else if fe.OVR != nil {
-		// The packed float64 block the kernel builds lazily.
 		n += fe.WeightDim()*fe.OVR.NumClasses*8 + fe.OVR.NumClasses*8
 	}
 	return n
@@ -192,7 +192,7 @@ func (b *Bundle) Validate() error {
 		}
 		// The weight space must match what scoring will feed it — a
 		// rank/dimension mismatch here would otherwise surface as silent
-		// truncation (the packed kernels break at their Dim) or a panic.
+		// truncation (the kernels break at their Dim) or a panic.
 		if fe.Quant != nil {
 			if fe.Quant.Dim != fe.WeightDim() {
 				return fmt.Errorf("persist: front-end %q int8 kernel expects %d-dim inputs, scoring will feed %d",

@@ -196,10 +196,11 @@ func TestBatchVsSequentialPermutationInvariance(t *testing.T) {
 }
 
 // TestPackedKernelMatchesPerModelScoring extends the batch-vs-sequential
-// metamorphic property down into the scoring kernel: the served path now
-// scores all languages in one pass over each vector's nonzeros against a
-// column-blocked weight matrix (svm.ScoresInto), and that kernel must be
-// bit-identical to scoring each language model independently.
+// metamorphic property down into the scoring kernel: the served path
+// scores the languages four at a time per pass over each vector's
+// nonzeros, straight from the row-major weights (svm.ScoresInto; the
+// test keeps the name of the packed kernel it replaced), and that kernel
+// must be bit-identical to scoring each language model independently.
 func TestPackedKernelMatchesPerModelScoring(t *testing.T) {
 	b := testbundle.New(31)
 	for q := range b.FrontEnds {
@@ -210,10 +211,10 @@ func TestPackedKernelMatchesPerModelScoring(t *testing.T) {
 			if fe.TFLLR != nil {
 				fe.TFLLR.Apply(v)
 			}
-			got := fe.OVR.Scores(v) // packed one-pass kernel
+			got := fe.OVR.Scores(v) // class-grouped kernel
 			for k, m := range fe.OVR.Models {
 				if want := m.Score(v); got[k] != want {
-					t.Fatalf("fe %s trial %d class %d: packed %v != per-model %v",
+					t.Fatalf("fe %s trial %d class %d: grouped %v != per-model %v",
 						fe.Name, trial, k, got[k], want)
 				}
 			}

@@ -191,10 +191,11 @@ func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, info persist.Res
 }
 
 // setFootprintGauges publishes the live generation's serving footprint:
-// sealed bundle size on disk, in-memory packed scoring bytes across all
-// front-ends, and the compression operating point (projection rank, the
-// narrowest precision in the battery as bits). lrestat's model panel
-// reads these from /metricsz.
+// sealed bundle size on disk, resident scoring-weight bytes across all
+// front-ends (under the historical serve.model.packed_bytes name), and
+// the compression operating point (projection rank, the narrowest
+// precision in the battery as bits). lrestat's model panel reads these
+// from /metricsz.
 func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
 	file := defaultBundleFileName
 	if m != nil && m.BundleFile != "" {

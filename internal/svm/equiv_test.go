@@ -183,7 +183,7 @@ func TestScoresMatchPerModel(t *testing.T) {
 		r := root.Split(uint64(trial))
 		m := make(map[int32]float64)
 		for k := 0; k < r.Intn(60)+1; k++ {
-			// Include out-of-range indices: the packed kernel must apply
+			// Include out-of-range indices: the grouped kernel must apply
 			// the same >= len(W) cutoff as Model.Score.
 			m[int32(r.Intn(dim+200))] = r.Norm()
 		}
@@ -221,17 +221,43 @@ func TestScoreAllMatchesScores(t *testing.T) {
 
 func TestScoresHeterogeneousModelsFallback(t *testing.T) {
 	// Hand-assembled OVR with mismatched weight lengths must fall back to
-	// per-model scoring rather than pack.
-	o := &OneVsRest{NumClasses: 2, Models: []*Model{
-		{W: []float64{1, 2, 3}, Bias: 0.5},
-		{W: []float64{4}, Bias: -1},
-	}}
-	x := sparse.FromDense([]float64{1, 1, 1})
-	got := o.Scores(x)
-	for k, m := range o.Models {
-		if want := m.Score(x); got[k] != want {
-			t.Fatalf("class %d: %v != %v", k, got[k], want)
+	// per-model scoring, at either precision, rather than take the grouped
+	// kernel; so must a battery with a nil model, and an empty one.
+	w := func(n int) []float64 {
+		v := make([]float64, n)
+		for j := range v {
+			v[j] = float64(j) + 0.25
 		}
+		return v
+	}
+	o := &OneVsRest{NumClasses: 5, Models: []*Model{
+		{W: w(4), Bias: 1}, {W: w(4), Bias: 2}, {W: w(4), Bias: 3}, {W: w(4), Bias: 4}, {W: w(2), Bias: 5},
+	}}
+	if _, ok := o.weightDim(); ok {
+		t.Fatal("heterogeneous battery took the grouped kernel")
+	}
+	x := &sparse.Vector{Idx: []int32{0, 1, 3, 8}, Val: []float64{1, -2, 0.5, 7}}
+	ref := newFrozenPacked(o)
+	got := make([]float64, 5)
+	frozen := make([]float64, 5)
+	for _, prec := range []Precision{Float64, Float32} {
+		o.ScoresAtInto(prec, x, got)
+		ref.ScoresAtInto(prec, x, frozen)
+		for k, m := range o.Models {
+			if want := m.Score(x); got[k] != want || frozen[k] != want {
+				t.Fatalf("%v class %d: fallback %v, frozen %v, per-model %v", prec, k, got[k], frozen[k], want)
+			}
+		}
+	}
+	for _, nilAt := range []int{0, 2} {
+		o := &OneVsRest{NumClasses: 3, Models: []*Model{{W: w(3)}, {W: w(3)}, {W: w(3)}}}
+		o.Models[nilAt] = nil
+		if _, ok := o.weightDim(); ok {
+			t.Fatalf("battery with a nil model at %d took the grouped kernel", nilAt)
+		}
+	}
+	if _, ok := (&OneVsRest{}).weightDim(); ok {
+		t.Fatal("empty battery took the grouped kernel")
 	}
 }
 
@@ -269,7 +295,6 @@ func TestScoresIntoAllocs(t *testing.T) {
 	opt.MaxIters = 10
 	o := TrainOVR(xs, labels, 3, 200, opt)
 	out := make([]float64, 3)
-	o.ScoresInto(xs[0], out) // force pack
 	allocs := testing.AllocsPerRun(50, func() {
 		o.ScoresInto(xs[0], out)
 	})

@@ -1,0 +1,261 @@
+package svm
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/sparse"
+)
+
+// randOVR builds a homogeneous K-class battery of dim-dimensional models
+// with Gaussian weights, a sprinkling of exact zeros, and Gaussian biases.
+func randOVR(r *rng.RNG, K, dim int) *OneVsRest {
+	o := &OneVsRest{NumClasses: K, Models: make([]*Model, K)}
+	for c := range o.Models {
+		w := make([]float64, dim)
+		for j := range w {
+			if !r.Bernoulli(0.1) {
+				w[j] = r.Norm() * math.Exp2(float64(r.Intn(20)-10))
+			}
+		}
+		o.Models[c] = &Model{W: w, Bias: r.Norm()}
+	}
+	return o
+}
+
+// randRow draws a row with ascending indices in [0, dim), each present
+// with probability density.
+func randRow(r *rng.RNG, dim int, density float64) *sparse.Vector {
+	x := sparse.New(int(float64(dim)*density) + 1)
+	for j := 0; j < dim; j++ {
+		if r.Bernoulli(density) {
+			x.Idx = append(x.Idx, int32(j))
+			x.Val = append(x.Val, r.Norm())
+		}
+	}
+	return x
+}
+
+// rowPrefix cuts x at its first index outside [0, dim): the part of the
+// row every scoring path accumulates before it stops.
+func rowPrefix(x *sparse.Vector, dim int) *sparse.Vector {
+	for k, i := range x.Idx {
+		if i < 0 || int(i) >= dim {
+			return &sparse.Vector{Idx: x.Idx[:k], Val: x.Val[:k]}
+		}
+	}
+	return x
+}
+
+// rounded32 is the battery with every weight rounded to float32: its
+// per-model Score is the float32 rung's per-model referee.
+func rounded32(o *OneVsRest) *OneVsRest {
+	r := &OneVsRest{NumClasses: o.NumClasses, Models: make([]*Model, len(o.Models))}
+	for c, m := range o.Models {
+		w := make([]float64, len(m.W))
+		for j, v := range m.W {
+			w[j] = float64(float32(v))
+		}
+		r.Models[c] = &Model{W: w, Bias: m.Bias}
+	}
+	return r
+}
+
+// checkRow scores x at both precisions with the grouped kernel and
+// requires the same bits as the frozen packed kernel and per-model Score,
+// both run on the row prefix the kernel accumulates.
+func checkRow(t testing.TB, label string, o, o32 *OneVsRest, ref *frozenPacked, dim int, x *sparse.Vector) {
+	t.Helper()
+	K := len(o.Models)
+	got := make([]float64, K)
+	want := make([]float64, K)
+	p := rowPrefix(x, dim)
+	for _, prec := range []Precision{Float64, Float32} {
+		o.ScoresAtInto(prec, x, got)
+		ref.ScoresAtInto(prec, p, want)
+		per := o
+		if prec == Float32 {
+			per = o32
+		}
+		for c := range got {
+			g := math.Float64bits(got[c])
+			if w := math.Float64bits(want[c]); g != w {
+				t.Fatalf("%s %v class %d: grouped %v, frozen packed %v", label, prec, c, got[c], want[c])
+			}
+			if s := per.Models[c].Score(p); g != math.Float64bits(s) {
+				t.Fatalf("%s %v class %d: grouped %v, per-model Score %v", label, prec, c, got[c], s)
+			}
+		}
+	}
+}
+
+// TestGroupedKernelMatchesFrozenReferees is the property test: random
+// batteries with every K mod 4 remainder, dims 1–5000 and densities
+// 0–100%, at both precisions, score bit-identically to the frozen packed
+// kernels and to per-model Score.
+func TestGroupedKernelMatchesFrozenReferees(t *testing.T) {
+	root := rng.New(2024)
+	for _, K := range []int{1, 2, 3, 4, 5, 7, 8, 23, 24} {
+		for trial := 0; trial < 4; trial++ {
+			r := root.Split(uint64(K*16 + trial))
+			dim := 1 + r.Intn(5000)
+			if trial == 0 {
+				dim = 1
+			}
+			o := randOVR(r, K, dim)
+			o32, ref := rounded32(o), newFrozenPacked(o)
+			for v := 0; v < 6; v++ {
+				density := r.Float64()
+				switch v {
+				case 0:
+					density = 0
+				case 1:
+					density = 1
+				}
+				x := randRow(r, dim, density)
+				if v%2 == 1 { // trailing indices past the weights
+					x.Idx = append(x.Idx, int32(dim), int32(dim+7))
+					x.Val = append(x.Val, 1, -2)
+				}
+				checkRow(t, fmt.Sprintf("K=%d dim=%d density=%.2f", K, dim, density), o, o32, ref, dim, x)
+			}
+		}
+	}
+}
+
+// TestScoresIntoRowEnds pins the row cutoff: the kernel stops at the
+// first index outside [0, dim), negative ones included, with the bits
+// Model.Score accumulates up to that index. Score itself then panics on
+// a negative index (sparse.DotDense's contract), so the referees run on
+// the prefix.
+func TestScoresIntoRowEnds(t *testing.T) {
+	const dim = 9
+	cases := map[string]*sparse.Vector{
+		"negative index":              {Idx: []int32{1, 3, -4, 6}, Val: []float64{0.5, -1.25, 3, 2}},
+		"negative index at row start": {Idx: []int32{-1, 2}, Val: []float64{1, 1}},
+		"negative index in a block":   {Idx: []int32{0, 1, -2, 3, 5, 7}, Val: []float64{1, 2, 3, 4, 5, 6}},
+		"most negative int32":         {Idx: []int32{2, math.MinInt32, 4}, Val: []float64{1.5, 1, 1}},
+		"out of range mid-row":        {Idx: []int32{2, dim + 5, 4}, Val: []float64{0.75, 9, -3}},
+		"largest int32 mid-row":       {Idx: []int32{0, math.MaxInt32, 1}, Val: []float64{2, 1, 1}},
+		"trailing indices >= dim":     {Idx: []int32{0, 5, dim, dim + 1}, Val: []float64{1, -0.5, 4, 4}},
+		"empty row":                   {},
+	}
+	root := rng.New(7)
+	for _, K := range []int{1, 6, 23} {
+		o := randOVR(root.Split(uint64(K)), K, dim)
+		o32, ref := rounded32(o), newFrozenPacked(o)
+		for name, x := range cases {
+			checkRow(t, fmt.Sprintf("%s K=%d", name, K), o, o32, ref, dim, x)
+		}
+	}
+}
+
+// TestFirstScoreAllocatesNoWeightCopy is the no-copy gate: on a fresh
+// serving-sized battery the first score at either precision allocates
+// nothing (the packed kernels built a 0.75 MiB feature-major copy, plus
+// a 0.37 MiB float32 one, on first use), and later scores stay
+// allocation-free. TotalAlloc is process-wide, so a runtime goroutine
+// allocating inside the window can spoil one reading; a weight copy
+// would show on every fresh battery, so the gate takes the best of three.
+func TestFirstScoreAllocatesNoWeightCopy(t *testing.T) {
+	const K, dim = 23, 4160
+	r := rng.New(11)
+	x := randRow(r, dim, 0.5)
+	out := make([]float64, K)
+	score := map[Precision]func(o *OneVsRest){
+		Float64: func(o *OneVsRest) { o.ScoresInto(x, out) },
+		Float32: func(o *OneVsRest) { o.ScoresAtInto(Float32, x, out) },
+	}
+	for _, prec := range []Precision{Float64, Float32} {
+		var deltas []uint64
+		for len(deltas) < 3 {
+			o := randOVR(r, K, dim)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			score[prec](o)
+			runtime.ReadMemStats(&after)
+			if n := testing.AllocsPerRun(20, func() { score[prec](o) }); n != 0 {
+				t.Fatalf("%v: scoring allocates %v per run", prec, n)
+			}
+			d := after.TotalAlloc - before.TotalAlloc
+			if d < 1024 {
+				break
+			}
+			deltas = append(deltas, d)
+		}
+		if len(deltas) == 3 {
+			t.Fatalf("%v: first score allocated %v bytes on three fresh batteries, want < 1 KiB", prec, deltas)
+		}
+	}
+}
+
+// FuzzScoresIntoMatchesPerModel scores arbitrary rows — unsorted,
+// repeated, negative and out-of-range indices — against batteries of 1
+// to 30 classes. The grouped kernel must not panic and must match the
+// frozen packed kernel and per-model Score, run on the row prefix it
+// accumulates, bit for bit at both precisions.
+//
+// Each 4-byte chunk of row is one nonzero: byte 3 picks the index kind,
+// bytes 0–1 its magnitude, byte 2 the value.
+func FuzzScoresIntoMatchesPerModel(f *testing.F) {
+	f.Add(uint8(22), uint16(40), uint64(1), []byte{1, 0, 3, 3, 5, 0, 200, 3, 9, 0, 7, 4})
+	f.Add(uint8(0), uint16(0), uint64(2), []byte{})
+	f.Add(uint8(4), uint16(7), uint64(3), []byte{3, 0, 1, 0, 0, 0, 9, 3, 2, 0, 4, 1})
+	f.Add(uint8(29), uint16(300), uint64(4), []byte{10, 1, 5, 7, 0, 0, 2, 2, 1, 0, 3, 3, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, k uint8, d uint16, seed uint64, row []byte) {
+		K, dim := 1+int(k)%30, 1+int(d)%512
+		o := randOVR(rng.New(seed), K, dim)
+		x := &sparse.Vector{}
+		for ; len(row) >= 4; row = row[4:] {
+			mag := int32(binary.LittleEndian.Uint16(row))
+			var i int32
+			switch row[3] % 8 {
+			case 0:
+				i = -1 - mag
+			case 1:
+				i = int32(dim) + mag
+			case 2:
+				i = int32(binary.LittleEndian.Uint32(row))
+			default:
+				i = mag % int32(dim)
+			}
+			x.Idx = append(x.Idx, i)
+			x.Val = append(x.Val, float64(int8(row[2]))/16)
+		}
+		checkRow(t, fmt.Sprintf("K=%d dim=%d", K, dim), o, rounded32(o), newFrozenPacked(o), dim, x)
+	})
+}
+
+// BenchmarkScoresInto times one row against a 23-class battery at the
+// serving front-ends' weight dims, ≈50% dense, for both precisions; the
+// packed sub-benchmarks run the frozen feature-major kernel it replaced
+// (already packed) on the same row.
+func BenchmarkScoresInto(b *testing.B) {
+	const K = 23
+	for _, prec := range []Precision{Float64, Float32} {
+		for _, dim := range []int{1892, 4160} {
+			r := rng.New(uint64(dim))
+			o := randOVR(r, K, dim)
+			x := randRow(r, dim, 0.5)
+			out := make([]float64, K)
+			ref := newFrozenPacked(o)
+			ref.ScoresAtInto(prec, x, out)
+			b.Run(fmt.Sprintf("%v/dim=%d/grouped", prec, dim), func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					o.ScoresAtInto(prec, x, out)
+				}
+			})
+			b.Run(fmt.Sprintf("%v/dim=%d/packed", prec, dim), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					ref.ScoresAtInto(prec, x, out)
+				}
+			})
+		}
+	}
+}

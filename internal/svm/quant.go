@@ -7,7 +7,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// Precision selects the packed scoring kernel's weight representation.
+// Precision selects the scoring kernel's weight representation.
 // The ladder trades score fidelity for footprint:
 //
 //	Float64 — the exact kernel. Scores are bit-identical to the
@@ -56,67 +56,25 @@ func ParsePrecision(s string) (Precision, error) {
 	return Float64, fmt.Errorf("svm: unknown precision %q (want float64, float32, or int8)", s)
 }
 
-// pack32 builds the float32 column-blocked weight matrix, lazily and
-// independently of the float64 pack so that selecting Float32 never
-// perturbs the exact kernel's state.
-func (o *OneVsRest) pack32() {
-	o.packOnce.Do(o.pack) // reuse the homogeneity check + float64 layout
-	if !o.packOK {
-		return
-	}
-	f32 := make([]float32, len(o.packed))
-	for i, w := range o.packed {
-		f32[i] = float32(w)
-	}
-	o.packedF32 = f32
-}
-
 // ScoresAtInto writes the decision values of all class models for x into
 // out (length NumClasses) at the requested precision and returns it.
-// Float64 is exactly ScoresInto. Float32 uses weights rounded to float32
-// with float64 accumulation — same addition chain, so the only deviation
-// from the oracle is the per-weight rounding. Int8 is not served from the
-// OneVsRest (the float64 weights may not even be present in a compressed
-// bundle); callers hold a Quantized for that rung.
+// Float64 is exactly ScoresInto. Float32 runs the same grouped loop over
+// each weight rounded to float32 as it is read, with float64
+// accumulation — same addition chain, so the only deviation from the
+// oracle is the per-weight rounding, and no float32 copy is kept. Int8
+// is not served from the OneVsRest (the float64 weights may not even be
+// present in a compressed bundle); callers hold a Quantized for that
+// rung.
 func (o *OneVsRest) ScoresAtInto(prec Precision, x *sparse.Vector, out []float64) []float64 {
 	if prec != Float32 {
 		return o.ScoresInto(x, out)
 	}
-	o.pack32Once.Do(o.pack32)
-	if o.packedF32 == nil {
-		return o.ScoresInto(x, out)
-	}
-	K := o.NumClasses
-	for c := range out {
-		out[c] = 0
-	}
-	val := x.Val[:len(x.Idx)]
-	for k, i := range x.Idx {
-		j := int(i)
-		if j >= o.packedDim {
-			break
-		}
-		xv := val[k]
-		row := o.packedF32[j*K : j*K+K]
-		for c, w := range row {
-			out[c] += xv * float64(w)
-		}
-	}
-	for c := range out {
-		out[c] += o.packedBias[c]
-	}
-	return out
+	return scoresAt[float32](o, x, out)
 }
 
-// PackedBytes reports the in-memory footprint of the packed scoring
-// kernels built so far (float64 + float32 blocks), for the serve layer's
-// model-footprint gauges.
-func (o *OneVsRest) PackedBytes() int {
-	return len(o.packed)*8 + len(o.packedBias)*8 + len(o.packedF32)*4
-}
-
-// Quantized is the int8 rung of the precision ladder: the column-blocked
-// kernel's weights quantized symmetrically per class,
+// Quantized is the int8 rung of the precision ladder: the one-vs-rest
+// weights quantized symmetrically per class into a column-blocked
+// (feature-major) block,
 //
 //	W[c][j] ≈ Scale[c] × (W8[j*K+c] − Zero[c]),
 //
@@ -144,27 +102,26 @@ type Quantized struct {
 	Bias  []float64
 }
 
-// Quantize builds the int8 form of the packed kernel. Fails on
-// heterogeneous or empty model sets (nothing to pack) and on non-finite
-// weights.
+// Quantize builds the int8 form of the one-vs-rest weights. Fails on
+// heterogeneous or empty model sets and on non-finite weights.
 func (o *OneVsRest) Quantize() (*Quantized, error) {
-	o.packOnce.Do(o.pack)
-	if !o.packOK {
-		return nil, fmt.Errorf("svm: quantize: models are heterogeneous or missing, nothing to pack")
+	dim, ok := o.weightDim()
+	if !ok {
+		return nil, fmt.Errorf("svm: quantize: models are heterogeneous or missing, nothing to quantize")
 	}
-	K, dim := o.NumClasses, o.packedDim
+	K := o.NumClasses
 	q := &Quantized{
 		NumClasses: K,
 		Dim:        dim,
 		W8:         make([]byte, dim*K),
 		Scale:      make([]float64, K),
 		Zero:       make([]float64, K),
-		Bias:       append([]float64(nil), o.packedBias...),
+		Bias:       make([]float64, K),
 	}
-	for c := 0; c < K; c++ {
+	for c, m := range o.Models {
+		q.Bias[c] = m.Bias
 		var maxAbs float64
-		for j := 0; j < dim; j++ {
-			w := o.packed[j*K+c]
+		for j, w := range m.W {
 			if math.IsNaN(w) || math.IsInf(w, 0) {
 				return nil, fmt.Errorf("svm: quantize: class %d weight %d is not finite", c, j)
 			}
@@ -177,8 +134,8 @@ func (o *OneVsRest) Quantize() (*Quantized, error) {
 			s = 1 // all-zero class: any scale dequantizes 0 to 0
 		}
 		q.Scale[c] = s
-		for j := 0; j < dim; j++ {
-			q.W8[j*K+c] = byte(int8(math.RoundToEven(o.packed[j*K+c] / s)))
+		for j, w := range m.W {
+			q.W8[j*K+c] = byte(int8(math.RoundToEven(w / s)))
 		}
 	}
 	return q, nil

@@ -1,6 +1,9 @@
 package svm
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"testing"
 
@@ -218,8 +221,7 @@ func TestQuantizedScoresIntoAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { q.ScoresInto(x, out) }); n != 0 {
 		t.Fatalf("quantized ScoresInto allocates %v per run, want 0", n)
 	}
-	// The float32 rung shares the gate once its block is built.
-	o.ScoresAtInto(Float32, x, out)
+	// The float32 rung shares the gate.
 	if n := testing.AllocsPerRun(100, func() { o.ScoresAtInto(Float32, x, out) }); n != 0 {
 		t.Fatalf("float32 ScoresAtInto allocates %v per run, want 0", n)
 	}
@@ -232,5 +234,45 @@ func TestQuantizeHeterogeneousFails(t *testing.T) {
 	}}
 	if _, err := o.Quantize(); err == nil {
 		t.Fatal("heterogeneous models quantized")
+	}
+}
+
+// TestQuantizeMatchesFrozenPacked pins Quantize, which now reads the
+// row-major Models[c].W, to the frozen packed-reading version: the
+// encoded kernels must be byte-equal, so compressed bundles do not move.
+func TestQuantizeMatchesFrozenPacked(t *testing.T) {
+	trained, _ := quantFixture(t, 40, 120, 9)
+	batteries := map[string]*OneVsRest{"trained K=9": trained}
+	r := rng.New(17)
+	for _, K := range []int{1, 3, 4, 5, 23, 24} {
+		batteries[fmt.Sprintf("random K=%d", K)] = randOVR(r.Split(uint64(K)), K, 1+r.Intn(700))
+	}
+	zero := randOVR(r, 5, 40)
+	zero.Models[2].W = make([]float64, 40) // all-zero class: scale 1
+	batteries["all-zero class"] = zero
+	encode := func(q *Quantized) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(q); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, o := range batteries {
+		got, err := o.Quantize()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := newFrozenPacked(o).Quantize()
+		if err != nil {
+			t.Fatalf("%s: frozen: %v", name, err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Fatalf("%s: Quantize output differs from the frozen packed-reading version", name)
+		}
+	}
+	bad := randOVR(r, 6, 30)
+	bad.Models[4].W[17] = math.Inf(-1)
+	if _, err := bad.Quantize(); err == nil {
+		t.Fatal("non-finite weight quantized")
 	}
 }

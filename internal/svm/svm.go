@@ -237,22 +237,6 @@ func trainInto(xs []*sparse.Vector, ys []int, sharedQii []float64, dim int, opt 
 type OneVsRest struct {
 	NumClasses int
 	Models     []*Model
-
-	// Lazily built column-blocked (feature-major) scoring kernel:
-	// packed[j*K+c] = Models[c].W[j], so scoring all K classes is one
-	// pass over a row's nonzeros with K contiguous multiply-adds per
-	// nonzero instead of K separate gathers. Unexported fields are
-	// invisible to gob, so persisted bundles are unchanged.
-	packOnce   sync.Once
-	packed     []float64
-	packedBias []float64
-	packedDim  int
-	packOK     bool
-
-	// Float32 rung of the precision ladder (quant.go), built lazily from
-	// the float64 block so requesting it never perturbs the exact kernel.
-	pack32Once sync.Once
-	packedF32  []float32
 }
 
 // TrainOVR trains one binary model per class with the remaining classes
@@ -288,70 +272,94 @@ func TrainOVR(xs []*sparse.Vector, labels []int, numClasses, dim int, opt Option
 	return o
 }
 
-// pack builds the column-blocked weight matrix. All models must share
-// one weight length for the blocked layout to apply; heterogeneous
-// models (hand-assembled, partial) fall back to per-model scoring.
-func (o *OneVsRest) pack() {
-	if len(o.Models) == 0 {
-		return
+// weightDim returns the weight length every model shares. ok is false
+// for an empty battery, a nil model or mismatched lengths (hand-
+// assembled, partial batteries), which score model by model instead.
+func (o *OneVsRest) weightDim() (dim int, ok bool) {
+	if len(o.Models) == 0 || o.Models[0] == nil {
+		return 0, false
 	}
-	dim := -1
-	for _, m := range o.Models {
-		if m == nil {
-			return
-		}
-		if dim == -1 {
-			dim = len(m.W)
-		} else if len(m.W) != dim {
-			return
+	dim = len(o.Models[0].W)
+	for _, m := range o.Models[1:] {
+		if m == nil || len(m.W) != dim {
+			return 0, false
 		}
 	}
-	K := len(o.Models)
-	packed := make([]float64, dim*K)
-	bias := make([]float64, K)
-	for c, m := range o.Models {
-		bias[c] = m.Bias
-		for j, w := range m.W {
-			packed[j*K+c] = w
-		}
-	}
-	o.packed, o.packedBias, o.packedDim, o.packOK = packed, bias, dim, true
+	return dim, true
 }
 
 // ScoresInto writes the decision values of all class models for x into
-// out (length NumClasses) and returns it. The packed kernel walks x's
-// nonzeros once in ascending-index order and accumulates K classes per
-// nonzero; per class this is the same addition chain — same index
-// order, same w·x then +bias — as Model.Score, so values are
-// bit-identical to the per-model path.
+// out (length NumClasses) and returns it. The kernel scores straight
+// from the row-major Models[c].W (see scoresAt); per class this is the
+// same addition chain — same index order, same w·x then +bias — as
+// Model.Score, so values are bit-identical to the per-model path.
 func (o *OneVsRest) ScoresInto(x *sparse.Vector, out []float64) []float64 {
-	o.packOnce.Do(o.pack)
-	if !o.packOK {
+	return scoresAt[float64](o, x, out)
+}
+
+// scoresAt is the class-grouped kernel, reading each weight through T
+// (float64: exact; float32: the float32 rung, rounded as it is read, so
+// no weight copy is ever built). Classes go four at a time, each with
+// its own register accumulator, so one pass over x's nonzeros serves
+// four weight rows; a tail loop covers K mod 4. Every accumulator starts
+// at 0, adds v·w[j] in nonzero order and adds the bias last. A battery
+// that is not homogeneous scores model by model instead.
+func scoresAt[T float32 | float64](o *OneVsRest, x *sparse.Vector, out []float64) []float64 {
+	dim, ok := o.weightDim()
+	if !ok {
 		for k, m := range o.Models {
 			out[k] = m.Score(x)
 		}
 		return out
 	}
-	K := o.NumClasses
-	for c := range out {
-		out[c] = 0
-	}
-	val := x.Val[:len(x.Idx)]
+	// The row ends at its first index outside [0, dim). The unsigned
+	// compare catches negatives too: DotDense stops at the same index
+	// (and then panics on a negative one); the kernel just stops.
+	n := len(x.Idx)
 	for k, i := range x.Idx {
-		j := int(i)
-		if j >= o.packedDim {
+		if uint(int(i)) >= uint(dim) {
+			n = k
 			break
 		}
-		xv := val[k]
-		row := o.packed[j*K : j*K+K]
-		for c, w := range row {
-			out[c] += xv * w
-		}
 	}
-	for c := range out {
-		out[c] += o.packedBias[c]
+	idx, val := x.Idx[:n], x.Val[:n]
+	c := 0
+	for ; c+3 < len(o.Models); c += 4 {
+		m, dst := o.Models[c:c+4:c+4], out[c:c+4:c+4]
+		s0, s1, s2, s3 := dot4[T](idx, val, m[0].W, m[1].W, m[2].W, m[3].W)
+		dst[0] = s0 + m[0].Bias
+		dst[1] = s1 + m[1].Bias
+		dst[2] = s2 + m[2].Bias
+		dst[3] = s3 + m[3].Bias
+	}
+	for ; c < len(o.Models); c++ {
+		w := o.Models[c].W
+		var s float64
+		for k, i := range idx {
+			s += val[k] * float64(T(w[i]))
+		}
+		out[c] = s + o.Models[c].Bias
 	}
 	return out
+}
+
+// dot4 is scoresAt's four-class pass over nonzeros already cut to
+// [0, len(w0)); the weight rows share that length. It is kept out of
+// line so the register allocator sees only the loop (inlined, the loop
+// index spills to the stack).
+//
+//go:noinline
+func dot4[T float32 | float64](idx []int32, val, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
+	val = val[:len(idx)]
+	w1, w2, w3 = w1[:len(w0)], w2[:len(w0)], w3[:len(w0)]
+	for k, i := range idx {
+		v := val[k]
+		s0 += v * float64(T(w0[i]))
+		s1 += v * float64(T(w1[i]))
+		s2 += v * float64(T(w2[i]))
+		s3 += v * float64(T(w3[i]))
+	}
+	return
 }
 
 // Scores returns the decision values of all class models for x (the row
