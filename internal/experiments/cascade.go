@@ -9,13 +9,13 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/corpus"
-	"repro/internal/frontend"
 	"repro/internal/fusion"
 	"repro/internal/lattice"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/vsm"
 )
 
 // CascadeFrontEnd is the designated tier-1 front-end: the paper's
@@ -37,99 +37,57 @@ func TierNames() []string {
 	return names
 }
 
-// cascadeSeqs caches the designated front-end's 1-best decodes, aligned
-// with the pipeline's split orders (train split order; pooled dev/test
-// order). Decoding reuses the exact per-utterance rng streams of
-// vsm.Extract — (seed, front-end name, item ID) — so the 1-best strings
-// come from the very lattices the supervectors were extracted from.
-type cascadeSeqs struct {
-	Train [][]int
-	Dev   [][]int
-	Test  [][]int
-}
-
-func (p *Pipeline) cascadeFE() (*frontend.FrontEnd, error) {
-	for _, fe := range p.FEs {
+// cascadeFeats returns the designated front-end's feature cache, which
+// kept every utterance's 1-best string from the lattices its supervectors
+// were extracted from (BuildPipelineCK); nil if the pipeline lacks it.
+func (p *Pipeline) cascadeFeats() *vsm.Features {
+	for q, fe := range p.FEs {
 		if fe.Name == CascadeFrontEnd {
-			return fe, nil
+			return p.Feats[q]
 		}
 	}
-	return nil, fmt.Errorf("experiments: pipeline has no front-end %q", CascadeFrontEnd)
-}
-
-func decode1Best(fe *frontend.FrontEnd, root *rng.RNG, items []*corpus.Item) [][]int {
-	out := make([][]int, len(items))
-	parallel.ForPool("cascade.decode", len(items), func(i int) {
-		it := items[i]
-		r := root.Split(uint64(it.ID))
-		lat := fe.Decode(r, it.U)
-		out[i], _ = lat.BestPath()
-	})
-	return out
-}
-
-func (p *Pipeline) cascadeSeqsOnce() (*cascadeSeqs, error) {
-	p.cascadeMu.Lock()
-	defer p.cascadeMu.Unlock()
-	if p.cascadeSeq != nil {
-		return p.cascadeSeq, nil
-	}
-	fe, err := p.cascadeFE()
-	if err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan("cascade.decode-1best")
-	defer sp.End()
-	sp.SetLabel("frontend", fe.Name)
-	root := rng.New(p.Seed).SplitString("extract:" + fe.Name)
-	p.cascadeSeq = &cascadeSeqs{
-		Train: decode1Best(fe, root, p.Corpus.Train.Items),
-		Dev:   decode1Best(fe, root, p.Corpus.AllDev().Items),
-		Test:  decode1Best(fe, root, p.Corpus.AllTest().Items),
-	}
-	return p.cascadeSeq, nil
+	return nil
 }
 
 // TrainCascade fits and calibrates the tier-1 cascade model on the
 // pipeline's train/dev splits: per-language Kneser–Ney bigrams over the
-// designated front-end's 1-best decodes, per-tier required margins at the
-// default accuracy target, and the affine map onto the heavy fused-score
-// scale — the bundle backend's decision rows (fusion.DecideAll), exactly
-// what the server answers an escalated request with. Memoized —
-// BuildBundle and the eval/bench paths share one model.
+// 1-best strings the designated front-end's extraction kept, per-tier
+// required margins at the default accuracy target, and the affine map
+// onto the heavy fused-score scale — the bundle backend's decision rows
+// (fusion.DecideAll), exactly what the server answers an escalated
+// request with. Memoized — BuildBundle and the eval/bench paths share
+// one model.
 func (p *Pipeline) TrainCascade() (*cascade.Model, error) {
 	p.cascadeModelMu.Lock()
 	defer p.cascadeModelMu.Unlock()
 	if p.cascadeModel != nil {
 		return p.cascadeModel, nil
 	}
-	seqs, err := p.cascadeSeqsOnce()
-	if err != nil {
-		return nil, err
-	}
-	fe, err := p.cascadeFE()
-	if err != nil {
-		return nil, err
+	f := p.cascadeFeats()
+	if f == nil {
+		return nil, fmt.Errorf("experiments: pipeline has no front-end %q", CascadeFrontEnd)
 	}
 	sp := obs.StartSpan("cascade.train")
 	defer sp.End()
 	trainSeqs := make([][][]int, NumLangs)
-	for i, it := range p.Corpus.Train.Items {
-		trainSeqs[it.Label] = append(trainSeqs[it.Label], seqs.Train[i])
+	for i, seq := range f.BestPaths(p.Corpus.Train) {
+		label := p.TrainLabels[i]
+		trainSeqs[label] = append(trainSeqs[label], seq)
 	}
+	devSeqs := f.BestPaths(p.Corpus.AllDev())
 	heavyDev := fusion.DecideAll(p.fusionBackend(), p.BaselineDev)
 	var dev []cascade.DevExample
 	for ti, dur := range corpus.Durations {
 		for _, i := range p.DevIdx[dur] {
 			dev = append(dev, cascade.DevExample{
-				Seq:   seqs.Dev[i],
+				Seq:   devSeqs[i],
 				Label: p.DevLabels[i],
 				Tier:  ti,
 				Heavy: heavyDev[i],
 			})
 		}
 	}
-	m, err := cascade.Train(fe.Name, fe.Set.Size, trainSeqs, TierNames(), dev, cascade.TrainConfig{})
+	m, err := cascade.Train(f.FE.Name, f.FE.Set.Size, trainSeqs, TierNames(), dev, cascade.TrainConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +121,7 @@ type CascadeTierEval struct {
 }
 
 // evalCascadeTier evaluates one duration tier under a threshold offset.
-func (p *Pipeline) evalCascadeTier(m *cascade.Model, seqs *cascadeSeqs, heavy [][]float64, ti int, threshold float64) CascadeTierEval {
+func (p *Pipeline) evalCascadeTier(m *cascade.Model, seqs [][]int, heavy [][]float64, ti int, threshold float64) CascadeTierEval {
 	dur := corpus.Durations[ti]
 	idx := p.TestIdx[dur]
 	ev := CascadeTierEval{
@@ -178,7 +136,7 @@ func (p *Pipeline) evalCascadeTier(m *cascade.Model, seqs *cascadeSeqs, heavy []
 	correct := 0
 	for _, j := range idx {
 		mixed[j] = heavy[j]
-		d := m.Decide(seqs.Test[j], threshold)
+		d := m.Decide(seqs[j], threshold)
 		if d.Exit {
 			ev.Exited++
 			mixed[j] = d.Scores
@@ -204,17 +162,14 @@ func (p *Pipeline) evalCascadeTier(m *cascade.Model, seqs *cascadeSeqs, heavy []
 
 // EvalCascade evaluates every duration tier at one policy (per-tier
 // threshold offsets), against the heavy path's fused test scores.
-func (p *Pipeline) EvalCascade(m *cascade.Model, pol cascade.Policy) ([]CascadeTierEval, error) {
-	seqs, err := p.cascadeSeqsOnce()
-	if err != nil {
-		return nil, err
-	}
+func (p *Pipeline) EvalCascade(m *cascade.Model, pol cascade.Policy) []CascadeTierEval {
+	seqs := p.cascadeFeats().BestPaths(p.Corpus.AllTest())
 	heavy := fusion.DecideAll(p.fusionBackend(), p.BaselineScores)
 	out := make([]CascadeTierEval, len(corpus.Durations))
 	for ti, dur := range corpus.Durations {
 		out[ti] = p.evalCascadeTier(m, seqs, heavy, ti, pol.Threshold(TierNameFor(dur)))
 	}
-	return out, nil
+	return out
 }
 
 // CascadeSweepThresholds is the offset grid of the tradeoff curve:
@@ -228,11 +183,8 @@ var CascadeSweepThresholds = []float64{
 
 // SweepCascade evaluates every tier across the full threshold grid — the
 // accuracy/latency/traffic-fraction tradeoff curve of BENCH_cascade.json.
-func (p *Pipeline) SweepCascade(m *cascade.Model) ([]CascadeTierEval, error) {
-	seqs, err := p.cascadeSeqsOnce()
-	if err != nil {
-		return nil, err
-	}
+func (p *Pipeline) SweepCascade(m *cascade.Model) []CascadeTierEval {
+	seqs := p.cascadeFeats().BestPaths(p.Corpus.AllTest())
 	heavy := fusion.DecideAll(p.fusionBackend(), p.BaselineScores)
 	var out []CascadeTierEval
 	for ti := range corpus.Durations {
@@ -240,7 +192,7 @@ func (p *Pipeline) SweepCascade(m *cascade.Model) ([]CascadeTierEval, error) {
 			out = append(out, p.evalCascadeTier(m, seqs, heavy, ti, th))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // CascadeThroughput is the measured serving-cost comparison for one
@@ -352,21 +304,13 @@ func (p *Pipeline) RunCascadeBench(pol cascade.Policy) (*CascadeBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	def, err := p.EvalCascade(m, pol)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := p.SweepCascade(m)
-	if err != nil {
-		return nil, err
-	}
 	bench := &CascadeBench{
 		Scale:    p.Scale.String(),
 		Seed:     p.Seed,
 		FrontEnd: m.FrontEnd,
 		Policy:   pol.String(),
-		Default:  def,
-		Curve:    curve,
+		Default:  p.EvalCascade(m, pol),
+		Curve:    p.SweepCascade(m),
 	}
 	for ti := range corpus.Durations {
 		tp, err := p.BenchCascadeTier(m, ti, pol.Threshold(TierNameFor(corpus.Durations[ti])))
@@ -392,11 +336,7 @@ func (p *Pipeline) RunCascadeTable() (*CascadeTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := p.EvalCascade(m, cascade.Policy{})
-	if err != nil {
-		return nil, err
-	}
-	return &CascadeTable{FrontEnd: m.FrontEnd, Rows: rows}, nil
+	return &CascadeTable{FrontEnd: m.FrontEnd, Rows: p.EvalCascade(m, cascade.Policy{})}, nil
 }
 
 // String renders the golden-pinned layout.

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/cascade"
+	"repro/internal/corpus"
+	"repro/internal/faultinject"
+	"repro/internal/persist"
 )
 
 func TestCascadeTinyPipelineEndToEnd(t *testing.T) {
@@ -33,10 +36,7 @@ func TestCascadeTinyPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Endpoint policies: -Inf escalates everything, +Inf exits everything.
-	evInfDown, err := p.EvalCascade(m, cascade.Policy{Default: math.Inf(-1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	evInfDown := p.EvalCascade(m, cascade.Policy{Default: math.Inf(-1)})
 	for _, ev := range evInfDown {
 		if ev.Exited != 0 {
 			t.Fatalf("tier %s exited %d at -Inf", ev.Tier, ev.Exited)
@@ -45,10 +45,7 @@ func TestCascadeTinyPipelineEndToEnd(t *testing.T) {
 			t.Fatalf("tier %s: escalate-all EER %.3f differs from heavy %.3f", ev.Tier, ev.EERCascadePct, ev.EERHeavyPct)
 		}
 	}
-	evInfUp, err := p.EvalCascade(m, cascade.Policy{Default: math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	evInfUp := p.EvalCascade(m, cascade.Policy{Default: math.Inf(1)})
 	for _, ev := range evInfUp {
 		if ev.Exited != ev.Total {
 			t.Fatalf("tier %s exited %d/%d at +Inf", ev.Tier, ev.Exited, ev.Total)
@@ -58,11 +55,7 @@ func TestCascadeTinyPipelineEndToEnd(t *testing.T) {
 	// Exit fraction is monotone in the threshold offset, per tier.
 	prev := map[string]float64{}
 	for _, th := range []float64{math.Inf(-1), -0.01, 0, 0.01, math.Inf(1)} {
-		evs, err := p.EvalCascade(m, cascade.Policy{Default: th})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range evs {
+		for _, ev := range p.EvalCascade(m, cascade.Policy{Default: th}) {
 			if ev.ExitFrac < prev[ev.Tier] {
 				t.Fatalf("tier %s: exit fraction fell from %.3f to %.3f at threshold %g",
 					ev.Tier, prev[ev.Tier], ev.ExitFrac, th)
@@ -99,5 +92,56 @@ func TestCascadeBundleExportCarriesCascade(t *testing.T) {
 	}
 	if man.Cascade != CascadeFrontEnd {
 		t.Fatalf("manifest cascade %q", man.Cascade)
+	}
+}
+
+// TestChaosExportKeepsCascade is the decode-once regression: a run whose
+// extraction quarantines injected decode faults must also export, cascade
+// included — tier 1 trains on the 1-best strings extraction kept, with an
+// empty string for every quarantined utterance, and decodes nothing again.
+func TestChaosExportKeepsCascade(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline build is slow")
+	}
+	plan, err := faultinject.ParsePlan("seed=3; frontend.decode:error:every=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := faultinject.Enable(plan)
+	defer restore()
+	p, err := BuildPipelineCK(ScaleTiny, 42, nil)
+	if err != nil {
+		t.Fatalf("BuildPipelineCK: %v", err)
+	}
+	dir := t.TempDir()
+	man, err := p.ExportModels(dir, "chaos")
+	if err != nil {
+		t.Fatalf("ExportModels: %v", err)
+	}
+	if man.Cascade != CascadeFrontEnd {
+		t.Fatalf("manifest cascade %q, want %q", man.Cascade, CascadeFrontEnd)
+	}
+	b, _, err := persist.LoadBundle(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Cascade == nil {
+		t.Fatal("exported bundle has no cascade")
+	}
+
+	f := p.cascadeFeats()
+	if len(f.Quarantined) == 0 {
+		t.Fatal("the plan quarantined no cascade front-end utterance — bad test premise")
+	}
+	bad := make(map[int]bool)
+	for _, q := range f.Quarantined {
+		bad[q.ItemID] = true
+	}
+	for _, s := range []*corpus.Split{p.Corpus.Train, p.Corpus.AllDev(), p.Corpus.AllTest()} {
+		for i, seq := range f.BestPaths(s) {
+			if id := s.Items[i].ID; bad[id] != (len(seq) == 0) {
+				t.Fatalf("item %d: quarantined=%v, kept a %d-phone string", id, bad[id], len(seq))
+			}
+		}
 	}
 }

@@ -126,13 +126,11 @@ type Pipeline struct {
 	mu       sync.Mutex
 	outcomes map[outcomeKey]*dba.Outcome
 
-	// Cascade state (internal/cascade): the designated front-end's 1-best
-	// decodes and the trained tier-1 model, both memoized — BuildBundle,
-	// the golden table, and the bench share one model. fusionBk memoizes
-	// the dev-trained fusion backend BuildBundle ships (the heavy path's
-	// decision scorer, also needed for cascade calibration).
-	cascadeMu      sync.Mutex
-	cascadeSeq     *cascadeSeqs
+	// Cascade state (internal/cascade): the trained tier-1 model,
+	// memoized — BuildBundle, the golden table, and the bench share one
+	// model. fusionBk memoizes the dev-trained fusion backend BuildBundle
+	// ships (the heavy path's decision scorer, also needed for cascade
+	// calibration).
 	cascadeModelMu sync.Mutex
 	cascadeModel   *cascade.Model
 	fusionMu       sync.Mutex
@@ -200,12 +198,13 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 	extractErrs := make([]error, len(p.FEs))
 	parallel.For(len(p.FEs), func(q int) {
 		fe := p.FEs[q]
+		keepBest := fe.Name == CascadeFrontEnd
 		feSp := extractSp.StartChild("extract." + fe.Name)
 		defer feSp.End()
 		key := "features-" + fe.Name
 		var snap vsm.FeaturesSnapshot
 		if ck.load(key, &snap) {
-			if f, err := vsm.RestoreFeatures(fe, &snap); err == nil && featuresCover(f, p.Corpus) {
+			if f, err := vsm.RestoreFeatures(fe, &snap); err == nil && featuresCover(f, p.Corpus) && (!keepBest || len(snap.BestPaths) > 0) {
 				p.Feats[q] = f
 				feSp.SetLabel("source", "checkpoint")
 				feSp.SetAttr("dim", float64(f.Dim()))
@@ -215,11 +214,11 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 				log.Printf("experiments: checkpoint %q does not fit this run, recomputing: %v", key, err)
 				obs.Inc("checkpoint.recompute")
 			} else {
-				log.Printf("experiments: checkpoint %q misses utterances of this corpus, recomputing", key)
+				log.Printf("experiments: checkpoint %q misses utterances (or 1-best paths) of this corpus, recomputing", key)
 				obs.Inc("checkpoint.recompute")
 			}
 		}
-		f, err := vsm.ExtractChecked(fe, p.Corpus, vsm.ExtractOptions{Seed: seed})
+		f, err := vsm.ExtractChecked(fe, p.Corpus, vsm.ExtractOptions{Seed: seed, KeepBestPath: keepBest})
 		if err != nil {
 			extractErrs[q] = err
 			return

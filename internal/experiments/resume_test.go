@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dba"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
+	"repro/internal/vsm"
 )
 
 // resumeSeed keeps the kill-and-resume suite on one deterministic run.
@@ -172,6 +175,90 @@ func TestFullyCheckpointedRerunIsIdentical(t *testing.T) {
 	if store.Generation() != gen {
 		t.Fatalf("fully-cached rerun published %d new generations", store.Generation()-gen)
 	}
+}
+
+// TestBuildAndExportDecodeEachUtteranceOnce counts decodes, the paper's
+// cost unit: building a pipeline and exporting its bundle (cascade
+// included) decodes every utterance once per front-end, a rerun on the
+// complete checkpoint decodes nothing and exports the same bundle bytes,
+// and a cascade front-end snapshot without its 1-best paths is refused
+// and re-extracted rather than decoded a second time for them.
+func TestBuildAndExportDecodeEachUtteranceOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline build is slow")
+	}
+	plainDir := t.TempDir()
+	if _, err := sharedPipeline(t).ExportModels(plainDir, ""); err != nil {
+		t.Fatal(err)
+	}
+	plain := readBundle(t, plainDir)
+
+	decoded := obs.GetCounter("decode.utterances")
+	recomputed := obs.GetCounter("checkpoint.recompute")
+	buildAndExport := func(ck *Checkpointer) (decodes int64, bundle []byte, p *Pipeline) {
+		t.Helper()
+		before := decoded.Value()
+		p, err := BuildPipelineCK(ScaleTiny, resumeSeed, ck)
+		if err != nil {
+			t.Fatalf("BuildPipelineCK: %v", err)
+		}
+		dir := t.TempDir()
+		if _, err := p.ExportModels(dir, ""); err != nil {
+			t.Fatalf("ExportModels: %v", err)
+		}
+		return decoded.Value() - before, readBundle(t, dir), p
+	}
+
+	dir := t.TempDir()
+	ck, store := openCK(t, dir)
+	n, bundle, p := buildAndExport(ck)
+	utts := int64(p.Corpus.Train.Len() + p.Corpus.AllDev().Len() + p.Corpus.AllTest().Len())
+	if want := int64(len(p.FEs)) * utts; n != want {
+		t.Fatalf("build + export decoded %d utterances, want %d front-ends × %d", n, len(p.FEs), utts)
+	}
+	if !bytes.Equal(bundle, plain) {
+		t.Fatal("checkpointed export differs from a plain export")
+	}
+
+	ck2, _ := openCK(t, dir)
+	if n, bundle, _ = buildAndExport(ck2); n != 0 {
+		t.Fatalf("rerun on a complete checkpoint decoded %d utterances", n)
+	}
+	if !bytes.Equal(bundle, plain) {
+		t.Fatal("fully-checkpointed export differs from a plain export")
+	}
+
+	// Strip the kept paths from the cascade front-end's snapshot: the
+	// rerun must refuse it and re-extract that front-end only.
+	key := "features-" + CascadeFrontEnd
+	var snap vsm.FeaturesSnapshot
+	if err := store.Load(key, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.BestPaths = nil
+	if err := store.Save(key, &snap); err != nil {
+		t.Fatal(err)
+	}
+	ck3, _ := openCK(t, dir)
+	rec := recomputed.Value()
+	if n, bundle, _ = buildAndExport(ck3); n != utts {
+		t.Fatalf("rerun on a path-less %s snapshot decoded %d utterances, want %d", CascadeFrontEnd, n, utts)
+	}
+	if recomputed.Value() == rec {
+		t.Fatal("a path-less cascade snapshot was not counted as a recompute")
+	}
+	if !bytes.Equal(bundle, plain) {
+		t.Fatal("export after re-extraction differs from a plain export")
+	}
+}
+
+func readBundle(t *testing.T, dir string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "bundle.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestIterativeResumeBitIdentical kills a multi-round iterative-DBA run

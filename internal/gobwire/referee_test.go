@@ -114,7 +114,7 @@ func seeds(t testing.TB) [][]byte {
 
 	rows := []*sparse.Vector{testbundle.Vector(1), testbundle.Vector(2), {}}
 	snap := &vsm.FeaturesSnapshot{FEName: "FE0", Dim: 25, TF: b.FrontEnds[0].TFLLR, IDs: []int{4, 9, 11}, Rows: rows,
-		Quarantined: []vsm.QuarantinedUtterance{{ItemID: 3, Err: "decode failed"}}}
+		Quarantined: []vsm.QuarantinedUtterance{{ItemID: 3, Err: "decode failed"}}, BestPaths: [][]int{{5, 0, 12}, {}, {7}}}
 	table := &experiments.Table4{Durations: []float64{30, 10, 3}, FrontEnds: []string{"FE0", "FE1"}, V: 3,
 		BaselineSingle: map[string]map[float64]experiments.Cell{"FE0": {30: {EER: 0.1, Cavg: 0.2}, 3: {}}},
 		DBASingle:      map[string]map[float64]experiments.Cell{"FE1": {10: {EER: 0.3}}},

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/faultinject"
 	"repro/internal/frontend"
 )
@@ -51,6 +52,28 @@ func TestQuarantineSkipsCorruptUtterances(t *testing.T) {
 	}
 }
 
+func TestQuarantinedUtteranceKeepsEmptyBestPath(t *testing.T) {
+	f, err := chaosExtract(t, "seed=3; frontend.decode:error:every=100", ExtractOptions{Seed: 7, KeepBestPath: true})
+	if err != nil {
+		t.Fatalf("extraction failed instead of quarantining: %v", err)
+	}
+	if len(f.Quarantined) == 0 {
+		t.Fatal("no utterances quarantined despite injected faults")
+	}
+	bad := make(map[int]bool)
+	for _, q := range f.Quarantined {
+		bad[q.ItemID] = true
+	}
+	c := tinyCorpus()
+	for _, s := range []*corpus.Split{c.Train, c.AllDev(), c.AllTest()} {
+		for i, path := range f.BestPaths(s) {
+			if id := s.Items[i].ID; bad[id] != (len(path) == 0) {
+				t.Fatalf("item %d: quarantined=%v but kept a %d-phone path", id, bad[id], len(path))
+			}
+		}
+	}
+}
+
 func TestQuarantineCapFailsThePhase(t *testing.T) {
 	// Fail every third decode: far above any sane cap.
 	_, err := chaosExtract(t, "seed=3; frontend.decode:error:every=3", ExtractOptions{Seed: 7})
@@ -59,18 +82,6 @@ func TestQuarantineCapFailsThePhase(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "quarantined") || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("cap error is unhelpful: %v", err)
-	}
-}
-
-func TestQuarantineCapConfigurable(t *testing.T) {
-	// The same fault rate passes when the caller raises the cap.
-	f, err := chaosExtract(t, "seed=3; frontend.decode:error:every=3",
-		ExtractOptions{Seed: 7, MaxQuarantineFrac: 0.9})
-	if err != nil {
-		t.Fatalf("raised cap still failed: %v", err)
-	}
-	if len(f.Quarantined) < 100 {
-		t.Fatalf("expected ~1/3 of 368 utterances quarantined, got %d", len(f.Quarantined))
 	}
 }
 

@@ -7,7 +7,8 @@
 // analysis, Section 5.4), so each (front-end, utterance) pair is decoded
 // exactly once and cached; both the baseline pass and every DBA retraining
 // pass reuse the cached supervectors, which is why DBA's overhead is only
-// the extra SVM training — the property behind the paper's Eq. 19.
+// the extra SVM training — the property behind the paper's Eq. 19. Kept
+// 1-best strings come from the same lattices (ExtractOptions.KeepBestPath).
 package vsm
 
 import (
@@ -36,6 +37,9 @@ type Features struct {
 	// runs.
 	Quarantined []QuarantinedUtterance
 	vectors     map[int]*sparse.Vector
+	// best maps an item ID to its kept 1-best phone string; nil unless
+	// extraction kept them.
+	best map[int][]int
 	// mat is the CSR arena backing every cached vector: one contiguous
 	// Idx/Val/RowPtr triple for the whole corpus instead of thousands of
 	// boxed slice pairs.
@@ -54,19 +58,19 @@ type QuarantinedUtterance struct {
 // corpus is a broken decoder worth failing loudly on.
 const DefaultMaxQuarantineFrac = 0.05
 
+// tfllrFloor is the TFLLR background probability floor.
+const tfllrFloor = 1e-5
+
 // ExtractOptions controls feature extraction.
 type ExtractOptions struct {
 	Seed uint64
 	// DisableTFLLR turns off background scaling (raw probabilities), for
 	// the ablation bench.
 	DisableTFLLR bool
-	// TFLLRFloor is the background probability floor.
-	TFLLRFloor float64
-	// MaxQuarantineFrac caps the tolerated quarantine rate (corrupt
-	// lattices skipped with an empty supervector); above it
-	// ExtractChecked fails the phase. ≤ 0 means
-	// DefaultMaxQuarantineFrac.
-	MaxQuarantineFrac float64
+	// KeepBestPath keeps each utterance's 1-best phone string from the
+	// lattice its supervector came from (Features.BestPaths); a
+	// quarantined utterance keeps an empty one.
+	KeepBestPath bool
 }
 
 // Extract decodes every utterance of the corpus through the front-end and
@@ -87,13 +91,10 @@ func Extract(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions) *Featu
 // utterance — it keeps an empty supervector, is logged, counted
 // (extract.quarantined), and reported on Features.Quarantined — instead
 // of aborting the whole phase. If the quarantine rate exceeds
-// MaxQuarantineFrac the phase fails with an error naming the first
+// DefaultMaxQuarantineFrac the phase fails with an error naming the first
 // offender (cap-and-fail: mass corruption means a broken decoder, not
 // salvageable data).
 func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions) (*Features, error) {
-	if opt.TFLLRFloor <= 0 {
-		opt.TFLLRFloor = 1e-5
-	}
 	root := rng.New(opt.Seed).SplitString("extract:" + fe.Name)
 	f := &Features{FE: fe, vectors: make(map[int]*sparse.Vector)}
 
@@ -112,6 +113,11 @@ func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions)
 	// in run reports.
 	vecs := make([]*sparse.Vector, len(items))
 	decodeErrs := make([]error, len(items))
+	var paths [][]int
+	if opt.KeepBestPath {
+		paths = make([][]int, len(items))
+		f.best = make(map[int][]int, len(items))
+	}
 	parallel.ForPool("decode", len(items), func(i int) {
 		it := items[i]
 		r := root.Split(uint64(it.ID))
@@ -122,6 +128,9 @@ func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions)
 			return
 		}
 		vecs[i] = fe.Space.Supervector(lat)
+		if paths != nil {
+			paths[i], _ = lat.BestPath()
+		}
 	})
 	for i, err := range decodeErrs {
 		if err != nil {
@@ -133,25 +142,33 @@ func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions)
 		first := f.Quarantined[0]
 		log.Printf("vsm: front-end %s: quarantined %d/%d utterances (first: item %d: %s)",
 			fe.Name, n, len(items), first.ItemID, first.Err)
-		maxFrac := opt.MaxQuarantineFrac
-		if maxFrac <= 0 {
-			maxFrac = DefaultMaxQuarantineFrac
-		}
-		if float64(n) > maxFrac*float64(len(items)) {
+		if float64(n) > DefaultMaxQuarantineFrac*float64(len(items)) {
 			obs.Inc("extract.quarantine_overflow")
 			return nil, fmt.Errorf("vsm: front-end %s: %d/%d utterances (%.1f%%) quarantined, above the %.1f%% cap; first: item %d: %s",
-				fe.Name, n, len(items), 100*float64(n)/float64(len(items)), 100*maxFrac, first.ItemID, first.Err)
+				fe.Name, n, len(items), 100*float64(n)/float64(len(items)), 100*DefaultMaxQuarantineFrac, first.ItemID, first.Err)
 		}
 	}
 	// Repack the per-utterance vectors into one CSR matrix so the whole
 	// feature cache lives in three contiguous arenas; the cached entries
 	// are row views into them. TFLLR scaling below mutates values through
-	// the views, which writes into the shared arena as intended.
+	// the views, which writes into the shared arena as intended. Kept
+	// 1-best strings are copied into one exactly sized arena too: left as
+	// thousands of small blocks among the phase's garbage they raised the
+	// offline job's peak RSS by ~5%.
 	f.mat = sparse.MatrixFromRows(vecs)
+	phones := 0
+	for _, path := range paths {
+		phones += len(path)
+	}
+	arena := make([]int, 0, phones)
 	var nnz int64
 	for i, it := range items {
 		f.vectors[it.ID] = f.mat.Row(i)
 		nnz += int64(f.mat.Row(i).NNZ())
+		if paths != nil {
+			arena = append(arena, paths[i]...)
+			f.best[it.ID] = arena[len(arena)-len(paths[i]) : len(arena) : len(arena)]
+		}
 	}
 	obs.Add("supervector.count", int64(len(items)))
 	obs.Add("supervector.nnz", nnz)
@@ -162,7 +179,7 @@ func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions)
 		for _, it := range c.Train.Items {
 			trainVecs = append(trainVecs, f.vectors[it.ID])
 		}
-		f.TF = ngram.EstimateTFLLR(trainVecs, fe.Space.Dim(), opt.TFLLRFloor)
+		f.TF = ngram.EstimateTFLLR(trainVecs, fe.Space.Dim(), tfllrFloor)
 		for _, v := range f.vectors {
 			f.TF.Apply(v)
 		}
@@ -182,6 +199,7 @@ type FeaturesSnapshot struct {
 	IDs         []int
 	Rows        []*sparse.Vector
 	Quarantined []QuarantinedUtterance
+	BestPaths   [][]int // kept 1-best strings aligned with IDs, or none
 }
 
 // Snapshot captures the cache for checkpointing.
@@ -192,8 +210,12 @@ func (f *Features) Snapshot() *FeaturesSnapshot {
 	}
 	sort.Ints(ids)
 	rows := make([]*sparse.Vector, len(ids))
+	var paths [][]int
 	for i, id := range ids {
 		rows[i] = f.vectors[id]
+		if path, ok := f.best[id]; ok {
+			paths = append(paths, path)
+		}
 	}
 	return &FeaturesSnapshot{
 		FEName:      f.FE.Name,
@@ -202,13 +224,15 @@ func (f *Features) Snapshot() *FeaturesSnapshot {
 		IDs:         ids,
 		Rows:        rows,
 		Quarantined: f.Quarantined,
+		BestPaths:   paths,
 	}
 }
 
 // RestoreFeatures rebuilds a Features cache from a snapshot, repacking
 // the rows into a fresh CSR arena. The snapshot must belong to a
-// front-end with the same name and supervector dimension; item coverage
-// is the caller's check (Has).
+// front-end with the same name and supervector dimension, and carry
+// either no 1-best paths or one per ID; item coverage is the caller's
+// check (Has).
 func RestoreFeatures(fe *frontend.FrontEnd, snap *FeaturesSnapshot) (*Features, error) {
 	if snap.FEName != fe.Name {
 		return nil, fmt.Errorf("vsm: snapshot belongs to front-end %q, not %q", snap.FEName, fe.Name)
@@ -219,6 +243,9 @@ func RestoreFeatures(fe *frontend.FrontEnd, snap *FeaturesSnapshot) (*Features, 
 	if len(snap.IDs) != len(snap.Rows) {
 		return nil, fmt.Errorf("vsm: snapshot has %d IDs but %d rows", len(snap.IDs), len(snap.Rows))
 	}
+	if len(snap.BestPaths) != 0 && len(snap.BestPaths) != len(snap.IDs) {
+		return nil, fmt.Errorf("vsm: snapshot has %d IDs but %d 1-best paths", len(snap.IDs), len(snap.BestPaths))
+	}
 	f := &Features{
 		FE:          fe,
 		TF:          snap.TF,
@@ -228,6 +255,12 @@ func RestoreFeatures(fe *frontend.FrontEnd, snap *FeaturesSnapshot) (*Features, 
 	}
 	for i, id := range snap.IDs {
 		f.vectors[id] = f.mat.Row(i)
+	}
+	if len(snap.BestPaths) != 0 {
+		f.best = make(map[int][]int, len(snap.IDs))
+		for i, id := range snap.IDs {
+			f.best[id] = snap.BestPaths[i]
+		}
 	}
 	return f, nil
 }
@@ -252,6 +285,20 @@ func (f *Features) Vectors(s *corpus.Split) []*sparse.Vector {
 	out := make([]*sparse.Vector, s.Len())
 	for i, it := range s.Items {
 		out[i] = f.Vector(it.ID)
+	}
+	return out
+}
+
+// BestPaths returns the kept 1-best phone strings of a split in item
+// order; it panics for an item whose string extraction did not keep.
+func (f *Features) BestPaths(s *corpus.Split) [][]int {
+	out := make([][]int, s.Len())
+	for i, it := range s.Items {
+		path, ok := f.best[it.ID]
+		if !ok {
+			panic(fmt.Sprintf("vsm: no kept 1-best path for item %d", it.ID))
+		}
+		out[i] = path
 	}
 	return out
 }

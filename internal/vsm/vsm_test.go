@@ -1,10 +1,12 @@
 package vsm
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/frontend"
+	"repro/internal/rng"
 	"repro/internal/sparse"
 )
 
@@ -126,5 +128,67 @@ func TestScoreMatrixMatchesDirectScores(t *testing.T) {
 		if mat[0][k] != direct[k] {
 			t.Fatal("ScoreMatrix disagrees with direct scoring")
 		}
+	}
+}
+
+// TestKeptBestPathMatchesSecondDecode pins what KeepBestPath promises: the
+// kept string is the 1-best of the lattice a fresh Decode builds from the
+// utterance's extraction stream, and only the asked-for cache keeps one.
+func TestKeptBestPathMatchesSecondDecode(t *testing.T) {
+	c := tinyCorpus()
+	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
+	f := Extract(fe, c, ExtractOptions{Seed: 7, KeepBestPath: true})
+	root := rng.New(7).SplitString("extract:" + fe.Name)
+	for _, s := range []*corpus.Split{c.Train, c.AllDev(), c.AllTest()} {
+		for i, got := range f.BestPaths(s) {
+			it := s.Items[i]
+			want, _ := fe.Decode(root.Split(uint64(it.ID)), it.U).BestPath()
+			if !slices.Equal(got, want) || len(want) == 0 {
+				t.Fatalf("%s item %d: kept %v, a second decode gives %v", s.Name, it.ID, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s item %d: kept path has cap %d for %d phones", s.Name, it.ID, cap(got), len(got))
+			}
+		}
+	}
+	if plain := Extract(fe, c, ExtractOptions{Seed: 7}); len(plain.Snapshot().BestPaths) != 0 {
+		t.Fatal("extraction kept 1-best paths it was not asked for")
+	}
+}
+
+// TestSnapshotCarriesBestPaths round-trips kept paths through a snapshot
+// and refuses a snapshot whose paths do not line up with its rows.
+func TestSnapshotCarriesBestPaths(t *testing.T) {
+	c := tinyCorpus()
+	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
+	f := Extract(fe, c, ExtractOptions{Seed: 7, KeepBestPath: true})
+	snap := f.Snapshot()
+	if len(snap.BestPaths) != len(snap.IDs) {
+		t.Fatalf("snapshot carries %d paths for %d IDs", len(snap.BestPaths), len(snap.IDs))
+	}
+	r, err := RestoreFeatures(fe, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*corpus.Split{c.Train, c.AllDev(), c.AllTest()} {
+		want, got := f.BestPaths(s), r.BestPaths(s)
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s item %d: restored path differs", s.Name, s.Items[i].ID)
+			}
+		}
+	}
+
+	snap.BestPaths = snap.BestPaths[1:]
+	if _, err := RestoreFeatures(fe, snap); err == nil {
+		t.Fatal("snapshot with one path missing restored")
+	}
+	snap.BestPaths = nil
+	r, err = RestoreFeatures(fe, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Snapshot().BestPaths) != 0 {
+		t.Fatal("a snapshot without paths restored some")
 	}
 }
