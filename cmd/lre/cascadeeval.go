@@ -6,33 +6,22 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cascade"
 	"repro/internal/experiments"
 )
 
 // runCascadeEval is the -cascade-eval path: train the tier-1 cascade on
-// the pipeline, sweep the threshold grid per duration tier, measure the
-// heavy-vs-cascade serving throughput at the requested (default:
-// calibrated) policy, and write the whole tradeoff curve as JSON — the
-// committed BENCH_cascade.json protocol (see EXPERIMENTS.md).
-func runCascadeEval(p *experiments.Pipeline, marginSpec, path string) error {
-	pol, err := cascade.ParsePolicy(marginSpec)
-	if err != nil {
-		return err
-	}
+// the pipeline, evaluate every duration tier at the calibrated margins,
+// sweep the threshold grid, and write the whole tradeoff curve as JSON —
+// the committed BENCH_cascade.json protocol (see EXPERIMENTS.md).
+func runCascadeEval(p *experiments.Pipeline, path string) error {
 	start := time.Now()
-	bench, err := p.RunCascadeBench(pol)
+	bench, err := p.RunCascadeBench()
 	if err != nil {
 		return err
-	}
-	bench.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	for _, tp := range bench.Throughput {
-		log.Printf("cascade %s: exit %.0f%%, heavy %.0f utt/s, cascade %.0f utt/s, speedup %.2fx",
-			tp.Tier, 100*tp.ExitFrac, tp.HeavyUttPerSec, tp.CascadeUttPerSec, tp.Speedup)
 	}
 	for _, ev := range bench.Default {
-		log.Printf("cascade %s: tier-1 acc %.2f%%, EER heavy %.2f%% cascade %.2f%% (delta %+.2f)",
-			ev.Tier, ev.Tier1AccPct, ev.EERHeavyPct, ev.EERCascadePct, ev.EERDeltaPct)
+		log.Printf("cascade %s: exit %.0f%%, tier-1 acc %.2f%%, EER heavy %.2f%% cascade %.2f%% (delta %+.2f)",
+			ev.Tier, 100*ev.ExitFrac, ev.Tier1AccPct, ev.EERHeavyPct, ev.EERCascadePct, ev.EERDeltaPct)
 	}
 	f, err := os.Create(path)
 	if err != nil {

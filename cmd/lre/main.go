@@ -31,11 +31,14 @@
 // Resumed runs produce byte-identical tables; a corrupt or torn newest
 // checkpoint generation falls back to the previous one.
 //
+// Quality sweeps (see EXPERIMENTS.md; serving cost is bench/run.sh's):
+//
+//	lre -scale medium -seed 42 -compress-eval BENCH_compress.json   # rank × precision: size, ΔEER
+//	lre -scale medium -seed 42 -cascade-eval BENCH_cascade.json     # tier-1 exit rate vs EER
+//
 // Observability (internal/obs) outputs:
 //
-//	lre -table 5 -trace-out trace.json        # per-stage span tree
-//	lre -metrics-out metrics.json             # counters/gauges/histograms
-//	lre -report-out BENCH_obs.json            # trace + metrics + run meta
+//	lre -table 5 -report-out report.json      # span tree + metrics + run meta
 //	lre -pprof-cpu cpu.out -pprof-mem mem.out # stdlib pprof profiles
 //
 // The pipeline (corpus generation, decoding, supervector extraction,
@@ -83,16 +86,13 @@ func main() {
 		exportDir  = flag.String("export-models", "", "export the trained baseline bundle + manifest for cmd/lred to this directory")
 		exportReqs = flag.String("export-requests", "", "write pooled test utterances as replay /v1/score request bodies (JSON Lines, vote-selected first) to this path")
 		exportReqN = flag.Int("export-requests-count", 64, "with -export-requests: how many requests to write (0 = all)")
-		traceOut   = flag.String("trace-out", "", "write the span trace (per-stage wall times) as JSON to this path")
-		metricsOut = flag.String("metrics-out", "", "write counters/gauges/latency histograms as JSON to this path")
-		reportOut  = flag.String("report-out", "", "write the full run report (trace + metrics + meta) as JSON to this path")
+		reportOut  = flag.String("report-out", "", "write the run report (span trace, counters/gauges/latency histograms, run meta) as JSON to this path")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile of the whole run to this path")
 		pprofMem   = flag.String("pprof-mem", "", "write a heap profile at end of run to this path")
-		compEval   = flag.String("compress-eval", "", "run the rank × precision compression sweep (size, load time, throughput, fused ΔEER) and write the JSON report (BENCH_compress.json) to this path")
+		compEval   = flag.String("compress-eval", "", "run the rank × precision compression sweep (bundle size, fused ΔEER) and write the JSON report (BENCH_compress.json) to this path")
 		compRank   = flag.Int("compress-rank", 0, "with -export-models: export a compressed bundle at this projection rank (0 = uncompressed)")
 		compPrec   = flag.String("compress-precision", "int8", "with -compress-rank: packed basis/kernel precision: float64|float32|int8")
-		cascEval   = flag.String("cascade-eval", "", "train the tier-1 cascade, sweep thresholds, and write the accuracy/latency/traffic tradeoff curve JSON (BENCH_cascade.json) to this path")
-		cascMargin = flag.String("cascade-margin", "", "threshold offset policy for -cascade-eval's default operating point, e.g. \"0\" or \"default=0;30s=0.05\" (empty = calibrated margins as-is)")
+		cascEval   = flag.String("cascade-eval", "", "train the tier-1 cascade, sweep thresholds, and write the exit-rate/accuracy/EER tradeoff curve JSON (BENCH_cascade.json) to this path")
 		ckDir      = flag.String("checkpoint-dir", "", "checkpoint directory: phase results are saved here and (with -resume) restored")
 		resume     = flag.Bool("resume", false, "resume from the newest intact generation in -checkpoint-dir (required when the dir already holds checkpoints)")
 		ckEvery    = flag.Int("checkpoint-every", 1, "save every Nth iterative-DBA round checkpoint (phase checkpoints are always saved)")
@@ -270,15 +270,15 @@ func main() {
 			log.Fatal(err)
 		}
 		if rep.Headline != nil {
-			log.Printf("compress-eval: headline rank=%d precision=%s size=%.1fx speedup=%.2fx max|ΔEER|=%.2f → %s",
+			log.Printf("compress-eval: headline rank=%d precision=%s size=%.1fx max|ΔEER|=%.2f → %s",
 				rep.Headline.Rank, rep.Headline.Precision, rep.Headline.SizeReduction,
-				rep.Headline.Speedup, rep.Headline.MaxAbsDeltaEER, *compEval)
+				rep.Headline.MaxAbsDeltaEER, *compEval)
 		} else {
 			log.Printf("compress-eval: no operating point met the headline criteria → %s", *compEval)
 		}
 	}
 	if *cascEval != "" {
-		if err := runCascadeEval(p, *cascMargin, *cascEval); err != nil {
+		if err := runCascadeEval(p, *cascEval); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -291,7 +291,7 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" || *metricsOut != "" || *reportOut != "" {
+	if *reportOut != "" {
 		rep := obs.Snapshot()
 		rep.Meta = map[string]string{
 			"scale":      scale.String(),
@@ -301,29 +301,18 @@ func main() {
 			"go":         runtime.Version(),
 			"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
 		}
-		writeJSON := func(path string, r *obs.Report, what string) {
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := r.WriteJSON(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s %s", what, path)
+		f, err := os.Create(*reportOut)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if *traceOut != "" {
-			writeJSON(*traceOut, rep.SpansOnly(), "trace")
+		if err := rep.WriteJSON(f); err != nil {
+			f.Close()
+			log.Fatal(err)
 		}
-		if *metricsOut != "" {
-			writeJSON(*metricsOut, rep.MetricsOnly(), "metrics")
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
 		}
-		if *reportOut != "" {
-			writeJSON(*reportOut, rep, "run report")
-		}
+		log.Printf("wrote run report %s", *reportOut)
 	}
 
 	if *pprofMem != "" {

@@ -19,17 +19,31 @@ import (
 	"repro/internal/serve"
 )
 
-// TestDaemonStaysLean: the serving binary links neither the offline
-// training pipeline nor test support; measurement lives in bench/.
+// TestDaemonStaysLean: no command links test support — timing lives in
+// bench/ and the `go test -bench` benchmarks — and the serving binary
+// does not link the offline training pipeline either.
 func TestDaemonStaysLean(t *testing.T) {
-	paths, err := deps("./cmd/lred")
+	cmds, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range paths {
-		switch p {
-		case "repro/internal/experiments", "testing", "repro/internal/testbundle":
-			t.Errorf("lred links %s", p)
+	if !slices.Contains(cmds, filepath.Join(root, "cmd", "lred")) {
+		t.Fatalf("no lred among the commands %v", cmds)
+	}
+	for _, dir := range cmds {
+		name := filepath.Base(dir)
+		paths, err := deps("./cmd/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banned := []string{"testing", "repro/internal/testbundle"}
+		if name == "lred" {
+			banned = append(banned, "repro/internal/experiments")
+		}
+		for _, p := range paths {
+			if slices.Contains(banned, p) {
+				t.Errorf("%s links %s", name, p)
+			}
 		}
 	}
 }

@@ -5,16 +5,12 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/cascade"
 	"repro/internal/corpus"
 	"repro/internal/fusion"
-	"repro/internal/lattice"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/rng"
 	"repro/internal/vsm"
 )
 
@@ -182,7 +178,7 @@ var CascadeSweepThresholds = []float64{
 }
 
 // SweepCascade evaluates every tier across the full threshold grid — the
-// accuracy/latency/traffic-fraction tradeoff curve of BENCH_cascade.json.
+// accuracy/traffic-fraction tradeoff curve of BENCH_cascade.json.
 func (p *Pipeline) SweepCascade(m *cascade.Model) []CascadeTierEval {
 	seqs := p.cascadeFeats().BestPaths(p.Corpus.AllTest())
 	heavy := fusion.DecideAll(p.fusionBackend(), p.BaselineScores)
@@ -195,131 +191,37 @@ func (p *Pipeline) SweepCascade(m *cascade.Model) []CascadeTierEval {
 	return out
 }
 
-// CascadeThroughput is the measured serving-cost comparison for one
-// duration tier: the heavy path (supervector extraction + TFLLR + OVR
-// for every front-end + fusion — what the server runs per request) vs the
-// cascade (tier-1 1-best scoring for all, heavy only for escalations).
-// Decoding is excluded on both sides: clients supply lattices.
-type CascadeThroughput struct {
-	Tier     string  `json:"tier"`
-	Requests int     `json:"requests"`
-	ExitFrac float64 `json:"exit_frac"`
-	// HeavyUttPerSec / CascadeUttPerSec are single-threaded scoring
-	// throughputs over the tier's test utterances.
-	HeavyUttPerSec   float64 `json:"heavy_utt_per_sec"`
-	CascadeUttPerSec float64 `json:"cascade_utt_per_sec"`
-	Speedup          float64 `json:"speedup"`
-}
-
-// BenchCascadeTier measures one tier's throughput at a threshold offset.
-// Lattices are pre-decoded (untimed); both loops run single-threaded so
-// the ratio prices work, not scheduling.
-func (p *Pipeline) BenchCascadeTier(m *cascade.Model, ti int, threshold float64) (CascadeThroughput, error) {
-	dur := corpus.Durations[ti]
-	items := p.Corpus.Test[dur].Items
-	tp := CascadeThroughput{Tier: TierNameFor(dur), Requests: len(items)}
-
-	// Pre-decode every front-end's lattice for the tier (the client-side
-	// cost in serving, excluded from both timings).
-	lats := make([][]*lattice.Lattice, len(p.FEs))
-	for q, fe := range p.FEs {
-		lats[q] = make([]*lattice.Lattice, len(items))
-		root := rng.New(p.Seed).SplitString("extract:" + fe.Name)
-		parallel.ForPool("cascade.bench.decode", len(items), func(i int) {
-			lats[q][i] = fe.Decode(root.Split(uint64(items[i].ID)), items[i].U)
-		})
-	}
-	desigQ := -1
-	for q, fe := range p.FEs {
-		if fe.Name == m.FrontEnd {
-			desigQ = q
-		}
-	}
-	if desigQ < 0 {
-		return tp, fmt.Errorf("experiments: bench has no front-end %q", m.FrontEnd)
-	}
-	bk := p.fusionBackend()
-
-	heavyScore := func(i int) []float64 {
-		rows := make([][]float64, len(p.FEs))
-		for q := range p.FEs {
-			v := p.FEs[q].Space.Supervector(lats[q][i])
-			if p.Feats[q].TF != nil {
-				p.Feats[q].TF.Apply(v)
-			}
-			rows[q] = p.Baseline[q].Scores(v)
-		}
-		return fusion.Decide(bk, rows)
-	}
-
-	start := time.Now()
-	for i := range items {
-		heavyScore(i)
-	}
-	heavySec := time.Since(start).Seconds()
-
-	exited := 0
-	start = time.Now()
-	for i := range items {
-		seq, _ := lats[desigQ][i].BestPath()
-		d := m.Decide(seq, threshold)
-		if d.Exit {
-			exited++
-		} else {
-			heavyScore(i)
-		}
-	}
-	cascadeSec := time.Since(start).Seconds()
-
-	if len(items) > 0 {
-		tp.ExitFrac = float64(exited) / float64(len(items))
-		tp.HeavyUttPerSec = float64(len(items)) / heavySec
-		tp.CascadeUttPerSec = float64(len(items)) / cascadeSec
-	}
-	if cascadeSec > 0 {
-		tp.Speedup = heavySec / cascadeSec
-	}
-	return tp, nil
-}
-
-// CascadeBench is the committed BENCH_cascade.json payload.
+// CascadeBench is the committed BENCH_cascade.json payload: a pure
+// function of scale and seed. The cascade's serving cost is measured by
+// bench/run.sh's lattice-cascade workload (cascade.exit_ratio,
+// cascade.tier1_us), not here.
 type CascadeBench struct {
-	Scale     string `json:"scale"`
-	Seed      uint64 `json:"seed"`
-	FrontEnd  string `json:"front_end"`
-	Policy    string `json:"policy"`
-	CreatedAt string `json:"created_at,omitempty"`
-	// Default holds every tier's operating point at the default policy;
-	// Curve the full threshold sweep; Throughput the measured per-tier
-	// serving-cost comparison at the default policy.
-	Default    []CascadeTierEval   `json:"default"`
-	Curve      []CascadeTierEval   `json:"curve"`
-	Throughput []CascadeThroughput `json:"throughput"`
+	Scale    string `json:"scale"`
+	Seed     uint64 `json:"seed"`
+	FrontEnd string `json:"front_end"`
+	Policy   string `json:"policy"`
+	// Default holds every tier's operating point at the default policy
+	// (the calibrated margins as-is); Curve the full threshold sweep.
+	Default []CascadeTierEval `json:"default"`
+	Curve   []CascadeTierEval `json:"curve"`
 }
 
-// RunCascadeBench trains the cascade (if needed), sweeps the threshold
-// grid, and measures per-tier throughput at the given policy.
-func (p *Pipeline) RunCascadeBench(pol cascade.Policy) (*CascadeBench, error) {
+// RunCascadeBench trains the cascade (if needed), evaluates the default
+// policy and sweeps the threshold grid.
+func (p *Pipeline) RunCascadeBench() (*CascadeBench, error) {
 	m, err := p.TrainCascade()
 	if err != nil {
 		return nil, err
 	}
-	bench := &CascadeBench{
+	var pol cascade.Policy
+	return &CascadeBench{
 		Scale:    p.Scale.String(),
 		Seed:     p.Seed,
 		FrontEnd: m.FrontEnd,
 		Policy:   pol.String(),
 		Default:  p.EvalCascade(m, pol),
 		Curve:    p.SweepCascade(m),
-	}
-	for ti := range corpus.Durations {
-		tp, err := p.BenchCascadeTier(m, ti, pol.Threshold(TierNameFor(corpus.Durations[ti])))
-		if err != nil {
-			return nil, err
-		}
-		bench.Throughput = append(bench.Throughput, tp)
-	}
-	return bench, nil
+	}, nil
 }
 
 // CascadeTable is the golden-pinned tradeoff table: one row per duration

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cascade"
@@ -69,6 +70,19 @@ func TestCascadeTinyPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tb.String())
+
+	// The -cascade-eval report's default operating point is the golden
+	// table's, and its curve covers every tier at every sweep offset.
+	bench, err := p.RunCascadeBench()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bench.Default, tb.Rows) {
+		t.Fatalf("cascade report default %+v, table rows %+v", bench.Default, tb.Rows)
+	}
+	if got, want := len(bench.Curve), len(corpus.Durations)*len(CascadeSweepThresholds); got != want {
+		t.Fatalf("cascade report curve has %d points, want %d", got, want)
+	}
 	for ti, tier := range m.Tiers {
 		t.Logf("tier %s: MinPhones=%d RequiredMargin=%g tgt=(%g,%g) nt=(%g,%g) exit=%.2f acc=%.1f",
 			tier.Name, tier.MinPhones, tier.RequiredMargin, tier.TargetA, tier.TargetB,

@@ -21,7 +21,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"testing"
 	"time"
 
 	"repro/internal/obs"
@@ -250,7 +249,7 @@ func (p *Pipeline) ExportModelsCompressed(dir, gitDescribe string, rank int, pre
 
 // ---- the compress-eval sweep (BENCH_compress.json) ----
 
-// CompressPoint is one measured (rank, precision) cell of the sweep.
+// CompressPoint is one evaluated (rank, precision) cell of the sweep.
 type CompressPoint struct {
 	Rank      int    `json:"rank"`
 	Precision string `json:"precision"`
@@ -258,31 +257,6 @@ type CompressPoint struct {
 	// SizeReduction the ratio vs the uncompressed serving bundle.
 	BundleBytes   int     `json:"bundle_bytes"`
 	SizeReduction float64 `json:"size_reduction"`
-	// LoadMs is the min-of-3 bundle decode time (UnmarshalSealed).
-	LoadMs float64 `json:"load_ms"`
-	// KernelUttPerSec is the batch-scoring stage: the serialized
-	// rank-space kernel over prepared (projected) vectors — exactly the
-	// stage lred's micro-batcher runs in its critical section, and the
-	// same protocol as BENCH_hotpath's batch-score entry. Speedup is its
-	// ratio vs the baseline's serialized full-dimension kernel — the
-	// serialization bottleneck both systems contend on. The projection
-	// is NOT in this stage: in this codebase it is applied during vector
-	// building (serve buildVectors / vsm.Extract), on the handler path
-	// where lattice decode + n-gram extraction dominate it by orders of
-	// magnitude.
-	KernelUttPerSec float64 `json:"kernel_utt_per_sec"`
-	Speedup         float64 `json:"speedup"`
-	// ThroughputUttPerSec is the serving-topology companion number: the
-	// projection stage at handler concurrency (parallel.ForPool, as
-	// lred's buildVectors applies it per request) followed by the
-	// serialized rank-space kernel. SequentialUttPerSec is the
-	// single-thread number (projection + kernel back to back) — honest
-	// about total per-utterance model work: at rank r the projection
-	// alone costs ~r/23 of the baseline kernel pass, so the sequential
-	// number *drops* below baseline once r approaches the class count
-	// even while the batcher stage collapses by ~nnz/r.
-	ThroughputUttPerSec float64 `json:"throughput_utt_per_sec"`
-	SequentialUttPerSec float64 `json:"sequential_utt_per_sec"`
 	// FusedEER maps duration tier ("30s"/"10s"/"3s") to the LDA-MMI
 	// fused EER (%); DeltaEER is point minus baseline per tier.
 	FusedEER       map[string]float64 `json:"fused_eer"`
@@ -292,33 +266,26 @@ type CompressPoint struct {
 
 // CompressBaseline is the uncompressed reference the sweep compares
 // against: the full serving bundle (float64 weights, cascade included).
-// Its throughput is the serialized full-dimension OVR kernel over
-// prepared CSR test vectors — the micro-batcher's critical section,
-// which is the denominator of every point's Speedup. The baseline has
-// no per-utterance model work outside that stage (vector building is
-// common to both paths, and its projection is the identity).
 type CompressBaseline struct {
-	BundleBytes         int                `json:"bundle_bytes"`
-	LoadMs              float64            `json:"load_ms"`
-	ThroughputUttPerSec float64            `json:"throughput_utt_per_sec"`
-	FusedEER            map[string]float64 `json:"fused_eer"`
+	BundleBytes int                `json:"bundle_bytes"`
+	FusedEER    map[string]float64 `json:"fused_eer"`
 }
 
-// CompressReport is the committed BENCH_compress.json artifact.
+// CompressReport is the committed BENCH_compress.json artifact: a pure
+// function of scale and seed. Serving cost is measured by bench/run.sh
+// and the kernels' `go test -bench` benchmarks, not here.
 type CompressReport struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
 	Scale     string `json:"scale"`
 	Seed      uint64 `json:"seed"`
 
 	Baseline CompressBaseline `json:"baseline"`
 	Points   []CompressPoint  `json:"points"`
 	// Headline is the selected operating point: the largest size
-	// reduction among points whose batch-scoring (batcher-stage) Speedup
-	// is ≥ 1.3 and every per-tier |ΔEER| ≤ 0.5 absolute. Nil when no
-	// point qualifies.
+	// reduction among points whose every per-tier |ΔEER| is ≤ 0.5
+	// absolute. Nil when no point qualifies.
 	Headline         *CompressPoint `json:"headline,omitempty"`
 	HeadlineCriteria string         `json:"headline_criteria"`
 }
@@ -332,10 +299,8 @@ var (
 
 func durKey(dur float64) string { return fmt.Sprintf("%gs", dur) }
 
-// RunCompressEval measures the full rank × precision grid against the
-// uncompressed baseline: serialized size, load time, batch-scoring
-// throughput (min-of-3 testing.Benchmark runs), and fused EER per duration
-// tier.
+// RunCompressEval evaluates the full rank × precision grid against the
+// uncompressed baseline: serialized size and fused EER per duration tier.
 func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*CompressReport, error) {
 	sp := obs.StartSpan("compress-eval")
 	defer sp.End()
@@ -349,36 +314,18 @@ func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*Compress
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
 		Scale:     p.Scale.String(),
 		Seed:      p.Seed,
-		HeadlineCriteria: "max size_reduction with batch-scoring (batcher-stage kernel) speedup >= 1.3 " +
-			"and per-tier |delta_eer| <= 0.5 (absolute EER percentage points) vs the uncompressed " +
-			"fused baseline; throughput_utt_per_sec / sequential_utt_per_sec report the end-to-end " +
-			"projection+kernel cost alongside",
+		HeadlineCriteria: "max size_reduction with per-tier |delta_eer| <= 0.5 (absolute EER " +
+			"percentage points) vs the uncompressed fused baseline",
 	}
 
-	// Baseline: the real serving bundle, the exact float64 kernel, the
-	// uncompressed fused EER.
-	baseBundle := p.BuildBundle()
-	sealed, err := persist.MarshalSealed(baseBundle)
+	// Baseline: the real serving bundle and the uncompressed fused EER.
+	sealed, err := persist.MarshalSealed(p.BuildBundle())
 	if err != nil {
 		return nil, err
 	}
 	rep.Baseline.BundleBytes = len(sealed)
-	rep.Baseline.LoadMs = loadMs(sealed)
-	nTest := len(p.TestLabels)
-	baseNs := bestOf3(func(b *testing.B) {
-		out := make([]float64, NumLangs)
-		for n := 0; n < b.N; n++ {
-			for q := range p.Baseline {
-				for _, x := range p.Data[q].Test {
-					p.Baseline[q].ScoresInto(x, out)
-				}
-			}
-		}
-	})
-	rep.Baseline.ThroughputUttPerSec = uttPerSec(baseNs, nTest)
 	baseEER := make(map[string]float64)
 	for dur, cell := range p.evalFused(p.fusePerDuration(p.BaselineDev, p.BaselineScores, nil)) {
 		baseEER[durKey(dur)] = cell.EER
@@ -415,7 +362,7 @@ func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*Compress
 	// Headline selection.
 	for i := range rep.Points {
 		pt := &rep.Points[i]
-		if pt.Speedup < 1.3 || pt.MaxAbsDeltaEER > 0.5 {
+		if pt.MaxAbsDeltaEER > 0.5 {
 			continue
 		}
 		if rep.Headline == nil || pt.SizeReduction > rep.Headline.SizeReduction {
@@ -425,10 +372,9 @@ func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*Compress
 	return rep, nil
 }
 
-// measurePoint sizes, times, and evaluates one compressed system.
+// measurePoint sizes and evaluates one compressed system.
 func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*CompressPoint, error) {
-	bundle := cs.BuildBundle(p)
-	sealed, err := persist.MarshalSealed(bundle)
+	sealed, err := persist.MarshalSealed(cs.BuildBundle(p))
 	if err != nil {
 		return nil, err
 	}
@@ -437,91 +383,9 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 		Precision:     cs.Precision.String(),
 		BundleBytes:   len(sealed),
 		SizeReduction: float64(base.BundleBytes) / float64(len(sealed)),
-		LoadMs:        loadMs(sealed),
 		FusedEER:      make(map[string]float64),
 		DeltaEER:      make(map[string]float64),
 	}
-
-	// Throughput, three protocols over the same battery:
-	//
-	//  1. kernel only — the serialized batcher-stage scoring kernel over
-	//     prepared (projected) vectors. This is the batch-scoring number
-	//     Speedup is computed from, against the baseline's serialized
-	//     full-dimension kernel over prepared CSR vectors.
-	//  2. serving topology — the projection stage at handler concurrency
-	//     (parallel.ForPool, as lred's buildVectors runs it per request)
-	//     followed by the serialized rank-space kernel.
-	//  3. sequential — projection + kernel single-threaded; honest about
-	//     total per-utterance work (a rank-r projection alone costs
-	//     ~r/23 of the baseline kernel pass).
-	rank := cs.Rank
-	nTest := len(p.TestLabels)
-	projected := make([][]float64, len(cs.Packed))
-	for q := range projected {
-		projected[q] = make([]float64, len(p.Data[q].Test)*rank)
-	}
-	project := func(pool bool) {
-		for q := range cs.Packed {
-			pk, rows := cs.Packed[q], projected[q]
-			if pool {
-				parallel.ForPool("compress.bench.project", len(p.Data[q].Test), func(j int) {
-					pk.ApplyInto(p.Data[q].Test[j], rows[j*rank:(j+1)*rank])
-				})
-			} else {
-				for j, x := range p.Data[q].Test {
-					pk.ApplyInto(x, rows[j*rank:(j+1)*rank])
-				}
-			}
-		}
-	}
-	idxs := make([]int32, rank)
-	for d := range idxs {
-		idxs[d] = int32(d)
-	}
-	kernel := func(pv *sparse.Vector, out []float64) {
-		for q := range cs.Packed {
-			rows := projected[q]
-			for j := range p.Data[q].Test {
-				pv.Val = rows[j*rank : (j+1)*rank]
-				if cs.Quants[q] != nil {
-					cs.Quants[q].ScoresInto(pv, out)
-				} else {
-					cs.OVRs[q].ScoresAtInto(cs.Precision, pv, out)
-				}
-			}
-		}
-	}
-	project(false) // prepare projected vectors for the kernel-only run
-	kern := bestOf3(func(b *testing.B) {
-		pv := &sparse.Vector{Idx: idxs}
-		out := make([]float64, NumLangs)
-		for n := 0; n < b.N; n++ {
-			kernel(pv, out)
-		}
-	})
-	pt.KernelUttPerSec = uttPerSec(kern, nTest)
-	if base.ThroughputUttPerSec > 0 {
-		pt.Speedup = pt.KernelUttPerSec / base.ThroughputUttPerSec
-	}
-	serving := bestOf3(func(b *testing.B) {
-		pv := &sparse.Vector{Idx: idxs}
-		out := make([]float64, NumLangs)
-		for n := 0; n < b.N; n++ {
-			project(true)
-			kernel(pv, out)
-		}
-	})
-	pt.ThroughputUttPerSec = uttPerSec(serving, nTest)
-	seq := bestOf3(func(b *testing.B) {
-		pv := &sparse.Vector{Idx: idxs}
-		out := make([]float64, NumLangs)
-		for n := 0; n < b.N; n++ {
-			project(false)
-			kernel(pv, out)
-		}
-	})
-	pt.SequentialUttPerSec = uttPerSec(seq, nTest)
-
 	fused := p.fusePerDuration(cs.DevScores, cs.TestScores, nil)
 	for dur, cell := range p.evalFused(fused) {
 		k := durKey(dur)
@@ -534,44 +398,4 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 		}
 	}
 	return pt, nil
-}
-
-func loadMs(sealed []byte) float64 {
-	res := bestOf3(func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			var bb persist.Bundle
-			if err := persist.UnmarshalSealed(sealed, &bb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return nsPerOp(res) / 1e6
-}
-
-func uttPerSec(res testing.BenchmarkResult, nUtt int) float64 {
-	ns := nsPerOp(res)
-	if ns <= 0 {
-		return 0
-	}
-	return float64(nUtt) / (ns / 1e9)
-}
-
-// bestOf3 runs f under testing.Benchmark three times and keeps the run
-// with the lowest ns/op: wall time on a busy box is noisy, and the
-// minimum strips scheduler interference from a CPU-bound measurement.
-func bestOf3(f func(b *testing.B)) testing.BenchmarkResult {
-	best := testing.Benchmark(f)
-	for i := 0; i < 2; i++ {
-		if r := testing.Benchmark(f); r.N > 0 && (best.N == 0 || nsPerOp(r) < nsPerOp(best)) {
-			best = r
-		}
-	}
-	return best
-}
-
-func nsPerOp(res testing.BenchmarkResult) float64 {
-	if res.N == 0 {
-		return 0
-	}
-	return float64(res.T.Nanoseconds()) / float64(res.N)
 }

@@ -176,9 +176,6 @@ func TestReportTextAndSubsets(t *testing.T) {
 			t.Fatalf("text report missing %q:\n%s", want, text)
 		}
 	}
-	if so := rep.SpansOnly(); len(so.Counters) != 0 || len(so.Spans) != 1 {
-		t.Fatalf("SpansOnly wrong: %+v", so)
-	}
 	if mo := rep.MetricsOnly(); len(mo.Spans) != 0 || mo.Counters["a.count"] != 2 {
 		t.Fatalf("MetricsOnly wrong: %+v", mo)
 	}

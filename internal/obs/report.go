@@ -57,8 +57,8 @@ type HistogramData struct {
 
 // Report is a consistent snapshot of a registry: the trace (finished root
 // spans) plus every metric, serializable to indented JSON (WriteJSON) and
-// a human-readable text block (String). cmd/lre writes one per run; the
-// repository's BENCH_obs.json baseline is exactly this structure.
+// a human-readable text block (String). cmd/lre -report-out writes one
+// per run.
 type Report struct {
 	Meta       map[string]string        `json:"meta,omitempty"`
 	Counters   map[string]int64         `json:"counters,omitempty"`
@@ -177,14 +177,9 @@ func (rep *Report) Find(name string) *SpanData {
 	return nil
 }
 
-// SpansOnly returns a copy containing only the trace (for -trace-out).
-func (rep *Report) SpansOnly() *Report {
-	return &Report{Meta: rep.Meta, Spans: rep.Spans, DroppedSpans: rep.DroppedSpans}
-}
-
 // MetricsOnly returns a copy containing only counters, gauges,
-// histograms, and windows (for -metrics-out and the /metricsz scrape
-// path, which must not serialize span trees on every poll).
+// histograms, and windows (for the /metricsz scrape path, which must not
+// serialize span trees on every poll).
 func (rep *Report) MetricsOnly() *Report {
 	return &Report{
 		Meta:       rep.Meta,

@@ -58,9 +58,9 @@ type Config struct {
 	// Degraded and errored requests are always logged regardless.
 	AccessLogEvery int
 	// DisableTracing turns off per-request trace spans, the /tracez
-	// buffer, access logging, and the rolling-window metrics — the
-	// baseline configuration of the tracing-overhead benchmark
-	// (BENCH_obs.json). Production serving keeps tracing on.
+	// buffer, access logging, and the rolling-window metrics (lred
+	// -no-trace), the untraced side of a tracing-overhead comparison.
+	// Production serving keeps tracing on.
 	DisableTracing bool
 
 	// WaitForModel lets the server start with an empty or unloadable

@@ -232,17 +232,31 @@ func FuzzScoresIntoMatchesPerModel(f *testing.F) {
 }
 
 // BenchmarkScoresInto times one row against a 23-class battery at the
-// serving front-ends' weight dims, ≈50% dense, for both precisions; the
-// packed sub-benchmarks run the frozen feature-major kernel it replaced
-// (already packed) on the same row.
+// serving front-ends' weight dims, ≈50% dense, for every precision rung;
+// the packed sub-benchmarks run the frozen feature-major kernel the float
+// rungs replaced (already packed) on the same row, and the int8 rung runs
+// Quantized.ScoresInto over the battery's quantized form.
 func BenchmarkScoresInto(b *testing.B) {
 	const K = 23
-	for _, prec := range []Precision{Float64, Float32} {
+	for _, prec := range []Precision{Float64, Float32, Int8} {
 		for _, dim := range []int{1892, 4160} {
 			r := rng.New(uint64(dim))
 			o := randOVR(r, K, dim)
 			x := randRow(r, dim, 0.5)
 			out := make([]float64, K)
+			if prec == Int8 {
+				q, err := o.Quantize()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run(fmt.Sprintf("%v/dim=%d/quantized", prec, dim), func(b *testing.B) {
+					b.ReportAllocs()
+					for n := 0; n < b.N; n++ {
+						q.ScoresInto(x, out)
+					}
+				})
+				continue
+			}
 			ref := newFrozenPacked(o)
 			ref.ScoresAtInto(prec, x, out)
 			b.Run(fmt.Sprintf("%v/dim=%d/grouped", prec, dim), func(b *testing.B) {
