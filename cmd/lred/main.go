@@ -94,9 +94,11 @@
 //	lred -role=coordinator -models ./models -addr :8080 \
 //	     -peers 127.0.0.1:9101,127.0.0.1:9102
 //
-// The coordinator owns the full bundle: it splits the front-end battery
-// round-robin across the workers, pushes each shard its sub-bundle
-// (generation-stamped, fusion stripped), and serves the standalone
+// The coordinator loads the export and keeps no scoring weights: it
+// assigns the front-end battery round-robin across the workers, pushes
+// each worker the exported bundle.gob with a generation-stamped manifest
+// naming its front-ends (the worker keeps those, without fusion), and
+// serves the standalone
 // scoring API through the standalone server's own request path, with a
 // scoring step that scatters per-front-end RPCs and gathers the rows for
 // fusion — bit-identical to standalone when every shard answers,

@@ -206,10 +206,10 @@ func fleetWalkthrough(dir string, frontEnds []string, lattice [][]serve.Slot) {
 	}
 	fmt.Printf("workers: %v\n", peers)
 
-	// 2. The coordinator loads the full bundle, splits it into per-worker
-	// sub-bundles (front-end i → worker i%n), pushes them, and pins the
-	// fleet to one cluster generation so responses never mix model
-	// versions.
+	// 2. The coordinator loads the bundle, keeping no scoring weights,
+	// pushes every worker the exported bundle.gob with a manifest naming
+	// its front-ends (front-end i → worker i%n), and pins the fleet to
+	// one cluster generation so responses never mix model versions.
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		ModelDir:     dir,
 		Peers:        peers,

@@ -1,8 +1,7 @@
 // Package cluster turns the single-process scoring daemon into a
-// horizontally scaled tier: a **coordinator** that owns the full model
-// bundle and the fusion backend, and shared-nothing **shard workers**
-// that each load only their assigned front-ends and score them on
-// demand.
+// horizontally scaled tier: a **coordinator** that routes requests and
+// fuses score rows, and shared-nothing **shard workers** that each keep
+// only their assigned front-ends and score them on demand.
 //
 // The coordinator is a serve.Server: the standalone daemon's own request
 // path (admission, decode, cascade fast path, fusion, tracing, metrics,
@@ -21,27 +20,32 @@
 // surviving front-end set on the wire.
 //
 // Model distribution is coordinator-driven and generation-consistent.
-// The coordinator splits its bundle into per-worker sub-bundles
-// (internal/persist format, fusion stripped — fusion happens only at
-// the coordinator), stamps each with the fleet generation, and pushes
-// them to every worker at once over POST /-/bundle: the body is the
-// sealed sub-bundle bytes as they are (application/octet-stream, its
-// footer's CRC32 and SHA-256 covering every byte) and the manifest rides
-// as JSON in the X-Cluster-Manifest header. A worker unseals, decodes
-// and validates the body once, writes the received bytes unchanged into
-// its spool directory (manifest last), and swaps the decoded bundle in
-// through the registry's one swap step — the step every serve reload
-// ends in. The routing plan
-// advances only when every worker acked; a failed distribution can leave
-// any subset of workers on the unrouted generation, and they answer 409
-// until repair restores them.
+// The coordinator loads the export through a routing registry
+// (serve.NewRoutingRegistry): it verifies and decodes the sealed
+// bundle.gob, keeps the file open, and drops every front-end's scoring
+// weights — it keeps only languages, fusion, the cascade model and
+// front-end geometry. It pushes every worker at once over POST /-/bundle
+// the exported bytes as they are, read from that open file
+// (application/octet-stream), with a shard manifest as JSON in the
+// X-Cluster-Manifest header: the export's manifest stamped with the
+// fleet generation, pinning the image's SHA-256 and listing the worker's
+// assigned front-ends. A worker checks the footer and the pinned SHA-256,
+// decodes the image once and keeps its assignment without fusion or the
+// cascade (persist.UnsealBundle), writes the received bytes unchanged
+// into its spool directory (manifest last; a restarted worker's load
+// makes the same selection), and swaps the shard in through the
+// registry's one swap step — the step every serve reload ends in. The
+// routing plan advances only when every worker acked; a failed
+// distribution can leave any subset of workers on the unrouted
+// generation, and they answer 409 until repair restores them.
 // Scoring RPCs carry the generation in the X-Cluster-Generation header:
 // a worker rejects routed requests for a different generation with 409,
 // and the coordinator re-checks the generation echoed in every shard
 // response, so a request never fuses scores from mixed model
 // generations even across a concurrent redistribution. A background
-// repair loop re-pushes the plan's generation, through the same
-// fan-out, to workers that restart empty or fall off the plan.
+// repair loop re-pushes the plan's generation — the plan keeps its image
+// open, so a re-export since does not reach the workers — through the
+// same fan-out, to workers that restart empty or fall off the plan.
 //
 // Peer health reuses the retry/backoff loop and circuit breaker of
 // model reloads (serve.Retry, serve.Breaker), one breaker per peer:
@@ -93,9 +97,10 @@ func (n *node) Run(ctx context.Context, l net.Listener) error {
 	return n.srv.RunHandler(ctx, l, n.mux)
 }
 
-// ManifestHeader carries a bundle push's shard manifest (ClusterGeneration
-// stamped) as JSON, at most maxManifestHeader bytes. The POST /-/bundle
-// body is the sealed sub-bundle exactly as persist.MarshalSealed produced
+// ManifestHeader carries a bundle push's shard manifest as JSON, at most
+// maxManifestHeader bytes: ClusterGeneration stamped, BundleSHA256
+// pinning the body, FrontEnds the worker's assignment. The POST /-/bundle
+// body is the exported bundle.gob exactly as the operator's export wrote
 // it, sent as bundleContentType; its footer's CRC32 and SHA-256 cover
 // every byte.
 const ManifestHeader = "X-Cluster-Manifest"

@@ -160,11 +160,12 @@ func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, se
 // spool — a process restart that lost its disk.
 func (f *fleet) restartWorker(t *testing.T, i int) *Worker {
 	t.Helper()
-	w, err := NewWorker(WorkerConfig{Spool: t.TempDir(), Serve: serve.Config{BatchWait: time.Millisecond}})
+	spool := t.TempDir()
+	w, err := NewWorker(WorkerConfig{Spool: spool, Serve: serve.Config{BatchWait: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.workers[i] = w
+	f.workers[i], f.spools[i] = w, spool
 	f.net.register(f.hosts[i], w.Handler())
 	f.net.setDown(f.hosts[i], false)
 	return w

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,9 +19,10 @@ import (
 // CoordinatorConfig sizes the scatter–gather coordinator. Zero values
 // select the defaults noted per field.
 type CoordinatorConfig struct {
-	// ModelDir is the full bundle directory (required); the coordinator
-	// owns the complete battery and the fusion backend, and splits
-	// per-worker shard bundles out of it.
+	// ModelDir is the exported bundle directory (required). The
+	// coordinator keeps its languages, fusion backend, cascade model and
+	// front-end geometry, and pushes its sealed bundle file to every
+	// worker; it keeps no scoring weights.
 	ModelDir string
 	// Peers are the worker addresses (host:port or http:// URLs), one
 	// shard per worker (required, at least one).
@@ -47,10 +49,10 @@ type CoordinatorConfig struct {
 	// DisableTracing turns off request spans and the /tracez buffer.
 	DisableTracing bool
 	// Cascade opts the coordinator into the two-tier cascade fast path:
-	// tier 1 runs on the coordinator (which owns the full bundle, cascade
-	// model included), and a high-margin request is answered without
-	// scattering a single shard RPC. Workers never see the cascade —
-	// shard bundles are split without it, like fusion.
+	// tier 1 runs on the coordinator (which keeps the cascade model), and
+	// a high-margin request is answered without scattering a single shard
+	// RPC. Workers never run the cascade — a shard keeps neither it nor
+	// fusion.
 	Cascade serve.CascadeConfig
 	// Transport overrides the HTTP transport to workers (tests route to
 	// in-process handlers; nil = http.DefaultTransport).
@@ -91,10 +93,11 @@ func (c *CoordinatorConfig) setDefaults() {
 }
 
 // fleetPlan is one immutable routing generation: the coordinator model
-// it was split from, the front-end → peer routing table, and each peer's
-// front-end list. Swapped atomically only after every worker acked its
-// shard bundle for gen, so a request admitted under a plan always finds
-// workers that can serve its generation (or degrades).
+// it routes (weightless; its Image is the export every worker was
+// pushed), the front-end → peer routing table, and each peer's
+// front-end list. Swapped atomically only after every worker acked gen,
+// so a request admitted under a plan always finds workers that can serve
+// its generation (or degrades).
 type fleetPlan struct {
 	c     *Coordinator
 	gen   int64
@@ -113,11 +116,14 @@ type Coordinator struct {
 	reg   *serve.Registry
 	peers []*peer
 
-	plan   atomic.Pointer[fleetPlan]
-	distMu sync.Mutex // serializes Distribute/repair
+	plan atomic.Pointer[fleetPlan]
+	// distMu serializes reloads, distributions and repair pushes, and so
+	// guards the open bundle images of the registry's and the plan's
+	// models (see retire).
+	distMu sync.Mutex
 }
 
-// NewCoordinator loads the full bundle and prepares the fleet clients.
+// NewCoordinator loads the bundle and prepares the fleet clients.
 // No distribution happens yet — call Distribute (Run's repair loop also
 // keeps retrying it), and the coordinator answers 503 on scoring until
 // the first distribution lands on every worker.
@@ -129,7 +135,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator has no worker peers")
 	}
-	c := &Coordinator{cfg: cfg, reg: serve.NewRegistry(cfg.ModelDir)}
+	c := &Coordinator{cfg: cfg, reg: serve.NewRoutingRegistry(cfg.ModelDir)}
 	if _, err := c.reg.Reload(); err != nil {
 		return nil, fmt.Errorf("cluster: initial model load: %w", err)
 	}
@@ -165,118 +171,100 @@ func (c *Coordinator) Plan() int64 {
 	return 0
 }
 
-// Distribute splits the current bundle into per-worker shard bundles,
-// pushes them to every worker at once (retry/backoff and breaker per
-// peer), and — only when every worker acked the new generation —
-// atomically swaps the routing plan. On any failure the previous plan
-// keeps routing and the error names the first failing peer in peer
-// order; the pushes that did land leave those workers on the unrouted
-// generation, answering 409 until the repair loop walks them back.
+// Distribute pushes the current bundle to every worker at once, each
+// with its assignment (retry/backoff and breaker per peer), and — only
+// when every worker acked the new generation — atomically swaps the
+// routing plan. On any failure the previous plan keeps routing and the
+// error names the first failing peer in peer order; the pushes that did
+// land leave those workers on the unrouted generation, answering 409
+// until the repair loop walks them back.
 func (c *Coordinator) Distribute(ctx context.Context) error {
 	c.distMu.Lock()
 	defer c.distMu.Unlock()
+	return c.distribute(ctx)
+}
+
+// distribute is Distribute under distMu.
+func (c *Coordinator) distribute(ctx context.Context) error {
 	t0 := time.Now()
 	defer func() { obs.Observe("cluster.distribute.seconds", time.Since(t0).Seconds()) }()
-	m := c.reg.Current()
-	gen := m.Version
-	shards, err := c.splitShards(m, gen)
-	if err != nil {
-		return err
-	}
+	pl := c.newPlan(c.reg.Current())
 	all := make([]int, len(c.peers))
 	for i := range all {
 		all[i] = i
 	}
-	for i, err := range c.pushAll(ctx, shards, all, c.cfg.PushRetries) {
+	for i, err := range c.pushAll(ctx, pl, all, c.cfg.PushRetries) {
 		if err != nil {
 			obs.Inc("cluster.distribute.failures")
-			return fmt.Errorf("cluster: distribute generation %d to %s: %w", gen, c.peers[i].addr, err)
+			return fmt.Errorf("cluster: distribute generation %d to %s: %w", pl.gen, c.peers[i].addr, err)
 		}
 	}
-	pl := &fleetPlan{c: c, gen: gen, model: m, route: make(map[string]int, len(m.Manifest.FrontEnds))}
-	for i, sh := range shards {
-		pl.fes = append(pl.fes, sh.fes)
-		for _, fe := range sh.fes {
-			pl.route[fe] = i
-		}
+	if old := c.plan.Swap(pl); old != nil {
+		c.retire(old.model)
 	}
-	c.plan.Store(pl)
 	obs.Inc("cluster.distributions")
-	obs.SetGauge("cluster.generation", float64(gen))
+	obs.SetGauge("cluster.generation", float64(pl.gen))
 	return nil
 }
 
-// pushAll seals and pushes the peers listed in idx their shards
-// concurrently, each push with its own retry loop and breaker, and
-// returns once every push has finished; errs[k] is peer idx[k]'s
-// outcome. No push cancels another, so every reachable peer ends on the
-// pushed generation.
-func (c *Coordinator) pushAll(ctx context.Context, shards []shard, idx []int, retries int) (errs []error) {
+// newPlan routes model m's front-ends round-robin across the peers, at
+// generation m.Version.
+func (c *Coordinator) newPlan(m *serve.Model) *fleetPlan {
+	pl := &fleetPlan{c: c, gen: m.Version, model: m, route: make(map[string]int, len(m.Manifest.FrontEnds))}
+	pl.fes = Assign(m.Manifest.FrontEnds, len(c.peers))
+	for i, fes := range pl.fes {
+		for _, fe := range fes {
+			pl.route[fe] = i
+		}
+	}
+	return pl
+}
+
+// retire closes the bundle image of a model that neither the registry
+// nor the plan holds any more; distMu is held.
+func (c *Coordinator) retire(m *serve.Model) {
+	if pl := c.plan.Load(); m == c.reg.Current() || (pl != nil && m == pl.model) {
+		return
+	}
+	m.Image.Close()
+}
+
+// pushAll pushes the peers listed in idx the plan's image and their
+// assignments concurrently, each push with its own retry loop and
+// breaker, and returns once every push has finished; errs[k] is peer
+// idx[k]'s outcome. No push cancels another, so every reachable peer ends
+// on the pushed generation.
+func (c *Coordinator) pushAll(ctx context.Context, pl *fleetPlan, idx []int, retries int) (errs []error) {
 	errs = make([]error, len(idx))
 	var wg sync.WaitGroup
 	for k, i := range idx {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sealed, err := persist.MarshalSealed(shards[i].sub)
-			if err == nil {
-				_, err = c.peers[i].push(ctx, shards[i].manifest, sealed, retries, c.cfg.PushBackoff)
-			}
-			errs[k] = err
+			_, errs[k] = c.peers[i].push(ctx, pl.manifest(i), pl.model.Image, retries, c.cfg.PushBackoff)
 		}()
 	}
 	wg.Wait()
 	return errs
 }
 
-// shard is one worker's cut of the bundle; pushAll seals it for the
-// wire.
-type shard struct {
-	fes      []string
-	manifest persist.Manifest
-	sub      *persist.Bundle
-}
-
-// splitShards cuts the bundle round-robin across the peers. Fusion and
-// the cascade model are stripped — only the coordinator fuses, and tier
-// 1 runs coordinator-side before any shard RPC — and each shard manifest
-// is stamped with the generation and the parent bundle's SHA-256.
-func (c *Coordinator) splitShards(m *serve.Model, gen int64) ([]shard, error) {
-	assign := Assign(m.Manifest.FrontEnds, len(c.peers))
-	byName := make(map[string]persist.FrontEndModel, len(m.Bundle.FrontEnds))
-	for _, fe := range m.Bundle.FrontEnds {
-		byName[fe.Name] = fe
-	}
-	shards := make([]shard, len(c.peers))
-	for i, fes := range assign {
-		sub := &persist.Bundle{Languages: m.Bundle.Languages}
-		for _, name := range fes {
-			fe, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("cluster: manifest front-end %q missing from bundle", name)
-			}
-			sub.FrontEnds = append(sub.FrontEnds, fe)
+// manifest is peer i's push manifest: the export's, pinning the image's
+// SHA-256, stamped with the plan's generation, and listing the peer's
+// assignment (with its geometry) as the front-ends the worker keeps.
+// Fusion and the cascade stay coordinator-side.
+func (pl *fleetPlan) manifest(i int) persist.Manifest {
+	mf := *pl.model.Manifest
+	mf.ClusterGeneration = pl.gen
+	mf.BundleSHA256 = pl.model.Image.SHA256()
+	mf.FrontEnds = pl.fes[i]
+	mf.FrontEndDims = nil
+	for _, d := range pl.model.Manifest.FrontEndDims {
+		if slices.Contains(pl.fes[i], d.Name) {
+			mf.FrontEndDims = append(mf.FrontEndDims, d)
 		}
-		if err := sub.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
-		}
-		mf := *m.Manifest
-		mf.ShardOf = m.Manifest.BundleSHA256
-		mf.ClusterGeneration = gen
-		mf.BundleSHA256 = "" // stamped by the worker's install
-		// Restamp the contents summary for the shard's cut: fresh slices
-		// first (the copy above shares backing arrays with the parent
-		// manifest), then the sub-bundle's own front-end list and
-		// feature-space geometry — the worker checks its loaded bundle
-		// against these dims, so they must describe the shard, not the
-		// parent. Fusion/cascade are stripped with the bundle: shards
-		// escalate nothing, tier 1 and fusion are coordinator-only.
-		mf.FrontEnds = nil
-		mf.FrontEndDims = nil
-		mf.StampContents(sub)
-		shards[i] = shard{fes: fes, manifest: mf, sub: sub}
 	}
-	return shards, nil
+	mf.Fusion, mf.Cascade = false, ""
+	return mf
 }
 
 // repair is the self-healing tick: with no plan yet it retries the
@@ -307,21 +295,22 @@ func (c *Coordinator) repair(ctx context.Context) {
 	if len(stale) == 0 {
 		return
 	}
+	c.distMu.Lock()
+	defer c.distMu.Unlock()
+	if c.plan.Load() != pl {
+		return // a distribution since the probes pushed every worker
+	}
 	// The stale workers are off-plan: restarted with an empty spool,
 	// missed the last distribution, or took a push from a distribution
-	// that failed. Re-push the shard split from the PLAN's pinned model —
-	// not reg.Current(), which may already hold a newer bundle whose
-	// distribution never completed; stamping that content with the plan
-	// generation would be exactly the mixed-generation fusion this
-	// subsystem exists to prevent.
-	shards, err := c.splitShards(pl.model, pl.gen)
-	if err != nil {
-		obs.Inc("cluster.repair.failures")
-		return
-	}
+	// that failed. Re-push the PLAN's image — not reg.Current()'s, which
+	// may be a newer bundle whose distribution never completed; pushing
+	// that content under the plan generation would be exactly the
+	// mixed-generation fusion this subsystem exists to prevent. The plan
+	// holds its file open, so a re-export into ModelDir since does not
+	// reach the workers either.
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
-	for _, err := range c.pushAll(pctx, shards, stale, 0) {
+	for _, err := range c.pushAll(pctx, pl, stale, 0) {
 		if err != nil {
 			obs.Inc("cluster.repair.failures")
 		} else {
@@ -330,7 +319,7 @@ func (c *Coordinator) repair(ctx context.Context) {
 	}
 }
 
-// Reload reloads the full bundle from disk and redistributes it; the
+// Reload reloads the bundle from disk and redistributes it; the
 // routing plan only advances when every worker acked the new
 // generation. It returns the active generation (SIGHUP parity with the
 // standalone daemon's hot reload; POST /-/reload runs the same path).
@@ -395,16 +384,20 @@ func (f *fleetRole) Describe(meta map[string]string) {
 	}
 }
 
-// Reload reloads the full bundle (reg.Reload, no reload breaker) and
+// Reload reloads the bundle (reg.Reload, no reload breaker) and
 // redistributes it. A bundle that fails to load answers 500, a
 // distribution that fails answers 503; either way the previous plan
 // keeps routing.
 func (f *fleetRole) Reload(ctx context.Context) (any, int, error) {
 	c := (*Coordinator)(f)
+	c.distMu.Lock()
+	defer c.distMu.Unlock()
+	prev := c.reg.Current()
 	if _, err := c.reg.Reload(); err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("reload failed (previous bundle still active): %w", err)
 	}
-	if err := c.Distribute(ctx); err != nil {
+	c.retire(prev)
+	if err := c.distribute(ctx); err != nil {
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("distribution failed (previous plan still routing): %w", err)
 	}
 	pl := c.plan.Load()

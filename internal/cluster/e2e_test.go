@@ -2,14 +2,20 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/persist"
 	"repro/internal/serve"
 	"repro/internal/testbundle"
 )
@@ -285,7 +291,7 @@ func TestWorkerRestartRepushedByRepair(t *testing.T) {
 	}
 
 	// …then the repair tick notices the generation-0 worker and re-pushes
-	// the active shard bundle.
+	// the active generation.
 	f.coord.repair(context.Background())
 	if st := f.peerStatus(t, f.hosts[0]); st.Generation != 1 {
 		t.Fatalf("peer generation %d after repair, want 1", st.Generation)
@@ -293,6 +299,23 @@ func TestWorkerRestartRepushedByRepair(t *testing.T) {
 	rec, sr = f.score(t, req)
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("after re-push: status %d degraded=%v (%s)", rec.Code, sr.Degraded, rec.Body.String())
+	}
+	testbundle.SameRows(t, sr.Scores, testbundle.ExpectedScores(f.bundle, raw))
+
+	// The operator re-exports into the coordinator's model directory
+	// (write-rename) without a reload, and worker 1 restarts empty.
+	// Repair installs the generation the plan routes — its pinned image,
+	// from the file the coordinator holds open — not the new export.
+	pinned := f.coord.plan.Load().model.Image.SHA256()
+	testbundle.Write(t, f.coord.cfg.ModelDir, 2)
+	f.restartWorker(t, 1)
+	f.coord.repair(context.Background())
+	if sum := sha256.Sum256([]byte(readSpool(t, f, 1).bundle)); hex.EncodeToString(sum[:]) != pinned {
+		t.Fatalf("repair installed an image with SHA-256 %x, the plan pins %s", sum, pinned)
+	}
+	rec, sr = f.score(t, req)
+	if rec.Code != http.StatusOK || sr.Degraded || sr.ClusterGeneration != 1 {
+		t.Fatalf("after the re-export and repair: status %d degraded=%v gen %d (%s)", rec.Code, sr.Degraded, sr.ClusterGeneration, rec.Body.String())
 	}
 	testbundle.SameRows(t, sr.Scores, testbundle.ExpectedScores(f.bundle, raw))
 }
@@ -336,9 +359,30 @@ func TestTraceparentPropagatesToShards(t *testing.T) {
 	}
 }
 
+// TestDistributionStampsShardManifests: every worker's spool holds the
+// exported bundle.gob byte for byte and a manifest stamped with the
+// generation, the export's SHA-256 and the worker's assignment; each
+// worker keeps only its front-ends, without fusion, and the coordinator
+// keeps no scoring weights — the workers' weights add up to the
+// standalone daemon's.
 func TestDistributionStampsShardManifests(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
+	export, err := os.ReadFile(filepath.Join(f.dir, "bundle.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, exported, err := persist.LoadBundle(f.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := func(b *persist.Bundle) (n int) {
+		for q := range b.FrontEnds {
+			n += b.FrontEnds[q].PackedBytes()
+		}
+		return n
+	}
+	workerWeights := 0
 	for i, w := range f.workers {
 		m := w.Server().Registry().Current()
 		if m == nil {
@@ -347,15 +391,30 @@ func TestDistributionStampsShardManifests(t *testing.T) {
 		if m.ClusterGeneration() != 1 {
 			t.Fatalf("worker %d generation %d, want 1", i, m.ClusterGeneration())
 		}
-		if m.Manifest.ShardOf == "" {
-			t.Fatalf("worker %d shard manifest missing the parent bundle hash", i)
+		if m.Manifest.BundleSHA256 != exported.BundleSHA256 {
+			t.Fatalf("worker %d manifest pins %s, the export is %s", i, m.Manifest.BundleSHA256, exported.BundleSHA256)
 		}
 		if m.Bundle.Fusion != nil {
-			t.Fatalf("worker %d shard bundle carries a fusion backend — fusion is coordinator-only", i)
+			t.Fatalf("worker %d shard carries a fusion backend — fusion is coordinator-only", i)
 		}
-		if len(m.Bundle.FrontEnds) != 1 {
-			t.Fatalf("worker %d loaded %d front-ends, want its 1 assigned shard", i, len(m.Bundle.FrontEnds))
+		want := []string{fmt.Sprintf("FE%d", i)}
+		if len(m.Bundle.FrontEnds) != 1 || m.Bundle.FrontEnds[0].Name != want[0] || !reflect.DeepEqual(m.Manifest.FrontEnds, want) {
+			t.Fatalf("worker %d keeps %v, want its assignment %v", i, m.Manifest.FrontEnds, want)
 		}
+		if spool := readSpool(t, f, i); spool.bundle != string(export) {
+			t.Fatalf("worker %d spool bundle.gob is not the exported one", i)
+		}
+		workerWeights += weights(m.Bundle)
+	}
+	std, err := serve.NewRegistry(f.dir).Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := workerWeights, weights(std.Bundle); got != want || want == 0 {
+		t.Fatalf("workers hold %d B of scoring weights, standalone %d B", got, want)
+	}
+	if n := weights(f.coord.reg.Current().Bundle); n != 0 {
+		t.Fatalf("coordinator holds %d B of scoring weights, want 0", n)
 	}
 	// Worker without the routing header still serves (ops curl paths).
 	req := scoreRequestFor(f.bundle, testbundle.Vector(23))

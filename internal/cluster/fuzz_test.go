@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/persist"
@@ -15,7 +16,9 @@ import (
 // manifest.json bytes or the generation the worker serves. A 200 leaves
 // the pushed body itself as bundle.gob, and a fresh LoadBundle of the
 // spool equals the model served. Seeds: a valid push and truncated,
-// bit-flipped and header-mangled copies of it.
+// bit-flipped and header-mangled copies of it, and the push contract's
+// refusals — an image other than the pinned one, an assignment naming a
+// front-end the image lacks, an empty or duplicated assignment.
 func FuzzBundlePush(f *testing.F) {
 	fl := newFleet(f, 1, nil)
 	mustDistribute(f, fl)
@@ -31,6 +34,11 @@ func FuzzBundlePush(f *testing.F) {
 	f.Add(`{"cluster_generation":-1}`, sealed)
 	f.Add(mf[:len(mf)/2], sealed)
 	f.Add(mf, []byte{})
+	f.Add(editManifest(f, mf, func(m *persist.Manifest) { m.BundleSHA256 = strings.Repeat("f", 64) }), sealed)
+	f.Add(editManifest(f, mf, assigning("FE0", "FE7")), sealed)
+	f.Add(editManifest(f, mf, assigning()), sealed)
+	f.Add(editManifest(f, mf, assigning("FE0", "FE0")), sealed)
+	f.Add(mf, sealed[:len(sealed)*3/4])
 
 	h := fl.workers[0].Handler()
 	f.Fuzz(func(t *testing.T, manifest string, body []byte) {

@@ -87,7 +87,7 @@ func (p *peer) status(fes []string) PeerStatus {
 // cluster.rpc.<addr> fault-injection site, and per-peer latency/health
 // metrics. hdr is added to the request and may override its JSON
 // Content-Type; out, when non-nil, receives the decoded 2xx JSON body.
-func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body []byte, out any) error {
+func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body io.Reader, out any) error {
 	if ok, _ := p.br.Allow(p.clock.Now()); !ok {
 		// Failing fast is the point of the breaker: the shard degrades
 		// without a network timeout. Not a recorded failure — the breaker
@@ -112,16 +112,22 @@ func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body []byt
 	return nil
 }
 
-func (p *peer) do(ctx context.Context, path string, hdr http.Header, body []byte, out any) error {
+func (p *peer) do(ctx context.Context, path string, hdr http.Header, body io.Reader, out any) error {
 	// Chaos hook: an injected error fails the RPC before it leaves the
 	// process (dead peer), a delay stalls it into its shard deadline
 	// (slow peer). Site per peer; plans usually use cluster.rpc.*.
 	if err := faultinject.At("cluster.rpc." + p.addr); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+path, body)
 	if err != nil {
 		return err
+	}
+	if sr, ok := body.(*io.SectionReader); ok {
+		// A bundle image read from its file: declare its length, so the
+		// worker sizes its buffer once (byte readers are sized by
+		// NewRequest).
+		req.ContentLength = sr.Size()
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, vs := range hdr {
@@ -180,7 +186,7 @@ func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *se
 		Results           []serve.ScoreResult `json:"results"`
 		serve.ScoreResult
 	}
-	if err := p.rpc(ctx, path, p.headers(gen, traceparent), body, &out); err != nil {
+	if err := p.rpc(ctx, path, p.headers(gen, traceparent), bytes.NewReader(body), &out); err != nil {
 		return nil, err
 	}
 	if out.ClusterGeneration != gen {
@@ -195,13 +201,12 @@ func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *se
 	return out.Results, nil
 }
 
-// push installs a shard bundle on the worker and records the acked
-// generation. The body is the sealed sub-bundle exactly as
-// persist.MarshalSealed produced it; the manifest rides as JSON in the
-// ManifestHeader. Distribution retries with the reload retry loop (capped
-// doubling, cut short by ctx) because a push races worker startup; the
-// breaker still gates and observes each attempt.
-func (p *peer) push(ctx context.Context, m persist.Manifest, sealed []byte, retries int, backoff time.Duration) (*bundleAck, error) {
+// push sends the worker the exported bundle image, read from its file,
+// with the worker's shard manifest as JSON in the ManifestHeader, and
+// records the acked generation. Distribution retries with the reload
+// retry loop (capped doubling, cut short by ctx) because a push races
+// worker startup; the breaker still gates and observes each attempt.
+func (p *peer) push(ctx context.Context, m persist.Manifest, im *persist.Image, retries int, backoff time.Duration) (*bundleAck, error) {
 	mf, err := json.Marshal(&m)
 	if err != nil {
 		return nil, err
@@ -214,7 +219,7 @@ func (p *peer) push(ctx context.Context, m persist.Manifest, sealed []byte, retr
 		obs.Inc("cluster.distribute.retries")
 	}, func() error {
 		ack = bundleAck{}
-		return p.rpc(ctx, "/-/bundle", hdr, sealed, &ack)
+		return p.rpc(ctx, "/-/bundle", hdr, im.Reader(), &ack)
 	})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/persist"
 	"repro/internal/serve"
+	"repro/internal/testbundle"
 )
 
 // backoffClock records every backoff wait. After fires at once, unless
@@ -53,9 +54,16 @@ func TestPushBackoffCappedAndCancellable(t *testing.T) {
 		return newPeer(host, serve.BreakerPolicy{TripAfter: 1000}, newTestNet(), clk)
 	}
 	mf := persist.Manifest{ClusterGeneration: 1}
+	dir := t.TempDir()
+	testbundle.Write(t, dir, 1)
+	_, _, _, im, err := persist.ResolveBundleImage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.Close()
 
 	clk := &backoffClock{}
-	if _, err := deadPeer(clk).push(context.Background(), mf, nil, 7, 100*time.Millisecond); err == nil {
+	if _, err := deadPeer(clk).push(context.Background(), mf, im, 7, 100*time.Millisecond); err == nil {
 		t.Fatal("push to a dead worker succeeded")
 	}
 	ms := time.Millisecond
@@ -69,7 +77,7 @@ func TestPushBackoffCappedAndCancellable(t *testing.T) {
 	clk = &backoffClock{onAfter: cancel}
 	done := make(chan error, 1)
 	go func() {
-		_, err := deadPeer(clk).push(ctx, mf, nil, 7, 100*time.Millisecond)
+		_, err := deadPeer(clk).push(ctx, mf, im, 7, 100*time.Millisecond)
 		done <- err
 	}()
 	select {

@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/fusion"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/serve"
@@ -50,22 +54,41 @@ func readSpool(t testing.TB, f *fleet, i int) spoolState {
 }
 
 // validPush is the push Distribute would send worker i for generation gen
-// of the coordinator's current bundle: its JSON manifest and sealed body.
+// of the coordinator's current bundle: its JSON shard manifest and the
+// exported image, read from the file the coordinator verified.
 func validPush(t testing.TB, f *fleet, i int, gen int64) (string, []byte) {
 	t.Helper()
-	shards, err := f.coord.splitShards(f.coord.reg.Current(), gen)
+	pl := f.coord.newPlan(f.coord.reg.Current())
+	pl.gen = gen
+	mf, err := json.Marshal(pl.manifest(i))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := json.Marshal(&shards[i].manifest)
+	image, err := io.ReadAll(pl.model.Image.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := persist.MarshalSealed(shards[i].sub)
+	return string(mf), image
+}
+
+// editManifest returns the JSON manifest mf after edit.
+func editManifest(t testing.TB, mf string, edit func(*persist.Manifest)) string {
+	t.Helper()
+	var m persist.Manifest
+	if err := json.Unmarshal([]byte(mf), &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	out, err := json.Marshal(&m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(mf), sealed
+	return string(out)
+}
+
+// assigning sets a manifest's assignment, with no recorded geometry.
+func assigning(fes ...string) func(*persist.Manifest) {
+	return func(m *persist.Manifest) { m.FrontEnds, m.FrontEndDims = fes, nil }
 }
 
 func servePush(h http.Handler, contentType, manifest string, body []byte) *httptest.ResponseRecorder {
@@ -91,16 +114,14 @@ func TestBundlePushRejectsMalformed(t *testing.T) {
 	mf, sealed := validPush(t, f, 0, 2)
 	flipped := append([]byte(nil), sealed...)
 	flipped[len(flipped)/2] ^= 0x01
-	var m persist.Manifest
-	if err := json.Unmarshal([]byte(mf), &m); err != nil {
-		t.Fatal(err)
-	}
-	m.Scale = strings.Repeat("x", maxManifestHeader)
-	huge, err := json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	huge := editManifest(t, mf, func(m *persist.Manifest) { m.Scale = strings.Repeat("x", maxManifestHeader) })
 	oldJSON := []byte(`{"manifest":` + mf + `}`)
+	otherSHA := editManifest(t, mf, func(m *persist.Manifest) { m.BundleSHA256 = strings.Repeat("0", 64) })
+	unpinned := editManifest(t, mf, func(m *persist.Manifest) { m.BundleSHA256 = "" })
+	noGeneration := editManifest(t, mf, func(m *persist.Manifest) { m.ClusterGeneration = 0 })
+	lacking := editManifest(t, mf, assigning("FE0", "FE9"))
+	empty := editManifest(t, mf, assigning())
+	duplicated := editManifest(t, mf, assigning("FE0", "FE0"))
 
 	cases := []struct {
 		name, contentType, manifest string
@@ -111,10 +132,16 @@ func TestBundlePushRejectsMalformed(t *testing.T) {
 		{"old JSON push", "application/json", "", oldJSON, http.StatusUnsupportedMediaType, bundleContentType},
 		{"no content type", "", mf, sealed, http.StatusUnsupportedMediaType, bundleContentType},
 		{"missing manifest header", bundleContentType, "", sealed, http.StatusBadRequest, ManifestHeader},
-		{"oversized manifest header", bundleContentType, string(huge), sealed, http.StatusBadRequest, ManifestHeader},
+		{"oversized manifest header", bundleContentType, huge, sealed, http.StatusBadRequest, ManifestHeader},
 		{"manifest header not JSON", bundleContentType, "{not json", sealed, http.StatusBadRequest, ManifestHeader},
 		{"one byte flipped", bundleContentType, mf, flipped, http.StatusBadRequest, "does not unseal"},
 		{"truncated body", bundleContentType, mf, sealed[:len(sealed)-1], http.StatusBadRequest, "does not unseal"},
+		{"image is not the pinned one", bundleContentType, otherSHA, sealed, http.StatusBadRequest, "SHA-256"},
+		{"no pinned SHA-256", bundleContentType, unpinned, sealed, http.StatusBadRequest, "bundle_sha256"},
+		{"no cluster generation", bundleContentType, noGeneration, sealed, http.StatusBadRequest, "cluster_generation"},
+		{"assignment names a front-end the image lacks", bundleContentType, lacking, sealed, http.StatusBadRequest, "FE9"},
+		{"empty assignment", bundleContentType, empty, sealed, http.StatusBadRequest, "assigns no front-ends"},
+		{"duplicated assignment", bundleContentType, duplicated, sealed, http.StatusBadRequest, "twice"},
 	}
 	before := readSpool(t, f, 0)
 	if before.gen != 1 {
@@ -140,19 +167,20 @@ func TestBundlePushRejectsMalformed(t *testing.T) {
 	}
 }
 
-// futureBundle is a shard bundle as a later build might seal it: one more
+// futureBundle is an export as a later build might seal it: one more
 // gob-additive field, which this build's decode ignores and a re-encode
 // would drop.
 type futureBundle struct {
 	Languages  []string
 	FrontEnds  []persist.FrontEndModel
+	Fusion     *fusion.Backend
 	Provenance string
 }
 
 // TestPushInstallsTheBytesItVerified: a worker installs the pushed image
-// itself, next to the manifest persist.SaveBundle writes for the same
-// shard and header, and swaps in exactly the model a fresh registry
-// resolves from its spool — which a restarted worker resumes.
+// itself — the whole export — next to the header manifest, which already
+// describes the shard it keeps, and swaps in exactly the model a fresh
+// registry resolves from its spool — which a restarted worker resumes.
 func TestPushInstallsTheBytesItVerified(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
@@ -162,36 +190,28 @@ func TestPushInstallsTheBytesItVerified(t *testing.T) {
 		t.Fatalf("push: status %d: %s", rec.Code, rec.Body.String())
 	}
 	got := readSpool(t, f, 0)
-	if got.bundle != string(sealed) {
-		t.Fatal("spool bundle.gob differs from the pushed body")
+	export, err := os.ReadFile(filepath.Join(f.dir, "bundle.gob"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var hdr persist.Manifest
+	if got.bundle != string(sealed) || got.bundle != string(export) {
+		t.Fatal("spool bundle.gob differs from the pushed body or the export")
+	}
+	var hdr, onDisk persist.Manifest
 	if err := json.Unmarshal([]byte(mf), &hdr); err != nil {
 		t.Fatal(err)
 	}
-	var sub persist.Bundle
-	if err := persist.UnmarshalSealed(sealed, &sub); err != nil {
+	if err := json.Unmarshal([]byte(got.manifest), &onDisk); err != nil {
 		t.Fatal(err)
 	}
-	ref := t.TempDir()
-	if err := persist.SaveBundle(ref, &sub, hdr); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"bundle.gob", persist.ManifestName} {
-		want, err := os.ReadFile(filepath.Join(ref, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		have, err := os.ReadFile(filepath.Join(spool, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(have, want) {
-			t.Errorf("spool %s differs from what SaveBundle writes for the same shard:\nspool     %q\nSaveBundle %q", name, have, want)
-		}
+	if !reflect.DeepEqual(onDisk, hdr) {
+		t.Fatalf("spool manifest is not the pushed header:\nspool  %+v\nheader %+v", onDisk, hdr)
 	}
 
 	cur := f.workers[0].Server().Registry().Current()
+	if names := cur.Manifest.FrontEnds; !reflect.DeepEqual(names, []string{"FE0"}) || len(cur.Bundle.FrontEnds) != 1 || cur.Bundle.Fusion != nil {
+		t.Fatalf("worker keeps %v (fusion %v), want its assignment [FE0] without fusion", names, cur.Bundle.Fusion != nil)
+	}
 	fresh, err := serve.NewRegistry(spool).Reload()
 	if err != nil {
 		t.Fatal(err)
@@ -203,17 +223,23 @@ func TestPushInstallsTheBytesItVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := restarted.Server().Registry().Current(); m == nil || m.ClusterGeneration() != 2 {
-		t.Fatalf("worker restarted on the spool serves %+v, want generation 2", m)
+	if m := restarted.Server().Registry().Current(); m == nil || m.ClusterGeneration() != 2 || !reflect.DeepEqual(m.Bundle, cur.Bundle) {
+		t.Fatalf("worker restarted on the spool serves %+v, want generation 2's shard", m)
 	}
 
-	// A later build's shard, with a field this build does not know: the
+	// A later build's export, with a field this build does not know: the
 	// spool keeps it, and the manifest pins the bytes received.
-	future, err := persist.MarshalSealed(&futureBundle{Languages: sub.Languages, FrontEnds: sub.FrontEnds, Provenance: "later build"})
+	var export1 persist.Bundle
+	if err := persist.UnmarshalSealed(export, &export1); err != nil {
+		t.Fatal(err)
+	}
+	future, err := persist.MarshalSealed(&futureBundle{Languages: export1.Languages, FrontEnds: export1.FrontEnds, Fusion: export1.Fusion, Provenance: "later build"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := servePush(h, bundleContentType, mf, future); rec.Code != http.StatusOK {
+	sum := sha256.Sum256(future)
+	futureMF := editManifest(t, mf, func(m *persist.Manifest) { m.BundleSHA256 = hex.EncodeToString(sum[:]) })
+	if rec := servePush(h, bundleContentType, futureMF, future); rec.Code != http.StatusOK {
 		t.Fatalf("later-build push: status %d: %s", rec.Code, rec.Body.String())
 	}
 	if got := readSpool(t, f, 0); got.bundle != string(future) {
@@ -223,10 +249,10 @@ func TestPushInstallsTheBytesItVerified(t *testing.T) {
 		t.Fatalf("later-build push: spool does not load: %v", err)
 	}
 
-	// A header manifest recording another shard's geometry is refused
+	// A header manifest recording another front-end's geometry is refused
 	// before the spool is touched.
 	before := readSpool(t, f, 0)
-	other, _ := validPush(t, f, 1, 3)
+	other := editManifest(t, mf, func(m *persist.Manifest) { m.FrontEndDims[0].Name = "FE1" })
 	rec := servePush(h, bundleContentType, other, sealed)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "manifest front-end") {
 		t.Fatalf("mismatched manifest: status %d %s, want 400 naming the manifest front-end", rec.Code, rec.Body.String())

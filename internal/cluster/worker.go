@@ -109,11 +109,13 @@ func (w *Worker) generationCheck(next http.Handler) http.Handler {
 // maxPushBytes caps a bundle push body.
 const maxPushBytes = 256 << 20
 
-// handleBundle installs a coordinator-pushed shard bundle: check the
-// content type and the manifest header, unseal, decode and validate the
-// body once (persist.UnsealBundle), publish the received bytes unchanged
-// into the spool with the manifest last (SealedBundle.Install), and swap
-// the decoded bundle in through the registry's one swap step. On any
+// handleBundle installs a coordinator push: the exported bundle image
+// and a shard manifest pinning its SHA-256 and listing this worker's
+// front-ends. Check the content type and the manifest header; verify the
+// footer and the pinned SHA-256, decode the image once and keep the
+// assigned front-ends (persist.UnsealBundle); publish the received bytes
+// unchanged into the spool with the manifest last (SealedBundle.Install);
+// and swap the shard in through the registry's one swap step. On any
 // failure the previously installed bundle keeps serving.
 func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -133,6 +135,10 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	var mf persist.Manifest
 	if err := json.Unmarshal([]byte(raw), &mf); err != nil {
 		writeError(rw, http.StatusBadRequest, "bad %s header: %v", ManifestHeader, err)
+		return
+	}
+	if mf.ClusterGeneration <= 0 || mf.BundleSHA256 == "" {
+		writeError(rw, http.StatusBadRequest, "%s must carry a cluster_generation ≥ 1 and the image's bundle_sha256", ManifestHeader)
 		return
 	}
 	sealed, err := readPush(http.MaxBytesReader(rw, r.Body, maxPushBytes), r.ContentLength)

@@ -163,13 +163,19 @@ func TestClusterSmoke(t *testing.T) {
 	want := startDaemon(t, "standalone", "-models", fx.models).score(body)
 	w0 := startDaemon(t, "worker0", "-role=worker", "-spool", t.TempDir())
 	w1 := startDaemon(t, "worker1", "-role=worker", "-spool", t.TempDir())
-	// -breaker-cooldown 2s lets a peer breaker the chaos plan opened
-	// half-open within the post-kill retry budget.
+	// -breaker-trip 1000 isolates injection from breaker effects, as the
+	// in-process chaos suite does: at trip 3, three injected errors in a
+	// row (about one run in three per peer) opened a peer's breaker for a
+	// cooldown longer than the whole loop, and when both opened, every
+	// request after lost both shards. The breaker's lifecycle under
+	// faults is checked in process against a fake clock
+	// (TestBreakerLifecycleUnderWorkerCrash).
 	coord := startDaemon(t, "coordinator", "-role=coordinator", "-models", fx.models,
-		"-peers", w0.addr+","+w1.addr, "-probe-interval", "500ms", "-breaker-cooldown", "2s",
+		"-peers", w0.addr+","+w1.addr, "-probe-interval", "500ms", "-breaker-trip", "1000",
 		"-chaos", "seed=7; cluster.rpc.*:error:p=0.2")
 
-	// Losing one shard degrades; losing both is an honest 503 (p² ≈ 4%).
+	// Losing one shard degrades; losing both is an honest 503 (p² ≈ 4%,
+	// independently per request).
 	clean, degraded, lost := 0, 0, 0
 	for i := 0; i < 60; i++ {
 		switch code, out := coord.post("/v1/score", body); code {
@@ -187,7 +193,8 @@ func TestClusterSmoke(t *testing.T) {
 		}
 	}
 	if clean < 1 || degraded < 1 || lost > 15 {
-		t.Fatalf("clean=%d degraded=%d all-shards-lost=%d, want ≥1, ≥1 and ≤15 of 60", clean, degraded, lost)
+		t.Fatalf("clean=%d degraded=%d all-shards-lost=%d, want ≥1, ≥1 and ≤15 of 60 (peer breaker trips: %d)",
+			clean, degraded, lost, coord.metrics().Counters["cluster.breaker.trips"])
 	}
 
 	// A dead worker's front-ends drop out and fusion is rescaled over the
@@ -207,6 +214,38 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	if len(sr.Surviving) == 0 || len(sr.Fused) == 0 {
 		t.Fatalf("degraded response lost its surviving set or survivor fusion: %+v", sr.ScoreResult)
+	}
+}
+
+// TestFleetFootprintSmallSeed42: on the small seed-42 export the
+// coordinator keeps no scoring weights (serve.model.packed_bytes 0), the
+// two workers' weights add up to the standalone daemon's 3,065,440 B,
+// and each worker's spool holds the exported bundle.gob byte for byte.
+func TestFleetFootprintSmallSeed42(t *testing.T) {
+	setup(t)
+	models := t.TempDir()
+	if _, stderr, err := runLre("-scale", "small", "-seed", "42", "-table", "none", "-export-models", models); err != nil {
+		t.Fatalf("small export: %v\n%s", err, stderr)
+	}
+	const packed = "serve.model.packed_bytes"
+	if got := startDaemon(t, "standalone", "-models", models).metrics().Gauges[packed]; got != 3065440 {
+		t.Fatalf("standalone %s = %v, want 3065440", packed, got)
+	}
+	spools := []string{t.TempDir(), t.TempDir()}
+	w0 := startDaemon(t, "worker0", "-role=worker", "-spool", spools[0])
+	w1 := startDaemon(t, "worker1", "-role=worker", "-spool", spools[1])
+	coord := startDaemon(t, "coordinator", "-role=coordinator", "-models", models, "-peers", w0.addr+","+w1.addr)
+	if got := coord.metrics().Gauges[packed]; got != 0 {
+		t.Fatalf("coordinator %s = %v, want 0", packed, got)
+	}
+	if got := w0.metrics().Gauges[packed] + w1.metrics().Gauges[packed]; got != 3065440 {
+		t.Fatalf("workers' %s sum to %v, want the standalone's 3065440", packed, got)
+	}
+	export := readFile(t, filepath.Join(models, "bundle.gob"))
+	for i, spool := range spools {
+		if readFile(t, filepath.Join(spool, "bundle.gob")) != export {
+			t.Fatalf("worker %d spool bundle.gob is not the exported one", i)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,6 +25,23 @@ import (
 	"repro/internal/testbundle"
 	"repro/internal/vsm"
 )
+
+// TestMain caps how long the fuzzer minimizes each new interesting
+// input at 2 s unless -test.fuzzminimizetime is given. The seeds are
+// gob streams of several kilobytes, and the minimizer's byte-range
+// removal pass is quadratic in the input's length, so at the default
+// 60 s every new input spent the full minute there, uncounted in
+// execs/s: FuzzDecodeMatchesGob seemed to stall at 0 execs/s a few
+// seconds in, and a 3-minute run fuzzed for a few seconds.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.fuzzminimizetime" })
+	if !set {
+		flag.Set("test.fuzzminimizetime", "2s")
+	}
+	os.Exit(m.Run())
+}
 
 // targets are the Go types the repository decodes gob streams into; a
 // fuzz input's first byte picks one.

@@ -3,8 +3,10 @@ package persist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/cascade"
 	"repro/internal/fusion"
@@ -279,15 +281,15 @@ type Manifest struct {
 	// AdaptGeneration is the online-adaptation generation this bundle was
 	// promoted as (see internal/adapt); zero for base exports.
 	AdaptGeneration int64 `json:"adapt_generation,omitempty"`
-	// Cluster shard provenance (zero/empty outside internal/cluster
-	// deployments). ClusterGeneration is the coordinator fleet generation
-	// this bundle was distributed under — shard workers refuse scoring
-	// requests routed for a different generation, so a scatter–gather
-	// request never fuses scores from mixed model generations. ShardOf
-	// names the coordinator's bundle (its SHA-256) the shard was split
-	// from.
-	ClusterGeneration int64  `json:"cluster_generation,omitempty"`
-	ShardOf           string `json:"shard_of,omitempty"`
+	// ClusterGeneration is the fleet generation a shard worker's bundle
+	// was distributed under (zero outside internal/cluster deployments).
+	// Workers refuse scoring requests routed for a different generation,
+	// so a scatter–gather request never fuses scores from mixed model
+	// generations. A manifest with a generation is a shard manifest: the
+	// bundle file is the operator's whole export, pinned by BundleSHA256,
+	// and FrontEnds is the worker's assignment, which LoadBundle and
+	// UnsealBundle keep from it (selectShard).
+	ClusterGeneration int64 `json:"cluster_generation,omitempty"`
 }
 
 // FrontEndDims is one front-end's feature-space geometry in the
@@ -305,12 +307,11 @@ type FrontEndDims struct {
 	Precision string `json:"precision,omitempty"`
 }
 
-// StampContents overwrites the manifest's contents-summary fields
+// stampContents overwrites the manifest's contents-summary fields
 // (front-end list, language count, fusion/cascade flags, per-front-end
-// dims) from the bundle. SaveBundle calls it; the cluster coordinator
-// reuses it when it cuts per-worker sub-bundles so every shard manifest
-// advertises exactly the geometry of the shard it accompanies.
-func (m *Manifest) StampContents(b *Bundle) {
+// dims) from the bundle, so the manifest describes what a load of it
+// keeps.
+func (m *Manifest) stampContents(b *Bundle) {
 	m.FrontEnds = m.FrontEnds[:0]
 	m.FrontEndDims = m.FrontEndDims[:0]
 	for i := range b.FrontEnds {
@@ -377,6 +378,47 @@ func checkDims(m *Manifest, b *Bundle) error {
 	return nil
 }
 
+// selectShard cuts a decoded export down to a shard manifest's
+// assignment: the front-ends m.FrontEnds names, in that order, without
+// fusion or the cascade (only the coordinator fuses and runs tier 1).
+// Any other manifest keeps the whole bundle. An empty or duplicated
+// assignment, or one naming a front-end the image lacks, is ErrCorrupt:
+// the manifest does not describe this bundle.
+func selectShard(m *Manifest, b *Bundle) error {
+	if m.ClusterGeneration <= 0 {
+		return nil
+	}
+	if len(m.FrontEnds) == 0 {
+		return fmt.Errorf("persist: shard manifest assigns no front-ends (%w)", ErrCorrupt)
+	}
+	kept := make([]FrontEndModel, 0, len(m.FrontEnds))
+	for i, name := range m.FrontEnds {
+		if slices.Contains(m.FrontEnds[:i], name) {
+			return fmt.Errorf("persist: shard manifest assigns front-end %q twice (%w)", name, ErrCorrupt)
+		}
+		q := slices.IndexFunc(b.FrontEnds, func(fe FrontEndModel) bool { return fe.Name == name })
+		if q < 0 {
+			return fmt.Errorf("persist: shard manifest assigns front-end %q, the bundle has none (%w)", name, ErrCorrupt)
+		}
+		kept = append(kept, b.FrontEnds[q])
+	}
+	b.FrontEnds, b.Fusion, b.Cascade = kept, nil, nil
+	return nil
+}
+
+// DropWeights releases every front-end's scoring weights (TFLLR scaler,
+// OVR models, projection, int8 kernel) and keeps the rest: languages,
+// fusion, the cascade model, and each front-end's name, n-gram space and
+// precision. That is all a process reads that routes requests and fuses
+// rows another process scored (the fleet coordinator). The bundle no
+// longer passes Validate and must not be scored.
+func (b *Bundle) DropWeights() {
+	for i := range b.FrontEnds {
+		fe := &b.FrontEnds[i]
+		fe.TFLLR, fe.OVR, fe.Proj, fe.Quant = nil, nil, nil, nil
+	}
+}
+
 // SaveBundle writes a bundle directory: bundle.gob first, manifest.json
 // last (both atomically), so concurrent readers either see the previous
 // complete bundle or the new one, never a torn mix. The manifest's
@@ -402,7 +444,7 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 func writeManifest(dir string, m *Manifest, b *Bundle, sha string) error {
 	m.FormatVersion = BundleFormatVersion
 	m.BundleFile = defaultBundleFile
-	m.StampContents(b)
+	m.stampContents(b)
 	m.BundleSHA256 = sha
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -414,9 +456,9 @@ func writeManifest(dir string, m *Manifest, b *Bundle, sha string) error {
 	return nil
 }
 
-// SealedBundle is a bundle received as a sealed image — MarshalSealed's
-// bytes, which are exactly the bundle.gob SaveBundle writes — verified and
-// decoded once by UnsealBundle, ready to Install.
+// SealedBundle is a bundle received as a sealed image — the bytes of a
+// bundle.gob SaveBundle wrote — verified and decoded once by
+// UnsealBundle, ready to Install.
 type SealedBundle struct {
 	Bundle   *Bundle
 	image    []byte
@@ -424,33 +466,53 @@ type SealedBundle struct {
 	manifest Manifest
 }
 
-// UnsealBundle verifies a sealed bundle image in one pass, decodes it once,
-// and checks the bundle against itself (Validate) and against the manifest
-// it arrived with (checkDims: a manifest recording another bundle's
-// geometry is ErrCorrupt). Nothing is written.
+// UnsealBundle verifies a sealed bundle image in one pass — its footer,
+// and the SHA-256 the manifest pins when it pins one — decodes it once,
+// keeps a shard manifest's assignment (selectShard), and checks the
+// result against itself (Validate) and against the manifest's geometry
+// (checkDims: a manifest recording another bundle's is ErrCorrupt).
+// Nothing is written.
 func UnsealBundle(image []byte, m Manifest) (*SealedBundle, error) {
 	r, err := imageReader(image, "sealed image")
 	if err != nil {
 		return nil, err
 	}
+	b, err := decodeBundle(r, &m, "sealed image")
+	if err != nil {
+		return nil, err
+	}
+	return &SealedBundle{Bundle: b, image: image, sha: r.SHA256(), manifest: m}, nil
+}
+
+// decodeBundle checks a verified image against the SHA-256 m pins,
+// decodes it, keeps a shard manifest's assignment, and validates what it
+// kept against itself and m; name labels errors.
+func decodeBundle(r *Reader, m *Manifest, name string) (*Bundle, error) {
+	if m.BundleSHA256 != "" && r.SHA256() != m.BundleSHA256 {
+		return nil, fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", name, ErrCorrupt)
+	}
 	var b Bundle
 	if err := r.Decode(&b); err != nil {
+		return nil, fmt.Errorf("persist: bundle %s: %w", name, err)
+	}
+	if err := selectShard(m, &b); err != nil {
 		return nil, err
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkDims(&m, &b); err != nil {
+	if err := checkDims(m, &b); err != nil {
 		return nil, err
 	}
-	return &SealedBundle{Bundle: &b, image: image, sha: r.SHA256(), manifest: m}, nil
+	return &b, nil
 }
 
 // Install publishes the bundle into dir exactly as SaveBundle would have:
 // the received image, unchanged, as bundle.gob (atomically, through the
-// persist.save fault site), then the stamped manifest, last. It returns
-// that manifest; with the decoded Bundle it is what LoadBundle(dir) reads
-// back. On error dir keeps its previous bundle.
+// persist.save fault site), then the manifest stamped for what the
+// bundle kept, last. It returns that manifest; with the decoded Bundle it
+// is what LoadBundle(dir) reads back. On error dir keeps its previous
+// bundle.
 func (s *SealedBundle) Install(dir string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: bundle dir: %w", err)
@@ -466,22 +528,54 @@ func (s *SealedBundle) Install(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
+// Image is a verified sealed bundle file, held open by the load that
+// verified it, so its bytes can be sent on later without being held in
+// memory (the fleet coordinator pushes them to its workers). A rename
+// over the path does not reach an open Image; an overwrite in place
+// would, and is caught by whoever checks the bytes against SHA256.
+type Image struct {
+	f    *os.File
+	size int64
+	sha  string
+}
+
+// SHA256 is the hex SHA-256 of the image as it was verified.
+func (im *Image) SHA256() string { return im.sha }
+
+// Reader returns a fresh reader over the whole image.
+func (im *Image) Reader() *io.SectionReader { return io.NewSectionReader(im.f, 0, im.size) }
+
+// Close releases the file.
+func (im *Image) Close() error { return im.f.Close() }
+
 // testHookBundleOpened runs between LoadBundle's verification and its
 // decode; tests rewrite files there.
 var testHookBundleOpened = func() {}
 
-// LoadBundle reads and validates a bundle directory written by SaveBundle.
+// LoadBundle reads and validates a bundle directory written by
+// SaveBundle, or by SealedBundle.Install (a shard manifest keeps its
+// assignment from the image).
 func LoadBundle(dir string) (*Bundle, *Manifest, error) {
+	b, m, im, err := loadBundle(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	im.Close()
+	return b, m, nil
+}
+
+// loadBundle is LoadBundle that also returns the bundle file, open.
+func loadBundle(dir string) (*Bundle, *Manifest, *Image, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: manifest: %w", err)
+		return nil, nil, nil, fmt.Errorf("persist: manifest: %w", err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, nil, fmt.Errorf("persist: manifest: %w", err)
+		return nil, nil, nil, fmt.Errorf("persist: manifest: %w", err)
 	}
 	if m.FormatVersion != BundleFormatVersion {
-		return nil, nil, fmt.Errorf("persist: bundle format %d (want %d)", m.FormatVersion, BundleFormatVersion)
+		return nil, nil, nil, fmt.Errorf("persist: bundle format %d (want %d)", m.FormatVersion, BundleFormatVersion)
 	}
 	file := m.BundleFile
 	if file == "" {
@@ -493,21 +587,13 @@ func LoadBundle(dir string) (*Bundle, *Manifest, error) {
 	// decoded is the one whose SHA-256 matched.
 	r, err := readImage(filepath.Join(dir, file), "persist.load.read")
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+		return nil, nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
 	}
 	testHookBundleOpened()
-	if m.BundleSHA256 != "" && r.SHA256() != m.BundleSHA256 {
-		return nil, nil, fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", file, ErrCorrupt)
+	b, err := decodeBundle(r, &m, file)
+	if err != nil {
+		r.Close()
+		return nil, nil, nil, err
 	}
-	var b Bundle
-	if err := r.Decode(&b); err != nil {
-		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := checkDims(&m, &b); err != nil {
-		return nil, nil, err
-	}
-	return &b, &m, nil
+	return b, &m, &Image{f: r.f, size: r.size, sha: r.SHA256()}, nil
 }

@@ -1,10 +1,13 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -390,5 +393,86 @@ func TestLoadBundleSwapAfterOpen(t *testing.T) {
 				t.Fatalf("load after the swap: %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestShardManifestSelectsFromTheExport: a directory holding an export's
+// bundle.gob under a shard manifest loads only the assigned front-ends,
+// without fusion, and the selected front-ends equal the export's. A
+// manifest outside a fleet keeps the whole bundle.
+func TestShardManifestSelectsFromTheExport(t *testing.T) {
+	b, _ := trainedBundle(t, 5)
+	dir := t.TempDir()
+	if err := SaveBundle(dir, b, Manifest{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	full, m, err := LoadBundle(dir)
+	if err != nil || len(full.FrontEnds) != 2 || full.Fusion == nil {
+		t.Fatalf("export loads %v front-ends, fusion %v (%v)", len(full.FrontEnds), full.Fusion != nil, err)
+	}
+	shard := *m
+	shard.ClusterGeneration = 3
+	shard.FrontEnds, shard.FrontEndDims = []string{"FEB"}, m.FrontEndDims[1:]
+	data, err := json.Marshal(&shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sb, sm, err := LoadBundle(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sb.FrontEnds) != 1 || sb.Fusion != nil || sb.Cascade != nil || sm.ClusterGeneration != 3 {
+		t.Fatalf("shard manifest loads %d front-ends, fusion %v, generation %d; want FEB alone at 3", len(sb.FrontEnds), sb.Fusion != nil, sm.ClusterGeneration)
+	}
+	if !reflect.DeepEqual(sb.FrontEnds[0], full.FrontEnds[1]) || !reflect.DeepEqual(sb.Languages, full.Languages) {
+		t.Fatal("the selected front-end differs from the export's")
+	}
+}
+
+// TestOpenImageSurvivesRenameOver: an Image reads back the bytes its
+// load verified after a new export is renamed over the file, and
+// DropWeights leaves the geometry a router reads.
+func TestOpenImageSurvivesRenameOver(t *testing.T) {
+	orig, _ := trainedBundle(t, 21)
+	other, _ := trainedBundle(t, 22)
+	dir := t.TempDir()
+	if err := SaveBundle(dir, orig, Manifest{Seed: 21}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "bundle.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, m, _, im, err := ResolveBundleImage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer im.Close()
+	if im.SHA256() != m.BundleSHA256 {
+		t.Fatalf("image SHA-256 %s, manifest pins %s", im.SHA256(), m.BundleSHA256)
+	}
+	if err := SaveBundle(dir, other, Manifest{Seed: 22}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(im.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the open image reads the new export, not the bytes it verified")
+	}
+
+	b.DropWeights()
+	for q := range b.FrontEnds {
+		fe := &b.FrontEnds[q]
+		if fe.PackedBytes() != 0 || fe.TFLLR != nil || fe.Name != orig.FrontEnds[q].Name || fe.SpaceDim() != orig.FrontEnds[q].SpaceDim() {
+			t.Fatalf("front-end %d after DropWeights: %+v", q, fe)
+		}
+	}
+	if b.Fusion == nil || len(b.Languages) != len(orig.Languages) {
+		t.Fatal("DropWeights dropped the languages or the fusion backend")
 	}
 }

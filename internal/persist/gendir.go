@@ -101,23 +101,35 @@ type ResolveInfo struct {
 // base export serves. Only committed directories are ever candidates, so
 // a staged candidate that never passed its gates cannot resolve.
 func ResolveBundle(root string) (*Bundle, *Manifest, ResolveInfo, error) {
+	b, m, info, im, err := ResolveBundleImage(root)
+	if err != nil {
+		return nil, nil, info, err
+	}
+	im.Close()
+	return b, m, info, nil
+}
+
+// ResolveBundleImage is ResolveBundle that keeps the resolved bundle
+// file open as an Image, verified and decoded; the caller closes it.
+func ResolveBundleImage(root string) (*Bundle, *Manifest, ResolveInfo, *Image, error) {
 	base := ResolveInfo{DirName: BaseGenDir}
-	// A missing root fails in LoadBundle below, with its usual error.
+	// A missing root fails in loadBundle below, with its usual error.
 	ents, _ := os.ReadDir(root)
 	gens := records(ents)
 	if len(gens) == 0 {
 		for _, e := range ents {
 			if e.Name() == legacyPointer {
-				return nil, nil, base, fmt.Errorf("persist: %s is a legacy generation pointer with no commit record beside it: remove it (the base export then serves) and re-promote",
+				return nil, nil, base, nil, fmt.Errorf("persist: %s is a legacy generation pointer with no commit record beside it: remove it (the base export then serves) and re-promote",
 					filepath.Join(root, legacyPointer))
 			}
 		}
-		b, m, err := LoadBundle(root)
-		return b, m, base, err
+		b, m, im, err := loadBundle(root)
+		return b, m, base, im, err
 	}
 
 	var b *Bundle
 	var m *Manifest
+	var im *Image
 	var info ResolveInfo
 	rec, skipped := BundleRoot(root).walk(gens, func(r *Record) error {
 		lkg := r.Entries[lkgEntry]
@@ -125,12 +137,16 @@ func ResolveBundle(root string) (*Bundle, *Manifest, ResolveInfo, error) {
 			if ref.File == "" {
 				continue
 			}
-			bb, mm, err := LoadBundle(filepath.Join(root, ref.File))
-			if err != nil || (ref.SHA256 != "" && mm.BundleSHA256 != ref.SHA256) {
+			bb, mm, ii, err := loadBundle(filepath.Join(root, ref.File))
+			if err != nil {
+				continue
+			}
+			if ref.SHA256 != "" && mm.BundleSHA256 != ref.SHA256 {
+				ii.Close()
 				continue
 			}
 			gen, _ := ParseGeneration(ref.File)
-			b, m = bb, mm
+			b, m, im = bb, mm, ii
 			info = ResolveInfo{DirName: ref.File, Generation: gen, LastKnownGood: lkg.File, Fallback: i > 0}
 			return nil
 		}
@@ -138,12 +154,12 @@ func ResolveBundle(root string) (*Bundle, *Manifest, ResolveInfo, error) {
 	})
 	if rec != nil {
 		info.Fallback = info.Fallback || skipped > 0
-		return b, m, info, nil
+		return b, m, info, im, nil
 	}
-	b, m, err := LoadBundle(root)
+	b, m, im, err := loadBundle(root)
 	if err != nil {
-		return nil, nil, base, fmt.Errorf("persist: no loadable generation under %s (%w)", root, ErrCorrupt)
+		return nil, nil, base, nil, fmt.Errorf("persist: no loadable generation under %s (%w)", root, ErrCorrupt)
 	}
 	base.Fallback = true
-	return b, m, base, nil
+	return b, m, base, im, nil
 }

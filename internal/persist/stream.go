@@ -139,7 +139,7 @@ func (w *Writer) SHA256() string { return hex.EncodeToString(w.sum[:]) }
 // other processes publish, are read once into memory instead
 // (LoadBundle), and the bytes verified are the bytes decoded.
 type Reader struct {
-	f    *os.File // nil for an in-memory image
+	f    *os.File // the file read, held until Close; nil for an image passed as bytes
 	dec  *gobwire.Decoder
 	size int64
 	sum  [sha256.Size]byte
@@ -188,13 +188,18 @@ func streamReader(f *os.File, size int64, faultSite, name string) (*Reader, erro
 // readImage reads the sealed file at path into memory in one pass,
 // through faultSite when it is non-empty, and verifies it: the Reader
 // then decodes the very bytes it verified, however the file changes
-// meanwhile. Errors are Open's.
-func readImage(path, faultSite string) (*Reader, error) {
+// meanwhile. The Reader keeps the file open until Close. Errors are
+// Open's.
+func readImage(path, faultSite string) (r *Reader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -207,7 +212,11 @@ func readImage(path, faultSite string) (*Reader, error) {
 	if _, err := io.ReadFull(in, image); err != nil {
 		return nil, verifyErr(shortRead(err), path, nil)
 	}
-	return imageReader(image, path)
+	if r, err = imageReader(image, path); err != nil {
+		return nil, err
+	}
+	r.f = f
+	return r, nil
 }
 
 // imageReader verifies an in-memory sealed image and positions a Reader

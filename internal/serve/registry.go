@@ -48,6 +48,10 @@ type Model struct {
 	// LoadTime is how long resolving, verifying and decoding the bundle
 	// took; zero for a bundle installed by Swap, decoded by its caller.
 	LoadTime time.Duration
+	// Image is the bundle file this model was verified and decoded from,
+	// held open; set only by a routing registry (NewRoutingRegistry),
+	// whose caller closes it.
+	Image *persist.Image
 
 	feIndex map[string]int
 	spaces  []*ngram.Space
@@ -112,7 +116,8 @@ func (m *Model) ClusterGeneration() int64 {
 // Registry owns the current model of a scoring process. Reload and Swap
 // are serialized; Current is a single atomic load on the hot path.
 type Registry struct {
-	dir string
+	dir     string
+	routing bool // NewRoutingRegistry
 
 	mu  sync.Mutex // serializes Reload and Swap
 	gen int64
@@ -123,6 +128,16 @@ type Registry struct {
 // loaded yet; call Reload.
 func NewRegistry(dir string) *Registry {
 	return &Registry{dir: dir}
+}
+
+// NewRoutingRegistry returns a registry for a process that routes
+// requests and fuses score rows but scores no front-end itself (the fleet
+// coordinator). Each load keeps the verified bundle file open as the
+// model's Image, so those bytes can be sent on, and drops every
+// front-end's scoring weights (persist.Bundle.DropWeights). The caller
+// closes a model's Image once nothing uses it.
+func NewRoutingRegistry(dir string) *Registry {
+	return &Registry{dir: dir, routing: true}
 }
 
 // Current returns the active model, or nil before the first successful
@@ -143,18 +158,25 @@ func (r *Registry) Reload() (*Model, error) {
 	var b *persist.Bundle
 	var m *persist.Manifest
 	var info persist.ResolveInfo
+	var img *persist.Image
 	// Chaos hook: an injected fault behaves exactly like a failed bundle
 	// load (exercises the retry/backoff and circuit-breaker path).
 	err := faultinject.At("serve.reload")
 	var took time.Duration
 	if err == nil {
 		t0 := time.Now()
-		b, m, info, err = persist.ResolveBundle(r.dir)
+		b, m, info, img, err = persist.ResolveBundleImage(r.dir)
 		took = time.Since(t0)
 	}
 	if err != nil {
 		obs.Inc("serve.model.reload_errors")
 		return nil, err
+	}
+	if r.routing {
+		b.DropWeights()
+	} else {
+		img.Close()
+		img = nil
 	}
 	if info.Fallback {
 		// The newest committed generation was unusable (torn record, disk
@@ -162,7 +184,7 @@ func (r *Registry) Reload() (*Model, error) {
 		obs.Inc("serve.model.gen_fallback")
 	}
 	obs.Observe("serve.model.load_seconds", took.Seconds())
-	return r.swap(b, m, info, took), nil
+	return r.swap(b, m, img, info, took), nil
 }
 
 // Swap atomically installs a bundle the caller has already published into
@@ -173,14 +195,14 @@ func (r *Registry) Reload() (*Model, error) {
 func (r *Registry) Swap(b *persist.Bundle, m *persist.Manifest) *Model {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.swap(b, m, persist.ResolveInfo{DirName: persist.BaseGenDir}, 0)
+	return r.swap(b, m, nil, persist.ResolveInfo{DirName: persist.BaseGenDir}, 0)
 }
 
 // swap is the one step every model install ends in; r.mu is held.
-func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, info persist.ResolveInfo, took time.Duration) *Model {
+func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, img *persist.Image, info persist.ResolveInfo, took time.Duration) *Model {
 	r.gen++
 	mod := newModel(b, m, r.gen, info)
-	mod.LoadTime = took
+	mod.LoadTime, mod.Image = took, img
 	r.cur.Store(mod)
 	obs.Inc("serve.model.reloads")
 	obs.SetGauge("serve.model.version", float64(mod.Version))
