@@ -64,7 +64,10 @@
 // behind a circuit breaker (-reload-retries, -reload-backoff,
 // -breaker-trip, -breaker-cooldown), and graceful drain on
 // SIGTERM/SIGINT — queued work finishes, new work gets 503, and the
-// process exits 0 within -drain-timeout.
+// process exits 0 within -drain-timeout. The same four flags govern a
+// coordinator's bundle-push retries and its per-peer circuit breakers:
+// every role builds one serve.Config from the flags, and one policy
+// (serve.ReloadPolicy) drives every retry loop and breaker.
 //
 // Chaos mode enables the deterministic fault-injection layer for the
 // whole process (see internal/faultinject; TESTING.md documents the spec
@@ -144,10 +147,10 @@ func main() {
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (queueing + scoring)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
 
-		reloadRetries = flag.Int("reload-retries", 2, "extra attempts after a failed model reload")
-		reloadBackoff = flag.Duration("reload-backoff", 100*time.Millisecond, "initial reload retry backoff (doubles per retry)")
-		breakerTrip   = flag.Int("breaker-trip", 3, "consecutive failed reloads that open the circuit breaker")
-		breakerCool   = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker rejects reloads before probing")
+		reloadRetries = flag.Int("reload-retries", 2, "extra attempts after a failed model reload or, on a coordinator, a failed bundle push (0 = none)")
+		reloadBackoff = flag.Duration("reload-backoff", 100*time.Millisecond, "initial backoff before a reload or bundle-push retry (doubles per retry, up to 2s)")
+		breakerTrip   = flag.Int("breaker-trip", 3, "consecutive failures that open a circuit breaker: failed reloads, or failed RPCs to one coordinator peer")
+		breakerCool   = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker fails fast (reloads, coordinator peer RPCs) before probing")
 		chaos         = flag.String("chaos", "", "fault-injection plan, e.g. 'seed=7; serve.score.fe.HU:error:p=0.2' (testing only)")
 
 		cascadeOn     = flag.Bool("cascade", false, "enable the two-tier cascade fast path (the bundle must carry a cascade model; bundles without one escalate everything)")
@@ -171,11 +174,12 @@ func main() {
 	default:
 		log.Fatalf("unknown -role %q (want standalone, coordinator, or worker)", *role)
 	}
+	dir := *models
 	if *role == "worker" {
-		if *spool == "" {
+		if dir = *spool; dir == "" {
 			log.Fatal("worker role needs -spool (the coordinator distributes bundles into it)")
 		}
-	} else if *models == "" {
+	} else if dir == "" {
 		log.Fatal("no -models directory (export one with: lre -export-models <dir>)")
 	}
 	if *adaptSpec != "" && *adaptSpec != "off" && *role != "standalone" {
@@ -197,7 +201,7 @@ func main() {
 		log.Fatal(err)
 	}
 	serveCfg := serve.Config{
-		ModelDir:       *models,
+		ModelDir:       dir,
 		MaxBatch:       *maxBatch,
 		BatchWait:      *batchWait,
 		QueueDepth:     *queueDepth,
@@ -226,9 +230,13 @@ func main() {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 
+	var (
+		run    func(context.Context, net.Listener) error
+		reload func() string // one SIGHUP reload, as its log line
+	)
 	switch *role {
 	case "worker":
-		w, err := cluster.NewWorker(cluster.WorkerConfig{Spool: *spool, Serve: serveCfg})
+		w, err := cluster.NewWorker(serveCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -239,37 +247,18 @@ func main() {
 			log.Printf("worker: empty spool %s, waiting for coordinator push", *spool)
 		}
 		log.Printf("worker serving on http://%s", ln.Addr())
-		go func() {
-			for range hup {
-				if m, err := w.Server().Reload(); err != nil {
-					log.Printf("reload failed (previous shard still active): %v", err)
-				} else {
-					log.Printf("reloaded shard bundle: now v%d", m.Version)
-				}
-			}
-		}()
-		if err := w.Run(ctx, ln); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("drained cleanly")
-		return
+		run, reload = w.Run, reloadServer(w.Server(), "shard bundle")
 
 	case "coordinator":
-		if *peers == "" {
+		peerAddrs := splitPeers(*peers)
+		if len(peerAddrs) == 0 {
 			log.Fatal("coordinator role needs -peers (comma-separated worker addresses)")
 		}
 		c, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-			ModelDir:       *models,
-			Peers:          splitPeers(*peers),
-			ShardTimeout:   *shardTimeout,
-			RequestTimeout: *timeout,
-			ProbeInterval:  *probeInterval,
-			Breaker:        serve.BreakerPolicy{TripAfter: *breakerTrip, Cooldown: *breakerCool},
-			PushRetries:    *reloadRetries,
-			PushBackoff:    *reloadBackoff,
-			DrainTimeout:   *drainTimeout,
-			DisableTracing: *noTrace,
-			Cascade:        serve.CascadeConfig{Enabled: *cascadeOn, Margin: *cascadeMargin},
+			Serve:         serveCfg,
+			Peers:         peerAddrs,
+			ShardTimeout:  *shardTimeout,
+			ProbeInterval: *probeInterval,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -279,54 +268,57 @@ func main() {
 		if err := c.Distribute(ctx); err != nil {
 			log.Printf("initial distribution incomplete (repair loop will retry): %v", err)
 		} else {
-			log.Printf("distributed generation %d to %d workers", c.Plan(), len(splitPeers(*peers)))
+			log.Printf("distributed generation %d to %d workers", c.Plan(), len(peerAddrs))
 		}
 		log.Printf("coordinator serving on http://%s (shard-timeout=%s)", ln.Addr(), *shardTimeout)
-		go func() {
-			for range hup {
-				if gen, err := c.Reload(context.Background()); err != nil {
-					log.Printf("%v", err)
-				} else {
-					log.Printf("reloaded + redistributed: now generation %d", gen)
-				}
+		run = c.Run
+		reload = func() string {
+			gen, err := c.Reload(context.Background())
+			if err != nil {
+				return err.Error()
 			}
-		}()
-		if err := c.Run(ctx, ln); err != nil {
+			return fmt.Sprintf("reloaded + redistributed: now generation %d", gen)
+		}
+
+	default:
+		s, err := serve.New(serveCfg)
+		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("drained cleanly")
-		return
+		m := s.Registry().Current()
+		log.Printf("loaded bundle v%d from %s in %.1f ms: %d front-ends, %d languages, fusion=%v",
+			m.Version, *models, float64(m.LoadTime.Microseconds())/1e3, len(m.Bundle.FrontEnds), len(m.Bundle.Languages), m.Bundle.Fusion != nil)
+		if a := s.Adapter(); a != nil {
+			st := a.Status()
+			log.Printf("online adaptation on: generation %d, policy %s", st.Generation, st.Policy)
+		}
+		log.Printf("serving on http://%s (max-batch=%d queue=%d)", ln.Addr(), *maxBatch, *queueDepth)
+		run, reload = s.Run, reloadServer(s, "bundle")
 	}
 
-	s, err := serve.New(serveCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := s.Registry().Current()
-	log.Printf("loaded bundle v%d from %s in %.1f ms: %d front-ends, %d languages, fusion=%v",
-		m.Version, *models, float64(m.LoadTime.Microseconds())/1e3, len(m.Bundle.FrontEnds), len(m.Bundle.Languages), m.Bundle.Fusion != nil)
-	if a := s.Adapter(); a != nil {
-		st := a.Status()
-		log.Printf("online adaptation on: generation %d, policy %s", st.Generation, st.Policy)
-	}
-	log.Printf("serving on http://%s (max-batch=%d queue=%d)", ln.Addr(), *maxBatch, *queueDepth)
-
-	// SIGHUP hot-reloads the bundle through the retry/backoff + breaker
-	// policy; in-flight requests keep the model they were admitted with.
 	go func() {
 		for range hup {
-			if m, err := s.Reload(); err != nil {
-				log.Printf("reload failed (previous model still active): %v", err)
-			} else {
-				log.Printf("reloaded bundle: now v%d", m.Version)
-			}
+			log.Print(reload())
 		}
 	}()
-
-	if err := s.Run(ctx, ln); err != nil {
+	if err := run(ctx, ln); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("drained cleanly")
+}
+
+// reloadServer is the SIGHUP reload of a standalone daemon or a worker:
+// a reload through the retry/backoff and breaker policy, in which
+// in-flight requests keep the model they were admitted with. what names
+// the bundle in the log line.
+func reloadServer(s *serve.Server, what string) func() string {
+	return func() string {
+		m, err := s.Reload()
+		if err != nil {
+			return fmt.Sprintf("reload failed (previous %s still active): %v", what, err)
+		}
+		return fmt.Sprintf("reloaded %s: now v%d", what, m.Version)
+	}
 }
 
 // splitPeers parses the -peers flag (comma-separated, blanks ignored).

@@ -190,7 +190,7 @@ func fleetWalkthrough(dir string, frontEnds []string, lattice [][]serve.Slot) {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(spool)
-		w, err := cluster.NewWorker(cluster.WorkerConfig{Spool: spool})
+		w, err := cluster.NewWorker(serve.Config{ModelDir: spool})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func fleetWalkthrough(dir string, frontEnds []string, lattice [][]serve.Slot) {
 	// its front-ends (front-end i → worker i%n), and pins the fleet to
 	// one cluster generation so responses never mix model versions.
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		ModelDir:     dir,
+		Serve:        serve.Config{ModelDir: dir},
 		Peers:        peers,
 		ShardTimeout: 2 * time.Second,
 	})

@@ -54,7 +54,7 @@ func sameScoreResult(t *testing.T, ctx string, got, want *serve.ScoreResult) {
 // difference is the escalation annotation.
 func TestFleetCascadeEscalateAllBitIdentity(t *testing.T) {
 	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
-		cfg.Cascade = serve.CascadeConfig{Enabled: true, Margin: "-inf"}
+		cfg.Serve.Cascade = serve.CascadeConfig{Enabled: true, Margin: "-inf"}
 	})
 	mustDistribute(t, f)
 	s, err := serve.New(serve.Config{ModelDir: f.dir, BatchWait: time.Millisecond})
@@ -125,7 +125,7 @@ func TestFleetCascadeEscalateAllBitIdentity(t *testing.T) {
 // strips the cascade model, like fusion: tier 1 is coordinator-only.
 func TestFleetCascadeExitSkipsShards(t *testing.T) {
 	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
-		cfg.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
+		cfg.Serve.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
 	mustDistribute(t, f)
 	for i, w := range f.workers {
@@ -171,9 +171,8 @@ func TestFleetCascadeBadMarginRejectedAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	testbundle.WriteCascade(t, dir, 1)
 	_, err := NewCoordinator(CoordinatorConfig{
-		ModelDir: dir,
-		Peers:    []string{"w0.test:9101"},
-		Cascade:  serve.CascadeConfig{Enabled: true, Margin: "30s=nan"},
+		Serve: serve.Config{ModelDir: dir, Cascade: serve.CascadeConfig{Enabled: true, Margin: "30s=nan"}},
+		Peers: []string{"w0.test:9101"},
 	})
 	if err == nil {
 		t.Fatal("NewCoordinator accepted a NaN cascade margin")

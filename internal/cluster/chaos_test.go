@@ -23,7 +23,7 @@ import (
 
 func TestBreakerLifecycleUnderWorkerCrash(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
-		cfg.Breaker = serve.BreakerPolicy{TripAfter: 3, Cooldown: 10 * time.Second}
+		cfg.Serve.Reload = serve.ReloadPolicy{TripAfter: 3, Cooldown: 10 * time.Second}
 	})
 	mustDistribute(t, f)
 	req := scoreRequestFor(f.bundle, testbundle.Vector(29))
@@ -145,7 +145,7 @@ func TestCoordinatorSurvivesConcurrentCrashes(t *testing.T) {
 // snapshot, and disabling the plan restores exact scoring.
 func TestChaosPlanDrivesShardRPCs(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
-		cfg.Breaker = serve.BreakerPolicy{TripAfter: 1000} // isolate injection from breaker effects
+		cfg.Serve.Reload = serve.ReloadPolicy{TripAfter: 1000} // isolate injection from breaker effects
 	})
 	mustDistribute(t, f)
 	req := scoreRequestFor(f.bundle, testbundle.Vector(37))
@@ -181,7 +181,7 @@ func TestChaosPlanDrivesShardRPCs(t *testing.T) {
 // internal/e2e cluster drill assert exact degradation behavior.
 func TestChaosScheduleIsDeterministic(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
-		cfg.Breaker = serve.BreakerPolicy{TripAfter: 1000} // keep every RPC site-gated, not breaker-gated
+		cfg.Serve.Reload = serve.ReloadPolicy{TripAfter: 1000} // keep every RPC site-gated, not breaker-gated
 	})
 	mustDistribute(t, f)
 	req := scoreRequestFor(f.bundle, testbundle.Vector(41))

@@ -48,10 +48,12 @@
 // same fan-out, to workers that restart empty or fall off the plan.
 //
 // Peer health reuses the retry/backoff loop and circuit breaker of
-// model reloads (serve.Retry, serve.Breaker), one breaker per peer:
-// TripAfter consecutive RPC failures open the breaker, scoring
-// then fails fast (degrading instead of stalling on a dead worker)
-// until Cooldown elapses and a half-open probe re-tests the peer.
+// model reloads (serve.Retry, serve.Breaker) under the same policy,
+// CoordinatorConfig.Serve.Reload, with one breaker per peer: TripAfter
+// consecutive RPC failures open the breaker, scoring then fails fast
+// (degrading instead of stalling on a dead worker) until Cooldown
+// elapses and a half-open probe re-tests the peer. A push is retried
+// Retries times, from BaseBackoff doubling up to MaxBackoff.
 //
 // Chaos: every shard RPC passes the fault-injection site
 // "cluster.rpc.<host:port>" (prefix rules: cluster.rpc.*), so the chaos

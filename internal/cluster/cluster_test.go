@@ -129,7 +129,7 @@ func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, se
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("shard%d-%d.test:91%02d", id, i, i)
 		spool := t.TempDir()
-		w, err := NewWorker(WorkerConfig{Spool: spool, Serve: serve.Config{BatchWait: time.Millisecond}})
+		w, err := NewWorker(serve.Config{ModelDir: spool, BatchWait: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +139,10 @@ func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, se
 		f.hosts = append(f.hosts, host)
 	}
 	cfg := CoordinatorConfig{
-		ModelDir:    dir,
-		Peers:       f.hosts,
-		Transport:   f.net,
-		clock:       f.clock,
-		PushRetries: -1, // no retries by default: tests assert single-attempt outcomes
+		Serve:     serve.Config{ModelDir: dir},
+		Peers:     f.hosts,
+		Transport: f.net,
+		clock:     f.clock,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -161,7 +160,7 @@ func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, se
 func (f *fleet) restartWorker(t *testing.T, i int) *Worker {
 	t.Helper()
 	spool := t.TempDir()
-	w, err := NewWorker(WorkerConfig{Spool: spool, Serve: serve.Config{BatchWait: time.Millisecond}})
+	w, err := NewWorker(serve.Config{ModelDir: spool, BatchWait: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,44 +16,32 @@ import (
 	"repro/internal/serve"
 )
 
-// CoordinatorConfig sizes the scatter–gather coordinator. Zero values
-// select the defaults noted per field.
+// CoordinatorConfig sizes the scatter–gather coordinator: the serving
+// config every lred role shares, plus the fleet-only settings. Zero
+// values select the defaults noted per field.
 type CoordinatorConfig struct {
-	// ModelDir is the exported bundle directory (required). The
-	// coordinator keeps its languages, fusion backend, cascade model and
-	// front-end geometry, and pushes its sealed bundle file to every
-	// worker; it keeps no scoring weights.
-	ModelDir string
+	// Serve is the serving config. ModelDir is the exported bundle
+	// directory (required): the coordinator keeps its languages, fusion
+	// backend, cascade model and front-end geometry, and pushes its sealed
+	// bundle file to every worker; it keeps no scoring weights.
+	// RequestTimeout, DrainTimeout, MaxBodyBytes, DisableTracing and
+	// Cascade act as on the standalone daemon; with Cascade on, tier 1
+	// runs on the coordinator, and a high-margin request is answered
+	// without a single shard RPC (workers keep neither the cascade nor
+	// fusion). Reload governs the bundle pushes (Retries, BaseBackoff,
+	// MaxBackoff) and the per-peer circuit breakers (TripAfter,
+	// Cooldown). The batching fields, Adapt and WaitForModel are unused,
+	// and the access log stays off.
+	Serve serve.Config
 	// Peers are the worker addresses (host:port or http:// URLs), one
 	// shard per worker (required, at least one).
 	Peers []string
 	// ShardTimeout is the per-shard RPC deadline; a shard that misses it
 	// degrades the request like a failed front-end (1 s).
 	ShardTimeout time.Duration
-	// RequestTimeout is the whole-request deadline (5 s).
-	RequestTimeout time.Duration
 	// ProbeInterval paces the repair loop that health-checks workers and
 	// re-pushes the current generation to ones that restarted (2 s).
 	ProbeInterval time.Duration
-	// Breaker governs the per-peer circuit breakers.
-	Breaker serve.BreakerPolicy
-	// PushRetries/PushBackoff govern bundle-distribution retries per
-	// worker (2 extra attempts, 100 ms doubling up to
-	// serve.DefaultMaxBackoff) — the same retry loop as model reloads.
-	PushRetries int
-	PushBackoff time.Duration
-	// DrainTimeout bounds graceful shutdown (10 s).
-	DrainTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (32 MiB).
-	MaxBodyBytes int64
-	// DisableTracing turns off request spans and the /tracez buffer.
-	DisableTracing bool
-	// Cascade opts the coordinator into the two-tier cascade fast path:
-	// tier 1 runs on the coordinator (which keeps the cascade model), and
-	// a high-margin request is answered without scattering a single shard
-	// RPC. Workers never run the cascade — a shard keeps neither it nor
-	// fusion.
-	Cascade serve.CascadeConfig
 	// Transport overrides the HTTP transport to workers (tests route to
 	// in-process handlers; nil = http.DefaultTransport).
 	Transport http.RoundTripper
@@ -66,26 +54,8 @@ func (c *CoordinatorConfig) setDefaults() {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = time.Second
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.PushRetries == 0 {
-		c.PushRetries = 2
-	}
-	if c.PushRetries < 0 {
-		c.PushRetries = 0
-	}
-	if c.PushBackoff <= 0 {
-		c.PushBackoff = 100 * time.Millisecond
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
 	}
 	if c.clock == nil {
 		c.clock = serve.RealClock{}
@@ -129,30 +99,24 @@ type Coordinator struct {
 // the first distribution lands on every worker.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.setDefaults()
-	if cfg.ModelDir == "" {
+	cfg.Serve.AccessLog = nil // the coordinator keeps its access log off
+	if cfg.Serve.ModelDir == "" {
 		return nil, fmt.Errorf("cluster: no model directory configured")
 	}
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator has no worker peers")
 	}
-	c := &Coordinator{cfg: cfg, reg: serve.NewRoutingRegistry(cfg.ModelDir)}
+	c := &Coordinator{cfg: cfg, reg: serve.NewRoutingRegistry(cfg.Serve.ModelDir)}
 	if _, err := c.reg.Reload(); err != nil {
 		return nil, fmt.Errorf("cluster: initial model load: %w", err)
 	}
 	for _, addr := range cfg.Peers {
-		c.peers = append(c.peers, newPeer(addr, cfg.Breaker, cfg.Transport, cfg.clock))
+		c.peers = append(c.peers, newPeer(addr, cfg.Serve.Reload, cfg.Transport, cfg.clock))
 	}
 	// Coordinator-side metrics and spans live under cluster.* (the
 	// workers' serve.* names stay theirs, so a co-resident bench or test
-	// keeps the two tiers apart in one obs registry). The access log
-	// stays off.
-	srv, err := serve.NewWithRole(serve.Config{
-		RequestTimeout: cfg.RequestTimeout,
-		DrainTimeout:   cfg.DrainTimeout,
-		MaxBodyBytes:   cfg.MaxBodyBytes,
-		DisableTracing: cfg.DisableTracing,
-		Cascade:        cfg.Cascade,
-	}, "cluster", (*fleetRole)(c))
+	// keeps the two tiers apart in one obs registry).
+	srv, err := serve.NewWithRole(cfg.Serve, "cluster", (*fleetRole)(c))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -193,7 +157,7 @@ func (c *Coordinator) distribute(ctx context.Context) error {
 	for i := range all {
 		all[i] = i
 	}
-	for i, err := range c.pushAll(ctx, pl, all, c.cfg.PushRetries) {
+	for i, err := range c.pushAll(ctx, pl, all, c.cfg.Serve.Reload) {
 		if err != nil {
 			obs.Inc("cluster.distribute.failures")
 			return fmt.Errorf("cluster: distribute generation %d to %s: %w", pl.gen, c.peers[i].addr, err)
@@ -230,18 +194,18 @@ func (c *Coordinator) retire(m *serve.Model) {
 }
 
 // pushAll pushes the peers listed in idx the plan's image and their
-// assignments concurrently, each push with its own retry loop and
-// breaker, and returns once every push has finished; errs[k] is peer
+// assignments concurrently, each push with its own retry loop (under pol)
+// and breaker, and returns once every push has finished; errs[k] is peer
 // idx[k]'s outcome. No push cancels another, so every reachable peer ends
 // on the pushed generation.
-func (c *Coordinator) pushAll(ctx context.Context, pl *fleetPlan, idx []int, retries int) (errs []error) {
+func (c *Coordinator) pushAll(ctx context.Context, pl *fleetPlan, idx []int, pol serve.ReloadPolicy) (errs []error) {
 	errs = make([]error, len(idx))
 	var wg sync.WaitGroup
 	for k, i := range idx {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[k] = c.peers[i].push(ctx, pl.manifest(i), pl.model.Image, retries, c.cfg.PushBackoff)
+			_, errs[k] = c.peers[i].push(ctx, pl.manifest(i), pl.model.Image, pol)
 		}()
 	}
 	wg.Wait()
@@ -308,9 +272,11 @@ func (c *Coordinator) repair(ctx context.Context) {
 	// mixed-generation fusion this subsystem exists to prevent. The plan
 	// holds its file open, so a re-export into ModelDir since does not
 	// reach the workers either.
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	pctx, cancel := context.WithTimeout(ctx, c.srv.Config().RequestTimeout)
 	defer cancel()
-	for _, err := range c.pushAll(pctx, pl, stale, 0) {
+	once := c.cfg.Serve.Reload
+	once.Retries = 0 // the next tick is the retry
+	for _, err := range c.pushAll(pctx, pl, stale, once) {
 		if err != nil {
 			obs.Inc("cluster.repair.failures")
 		} else {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -40,7 +41,10 @@ func standaloneResponse(t *testing.T, modelDir string, req serve.ScoreRequest) s
 }
 
 func TestFleetBitIdenticalToStandalone(t *testing.T) {
-	f := newFleet(t, 2, nil)
+	// The coordinator takes lred's one serving config, access log
+	// included, and keeps its access log off.
+	var accessLog bytes.Buffer
+	f := newFleet(t, 2, func(cfg *CoordinatorConfig) { cfg.Serve.AccessLog = &accessLog })
 	mustDistribute(t, f)
 
 	req := scoreRequestFor(f.bundle, testbundle.Vector(7))
@@ -59,7 +63,7 @@ func TestFleetBitIdenticalToStandalone(t *testing.T) {
 	// byte-for-byte what the standalone daemon serves from the same
 	// bundle (JSON float64 marshaling is shortest-round-trip exact, so a
 	// marshal-level comparison is a bit-level comparison).
-	std := standaloneResponse(t, f.coord.cfg.ModelDir, req)
+	std := standaloneResponse(t, f.coord.cfg.Serve.ModelDir, req)
 	if !reflect.DeepEqual(sr.ScoreResult, std.ScoreResult) {
 		t.Fatalf("fleet result differs from standalone:\nfleet      %+v\nstandalone %+v", sr.ScoreResult, std.ScoreResult)
 	}
@@ -74,6 +78,9 @@ func TestFleetBitIdenticalToStandalone(t *testing.T) {
 	}
 	if std.ClusterGeneration != 0 {
 		t.Fatalf("standalone response leaked a cluster generation: %d", std.ClusterGeneration)
+	}
+	if accessLog.Len() != 0 {
+		t.Fatalf("coordinator wrote an access log: %s", accessLog.String())
 	}
 }
 
@@ -216,7 +223,7 @@ func TestGenerationConsistencyAcrossFailedRedistribution(t *testing.T) {
 	// A new bundle lands on disk, but worker 1 is down when the reload
 	// tries to distribute it: worker 0 installs generation 2, the fleet
 	// plan must stay pinned at generation 1.
-	testbundle.Write(t, f.coord.cfg.ModelDir, 2)
+	testbundle.Write(t, f.coord.cfg.Serve.ModelDir, 2)
 	f.net.setDown(f.hosts[1], true)
 	if _, err := f.coord.Reload(context.Background()); err == nil {
 		t.Fatal("reload with a dead worker must fail distribution")
@@ -307,7 +314,7 @@ func TestWorkerRestartRepushedByRepair(t *testing.T) {
 	// Repair installs the generation the plan routes — its pinned image,
 	// from the file the coordinator holds open — not the new export.
 	pinned := f.coord.plan.Load().model.Image.SHA256()
-	testbundle.Write(t, f.coord.cfg.ModelDir, 2)
+	testbundle.Write(t, f.coord.cfg.Serve.ModelDir, 2)
 	f.restartWorker(t, 1)
 	f.coord.repair(context.Background())
 	if sum := sha256.Sum256([]byte(readSpool(t, f, 1).bundle)); hex.EncodeToString(sum[:]) != pinned {

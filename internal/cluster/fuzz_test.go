@@ -2,13 +2,31 @@ package cluster
 
 import (
 	"encoding/json"
+	"flag"
 	"net/http"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/persist"
 )
+
+// TestMain caps how long the fuzzer minimizes each new interesting
+// input at 2 s unless -test.fuzzminimizetime is given. FuzzBundlePush's
+// seeds carry a bundle image of several kilobytes, and the minimizer's
+// byte-range removal pass is quadratic in the input's length, so at the
+// default 60 s a new input grown from one took the whole minute,
+// uncounted in execs/s: the fuzzer sat at 0 execs/s for that long.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.fuzzminimizetime" })
+	if !set {
+		flag.Set("test.fuzzminimizetime", "2s")
+	}
+	os.Exit(m.Run())
+}
 
 // FuzzBundlePush drives a worker's POST /-/bundle handler with arbitrary
 // X-Cluster-Manifest values and bodies. Every push must answer 200 or a

@@ -133,7 +133,7 @@ func workerMetricNames(t *testing.T) []string {
 // part of the list too.
 func coordinatorMetricNames(t *testing.T) []string {
 	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
-		cfg.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
+		cfg.Serve.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
 	mustDistribute(t, f)
 	h := f.coord.Handler()

@@ -50,7 +50,9 @@ type peer struct {
 	rpcWin   *obs.Window
 }
 
-func newPeer(addr string, pol serve.BreakerPolicy, transport http.RoundTripper, clock serve.Clock) *peer {
+// newPeer returns the client for the worker at addr, its breaker
+// governed by pol's TripAfter and Cooldown.
+func newPeer(addr string, pol serve.ReloadPolicy, transport http.RoundTripper, clock serve.Clock) *peer {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -203,10 +205,11 @@ func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *se
 
 // push sends the worker the exported bundle image, read from its file,
 // with the worker's shard manifest as JSON in the ManifestHeader, and
-// records the acked generation. Distribution retries with the reload
-// retry loop (capped doubling, cut short by ctx) because a push races
-// worker startup; the breaker still gates and observes each attempt.
-func (p *peer) push(ctx context.Context, m persist.Manifest, im *persist.Image, retries int, backoff time.Duration) (*bundleAck, error) {
+// records the acked generation. Distribution retries under pol with the
+// reload retry loop (capped doubling, cut short by ctx) because a push
+// races worker startup; the breaker still gates and observes each
+// attempt.
+func (p *peer) push(ctx context.Context, m persist.Manifest, im *persist.Image, pol serve.ReloadPolicy) (*bundleAck, error) {
 	mf, err := json.Marshal(&m)
 	if err != nil {
 		return nil, err
@@ -215,7 +218,7 @@ func (p *peer) push(ctx context.Context, m persist.Manifest, im *persist.Image, 
 	hdr.Set("Content-Type", bundleContentType)
 	hdr.Set(ManifestHeader, string(mf))
 	var ack bundleAck
-	err = serve.Retry(ctx, p.clock, retries, backoff, serve.DefaultMaxBackoff, func() {
+	err = serve.Retry(ctx, p.clock, pol, func() {
 		obs.Inc("cluster.distribute.retries")
 	}, func() error {
 		ack = bundleAck{}

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/serve"
 	"repro/internal/testbundle"
@@ -43,15 +45,15 @@ func (c *backoffClock) recorded() []time.Duration {
 }
 
 // TestPushBackoffCappedAndCancellable: a push to a dead worker retries
-// on the reload loop's doubling schedule, capped at
-// serve.DefaultMaxBackoff, and a ctx cancelled during a backoff ends the
-// push at once instead of waiting the backoff out.
+// on the reload loop's doubling schedule, capped at the policy's default
+// 2 s MaxBackoff, and a ctx cancelled during a backoff ends the push at
+// once instead of waiting the backoff out.
 func TestPushBackoffCappedAndCancellable(t *testing.T) {
 	deadPeer := func(clk serve.Clock) *peer {
 		// No handler is registered for the host, so every RPC fails like a
 		// refused connection; the breaker never opens within the test.
 		host := fmt.Sprintf("dead%d.test:9100", fleetSeq.Add(1))
-		return newPeer(host, serve.BreakerPolicy{TripAfter: 1000}, newTestNet(), clk)
+		return newPeer(host, serve.ReloadPolicy{TripAfter: 1000}, newTestNet(), clk)
 	}
 	mf := persist.Manifest{ClusterGeneration: 1}
 	dir := t.TempDir()
@@ -62,8 +64,9 @@ func TestPushBackoffCappedAndCancellable(t *testing.T) {
 	}
 	defer im.Close()
 
+	pol := serve.ReloadPolicy{Retries: 7, BaseBackoff: 100 * time.Millisecond}
 	clk := &backoffClock{}
-	if _, err := deadPeer(clk).push(context.Background(), mf, im, 7, 100*time.Millisecond); err == nil {
+	if _, err := deadPeer(clk).push(context.Background(), mf, im, pol); err == nil {
 		t.Fatal("push to a dead worker succeeded")
 	}
 	ms := time.Millisecond
@@ -77,7 +80,7 @@ func TestPushBackoffCappedAndCancellable(t *testing.T) {
 	clk = &backoffClock{onAfter: cancel}
 	done := make(chan error, 1)
 	go func() {
-		_, err := deadPeer(clk).push(ctx, mf, im, 7, 100*time.Millisecond)
+		_, err := deadPeer(clk).push(ctx, mf, im, pol)
 		done <- err
 	}()
 	select {
@@ -90,5 +93,67 @@ func TestPushBackoffCappedAndCancellable(t *testing.T) {
 	}
 	if got := clk.recorded(); len(got) != 1 {
 		t.Fatalf("cancelled push waited %d times (%v), want 1", len(got), got)
+	}
+}
+
+// TestPushZeroRetriesIsOneRPC: a coordinator whose policy leaves Retries
+// at zero (lred -reload-retries 0) pushes a dead worker exactly once per
+// distribution and never backs off.
+func TestPushZeroRetriesIsOneRPC(t *testing.T) {
+	clk := &backoffClock{}
+	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
+		cfg.Serve.Reload = serve.ReloadPolicy{Retries: 0, TripAfter: 1000}
+		cfg.clock = clk
+	})
+	f.net.setDown(f.hosts[1], true)
+	if err := f.coord.Distribute(context.Background()); err == nil {
+		t.Fatal("distribution to a dead worker succeeded")
+	}
+	if got := f.peerStatus(t, f.hosts[1]).Failures; got != 1 {
+		t.Fatalf("push with Retries 0 made %d RPCs to the dead worker, want 1", got)
+	}
+	if waits := clk.recorded(); len(waits) != 0 {
+		t.Fatalf("push with Retries 0 backed off %v", waits)
+	}
+}
+
+// TestCoordinatorFollowsServeReloadPolicy: Serve.Reload is the one
+// policy of a coordinator's pushes and peer breakers. A push to a dead
+// worker retries Retries times, waiting BaseBackoff doubling up to
+// MaxBackoff; the peer's breaker opens after TripAfter consecutive RPC
+// failures, fails the remaining retries fast without an RPC, and
+// half-opens once Cooldown has passed.
+func TestCoordinatorFollowsServeReloadPolicy(t *testing.T) {
+	ms := time.Millisecond
+	pol := serve.ReloadPolicy{Retries: 4, BaseBackoff: 50 * ms, MaxBackoff: 150 * ms, TripAfter: 2, Cooldown: 7 * time.Second}
+	clk := &backoffClock{}
+	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
+		cfg.Serve.Reload = pol
+		cfg.clock = clk
+	})
+	f.net.setDown(f.hosts[1], true)
+	err := f.coord.Distribute(context.Background())
+	if !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("distribution to a dead worker: %v, want its open breaker's error", err)
+	}
+	if want := []time.Duration{50 * ms, 100 * ms, 150 * ms, 150 * ms}; !reflect.DeepEqual(clk.recorded(), want) {
+		t.Fatalf("push backoff waits %v, want %v", clk.recorded(), want)
+	}
+	st := f.peerStatus(t, f.hosts[1])
+	if st.Failures != int64(pol.TripAfter) || st.Breaker != serve.BreakerOpen {
+		t.Fatalf("dead peer after the push: %d RPC failures, breaker %s; want %d and open", st.Failures, st.Breaker, pol.TripAfter)
+	}
+	if got := obs.GetCounter("cluster.breaker.trips").Value(); got != 1 {
+		t.Fatalf("cluster.breaker.trips = %d, want 1", got)
+	}
+	br := f.coord.peers[1].br
+	if got := br.State(clk.Now().Add(pol.Cooldown - ms)); got != serve.BreakerOpen {
+		t.Fatalf("breaker %s just before its cooldown ends, want open", got)
+	}
+	if got := br.State(clk.Now().Add(pol.Cooldown)); got != serve.BreakerHalfOpen {
+		t.Fatalf("breaker %s once its cooldown passed, want half-open", got)
+	}
+	if st := f.peerStatus(t, f.hosts[0]); st.Failures != 0 || st.Breaker != serve.BreakerClosed || st.Generation != 1 {
+		t.Fatalf("live peer %+v, want no failures, closed, generation 1", st)
 	}
 }

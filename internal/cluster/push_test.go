@@ -219,7 +219,7 @@ func TestPushInstallsTheBytesItVerified(t *testing.T) {
 	if !reflect.DeepEqual(cur.Bundle, fresh.Bundle) || !reflect.DeepEqual(cur.Manifest, fresh.Manifest) || cur.Gen != fresh.Gen {
 		t.Fatalf("installed model differs from the spool reloaded:\ninstalled %+v %+v\nreloaded  %+v %+v", cur.Manifest, cur.Gen, fresh.Manifest, fresh.Gen)
 	}
-	restarted, err := NewWorker(WorkerConfig{Spool: spool, Serve: serve.Config{BatchWait: time.Millisecond}})
+	restarted, err := NewWorker(serve.Config{ModelDir: spool, BatchWait: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestPushSpoolWriteFaultKeepsPreviousBundle(t *testing.T) {
 	mustDistribute(t, f)
 	w := f.workers[0]
 	emptySpool := t.TempDir()
-	empty, err := NewWorker(WorkerConfig{Spool: emptySpool, Serve: serve.Config{BatchWait: time.Millisecond}})
+	empty, err := NewWorker(serve.Config{ModelDir: emptySpool, BatchWait: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestParallelDistributeFirstWorkerDown(t *testing.T) {
 	req := scoreRequestFor(f.bundle, raw)
 	want := standaloneResponse(t, f.dir, req)
 
-	testbundle.Write(t, f.coord.cfg.ModelDir, 2)
+	testbundle.Write(t, f.coord.cfg.Serve.ModelDir, 2)
 	f.net.setDown(f.hosts[0], true)
 	_, err := f.coord.Reload(context.Background())
 	if err == nil || !strings.Contains(err.Error(), f.hosts[0]) {

@@ -18,17 +18,6 @@ import (
 	"repro/internal/serve"
 )
 
-// WorkerConfig sizes a shard worker. Serve carries the ordinary serving
-// knobs (batching, queue, deadlines, tracing); its ModelDir is ignored —
-// the worker serves whatever the coordinator last pushed into Spool.
-type WorkerConfig struct {
-	// Spool is the worker-local bundle directory the coordinator
-	// distributes into (created if missing; may start empty).
-	Spool string
-	// Serve configures the embedded scoring server.
-	Serve serve.Config
-}
-
 // Worker is a shared-nothing shard: the ordinary internal/serve scoring
 // server (micro-batching, degradation, reload breaker, tracing — all of
 // it) loading only the front-ends the coordinator assigned it, plus the
@@ -49,23 +38,24 @@ type Worker struct {
 	installMu sync.Mutex // serializes bundle installs
 }
 
-// NewWorker builds a worker over its spool directory. Unlike standalone
-// serving, an empty spool is not an error: the worker starts unready
-// (503 on scoring, /readyz) and waits for the coordinator's first push.
-func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.Spool == "" {
+// NewWorker builds a worker serving cfg, whose ModelDir is the spool:
+// the worker-local bundle directory the coordinator distributes into
+// (created if missing). Unlike standalone serving, an empty spool is not
+// an error: the worker starts unready (503 on scoring, /readyz) and waits
+// for the coordinator's first push.
+func NewWorker(cfg serve.Config) (*Worker, error) {
+	if cfg.ModelDir == "" {
 		return nil, fmt.Errorf("cluster: worker has no spool directory")
 	}
-	if err := os.MkdirAll(cfg.Spool, 0o755); err != nil {
+	if err := os.MkdirAll(cfg.ModelDir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: spool: %w", err)
 	}
-	cfg.Serve.ModelDir = cfg.Spool
-	cfg.Serve.WaitForModel = true
-	srv, err := serve.New(cfg.Serve)
+	cfg.WaitForModel = true
+	srv, err := serve.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{spool: cfg.Spool}
+	w := &Worker{spool: cfg.ModelDir}
 	w.node = newNode(srv, w.generationCheck(srv.Handler()))
 	w.mux.HandleFunc("/-/bundle", w.handleBundle)
 	w.mux.HandleFunc("/clusterz", w.handleClusterz)

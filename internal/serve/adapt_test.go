@@ -255,7 +255,7 @@ func TestReadyzBreakerOpen(t *testing.T) {
 	dir := t.TempDir()
 	testbundle.Write(t, dir, 43)
 	s := newTestServer(t, dir, func(c *Config) {
-		c.Reload = ReloadPolicy{BaseBackoff: time.Millisecond, TripAfter: 1, Cooldown: time.Hour}
+		c.Reload = ReloadPolicy{Retries: 2, BaseBackoff: time.Millisecond, TripAfter: 1, Cooldown: time.Hour}
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

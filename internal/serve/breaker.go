@@ -6,22 +6,40 @@ import (
 	"time"
 )
 
-// BreakerPolicy governs a circuit breaker. Zero values select the
-// defaults noted per field.
-type BreakerPolicy struct {
-	// TripAfter is how many consecutive failures open the breaker (3).
+// ReloadPolicy is the one retry and circuit-breaker policy of serving.
+// It governs model reloads, and on a fleet coordinator the bundle pushes
+// and the per-peer breakers too. Zero values select the defaults noted
+// per field.
+type ReloadPolicy struct {
+	// Retries is how many extra attempts follow a failed one: reloads
+	// within one Reload call, pushes to one worker within one
+	// distribution (0: none).
+	Retries int
+	// BaseBackoff is the delay before the first retry; it doubles per
+	// retry (100 ms).
+	BaseBackoff time.Duration
+	// MaxBackoff caps the per-retry delay (2 s).
+	MaxBackoff time.Duration
+	// TripAfter is how many consecutive failures open a breaker: failed
+	// Reload calls (each already retried), or failed RPCs to one peer (3).
 	TripAfter int
 	// Cooldown is how long an open breaker fails fast before letting one
-	// probe attempt through (10 s).
+	// probe attempt through (30 s).
 	Cooldown time.Duration
 }
 
-func (p *BreakerPolicy) setDefaults() {
+func (p *ReloadPolicy) setDefaults() {
+	if p.BaseBackoff <= 0 {
+		p.BaseBackoff = 100 * time.Millisecond
+	}
+	if p.MaxBackoff <= 0 {
+		p.MaxBackoff = 2 * time.Second
+	}
 	if p.TripAfter <= 0 {
 		p.TripAfter = 3
 	}
 	if p.Cooldown <= 0 {
-		p.Cooldown = 10 * time.Second
+		p.Cooldown = 30 * time.Second
 	}
 }
 
@@ -39,15 +57,16 @@ const (
 // dependency. Half-open (cooldown elapsed): the next attempt runs as a
 // probe — success closes the breaker, failure re-arms the cooldown.
 type Breaker struct {
-	pol BreakerPolicy
+	pol ReloadPolicy
 
 	mu        sync.Mutex
 	fails     int
 	openUntil time.Time
 }
 
-// NewBreaker returns a closed breaker governed by pol.
-func NewBreaker(pol BreakerPolicy) *Breaker {
+// NewBreaker returns a closed breaker governed by pol's TripAfter and
+// Cooldown.
+func NewBreaker(pol ReloadPolicy) *Breaker {
 	pol.setDefaults()
 	return &Breaker{pol: pol}
 }
@@ -100,20 +119,17 @@ func (b *Breaker) State(now time.Time) string {
 	}
 }
 
-// DefaultMaxBackoff caps one retry delay (ReloadPolicy.MaxBackoff's
-// default; fleet bundle pushes use it too).
-const DefaultMaxBackoff = 2 * time.Second
-
-// Retry runs attempt, and while it fails runs it up to retries more
+// Retry runs attempt, and while it fails runs it up to pol.Retries more
 // times, calling onRetry and then waiting on clock before each one. The
-// wait starts at base and doubles per retry up to maxBackoff. A
-// cancelled ctx ends the loop without waiting further. Retry returns the
-// last attempt's error.
-func Retry(ctx context.Context, clock Clock, retries int, base, maxBackoff time.Duration, onRetry func(), attempt func() error) error {
-	backoff := base
+// wait starts at pol.BaseBackoff and doubles per retry up to
+// pol.MaxBackoff. A cancelled ctx ends the loop without waiting further.
+// Retry returns the last attempt's error.
+func Retry(ctx context.Context, clock Clock, pol ReloadPolicy, onRetry func(), attempt func() error) error {
+	pol.setDefaults()
+	backoff := pol.BaseBackoff
 	for i := 0; ; i++ {
 		err := attempt()
-		if err == nil || i >= retries || ctx.Err() != nil {
+		if err == nil || i >= pol.Retries || ctx.Err() != nil {
 			return err
 		}
 		onRetry()
@@ -122,6 +138,6 @@ func Retry(ctx context.Context, clock Clock, retries int, base, maxBackoff time.
 			return err
 		case <-clock.After(backoff):
 		}
-		backoff = min(2*backoff, maxBackoff)
+		backoff = min(2*backoff, pol.MaxBackoff)
 	}
 }

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
 
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	b := NewBreaker(BreakerPolicy{TripAfter: 3, Cooldown: 10 * time.Second})
+	b := NewBreaker(ReloadPolicy{TripAfter: 3, Cooldown: 10 * time.Second})
 
 	if got := b.State(now); got != BreakerClosed {
 		t.Fatalf("initial state %s, want closed", got)
@@ -80,9 +83,52 @@ func allow(b *Breaker, now time.Time) bool {
 	return ok
 }
 
-func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(BreakerPolicy{})
-	if b.pol.TripAfter != 3 || b.pol.Cooldown != 10*time.Second {
-		t.Fatalf("defaults = %+v", b.pol)
+// TestReloadPolicyDefaults pins the one set of defaults that reloads,
+// fleet bundle pushes and peer breakers share: no retries, backoff from
+// 100 ms doubling to 2 s, and a breaker that opens after 3 failures and
+// cools down for 30 s.
+func TestReloadPolicyDefaults(t *testing.T) {
+	b := NewBreaker(ReloadPolicy{})
+	if b.pol.TripAfter != 3 || b.pol.Cooldown != 30*time.Second {
+		t.Fatalf("breaker defaults = %+v, want trip 3, cooldown 30s", b.pol)
 	}
+	var pol ReloadPolicy
+	pol.setDefaults()
+	if want := (ReloadPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second, TripAfter: 3, Cooldown: 30 * time.Second}); pol != want {
+		t.Fatalf("defaults = %+v, want %+v", pol, want)
+	}
+
+	clk := &recordingClock{}
+	attempts := 0
+	err := Retry(context.Background(), clk, ReloadPolicy{Retries: 6}, func() {}, func() error {
+		attempts++
+		return errors.New("down")
+	})
+	if err == nil || attempts != 7 {
+		t.Fatalf("Retry with 6 retries: %d attempts, err %v; want 7 and the last error", attempts, err)
+	}
+	ms := time.Millisecond
+	if want := []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms}; !reflect.DeepEqual(clk.waits, want) {
+		t.Fatalf("default backoff waits %v, want %v", clk.waits, want)
+	}
+	attempts = 0
+	Retry(context.Background(), clk, ReloadPolicy{}, func() {}, func() error {
+		attempts++
+		return errors.New("down")
+	})
+	if attempts != 1 {
+		t.Fatalf("zero policy ran %d attempts, want 1 (no retries)", attempts)
+	}
+}
+
+// recordingClock records every wait and fires it at once.
+type recordingClock struct{ waits []time.Duration }
+
+func (c *recordingClock) Now() time.Time { return time.Unix(1_700_000_000, 0) }
+
+func (c *recordingClock) After(d time.Duration) <-chan time.Time {
+	c.waits = append(c.waits, d)
+	ch := make(chan time.Time, 1)
+	ch <- c.Now()
+	return ch
 }

@@ -318,6 +318,26 @@ func TestReloadRetryRecoversFromTransientFault(t *testing.T) {
 	}
 }
 
+// TestReloadZeroRetriesAttemptsOnce: a server whose policy leaves
+// Retries at zero (lred -reload-retries 0) makes exactly one attempt per
+// failing reload; zero means no retries, not the default.
+func TestReloadZeroRetriesAttemptsOnce(t *testing.T) {
+	dir := t.TempDir()
+	testbundle.Write(t, dir, 26)
+	s := newTestServer(t, dir, func(c *Config) {
+		c.Reload = ReloadPolicy{Retries: 0, BaseBackoff: time.Millisecond}
+	})
+	defer faultinject.Enable(&faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+		{Site: "serve.reload", Kind: faultinject.KindError, Every: 1, Err: "disk gone"},
+	}})()
+	if _, err := s.Reload(); err == nil {
+		t.Fatal("injected reload fault did not surface")
+	}
+	if fires := faultinject.Snapshot()["serve.reload"].Fires; fires != 1 {
+		t.Fatalf("a failing reload with Retries 0 made %d attempts, want 1", fires)
+	}
+}
+
 // TestReloadBreakerOpensAndRecovers drives the breaker through its full
 // cycle on a fake clock: repeated failures open it, reloads are then
 // rejected without touching the registry, the cooldown admits a probe,
@@ -326,8 +346,8 @@ func TestReloadBreakerOpensAndRecovers(t *testing.T) {
 	dir := t.TempDir() // stays empty: every load fails until the bundle is written
 	clk := newFakeClock()
 	reg := NewRegistry(dir)
+	// Retries is zero: each Reload is exactly one attempt.
 	rl := newReloader(reg, ReloadPolicy{
-		Retries:   -1, // no retries: each Reload is exactly one attempt
 		TripAfter: 3,
 		Cooldown:  30 * time.Second,
 	}, clk)
@@ -370,7 +390,6 @@ func TestReloadBreakerHalfOpenFailureReArms(t *testing.T) {
 	dir := t.TempDir() // never gets a bundle: every probe fails
 	clk := newFakeClock()
 	rl := newReloader(NewRegistry(dir), ReloadPolicy{
-		Retries:   -1,
 		TripAfter: 2,
 		Cooldown:  10 * time.Second,
 	}, clk)
@@ -398,7 +417,7 @@ func TestReloadEndpointBreaker503(t *testing.T) {
 	dir := t.TempDir()
 	b := testbundle.Write(t, dir, 25)
 	s := newTestServer(t, dir, func(c *Config) {
-		c.Reload = ReloadPolicy{Retries: -1, TripAfter: 2, Cooldown: 30 * time.Second}
+		c.Reload = ReloadPolicy{TripAfter: 2, Cooldown: 30 * time.Second}
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

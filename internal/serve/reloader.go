@@ -15,46 +15,6 @@ import (
 // the cooldown passes (the previous model keeps serving throughout).
 var ErrBreakerOpen = errors.New("serve: reload circuit breaker open")
 
-// ReloadPolicy governs how the server retries model reloads and when it
-// stops trying. Zero values select the defaults noted per field.
-type ReloadPolicy struct {
-	// Retries is how many extra attempts follow a failed reload within one
-	// Reload call (2; negative disables retries).
-	Retries int
-	// BaseBackoff is the delay before the first retry; it doubles per
-	// retry (100 ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry delay (2 s).
-	MaxBackoff time.Duration
-	// TripAfter is how many consecutive failed Reload calls (each already
-	// retried) open the breaker (3).
-	TripAfter int
-	// Cooldown is how long an open breaker rejects reloads before letting
-	// one probe attempt through (30 s).
-	Cooldown time.Duration
-}
-
-func (p *ReloadPolicy) setDefaults() {
-	if p.Retries == 0 {
-		p.Retries = 2
-	}
-	if p.Retries < 0 {
-		p.Retries = 0
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
-	}
-	if p.TripAfter <= 0 {
-		p.TripAfter = 3
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = 30 * time.Second
-	}
-}
-
 // Reload/breaker counters (obs run reports and /metricsz).
 var (
 	obsReloadRetries  = obs.GetCounter("serve.reload.retries")
@@ -78,13 +38,11 @@ type reloader struct {
 }
 
 func newReloader(reg *Registry, pol ReloadPolicy, clock Clock) *reloader {
-	pol.setDefaults()
 	if clock == nil {
 		clock = RealClock{}
 	}
 	obs.SetGauge("serve.reload.breaker_open", 0)
-	br := NewBreaker(BreakerPolicy{TripAfter: pol.TripAfter, Cooldown: pol.Cooldown})
-	return &reloader{reg: reg, pol: pol, clock: clock, br: br}
+	return &reloader{reg: reg, pol: pol, clock: clock, br: NewBreaker(pol)}
 }
 
 // breakerOpen reports whether the circuit breaker currently rejects
@@ -107,11 +65,10 @@ func (rl *reloader) Reload() (*Model, error) {
 	// Closed, or half-open: the cooldown elapsed and this call is the
 	// probe.
 	var m *Model
-	err := Retry(context.Background(), rl.clock, rl.pol.Retries, rl.pol.BaseBackoff, rl.pol.MaxBackoff,
-		obsReloadRetries.Inc, func() (err error) {
-			m, err = rl.reg.Reload()
-			return err
-		})
+	err := Retry(context.Background(), rl.clock, rl.pol, obsReloadRetries.Inc, func() (err error) {
+		m, err = rl.reg.Reload()
+		return err
+	})
 	if err == nil {
 		rl.br.Success()
 		obs.SetGauge("serve.reload.breaker_open", 0)

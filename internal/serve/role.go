@@ -79,8 +79,11 @@ type Utterance struct {
 // namespace prefixes the path's metric and span names (<namespace>.http.*,
 // .cascade.*, .score.degraded, root spans <namespace>.score/batch), so a
 // co-resident standalone tier keeps its serve.* names apart in one obs
-// registry. The Config fields that size the standalone role (ModelDir,
-// batching, Reload, Adapt, WaitForModel) are unused.
+// registry. The request path reads cfg's deadlines, body limit, tracing
+// and access-log switches and cascade, and Reload.Cooldown for a
+// breaker-open Retry-After. The rest of cfg (ModelDir, batching, Reload's
+// retries, Adapt, WaitForModel) is the role's to read: every lred role
+// shares one Config, and a fleet coordinator reads ModelDir and Reload.
 func NewWithRole(cfg Config, namespace string, role Role) (*Server, error) {
 	s, err := newServer(cfg, namespace)
 	if err != nil {

@@ -21,8 +21,10 @@ import (
 // Config sizes the server. Zero values select the defaults noted per
 // field.
 type Config struct {
-	// ModelDir is the bundle directory (required); New fails fast if the
-	// initial load fails.
+	// ModelDir is the bundle directory (required): the export for a
+	// standalone daemon or a fleet coordinator, the spool a shard worker
+	// is pushed into. New fails fast if the initial load fails, unless
+	// WaitForModel is set.
 	ModelDir string
 	// MaxBatch bounds how many requests share one scoring pass (16).
 	MaxBatch int
@@ -41,7 +43,8 @@ type Config struct {
 	DrainTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (32 MiB).
 	MaxBodyBytes int64
-	// Reload governs reload retry/backoff and the circuit breaker.
+	// Reload governs every retry loop and circuit breaker: model reloads,
+	// and on a fleet coordinator the bundle pushes and per-peer breakers.
 	Reload ReloadPolicy
 	// Cascade opts into the two-tier scoring cascade (see cascade.go).
 	Cascade CascadeConfig
@@ -194,6 +197,9 @@ func newServer(cfg Config, ns string) (*Server, error) {
 	s.mux.HandleFunc("/-/adapt/rollback", s.instrument("adapt_rollback", s.handleAdaptRollback))
 	return s, nil
 }
+
+// Config returns the server's config with its defaults applied.
+func (s *Server) Config() Config { return s.cfg }
 
 // Registry exposes the model registry (reload loops, tests); nil on a
 // server built by NewWithRole.
