@@ -159,12 +159,9 @@ func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 			if len(sv.Idx) != len(sv.Val) {
 				return nil, badRequest("front-end %q: %d indices for %d values", name, len(sv.Idx), len(sv.Val))
 			}
-			// Copy: the vector outlives the request body, and TFLLR scales
-			// in place.
-			v = &sparse.Vector{
-				Idx: append([]int32(nil), sv.Idx...),
-				Val: append([]float64(nil), sv.Val...),
-			}
+			// The decoder gave the request its own exactly sized slices: the
+			// vector adopts them, and TFLLR scales them in place.
+			v = &sparse.Vector{Idx: sv.Idx, Val: sv.Val}
 			if err := v.Validate(); err != nil {
 				return nil, badRequest("front-end %q: %v", name, err)
 			}

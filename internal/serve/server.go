@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -451,32 +452,26 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Pin {
 }
 
 // decodeUtterances reads the body — one ScoreRequest, or a BatchRequest
-// when batch — under a "decode" span, or writes the 400 and returns false.
+// when batch — under a "read" span and parses it under a "decode" span,
+// or writes the 400 and returns false.
 func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *obs.Span, batch bool) ([]ScoreRequest, bool) {
-	var dsp *obs.Span
+	var sp *obs.Span
 	if root != nil {
-		dsp = root.StartChild("decode")
+		sp = root.StartChild("read")
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if sp != nil {
+		sp.End()
+	}
 	var utts []ScoreRequest
-	var err error
-	if batch {
-		var req BatchRequest
-		err = dec.Decode(&req)
-		utts = req.Utterances
-	} else {
-		utts = make([]ScoreRequest, 1)
-		err = dec.Decode(&utts[0])
-	}
-	// The body is exactly one JSON value: anything but whitespace after it
-	// is a malformed request, not something to ignore.
 	if err == nil {
-		if _, next := dec.Token(); next != io.EOF {
-			err = errors.New("unexpected data after the JSON value")
+		if root != nil {
+			sp = root.StartChild("decode")
 		}
-	}
-	if dsp != nil {
-		dsp.End()
+		utts, err = DecodeScoreRequest(body, batch)
+		if sp != nil {
+			sp.End()
+		}
 	}
 	switch {
 	case err != nil:
@@ -487,6 +482,22 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *
 		return nil, false
 	}
 	return utts, true
+}
+
+// maxBodyHint caps how much readBody allocates on a Content-Length's
+// word alone.
+const maxBodyHint = 1 << 20
+
+// readBody reads r to its end into a buffer sized for the announced
+// length (the Content-Length, or -1) plus the spare bytes.Buffer wants
+// to see EOF without growing. The buffer is not pooled: a pool's idle
+// buffers are live at every collection, and measured on sv-replay they
+// cost more peak memory than the garbage they save (DESIGN.md, "Request
+// decoding").
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(size, 0), maxBodyHint)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // submit admits one resolved utterance into the batcher and translates

@@ -140,8 +140,22 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if e.Root == nil {
 		t.Fatal("no span tree buffered")
 	}
+	// The body is read under "read", then parsed under "decode": two
+	// consecutive children of the root, in that order.
+	var stages []string
+	for _, c := range e.Root.Children {
+		if c.Name == "read" || c.Name == "decode" {
+			stages = append(stages, c.Name)
+		}
+	}
+	if len(stages) != 2 || stages[0] != "read" || stages[1] != "decode" {
+		t.Fatalf("root's read/decode children %v, want [read decode]", stages)
+	}
+	if rd, dc := e.Root.Find("read"), e.Root.Find("decode"); dc.Start.Before(rd.Start) {
+		t.Fatalf("decode started %v before read %v", dc.Start, rd.Start)
+	}
 	fes := 0
-	for _, stage := range []string{"decode", "resolve", "queue.wait", "batch.form", "score.fe", "fuse"} {
+	for _, stage := range []string{"read", "decode", "resolve", "queue.wait", "batch.form", "score.fe", "fuse"} {
 		sp := e.Root.Find(stage)
 		if sp == nil {
 			t.Fatalf("stage %q missing from span tree", stage)
