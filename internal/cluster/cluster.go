@@ -29,15 +29,16 @@
 // (application/octet-stream), with a shard manifest as JSON in the
 // X-Cluster-Manifest header: the export's manifest stamped with the
 // fleet generation, pinning the image's SHA-256 and listing the worker's
-// assigned front-ends. A worker checks the footer and the pinned SHA-256,
-// decodes the image once and keeps its assignment without fusion or the
-// cascade (persist.UnsealBundle), writes the received bytes unchanged
-// into its spool directory (manifest last; a restarted worker's load
-// makes the same selection), and swaps the shard in through the
-// registry's one swap step — the step every serve reload ends in. The
-// routing plan advances only when every worker acked; a failed
-// distribution can leave any subset of workers on the unrouted
-// generation, and they answer 409 until repair restores them.
+// assigned front-ends. A worker hashes the body as it comes off the
+// socket, decodes it once while the hash finishes, and keeps its
+// assignment without fusion or the cascade only once the footer and the
+// pinned SHA-256 check out (persist.UnsealBundle); it writes the
+// received bytes unchanged into its spool directory (manifest last; a
+// restarted worker's load makes the same selection), and swaps the
+// shard in through the registry's one swap step — the step every serve
+// reload ends in. The routing plan advances only when every worker
+// acked; a failed distribution can leave any subset of workers on the
+// unrouted generation, and they answer 409 until repair restores them.
 // Scoring RPCs carry the generation in the X-Cluster-Generation header:
 // a worker rejects routed requests for a different generation with 409,
 // and the coordinator re-checks the generation echoed in every shard

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"net/http"
@@ -29,39 +30,49 @@ func TestMain(m *testing.M) {
 }
 
 // FuzzBundlePush drives a worker's POST /-/bundle handler with arbitrary
-// X-Cluster-Manifest values and bodies. Every push must answer 200 or a
-// 4xx, never panic, and only a 200 may change the spool's bundle.gob and
+// X-Cluster-Manifest values and bodies, each declared with a length that
+// may be off by extra bytes. Every push must answer 200 or a 4xx, never
+// panic, and only a 200 may change the spool's bundle.gob and
 // manifest.json bytes or the generation the worker serves. A 200 leaves
 // the pushed body itself as bundle.gob, and a fresh LoadBundle of the
 // spool equals the model served. Seeds: a valid push and truncated,
 // bit-flipped and header-mangled copies of it, and the push contract's
 // refusals — an image other than the pinned one, an assignment naming a
-// front-end the image lacks, an empty or duplicated assignment.
+// front-end the image lacks, an empty or duplicated assignment — and the
+// failure table's re-sealed garbage payload and length mismatches.
 func FuzzBundlePush(f *testing.F) {
 	fl := newFleet(f, 1, nil)
 	mustDistribute(f, fl)
 	mf, sealed := validPush(f, fl, 0, 2)
-	f.Add(mf, sealed)
-	f.Add(mf, sealed[:len(sealed)/2])
-	f.Add(mf, sealed[:len(sealed)-1])
+	f.Add(mf, sealed, int64(0))
+	f.Add(mf, sealed[:len(sealed)/2], int64(0))
+	f.Add(mf, sealed[:len(sealed)-1], int64(0))
 	flipped := append([]byte(nil), sealed...)
 	flipped[len(flipped)/3] ^= 0x80
-	f.Add(mf, flipped)
-	f.Add("", sealed)
-	f.Add("{}", sealed)
-	f.Add(`{"cluster_generation":-1}`, sealed)
-	f.Add(mf[:len(mf)/2], sealed)
-	f.Add(mf, []byte{})
-	f.Add(editManifest(f, mf, func(m *persist.Manifest) { m.BundleSHA256 = strings.Repeat("f", 64) }), sealed)
-	f.Add(editManifest(f, mf, assigning("FE0", "FE7")), sealed)
-	f.Add(editManifest(f, mf, assigning()), sealed)
-	f.Add(editManifest(f, mf, assigning("FE0", "FE0")), sealed)
-	f.Add(mf, sealed[:len(sealed)*3/4])
+	f.Add(mf, flipped, int64(0))
+	f.Add("", sealed, int64(0))
+	f.Add("{}", sealed, int64(0))
+	f.Add(`{"cluster_generation":-1}`, sealed, int64(0))
+	f.Add(mf[:len(mf)/2], sealed, int64(0))
+	f.Add(mf, []byte{}, int64(0))
+	f.Add(editManifest(f, mf, func(m *persist.Manifest) { m.BundleSHA256 = strings.Repeat("f", 64) }), sealed, int64(0))
+	f.Add(editManifest(f, mf, assigning("FE0", "FE7")), sealed, int64(0))
+	f.Add(editManifest(f, mf, assigning()), sealed, int64(0))
+	f.Add(editManifest(f, mf, assigning("FE0", "FE0")), sealed, int64(0))
+	f.Add(mf, sealed[:len(sealed)*3/4], int64(0))
+	// The failure table's seeds: a payload sealed afresh, so the footer
+	// and the pinned SHA-256 verify but the decode fails, and bodies
+	// shorter and longer than their declared length.
+	for _, c := range failingCases(f, fl) {
+		if c.name == "re-sealed garbage payload" || c.extra != 0 {
+			f.Add(c.manifest, c.body, c.extra)
+		}
+	}
 
 	h := fl.workers[0].Handler()
-	f.Fuzz(func(t *testing.T, manifest string, body []byte) {
+	f.Fuzz(func(t *testing.T, manifest string, body []byte, extra int64) {
 		before := readSpool(t, fl, 0)
-		rec := servePush(h, bundleContentType, manifest, body)
+		rec := serveBody(h, bundleContentType, manifest, bytes.NewReader(body), int64(len(body))+extra)
 		after := readSpool(t, fl, 0)
 		switch {
 		case rec.Code == http.StatusOK:

@@ -1,21 +1,26 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/faultinject"
@@ -92,7 +97,14 @@ func assigning(fes ...string) func(*persist.Manifest) {
 }
 
 func servePush(h http.Handler, contentType, manifest string, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/-/bundle", bytes.NewReader(body))
+	return serveBody(h, contentType, manifest, bytes.NewReader(body), int64(len(body)))
+}
+
+// serveBody is servePush with any body reader and a declared
+// Content-Length, which need not match the body.
+func serveBody(h http.Handler, contentType, manifest string, body io.Reader, declared int64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/-/bundle", body)
+	req.ContentLength = declared
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
@@ -424,5 +436,178 @@ func TestParallelDistributeFirstWorkerDown(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sr.ScoreResult, want.ScoreResult) {
 		t.Fatalf("after repair the fleet differs from generation 1 standalone:\nfleet      %+v\nstandalone %+v", sr.ScoreResult, want.ScoreResult)
+	}
+}
+
+// failingCase is one damaged or mismatched bundle image, as a file under
+// LoadBundle and as a push body.
+type failingCase struct {
+	name     string
+	manifest string // the push's header, and manifest.json for LoadBundle
+	body     []byte
+	extra    int64 // declared Content-Length minus len(body); push only when nonzero
+	readErr  bool  // the read fails after 100 bytes: an injected persist.load.read fault, or a body cut off mid-stream
+	msg      string
+}
+
+// failingCases builds every way a bundle image can fail to load, each
+// naming what the error must say.
+func failingCases(t testing.TB, f *fleet) []failingCase {
+	mf, sealed := validPush(t, f, 0, 2)
+	flip := func(at int) []byte {
+		b := append([]byte(nil), sealed...)
+		b[at] ^= 0x01
+		return b
+	}
+	const footerSize = 52 // CRC32, SHA-256, payload length, magic
+	garbage, err := persist.MarshalSealed("not a bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(garbage)
+	garbageMF := editManifest(t, mf, func(m *persist.Manifest) { m.BundleSHA256 = hex.EncodeToString(sum[:]) })
+	otherSHA := editManifest(t, mf, func(m *persist.Manifest) { m.BundleSHA256 = strings.Repeat("0", 64) })
+	return []failingCase{
+		{name: "payload byte flipped", manifest: mf, body: flip(len(sealed) / 2), msg: "CRC32 mismatch"},
+		{name: "footer byte flipped", manifest: mf, body: flip(len(sealed) - footerSize + 10), msg: "SHA-256 mismatch"},
+		{name: "torn tail", manifest: mf, body: sealed[:len(sealed)-1], msg: "torn tail"},
+		{name: "shorter than the footer", manifest: mf, body: sealed[:footerSize-1], msg: "torn tail"},
+		{name: "re-sealed garbage payload", manifest: garbageMF, body: garbage, msg: "persist: body:"},
+		{name: "pinned SHA-256 mismatch", manifest: otherSHA, body: sealed, msg: "does not match the manifest's SHA-256"},
+		{name: "body shorter than declared", manifest: mf, body: sealed[:len(sealed)-10], extra: 10, msg: "torn tail"},
+		{name: "body longer than declared", manifest: mf, body: append(append([]byte(nil), sealed...), "junk"...), extra: -4, msg: "torn tail"},
+		{name: "short read", manifest: mf, body: sealed, readErr: true, msg: "torn"},
+	}
+}
+
+// loadCase writes c into a fresh bundle directory and loads it; a
+// readErr case loads under a one-shot persist.load.read fault.
+func loadCase(t *testing.T, c failingCase) (*persist.Bundle, *persist.Manifest, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, persist.ManifestName), []byte(c.manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bundle.gob"), c.body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c.readErr {
+		plan, err := faultinject.ParsePlan("seed=1; persist.load.read:error:bytes=100,every=1,count=1,err=torn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer faultinject.Enable(plan)()
+	}
+	return persist.LoadBundle(dir)
+}
+
+// pushCase pushes c to h; a readErr body fails after 100 bytes.
+func pushCase(h http.Handler, c failingCase) *httptest.ResponseRecorder {
+	var body io.Reader = bytes.NewReader(c.body)
+	if c.readErr {
+		body = io.MultiReader(bytes.NewReader(c.body[:100]), iotest.ErrReader(errors.New("torn")))
+	}
+	return serveBody(h, bundleContentType, c.manifest, body, int64(len(c.body))+c.extra)
+}
+
+// TestLoadBundleAndPushRankTheirErrors: a damaged or mismatched image fails
+// LoadBundle and a worker push alike, with the error its first failed
+// check names — a failed read, then the footer, then the pinned SHA-256,
+// then the decode — whatever the overlapped decode did. No bundle comes
+// back, a refused push leaves the spool and the served generation as
+// they were, and the loads leave no goroutine behind.
+func TestLoadBundleAndPushRankTheirErrors(t *testing.T) {
+	f := newFleet(t, 1, nil)
+	mustDistribute(t, f)
+	h := f.workers[0].Handler()
+	cases := failingCases(t, f)
+	before, model := readSpool(t, f, 0), f.workers[0].Server().Registry().Current()
+	for _, c := range cases {
+		if c.extra == 0 {
+			b, m, err := loadCase(t, c)
+			var rerr *persist.ReadError
+			if c.readErr != errors.As(err, &rerr) || c.readErr == errors.Is(err, persist.ErrCorrupt) {
+				t.Errorf("%s: LoadBundle error %v: read error %v, ErrCorrupt %v; want read error %v", c.name, err, rerr != nil, errors.Is(err, persist.ErrCorrupt), c.readErr)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.msg) || b != nil || m != nil {
+				t.Errorf("%s: LoadBundle returned bundle %v, manifest %v, error %v; want none and an error naming %q", c.name, b != nil, m != nil, err, c.msg)
+			}
+		}
+		prefix := "bundle does not unseal into a valid shard: "
+		if c.readErr {
+			prefix = "bad bundle push body: "
+		}
+		rec := pushCase(h, c)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), prefix) || !strings.Contains(rec.Body.String(), c.msg) {
+			t.Errorf("%s: push answered %d %s, want 400 %q naming %q", c.name, rec.Code, rec.Body.String(), prefix, c.msg)
+		}
+		if after := readSpool(t, f, 0); after != before || f.workers[0].Server().Registry().Current() != model {
+			t.Errorf("%s: refused push changed the spool or the served model (generation %d)", c.name, after.gen)
+		}
+	}
+
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		c := cases[i%len(cases)]
+		if i%2 == 0 && c.extra == 0 {
+			if _, _, err := loadCase(t, c); err == nil {
+				t.Fatalf("%s: load succeeded", c.name)
+			}
+		} else if rec := pushCase(h, c); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: push answered %d", c.name, rec.Code)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after 100 failed loads, %d before", n, baseline)
+	}
+}
+
+// TestStalledPushPinsNoMemory: a push that declares 200 MiB, sends 1 KiB
+// and closes its side of the connection gets a 400, and the worker
+// allocates far less than the declared length meanwhile — the buffer is
+// sized from a declared length only up to a 16 MiB bound, and past it
+// grows only as bytes arrive.
+func TestStalledPushPinsNoMemory(t *testing.T) {
+	f := newFleet(t, 1, nil)
+	mustDistribute(t, f)
+	mf, sealed := validPush(t, f, 0, 2)
+	srv := httptest.NewServer(f.workers[0].Handler())
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	head := fmt.Sprintf("POST /-/bundle HTTP/1.1\r\nHost: worker\r\nContent-Type: %s\r\n%s: %s\r\nContent-Length: %d\r\n\r\n",
+		bundleContentType, ManifestHeader, mf, 200<<20)
+	if _, err := io.WriteString(conn, head); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(sealed[:1<<10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&ms)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "bad bundle push body") {
+		t.Fatalf("stalled push answered %d %s, want 400 naming the body", resp.StatusCode, body)
+	}
+	if grew := ms.TotalAlloc - allocated; grew >= 16<<20 {
+		t.Fatalf("a push that sent 1 KiB allocated %d bytes", grew)
 	}
 }

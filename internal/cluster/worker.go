@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"os"
@@ -101,12 +100,14 @@ const maxPushBytes = 256 << 20
 
 // handleBundle installs a coordinator push: the exported bundle image
 // and a shard manifest pinning its SHA-256 and listing this worker's
-// front-ends. Check the content type and the manifest header; verify the
-// footer and the pinned SHA-256, decode the image once and keep the
-// assigned front-ends (persist.UnsealBundle); publish the received bytes
-// unchanged into the spool with the manifest last (SealedBundle.Install);
-// and swap the shard in through the registry's one swap step. On any
-// failure the previously installed bundle keeps serving.
+// front-ends. Check the content type and the manifest header; read the
+// body once, hashing it as it comes off the socket and decoding it while
+// the hash finishes, and keep the assigned front-ends once the footer,
+// the pinned SHA-256 and the shard's own checks pass
+// (persist.UnsealBundle); publish the received bytes unchanged into the
+// spool with the manifest last (SealedBundle.Install); and swap the
+// shard in through the registry's one swap step. On any failure the
+// previously installed bundle keeps serving.
 func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rw.Header().Set("Allow", http.MethodPost)
@@ -131,14 +132,14 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, "%s must carry a cluster_generation ≥ 1 and the image's bundle_sha256", ManifestHeader)
 		return
 	}
-	sealed, err := readPush(http.MaxBytesReader(rw, r.Body, maxPushBytes), r.ContentLength)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, "bad bundle push body: %v", err)
-		return
-	}
 	t0 := time.Now()
-	sb, err := persist.UnsealBundle(sealed, mf)
-	if err != nil {
+	sb, err := persist.UnsealBundle(http.MaxBytesReader(rw, r.Body, maxPushBytes), r.ContentLength, mf)
+	var rerr *persist.ReadError
+	switch {
+	case errors.As(err, &rerr):
+		writeError(rw, http.StatusBadRequest, "bad bundle push body: %v", rerr.Err)
+		return
+	case err != nil:
 		writeError(rw, http.StatusBadRequest, "bundle does not unseal into a valid shard: %v", err)
 		return
 	}
@@ -151,6 +152,7 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	}
 	m := w.srv.Registry().Swap(sb.Bundle, written)
 	obs.Observe("cluster.worker.install.seconds", time.Since(t0).Seconds())
+	obs.Observe("serve.model.verify_wait_seconds", sb.VerifyWait.Seconds())
 	obs.Inc("cluster.worker.installs")
 	obs.SetGauge("cluster.generation", float64(m.ClusterGeneration()))
 	writeJSON(rw, http.StatusOK, bundleAck{
@@ -158,19 +160,6 @@ func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 		ModelVersion: m.Version,
 		FrontEnds:    m.Manifest.FrontEnds,
 	})
-}
-
-// readPush reads a push body to its end. A declared length within
-// maxPushBytes sizes the buffer once, with the bytes.MinRead of spare room
-// ReadFrom needs to see EOF without growing; a missing or lying length
-// only changes how often the buffer grows.
-func readPush(body io.Reader, declared int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if declared > 0 && declared <= maxPushBytes {
-		buf.Grow(int(declared) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(body)
-	return buf.Bytes(), err
 }
 
 func (w *Worker) handleClusterz(rw http.ResponseWriter, r *http.Request) {

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"time"
 
 	"repro/internal/cascade"
+	"repro/internal/faultinject"
 	"repro/internal/fusion"
 	"repro/internal/ngram"
 	"repro/internal/proj"
@@ -460,51 +462,53 @@ func writeManifest(dir string, m *Manifest, b *Bundle, sha string) error {
 // bundle.gob SaveBundle wrote — verified and decoded once by
 // UnsealBundle, ready to Install.
 type SealedBundle struct {
-	Bundle   *Bundle
-	image    []byte
-	sha      string // of the whole image, from the unseal pass
-	manifest Manifest
+	Bundle *Bundle
+	// VerifyWait is how long the decode waited for the hash to finish
+	// (0 when the hash finished first).
+	VerifyWait time.Duration
+	image      []byte
+	sha        string // of the whole image, from the unseal pass
+	manifest   Manifest
 }
 
-// UnsealBundle verifies a sealed bundle image in one pass — its footer,
-// and the SHA-256 the manifest pins when it pins one — decodes it once,
-// keeps a shard manifest's assignment (selectShard), and checks the
-// result against itself (Validate) and against the manifest's geometry
-// (checkDims: a manifest recording another bundle's is ErrCorrupt).
-// Nothing is written.
-func UnsealBundle(image []byte, m Manifest) (*SealedBundle, error) {
-	r, err := imageReader(image, "sealed image")
-	if err != nil {
-		return nil, err
-	}
-	b, err := decodeBundle(r, &m, "sealed image")
-	if err != nil {
-		return nil, err
-	}
-	return &SealedBundle{Bundle: b, image: image, sha: r.SHA256(), manifest: m}, nil
-}
-
-// decodeBundle checks a verified image against the SHA-256 m pins,
-// decodes it, keeps a shard manifest's assignment, and validates what it
-// kept against itself and m; name labels errors.
-func decodeBundle(r *Reader, m *Manifest, name string) (*Bundle, error) {
-	if m.BundleSHA256 != "" && r.SHA256() != m.BundleSHA256 {
-		return nil, fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", name, ErrCorrupt)
-	}
+// UnsealBundle reads a sealed bundle image from body to its end, hashing
+// it as it arrives and decoding it once (readSealed); declared is the
+// body's declared length, a sizing hint (≤ 0 when unknown). The bundle
+// is returned only once every check has passed: the footer, the SHA-256
+// the manifest pins when it pins one, the decode, the shard manifest's
+// assignment (selectShard), and the result against itself (Validate)
+// and against the manifest's geometry (checkDims: a manifest recording
+// another bundle's is ErrCorrupt). A body that cannot be read to its end
+// is a ReadError. Nothing is written.
+func UnsealBundle(body io.Reader, declared int64, m Manifest) (*SealedBundle, error) {
 	var b Bundle
-	if err := r.Decode(&b); err != nil {
-		return nil, fmt.Errorf("persist: bundle %s: %w", name, err)
-	}
-	if err := selectShard(m, &b); err != nil {
+	img, err := readSealed(body, declared, "sealed image", &b)
+	if err != nil {
 		return nil, err
+	}
+	if err := checkBundle(img, &b, &m, "sealed image"); err != nil {
+		return nil, err
+	}
+	return &SealedBundle{Bundle: &b, VerifyWait: img.verifyWait, image: img.data, sha: img.sha256(), manifest: m}, nil
+}
+
+// checkBundle runs the checks a bundle image faces after its footer, in
+// order: the SHA-256 m pins, the decode's verdict, the shard manifest's
+// assignment, Validate and checkDims; name labels errors.
+func checkBundle(img *sealedImage, b *Bundle, m *Manifest, name string) error {
+	if m.BundleSHA256 != "" && img.sha256() != m.BundleSHA256 {
+		return fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", name, ErrCorrupt)
+	}
+	if img.decodeErr != nil {
+		return fmt.Errorf("persist: bundle %s: %w", name, img.decodeErr)
+	}
+	if err := selectShard(m, b); err != nil {
+		return err
 	}
 	if err := b.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkDims(m, &b); err != nil {
-		return nil, err
-	}
-	return &b, nil
+	return checkDims(m, b)
 }
 
 // Install publishes the bundle into dir exactly as SaveBundle would have:
@@ -534,13 +538,18 @@ func (s *SealedBundle) Install(dir string) (*Manifest, error) {
 // over the path does not reach an open Image; an overwrite in place
 // would, and is caught by whoever checks the bytes against SHA256.
 type Image struct {
-	f    *os.File
-	size int64
-	sha  string
+	f          *os.File
+	size       int64
+	sha        string
+	verifyWait time.Duration
 }
 
 // SHA256 is the hex SHA-256 of the image as it was verified.
 func (im *Image) SHA256() string { return im.sha }
+
+// VerifyWait is how long the load's decode waited for the hash to
+// finish (0 when the hash finished first).
+func (im *Image) VerifyWait() time.Duration { return im.verifyWait }
 
 // Reader returns a fresh reader over the whole image.
 func (im *Image) Reader() *io.SectionReader { return io.NewSectionReader(im.f, 0, im.size) }
@@ -548,8 +557,8 @@ func (im *Image) Reader() *io.SectionReader { return io.NewSectionReader(im.f, 0
 // Close releases the file.
 func (im *Image) Close() error { return im.f.Close() }
 
-// testHookBundleOpened runs between LoadBundle's verification and its
-// decode; tests rewrite files there.
+// testHookBundleOpened runs once LoadBundle has read the bundle file and
+// before it returns; tests rewrite files there.
 var testHookBundleOpened = func() {}
 
 // LoadBundle reads and validates a bundle directory written by
@@ -581,19 +590,38 @@ func loadBundle(dir string) (*Bundle, *Manifest, *Image, error) {
 	if file == "" {
 		file = defaultBundleFile
 	}
-	// One read brings the whole file into memory; the footer and the
-	// manifest's SHA-256 are checked over those bytes and the same bytes
-	// are decoded, so whatever happens to the file meanwhile, the bundle
-	// decoded is the one whose SHA-256 matched.
-	r, err := readImage(filepath.Join(dir, file), "persist.load.read")
+	// One read brings the whole file into memory, hashed as it arrives
+	// and decoded from those bytes; whatever happens to the file
+	// meanwhile, the bundle returned is the one whose SHA-256 matched.
+	path := filepath.Join(dir, file)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
 	}
-	testHookBundleOpened()
-	b, err := decodeBundle(r, &m, file)
+	b, img, err := readBundleFile(f, path, &m, file)
 	if err != nil {
-		r.Close()
+		f.Close()
 		return nil, nil, nil, err
 	}
-	return b, &m, &Image{f: r.f, size: r.size, sha: r.SHA256()}, nil
+	return b, &m, &Image{f: f, size: int64(len(img.data)), sha: img.sha256(), verifyWait: img.verifyWait}, nil
+}
+
+// readBundleFile reads the open bundle file f through the
+// persist.load.read fault site and checks it against m.
+func readBundleFile(f *os.File, path string, m *Manifest, file string) (*Bundle, *sealedImage, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+	}
+	var b Bundle
+	in := faultinject.Reader("persist.load.read", io.LimitReader(f, st.Size()))
+	img, err := readSealed(in, st.Size(), path, &b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+	}
+	testHookBundleOpened()
+	if err := checkBundle(img, &b, m, file); err != nil {
+		return nil, nil, err
+	}
+	return &b, img, nil
 }

@@ -127,13 +127,45 @@ func verify(src io.ReaderAt, size int64, faultSite string) (int64, [sha256.Size]
 // verifyImage checks the footer of a sealed image held in memory, hashing
 // the bytes in place; it returns what verify does.
 func verifyImage(image []byte) (int64, [sha256.Size]byte, error) {
-	payload := len(image) - footerSize
+	hashes := newSealer(io.Discard)
+	return finishVerify(&hashes, image)
+}
+
+// verdict is a footer check's result: the whole image's SHA-256, or
+// what the check found wrong.
+type verdict struct {
+	sum [sha256.Size]byte
+	err error
+}
+
+// hashAsRead verifies a sealed image while it is still being read. Each
+// prefix of the image received on prefixes is hashed up to footerSize
+// bytes short of its end, the bytes that may yet turn out to be the
+// footer. Once prefixes closes, the last prefix received is the whole
+// image, and its footer is checked. Prefixes only ever grow, and the
+// bytes a prefix holds never change, so the hash reads them while later
+// bytes are still being written past them.
+func hashAsRead(prefixes <-chan []byte) verdict {
+	hashes := newSealer(io.Discard)
+	var image []byte
+	for image = range prefixes {
+		if n := int64(len(image) - footerSize); n > hashes.n {
+			hashes.Write(image[hashes.n:n])
+		}
+	}
+	_, sum, err := finishVerify(&hashes, image)
+	return verdict{sum, err}
+}
+
+// finishVerify hashes the part of image's payload that hashes has not
+// seen yet and checks the footer that follows it.
+func finishVerify(hashes *sealer, image []byte) (int64, [sha256.Size]byte, error) {
+	payload := int64(len(image) - footerSize)
 	if payload < 0 {
 		return 0, [sha256.Size]byte{}, errNoFooter
 	}
-	hashes := newSealer(io.Discard)
-	hashes.Write(image[:payload])
-	return checkFooter(&hashes, image[payload:])
+	hashes.Write(image[hashes.n:payload])
+	return checkFooter(hashes, image[payload:])
 }
 
 // checkFooter compares a footer against the checksums of the payload that

@@ -13,9 +13,11 @@
 // bad magic. Writer encodes any number of values through a fixed-size
 // buffer (see stream.go). Open streams a file back — one pass verifies
 // the footer, a second decodes — so checkpoints and internal/adapt's
-// sidecar cost bounded memory; bundles are read once into memory,
-// verified and decoded in place, so the bytes decoded are the bytes
-// verified. Save, Load, the bundle files, the generation store's payloads
+// sidecar cost bounded memory. Bundles, on disk or pushed over a socket,
+// are read once into memory and hashed as their bytes arrive; the decode
+// may start before the hash completes, over the same in-memory bytes,
+// and nothing decoded leaves this package until every check has passed.
+// Save, Load, the bundle files, the generation store's payloads
 // (store.go), internal/checkpoint and internal/adapt's sidecar all go
 // through them.
 package persist

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/gobwire"
@@ -129,17 +131,19 @@ func (w *Writer) Size() int64 { return w.size }
 // included (after Close) — what manifests pin.
 func (w *Writer) SHA256() string { return hex.EncodeToString(w.sum[:]) }
 
-// Reader decodes gob values from a sealed image, verified before its
+// Reader decodes gob values from a sealed file, verified before its
 // first value is decoded. A file opened with Open is streamed: one pass
 // verifies the footer, a second decodes through a fixed-size buffer,
 // over the same descriptor, so a rename over the path in between is
 // harmless — but an overwrite of the file in place between the passes
 // would be decoded unverified. That is acceptable for checkpoints and the
-// adapt sidecar, which only their own process rewrites; bundles, which
+// adapt sidecar, which only their own process rewrites. Bundles, which
 // other processes publish, are read once into memory instead
-// (LoadBundle), and the bytes verified are the bytes decoded.
+// (readSealed): the decode may start before the hash completes, over the
+// same in-memory bytes, and nothing decoded leaves the package until
+// every check has passed.
 type Reader struct {
-	f    *os.File // the file read, held until Close; nil for an image passed as bytes
+	f    *os.File // the file read, held until Close
 	dec  *gobwire.Decoder
 	size int64
 	sum  [sha256.Size]byte
@@ -166,68 +170,144 @@ func OpenAt(path, faultSite string) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	r, err := streamReader(f, st.Size(), faultSite, path)
+	// One streaming pass verifies f[0:size); Decode reads the values in a
+	// second.
+	size := st.Size()
+	payload, sum, err := verify(f, size, faultSite)
 	if err != nil {
+		err = verifyErr(err, path, gobwire.NewDecoder(io.NewSectionReader(f, 0, size)))
 		f.Close()
 		return nil, err
 	}
-	r.f = f
-	return r, nil
-}
-
-// streamReader verifies f[0:size) in one streaming pass and positions a
-// Reader at its first value for a second; name labels read errors.
-func streamReader(f *os.File, size int64, faultSite, name string) (*Reader, error) {
-	payload, sum, err := verify(f, size, faultSite)
-	if err != nil {
-		return nil, verifyErr(err, name, gobwire.NewDecoder(io.NewSectionReader(f, 0, size)))
-	}
-	return newReader(gobwire.NewDecoder(bufio.NewReaderSize(io.NewSectionReader(f, 0, payload), ioBufSize)), size, sum)
-}
-
-// readImage reads the sealed file at path into memory in one pass,
-// through faultSite when it is non-empty, and verifies it: the Reader
-// then decodes the very bytes it verified, however the file changes
-// meanwhile. The Reader keeps the file open until Close. Errors are
-// Open's.
-func readImage(path, faultSite string) (r *Reader, err error) {
-	f, err := os.Open(path)
-	if err != nil {
+	dec := gobwire.NewDecoder(bufio.NewReaderSize(io.NewSectionReader(f, 0, payload), ioBufSize))
+	if err := readHeader(dec); err != nil {
+		f.Close()
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
+	return &Reader{f: f, dec: dec, size: size, sum: sum}, nil
+}
+
+// presizeMax bounds the buffer readSealed reserves from a declared
+// length before any byte arrives. A longer claim reserves nothing: the
+// buffer then grows only as bytes actually arrive, so a sender that
+// declares a large body and stalls pins no memory it never sent.
+const presizeMax = 16 << 20
+
+// readChunk is how many bytes readSealed reads at a time; the hash picks
+// up each chunk as it lands.
+const readChunk = 256 << 10
+
+// sealedImage is a sealed image readSealed read and verified.
+type sealedImage struct {
+	data []byte            // the whole image, footer included
+	sum  [sha256.Size]byte // of data
+	// verifyWait is how long the decode, once done, waited for the
+	// hash to finish; 0 when the hash finished first.
+	verifyWait time.Duration
+	// decodeErr is the decode's verdict, a wrapped ErrCorrupt. It ranks
+	// after every check the caller makes on the verified image (the
+	// SHA-256 a manifest pins), so readSealed leaves it to the caller.
+	decodeErr error
+}
+
+// sha256 is the hex SHA-256 of the whole image.
+func (img *sealedImage) sha256() string { return hex.EncodeToString(img.sum[:]) }
+
+// readSealed reads a sealed image from in to its end and decodes its
+// first value into v, in one pass. One goroutine (the caller's) reads
+// the image into a single buffer, readChunk bytes at a time; a second
+// hashes each chunk for the footer's CRC32 and SHA-256 as soon as it
+// lands (hashAsRead). Once the last byte is in, v is decoded from the
+// same in-memory bytes while the hash finishes. A failed read, footer or
+// header check takes precedence over whatever the decode did; v must
+// not be used unless every check passes. Decoding bytes not yet
+// verified stays bounded: gobwire checks every count against the bytes
+// left before it allocates. declared, when positive and at most
+// presizeMax, sizes the buffer once; it is a hint, and the image is
+// whatever in holds. name labels errors; a failed read is a ReadError.
+func readSealed(in io.Reader, declared int64, name string, v any) (*sealedImage, error) {
+	// Room for every chunk of a pre-sized image, so the read never waits
+	// on a hash that lags behind it: the decode starts when the read ends.
+	prefixes := make(chan []byte, presizeMax/readChunk)
+	hashed := make(chan verdict, 1)
+	go func() { hashed <- hashAsRead(prefixes) }()
+	data, err := readChunks(in, declared, prefixes)
+	if err != nil {
+		<-hashed
+		return nil, verifyErr(err, name, nil)
+	}
+	img := &sealedImage{data: data}
+	var headErr error
+	if payload := len(data) - footerSize; payload >= 0 {
+		dec := gobwire.NewBytesDecoder(data[:payload])
+		if headErr = readHeader(dec); headErr == nil {
+			if err := dec.Decode(v); err != nil {
+				img.decodeErr = fmt.Errorf("persist: body: %w (%w)", err, ErrCorrupt)
+			}
 		}
-	}()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
 	}
-	var in io.Reader = f
-	if faultSite != "" {
-		in = faultinject.Reader(faultSite, in)
+	var vd verdict
+	select {
+	case vd = <-hashed:
+	default:
+		t0 := time.Now()
+		vd = <-hashed
+		img.verifyWait = time.Since(t0)
 	}
-	image := make([]byte, st.Size())
-	if _, err := io.ReadFull(in, image); err != nil {
-		return nil, verifyErr(shortRead(err), path, nil)
+	if vd.err != nil {
+		return nil, verifyErr(vd.err, name, gobwire.NewBytesDecoder(data))
 	}
-	if r, err = imageReader(image, path); err != nil {
-		return nil, err
+	if headErr != nil {
+		return nil, headErr
 	}
-	r.f = f
-	return r, nil
+	img.sum = vd.sum
+	return img, nil
 }
 
-// imageReader verifies an in-memory sealed image and positions a Reader
-// at its first value, decoding the image in place; name labels errors.
-func imageReader(image []byte, name string) (*Reader, error) {
-	payload, sum, err := verifyImage(image)
-	if err != nil {
-		return nil, verifyErr(err, name, gobwire.NewBytesDecoder(image))
+// readChunks reads in to its end into one buffer, sending the image read
+// so far on prefixes after every readChunk bytes and once more, whole,
+// at the end; it closes prefixes when it returns, however it returns. A
+// declared length within presizeMax sizes the buffer once, with the
+// bytes.MinRead of spare room a read needs to see the end without
+// growing it.
+func readChunks(in io.Reader, declared int64, prefixes chan<- []byte) ([]byte, error) {
+	defer close(prefixes)
+	var buf []byte
+	if declared > 0 && declared <= presizeMax {
+		buf = make([]byte, 0, declared+bytes.MinRead)
 	}
-	return newReader(gobwire.NewBytesDecoder(image[:payload]), int64(len(image)), sum)
+	sent := 0
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, readChunk)
+		}
+		n, err := in.Read(buf[len(buf):min(cap(buf), len(buf)+readChunk)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			prefixes <- buf
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf)-sent >= readChunk {
+			prefixes <- buf
+			sent = len(buf)
+		}
+	}
 }
+
+// ReadError is a sealed image that could not be read to its end: a
+// failed or injected read, or a body cut off or over its size cap. Every
+// other error a load returns is about bytes that were read.
+type ReadError struct {
+	Name string
+	Err  error
+}
+
+func (e *ReadError) Error() string { return fmt.Sprintf("persist: read %s: %v", e.Name, e.Err) }
+
+func (e *ReadError) Unwrap() error { return e.Err }
 
 // verifyErr reports a failed verification. A torn sealed file still
 // starts with the sealed header, read through whole; anything else is
@@ -243,15 +323,7 @@ func verifyErr(err error, name string, whole *gobwire.Decoder) error {
 	case errors.Is(err, ErrCorrupt):
 		return err
 	}
-	return fmt.Errorf("persist: read %s: %w", name, err)
-}
-
-// newReader decodes the stream header of a verified image.
-func newReader(dec *gobwire.Decoder, size int64, sum [sha256.Size]byte) (*Reader, error) {
-	if err := readHeader(dec); err != nil {
-		return nil, err
-	}
-	return &Reader{dec: dec, size: size, sum: sum}, nil
+	return &ReadError{Name: name, Err: err}
 }
 
 // Decode reads the next gob value into v (a pointer). Running out of
@@ -264,12 +336,7 @@ func (r *Reader) Decode(v any) error {
 }
 
 // Close releases the file.
-func (r *Reader) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	return r.f.Close()
-}
+func (r *Reader) Close() error { return r.f.Close() }
 
 // Size reports the sealed image's length, footer included.
 func (r *Reader) Size() int64 { return r.size }
@@ -296,13 +363,14 @@ func MarshalSealed(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalSealed verifies and decodes bytes produced by MarshalSealed.
+// UnmarshalSealed verifies and decodes bytes produced by MarshalSealed,
+// through the one-pass reader bundles are loaded with.
 func UnmarshalSealed(data []byte, v any) error {
-	r, err := imageReader(data, "sealed image")
+	img, err := readSealed(bytes.NewReader(data), int64(len(data)), "sealed image", v)
 	if err != nil {
 		return err
 	}
-	return r.Decode(v)
+	return img.decodeErr
 }
 
 // WriteFileAtomic publishes data at path with the write-rename protocol:

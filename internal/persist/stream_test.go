@@ -5,12 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/faultinject"
+	"repro/internal/gobwire"
 )
 
 func TestWriterStreamsManyValues(t *testing.T) {
@@ -234,5 +237,60 @@ func TestLoadFaultedReadIsReadError(t *testing.T) {
 	}
 	if err := Load(path, &out); err != nil || out.Name != "fe" {
 		t.Fatalf("load after the fault: %v %+v", err, out)
+	}
+}
+
+// TestReadSealedVerifiedAsItReads: however the bytes arrive — in one read,
+// half reads, one byte at a time, or with the last bytes carrying EOF —
+// and whatever length is declared, readSealed returns the image, its
+// SHA-256 and its value as the in-place verify and decode do, for images
+// on either side of every chunk boundary. A flipped byte anywhere fails
+// with the in-place verify's error and no value.
+func TestReadSealedVerifiedAsItReads(t *testing.T) {
+	readers := map[string]func([]byte) io.Reader{
+		"whole":    func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"half":     func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+		"data+EOF": func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+		"one byte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+	}
+	for _, floats := range []int{0, readChunk/8 - 12, readChunk / 8, 3*readChunk/8 + 5} {
+		want := sealedPayload{Name: "chunked", Vals: make([]float64, floats)}
+		for i := range want.Vals {
+			want.Vals[i] = float64(i) * 0.5
+		}
+		image, err := MarshalSealed(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantSum, _ := verifyImage(image)
+		for name, reader := range readers {
+			if name == "one byte" && len(image) > readChunk {
+				continue
+			}
+			for _, declared := range []int64{int64(len(image)), 0, int64(len(image)) / 2, presizeMax + 1} {
+				var got sealedPayload
+				img, err := readSealed(reader(image), declared, "image", &got)
+				if err == nil {
+					err = img.decodeErr
+				}
+				if err != nil {
+					t.Fatalf("%d floats, %s reads, declared %d: %v", floats, name, declared, err)
+				}
+				if !bytes.Equal(img.data, image) || img.sum != wantSum || got.Name != want.Name || len(got.Vals) != floats {
+					t.Fatalf("%d floats, %s reads, declared %d: image, sum or value differ", floats, name, declared)
+				}
+			}
+		}
+		for _, at := range []int{0, len(image) / 2, len(image) - footerSize, len(image) - 1} {
+			bad := append([]byte(nil), image...)
+			bad[at] ^= 0x10
+			_, _, verr := verifyImage(bad)
+			wantErr := verifyErr(verr, "image", gobwire.NewBytesDecoder(bad))
+			var got sealedPayload
+			img, err := readSealed(iotest.HalfReader(bytes.NewReader(bad)), int64(len(bad)), "image", &got)
+			if img != nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%d floats, byte %d flipped: %v, want %v", floats, at, err, wantErr)
+			}
+		}
 	}
 }

@@ -172,6 +172,7 @@ func (r *Registry) Reload() (*Model, error) {
 		obs.Inc("serve.model.reload_errors")
 		return nil, err
 	}
+	verifyWait := img.VerifyWait()
 	if r.routing {
 		b.DropWeights()
 	} else {
@@ -184,6 +185,7 @@ func (r *Registry) Reload() (*Model, error) {
 		obs.Inc("serve.model.gen_fallback")
 	}
 	obs.Observe("serve.model.load_seconds", took.Seconds())
+	obs.Observe("serve.model.verify_wait_seconds", verifyWait.Seconds())
 	return r.swap(b, m, img, info, took), nil
 }
 
