@@ -21,9 +21,7 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/lattice"
 	"repro/internal/metrics"
-	"repro/internal/nap"
 	"repro/internal/ngram"
-	"repro/internal/parallel"
 	"repro/internal/prlm"
 	"repro/internal/rng"
 	"repro/internal/sparse"
@@ -419,62 +417,6 @@ func BenchmarkAblationCalibrationFA(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.Size), "|T_DBA|")
 			b.ReportMetric(st.ErrorRatePct, "labelErr%")
-		})
-	}
-}
-
-// BenchmarkExtensionNAP measures nuisance attribute projection (channel
-// compensation — an extension; the paper does not use NAP) on one
-// front-end: with the corpus's CTS/VOA shift, removing the dominant
-// within-language supervector directions should recover part of the
-// headroom DBA also targets.
-func BenchmarkExtensionNAP(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		rank int
-	}{{"off", 0}, {"rank16", 16}} {
-		b.Run(variant.name, func(b *testing.B) {
-			c := corpus.Build(experiments.CorpusConfig(experiments.ScaleTiny, 42))
-			fe := frontend.StandardSix(42)[0]
-			var eer30, eer3 float64
-			for i := 0; i < b.N; i++ {
-				f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42})
-				trainX := f.Vectors(c.Train)
-				trainY := c.Train.Labels()
-				test30 := f.Vectors(c.Test[30])
-				test3 := f.Vectors(c.Test[3])
-				if variant.rank > 0 {
-					proj, err := nap.Train(trainX, trainY, f.Dim(),
-						nap.Config{Rank: variant.rank, PowerIters: 15})
-					if err != nil {
-						b.Fatal(err)
-					}
-					project := func(xs []*sparse.Vector) []*sparse.Vector {
-						out := make([]*sparse.Vector, len(xs))
-						parallel.For(len(xs), func(j int) { out[j] = proj.Apply(xs[j]) })
-						return out
-					}
-					trainX = project(trainX)
-					test30 = project(test30)
-					test3 = project(test3)
-				}
-				ovr := svm.TrainOVR(trainX, trainY, experiments.NumLangs,
-					f.Dim(), vsm.DefaultSVMOptions())
-				sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
-				eval := func(xs []*sparse.Vector, labels []int) float64 {
-					scores := sub.ScoreMatrix(xs)
-					idx := make([]int, len(scores))
-					for j := range idx {
-						idx[j] = j
-					}
-					eer, _ := experiments.Eval(scores, labels, idx)
-					return eer
-				}
-				eer30 = eval(test30, c.Test[30].Labels())
-				eer3 = eval(test3, c.Test[3].Labels())
-			}
-			b.ReportMetric(eer30, "EER30s%")
-			b.ReportMetric(eer3, "EER3s%")
 		})
 	}
 }

@@ -57,6 +57,11 @@
 // keyed by the same trace id; degraded/errored requests always log) to
 // stderr, stdout, or a file; -access-log-every N keeps every Nth line.
 //
+// Batching is work-conserving: the dispatcher scores a request as soon
+// as it is admitted, together with whatever else queued while the
+// previous batch held the scoring pool (at most -max-batch). A lone
+// request never waits for company, and batches grow with load.
+//
 // Robustness: per-request deadlines (-timeout), 429 + Retry-After when
 // the admission queue is full (-queue), panic-isolated scoring workers,
 // graceful front-end degradation (a failing recognizer/SVM is dropped
@@ -141,7 +146,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		models       = flag.String("models", "", "bundle directory written by lre -export-models (required)")
 		maxBatch     = flag.Int("max-batch", 16, "max requests sharing one scoring pass")
-		batchWait    = flag.Duration("batch-wait", 2*time.Millisecond, "how long a non-full batch waits for more requests")
 		queueDepth   = flag.Int("queue", 256, "admission queue depth (beyond it: 429 + Retry-After)")
 		workers      = flag.Int("workers", 0, "scoring pool size (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (queueing + scoring)")
@@ -203,7 +207,6 @@ func main() {
 	serveCfg := serve.Config{
 		ModelDir:       dir,
 		MaxBatch:       *maxBatch,
-		BatchWait:      *batchWait,
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		RequestTimeout: *timeout,

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/cascade"
 	"repro/internal/persist"
@@ -57,7 +56,7 @@ func TestFleetCascadeEscalateAllBitIdentity(t *testing.T) {
 		cfg.Serve.Cascade = serve.CascadeConfig{Enabled: true, Margin: "-inf"}
 	})
 	mustDistribute(t, f)
-	s, err := serve.New(serve.Config{ModelDir: f.dir, BatchWait: time.Millisecond})
+	s, err := serve.New(serve.Config{ModelDir: f.dir})
 	if err != nil {
 		t.Fatal(err)
 	}

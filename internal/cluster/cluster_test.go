@@ -129,7 +129,7 @@ func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, se
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("shard%d-%d.test:91%02d", id, i, i)
 		spool := t.TempDir()
-		w, err := NewWorker(serve.Config{ModelDir: spool, BatchWait: time.Millisecond})
+		w, err := NewWorker(serve.Config{ModelDir: spool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func newFleetBundle(t testing.TB, n int, write func(t testing.TB, dir string, se
 func (f *fleet) restartWorker(t *testing.T, i int) *Worker {
 	t.Helper()
 	spool := t.TempDir()
-	w, err := NewWorker(serve.Config{ModelDir: spool, BatchWait: time.Millisecond})
+	w, err := NewWorker(serve.Config{ModelDir: spool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/persist"
 	"repro/internal/serve"
@@ -25,7 +24,7 @@ import (
 // server over the same bundle directory — the bit-identity oracle.
 func standaloneResponse(t *testing.T, modelDir string, req serve.ScoreRequest) serve.ScoreResponse {
 	t.Helper()
-	s, err := serve.New(serve.Config{ModelDir: modelDir, BatchWait: time.Millisecond})
+	s, err := serve.New(serve.Config{ModelDir: modelDir})
 	if err != nil {
 		t.Fatal(err)
 	}

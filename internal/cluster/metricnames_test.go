@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -77,9 +76,8 @@ func standaloneMetricNames(t *testing.T) []string {
 	dir := t.TempDir()
 	b := testbundle.WriteCascade(t, dir, 1)
 	s, err := serve.New(serve.Config{
-		ModelDir:  dir,
-		BatchWait: time.Millisecond,
-		Cascade:   serve.CascadeConfig{Enabled: true, Margin: "+inf"},
+		ModelDir: dir,
+		Cascade:  serve.CascadeConfig{Enabled: true, Margin: "+inf"},
 	})
 	if err != nil {
 		t.Fatal(err)

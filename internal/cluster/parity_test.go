@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 	"repro/internal/testbundle"
@@ -23,7 +22,7 @@ import (
 func TestFleetStandaloneEdgeParity(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
-	s, err := serve.New(serve.Config{ModelDir: f.dir, BatchWait: time.Millisecond})
+	s, err := serve.New(serve.Config{ModelDir: f.dir})
 	if err != nil {
 		t.Fatal(err)
 	}

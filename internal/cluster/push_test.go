@@ -231,7 +231,7 @@ func TestPushInstallsTheBytesItVerified(t *testing.T) {
 	if !reflect.DeepEqual(cur.Bundle, fresh.Bundle) || !reflect.DeepEqual(cur.Manifest, fresh.Manifest) || cur.Gen != fresh.Gen {
 		t.Fatalf("installed model differs from the spool reloaded:\ninstalled %+v %+v\nreloaded  %+v %+v", cur.Manifest, cur.Gen, fresh.Manifest, fresh.Gen)
 	}
-	restarted, err := NewWorker(serve.Config{ModelDir: spool, BatchWait: time.Millisecond})
+	restarted, err := NewWorker(serve.Config{ModelDir: spool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestPushSpoolWriteFaultKeepsPreviousBundle(t *testing.T) {
 	mustDistribute(t, f)
 	w := f.workers[0]
 	emptySpool := t.TempDir()
-	empty, err := NewWorker(serve.Config{ModelDir: emptySpool, BatchWait: time.Millisecond})
+	empty, err := NewWorker(serve.Config{ModelDir: emptySpool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,15 @@
 // ones) and — once the basis itself is quantized — the serving bundle by
 // an order of magnitude, at a measured EER cost (`lre -compress-eval`).
 //
-// Fitting reuses the matrix-free machinery style of internal/nap: the
-// top-r eigenvectors of the uncentered second-moment matrix Xᵀ X are
-// found by deflated power iteration, never materializing the dim×dim
-// Gram matrix. Callers can steer the leading directions: anchor
-// directions (e.g. the full-dimension SVM weight vectors, whose span
-// preserves linear scores exactly) come first, then between-class
-// (class-mean difference) directions when labels are supplied — the
-// part of the space a linear classifier actually uses — and only the
-// remaining rank is spent on variance. Everything is seeded and
-// greedily deflated, so fits are deterministic and a rank-R basis
+// Fitting is matrix-free: the top-r eigenvectors of the uncentered
+// second-moment matrix Xᵀ X are found by deflated power iteration, never
+// materializing the dim×dim Gram matrix. Callers can steer the leading
+// directions: anchor directions (e.g. the full-dimension SVM weight
+// vectors, whose span preserves linear scores exactly) come first, then
+// between-class (class-mean difference) directions when labels are
+// supplied — the part of the space a linear classifier actually uses —
+// and only the remaining rank is spent on variance. Everything is seeded
+// and greedily deflated, so fits are deterministic and a rank-R basis
 // truncates exactly to any r < R.
 package proj
 

@@ -68,18 +68,16 @@ func (j *job) trySend(res jobResult) {
 	}
 }
 
-// Batcher coalesces admitted jobs into micro-batches: the dispatcher
-// takes the first queued job, keeps collecting until MaxBatch jobs or
-// MaxWait elapsed, then runs the whole batch through one worker pool.
-// Under load the queue is never empty, so batches fill instantly and the
-// wait never triggers; at low load a lone request pays at most MaxWait of
-// added latency.
+// Batcher coalesces admitted jobs into micro-batches without ever
+// waiting for company: the dispatcher blocks for the first queued job,
+// adds whatever else is already queued (up to MaxBatch in all) and runs
+// the batch through one worker pool at once. An isolated request pays no
+// batch-formation delay; under load, jobs that arrive while a batch holds
+// the pool queue up and form the next batch, so batches grow with load.
 type Batcher struct {
 	maxBatch int
-	maxWait  time.Duration
 	workers  int
 	process  func([]*job)
-	clock    Clock
 	// windowed feeds the rolling 1m/5m views next to the cumulative
 	// metrics; the server turns it off only for the tracing-overhead
 	// benchmark baseline.
@@ -115,9 +113,7 @@ var (
 
 // newBatcher starts a dispatcher. process scores one batch; nil selects
 // the real scoring pass (tests inject blocking or panicking stand-ins).
-// clock drives the batch-fill wait; nil selects the real clock (tests
-// inject a fake one to make coalescing deterministic).
-func newBatcher(maxBatch, queueDepth, workers int, maxWait time.Duration, process func([]*job), clock Clock) *Batcher {
+func newBatcher(maxBatch, queueDepth, workers int, process func([]*job)) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -127,14 +123,9 @@ func newBatcher(maxBatch, queueDepth, workers int, maxWait time.Duration, proces
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if clock == nil {
-		clock = RealClock{}
-	}
 	b := &Batcher{
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		workers:  workers,
-		clock:    clock,
 		windowed: true,
 		queue:    make(chan *job, queueDepth),
 		drainCh:  make(chan struct{}),
@@ -203,56 +194,40 @@ func (b *Batcher) noteDequeue(j *job) {
 	}
 }
 
-// run is the dispatcher loop.
+// run is the dispatcher loop: block for the first job, dispatch it with
+// whatever else is queued, repeat.
 func (b *Batcher) run() {
 	defer close(b.done)
 	for {
-		var first *job
 		select {
-		case first = <-b.queue:
+		case j := <-b.queue:
+			b.noteDequeue(j)
+			b.runBatch(b.collectQueued([]*job{j}))
 		case <-b.drainCh:
 			// Intake is closed: everything still queued is finished in
 			// MaxBatch-sized chunks, then the dispatcher exits.
-			for {
-				batch := b.collectQueued()
-				if len(batch) == 0 {
-					return
-				}
+			for batch := b.collectQueued(nil); len(batch) > 0; batch = b.collectQueued(nil) {
 				b.runBatch(batch)
 			}
+			return
 		}
-		b.noteDequeue(first)
-		batch := []*job{first}
-		timeout := b.clock.After(b.maxWait)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case j := <-b.queue:
-				b.noteDequeue(j)
-				batch = append(batch, j)
-			case <-timeout:
-				break collect
-			case <-b.drainCh:
-				break collect
-			}
-		}
-		obsQueueDepth.Set(float64(len(b.queue)))
-		b.runBatch(batch)
 	}
 }
 
-// collectQueued drains up to maxBatch jobs without waiting.
-func (b *Batcher) collectQueued() []*job {
-	var batch []*job
+// collectQueued appends already-queued jobs to batch, up to maxBatch in
+// all, without waiting, and updates the queue-depth gauge.
+func (b *Batcher) collectQueued(batch []*job) []*job {
+collect:
 	for len(batch) < b.maxBatch {
 		select {
 		case j := <-b.queue:
 			b.noteDequeue(j)
 			batch = append(batch, j)
 		default:
-			return batch
+			break collect
 		}
 	}
+	obsQueueDepth.Set(float64(len(b.queue)))
 	return batch
 }
 

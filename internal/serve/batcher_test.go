@@ -3,9 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,26 +28,47 @@ func echoProcess(batches *[][]*job, mu *sync.Mutex) func([]*job) {
 	}
 }
 
+// gatedProcess records every batch it is handed and blocks until gate
+// closes. It signals entered (without blocking) as a batch arrives, so a
+// test knows the dispatcher is held, not still collecting, before it
+// queues more work.
+func gatedProcess(batches *[][]*job, mu *sync.Mutex, entered chan<- struct{}, gate <-chan struct{}) func([]*job) {
+	record := echoProcess(batches, mu)
+	return func(batch []*job) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		record(batch)
+	}
+}
+
+func batchSizes(batches [][]*job) []int {
+	sizes := make([]int, len(batches))
+	for i := range batches {
+		sizes[i] = len(batches[i])
+	}
+	return sizes
+}
+
 func TestBatcherCoalesces(t *testing.T) {
-	// The fake clock makes coalescing exact: the batch-fill timeout only
-	// fires when the test advances the clock, so the batch boundary is a
-	// scheduling fact, not a wall-clock race.
-	clk := newFakeClock()
+	// The dispatcher never waits for company: a lone job dispatches at
+	// once. Jobs that queue while that batch holds the pool (here: the
+	// gate) form the next batches, MaxBatch at a time. The boundaries are
+	// scheduling facts, not wall-clock races.
 	var batches [][]*job
 	var mu sync.Mutex
+	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
-	b := newBatcher(8, 64, 1, 50*time.Millisecond, func(batch []*job) {
-		<-gate // hold the dispatcher so later submits pile up in the queue
-		mu.Lock()
-		batches = append(batches, batch)
-		mu.Unlock()
-		for _, j := range batch {
-			j.trySend(jobResult{})
-		}
-	}, clk)
+	b := newBatcher(8, 64, 1, gatedProcess(&batches, &mu, entered, gate))
 	defer b.Drain(context.Background())
 
-	var jobs []*job
+	jobs := []*job{newJob(nil)}
+	if err := b.Submit(jobs[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the first job dispatched alone and is held at the gate
 	for i := 0; i < 9; i++ {
 		j := newJob(nil)
 		jobs = append(jobs, j)
@@ -55,46 +76,29 @@ func TestBatcherCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The dispatcher fills a full batch of 8 from the queue (the timeout
-	// never fires on its own), leaving the ninth job queued.
 	close(gate)
-	for _, j := range jobs[:8] {
+	for i, j := range jobs {
 		select {
 		case <-j.result:
 		case <-time.After(2 * time.Second):
-			t.Fatal("job never completed")
+			t.Fatalf("job %d never completed", i)
 		}
-	}
-	// The ninth job sits in a half-empty batch until its MaxWait elapses.
-	// Two waiters: the first batch's abandoned fill timer plus the second
-	// batch's live one — waiting for both guarantees the second batch has
-	// started collecting before the clock moves.
-	clk.WaitForWaiters(2)
-	clk.Advance(50 * time.Millisecond)
-	select {
-	case <-jobs[8].result:
-	case <-time.After(2 * time.Second):
-		t.Fatal("straggler job never completed after MaxWait")
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(batches) != 2 || len(batches[0]) != 8 || len(batches[1]) != 1 {
-		sizes := make([]int, len(batches))
-		for i := range batches {
-			sizes[i] = len(batches[i])
-		}
-		t.Fatalf("batch sizes %v, want [8 1]", sizes)
+	if got := batchSizes(batches); !reflect.DeepEqual(got, []int{1, 8, 1}) {
+		t.Fatalf("batch sizes %v, want [1 8 1]", got)
 	}
 }
 
 func TestBatcherQueueFull(t *testing.T) {
 	gate := make(chan struct{})
-	b := newBatcher(1, 2, 1, time.Millisecond, func(batch []*job) {
+	b := newBatcher(1, 2, 1, func(batch []*job) {
 		<-gate
 		for _, j := range batch {
 			j.trySend(jobResult{})
 		}
-	}, nil)
+	})
 	defer func() {
 		close(gate)
 		b.Drain(context.Background())
@@ -115,17 +119,18 @@ func TestBatcherQueueFull(t *testing.T) {
 }
 
 func TestBatcherDrainCompletesQueuedJobs(t *testing.T) {
-	// The fake clock keeps the fill timeout from ever firing on its own:
-	// every job is still queued when Drain starts, which is exactly the
-	// case the no-accepted-job-is-dropped contract covers.
-	clk := newFakeClock()
-	var processed atomic.Int64
-	b := newBatcher(4, 64, 1, 10*time.Millisecond, func(batch []*job) {
-		processed.Add(int64(len(batch)))
-		for _, j := range batch {
-			j.trySend(jobResult{})
-		}
-	}, clk)
+	// A first job holds the dispatcher at the gate, so all n jobs are
+	// provably still queued when Drain starts — exactly the case the
+	// no-accepted-job-is-dropped contract covers.
+	var batches [][]*job
+	var mu sync.Mutex
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	b := newBatcher(4, 64, 1, gatedProcess(&batches, &mu, entered, gate))
+	if err := b.Submit(newJob(nil)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 	const n = 17
 	jobs := make([]*job, n)
 	for i := range jobs {
@@ -134,13 +139,25 @@ func TestBatcherDrainCompletesQueuedJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	// A cancelled context closes intake and returns at once, because the
+	// dispatcher is still held; the second Drain waits for it to finish.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := b.Drain(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain with the dispatcher held: %v, want context.Canceled", err)
+	}
+	close(gate)
+	ctx, cancelWait := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelWait()
 	if err := b.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := processed.Load(); got != n {
-		t.Fatalf("drain processed %d of %d queued jobs", got, n)
+	mu.Lock()
+	got := batchSizes(batches)
+	mu.Unlock()
+	// The held job, then the queue in MaxBatch-sized chunks.
+	if want := []int{1, 4, 4, 4, 4, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch sizes %v, want %v", got, want)
 	}
 	for i, j := range jobs {
 		select {
@@ -148,6 +165,9 @@ func TestBatcherDrainCompletesQueuedJobs(t *testing.T) {
 		default:
 			t.Fatalf("job %d got no result after drain", i)
 		}
+	}
+	if depth := obsQueueDepth.Value(); depth != 0 {
+		t.Fatalf("serve.queue.depth %v after drain, want 0", depth)
 	}
 	// Intake is closed for good.
 	if err := b.Submit(newJob(nil)); !errors.Is(err, ErrDraining) {
@@ -165,9 +185,9 @@ func TestBatcherDrainTimeout(t *testing.T) {
 	// Drain must return the context's error rather than hang (no wall-clock
 	// race: the outcome is the same no matter how the goroutines schedule).
 	block := make(chan struct{})
-	b := newBatcher(1, 8, 1, time.Millisecond, func(batch []*job) {
+	b := newBatcher(1, 8, 1, func(batch []*job) {
 		<-block
-	}, nil)
+	})
 	if err := b.Submit(newJob(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +200,9 @@ func TestBatcherDrainTimeout(t *testing.T) {
 }
 
 func TestBatcherPanicIsolation(t *testing.T) {
-	b := newBatcher(8, 64, 1, time.Millisecond, func(batch []*job) {
+	b := newBatcher(8, 64, 1, func(batch []*job) {
 		panic("scoring exploded")
-	}, nil)
+	})
 	defer b.Drain(context.Background())
 	j := newJob(nil)
 	if err := b.Submit(j); err != nil {

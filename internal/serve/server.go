@@ -29,8 +29,6 @@ type Config struct {
 	ModelDir string
 	// MaxBatch bounds how many requests share one scoring pass (16).
 	MaxBatch int
-	// BatchWait is how long a non-full batch waits for company (2 ms).
-	BatchWait time.Duration
 	// QueueDepth bounds the admission queue; beyond it requests get
 	// 429 + Retry-After (256).
 	QueueDepth int
@@ -81,9 +79,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -154,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 	if err := s.initAdapter(); err != nil {
 		return nil, fmt.Errorf("serve: adapt: %w", err)
 	}
-	s.batcher = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Workers, cfg.BatchWait, nil, cfg.clock)
+	s.batcher = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Workers, nil)
 	s.batcher.windowed = !cfg.DisableTracing
 	return s, nil
 }

@@ -23,7 +23,7 @@ import (
 
 func newTestServer(t *testing.T, dir string, mutate func(*Config)) *Server {
 	t.Helper()
-	cfg := Config{ModelDir: dir, BatchWait: time.Millisecond}
+	cfg := Config{ModelDir: dir}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -418,10 +418,10 @@ func TestGracefulDrain(t *testing.T) {
 	// the test releases it).
 	gate := make(chan struct{})
 	s.batcher.Drain(context.Background())
-	s.batcher = newBatcher(64, 256, 2, 20*time.Millisecond, func(batch []*job) {
+	s.batcher = newBatcher(64, 256, 2, func(batch []*job) {
 		<-gate
 		scoreJobs(batch, 2)
-	}, nil)
+	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -505,6 +505,78 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestBatchesFormUnderLoad drives the real HTTP path: the first scoring
+// pass is held until every other request is admitted, so the queued ones
+// must coalesce into multi-job batches, and each response must equal the
+// same request scored alone.
+func TestBatchesFormUnderLoad(t *testing.T) {
+	dir := t.TempDir()
+	b := testbundle.Write(t, dir, 14)
+	s := newTestServer(t, dir, nil)
+	const n = 32
+	var held atomic.Bool
+	var bt *Batcher
+	bt = newBatcher(s.cfg.MaxBatch, s.cfg.QueueDepth, s.cfg.Workers, func(batch []*job) {
+		if held.CompareAndSwap(false, true) {
+			// Polls a condition, not a duration: the deadline only keeps a
+			// broken admission path from hanging the test.
+			deadline := time.Now().Add(10 * time.Second)
+			for len(batch)+len(bt.queue) < n && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		bt.scoreBatch(batch)
+	})
+	s.batcher.Drain(context.Background())
+	s.batcher = bt
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	reqs := make([]ScoreRequest, n)
+	bodies := make([][]byte, n)
+	for i := range reqs {
+		reqs[i] = scoreRequestFor(b, testbundle.Vector(uint64(700+i)))
+		reqs[i].ID = fmt.Sprintf("u%02d", i)
+		var err error
+		if bodies[i], err = json.Marshal(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches, jobs := obsBatches.Value(), obsBatchJobs.Value()
+	got := make([]ScoreResult, n)
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(bodies[i]))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var sr ScoreResponse
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d", reqs[i].ID, resp.StatusCode)
+			} else if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+				t.Error(err)
+			}
+			got[i] = sr.ScoreResult
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	batches, jobs = obsBatches.Value()-batches, obsBatchJobs.Value()-jobs
+	if jobs != n || float64(jobs)/float64(batches) <= 1 {
+		t.Fatalf("%d jobs in %d batches: want %d jobs, more than one per batch", jobs, batches, n)
+	}
+	for i := range reqs {
+		resultsEqual(t, "loaded-vs-alone "+reqs[i].ID, got[i], scoreOne(t, ts, reqs[i]).ScoreResult)
+	}
+}
+
 func TestNewFailsFastOnBadBundleDir(t *testing.T) {
 	_, err := New(Config{ModelDir: t.TempDir()})
 	if err == nil {
@@ -523,10 +595,10 @@ func TestRequestDeadlineWhileQueued(t *testing.T) {
 	// 504 — there is no schedule under which the pass wins the race.
 	gate := make(chan struct{})
 	s.batcher.Drain(context.Background())
-	s.batcher = newBatcher(16, 64, 2, time.Millisecond, func(batch []*job) {
+	s.batcher = newBatcher(16, 64, 2, func(batch []*job) {
 		<-gate
 		scoreJobs(batch, 2)
-	}, nil)
+	})
 	t.Cleanup(func() { close(gate) })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
