@@ -223,12 +223,14 @@ func BenchmarkAblationTFLLR(b *testing.B) {
 			fe := frontend.StandardSix(42)[0]
 			var eer float64
 			for i := 0; i < b.N; i++ {
-				f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42, DisableTFLLR: variant.disable})
+				f, err := vsm.ExtractChecked(fe, c, vsm.ExtractOptions{Seed: 42, DisableTFLLR: variant.disable})
+				if err != nil {
+					b.Fatal(err)
+				}
 				trainX := f.Vectors(c.Train)
 				ovr := svm.TrainOVR(trainX, c.Train.Labels(), experiments.NumLangs,
 					f.Dim(), vsm.DefaultSVMOptions())
-				sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
-				scores := sub.ScoreMatrix(f.Vectors(c.Test[30]))
+				scores := ovr.ScoreAll(f.Vectors(c.Test[30]))
 				idx := make([]int, len(scores))
 				for j := range idx {
 					idx[j] = j
@@ -323,40 +325,6 @@ func BenchmarkLatticeExpectedBigrams(b *testing.B) {
 	}
 }
 
-func BenchmarkSVMTrainBinary(b *testing.B) {
-	p := benchPipeline(b)
-	xs := p.Data[0].Train
-	ys := make([]int, len(xs))
-	for i := range ys {
-		if p.TrainLabels[i] == 0 {
-			ys[i] = 1
-		} else {
-			ys[i] = -1
-		}
-	}
-	opt := vsm.DefaultSVMOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svm.Train(xs, ys, p.Data[0].Dim, opt)
-	}
-}
-
-func BenchmarkSparseDot(b *testing.B) {
-	r := rng.New(4)
-	mk := func() *sparse.Vector {
-		m := map[int32]float64{}
-		for i := 0; i < 400; i++ {
-			m[int32(r.Intn(3540))] = r.Float64()
-		}
-		return sparse.FromMap(m)
-	}
-	x, y := mk(), mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sparse.Dot(x, y)
-	}
-}
-
 // --- Extension benchmarks ---
 
 // BenchmarkExtensionIterativeDBA measures the multi-round DBA extension
@@ -388,11 +356,13 @@ func BenchmarkAblationTrigram(b *testing.B) {
 			fe := frontend.NewWithOrder("CZ", frontend.ANNHMM, 43, 42, variant.order)
 			var eer float64
 			for i := 0; i < b.N; i++ {
-				f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42})
+				f, err := vsm.ExtractChecked(fe, c, vsm.ExtractOptions{Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
 				ovr := svm.TrainOVR(f.Vectors(c.Train), c.Train.Labels(),
 					experiments.NumLangs, f.Dim(), vsm.DefaultSVMOptions())
-				sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
-				scores := sub.ScoreMatrix(f.Vectors(c.Test[30]))
+				scores := ovr.ScoreAll(f.Vectors(c.Test[30]))
 				idx := make([]int, len(scores))
 				for j := range idx {
 					idx[j] = j
@@ -460,11 +430,13 @@ func BenchmarkBaselinePRLMvsVSM(b *testing.B) {
 	b.Run("vsm", func(b *testing.B) {
 		var eer float64
 		for i := 0; i < b.N; i++ {
-			f := vsm.Extract(fe, c, vsm.ExtractOptions{Seed: 42})
+			f, err := vsm.ExtractChecked(fe, c, vsm.ExtractOptions{Seed: 42})
+			if err != nil {
+				b.Fatal(err)
+			}
 			ovr := svm.TrainOVR(f.Vectors(c.Train), c.Train.Labels(),
 				experiments.NumLangs, f.Dim(), vsm.DefaultSVMOptions())
-			sub := &vsm.Subsystem{Name: fe.Name, Dim: f.Dim(), OVR: ovr}
-			scores := sub.ScoreMatrix(f.Vectors(c.Test[30]))
+			scores := ovr.ScoreAll(f.Vectors(c.Test[30]))
 			idx := make([]int, len(scores))
 			for j := range idx {
 				idx[j] = j

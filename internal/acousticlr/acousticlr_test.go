@@ -1,6 +1,7 @@
 package acousticlr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -210,4 +211,30 @@ func TestFrameCount(t *testing.T) {
 	if FrameCount(f) != 3 {
 		t.Fatalf("FrameCount = %d", FrameCount(f))
 	}
+}
+
+// Linked by no binary: they stay here only as long as the tests that
+// check them.
+
+// FrameCount is a helper for sizing checks in callers.
+func FrameCount(framesPerLang [][][]float64) int {
+	n := 0
+	for _, f := range framesPerLang {
+		n += len(f)
+	}
+	return n
+}
+
+// SDCFromCepstra is a convenience wrapper when the caller already has
+// static cepstra: it validates dimensions before computing SDC.
+func SDCFromCepstra(cepstra [][]float64, cfg SDCConfig) ([][]float64, error) {
+	if len(cepstra) > 0 && len(cepstra[0]) < cfg.N {
+		return nil, fmt.Errorf("acousticlr: cepstra have %d coefficients, SDC needs %d",
+			len(cepstra[0]), cfg.N)
+	}
+	out := ComputeSDC(cepstra, cfg)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("acousticlr: utterance too short for SDC context (%d frames)", len(cepstra))
+	}
+	return out, nil
 }

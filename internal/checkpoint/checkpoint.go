@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,18 +133,6 @@ func (s *Store) Len() int {
 
 // FellBack reports how many corrupt newer generations Open skipped.
 func (s *Store) FellBack() int { return s.fellBack }
-
-// Keys returns the sorted entry keys of the current generation.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Has reports whether the current generation holds an entry for key.
 func (s *Store) Has(key string) bool {

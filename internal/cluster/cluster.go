@@ -90,9 +90,6 @@ func newNode(srv *serve.Server, root http.Handler) node {
 	return n
 }
 
-// Handler returns the process's HTTP handler tree.
-func (n *node) Handler() http.Handler { return n.mux }
-
 // Run serves until ctx is cancelled, then drains like the standalone
 // daemon: queued scoring work finishes before connections close, and
 // the role's background loop has exited when Run returns.

@@ -233,3 +233,9 @@ func mustDistribute(t testing.TB, f *fleet) {
 		t.Fatal(err)
 	}
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// Handler returns the process's HTTP handler tree.
+func (n *node) Handler() http.Handler { return n.mux }

@@ -242,7 +242,7 @@ func TestPushInstallsTheBytesItVerified(t *testing.T) {
 	// A later build's export, with a field this build does not know: the
 	// spool keeps it, and the manifest pins the bytes received.
 	var export1 persist.Bundle
-	if err := persist.UnmarshalSealed(export, &export1); err != nil {
+	if err := persist.Load(filepath.Join(f.dir, "bundle.gob"), &export1); err != nil {
 		t.Fatal(err)
 	}
 	future, err := persist.MarshalSealed(&futureBundle{Languages: export1.Languages, FrontEnds: export1.FrontEnds, Fusion: export1.Fusion, Provenance: "later build"})

@@ -1,7 +1,7 @@
 // Package dsp implements the signal-processing primitives behind the
 // acoustic front-ends: a radix-2 FFT, analysis windows, pre-emphasis, the
-// mel filterbank, the DCT-II used by cepstral analysis, autocorrelation and
-// Levinson–Durbin recursion for the PLP-style linear-prediction path, and
+// mel filterbank, the DCT-II used by cepstral analysis, the Levinson–Durbin
+// recursion for the PLP-style linear-prediction path, and
 // delta (derivative) feature computation.
 //
 // The paper's front-ends consume 13-dimensional PLP (+Δ +ΔΔ) and MFCC
@@ -102,19 +102,6 @@ func HammingWindow(n int) []float64 {
 	}
 	for i := range w {
 		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// HannWindow returns an n-point Hann window.
-func HannWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
 	}
 	return w
 }
@@ -247,20 +234,6 @@ func DCT2(x []float64, numCoeffs int) []float64 {
 		}
 	}
 	return out
-}
-
-// Autocorrelation returns lags 0..maxLag of the biased autocorrelation of x.
-func Autocorrelation(x []float64, maxLag int) []float64 {
-	r := make([]float64, maxLag+1)
-	n := len(x)
-	for lag := 0; lag <= maxLag; lag++ {
-		var s float64
-		for i := lag; i < n; i++ {
-			s += x[i] * x[i-lag]
-		}
-		r[lag] = s
-	}
-	return r
 }
 
 // LevinsonDurbin solves the Toeplitz normal equations for linear prediction

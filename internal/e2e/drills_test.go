@@ -3,8 +3,13 @@ package e2e
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -19,33 +24,194 @@ import (
 	"repro/internal/serve"
 )
 
-// TestDaemonStaysLean: no command links test support — timing lives in
+// TestDaemonStaysLean: no binary links test support — timing lives in
 // bench/ and the `go test -bench` benchmarks — and the serving binary
 // does not link the offline training pipeline either.
 func TestDaemonStaysLean(t *testing.T) {
-	cmds, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
-	if err != nil {
-		t.Fatal(err)
+	mains := mainPackages(t)
+	if !slices.Contains(mains, "repro/cmd/lred") {
+		t.Fatalf("no lred among the main packages %v", mains)
 	}
-	if !slices.Contains(cmds, filepath.Join(root, "cmd", "lred")) {
-		t.Fatalf("no lred among the commands %v", cmds)
-	}
-	for _, dir := range cmds {
-		name := filepath.Base(dir)
-		paths, err := deps("./cmd/" + name)
+	for _, pkg := range mains {
+		paths, err := deps(root, pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		banned := []string{"testing", "repro/internal/testbundle"}
-		if name == "lred" {
+		if pkg == "repro/cmd/lred" {
 			banned = append(banned, "repro/internal/experiments")
 		}
 		for _, p := range paths {
 			if slices.Contains(banned, p) {
-				t.Errorf("%s links %s", name, p)
+				t.Errorf("%s links %s", pkg, p)
 			}
 		}
 	}
+}
+
+// TestEveryFunctionIsLinked: every function and method declared in a
+// non-test file under internal/ is linked into some binary — a main
+// package of the module or bench/'s harness — or is on linkAllow. The
+// linker's own reachability (-dumpdep, with -l so inlined functions
+// keep their symbols) decides what is linked, so code only tests reach
+// is found exactly, not by name matching.
+func TestEveryFunctionIsLinked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("links every binary")
+	}
+	linked := map[string]bool{}
+	for _, b := range []struct {
+		dir  string
+		pkgs []string
+	}{{root, mainPackages(t)}, {filepath.Join(root, "bench"), []string{"."}}} {
+		// deps opens every source file the binaries build from, so an edit
+		// anywhere re-runs the test instead of reusing a cached pass.
+		if _, err := deps(b.dir, b.pkgs...); err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"build", "-o", t.TempDir() + string(filepath.Separator),
+			"-gcflags=repro/...=-l", "-ldflags=-dumpdep"}, b.pkgs...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = b.dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build in %s: %v\n%s", b.dir, err, out)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if _, to, ok := strings.Cut(line, " -> "); ok && strings.HasPrefix(to, "repro/internal/") {
+				linked[symbolKey(to)] = true
+			}
+		}
+	}
+	if len(linked) == 0 {
+		t.Fatal("the linker reported no repro/internal symbols")
+	}
+
+	declared := map[string]bool{} // keys of declared functions and packages
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, _ := filepath.Rel(filepath.Join(root, "internal"), filepath.Dir(path))
+		pkg := filepath.ToSlash(dir)
+		declared[pkg] = true
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			key := pkg + "." + funcName(fn)
+			declared[key] = true
+			if fn.Name.Name == "init" {
+				continue // run by pkg.init whenever the package is linked
+			}
+			if !linked["repro/internal/"+key] && linkAllow[key] == "" && linkAllow[pkg] == "" {
+				t.Errorf("%s: %s is linked by no binary", fset.Position(fn.Pos()), key)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range linkAllow {
+		switch {
+		case !declared[key]:
+			t.Errorf("linkAllow names %s, which is not declared", key)
+		case linked["repro/internal/"+key]:
+			t.Errorf("linkAllow names %s, which is linked now", key)
+		case !strings.Contains(key, "."):
+			for sym := range linked {
+				if strings.HasPrefix(sym, "repro/internal/"+key+".") {
+					t.Errorf("linkAllow names package %s, whose %s is linked now", key, sym)
+					break
+				}
+			}
+		}
+	}
+}
+
+// linkAllow lists, by package-relative name, what no binary links but
+// must stay in non-test code, each with the test that needs it. A key
+// with no dot is a whole package. Entries that become linked or stop
+// existing fail TestEveryFunctionIsLinked, so the list cannot rot.
+var linkAllow = map[string]string{
+	"testbundle": "test support by design: the bundles the serving packages' tests load",
+
+	// Invariant oracles: tests assert a built or decoded model is well formed.
+	"gmm.(*GMM).Validate":            "TestSingleGaussianMLE; persist's TestRoundTripGMMRestoresCaches",
+	"lattice.(*Lattice).Validate":    "frontend's TestDecodeProducesValidLattice; TestValidateCatchesDeadEnds",
+	"lm.(*Bigram).Validate":          "TestKneserNeyValid; persist's TestRoundTripBigramLM",
+	"phones.(*Set).Validate":         "frontend's TestStandardSix; TestValidateCatchesCorruption",
+	"sparse.(*Matrix).Validate":      "TestMatrixRowsMatchBoxed",
+	"synthlang.(*Language).Validate": "TestGenerateClosedSet; TestValidateCatchesBrokenModel",
+
+	// Referees and fixtures that other packages' tests use.
+	"corpus.TinyConfig":                      "frontend's TestDecodeMatchesFrozenReference decodes the corpus it builds",
+	"faultinject.Snapshot":                   "serve's TestChaosServeUnderSeededFaults and cluster's TestChaosPlanDrivesShardRPCs check every site fired",
+	"lattice.(*Lattice).ExpectedNgramCounts": "ngram's TestSupervectorMatchesMapReference sums its per-order counts",
+	"lattice.(*Lattice).ForwardBackward":     "ExpectedNgramCounts runs it; FuzzParseSausage compares the arena lattice's to it",
+	"metrics.PairwiseEER":                    "experiments' TestFamilyPairsAreHardestConfusions",
+	"ngram.(*TFLLR).Dim":                     "persist's TestRoundTripTFLLR; TestTFLLRScaling",
+	"ngram.(*TFLLR).Scale":                   "persist's TestRoundTripTFLLR",
+	"sparse.FromMap":                         "testbundle and the svm, persist and adapt tests build vectors with it",
+	"sparse.(*Vector).At":                    "ngram's TestSupervectorFromString reads supervector entries",
+	"sparse.Dot":                             "ngram's TestTFLLRKernelEqualsScaledDot; TestMatrixRowsMatchBoxed",
+	"sparse.(*Vector).Scale":                 "svm's TestPropertyScoreIsLinear",
+	"svm.(*Quantized).Dequantize":            "TestQuantizedMatchesDequantizedOracle; experiments' TestCompressedOrderPreservationMediumSeed42",
+	"svm.(*OneVsRest).Accuracy":              "TestOneVsRest; vsm's TestTrainSubsystemAndScoreMatrix",
+	"synthlang.(*Utterance).PhoneIDs":        "lm's tests sample phone strings with it; TestSamplePhoneIDsInRange",
+}
+
+// symbolKey reduces a linker symbol to the name its declaration gets from
+// funcName: "repro/internal/p.F", "repro/internal/p.T.M" or
+// "repro/internal/p.(*T).M", with any bracketed type arguments dropped
+// and the flags -dumpdep appends after a space cut off. Auxiliary data
+// symbols ("F.stkobj", "F.func1") keep their suffix, so they never match
+// a declaration: only the function's own symbol does.
+func symbolKey(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	key, _, _ := strings.Cut(b.String(), " ")
+	return key
+}
+
+// funcName is fn's symbol name within its package: "F", "T.M" or "(*T).M".
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	star, ok := typ.(*ast.StarExpr)
+	if ok {
+		typ = star.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	name := typ.(*ast.Ident).Name
+	if ok {
+		return "(*" + name + ")." + fn.Name.Name
+	}
+	return name + "." + fn.Name.Name
 }
 
 // TestChaosSmoke: under a fault plan and client load the daemon keeps

@@ -70,7 +70,7 @@ func setup(t *testing.T) {
 
 func build() error {
 	cmds := []string{"./cmd/lre", "./cmd/lred", "./cmd/lrestat"}
-	if _, err := deps(cmds...); err != nil {
+	if _, err := deps(root, cmds...); err != nil {
 		return err
 	}
 	bin := filepath.Join(workDir, "bin") + string(filepath.Separator)
@@ -88,22 +88,22 @@ func build() error {
 	return nil
 }
 
-// deps returns the import paths pkgs depend on, and opens go.mod and
-// every Go file of the module's packages among them. go test caches a
-// pass keyed on the files the test opened, so this is what makes an edit
-// to a command's source re-run the drills instead of reporting a stale
-// cached pass.
-func deps(pkgs ...string) ([]string, error) {
+// deps returns the import paths pkgs (as named from the module in dir)
+// depend on, and opens dir's go.mod and every Go file of the non-standard
+// packages among them. go test caches a pass keyed on the files the test
+// opened, so this is what makes an edit to a command's source re-run the
+// drills instead of reporting a stale cached pass.
+func deps(dir string, pkgs ...string) ([]string, error) {
 	const format = `{{.ImportPath}}{{if not .Standard}}{{range .GoFiles}}{{"\t"}}{{$.Dir}}{{"/"}}{{.}}{{end}}{{end}}`
 	cmd := exec.Command("go", append([]string{"list", "-deps", "-f", format}, pkgs...)...)
-	cmd.Dir = root
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list: %v", err)
 	}
 	var paths []string
-	files := []string{filepath.Join(root, "go.mod")}
+	files := []string{filepath.Join(dir, "go.mod")}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		fields := strings.Split(line, "\t")
 		paths = append(paths, fields[0])
@@ -117,6 +117,20 @@ func deps(pkgs ...string) ([]string, error) {
 		f.Close()
 	}
 	return paths, nil
+}
+
+// mainPackages lists the import path of every main package in the module:
+// the commands and the examples.
+func mainPackages(t *testing.T) []string {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./...")
+	cmd.Dir = root
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	return strings.Fields(string(out))
 }
 
 // copyDir copies the flat directory src into a fresh test directory.

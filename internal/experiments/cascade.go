@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/cascade"
 	"repro/internal/corpus"
@@ -222,33 +221,4 @@ func (p *Pipeline) RunCascadeBench() (*CascadeBench, error) {
 		Default:  p.EvalCascade(m, pol),
 		Curve:    p.SweepCascade(m),
 	}, nil
-}
-
-// CascadeTable is the golden-pinned tradeoff table: one row per duration
-// tier at the default threshold.
-type CascadeTable struct {
-	FrontEnd string
-	Rows     []CascadeTierEval
-}
-
-// RunCascadeTable trains the cascade and evaluates the default policy
-// (offset 0 — the calibrated per-tier margins as-is).
-func (p *Pipeline) RunCascadeTable() (*CascadeTable, error) {
-	m, err := p.TrainCascade()
-	if err != nil {
-		return nil, err
-	}
-	return &CascadeTable{FrontEnd: m.FrontEnd, Rows: p.EvalCascade(m, cascade.Policy{})}, nil
-}
-
-// String renders the golden-pinned layout.
-func (t *CascadeTable) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Cascade: tier-1 tradeoff at the default threshold (front-end %s)\n", t.FrontEnd)
-	fmt.Fprintf(&b, "%-5s %8s %10s %10s %12s %8s\n", "Dur", "Exit%", "Tier1Acc%", "EERheavy", "EERcascade", "dEER")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-5s %7.2f%% %9.2f%% %10.2f %12.2f %8.2f\n",
-			r.Tier, 100*r.ExitFrac, r.Tier1AccPct, r.EERHeavyPct, r.EERCascadePct, r.EERDeltaPct)
-	}
-	return b.String()
 }

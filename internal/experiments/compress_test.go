@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/persist"
@@ -27,12 +28,12 @@ func TestCompressTinyEndToEnd(t *testing.T) {
 			if err := b.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			sealed, err := persist.MarshalSealed(b)
-			if err != nil {
+			path := filepath.Join(t.TempDir(), "bundle.gob")
+			if err := persist.Save(path, b); err != nil {
 				t.Fatal(err)
 			}
 			var lb persist.Bundle
-			if err := persist.UnmarshalSealed(sealed, &lb); err != nil {
+			if err := persist.Load(path, &lb); err != nil {
 				t.Fatal(err)
 			}
 			if err := lb.Validate(); err != nil {

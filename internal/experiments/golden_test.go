@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/dba"
 )
 
@@ -130,4 +132,35 @@ func TestGoldenCascadeMediumSeed42(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
 	want := goldenSection(t, golden, lines[0], len(lines))
 	compareTokens(t, "Cascade", lines, want)
+}
+
+// No binary links this; the golden cascade test renders the table.
+
+// CascadeTable is the golden-pinned tradeoff table: one row per duration
+// tier at the default threshold.
+type CascadeTable struct {
+	FrontEnd string
+	Rows     []CascadeTierEval
+}
+
+// RunCascadeTable trains the cascade and evaluates the default policy
+// (offset 0 — the calibrated per-tier margins as-is).
+func (p *Pipeline) RunCascadeTable() (*CascadeTable, error) {
+	m, err := p.TrainCascade()
+	if err != nil {
+		return nil, err
+	}
+	return &CascadeTable{FrontEnd: m.FrontEnd, Rows: p.EvalCascade(m, cascade.Policy{})}, nil
+}
+
+// String renders the golden-pinned layout.
+func (t *CascadeTable) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Cascade: tier-1 tradeoff at the default threshold (front-end %s)\n", t.FrontEnd)
+	fmt.Fprintf(&b, "%-5s %8s %10s %10s %12s %8s\n", "Dur", "Exit%", "Tier1Acc%", "EERheavy", "EERcascade", "dEER")
+	for _, r := range t.Rows {
+		fmt.Fprintf(&b, "%-5s %7.2f%% %9.2f%% %10.2f %12.2f %8.2f\n",
+			r.Tier, 100*r.ExitFrac, r.Tier1AccPct, r.EERHeavyPct, r.EERCascadePct, r.EERDeltaPct)
+	}
+	return b.String()
 }

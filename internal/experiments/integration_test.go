@@ -8,6 +8,7 @@ import (
 	"repro/internal/ngram"
 	"repro/internal/rng"
 	"repro/internal/sparse"
+	"repro/internal/svm"
 	"repro/internal/synthlang"
 	"repro/internal/synthspeech"
 	"repro/internal/vsm"
@@ -91,12 +92,11 @@ func TestAcousticPathMiniLRE(t *testing.T) {
 		for _, v := range trainX {
 			tf.Apply(v)
 		}
-		sub := vsm.TrainSubsystem(fe.Name, trainX, trainY, numLangs, fe.Space.Dim(),
-			vsm.DefaultSVMOptions())
+		ovr := svm.TrainOVR(trainX, trainY, numLangs, fe.Space.Dim(), vsm.DefaultSVMOptions())
 		for _, u := range test {
 			v := sv(u.wav)
 			tf.Apply(v)
-			for k, s := range sub.OVR.Scores(v) {
+			for k, s := range ovr.Scores(v) {
 				pooled = append(pooled, metrics.Trial{Score: s, Target: k == u.label})
 			}
 		}

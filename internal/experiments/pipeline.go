@@ -152,7 +152,7 @@ func BuildPipeline(scale Scale, seed uint64) *Pipeline {
 	p, err := BuildPipelineCK(scale, seed, nil)
 	if err != nil {
 		// Without a checkpointer the only error source is extraction's
-		// quarantine overflow, which Extract historically panicked on.
+		// quarantine overflow.
 		panic(err)
 	}
 	return p

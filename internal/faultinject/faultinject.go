@@ -206,9 +206,6 @@ func Disable() {
 	mu.Unlock()
 }
 
-// Enabled reports whether a plan is active.
-func Enabled() bool { return enabled.Load() }
-
 // SiteStats is one site's hit/fire counters under the active plan.
 type SiteStats struct {
 	Hits  int64

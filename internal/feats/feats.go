@@ -9,7 +9,6 @@ package feats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/dsp"
 )
@@ -225,62 +224,4 @@ func (e *Extractor) PLPWithDeltasCMVN(signal []float64) [][]float64 {
 	f := e.WithDeltas(e.PLP(signal))
 	CMVN(f)
 	return f
-}
-
-// Dim returns the static feature dimension.
-func (e *Extractor) Dim() int { return e.cfg.NumCeps }
-
-// FullDim returns the dimension after Δ and ΔΔ appending.
-func (e *Extractor) FullDim() int { return 3 * e.cfg.NumCeps }
-
-// FramesPerSecond returns the frame rate implied by the hop.
-func (e *Extractor) FramesPerSecond() float64 { return 1000 / e.cfg.FrameHopMs }
-
-// EnergyVAD performs simple energy-based voice activity detection over the
-// extractor's framing: a frame is speech when its log energy exceeds the
-// utterance's noise floor (an energy percentile) by marginDb decibels.
-// Phonotactic front-ends use it to drop silence before decoding; the
-// paper's recognizers map non-speech to dedicated units instead, so VAD is
-// optional in this pipeline.
-func (e *Extractor) EnergyVAD(signal []float64, marginDb float64) []bool {
-	frames := dsp.Frame(signal, e.cfg.frameLen(), e.cfg.frameHop())
-	if len(frames) == 0 {
-		return nil
-	}
-	logE := make([]float64, len(frames))
-	for i, f := range frames {
-		var en float64
-		for _, v := range f {
-			en += v * v
-		}
-		if en < 1e-12 {
-			en = 1e-12
-		}
-		logE[i] = 10 * math.Log10(en)
-	}
-	// Noise floor: 10th percentile of frame energies.
-	sorted := append([]float64(nil), logE...)
-	sort.Float64s(sorted)
-	floor := sorted[len(sorted)/10]
-	out := make([]bool, len(frames))
-	for i, le := range logE {
-		out[i] = le > floor+marginDb
-	}
-	return out
-}
-
-// ApplyVAD filters feature frames by the VAD decisions (lengths are
-// clamped to the shorter of the two).
-func ApplyVAD(frames [][]float64, speech []bool) [][]float64 {
-	n := len(frames)
-	if len(speech) < n {
-		n = len(speech)
-	}
-	out := make([][]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if speech[i] {
-			out = append(out, frames[i])
-		}
-	}
-	return out
 }

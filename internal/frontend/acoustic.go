@@ -309,35 +309,3 @@ func (a *AcousticFrontEnd) DecodeFrames(frames [][]float64) *lattice.Lattice {
 	obsLatticeArcs.Add(int64(l.NumEdges()))
 	return l
 }
-
-// Decode renders the utterance to audio and decodes it — the full
-// acoustic path, same contract as the simulated FrontEnd.Decode.
-func (a *AcousticFrontEnd) Decode(r *rng.RNG, u *synthlang.Utterance) *lattice.Lattice {
-	wav := a.synth.Render(r, u)
-	return a.DecodeAudio(wav)
-}
-
-// PhoneAccuracy measures frame-weighted phone accuracy of decoding against
-// the reference segmentation, a diagnostic used by tests and EXPERIMENTS.md.
-func (a *AcousticFrontEnd) PhoneAccuracy(r *rng.RNG, u *synthlang.Utterance) float64 {
-	wav := a.synth.Render(r, u)
-	frames := a.extract(wav)
-	labels := synthspeech.FrameLabels(u, 10, 25)
-	n := len(frames)
-	if len(labels) < n {
-		n = len(labels)
-	}
-	if n == 0 {
-		return 0
-	}
-	segs := a.model.Decode(frames[:n])
-	correct := 0
-	for _, seg := range segs {
-		for t := seg.Start; t < seg.End && t < n; t++ {
-			if a.Set.Map(labels[t]) == seg.Phone {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(n)
-}

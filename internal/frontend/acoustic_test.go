@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/synthlang"
+	"repro/internal/synthspeech"
 )
 
 // tinyAcousticConfig keeps the full acoustic path fast enough for go test.
@@ -32,7 +33,7 @@ func TestTrainAcousticGMMHMM(t *testing.T) {
 	r := rng.New(1)
 	spk := synthlang.SpeakerProfile{Rate: 1, SubstitutionProb: 0, PitchHz: 140}
 	u := langs[0].Sample(r, 3, spk, synthlang.ChannelCTSClean)
-	l := fe.Decode(r, u)
+	l := fe.DecodeAudio(fe.synth.Render(r, u))
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,4 +126,32 @@ func TestRealignmentOptionRuns(t *testing.T) {
 	if acc := fe.PhoneAccuracy(rng.New(10), u); acc < 0.2 {
 		t.Fatalf("realigned model accuracy %v", acc)
 	}
+}
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// PhoneAccuracy measures frame-weighted phone accuracy of decoding against
+// the reference segmentation, a diagnostic used by tests and EXPERIMENTS.md.
+func (a *AcousticFrontEnd) PhoneAccuracy(r *rng.RNG, u *synthlang.Utterance) float64 {
+	wav := a.synth.Render(r, u)
+	frames := a.extract(wav)
+	labels := synthspeech.FrameLabels(u, 10, 25)
+	n := len(frames)
+	if len(labels) < n {
+		n = len(labels)
+	}
+	if n == 0 {
+		return 0
+	}
+	segs := a.model.Decode(frames[:n])
+	correct := 0
+	for _, seg := range segs {
+		for t := seg.Start; t < seg.End && t < n; t++ {
+			if a.Set.Map(labels[t]) == seg.Phone {
+				correct++
+			}
+		}
+	}
+	return float64(correct) / float64(n)
 }

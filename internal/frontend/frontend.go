@@ -31,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phones"
 	"repro/internal/rng"
-	"repro/internal/sparse"
 	"repro/internal/synthlang"
 )
 
@@ -333,12 +332,6 @@ func (f *FrontEnd) decodeSlots(r *rng.RNG, u *synthlang.Utterance) []lattice.Sau
 		slots = append(slots, lattice.SausageSlot{{Phone: fePhone, Prob: 1}})
 	}
 	return slots
-}
-
-// Supervector decodes and converts to the per-order-normalized phonotactic
-// supervector in one step.
-func (f *FrontEnd) Supervector(r *rng.RNG, u *synthlang.Utterance) *sparse.Vector {
-	return f.Space.Supervector(f.Decode(r, u))
 }
 
 // slotHas reports whether phone already labels an alternative of slot.

@@ -164,7 +164,7 @@ func TestSupervector(t *testing.T) {
 	r := rng.New(6)
 	spk := synthlang.NewSpeaker(r, 0)
 	u := langs[0].Sample(r, 10, spk, synthlang.ChannelCTSClean)
-	v := fe.Supervector(r, u)
+	v := fe.Space.Supervector(fe.Decode(r, u))
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSupervectorsSeparateLanguages(t *testing.T) {
 			r := root.SplitString(label).Split(uint64(i))
 			spk := synthlang.NewSpeaker(r, i)
 			u := lang.Sample(r, 30, spk, synthlang.ChannelCTSClean)
-			v := fe.Supervector(r, u)
+			v := fe.Space.Supervector(fe.Decode(r, u))
 			v.AxpyDense(1/float64(n), out)
 		}
 		return out

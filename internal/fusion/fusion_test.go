@@ -173,3 +173,27 @@ func TestPriorsNormalized(t *testing.T) {
 		t.Fatalf("priors sum to %v", sum)
 	}
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// Accuracy is a convenience diagnostic.
+func (b *Backend) Accuracy(x [][]float64, labels []int) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	correct := 0
+	for i, xi := range x {
+		s := b.Score(xi)
+		best := 0
+		for k, v := range s {
+			if v > s[best] {
+				best = k
+			}
+		}
+		if best == labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(x))
+}

@@ -347,16 +347,6 @@ func Train(r *rng.RNG, data [][]float64, dim, numComp, kmeansIters, emIters int)
 	return g
 }
 
-// Sample draws a point from the mixture.
-func (g *GMM) Sample(r *rng.RNG) []float64 {
-	c := r.Categorical(g.Weights)
-	x := make([]float64, g.Dim)
-	for d := 0; d < g.Dim; d++ {
-		x[d] = g.Means[c][d] + math.Sqrt(g.Vars[c][d])*r.Norm()
-	}
-	return x
-}
-
 // Validate checks model invariants.
 func (g *GMM) Validate() error {
 	var s float64

@@ -188,3 +188,16 @@ func TestEmptyData(t *testing.T) {
 		t.Fatalf("TrainEM(nil) = %v", ll)
 	}
 }
+
+// Linked by no binary: it stays here only as long as the tests that
+// check it.
+
+// Sample draws a point from the mixture.
+func (g *GMM) Sample(r *rng.RNG) []float64 {
+	c := r.Categorical(g.Weights)
+	x := make([]float64, g.Dim)
+	for d := 0; d < g.Dim; d++ {
+		x[d] = g.Means[c][d] + math.Sqrt(g.Vars[c][d])*r.Norm()
+	}
+	return x
+}

@@ -58,21 +58,3 @@ func segsEqual(a, b []Segment) bool {
 	}
 	return true
 }
-
-// UniformSegments builds the flat-start segmentation: each utterance's
-// frames are split evenly across its transcription's phones.
-func UniformSegments(numFrames int, phoneSeq []int) []Segment {
-	n := len(phoneSeq)
-	if n == 0 || numFrames < n {
-		return nil
-	}
-	segs := make([]Segment, n)
-	for i, p := range phoneSeq {
-		segs[i] = Segment{
-			Phone: p,
-			Start: i * numFrames / n,
-			End:   (i + 1) * numFrames / n,
-		}
-	}
-	return segs
-}

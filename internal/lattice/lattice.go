@@ -140,17 +140,6 @@ func (l *Lattice) forwardBackwardInto(alpha, beta []float64) (logTotal float64) 
 	return alpha[l.NumNodes-1]
 }
 
-// EdgePosteriors returns ξ(e) = P(e ∈ path) for every edge.
-func (l *Lattice) EdgePosteriors() []float64 {
-	alpha, beta, logTotal := l.ForwardBackward()
-	post := make([]float64, len(l.Edges))
-	for i := range l.Edges {
-		e := &l.Edges[i]
-		post[i] = math.Exp(alpha[e.From] + e.LogScore + beta[e.To] - logTotal)
-	}
-	return post
-}
-
 // ExpectedNgramCounts walks all consecutive-edge paths of length n and
 // reports each N-gram's expected count through emit. Unigram (n=1) counts
 // are the edge posteriors; higher orders follow the path formula in the

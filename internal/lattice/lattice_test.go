@@ -218,3 +218,17 @@ func TestUnnormalizedSausage(t *testing.T) {
 		t.Fatalf("unnormalized slot posterior = %v", post[0])
 	}
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// EdgePosteriors returns ξ(e) = P(e ∈ path) for every edge.
+func (l *Lattice) EdgePosteriors() []float64 {
+	alpha, beta, logTotal := l.ForwardBackward()
+	post := make([]float64, len(l.Edges))
+	for i := range l.Edges {
+		e := &l.Edges[i]
+		post[i] = math.Exp(alpha[e.From] + e.LogScore + beta[e.To] - logTotal)
+	}
+	return post
+}

@@ -1,7 +1,9 @@
 package lattice
 
 import (
+	"container/heap"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -201,4 +203,188 @@ func TestNBestLargeRandomLatticeConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Linked by no binary: N-best search and pruning stay here only as long
+// as the tests that check them.
+
+// Path is one complete hypothesis through the lattice.
+type Path struct {
+	Phones   []int
+	LogScore float64
+}
+
+// bestExitScores computes, per node, the best (max) log score of any
+// suffix path from that node to the end node — the admissible A*
+// heuristic for N-best search.
+func (l *Lattice) bestExitScores() []float64 {
+	h := make([]float64, l.NumNodes)
+	for i := range h {
+		h[i] = math.Inf(-1)
+	}
+	h[l.NumNodes-1] = 0
+	for n := l.NumNodes - 1; n >= 0; n-- {
+		for _, ei := range l.out[n] {
+			e := &l.Edges[ei]
+			if v := e.LogScore + h[e.To]; v > h[n] {
+				h[n] = v
+			}
+		}
+	}
+	return h
+}
+
+// partial is a search node in the N-best A* expansion.
+type partial struct {
+	node     int
+	logAcc   float64
+	priority float64 // logAcc + heuristic(node)
+	phones   []int
+}
+
+type partialHeap []*partial
+
+func (h partialHeap) Len() int            { return len(h) }
+func (h partialHeap) Less(i, j int) bool  { return h[i].priority > h[j].priority }
+func (h partialHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *partialHeap) Push(x interface{}) { *h = append(*h, x.(*partial)) }
+func (h *partialHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// NBest returns up to n complete paths in descending score order using A*
+// search with the exact suffix heuristic (so paths pop in score order and
+// the first is the Viterbi path). Duplicate phone strings arising from
+// distinct alignments are deduplicated.
+func (l *Lattice) NBest(n int) []Path {
+	if n <= 0 {
+		return nil
+	}
+	hScores := l.bestExitScores()
+	if math.IsInf(hScores[0], -1) {
+		return nil
+	}
+	pq := &partialHeap{{node: 0, logAcc: 0, priority: hScores[0]}}
+	var out []Path
+	seen := make(map[string]bool)
+	// Guard against exponential blowup on dense lattices.
+	maxPops := 200 * n
+	for pq.Len() > 0 && len(out) < n && maxPops > 0 {
+		maxPops--
+		p := heap.Pop(pq).(*partial)
+		if p.node == l.NumNodes-1 {
+			key := phoneKey(p.phones)
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, Path{Phones: p.phones, LogScore: p.logAcc})
+			}
+			continue
+		}
+		for _, ei := range l.out[p.node] {
+			e := &l.Edges[ei]
+			if math.IsInf(hScores[e.To], -1) {
+				continue
+			}
+			acc := p.logAcc + e.LogScore
+			phones := make([]int, len(p.phones)+1)
+			copy(phones, p.phones)
+			phones[len(p.phones)] = e.Phone
+			heap.Push(pq, &partial{
+				node:     e.To,
+				logAcc:   acc,
+				priority: acc + hScores[e.To],
+				phones:   phones,
+			})
+		}
+	}
+	return out
+}
+
+func phoneKey(phones []int) string {
+	b := make([]byte, 0, len(phones)*2)
+	for _, p := range phones {
+		b = append(b, byte(p), byte(p>>8))
+	}
+	return string(b)
+}
+
+// Prune returns a new lattice containing only edges whose posterior is at
+// least minPosterior, plus the Viterbi-path edges (so the result is always
+// connected). Nodes are renumbered compactly in topological order.
+func (l *Lattice) Prune(minPosterior float64) *Lattice {
+	post := l.EdgePosteriors()
+	keep := make([]bool, len(l.Edges))
+	for i, p := range post {
+		if p >= minPosterior {
+			keep[i] = true
+		}
+	}
+	// Always keep the best path.
+	for _, ei := range l.bestPathEdges() {
+		keep[ei] = true
+	}
+	// Collect used nodes in order.
+	usedNodes := make(map[int]bool)
+	for i, k := range keep {
+		if k {
+			usedNodes[l.Edges[i].From] = true
+			usedNodes[l.Edges[i].To] = true
+		}
+	}
+	nodes := make([]int, 0, len(usedNodes))
+	for n := range usedNodes {
+		nodes = append(nodes, n)
+	}
+	sort.Ints(nodes)
+	renum := make(map[int]int, len(nodes))
+	for i, n := range nodes {
+		renum[n] = i
+	}
+	out := New(len(nodes))
+	for i, k := range keep {
+		if !k {
+			continue
+		}
+		e := l.Edges[i]
+		out.AddEdge(renum[e.From], renum[e.To], e.Phone, e.LogScore)
+	}
+	return out
+}
+
+// bestPathEdges returns the edge indices of the Viterbi path.
+func (l *Lattice) bestPathEdges() []int32 {
+	negInf := math.Inf(-1)
+	best := make([]float64, l.NumNodes)
+	from := make([]int32, l.NumNodes)
+	for i := range best {
+		best[i] = negInf
+		from[i] = -1
+	}
+	best[0] = 0
+	for n := 0; n < l.NumNodes; n++ {
+		if math.IsInf(best[n], -1) {
+			continue
+		}
+		for _, ei := range l.out[n] {
+			e := &l.Edges[ei]
+			if v := best[n] + e.LogScore; v > best[e.To] {
+				best[e.To] = v
+				from[e.To] = ei
+			}
+		}
+	}
+	var edges []int32
+	for n := l.NumNodes - 1; n != 0; {
+		ei := from[n]
+		if ei < 0 {
+			return nil
+		}
+		edges = append(edges, ei)
+		n = l.Edges[ei].From
+	}
+	return edges
 }

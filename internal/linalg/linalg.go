@@ -1,6 +1,6 @@
 // Package linalg implements the dense linear algebra needed by the
-// reproduction: vector/matrix arithmetic, Cholesky and LU factorizations,
-// a symmetric Jacobi eigensolver, and the generalized symmetric
+// reproduction: vector/matrix arithmetic, the Cholesky factorization, a
+// symmetric Jacobi eigensolver, and the generalized symmetric
 // eigenproblem used by linear discriminant analysis in the fusion backend.
 //
 // Matrices are dense row-major. Dimensions in this project are modest
@@ -11,7 +11,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -27,22 +26,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic("linalg: negative dimension")
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// FromRows builds a matrix from row slices, which must all share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
 }
 
 // Identity returns the n×n identity matrix.
@@ -73,39 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product a·b.
-func Mul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns the matrix-vector product a·x.
 func MulVec(a *Matrix, x []float64) []float64 {
 	if a.Cols != len(x) {
@@ -116,23 +66,6 @@ func MulVec(a *Matrix, x []float64) []float64 {
 		out[i] = Dot(a.Row(i), x)
 	}
 	return out
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// AddMat adds b into m in place.
-func (m *Matrix) AddMat(b *Matrix) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: AddMat dimension mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
 }
 
 // Dot returns the inner product of two equal-length vectors.
@@ -157,15 +90,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // ScaleVec multiplies x by s in place.
 func ScaleVec(s float64, x []float64) {
 	for i := range x {
@@ -176,9 +100,6 @@ func ScaleVec(s float64, x []float64) {
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
 // not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
-
-// ErrSingular is returned by LU-based solves for singular systems.
-var ErrSingular = errors.New("linalg: singular matrix")
 
 // Cholesky computes the lower-triangular L with a = L·Lᵀ. Only the lower
 // triangle of a is read.
@@ -205,150 +126,6 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		}
 	}
 	return l, nil
-}
-
-// CholeskySolve solves a·x = b given the Cholesky factor L of a.
-func CholeskySolve(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic("linalg: CholeskySolve dimension mismatch")
-	}
-	// Forward substitution: L·y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l.At(i, k) * y[k]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	// Back substitution: Lᵀ·x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x
-}
-
-// LU holds a row-pivoted LU factorization.
-type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign float64
-}
-
-// NewLU factors a (which is not modified) with partial pivoting.
-func NewLU(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		panic("linalg: LU of non-square matrix")
-	}
-	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1.0
-	for col := 0; col < n; col++ {
-		// Pivot.
-		p, maxAbs := col, math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if ab := math.Abs(lu.At(r, col)); ab > maxAbs {
-				p, maxAbs = r, ab
-			}
-		}
-		if maxAbs == 0 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			rp, rc := lu.Row(p), lu.Row(col)
-			for j := range rp {
-				rp[j], rc[j] = rc[j], rp[j]
-			}
-			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
-		}
-		// Eliminate below.
-		inv := 1 / lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) * inv
-			lu.Set(r, col, f)
-			if f == 0 {
-				continue
-			}
-			rr, rc := lu.Row(r), lu.Row(col)
-			for j := col + 1; j < n; j++ {
-				rr[j] -= f * rc[j]
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Solve solves a·x = b for the factored matrix.
-func (f *LU) Solve(b []float64) []float64 {
-	n := f.lu.Rows
-	if len(b) != n {
-		panic("linalg: LU.Solve dimension mismatch")
-	}
-	x := make([]float64, n)
-	for i, p := range f.piv {
-		x[i] = b[p]
-	}
-	// Forward: L (unit diagonal).
-	for i := 1; i < n; i++ {
-		for k := 0; k < i; k++ {
-			x[i] -= f.lu.At(i, k) * x[k]
-		}
-	}
-	// Backward: U.
-	for i := n - 1; i >= 0; i-- {
-		for k := i + 1; k < n; k++ {
-			x[i] -= f.lu.At(i, k) * x[k]
-		}
-		x[i] /= f.lu.At(i, i)
-	}
-	return x
-}
-
-// LogDet returns log |det a| and the sign of the determinant.
-func (f *LU) LogDet() (logAbs, sign float64) {
-	sign = f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d := f.lu.At(i, i)
-		if d < 0 {
-			sign = -sign
-			d = -d
-		}
-		logAbs += math.Log(d)
-	}
-	return logAbs, sign
-}
-
-// Inverse returns a⁻¹ via LU factorization.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }
 
 // SymEig computes all eigenvalues and eigenvectors of a symmetric matrix
@@ -541,17 +318,4 @@ func Outer(m *Matrix, scale float64, x, y []float64) {
 			row[j] += f * yj
 		}
 	}
-}
-
-// Mean returns the column-wise mean of the rows of m.
-func Mean(m *Matrix) []float64 {
-	out := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		return out
-	}
-	for i := 0; i < m.Rows; i++ {
-		Axpy(1, m.Row(i), out)
-	}
-	ScaleVec(1/float64(m.Rows), out)
-	return out
 }

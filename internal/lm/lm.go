@@ -32,31 +32,6 @@ func (m *Bigram) LogProb(a, b int) float64 { return m.logProb[a][b] }
 // LogInit returns log P(b|<s>).
 func (m *Bigram) LogInit(b int) float64 { return m.logInit[b] }
 
-// Matrix exposes the full log-transition matrix, ready to assign to an
-// hmm.Model's LogPhoneTrans.
-func (m *Bigram) Matrix() [][]float64 { return m.logProb }
-
-// Perplexity computes the per-phone perplexity of the model on held-out
-// phone strings.
-func (m *Bigram) Perplexity(sequences [][]int) float64 {
-	var logSum float64
-	var n int
-	for _, seq := range sequences {
-		for i, p := range seq {
-			if i == 0 {
-				logSum += m.LogInit(p)
-			} else {
-				logSum += m.LogProb(seq[i-1], p)
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return math.Exp(-logSum / float64(n))
-}
-
 // counts accumulates bigram statistics.
 type counts struct {
 	numPhones int
@@ -161,40 +136,6 @@ func TrainKneserNey(numPhones int, sequences [][]int, discount float64) *Bigram 
 		m.logProb[a] = row
 	}
 	// Initial distribution: additive smoothing over sentence starts.
-	var initTotal float64
-	for _, v := range c.initCnt {
-		initTotal += v
-	}
-	for b := 0; b < numPhones; b++ {
-		m.logInit[b] = math.Log((c.initCnt[b] + 1) / (initTotal + float64(numPhones)))
-	}
-	return m
-}
-
-// TrainAdditive estimates a bigram model with add-alpha smoothing — the
-// baseline the Kneser–Ney perplexity tests compare against.
-func TrainAdditive(numPhones int, sequences [][]int, alpha float64) *Bigram {
-	if alpha <= 0 {
-		alpha = 1
-	}
-	c := newCounts(numPhones)
-	c.add(sequences)
-	m := &Bigram{
-		NumPhones: numPhones,
-		logProb:   make([][]float64, numPhones),
-		logInit:   make([]float64, numPhones),
-	}
-	for a := 0; a < numPhones; a++ {
-		row := make([]float64, numPhones)
-		var rowTotal float64
-		for b := 0; b < numPhones; b++ {
-			rowTotal += c.bi[a][b]
-		}
-		for b := 0; b < numPhones; b++ {
-			row[b] = math.Log((c.bi[a][b] + alpha) / (rowTotal + alpha*float64(numPhones)))
-		}
-		m.logProb[a] = row
-	}
 	var initTotal float64
 	for _, v := range c.initCnt {
 		initTotal += v

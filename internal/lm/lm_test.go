@@ -150,3 +150,68 @@ func TestOutOfRangePhonePanics(t *testing.T) {
 	}()
 	TrainAdditive(4, [][]int{{0, 9}}, 1)
 }
+
+// No binary links these; the package's tests use them as referees or
+// fixtures.
+
+// TrainAdditive estimates a bigram model with add-alpha smoothing — the
+// baseline the Kneser–Ney perplexity tests compare against.
+func TrainAdditive(numPhones int, sequences [][]int, alpha float64) *Bigram {
+	if alpha <= 0 {
+		alpha = 1
+	}
+	c := newCounts(numPhones)
+	c.add(sequences)
+	m := &Bigram{
+		NumPhones: numPhones,
+		logProb:   make([][]float64, numPhones),
+		logInit:   make([]float64, numPhones),
+	}
+	for a := 0; a < numPhones; a++ {
+		row := make([]float64, numPhones)
+		var rowTotal float64
+		for b := 0; b < numPhones; b++ {
+			rowTotal += c.bi[a][b]
+		}
+		for b := 0; b < numPhones; b++ {
+			row[b] = math.Log((c.bi[a][b] + alpha) / (rowTotal + alpha*float64(numPhones)))
+		}
+		m.logProb[a] = row
+	}
+	var initTotal float64
+	for _, v := range c.initCnt {
+		initTotal += v
+	}
+	for b := 0; b < numPhones; b++ {
+		m.logInit[b] = math.Log((c.initCnt[b] + 1) / (initTotal + float64(numPhones)))
+	}
+	return m
+}
+
+// Perplexity computes the per-phone perplexity of the model on held-out
+// phone strings.
+func (m *Bigram) Perplexity(sequences [][]int) float64 {
+	var logSum float64
+	var n int
+	for _, seq := range sequences {
+		for i, p := range seq {
+			if i == 0 {
+				logSum += m.LogInit(p)
+			} else {
+				logSum += m.LogProb(seq[i-1], p)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return math.Exp(-logSum / float64(n))
+}
+
+// Linked by no binary: it stays here only as long as the tests that
+// check it.
+
+// Matrix exposes the full log-transition matrix, ready to assign to an
+// hmm.Model's LogPhoneTrans.
+func (m *Bigram) Matrix() [][]float64 { return m.logProb }

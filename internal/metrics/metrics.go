@@ -297,47 +297,6 @@ func PairTrialsToDetection(trials []PairTrial) []Trial {
 	return out
 }
 
-// BootstrapEER estimates a confidence interval for the EER by resampling
-// trials with replacement. It returns the lower and upper quantiles
-// (e.g. 0.025/0.975 for a 95 % interval) over numResamples bootstrap
-// replicates. Deterministic given the seed.
-func BootstrapEER(trials []Trial, numResamples int, lowerQ, upperQ float64, seed uint64) (lo, hi float64) {
-	if len(trials) == 0 || numResamples <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	eers := make([]float64, 0, numResamples)
-	resample := make([]Trial, len(trials))
-	state := seed*2862933555777941757 + 3037000493
-	next := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	for b := 0; b < numResamples; b++ {
-		for i := range resample {
-			resample[i] = trials[next()%uint64(len(trials))]
-		}
-		if e := EER(resample); !math.IsNaN(e) {
-			eers = append(eers, e)
-		}
-	}
-	if len(eers) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	sort.Float64s(eers)
-	quantile := func(q float64) float64 {
-		pos := q * float64(len(eers)-1)
-		i := int(pos)
-		if i >= len(eers)-1 {
-			return eers[len(eers)-1]
-		}
-		frac := pos - float64(i)
-		return eers[i]*(1-frac) + eers[i+1]*frac
-	}
-	return quantile(lowerQ), quantile(upperQ)
-}
-
 // PairwiseEER computes the language-pair confusion structure: entry
 // [a][b] (a ≠ b) is the EER of detecting language a against impostor
 // language b only — target trials are (model a, true a), non-target trials

@@ -241,38 +241,6 @@ func TestCavgEmptyNaN(t *testing.T) {
 	}
 }
 
-func TestBootstrapEER(t *testing.T) {
-	r := rng.New(20)
-	var trials []Trial
-	for i := 0; i < 2000; i++ {
-		target := i%2 == 0
-		s := r.Norm()
-		if target {
-			s += 2
-		}
-		trials = append(trials, Trial{Score: s, Target: target})
-	}
-	point := EER(trials)
-	lo, hi := BootstrapEER(trials, 200, 0.025, 0.975, 7)
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		t.Fatal("bootstrap returned NaN")
-	}
-	if lo > point || hi < point {
-		t.Fatalf("point EER %v outside bootstrap CI [%v, %v]", point, lo, hi)
-	}
-	if hi-lo <= 0 || hi-lo > 0.2 {
-		t.Fatalf("implausible CI width %v", hi-lo)
-	}
-	// Deterministic.
-	lo2, hi2 := BootstrapEER(trials, 200, 0.025, 0.975, 7)
-	if lo != lo2 || hi != hi2 {
-		t.Fatal("bootstrap not deterministic")
-	}
-	if l, h := BootstrapEER(nil, 100, 0.025, 0.975, 1); !math.IsNaN(l) || !math.IsNaN(h) {
-		t.Fatal("empty input should give NaN CI")
-	}
-}
-
 func TestPairwiseEER(t *testing.T) {
 	// 3 languages; language 2 is confusable with language 0 but not 1.
 	r := rng.New(21)

@@ -80,24 +80,6 @@ func (s *Space) Index(gram []int) int32 {
 	return s.offsets[n-1] + idx
 }
 
-// Decode inverts Index, returning the phone tuple for a supervector index.
-func (s *Space) Decode(idx int32) []int {
-	order := 1
-	for order < s.Order && idx >= s.offsets[order] {
-		order++
-	}
-	if order > 1 && idx < s.offsets[order-1] {
-		order--
-	}
-	rel := idx - s.offsets[order-1]
-	gram := make([]int, order)
-	for i := order - 1; i >= 0; i-- {
-		gram[i] = int(rel % int32(s.NumPhones))
-		rel /= int32(s.NumPhones)
-	}
-	return gram
-}
-
 // OrderOf returns the n-gram order of a supervector index.
 func (s *Space) OrderOf(idx int32) int {
 	order := 1

@@ -217,3 +217,24 @@ func TestNewSpaceOverflowGuard(t *testing.T) {
 	}()
 	NewSpace(64, 6) // 64^6 ≈ 6.9e10 > MaxInt32
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// Decode inverts Index, returning the phone tuple for a supervector index.
+func (s *Space) Decode(idx int32) []int {
+	order := 1
+	for order < s.Order && idx >= s.offsets[order] {
+		order++
+	}
+	if order > 1 && idx < s.offsets[order-1] {
+		order--
+	}
+	rel := idx - s.offsets[order-1]
+	gram := make([]int, order)
+	for i := order - 1; i >= 0; i-- {
+		gram[i] = int(rel % int32(s.NumPhones))
+		rel /= int32(s.NumPhones)
+	}
+	return gram
+}

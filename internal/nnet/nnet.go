@@ -7,7 +7,6 @@
 package nnet
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -48,9 +47,6 @@ func New(r *rng.RNG, sizes ...int) *MLP {
 	}
 	return m
 }
-
-// NumLayers returns the count of weight layers.
-func (m *MLP) NumLayers() int { return len(m.W) }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
@@ -299,23 +295,6 @@ func (m *MLP) Accuracy(x [][]float64, y []int) float64 {
 	return float64(correct) / float64(len(x))
 }
 
-// CrossEntropy returns the mean cross-entropy loss over the dataset.
-func (m *MLP) CrossEntropy(x [][]float64, y []int) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var loss float64
-	for i := range x {
-		p := m.Predict(x[i])
-		v := p[y[i]]
-		if v < 1e-30 {
-			v = 1e-30
-		}
-		loss -= math.Log(v)
-	}
-	return loss / float64(len(x))
-}
-
 // Pretrain performs the greedy layer-wise pre-training pass the paper
 // applies before fine-tuning (its DBN pre-training), approximated as
 // denoising-autoencoder pre-training per hidden layer: each hidden layer is
@@ -408,9 +387,4 @@ func (m *MLP) Pretrain(r *rng.RNG, x [][]float64, epochs int, rate, noiseStd flo
 		}
 		rep = next
 	}
-}
-
-// String describes the architecture.
-func (m *MLP) String() string {
-	return fmt.Sprintf("MLP%v", m.Sizes)
 }

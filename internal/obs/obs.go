@@ -175,10 +175,6 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry every convenience function
-// operates on.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	return lookup(r, r.counters, name, newZero[Counter])

@@ -107,14 +107,3 @@ func (s *Span) End() time.Duration {
 	}
 	return d
 }
-
-// Duration returns the measured duration (or the running elapsed time if
-// the span has not ended).
-func (s *Span) Duration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return time.Since(s.start)
-}

@@ -194,18 +194,3 @@ func GetWindow(name string) *Window { return defaultRegistry.Window(name) }
 // GetWindowCounter returns the named rolling-window counter of the
 // default registry.
 func GetWindowCounter(name string) *WindowCounter { return defaultRegistry.WindowCounter(name) }
-
-// ObserveWindowed records v into both the cumulative histogram and the
-// rolling window of the same name — the usual idiom for a serving-path
-// latency that /metricsz reports both ways.
-func ObserveWindowed(name string, v float64) {
-	defaultRegistry.Histogram(name).Observe(v)
-	defaultRegistry.Window(name).Observe(v)
-}
-
-// AddWindowed increments both the cumulative counter and the rolling
-// window counter of the same name.
-func AddWindowed(name string, d int64) {
-	defaultRegistry.Counter(name).Add(d)
-	defaultRegistry.WindowCounter(name).Add(d)
-}

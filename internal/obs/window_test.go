@@ -173,20 +173,3 @@ func TestRegistryWindowsInSnapshot(t *testing.T) {
 		t.Fatalf("after Reset, windowed count = %d, want 0", wd.M1.Count)
 	}
 }
-
-func TestObserveWindowedFeedsBoth(t *testing.T) {
-	Reset()
-	defer Reset()
-	ObserveWindowed("test.windowed.seconds", 0.003)
-	AddWindowed("test.windowed.errors", 1)
-	rep := Snapshot()
-	if rep.Histograms["test.windowed.seconds"].Count != 1 {
-		t.Fatal("cumulative histogram missed the observation")
-	}
-	if rep.Windows["test.windowed.seconds"].M1.Count != 1 {
-		t.Fatal("window missed the observation")
-	}
-	if rep.Counters["test.windowed.errors"] != 1 || rep.Windows["test.windowed.errors"].M1.Count != 1 {
-		t.Fatal("AddWindowed must feed both the counter and the window")
-	}
-}

@@ -191,3 +191,16 @@ func TestSaveAtomicOverwrite(t *testing.T) {
 		t.Fatalf("loaded %d, want 2", v)
 	}
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// UnmarshalSealed verifies and decodes bytes produced by MarshalSealed,
+// through the one-pass reader bundles are loaded with.
+func UnmarshalSealed(data []byte, v any) error {
+	img, err := readSealed(bytes.NewReader(data), int64(len(data)), "sealed image", v)
+	if err != nil {
+		return err
+	}
+	return img.decodeErr
+}

@@ -363,16 +363,6 @@ func MarshalSealed(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalSealed verifies and decodes bytes produced by MarshalSealed,
-// through the one-pass reader bundles are loaded with.
-func UnmarshalSealed(data []byte, v any) error {
-	img, err := readSealed(bytes.NewReader(data), int64(len(data)), "sealed image", v)
-	if err != nil {
-		return err
-	}
-	return img.decodeErr
-}
-
 // WriteFileAtomic publishes data at path with the write-rename protocol:
 // the bytes land in a sibling temp file first, so readers only ever see
 // the previous complete file or the new one. faultSite, when non-empty,

@@ -79,15 +79,3 @@ func logLik(m *lm.Bigram, seq []int) float64 {
 	}
 	return ll
 }
-
-// Classify returns the arg-max language.
-func (s *System) Classify(seq []int) int {
-	scores := s.Score(seq)
-	best := 0
-	for k, v := range scores {
-		if v > scores[best] {
-			best = k
-		}
-	}
-	return best
-}

@@ -111,3 +111,18 @@ func TestTargetModelScoresOwnLanguageHigher(t *testing.T) {
 			own/float64(nOwn), other/float64(nOther))
 	}
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// Classify returns the arg-max language.
+func (s *System) Classify(seq []int) int {
+	scores := s.Score(seq)
+	best := 0
+	for k, v := range scores {
+		if v > scores[best] {
+			best = k
+		}
+	}
+	return best
+}

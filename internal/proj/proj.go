@@ -316,23 +316,6 @@ func normalize(v []float64) float64 {
 	return n
 }
 
-// ApplyInto writes the projection of a supervector into out (length
-// Rank): out[d] = basis row d · x.
-func (p *Projection) ApplyInto(x *sparse.Vector, out []float64) {
-	for d := 0; d < p.Rank; d++ {
-		out[d] = x.DotDense(p.Basis[d*p.Dim : (d+1)*p.Dim])
-	}
-}
-
-// Apply returns the projection of a supervector as a dense rank-dim
-// sparse vector (indices 0..Rank-1; exact zeros are dropped, which inner
-// products ignore).
-func (p *Projection) Apply(x *sparse.Vector) *sparse.Vector {
-	out := make([]float64, p.Rank)
-	p.ApplyInto(x, out)
-	return sparse.FromDense(out)
-}
-
 // Pack builds the serving form of the projection at the requested
 // precision: column-major (feature-major) so applying it walks a
 // supervector's nonzeros once with Rank contiguous multiply-adds per

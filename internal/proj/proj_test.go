@@ -425,3 +425,14 @@ func TestPackedValidateRejects(t *testing.T) {
 		t.Errorf("nil packed projection should validate: %v", err)
 	}
 }
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// ApplyInto writes the projection of a supervector into out (length
+// Rank): out[d] = basis row d · x.
+func (p *Projection) ApplyInto(x *sparse.Vector, out []float64) {
+	for d := 0; d < p.Rank; d++ {
+		out[d] = x.DotDense(p.Basis[d*p.Dim : (d+1)*p.Dim])
+	}
+}

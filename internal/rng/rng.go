@@ -186,28 +186,6 @@ func (r *RNG) Dirichlet(alpha float64, out []float64) {
 	}
 }
 
-// DirichletAsym fills out with a draw from an asymmetric Dirichlet whose
-// concentration vector is alphas. out and alphas must have equal length.
-func (r *RNG) DirichletAsym(alphas, out []float64) {
-	if len(alphas) != len(out) {
-		panic("rng: DirichletAsym length mismatch")
-	}
-	var sum float64
-	for i := range out {
-		out[i] = r.Gamma(alphas[i])
-		sum += out[i]
-	}
-	if sum == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-}
-
 // Categorical draws an index from the (not necessarily normalized)
 // non-negative weight vector w. It panics if all weights are zero.
 func (r *RNG) Categorical(w []float64) int {
@@ -250,29 +228,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
-}
-
-// Poisson returns a Poisson draw with the given mean (Knuth's method for
-// small means, normal approximation above 30).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		k := int(math.Round(r.NormMuSigma(mean, math.Sqrt(mean))))
-		if k < 0 {
-			return 0
-		}
-		return k
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

@@ -152,26 +152,6 @@ func TestDirichletSumsToOne(t *testing.T) {
 	}
 }
 
-func TestDirichletAsymMean(t *testing.T) {
-	r := New(9)
-	alphas := []float64{1, 2, 3, 4}
-	out := make([]float64, 4)
-	means := make([]float64, 4)
-	n := 20000
-	for i := 0; i < n; i++ {
-		r.DirichletAsym(alphas, out)
-		for j, x := range out {
-			means[j] += x / float64(n)
-		}
-	}
-	for j, a := range alphas {
-		want := a / 10.0
-		if math.Abs(means[j]-want) > 0.01 {
-			t.Errorf("component %d mean = %v, want ~%v", j, means[j], want)
-		}
-	}
-}
-
 func TestCategoricalDistribution(t *testing.T) {
 	r := New(10)
 	w := []float64{1, 0, 3}
@@ -203,24 +183,6 @@ func TestPermIsPermutation(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPoisson(t *testing.T) {
-	r := New(12)
-	for _, mean := range []float64{0.5, 4, 50} {
-		n := 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / float64(n)
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) mean = %v", mean, got)
-		}
-	}
-	if New(1).Poisson(0) != 0 {
-		t.Error("Poisson(0) != 0")
 	}
 }
 

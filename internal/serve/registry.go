@@ -144,9 +144,6 @@ func NewRoutingRegistry(dir string) *Registry {
 // load.
 func (r *Registry) Current() *Model { return r.cur.Load() }
 
-// Dir returns the bundle directory the registry reloads from.
-func (r *Registry) Dir() string { return r.dir }
-
 // Reload resolves the bundle root (honoring its commit records when
 // internal/adapt has promoted a generation; plain roots load exactly as
 // before) and atomically swaps the result in. On error the previous model

@@ -46,25 +46,9 @@ func MatrixFromRows(vs []*Vector) *Matrix {
 	return m
 }
 
-// NumRows returns the number of rows.
-func (m *Matrix) NumRows() int { return len(m.rows) }
-
-// NNZ returns the total number of stored entries.
-func (m *Matrix) NNZ() int { return len(m.Idx) }
-
 // Row returns a view of row i. The view aliases the matrix arenas: value
 // mutations are shared, and the view stays valid for the matrix lifetime.
 func (m *Matrix) Row(i int) *Vector { return &m.rows[i] }
-
-// Rows returns views of every row in order (one header-slice allocation;
-// the data is not copied).
-func (m *Matrix) Rows() []*Vector {
-	out := make([]*Vector, len(m.rows))
-	for i := range m.rows {
-		out[i] = &m.rows[i]
-	}
-	return out
-}
 
 // Validate checks every row's strictly-increasing index invariant and the
 // monotone RowPtr invariant.

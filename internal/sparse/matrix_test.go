@@ -120,3 +120,22 @@ func BenchmarkDotDenseCSR(b *testing.B) {
 }
 
 var sinkFloat float64
+
+// No binary links this; the package's tests use it as a referee or
+// fixture.
+
+// NumRows returns the number of rows.
+func (m *Matrix) NumRows() int { return len(m.rows) }
+
+// Linked by no binary: it stays here only as long as the tests that
+// check it.
+
+// Rows returns views of every row in order (one header-slice allocation;
+// the data is not copied).
+func (m *Matrix) Rows() []*Vector {
+	out := make([]*Vector, len(m.rows))
+	for i := range m.rows {
+		out[i] = &m.rows[i]
+	}
+	return out
+}

@@ -187,15 +187,6 @@ func (v *Vector) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// Sum returns the sum of stored values.
-func (v *Vector) Sum() float64 {
-	var s float64
-	for _, x := range v.Val {
-		s += x
-	}
-	return s
-}
-
 // Scale multiplies all stored values by alpha in place.
 func (v *Vector) Scale(alpha float64) {
 	for k := range v.Val {
@@ -208,33 +199,6 @@ func (v *Vector) Map(f func(idx int32, val float64) float64) {
 	for k := range v.Val {
 		v.Val[k] = f(v.Idx[k], v.Val[k])
 	}
-}
-
-// Add returns a + b as a new sparse vector.
-func Add(a, b *Vector) *Vector {
-	out := New(len(a.Idx) + len(b.Idx))
-	i, j := 0, 0
-	for i < len(a.Idx) || j < len(b.Idx) {
-		switch {
-		case j >= len(b.Idx) || (i < len(a.Idx) && a.Idx[i] < b.Idx[j]):
-			out.Idx = append(out.Idx, a.Idx[i])
-			out.Val = append(out.Val, a.Val[i])
-			i++
-		case i >= len(a.Idx) || b.Idx[j] < a.Idx[i]:
-			out.Idx = append(out.Idx, b.Idx[j])
-			out.Val = append(out.Val, b.Val[j])
-			j++
-		default:
-			s := a.Val[i] + b.Val[j]
-			if s != 0 {
-				out.Idx = append(out.Idx, a.Idx[i])
-				out.Val = append(out.Val, s)
-			}
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // String renders the first few entries, for debugging.

@@ -106,18 +106,6 @@ func (sc *Scratch) grow(n int) {
 // DBA retraining rounds.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Train fits a binary SVM. ys must be ±1; dim is the feature dimension
-// (indices ≥ dim are ignored).
-func Train(xs []*sparse.Vector, ys []int, dim int, opt Options) *Model {
-	return trainInto(xs, ys, nil, dim, opt, nil)
-}
-
-// TrainScratch is Train with caller-provided working buffers; repeated
-// calls (DBA retraining) allocate only the model itself.
-func TrainScratch(xs []*sparse.Vector, ys []int, dim int, opt Options, sc *Scratch) *Model {
-	return trainInto(xs, ys, nil, dim, opt, sc)
-}
-
 // trainInto is the dual coordinate-descent core. sharedQii, when
 // non-nil, supplies the precomputed Q_ii diagonal (‖x_i‖²+1) shared by
 // every one-vs-rest problem over the same examples; sc, when non-nil,

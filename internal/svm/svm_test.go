@@ -246,3 +246,18 @@ func TestSparseHighDimensional(t *testing.T) {
 		t.Fatalf("%d errors in sparse regime", errs)
 	}
 }
+
+// No binary links these; the package's tests use them as referees or
+// fixtures.
+
+// Train fits a binary SVM. ys must be ±1; dim is the feature dimension
+// (indices ≥ dim are ignored).
+func Train(xs []*sparse.Vector, ys []int, dim int, opt Options) *Model {
+	return trainInto(xs, ys, nil, dim, opt, nil)
+}
+
+// TrainScratch is Train with caller-provided working buffers; repeated
+// calls (DBA retraining) allocate only the model itself.
+func TrainScratch(xs []*sparse.Vector, ys []int, dim int, opt Options, sc *Scratch) *Model {
+	return trainInto(xs, ys, nil, dim, opt, sc)
+}

@@ -34,7 +34,7 @@ func TestQuarantineSkipsCorruptUtterances(t *testing.T) {
 	if len(f.Quarantined) == 0 {
 		t.Fatal("no utterances quarantined despite injected faults")
 	}
-	clean := Extract(frontend.New("CZ", frontend.ANNHMM, 43, 5), tinyCorpus(), ExtractOptions{Seed: 7})
+	clean := mustExtract(t, frontend.New("CZ", frontend.ANNHMM, 43, 5), tinyCorpus(), ExtractOptions{Seed: 7})
 	for _, q := range f.Quarantined {
 		if q.Err == "" {
 			t.Fatalf("quarantined item %d has no error text", q.ItemID)
@@ -100,7 +100,7 @@ func TestExtractCleanRunHasNoQuarantine(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7})
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
 	snap := f.Snapshot()
 	r, err := RestoreFeatures(fe, snap)
 	if err != nil {

@@ -73,19 +73,6 @@ type ExtractOptions struct {
 	KeepBestPath bool
 }
 
-// Extract decodes every utterance of the corpus through the front-end and
-// builds TFLLR-scaled supervectors. The TFLLR background is estimated from
-// the training split only (no test leakage). Decoding randomness derives
-// from (seed, front-end name, item ID), so extraction is deterministic and
-// order-independent.
-func Extract(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions) *Features {
-	f, err := ExtractChecked(fe, c, opt)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // ExtractChecked is Extract with per-utterance quarantine: a corrupt
 // lattice (a lattice.ParseSausage error, organic or injected) skips that
 // utterance — it keeps an empty supervector, is logged, counted
@@ -303,10 +290,6 @@ func (f *Features) BestPaths(s *corpus.Split) [][]int {
 	return out
 }
 
-// Matrix returns the CSR arena backing the feature cache (nil for
-// hand-assembled Features without one).
-func (f *Features) Matrix() *sparse.Matrix { return f.mat }
-
 // Projector is anything that maps a raw-space supervector into a
 // fixed-rank output row — proj.Projection (exact float64 basis) and
 // proj.Packed (the serialized float64/float32/int8 forms) both qualify.
@@ -335,29 +318,6 @@ func ProjectVectors(p Projector, rank int, xs []*sparse.Vector) []*sparse.Vector
 
 // Dim returns the supervector dimension of the front-end.
 func (f *Features) Dim() int { return f.FE.Space.Dim() }
-
-// Subsystem is one trained VSM: a front-end's one-vs-rest language models
-// (one row M_q of the paper's model matrix, Eq. 7).
-type Subsystem struct {
-	Name string
-	Dim  int
-	OVR  *svm.OneVsRest
-}
-
-// TrainSubsystem fits the one-vs-rest SVMs on supervectors.
-func TrainSubsystem(name string, xs []*sparse.Vector, labels []int, numLangs, dim int, opt svm.Options) *Subsystem {
-	return &Subsystem{
-		Name: name,
-		Dim:  dim,
-		OVR:  svm.TrainOVR(xs, labels, numLangs, dim, opt),
-	}
-}
-
-// ScoreMatrix scores a set of utterances against all language models,
-// returning the m×K matrix F_q of Eq. 9.
-func (s *Subsystem) ScoreMatrix(xs []*sparse.Vector) [][]float64 {
-	return s.OVR.ScoreAll(xs)
-}
 
 // DefaultSVMOptions returns the solver settings used across the
 // experiments: LIBLINEAR-like defaults with the positive class upweighted

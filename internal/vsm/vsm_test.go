@@ -8,6 +8,7 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/rng"
 	"repro/internal/sparse"
+	"repro/internal/svm"
 )
 
 func tinyCorpus() *corpus.Corpus {
@@ -18,10 +19,20 @@ func tinyCorpus() *corpus.Corpus {
 	return corpus.Build(cfg)
 }
 
+// mustExtract runs ExtractChecked and fails the test on its error.
+func mustExtract(t *testing.T, fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions) *Features {
+	t.Helper()
+	f, err := ExtractChecked(fe, c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestExtractCoversAllSplits(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7})
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
 	splits := []*corpus.Split{c.Train, c.AllDev(), c.AllTest()}
 	for _, s := range splits {
 		vecs := f.Vectors(s)
@@ -48,8 +59,8 @@ func TestExtractCoversAllSplits(t *testing.T) {
 func TestExtractDeterministic(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	a := Extract(fe, c, ExtractOptions{Seed: 7})
-	b := Extract(fe, c, ExtractOptions{Seed: 7})
+	a := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
+	b := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
 	it := c.Train.Items[0]
 	va, vb := a.Vector(it.ID), b.Vector(it.ID)
 	if va.NNZ() != vb.NNZ() {
@@ -65,8 +76,8 @@ func TestExtractDeterministic(t *testing.T) {
 func TestExtractTFLLRChangesScaling(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	with := Extract(fe, c, ExtractOptions{Seed: 7})
-	without := Extract(fe, c, ExtractOptions{Seed: 7, DisableTFLLR: true})
+	with := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
+	without := mustExtract(t, fe, c, ExtractOptions{Seed: 7, DisableTFLLR: true})
 	if without.TF != nil {
 		t.Fatal("TF estimated despite DisableTFLLR")
 	}
@@ -87,7 +98,7 @@ func TestExtractTFLLRChangesScaling(t *testing.T) {
 func TestVectorPanicsOnUnknownID(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7})
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Vector accepted unknown ID")
@@ -99,19 +110,19 @@ func TestVectorPanicsOnUnknownID(t *testing.T) {
 func TestTrainSubsystemAndScoreMatrix(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7})
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
 	trainX := f.Vectors(c.Train)
-	sub := TrainSubsystem(fe.Name, trainX, c.Train.Labels(), 23, f.Dim(), DefaultSVMOptions())
-	if sub.OVR.NumClasses != 23 {
-		t.Fatalf("NumClasses = %d", sub.OVR.NumClasses)
+	ovr := svm.TrainOVR(trainX, c.Train.Labels(), 23, f.Dim(), DefaultSVMOptions())
+	if ovr.NumClasses != 23 {
+		t.Fatalf("NumClasses = %d", ovr.NumClasses)
 	}
 	testX := f.Vectors(c.Test[30])
-	mat := sub.ScoreMatrix(testX)
+	mat := ovr.ScoreAll(testX)
 	if len(mat) != len(testX) || len(mat[0]) != 23 {
 		t.Fatal("score matrix shape wrong")
 	}
 	// Training accuracy should be far above 1/23 chance.
-	if acc := sub.OVR.Accuracy(trainX, c.Train.Labels()); acc < 0.5 {
+	if acc := ovr.Accuracy(trainX, c.Train.Labels()); acc < 0.5 {
 		t.Fatalf("training accuracy %v", acc)
 	}
 }
@@ -119,14 +130,14 @@ func TestTrainSubsystemAndScoreMatrix(t *testing.T) {
 func TestScoreMatrixMatchesDirectScores(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7})
-	sub := TrainSubsystem(fe.Name, f.Vectors(c.Train), c.Train.Labels(), 23, f.Dim(), DefaultSVMOptions())
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7})
+	ovr := svm.TrainOVR(f.Vectors(c.Train), c.Train.Labels(), 23, f.Dim(), DefaultSVMOptions())
 	xs := []*sparse.Vector{f.Vectors(c.Test[10])[0]}
-	mat := sub.ScoreMatrix(xs)
-	direct := sub.OVR.Scores(xs[0])
+	mat := ovr.ScoreAll(xs)
+	direct := ovr.Scores(xs[0])
 	for k := range direct {
 		if mat[0][k] != direct[k] {
-			t.Fatal("ScoreMatrix disagrees with direct scoring")
+			t.Fatal("ScoreAll disagrees with direct scoring")
 		}
 	}
 }
@@ -137,7 +148,7 @@ func TestScoreMatrixMatchesDirectScores(t *testing.T) {
 func TestKeptBestPathMatchesSecondDecode(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7, KeepBestPath: true})
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7, KeepBestPath: true})
 	root := rng.New(7).SplitString("extract:" + fe.Name)
 	for _, s := range []*corpus.Split{c.Train, c.AllDev(), c.AllTest()} {
 		for i, got := range f.BestPaths(s) {
@@ -151,7 +162,7 @@ func TestKeptBestPathMatchesSecondDecode(t *testing.T) {
 			}
 		}
 	}
-	if plain := Extract(fe, c, ExtractOptions{Seed: 7}); len(plain.Snapshot().BestPaths) != 0 {
+	if plain := mustExtract(t, fe, c, ExtractOptions{Seed: 7}); len(plain.Snapshot().BestPaths) != 0 {
 		t.Fatal("extraction kept 1-best paths it was not asked for")
 	}
 }
@@ -161,7 +172,7 @@ func TestKeptBestPathMatchesSecondDecode(t *testing.T) {
 func TestSnapshotCarriesBestPaths(t *testing.T) {
 	c := tinyCorpus()
 	fe := frontend.New("CZ", frontend.ANNHMM, 43, 5)
-	f := Extract(fe, c, ExtractOptions{Seed: 7, KeepBestPath: true})
+	f := mustExtract(t, fe, c, ExtractOptions{Seed: 7, KeepBestPath: true})
 	snap := f.Snapshot()
 	if len(snap.BestPaths) != len(snap.IDs) {
 		t.Fatalf("snapshot carries %d paths for %d IDs", len(snap.BestPaths), len(snap.IDs))

@@ -2,7 +2,11 @@ package wav
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -137,4 +141,90 @@ func TestFileRoundTripWithSynthSpeech(t *testing.T) {
 	if math.Abs(e1-e2)/e1 > 0.01 {
 		t.Fatalf("energy changed: %v vs %v", e1, e2)
 	}
+}
+
+// No binary links these; the package's tests use them as referees or
+// fixtures.
+
+// Read decodes a mono 16-bit PCM WAV stream, returning samples scaled to
+// [−1, 1] and the sample rate.
+func Read(r io.Reader) (samples []float64, sampleRate int, err error) {
+	var riff [12]byte
+	if _, err := io.ReadFull(r, riff[:]); err != nil {
+		return nil, 0, fmt.Errorf("wav: header: %w", err)
+	}
+	if string(riff[0:4]) != "RIFF" || string(riff[8:12]) != "WAVE" {
+		return nil, 0, fmt.Errorf("wav: not a RIFF/WAVE stream")
+	}
+	var (
+		fmtSeen  bool
+		channels uint16
+		bits     uint16
+	)
+	for {
+		var chunk [8]byte
+		if _, err := io.ReadFull(r, chunk[:]); err != nil {
+			if err == io.EOF && fmtSeen {
+				return nil, 0, fmt.Errorf("wav: missing data chunk")
+			}
+			return nil, 0, fmt.Errorf("wav: chunk header: %w", err)
+		}
+		id := string(chunk[0:4])
+		size := binary.LittleEndian.Uint32(chunk[4:8])
+		switch id {
+		case "fmt ":
+			body := make([]byte, size)
+			if _, err := io.ReadFull(r, body); err != nil {
+				return nil, 0, fmt.Errorf("wav: fmt chunk: %w", err)
+			}
+			format := binary.LittleEndian.Uint16(body[0:2])
+			channels = binary.LittleEndian.Uint16(body[2:4])
+			sampleRate = int(binary.LittleEndian.Uint32(body[4:8]))
+			bits = binary.LittleEndian.Uint16(body[14:16])
+			if format != 1 {
+				return nil, 0, fmt.Errorf("wav: unsupported format %d (want PCM)", format)
+			}
+			if channels != 1 {
+				return nil, 0, fmt.Errorf("wav: %d channels (want mono)", channels)
+			}
+			if bits != 16 {
+				return nil, 0, fmt.Errorf("wav: %d-bit samples (want 16)", bits)
+			}
+			fmtSeen = true
+		case "data":
+			if !fmtSeen {
+				return nil, 0, fmt.Errorf("wav: data chunk before fmt")
+			}
+			body := make([]byte, size)
+			if _, err := io.ReadFull(r, body); err != nil {
+				return nil, 0, fmt.Errorf("wav: data chunk: %w", err)
+			}
+			n := int(size) / 2
+			samples = make([]float64, n)
+			for i := 0; i < n; i++ {
+				v := int16(binary.LittleEndian.Uint16(body[2*i:]))
+				samples[i] = float64(v) / 32767
+			}
+			return samples, sampleRate, nil
+		default:
+			// Skip unknown chunks (word-aligned).
+			skip := int64(size)
+			if skip%2 == 1 {
+				skip++
+			}
+			if _, err := io.CopyN(io.Discard, r, skip); err != nil {
+				return nil, 0, fmt.Errorf("wav: skipping %q chunk: %w", id, err)
+			}
+		}
+	}
+}
+
+// ReadFile reads a WAV file.
+func ReadFile(path string) ([]float64, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	return Read(f)
 }
