@@ -87,7 +87,9 @@
 // the supervector/SVM battery never runs — and everything else escalates
 // unchanged. -cascade-margin shifts the calibrated thresholds ('-inf'
 // escalates everything, bit-identical to running without -cascade;
-// '+inf' answers everything at tier 1). Both the standalone daemon and
+// '+inf' answers everything at tier 1); a per-tier override must name a
+// tier the bundle's tier-1 model has, or startup (and a reload onto such
+// a model) fails. Both the standalone daemon and
 // the cluster coordinator honor it (a coordinator-side tier-1 exit skips
 // the shard fan-out entirely); exit/escalate rates, tier-1 failures, and
 // per-path latency land under serve.cascade.* / cluster.cascade.* in

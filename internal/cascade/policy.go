@@ -108,3 +108,26 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 	return p, nil
 }
+
+// ValidateFor checks a parsed policy against a concrete model: every
+// per-tier override must name one of the model's tiers (catching typos
+// like "30sec" before they silently fall back to the default).
+func (p Policy) ValidateFor(m *Model) error {
+	for name := range p.PerTier {
+		found := false
+		for _, t := range m.Tiers {
+			if t.Name == name {
+				found = true
+				break
+			}
+		}
+		if !found {
+			known := make([]string, len(m.Tiers))
+			for i, t := range m.Tiers {
+				known[i] = t.Name
+			}
+			return fmt.Errorf("cascade: policy names unknown tier %q (model has %v)", name, known)
+		}
+	}
+	return nil
+}

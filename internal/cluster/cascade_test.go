@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/cascade"
@@ -175,5 +177,41 @@ func TestFleetCascadeBadMarginRejectedAtStartup(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("NewCoordinator accepted a NaN cascade margin")
+	}
+}
+
+// TestFleetCascadeMarginNamesMissingTier: on the coordinator too, a
+// margin naming a tier the cascade model lacks fails startup, and a
+// reload onto a model that lacks a named tier is refused while the
+// previous plan keeps routing.
+func TestFleetCascadeMarginNamesMissingTier(t *testing.T) {
+	dir := t.TempDir()
+	testbundle.WriteCascade(t, dir, 1)
+	_, err := NewCoordinator(CoordinatorConfig{
+		Serve: serve.Config{ModelDir: dir, Cascade: serve.CascadeConfig{Enabled: true, Margin: "longg=0.2"}},
+		Peers: []string{"w0.test:9101"},
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown tier "longg"`) {
+		t.Fatalf("NewCoordinator with margin longg=0.2: %v", err)
+	}
+
+	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
+		cfg.Serve.Cascade = serve.CascadeConfig{Enabled: true, Margin: "30s=0.2"}
+	})
+	mustDistribute(t, f)
+	renamed := testbundle.NewCascade(t, 2)
+	renamed.Cascade.Tiers[0].Name = "long"
+	if err := persist.SaveBundle(f.dir, renamed, persist.Manifest{Seed: 2, Scale: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.coord.Reload(context.Background()); err == nil || !strings.Contains(err.Error(), `unknown tier "30s"`) {
+		t.Fatalf("reload onto a model without tier 30s: %v", err)
+	}
+	if gen := f.coord.Plan(); gen != 1 {
+		t.Fatalf("plan generation %d after the refused reload, want 1", gen)
+	}
+	seq := testbundle.CascSeq(rng.New(5), 0, 50, 0.8)
+	if rec, _ := f.score(t, latticeRequestFor(f.bundle, "u", seq)); rec.Code != http.StatusOK {
+		t.Fatalf("score after the refused reload: status %d: %s", rec.Code, rec.Body.String())
 	}
 }

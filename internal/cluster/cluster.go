@@ -21,10 +21,10 @@
 //
 // Model distribution is coordinator-driven and generation-consistent.
 // The coordinator loads the export through a routing registry
-// (serve.NewRoutingRegistry): it verifies and decodes the sealed
+// (serve.Server.NewRoutingRegistry): it verifies and decodes the sealed
 // bundle.gob, keeps the file open, and drops every front-end's scoring
-// weights — it keeps only languages, fusion, the cascade model and
-// front-end geometry. It pushes every worker at once over POST /-/bundle
+// weights — it keeps only languages, fusion, front-end geometry and,
+// when it runs the cascade, the cascade model. It pushes every worker at once over POST /-/bundle
 // the exported bytes as they are, read from that open file
 // (application/octet-stream), with a shard manifest as JSON in the
 // X-Cluster-Manifest header: the export's manifest stamped with the

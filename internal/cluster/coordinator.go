@@ -22,8 +22,9 @@ import (
 type CoordinatorConfig struct {
 	// Serve is the serving config. ModelDir is the exported bundle
 	// directory (required): the coordinator keeps its languages, fusion
-	// backend, cascade model and front-end geometry, and pushes its sealed
-	// bundle file to every worker; it keeps no scoring weights.
+	// backend and front-end geometry, and the cascade model when Cascade
+	// is on, and pushes its sealed bundle file to every worker; it keeps
+	// no scoring weights.
 	// RequestTimeout, DrainTimeout, MaxBodyBytes, DisableTracing and
 	// Cascade act as on the standalone daemon; with Cascade on, tier 1
 	// runs on the coordinator, and a high-margin request is answered
@@ -106,19 +107,20 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator has no worker peers")
 	}
-	c := &Coordinator{cfg: cfg, reg: serve.NewRoutingRegistry(cfg.Serve.ModelDir)}
-	if _, err := c.reg.Reload(); err != nil {
-		return nil, fmt.Errorf("cluster: initial model load: %w", err)
-	}
-	for _, addr := range cfg.Peers {
-		c.peers = append(c.peers, newPeer(addr, cfg.Serve.Reload, cfg.Transport, cfg.clock))
-	}
+	c := &Coordinator{cfg: cfg}
 	// Coordinator-side metrics and spans live under cluster.* (the
 	// workers' serve.* names stay theirs, so a co-resident bench or test
 	// keeps the two tiers apart in one obs registry).
 	srv, err := serve.NewWithRole(cfg.Serve, "cluster", (*fleetRole)(c))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	c.reg = srv.NewRoutingRegistry()
+	if _, err := c.reg.Reload(); err != nil {
+		return nil, fmt.Errorf("cluster: initial model load: %w", err)
+	}
+	for _, addr := range cfg.Peers {
+		c.peers = append(c.peers, newPeer(addr, cfg.Serve.Reload, cfg.Transport, cfg.clock))
 	}
 	c.node = newNode(srv, srv.Handler())
 	c.mux.HandleFunc("/clusterz", c.handleClusterz)

@@ -130,15 +130,16 @@ func TestPosteriorsIdentifyCluster(t *testing.T) {
 	}
 }
 
-func TestSampleRoundTrip(t *testing.T) {
-	// Samples from a trained model should score well under it.
+func TestHeldOutLogProb(t *testing.T) {
+	// Fresh points from the distribution the model was trained on should
+	// score well under it.
 	r := rng.New(6)
 	data := twoClusterData(r, 2000)
 	g := Train(r, data, 2, 2, 10, 10)
 	var ll float64
 	n := 500
-	for i := 0; i < n; i++ {
-		ll += g.LogProb(g.Sample(r))
+	for _, x := range twoClusterData(r, n) {
+		ll += g.LogProb(x)
 	}
 	ll /= float64(n)
 	// Per-point LL should be near the training LL (≈ −2±0.5 here).
@@ -187,17 +188,4 @@ func TestEmptyData(t *testing.T) {
 	if ll := g.TrainEM(nil, 3); !math.IsInf(ll, -1) {
 		t.Fatalf("TrainEM(nil) = %v", ll)
 	}
-}
-
-// Linked by no binary: it stays here only as long as the tests that
-// check it.
-
-// Sample draws a point from the mixture.
-func (g *GMM) Sample(r *rng.RNG) []float64 {
-	c := r.Categorical(g.Weights)
-	x := make([]float64, g.Dim)
-	for d := 0; d < g.Dim; d++ {
-		x[d] = g.Means[c][d] + math.Sqrt(g.Vars[c][d])*r.Norm()
-	}
-	return x
 }

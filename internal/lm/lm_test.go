@@ -126,15 +126,6 @@ func TestFrequentBigramMoreProbable(t *testing.T) {
 	}
 }
 
-func TestMatrixPluggableIntoDecoder(t *testing.T) {
-	seqs := sampleSequences(9, 10, 5)
-	m := TrainKneserNey(phones.UniversalSize, seqs, 0.75)
-	mat := m.Matrix()
-	if len(mat) != phones.UniversalSize || len(mat[0]) != phones.UniversalSize {
-		t.Fatal("matrix shape wrong")
-	}
-}
-
 func TestPerplexityEmpty(t *testing.T) {
 	m := TrainAdditive(4, nil, 1)
 	if !math.IsInf(m.Perplexity(nil), 1) {
@@ -208,10 +199,3 @@ func (m *Bigram) Perplexity(sequences [][]int) float64 {
 	}
 	return math.Exp(-logSum / float64(n))
 }
-
-// Linked by no binary: it stays here only as long as the tests that
-// check it.
-
-// Matrix exposes the full log-transition matrix, ready to assign to an
-// hmm.Model's LogPhoneTrans.
-func (m *Bigram) Matrix() [][]float64 { return m.logProb }

@@ -3,7 +3,10 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -136,7 +139,7 @@ type TraceEntry struct {
 	Root *SpanData `json:"root,omitempty"`
 }
 
-// TracezReport is the JSON body of /tracez.
+// TracezReport is the JSON body of /tracez (TraceBuffer.WriteJSON).
 type TracezReport struct {
 	// Recent lists the most recent finished traces, newest first.
 	Recent []*TraceEntry `json:"recent"`
@@ -151,14 +154,18 @@ type TracezReport struct {
 	ExemplarsEvicted int64 `json:"exemplars_evicted,omitempty"`
 }
 
-// TraceBuffer is the bounded in-memory store behind /tracez. All methods
-// are safe for concurrent use; Add is O(slowestCap) worst case and
-// allocation-free on the common path.
+// TraceBuffer is the bounded in-memory store behind /tracez. It keeps
+// each finished trace as one flat record, the trace's JSON encoding,
+// plus the duration the slowest set is ordered by: one pointer-free byte
+// slice per trace, shared by every ring that holds it, which the
+// collector does not scan. All methods are safe for concurrent use. Add
+// encodes the trace before it takes the lock, and then does
+// O(slowestCap) work at most.
 type TraceBuffer struct {
 	mu        sync.Mutex
-	recent    []*TraceEntry // ring, recentNext is the next write slot
-	slowest   []*TraceEntry // kept sorted ascending by duration
-	exemplars []*TraceEntry // ring of degraded/errored traces
+	recent    []trace // ring, recentNext is the next write slot
+	slowest   []trace // kept sorted ascending by duration
+	exemplars []trace // ring of degraded/errored traces
 	recentCap int
 	slowCap   int
 	exCap     int
@@ -167,6 +174,13 @@ type TraceBuffer struct {
 	exNext     int
 	added      int64
 	exEvicted  int64
+}
+
+// trace is one retained trace: its TraceEntry's JSON encoding and its
+// duration.
+type trace struct {
+	json []byte
+	dur  float64
 }
 
 // NewTraceBuffer sizes a buffer; non-positive caps select the defaults
@@ -184,59 +198,86 @@ func NewTraceBuffer(recentCap, slowestCap, exemplarCap int) *TraceBuffer {
 	return &TraceBuffer{recentCap: recentCap, slowCap: slowestCap, exCap: exemplarCap}
 }
 
-// Add files one finished trace.
+// Add files one finished trace. The buffer keeps e's JSON encoding, so a
+// later change to e does not reach /tracez. A trace that cannot be
+// encoded (a NaN attribute) is counted and not kept.
 func (tb *TraceBuffer) Add(e *TraceEntry) {
+	js, err := json.Marshal(e)
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	tb.added++
+	if err != nil {
+		return
+	}
+	t := trace{json: js, dur: e.DurationSec}
 	// Recent ring.
 	if len(tb.recent) < tb.recentCap {
-		tb.recent = append(tb.recent, e)
+		tb.recent = append(tb.recent, t)
 	} else {
-		tb.recent[tb.recentNext] = e
+		tb.recent[tb.recentNext] = t
 	}
 	tb.recentNext = (tb.recentNext + 1) % tb.recentCap
 	// Slowest-N, sorted ascending so the eviction candidate is slot 0.
 	if len(tb.slowest) < tb.slowCap {
-		tb.slowest = append(tb.slowest, e)
+		tb.slowest = append(tb.slowest, t)
 		sort.Slice(tb.slowest, func(i, j int) bool {
-			return tb.slowest[i].DurationSec < tb.slowest[j].DurationSec
+			return tb.slowest[i].dur < tb.slowest[j].dur
 		})
-	} else if e.DurationSec > tb.slowest[0].DurationSec {
+	} else if t.dur > tb.slowest[0].dur {
 		i := 0
-		for i+1 < len(tb.slowest) && tb.slowest[i+1].DurationSec < e.DurationSec {
+		for i+1 < len(tb.slowest) && tb.slowest[i+1].dur < t.dur {
 			tb.slowest[i] = tb.slowest[i+1]
 			i++
 		}
-		tb.slowest[i] = e
+		tb.slowest[i] = t
 	}
 	// Degraded/errored exemplars are always admitted.
 	if e.Degraded || e.Error != "" || e.Status >= 500 {
 		if len(tb.exemplars) < tb.exCap {
-			tb.exemplars = append(tb.exemplars, e)
+			tb.exemplars = append(tb.exemplars, t)
 		} else {
-			tb.exemplars[tb.exNext] = e
+			tb.exemplars[tb.exNext] = t
 			tb.exEvicted++
 		}
 		tb.exNext = (tb.exNext + 1) % tb.exCap
 	}
 }
 
-// Snapshot returns a consistent copy for serialization.
-func (tb *TraceBuffer) Snapshot() *TracezReport {
+// WriteJSON writes the /tracez body: a TracezReport of the retained
+// traces, byte for byte what json.Encoder writes for one, trailing
+// newline included. The lock is held only to copy the record headers.
+func (tb *TraceBuffer) WriteJSON(w io.Writer) error {
 	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	rep := &TracezReport{
-		Recent:           newestFirst(tb.recent, tb.recentNext),
-		Exemplars:        newestFirst(tb.exemplars, tb.exNext),
-		Added:            tb.added,
-		ExemplarsEvicted: tb.exEvicted,
+	recent := newestFirst(tb.recent, tb.recentNext)
+	exemplars := newestFirst(tb.exemplars, tb.exNext)
+	slowest := make([]trace, len(tb.slowest))
+	for i, t := range tb.slowest {
+		slowest[len(tb.slowest)-1-i] = t
 	}
-	rep.Slowest = make([]*TraceEntry, len(tb.slowest))
-	for i, e := range tb.slowest {
-		rep.Slowest[len(tb.slowest)-1-i] = e
+	added, evicted := tb.added, tb.exEvicted
+	tb.mu.Unlock()
+
+	b := appendTraces([]byte(`{"recent":`), recent)
+	b = appendTraces(append(b, `,"slowest":`...), slowest)
+	b = appendTraces(append(b, `,"exemplars":`...), exemplars)
+	b = strconv.AppendInt(append(b, `,"added":`...), added, 10)
+	if evicted != 0 {
+		b = strconv.AppendInt(append(b, `,"exemplars_evicted":`...), evicted, 10)
 	}
-	return rep
+	_, err := w.Write(append(b, "}\n"...))
+	return err
+}
+
+// appendTraces appends list as a JSON array of its records.
+func appendTraces(b []byte, list []trace) []byte {
+	b = append(b, '[')
+	for i, t := range list {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, t.json...)
+	}
+	return append(b, ']')
 }
 
 // Reset empties the buffer (tests, metric resets).
@@ -249,8 +290,8 @@ func (tb *TraceBuffer) Reset() {
 
 // newestFirst unrolls a ring whose next write slot is next into
 // newest-first order.
-func newestFirst(ring []*TraceEntry, next int) []*TraceEntry {
-	out := make([]*TraceEntry, 0, len(ring))
+func newestFirst(ring []trace, next int) []trace {
+	out := make([]trace, 0, len(ring))
 	for i := 0; i < len(ring); i++ {
 		out = append(out, ring[(next-1-i+len(ring))%len(ring)])
 	}

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -66,12 +69,26 @@ func entry(id string, durSec float64, degraded bool, errMsg string) *TraceEntry 
 	}
 }
 
+// snapshot decodes the buffer's /tracez body.
+func snapshot(t *testing.T, tb *TraceBuffer) *TracezReport {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tb.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var rep TracezReport
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("bad /tracez body: %v: %s", err, buf.Bytes())
+	}
+	return &rep
+}
+
 func TestTraceBufferRecentRing(t *testing.T) {
 	tb := NewTraceBuffer(4, 2, 4)
 	for i := 0; i < 10; i++ {
 		tb.Add(entry(fmt.Sprintf("t%02d", i), 0.001, false, ""))
 	}
-	rep := tb.Snapshot()
+	rep := snapshot(t, tb)
 	if rep.Added != 10 {
 		t.Fatalf("added = %d, want 10", rep.Added)
 	}
@@ -92,7 +109,7 @@ func TestTraceBufferSlowestRetention(t *testing.T) {
 	for i, d := range durs {
 		tb.Add(entry(fmt.Sprintf("t%d", i), d, false, ""))
 	}
-	rep := tb.Snapshot()
+	rep := snapshot(t, tb)
 	if len(rep.Slowest) != 3 {
 		t.Fatalf("slowest len = %d, want 3", len(rep.Slowest))
 	}
@@ -115,7 +132,7 @@ func TestTraceBufferExemplarRetention(t *testing.T) {
 	tb.Add(entry("ok2", 0.001, false, ""))
 	tb.Add(entry("deg2", 0.001, true, ""))
 
-	rep := tb.Snapshot()
+	rep := snapshot(t, tb)
 	if len(rep.Exemplars) != 3 {
 		t.Fatalf("exemplars len = %d, want 3", len(rep.Exemplars))
 	}
@@ -127,7 +144,7 @@ func TestTraceBufferExemplarRetention(t *testing.T) {
 	// A fourth failure wraps the ring: the oldest exemplar is evicted and
 	// the eviction is counted, never silent.
 	tb.Add(entry("deg3", 0.001, true, ""))
-	rep = tb.Snapshot()
+	rep = snapshot(t, tb)
 	if rep.ExemplarsEvicted != 1 {
 		t.Fatalf("evicted = %d, want 1", rep.ExemplarsEvicted)
 	}
@@ -138,7 +155,7 @@ func TestTraceBufferExemplarRetention(t *testing.T) {
 	e := entry("boom", 0.001, false, "")
 	e.Status = 503
 	tb.Add(e)
-	if got := tb.Snapshot().Exemplars[0].TraceID; got != "boom" {
+	if got := snapshot(t, tb).Exemplars[0].TraceID; got != "boom" {
 		t.Fatalf("5xx exemplar missing: got %s", got)
 	}
 }
@@ -147,8 +164,72 @@ func TestTraceBufferReset(t *testing.T) {
 	tb := NewTraceBuffer(2, 2, 2)
 	tb.Add(entry("a", 1, true, ""))
 	tb.Reset()
-	rep := tb.Snapshot()
+	rep := snapshot(t, tb)
 	if rep.Added != 0 || len(rep.Recent) != 0 || len(rep.Slowest) != 0 || len(rep.Exemplars) != 0 {
 		t.Fatalf("reset did not empty the buffer: %+v", rep)
 	}
+}
+
+// TestTraceBufferConcurrent: requests finish on several goroutines, a
+// late scorer still hangs spans off one of them while it is filed, and
+// /tracez reads and resets race them all (run it under -race). Every body
+// read must decode as one report within the caps.
+func TestTraceBufferConcurrent(t *testing.T) {
+	tb := NewTraceBuffer(8, 4, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				e := sampleTrace(w*1000 + i)
+				root := NewSpan("serve.score")
+				late := make(chan struct{})
+				go func() {
+					defer close(late)
+					root.StartChild("score.fe").End()
+				}()
+				root.End()
+				e.Root = root.Data()
+				tb.Add(e)
+				<-late
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if r == 1 && k%10 == 9 {
+					tb.Reset()
+					continue
+				}
+				var buf bytes.Buffer
+				var rep TracezReport
+				if err := tb.WriteJSON(&buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+					t.Errorf("bad /tracez body: %v", err)
+					return
+				}
+				if len(rep.Recent) > 8 || len(rep.Slowest) > 4 || len(rep.Exemplars) > 4 {
+					t.Errorf("report over its caps: %d recent, %d slowest, %d exemplars", len(rep.Recent), len(rep.Slowest), len(rep.Exemplars))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
 }

@@ -408,19 +408,6 @@ func selectShard(m *Manifest, b *Bundle) error {
 	return nil
 }
 
-// DropWeights releases every front-end's scoring weights (TFLLR scaler,
-// OVR models, projection, int8 kernel) and keeps the rest: languages,
-// fusion, the cascade model, and each front-end's name, n-gram space and
-// precision. That is all a process reads that routes requests and fuses
-// rows another process scored (the fleet coordinator). The bundle no
-// longer passes Validate and must not be scored.
-func (b *Bundle) DropWeights() {
-	for i := range b.FrontEnds {
-		fe := &b.FrontEnds[i]
-		fe.TFLLR, fe.OVR, fe.Proj, fe.Quant = nil, nil, nil, nil
-	}
-}
-
 // SaveBundle writes a bundle directory: bundle.gob first, manifest.json
 // last (both atomically), so concurrent readers either see the previous
 // complete bundle or the new one, never a torn mix. The manifest's

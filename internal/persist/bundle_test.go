@@ -433,8 +433,7 @@ func TestShardManifestSelectsFromTheExport(t *testing.T) {
 }
 
 // TestOpenImageSurvivesRenameOver: an Image reads back the bytes its
-// load verified after a new export is renamed over the file, and
-// DropWeights leaves the geometry a router reads.
+// load verified after a new export is renamed over the file.
 func TestOpenImageSurvivesRenameOver(t *testing.T) {
 	orig, _ := trainedBundle(t, 21)
 	other, _ := trainedBundle(t, 22)
@@ -446,7 +445,7 @@ func TestOpenImageSurvivesRenameOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, m, _, im, err := ResolveBundleImage(dir)
+	_, m, _, im, err := ResolveBundleImage(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,16 +462,5 @@ func TestOpenImageSurvivesRenameOver(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("the open image reads the new export, not the bytes it verified")
-	}
-
-	b.DropWeights()
-	for q := range b.FrontEnds {
-		fe := &b.FrontEnds[q]
-		if fe.PackedBytes() != 0 || fe.TFLLR != nil || fe.Name != orig.FrontEnds[q].Name || fe.SpaceDim() != orig.FrontEnds[q].SpaceDim() {
-			t.Fatalf("front-end %d after DropWeights: %+v", q, fe)
-		}
-	}
-	if b.Fusion == nil || len(b.Languages) != len(orig.Languages) {
-		t.Fatal("DropWeights dropped the languages or the fusion backend")
 	}
 }

@@ -28,11 +28,10 @@ import (
 // cannot self-train (int8-quantized): silently serving without the
 // requested adaptation would be worse than not starting.
 func (s *Server) initAdapter() error {
-	spec := s.cfg.Adapt
-	if spec == "" || spec == "off" {
+	if !adaptOn(s.cfg.Adapt) {
 		return nil
 	}
-	pol, err := adapt.ParsePolicy(spec)
+	pol, err := adapt.ParsePolicy(s.cfg.Adapt)
 	if err != nil {
 		return err
 	}
@@ -59,6 +58,9 @@ func (s *Server) initAdapter() error {
 	s.adapter = a
 	return nil
 }
+
+// adaptOn reports whether an Adapt spec selects a policy.
+func adaptOn(spec string) bool { return spec != "" && spec != "off" }
 
 // Adapter exposes the adaptation loop (nil when off) — tests and the
 // daemon's status logging.

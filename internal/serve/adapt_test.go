@@ -11,101 +11,8 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/faultinject"
 	"repro/internal/persist"
-	"repro/internal/sparse"
-	"repro/internal/svm"
 	"repro/internal/testbundle"
 )
-
-// adaptTestPolicy is permissive on every gate: these tests exercise the
-// serving-layer wiring (endpoints, hot swap, readiness), not the gate
-// thresholds — internal/adapt's own suite covers those.
-const adaptTestPolicy = "cadence=1h;probe=1h;votes=1;min-utts=1;buffer=64;" +
-	"shadow-rate=1;shadow-bound=1e6;eer-budget=100;canary-tol=1e6;keep=4"
-
-// writeAdaptBundle exports the serve fixture bundle plus a matching adapt
-// sidecar, the layout `lre -export-models` produces.
-func writeAdaptBundle(t *testing.T, dir string, seed uint64) *persist.Bundle {
-	t.Helper()
-	b := testbundle.New(seed)
-	const (
-		nTrain   = 18
-		nHoldout = 12
-	)
-	set := &adapt.Set{
-		FormatVersion: adapt.SetFormatVersion,
-		Languages:     append([]string(nil), b.Languages...),
-		SVM:           svm.DefaultOptions(),
-		Seed:          seed,
-	}
-	set.SVM.Seed = seed
-	for i := 0; i < nTrain; i++ {
-		set.TrainLabels = append(set.TrainLabels, i%testbundle.Langs)
-	}
-	for i := 0; i < nHoldout; i++ {
-		set.HoldoutLabels = append(set.HoldoutLabels, i%testbundle.Langs)
-	}
-	for q := range b.FrontEnds {
-		fe := &b.FrontEnds[q]
-		// Sidecar vectors live in the front-end's weight space: raw
-		// fixture vectors with the bundle's own TFLLR applied.
-		weightSpace := func(n int, salt uint64) []*sparse.Vector {
-			out := make([]*sparse.Vector, n)
-			for i := range out {
-				v := testbundle.Vector(seed + salt + uint64(i)*17).Clone()
-				if fe.TFLLR != nil {
-					fe.TFLLR.Apply(v)
-				}
-				out[i] = v
-			}
-			return out
-		}
-		sfe := adapt.SetFrontEnd{
-			Name:    fe.Name,
-			Dim:     fe.WeightDim(),
-			Train:   weightSpace(nTrain, 1000),
-			Holdout: weightSpace(nHoldout, 5000),
-		}
-		for j := 0; j < nHoldout; j++ {
-			sfe.RefereeScores = append(sfe.RefereeScores, fe.Scores(sfe.Holdout[j]))
-		}
-		set.FrontEnds = append(set.FrontEnds, sfe)
-	}
-	if err := adapt.SaveSet(dir, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: seed, Scale: "test", AdaptFile: adapt.SetFile}); err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// feedAdapter offers n full-battery observations with forged served rows
-// (one small positive, rest negative — an unambiguous Eq. 13 vote that
-// does not saturate the fused scale).
-func feedAdapter(s *Server, n int) {
-	a := s.Adapter()
-	m := s.reg.Current()
-	for j := 0; j < n; j++ {
-		k := j % testbundle.Langs
-		vectors := make(map[int]*sparse.Vector)
-		scores := make(map[int][]float64)
-		for q := range m.Bundle.FrontEnds {
-			fe := &m.Bundle.FrontEnds[q]
-			v := testbundle.Vector(900 + uint64(j)*31).Clone()
-			if fe.TFLLR != nil {
-				fe.TFLLR.Apply(v)
-			}
-			vectors[q] = v
-			row := make([]float64, testbundle.Langs)
-			for i := range row {
-				row[i] = -0.25
-			}
-			row[k] = 0.25
-			scores[q] = row
-		}
-		a.Observe(vectors, scores)
-	}
-}
 
 func TestAdaptDisabledSurfaces(t *testing.T) {
 	dir := t.TempDir()
@@ -155,8 +62,8 @@ func TestAdaptRequiresSidecar(t *testing.T) {
 
 func TestAdaptPromoteAndRollbackEndpoints(t *testing.T) {
 	dir := t.TempDir()
-	b := writeAdaptBundle(t, dir, 42)
-	s := newTestServer(t, dir, func(c *Config) { c.Adapt = adaptTestPolicy })
+	b := testbundle.WriteAdapt(t, dir, testbundle.New(42), 42)
+	s := newTestServer(t, dir, func(c *Config) { c.Adapt = testbundle.AdaptPolicy })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -179,7 +86,7 @@ func TestAdaptPromoteAndRollbackEndpoints(t *testing.T) {
 	}
 
 	// A real promotion through the HTTP surface.
-	feedAdapter(s, 12)
+	testbundle.FeedAdapter(s.Adapter(), s.reg.Current().Bundle, 12)
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/-/adapt/promote", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote: status %d: %s", resp.StatusCode, body)
@@ -319,9 +226,9 @@ func TestReadyzBreakerOpen(t *testing.T) {
 // and the final state must be the promoted generation — run under -race.
 func TestConcurrentReloadRacesPromotion(t *testing.T) {
 	dir := t.TempDir()
-	writeAdaptBundle(t, dir, 44)
-	s := newTestServer(t, dir, func(c *Config) { c.Adapt = adaptTestPolicy })
-	feedAdapter(s, 12)
+	testbundle.WriteAdapt(t, dir, testbundle.New(44), 44)
+	s := newTestServer(t, dir, func(c *Config) { c.Adapt = testbundle.AdaptPolicy })
+	testbundle.FeedAdapter(s.Adapter(), s.reg.Current().Bundle, 12)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

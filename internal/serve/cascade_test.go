@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cascade"
@@ -360,5 +361,40 @@ func TestCascadeBadMarginRejectedAtStartup(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("New accepted a NaN cascade margin")
+	}
+}
+
+// TestCascadeMarginNamesMissingTier: a margin naming a tier the bundle's
+// cascade model lacks fails New with the policy check's message, and a
+// reload onto a model that lacks a named tier is refused while the
+// previous model keeps serving.
+func TestCascadeMarginNamesMissingTier(t *testing.T) {
+	dir := t.TempDir()
+	b := testbundle.WriteCascade(t, dir, 28)
+	_, err := New(Config{ModelDir: dir, Cascade: CascadeConfig{Enabled: true, Margin: "longg=0.2"}})
+	if err == nil || !strings.Contains(err.Error(), `unknown tier "longg"`) {
+		t.Fatalf("New with margin longg=0.2: %v", err)
+	}
+
+	s := newTestServer(t, dir, func(c *Config) {
+		c.Cascade = CascadeConfig{Enabled: true, Margin: "30s=0.2"}
+	})
+	renamed := testbundle.NewCascade(t, 29)
+	renamed.Cascade.Tiers[0].Name = "long"
+	if err := persist.SaveBundle(dir, renamed, persist.Manifest{Seed: 29, Scale: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().Reload(); err == nil || !strings.Contains(err.Error(), `unknown tier "30s"`) {
+		t.Fatalf("reload onto a model without tier 30s: %v", err)
+	}
+	if m := s.Registry().Current(); m.Version != 1 || m.Bundle.Cascade.Tiers[0].Name != "30s" {
+		t.Fatalf("after the refused reload: version %d, first tier %q", m.Version, m.Bundle.Cascade.Tiers[0].Name)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	seq := testbundle.CascSeq(rng.New(5), 0, 50, 0.8)
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", latticeRequestFor(b, "u", seq))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score after the refused reload: status %d: %s", resp.StatusCode, body)
 	}
 }

@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -35,6 +36,8 @@ import (
 // construction; requests capture the pointer at admission and keep using
 // it even if the registry swaps underneath them.
 type Model struct {
+	// Bundle is what the loading server's hold rule kept of the bundle
+	// (DESIGN.md, "What each role holds").
 	Bundle   *persist.Bundle
 	Manifest *persist.Manifest
 	// Version counts successful loads in this process (1-based), so
@@ -117,27 +120,63 @@ func (m *Model) ClusterGeneration() int64 {
 // are serialized; Current is a single atomic load on the hot path.
 type Registry struct {
 	dir     string
-	routing bool // NewRoutingRegistry
+	routing bool // Server.NewRoutingRegistry
+	// hold is the serving process's rule for what a loaded bundle must
+	// carry and what of it stays (Server.holdRule); nil keeps the whole
+	// bundle.
+	hold func(*persist.Bundle) error
 
 	mu  sync.Mutex // serializes Reload and Swap
 	gen int64
 	cur atomic.Pointer[Model]
 }
 
-// NewRegistry returns a registry that loads bundles from dir. No model is
-// loaded yet; call Reload.
+// NewRegistry returns a registry that loads whole bundles from dir. No
+// model is loaded yet; call Reload.
 func NewRegistry(dir string) *Registry {
 	return &Registry{dir: dir}
 }
 
-// NewRoutingRegistry returns a registry for a process that routes
+// NewRoutingRegistry returns the registry of a process that routes
 // requests and fuses score rows but scores no front-end itself (the fleet
-// coordinator). Each load keeps the verified bundle file open as the
-// model's Image, so those bytes can be sent on, and drops every
-// front-end's scoring weights (persist.Bundle.DropWeights). The caller
-// closes a model's Image once nothing uses it.
-func NewRoutingRegistry(dir string) *Registry {
-	return &Registry{dir: dir, routing: true}
+// coordinator), loading from s's ModelDir under s's hold rule. Each load
+// keeps the verified bundle file open as the model's Image, so those
+// bytes can be sent on, and drops every front-end's scoring weights. The
+// caller closes a model's Image once nothing uses it.
+func (s *Server) NewRoutingRegistry() *Registry {
+	return &Registry{dir: s.cfg.ModelDir, routing: true, hold: s.holdRule(true)}
+}
+
+// holdRule is what each bundle this server's process loads must carry
+// and what of it stays (DESIGN.md, "What each role holds"). It runs after
+// the load's own checks pass, on every reload. A cascade-enabled server
+// refuses a cascade model that lacks a tier the margin policy names, so
+// the previous model keeps serving. The cascade model stays only where it
+// is read: by a server that runs the cascade, or by one that promotes
+// adapted bundles (each candidate carries the serving cascade). A router
+// drops every front-end's scoring weights as well; its bundle then no
+// longer passes Validate and must not be scored.
+func (s *Server) holdRule(routing bool) func(*persist.Bundle) error {
+	cascadeOn := s.cfg.Cascade.Enabled
+	keepCascade := cascadeOn || (!routing && adaptOn(s.cfg.Adapt))
+	pol := s.cascadePolicy
+	return func(b *persist.Bundle) error {
+		if cascadeOn && b.Cascade != nil {
+			if err := pol.ValidateFor(b.Cascade); err != nil {
+				return fmt.Errorf("cascade margin: %w", err)
+			}
+		}
+		if !keepCascade {
+			b.Cascade = nil
+		}
+		if routing {
+			for i := range b.FrontEnds {
+				fe := &b.FrontEnds[i]
+				fe.TFLLR, fe.OVR, fe.Proj, fe.Quant = nil, nil, nil, nil
+			}
+		}
+		return nil
+	}
 }
 
 // Current returns the active model, or nil before the first successful
@@ -165,14 +204,17 @@ func (r *Registry) Reload() (*Model, error) {
 		b, m, info, img, err = persist.ResolveBundleImage(r.dir)
 		took = time.Since(t0)
 	}
+	if err == nil && r.hold != nil {
+		if err = r.hold(b); err != nil {
+			img.Close()
+		}
+	}
 	if err != nil {
 		obs.Inc("serve.model.reload_errors")
 		return nil, err
 	}
 	verifyWait := img.VerifyWait()
-	if r.routing {
-		b.DropWeights()
-	} else {
+	if !r.routing {
 		img.Close()
 		img = nil
 	}

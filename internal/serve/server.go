@@ -141,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = s.cfg
 	s.role = (*standalone)(s)
-	s.reg = NewRegistry(cfg.ModelDir)
+	s.reg = &Registry{dir: cfg.ModelDir, hold: s.holdRule(false)}
 	if _, err := s.reg.Reload(); err != nil && !cfg.WaitForModel {
 		return nil, fmt.Errorf("serve: initial model load: %w", err)
 	}
@@ -748,7 +748,9 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 // handleTracez dumps the bounded trace buffer: recent requests, the
 // slowest retained, and the degraded/errored exemplars (always kept).
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.traces.Snapshot())
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	s.traces.WriteJSON(w)
 }
 
 // adminPost gates the mutating admin endpoints: POST only, not while

@@ -67,17 +67,6 @@ func TestMatrixRowMutationShared(t *testing.T) {
 	}
 }
 
-func TestMatrixRowsAccessor(t *testing.T) {
-	boxed := randBoxedVectors(rng.New(3), 10, 500, 20)
-	m := MatrixFromRows(boxed)
-	rows := m.Rows()
-	for i := range rows {
-		if rows[i] != m.Row(i) {
-			t.Fatalf("Rows()[%d] is not the canonical view", i)
-		}
-	}
-}
-
 // CSR-vs-boxed dot kernel benchmarks: same arithmetic, different memory
 // layout — the CSR pass streams one contiguous arena.
 
@@ -126,16 +115,3 @@ var sinkFloat float64
 
 // NumRows returns the number of rows.
 func (m *Matrix) NumRows() int { return len(m.rows) }
-
-// Linked by no binary: it stays here only as long as the tests that
-// check it.
-
-// Rows returns views of every row in order (one header-slice allocation;
-// the data is not copied).
-func (m *Matrix) Rows() []*Vector {
-	out := make([]*Vector, len(m.rows))
-	for i := range m.rows {
-		out[i] = &m.rows[i]
-	}
-	return out
-}

@@ -104,37 +104,6 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestAddMatchesDense(t *testing.T) {
-	r := rng.New(2)
-	f := func(seed uint16) bool {
-		rr := r.Split(uint64(seed))
-		n := 40
-		da := make([]float64, n)
-		db := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if rr.Bernoulli(0.4) {
-				da[i] = float64(rr.Intn(5) - 2)
-			}
-			if rr.Bernoulli(0.4) {
-				db[i] = float64(rr.Intn(5) - 2)
-			}
-		}
-		sum := Add(FromDense(da), FromDense(db))
-		if err := sum.Validate(); err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if sum.At(int32(i)) != da[i]+db[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNormSumScale(t *testing.T) {
 	v := FromDense([]float64{3, 0, 4})
 	if v.Norm2() != 5 {
@@ -211,34 +180,4 @@ func TestString(t *testing.T) {
 	if len(s) == 0 {
 		t.Fatal("String of large vector empty")
 	}
-}
-
-// Linked by no binary: it stays here only as long as the tests that
-// check it.
-
-// Add returns a + b as a new sparse vector.
-func Add(a, b *Vector) *Vector {
-	out := New(len(a.Idx) + len(b.Idx))
-	i, j := 0, 0
-	for i < len(a.Idx) || j < len(b.Idx) {
-		switch {
-		case j >= len(b.Idx) || (i < len(a.Idx) && a.Idx[i] < b.Idx[j]):
-			out.Idx = append(out.Idx, a.Idx[i])
-			out.Val = append(out.Val, a.Val[i])
-			i++
-		case i >= len(a.Idx) || b.Idx[j] < a.Idx[i]:
-			out.Idx = append(out.Idx, b.Idx[j])
-			out.Val = append(out.Val, b.Val[j])
-			j++
-		default:
-			s := a.Val[i] + b.Val[j]
-			if s != 0 {
-				out.Idx = append(out.Idx, a.Idx[i])
-				out.Val = append(out.Val, s)
-			}
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/cascade"
 	"repro/internal/fusion"
 	"repro/internal/ngram"
@@ -88,6 +89,12 @@ func Write(t testing.TB, dir string, seed uint64) *persist.Bundle {
 // exit) and near-uniform sequences a low one (escalation).
 func WriteCascade(t testing.TB, dir string, seed uint64) *persist.Bundle {
 	t.Helper()
+	return save(t, dir, NewCascade(t, seed), seed)
+}
+
+// NewCascade is New(seed) plus WriteCascade's tier-1 model.
+func NewCascade(t testing.TB, seed uint64) *persist.Bundle {
+	t.Helper()
 	b := New(seed)
 	r := rng.New(seed ^ 0xca5c)
 	train := make([][][]int, Langs)
@@ -106,7 +113,7 @@ func WriteCascade(t testing.TB, dir string, seed uint64) *persist.Bundle {
 		t.Fatal(err)
 	}
 	b.Cascade = m
-	return save(t, dir, b, seed)
+	return b
 }
 
 func save(t testing.TB, dir string, b *persist.Bundle, seed uint64) *persist.Bundle {
@@ -203,4 +210,95 @@ func MaskedFused(b *persist.Bundle, scores map[string][]float64) []float64 {
 		fused[k] = b.Fusion.ScoreMasked(x, present)[1]
 	}
 	return fused
+}
+
+// AdaptPolicy is an adapt policy spec permissive on every gate, for
+// tests of the serving-layer wiring (endpoints, hot swap, readiness)
+// rather than the gate thresholds, which internal/adapt's own suite
+// covers.
+const AdaptPolicy = "cadence=1h;probe=1h;votes=1;min-utts=1;buffer=64;" +
+	"shadow-rate=1;shadow-bound=1e6;eer-budget=100;canary-tol=1e6;keep=4"
+
+// WriteAdapt saves b, a fixture bundle trained for seed, into dir with a
+// matching adapt sidecar, the layout `lre -export-models` produces, and
+// returns b.
+func WriteAdapt(t testing.TB, dir string, b *persist.Bundle, seed uint64) *persist.Bundle {
+	t.Helper()
+	const (
+		nTrain   = 18
+		nHoldout = 12
+	)
+	set := &adapt.Set{
+		FormatVersion: adapt.SetFormatVersion,
+		Languages:     append([]string(nil), b.Languages...),
+		SVM:           svm.DefaultOptions(),
+		Seed:          seed,
+	}
+	set.SVM.Seed = seed
+	for i := 0; i < nTrain; i++ {
+		set.TrainLabels = append(set.TrainLabels, i%Langs)
+	}
+	for i := 0; i < nHoldout; i++ {
+		set.HoldoutLabels = append(set.HoldoutLabels, i%Langs)
+	}
+	for q := range b.FrontEnds {
+		fe := &b.FrontEnds[q]
+		// Sidecar vectors live in the front-end's weight space: raw
+		// fixture vectors with the bundle's own TFLLR applied.
+		weightSpace := func(n int, salt uint64) []*sparse.Vector {
+			out := make([]*sparse.Vector, n)
+			for i := range out {
+				v := Vector(seed + salt + uint64(i)*17).Clone()
+				if fe.TFLLR != nil {
+					fe.TFLLR.Apply(v)
+				}
+				out[i] = v
+			}
+			return out
+		}
+		sfe := adapt.SetFrontEnd{
+			Name:    fe.Name,
+			Dim:     fe.WeightDim(),
+			Train:   weightSpace(nTrain, 1000),
+			Holdout: weightSpace(nHoldout, 5000),
+		}
+		for j := 0; j < nHoldout; j++ {
+			sfe.RefereeScores = append(sfe.RefereeScores, fe.Scores(sfe.Holdout[j]))
+		}
+		set.FrontEnds = append(set.FrontEnds, sfe)
+	}
+	if err := adapt.SaveSet(dir, set); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: seed, Scale: "test", AdaptFile: adapt.SetFile}); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FeedAdapter offers a, adapting the serving bundle b, n full-battery
+// observations with forged served rows (one small positive, rest
+// negative — an unambiguous Eq. 13 vote that does not saturate the fused
+// scale).
+func FeedAdapter(a *adapt.Adapter, b *persist.Bundle, n int) {
+	for j := 0; j < n; j++ {
+		k := j % Langs
+		vectors := make(map[int]*sparse.Vector)
+		scores := make(map[int][]float64)
+		for q := range b.FrontEnds {
+			fe := &b.FrontEnds[q]
+			v := Vector(900 + uint64(j)*31).Clone()
+			if fe.TFLLR != nil {
+				fe.TFLLR.Apply(v)
+			}
+			vectors[q] = v
+			row := make([]float64, Langs)
+			for i := range row {
+				row[i] = -0.25
+			}
+			row[k] = 0.25
+			scores[q] = row
+		}
+		a.Observe(vectors, scores)
+	}
 }
