@@ -91,7 +91,7 @@ func main() {
 		pprofMem   = flag.String("pprof-mem", "", "write a heap profile at end of run to this path")
 		compEval   = flag.String("compress-eval", "", "run the rank × precision compression sweep (bundle size, fused ΔEER) and write the JSON report (BENCH_compress.json) to this path")
 		compRank   = flag.Int("compress-rank", 0, "with -export-models: export a compressed bundle at this projection rank (0 = uncompressed)")
-		compPrec   = flag.String("compress-precision", "int8", "with -compress-rank: packed basis/kernel precision: float64|float32|int8")
+		compPrec   = flag.String("compress-precision", "int8", "with -compress-rank: packed basis/kernel precision: float64|int8")
 		cascEval   = flag.String("cascade-eval", "", "train the tier-1 cascade, sweep thresholds, and write the exit-rate/accuracy/EER tradeoff curve JSON (BENCH_cascade.json) to this path")
 		ckDir      = flag.String("checkpoint-dir", "", "checkpoint directory: phase results are saved here and (with -resume) restored")
 		resume     = flag.Bool("resume", false, "resume from the newest intact generation in -checkpoint-dir (required when the dir already holds checkpoints)")

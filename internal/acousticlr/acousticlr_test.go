@@ -1,7 +1,6 @@
 package acousticlr
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -53,16 +52,6 @@ func TestSDCTooShort(t *testing.T) {
 	}
 	if got := ComputeSDC(cep, DefaultSDC()); len(got) != 0 {
 		t.Fatalf("short input produced %d frames", len(got))
-	}
-	if _, err := SDCFromCepstra(cep, DefaultSDC()); err == nil {
-		t.Fatal("SDCFromCepstra accepted too-short input")
-	}
-}
-
-func TestSDCValidatesCoefficients(t *testing.T) {
-	cep := [][]float64{{1, 2, 3}}
-	if _, err := SDCFromCepstra(cep, DefaultSDC()); err == nil {
-		t.Fatal("accepted cepstra narrower than N")
 	}
 }
 
@@ -204,37 +193,4 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(DefaultConfig(), [][][]float64{{}, {}}); err == nil {
 		t.Fatal("accepted no frames")
 	}
-}
-
-func TestFrameCount(t *testing.T) {
-	f := [][][]float64{{{1}}, {{1}, {2}}}
-	if FrameCount(f) != 3 {
-		t.Fatalf("FrameCount = %d", FrameCount(f))
-	}
-}
-
-// Linked by no binary: they stay here only as long as the tests that
-// check them.
-
-// FrameCount is a helper for sizing checks in callers.
-func FrameCount(framesPerLang [][][]float64) int {
-	n := 0
-	for _, f := range framesPerLang {
-		n += len(f)
-	}
-	return n
-}
-
-// SDCFromCepstra is a convenience wrapper when the caller already has
-// static cepstra: it validates dimensions before computing SDC.
-func SDCFromCepstra(cepstra [][]float64, cfg SDCConfig) ([][]float64, error) {
-	if len(cepstra) > 0 && len(cepstra[0]) < cfg.N {
-		return nil, fmt.Errorf("acousticlr: cepstra have %d coefficients, SDC needs %d",
-			len(cepstra[0]), cfg.N)
-	}
-	out := ComputeSDC(cepstra, cfg)
-	if len(out) == 0 {
-		return nil, fmt.Errorf("acousticlr: utterance too short for SDC context (%d frames)", len(cepstra))
-	}
-	return out, nil
 }

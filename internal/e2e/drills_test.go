@@ -462,9 +462,19 @@ func promHas(t *testing.T, prom string, patterns ...string) {
 // TestCompressSmoke: a rank-24 int8 bundle is ≥5× smaller than the plain
 // export, and a daemon serving it agrees with a plain daemon on the best
 // language and the top-3 set. The tail of the ranking may differ: int8
-// reorders near-tied languages, which is the measured ΔEER trade.
+// reorders near-tied languages, which is the measured ΔEER trade. A
+// precision lre does not export (the retired float32, or junk) fails
+// before the pipeline build, naming the two it does.
 func TestCompressSmoke(t *testing.T) {
 	setup(t)
+	for _, prec := range []string{"float32", "junk"} {
+		dir := t.TempDir()
+		_, stderr, err := runLre("-scale", "tiny", "-seed", "42", "-export-models", dir,
+			"-compress-rank", "24", "-compress-precision", prec)
+		if err == nil || !bytes.Contains(stderr, []byte("float64|int8")) || bytes.Contains(stderr, []byte("building pipeline")) {
+			t.Fatalf("-compress-precision %s: err %v, stderr:\n%s\nwant a nonzero exit naming float64|int8 before the pipeline build", prec, err, stderr)
+		}
+	}
 	compressed := t.TempDir()
 	if _, stderr, err := runLre("-scale", "tiny", "-seed", "42", "-export-models", compressed,
 		"-compress-rank", "24", "-compress-precision", "int8"); err != nil {

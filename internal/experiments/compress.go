@@ -9,7 +9,7 @@
 // deterministic) plus a rank-space OVR set retrained on the projected
 // training vectors. The projection basis, not the weights, then dominates
 // the footprint (r×dim vs 23×r), so the basis itself is stored at the
-// chosen precision — float64, float32, or symmetric per-direction int8 —
+// chosen precision — float64 or symmetric per-direction int8 —
 // and for int8 bundles the rank-space weights ship as a quantized kernel
 // (svm.Quantized) with the float64 set dropped.
 //
@@ -44,7 +44,7 @@ type CompressedSystem struct {
 	// serialized forms everything actually scores through.
 	Projs  []*proj.Projection
 	Packed []*proj.Packed
-	// OVRs holds the rank-space float models (float64/float32 points);
+	// OVRs holds the rank-space float64 models (float64 points);
 	// Quants the int8 kernels (int8 points). Exactly one is non-nil per
 	// front-end.
 	OVRs   []*svm.OneVsRest
@@ -165,8 +165,8 @@ func (p *Pipeline) compressWith(projs []*proj.Projection, rank int, prec svm.Pre
 			return
 		}
 		cs.OVRs[q] = ovr
-		cs.TestScores[q] = scoreMatrixAt(ovr, prec, testR)
-		cs.DevScores[q] = scoreMatrixAt(ovr, prec, devR)
+		cs.TestScores[q] = scoreMatrixAt(ovr, testR)
+		cs.DevScores[q] = scoreMatrixAt(ovr, devR)
 	})
 	for q, err := range errs {
 		if err != nil {
@@ -184,12 +184,10 @@ func scoreMatrixQuant(qk *svm.Quantized, xs []*sparse.Vector) [][]float64 {
 	return out
 }
 
-func scoreMatrixAt(o *svm.OneVsRest, prec svm.Precision, xs []*sparse.Vector) [][]float64 {
+func scoreMatrixAt(o *svm.OneVsRest, xs []*sparse.Vector) [][]float64 {
 	out := make([][]float64, len(xs))
 	for i, x := range xs {
-		row := make([]float64, o.NumClasses)
-		o.ScoresAtInto(prec, x, row)
-		out[i] = row
+		out[i] = o.Scores(x)
 	}
 	return out
 }
@@ -294,7 +292,7 @@ type CompressReport struct {
 // sweep grid.
 var (
 	DefaultCompressRanks      = []int{8, 16, 24, 32}
-	DefaultCompressPrecisions = []svm.Precision{svm.Float64, svm.Float32, svm.Int8}
+	DefaultCompressPrecisions = []svm.Precision{svm.Float64, svm.Int8}
 )
 
 func durKey(dur float64) string { return fmt.Sprintf("%gs", dur) }

@@ -18,7 +18,7 @@ import (
 func TestCompressTinyEndToEnd(t *testing.T) {
 	p := BuildPipeline(ScaleTiny, 5)
 	const rank = 4
-	for _, prec := range []svm.Precision{svm.Float64, svm.Float32, svm.Int8} {
+	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
 		t.Run(prec.String(), func(t *testing.T) {
 			cs, err := p.Compress(rank, prec)
 			if err != nil {

@@ -171,22 +171,9 @@ func TestCMVNEmptyAndConstant(t *testing.T) {
 	}
 }
 
-func TestFramesPerSecond(t *testing.T) {
-	e := NewExtractor(DefaultConfig())
-	if e.FramesPerSecond() != 100 {
-		t.Fatalf("FramesPerSecond = %v", e.FramesPerSecond())
-	}
-}
-
 func TestShortSignal(t *testing.T) {
 	e := NewExtractor(DefaultConfig())
 	if got := e.MFCC(make([]float64, 50)); len(got) != 0 {
 		t.Fatalf("sub-frame signal yielded %d frames", len(got))
 	}
 }
-
-// Linked by no binary: it stays here only as long as the tests that
-// check it.
-
-// FramesPerSecond returns the frame rate implied by the hop.
-func (e *Extractor) FramesPerSecond() float64 { return 1000 / e.cfg.FrameHopMs }

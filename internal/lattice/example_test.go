@@ -24,17 +24,3 @@ func ExampleFromSausage() {
 	// c(1,3)=0.70
 	// c(2,3)=0.30
 }
-
-// ExampleLattice_NBest extracts ranked hypotheses from a lattice.
-func ExampleLattice_NBest() {
-	l := lattice.FromSausage([]lattice.SausageSlot{
-		{{Phone: 1, Prob: 0.6}, {Phone: 2, Prob: 0.4}},
-		{{Phone: 3, Prob: 0.9}, {Phone: 4, Prob: 0.1}},
-	})
-	for _, p := range l.NBest(2) {
-		fmt.Println(p.Phones)
-	}
-	// Output:
-	// [1 3]
-	// [2 3]
-}

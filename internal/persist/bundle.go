@@ -41,7 +41,7 @@ type FrontEndModel struct {
 	TFLLR *ngram.TFLLR
 	// OVR holds the float64 one-vs-rest models. In a compressed int8
 	// bundle it is nil — Quant replaces it — and in a projected
-	// float64/float32 bundle its weights live in the rank-r space (so
+	// float64 bundle its weights live in the rank-r space (so
 	// they are tiny; the basis in Proj dominates). All three compression
 	// fields are gob-additive: bundles written before they existed decode
 	// with them nil and score exactly as they always did.
@@ -53,9 +53,9 @@ type FrontEndModel struct {
 	// Quant is the int8 quantized scoring kernel (precision "int8"); the
 	// bundle then ships no float64 weights for this front-end.
 	Quant *svm.Quantized
-	// Precision is the scoring precision ("" or "float64", "float32",
-	// "int8") the bundle was exported for; the serve layer dispatches the
-	// scoring kernel on it.
+	// Precision is the scoring precision ("" or "float64", "int8") the
+	// bundle was exported for; Validate checks it against the kernel the
+	// bundle carries.
 	Precision string
 }
 
@@ -87,19 +87,14 @@ func (fe *FrontEndModel) NumClasses() int {
 }
 
 // ScoresInto scores a supervector already in the front-end's weight
-// space (projected if Proj is set) against every language, dispatching
-// on the bundle's precision: the int8 kernel when Quant is present,
-// otherwise the float64/float32 OVR kernel. out must have
-// NumClasses elements.
+// space (projected if Proj is set) against every language: the int8
+// kernel when Quant is present, otherwise the float64 OVR kernel. out
+// must have NumClasses elements.
 func (fe *FrontEndModel) ScoresInto(x *sparse.Vector, out []float64) []float64 {
 	if fe.Quant != nil {
 		return fe.Quant.ScoresInto(x, out)
 	}
-	prec, err := svm.ParsePrecision(fe.Precision)
-	if err != nil {
-		prec = svm.Float64 // Validate rejects unknown precisions at load
-	}
-	return fe.OVR.ScoresAtInto(prec, x, out)
+	return fe.OVR.ScoresInto(x, out)
 }
 
 // Scores is ScoresInto with a fresh output row.
@@ -109,8 +104,8 @@ func (fe *FrontEndModel) Scores(x *sparse.Vector) []float64 {
 
 // PackedBytes reports the in-memory footprint of the front-end's
 // resident scoring weights (projection basis + weight kernel), for the
-// serve layer's model-footprint gauges. The OVR kernels score the
-// decoded float64 weights and biases in place, at either precision.
+// serve layer's model-footprint gauges. The OVR kernel scores the
+// decoded float64 weights and biases in place.
 func (fe *FrontEndModel) PackedBytes() int {
 	n := fe.Proj.Bytes()
 	if fe.Quant != nil {

@@ -1,6 +1,10 @@
 package persist
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -54,12 +58,43 @@ func compressFE(t *testing.T, fe FrontEndModel, probes []*sparse.Vector, rank in
 	return fe
 }
 
+// pinnedBundleSHA256 holds the SHA-256 of the sealed bundle.gob bytes
+// TestCompressedBundleRoundTrip writes: the plain seed-7 bundle and its
+// rank-6 float64 and int8 compressions. Every exported bundle's bytes,
+// gob type definitions included, are part of the format: a manifest and
+// every fleet push pin their SHA-256. A change to any of these hashes
+// must be deliberate, noted with the format change that caused it.
+var pinnedBundleSHA256 = map[string]string{
+	"plain":   "0dcb955d8b79db3ceeab7190c43d5e192113825fab9ef969f12b41bc570f95ef",
+	"float64": "fcdae0851950061e4f4d9c6073536c8f5a082155a2a0095f9bf1059b27ecbd06",
+	"int8":    "c8f4fadcc1eb9fd24d7701016892816bc9694200ccb318b4dff202bb6339d6f2",
+}
+
+// checkPinnedBytes hashes dir's sealed bundle file against the pin for
+// name.
+func checkPinnedBytes(t *testing.T, name, dir string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, defaultBundleFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != pinnedBundleSHA256[name] {
+		t.Errorf("%s bundle.gob SHA-256 is %s, pinned %s: the exported bytes changed", name, got, pinnedBundleSHA256[name])
+	}
+}
+
 func TestCompressedBundleRoundTrip(t *testing.T) {
 	b, probes := trainedBundle(t, 7)
 	dim := b.FrontEnds[0].SpaceDim()
 	const rank = 6
+	plain := t.TempDir()
+	if err := SaveBundle(plain, b, Manifest{Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	checkPinnedBytes(t, "plain", plain)
 
-	for _, prec := range []svm.Precision{svm.Float64, svm.Float32, svm.Int8} {
+	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
 		t.Run(prec.String(), func(t *testing.T) {
 			cb := &Bundle{Languages: b.Languages, Fusion: b.Fusion}
 			for i := range b.FrontEnds {
@@ -69,6 +104,7 @@ func TestCompressedBundleRoundTrip(t *testing.T) {
 			if err := SaveBundle(dir, cb, Manifest{Seed: 7}); err != nil {
 				t.Fatal(err)
 			}
+			checkPinnedBytes(t, prec.String(), dir)
 			lb, m, err := LoadBundle(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -101,17 +137,81 @@ func TestCompressedBundleRoundTrip(t *testing.T) {
 			// dimensions is gated by the internal/e2e compress drill and
 			// BENCH_compress.json.
 			if prec == svm.Int8 {
-				udir := t.TempDir()
-				if err := SaveBundle(udir, b, Manifest{Seed: 7}); err != nil {
-					t.Fatal(err)
-				}
 				cs := bundleSize(t, dir)
-				us := bundleSize(t, udir)
+				us := bundleSize(t, plain)
 				if cs >= us {
 					t.Fatalf("int8 bundle is %d bytes vs %d uncompressed: expected smaller", cs, us)
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredFloat32BundleRefused hand-builds a bundle the way the
+// retired float32 export wrote it — front-end precision "float32", the
+// basis in Packed.F32, rank-space float64 weights — and seals it with a
+// matching manifest. A load and a fleet push refuse it with the
+// re-export command, and the refusal comes at Validate: after the
+// footer, the SHA-256 and the decode, before the manifest's geometry.
+func TestRetiredFloat32BundleRefused(t *testing.T) {
+	b, probes := trainedBundle(t, 7)
+	cb := &Bundle{Languages: b.Languages, Fusion: b.Fusion}
+	for i := range b.FrontEnds {
+		fe := compressFE(t, b.FrontEnds[i], probes, 6, svm.Float64)
+		pk := *fe.Proj
+		pk.Precision, pk.F32, pk.F64 = "float32", make([]float32, len(pk.F64)), nil
+		for j, w := range fe.Proj.F64 {
+			pk.F32[j] = float32(w)
+		}
+		fe.Proj, fe.Precision = &pk, "float32"
+		cb.FrontEnds = append(cb.FrontEnds, fe)
+	}
+	image, err := MarshalSealed(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(image)
+	seal := func(t *testing.T, doctor func(*Manifest)) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, defaultBundleFile), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := Manifest{FormatVersion: BundleFormatVersion, BundleFile: defaultBundleFile, Seed: 7}
+		m.stampContents(cb)
+		doctor(&m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	const want = "lre -compress-precision float64|int8"
+	pinned := func(m *Manifest) { m.BundleSHA256 = hex.EncodeToString(sum[:]) }
+
+	dir := seal(t, pinned)
+	if _, _, err := LoadBundle(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("float32 bundle load: err=%v, want the re-export message", err)
+	}
+	if _, err := UnsealBundle(bytes.NewReader(image), int64(len(image)), Manifest{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("float32 bundle push: err=%v, want the re-export message", err)
+	}
+	// The SHA-256 check comes first: a manifest pinning other bytes is
+	// corruption, whatever the bundle holds.
+	dir = seal(t, func(m *Manifest) { m.BundleSHA256 = strings.Repeat("0", 64) })
+	if _, _, err := LoadBundle(dir); !errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), want) {
+		t.Fatalf("float32 bundle under a wrong SHA-256: err=%v, want the SHA-256 mismatch", err)
+	}
+	// The geometry check comes after: a manifest recording another rank
+	// still gets the re-export message.
+	dir = seal(t, func(m *Manifest) {
+		pinned(m)
+		m.FrontEndDims[0].Rank = 9
+	})
+	if _, _, err := LoadBundle(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("float32 bundle under a doctored geometry: err=%v, want the re-export message", err)
 	}
 }
 

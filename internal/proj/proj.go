@@ -332,13 +332,6 @@ func (p *Projection) Pack(prec svm.Precision) (*Packed, error) {
 				pk.F64[j*p.Rank+d] = p.Basis[d*p.Dim+j]
 			}
 		}
-	case svm.Float32:
-		pk.F32 = make([]float32, len(p.Basis))
-		for d := 0; d < p.Rank; d++ {
-			for j := 0; j < p.Dim; j++ {
-				pk.F32[j*p.Rank+d] = float32(p.Basis[d*p.Dim+j])
-			}
-		}
 	case svm.Int8:
 		pk.Q8 = make([]byte, len(p.Basis))
 		pk.Scale = make([]float64, p.Rank)
@@ -370,7 +363,7 @@ func (p *Projection) Pack(prec svm.Precision) (*Packed, error) {
 
 // Packed is the persisted, serve-time form of a projection: the basis in
 // column-major (feature-major) layout at one precision. Exactly one of
-// F64/F32/Q8 is populated, matching Precision. Q8 is byte-encoded int8
+// F64/Q8 is populated, matching Precision. Q8 is byte-encoded int8
 // (gob stores byte slices at one byte per element — the reason a rank-32
 // int8 basis is ~9× smaller than its float64 form on disk) with a
 // per-direction symmetric dequantization scale.
@@ -379,8 +372,12 @@ type Packed struct {
 	Rank      int
 	Precision string
 	F64       []float64
-	F32       []float32
-	Q8        []byte
+	// F32 is always empty (Validate rejects it). It stays because
+	// encoding/gob writes the definition of every reachable type into
+	// the stream, even when Proj is nil: removing it would change every
+	// exported bundle's bytes.
+	F32 []float32
+	Q8  []byte
 	// Scale[d] dequantizes direction d of Q8 (int8 precision only).
 	Scale []float64
 }
@@ -404,10 +401,6 @@ func (pk *Packed) Validate() error {
 	case svm.Float64:
 		if len(pk.F64) != want || len(pk.F32) != 0 || len(pk.Q8) != 0 {
 			return fmt.Errorf("proj: float64 packed projection holds %d weights, want %d", len(pk.F64), want)
-		}
-	case svm.Float32:
-		if len(pk.F32) != want || len(pk.F64) != 0 || len(pk.Q8) != 0 {
-			return fmt.Errorf("proj: float32 packed projection holds %d weights, want %d", len(pk.F32), want)
 		}
 	case svm.Int8:
 		if len(pk.Q8) != want || len(pk.F64) != 0 || len(pk.F32) != 0 {
@@ -447,18 +440,6 @@ func (pk *Packed) ApplyInto(x *sparse.Vector, out []float64) {
 				out[d] += xv * w
 			}
 		}
-	case pk.F32 != nil:
-		for k, i := range x.Idx {
-			j := int(i)
-			if j >= pk.Dim {
-				break
-			}
-			xv := val[k]
-			col := pk.F32[j*R : j*R+R]
-			for d, w := range col {
-				out[d] += xv * float64(w)
-			}
-		}
 	default:
 		for k, i := range x.Idx {
 			j := int(i)
@@ -489,5 +470,5 @@ func (pk *Packed) Bytes() int {
 	if pk == nil {
 		return 0
 	}
-	return len(pk.F64)*8 + len(pk.F32)*4 + len(pk.Q8) + len(pk.Scale)*8
+	return len(pk.F64)*8 + len(pk.Q8) + len(pk.Scale)*8
 }

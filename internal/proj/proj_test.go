@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -318,7 +319,7 @@ func TestPackedMatchesFloat64(t *testing.T) {
 	}
 	oracle := make([]float64, k)
 	got := make([]float64, k)
-	for _, prec := range []svm.Precision{svm.Float64, svm.Float32, svm.Int8} {
+	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
 		pk, err := p.Pack(prec)
 		if err != nil {
 			t.Fatalf("%v: %v", prec, err)
@@ -335,13 +336,8 @@ func TestPackedMatchesFloat64(t *testing.T) {
 					scale = a
 				}
 			}
-			tol := 0.0 // float64 pack reorders additions: allow tiny slack
-			switch prec {
-			case svm.Float64:
-				tol = 1e-12 * scale
-			case svm.Float32:
-				tol = 1e-6 * scale
-			case svm.Int8:
+			tol := 1e-12 * scale // float64 pack reorders additions: allow tiny slack
+			if prec == svm.Int8 {
 				tol = 0.02 * scale // 1/127 per-component step, accumulated
 			}
 			for d := range oracle {
@@ -415,10 +411,22 @@ func TestPackedValidateRejects(t *testing.T) {
 	pk = fresh()
 	pk.F32 = make([]float32, 4)
 	cases["mixed precisions"] = pk
+	pk, err := p.Pack(svm.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk.F32 = make([]float32, 4)
+	cases["float64 with float32 weights"] = pk
 	for name, bad := range cases {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a corrupt projection", name)
 		}
+	}
+	// A basis the retired float32 rung packed is refused with the
+	// re-export command.
+	retired := &Packed{Dim: p.Dim, Rank: p.Rank, Precision: "float32", F32: make([]float32, p.Dim*p.Rank)}
+	if err := retired.Validate(); err == nil || !strings.Contains(err.Error(), "lre -compress-precision float64|int8") {
+		t.Errorf("float32 packed projection: Validate returned %v, want the re-export message", err)
 	}
 	var nilPk *Packed
 	if err := nilPk.Validate(); err != nil {

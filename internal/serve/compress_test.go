@@ -104,7 +104,7 @@ func expectedCompressedScores(b *persist.Bundle, raw *sparse.Vector) map[string]
 // precision-dispatched kernel, exactly once each.
 func TestServeCompressedBundleEndToEnd(t *testing.T) {
 	const rank = 6
-	for _, prec := range []svm.Precision{svm.Float64, svm.Float32, svm.Int8} {
+	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
 		t.Run(prec.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			b := compressTestBundle(t, 21, rank, prec)

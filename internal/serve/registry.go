@@ -289,12 +289,8 @@ func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
 const defaultBundleFileName = "bundle.gob"
 
 func precisionBits(p string) int {
-	switch p {
-	case "float32":
-		return 32
-	case "int8":
+	if p == "int8" {
 		return 8
-	default:
-		return 64
 	}
+	return 64
 }

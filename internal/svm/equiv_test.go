@@ -221,8 +221,8 @@ func TestScoreAllMatchesScores(t *testing.T) {
 
 func TestScoresHeterogeneousModelsFallback(t *testing.T) {
 	// Hand-assembled OVR with mismatched weight lengths must fall back to
-	// per-model scoring, at either precision, rather than take the grouped
-	// kernel; so must a battery with a nil model, and an empty one.
+	// per-model scoring rather than take the grouped kernel; so must a
+	// battery with a nil model, and an empty one.
 	w := func(n int) []float64 {
 		v := make([]float64, n)
 		for j := range v {
@@ -240,13 +240,11 @@ func TestScoresHeterogeneousModelsFallback(t *testing.T) {
 	ref := newFrozenPacked(o)
 	got := make([]float64, 5)
 	frozen := make([]float64, 5)
-	for _, prec := range []Precision{Float64, Float32} {
-		o.ScoresAtInto(prec, x, got)
-		ref.ScoresAtInto(prec, x, frozen)
-		for k, m := range o.Models {
-			if want := m.Score(x); got[k] != want || frozen[k] != want {
-				t.Fatalf("%v class %d: fallback %v, frozen %v, per-model %v", prec, k, got[k], frozen[k], want)
-			}
+	o.ScoresInto(x, got)
+	ref.ScoresInto(x, frozen)
+	for k, m := range o.Models {
+		if want := m.Score(x); got[k] != want || frozen[k] != want {
+			t.Fatalf("class %d: fallback %v, frozen %v, per-model %v", k, got[k], frozen[k], want)
 		}
 	}
 	for _, nilAt := range []int{0, 2} {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// Frozen referees: the feature-major packed scoring kernels and the
+// Frozen referees: the feature-major packed scoring kernel and the
 // packed-reading Quantize that the class-grouped kernel replaced, copied
 // verbatim onto a stand-alone type (only the receiver changed). The
 // grouped kernel and the row-major Quantize must reproduce them bit for
@@ -23,9 +23,6 @@ type frozenPacked struct {
 	packedBias []float64
 	packedDim  int
 	packOK     bool
-
-	pack32Once sync.Once
-	packedF32  []float32
 }
 
 func newFrozenPacked(o *OneVsRest) *frozenPacked {
@@ -81,48 +78,6 @@ func (o *frozenPacked) ScoresInto(x *sparse.Vector, out []float64) []float64 {
 		row := o.packed[j*K : j*K+K]
 		for c, w := range row {
 			out[c] += xv * w
-		}
-	}
-	for c := range out {
-		out[c] += o.packedBias[c]
-	}
-	return out
-}
-
-func (o *frozenPacked) pack32() {
-	o.packOnce.Do(o.pack) // reuse the homogeneity check + float64 layout
-	if !o.packOK {
-		return
-	}
-	f32 := make([]float32, len(o.packed))
-	for i, w := range o.packed {
-		f32[i] = float32(w)
-	}
-	o.packedF32 = f32
-}
-
-func (o *frozenPacked) ScoresAtInto(prec Precision, x *sparse.Vector, out []float64) []float64 {
-	if prec != Float32 {
-		return o.ScoresInto(x, out)
-	}
-	o.pack32Once.Do(o.pack32)
-	if o.packedF32 == nil {
-		return o.ScoresInto(x, out)
-	}
-	K := o.NumClasses
-	for c := range out {
-		out[c] = 0
-	}
-	val := x.Val[:len(x.Idx)]
-	for k, i := range x.Idx {
-		j := int(i)
-		if j >= o.packedDim {
-			break
-		}
-		xv := val[k]
-		row := o.packedF32[j*K : j*K+K]
-		for c, w := range row {
-			out[c] += xv * float64(w)
 		}
 	}
 	for c := range out {

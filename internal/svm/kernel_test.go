@@ -51,52 +51,32 @@ func rowPrefix(x *sparse.Vector, dim int) *sparse.Vector {
 	return x
 }
 
-// rounded32 is the battery with every weight rounded to float32: its
-// per-model Score is the float32 rung's per-model referee.
-func rounded32(o *OneVsRest) *OneVsRest {
-	r := &OneVsRest{NumClasses: o.NumClasses, Models: make([]*Model, len(o.Models))}
-	for c, m := range o.Models {
-		w := make([]float64, len(m.W))
-		for j, v := range m.W {
-			w[j] = float64(float32(v))
-		}
-		r.Models[c] = &Model{W: w, Bias: m.Bias}
-	}
-	return r
-}
-
-// checkRow scores x at both precisions with the grouped kernel and
-// requires the same bits as the frozen packed kernel and per-model Score,
-// both run on the row prefix the kernel accumulates.
-func checkRow(t testing.TB, label string, o, o32 *OneVsRest, ref *frozenPacked, dim int, x *sparse.Vector) {
+// checkRow scores x with the grouped kernel and requires the same bits
+// as the frozen packed kernel and per-model Score, both run on the row
+// prefix the kernel accumulates.
+func checkRow(t testing.TB, label string, o *OneVsRest, ref *frozenPacked, dim int, x *sparse.Vector) {
 	t.Helper()
 	K := len(o.Models)
 	got := make([]float64, K)
 	want := make([]float64, K)
 	p := rowPrefix(x, dim)
-	for _, prec := range []Precision{Float64, Float32} {
-		o.ScoresAtInto(prec, x, got)
-		ref.ScoresAtInto(prec, p, want)
-		per := o
-		if prec == Float32 {
-			per = o32
+	o.ScoresInto(x, got)
+	ref.ScoresInto(p, want)
+	for c := range got {
+		g := math.Float64bits(got[c])
+		if w := math.Float64bits(want[c]); g != w {
+			t.Fatalf("%s class %d: grouped %v, frozen packed %v", label, c, got[c], want[c])
 		}
-		for c := range got {
-			g := math.Float64bits(got[c])
-			if w := math.Float64bits(want[c]); g != w {
-				t.Fatalf("%s %v class %d: grouped %v, frozen packed %v", label, prec, c, got[c], want[c])
-			}
-			if s := per.Models[c].Score(p); g != math.Float64bits(s) {
-				t.Fatalf("%s %v class %d: grouped %v, per-model Score %v", label, prec, c, got[c], s)
-			}
+		if s := o.Models[c].Score(p); g != math.Float64bits(s) {
+			t.Fatalf("%s class %d: grouped %v, per-model Score %v", label, c, got[c], s)
 		}
 	}
 }
 
 // TestGroupedKernelMatchesFrozenReferees is the property test: random
 // batteries with every K mod 4 remainder, dims 1–5000 and densities
-// 0–100%, at both precisions, score bit-identically to the frozen packed
-// kernels and to per-model Score.
+// 0–100% score bit-identically to the frozen packed kernel and to
+// per-model Score.
 func TestGroupedKernelMatchesFrozenReferees(t *testing.T) {
 	root := rng.New(2024)
 	for _, K := range []int{1, 2, 3, 4, 5, 7, 8, 23, 24} {
@@ -107,7 +87,7 @@ func TestGroupedKernelMatchesFrozenReferees(t *testing.T) {
 				dim = 1
 			}
 			o := randOVR(r, K, dim)
-			o32, ref := rounded32(o), newFrozenPacked(o)
+			ref := newFrozenPacked(o)
 			for v := 0; v < 6; v++ {
 				density := r.Float64()
 				switch v {
@@ -121,7 +101,7 @@ func TestGroupedKernelMatchesFrozenReferees(t *testing.T) {
 					x.Idx = append(x.Idx, int32(dim), int32(dim+7))
 					x.Val = append(x.Val, 1, -2)
 				}
-				checkRow(t, fmt.Sprintf("K=%d dim=%d density=%.2f", K, dim, density), o, o32, ref, dim, x)
+				checkRow(t, fmt.Sprintf("K=%d dim=%d density=%.2f", K, dim, density), o, ref, dim, x)
 			}
 		}
 	}
@@ -147,18 +127,17 @@ func TestScoresIntoRowEnds(t *testing.T) {
 	root := rng.New(7)
 	for _, K := range []int{1, 6, 23} {
 		o := randOVR(root.Split(uint64(K)), K, dim)
-		o32, ref := rounded32(o), newFrozenPacked(o)
+		ref := newFrozenPacked(o)
 		for name, x := range cases {
-			checkRow(t, fmt.Sprintf("%s K=%d", name, K), o, o32, ref, dim, x)
+			checkRow(t, fmt.Sprintf("%s K=%d", name, K), o, ref, dim, x)
 		}
 	}
 }
 
 // TestFirstScoreAllocatesNoWeightCopy is the no-copy gate: on a fresh
-// serving-sized battery the first score at either precision allocates
-// nothing (the packed kernels built a 0.75 MiB feature-major copy, plus
-// a 0.37 MiB float32 one, on first use), and later scores stay
-// allocation-free. TotalAlloc is process-wide, so a runtime goroutine
+// serving-sized battery the first score allocates nothing (the packed
+// kernel built a 0.75 MiB feature-major copy on first use), and later
+// scores stay allocation-free. TotalAlloc is process-wide, so a runtime goroutine
 // allocating inside the window can spoil one reading; a weight copy
 // would show on every fresh battery, so the gate takes the best of three.
 func TestFirstScoreAllocatesNoWeightCopy(t *testing.T) {
@@ -166,39 +145,31 @@ func TestFirstScoreAllocatesNoWeightCopy(t *testing.T) {
 	r := rng.New(11)
 	x := randRow(r, dim, 0.5)
 	out := make([]float64, K)
-	score := map[Precision]func(o *OneVsRest){
-		Float64: func(o *OneVsRest) { o.ScoresInto(x, out) },
-		Float32: func(o *OneVsRest) { o.ScoresAtInto(Float32, x, out) },
-	}
-	for _, prec := range []Precision{Float64, Float32} {
-		var deltas []uint64
-		for len(deltas) < 3 {
-			o := randOVR(r, K, dim)
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			score[prec](o)
-			runtime.ReadMemStats(&after)
-			if n := testing.AllocsPerRun(20, func() { score[prec](o) }); n != 0 {
-				t.Fatalf("%v: scoring allocates %v per run", prec, n)
-			}
-			d := after.TotalAlloc - before.TotalAlloc
-			if d < 1024 {
-				break
-			}
-			deltas = append(deltas, d)
+	var deltas []uint64
+	for len(deltas) < 3 {
+		o := randOVR(r, K, dim)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o.ScoresInto(x, out)
+		runtime.ReadMemStats(&after)
+		if n := testing.AllocsPerRun(20, func() { o.ScoresInto(x, out) }); n != 0 {
+			t.Fatalf("scoring allocates %v per run", n)
 		}
-		if len(deltas) == 3 {
-			t.Fatalf("%v: first score allocated %v bytes on three fresh batteries, want < 1 KiB", prec, deltas)
+		d := after.TotalAlloc - before.TotalAlloc
+		if d < 1024 {
+			return
 		}
+		deltas = append(deltas, d)
 	}
+	t.Fatalf("first score allocated %v bytes on three fresh batteries, want < 1 KiB", deltas)
 }
 
 // FuzzScoresIntoMatchesPerModel scores arbitrary rows — unsorted,
 // repeated, negative and out-of-range indices — against batteries of 1
 // to 30 classes. The grouped kernel must not panic and must match the
 // frozen packed kernel and per-model Score, run on the row prefix it
-// accumulates, bit for bit at both precisions.
+// accumulates, bit for bit.
 //
 // Each 4-byte chunk of row is one nonzero: byte 3 picks the index kind,
 // bytes 0–1 its magnitude, byte 2 the value.
@@ -227,18 +198,18 @@ func FuzzScoresIntoMatchesPerModel(f *testing.F) {
 			x.Idx = append(x.Idx, i)
 			x.Val = append(x.Val, float64(int8(row[2]))/16)
 		}
-		checkRow(t, fmt.Sprintf("K=%d dim=%d", K, dim), o, rounded32(o), newFrozenPacked(o), dim, x)
+		checkRow(t, fmt.Sprintf("K=%d dim=%d", K, dim), o, newFrozenPacked(o), dim, x)
 	})
 }
 
 // BenchmarkScoresInto times one row against a 23-class battery at the
-// serving front-ends' weight dims, ≈50% dense, for every precision rung;
-// the packed sub-benchmarks run the frozen feature-major kernel the float
-// rungs replaced (already packed) on the same row, and the int8 rung runs
-// Quantized.ScoresInto over the battery's quantized form.
+// serving front-ends' weight dims, ≈50% dense, for both precision rungs:
+// the packed sub-benchmark runs the frozen feature-major kernel the
+// float64 rung replaced (already packed) on the same row, and the int8
+// rung runs Quantized.ScoresInto over the battery's quantized form.
 func BenchmarkScoresInto(b *testing.B) {
 	const K = 23
-	for _, prec := range []Precision{Float64, Float32, Int8} {
+	for _, prec := range []Precision{Float64, Int8} {
 		for _, dim := range []int{1892, 4160} {
 			r := rng.New(uint64(dim))
 			o := randOVR(r, K, dim)
@@ -258,16 +229,16 @@ func BenchmarkScoresInto(b *testing.B) {
 				continue
 			}
 			ref := newFrozenPacked(o)
-			ref.ScoresAtInto(prec, x, out)
+			ref.ScoresInto(x, out)
 			b.Run(fmt.Sprintf("%v/dim=%d/grouped", prec, dim), func(b *testing.B) {
 				b.ReportAllocs()
 				for n := 0; n < b.N; n++ {
-					o.ScoresAtInto(prec, x, out)
+					o.ScoresInto(x, out)
 				}
 			})
 			b.Run(fmt.Sprintf("%v/dim=%d/packed", prec, dim), func(b *testing.B) {
 				for n := 0; n < b.N; n++ {
-					ref.ScoresAtInto(prec, x, out)
+					ref.ScoresInto(x, out)
 				}
 			})
 		}

@@ -12,10 +12,6 @@ import (
 //
 //	Float64 — the exact kernel. Scores are bit-identical to the
 //	          per-model path (the repo's referee suites pin this).
-//	Float32 — weights rounded to float32, accumulation still float64.
-//	          Scores agree with the float64 oracle within ~2⁻²⁴ relative
-//	          per term (see TestFloat32KernelULPBound for the documented
-//	          bound).
 //	Int8    — symmetric per-class int8 weights with a scale/zero-point
 //	          dequant epilogue (see Quantized). Scores are approximate;
 //	          the guarantee that replaces bit-identity is rank
@@ -24,7 +20,6 @@ type Precision int
 
 const (
 	Float64 Precision = iota
-	Float32
 	Int8
 )
 
@@ -33,8 +28,6 @@ func (p Precision) String() string {
 	switch p {
 	case Float64:
 		return "float64"
-	case Float32:
-		return "float32"
 	case Int8:
 		return "int8"
 	}
@@ -43,33 +36,19 @@ func (p Precision) String() string {
 
 // ParsePrecision parses the flag/manifest spelling. The empty string is
 // Float64: bundles written before the precision field existed carry no
-// value and must keep scoring exactly as they always did.
+// value and must keep scoring exactly as they always did. "float32" was
+// a rung once and is refused with the re-export command: the flag check,
+// a bundle load and a fleet push all report this one message.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "float64":
 		return Float64, nil
-	case "float32":
-		return Float32, nil
 	case "int8":
 		return Int8, nil
+	case "float32":
+		return Float64, fmt.Errorf("svm: precision \"float32\" is no longer served: re-export with lre -compress-precision float64|int8")
 	}
-	return Float64, fmt.Errorf("svm: unknown precision %q (want float64, float32, or int8)", s)
-}
-
-// ScoresAtInto writes the decision values of all class models for x into
-// out (length NumClasses) at the requested precision and returns it.
-// Float64 is exactly ScoresInto. Float32 runs the same grouped loop over
-// each weight rounded to float32 as it is read, with float64
-// accumulation — same addition chain, so the only deviation from the
-// oracle is the per-weight rounding, and no float32 copy is kept. Int8
-// is not served from the OneVsRest (the float64 weights may not even be
-// present in a compressed bundle); callers hold a Quantized for that
-// rung.
-func (o *OneVsRest) ScoresAtInto(prec Precision, x *sparse.Vector, out []float64) []float64 {
-	if prec != Float32 {
-		return o.ScoresInto(x, out)
-	}
-	return scoresAt[float32](o, x, out)
+	return Float64, fmt.Errorf("svm: unknown precision %q (want float64|int8)", s)
 }
 
 // Quantized is the int8 rung of the precision ladder: the one-vs-rest

@@ -31,53 +31,6 @@ func quantFixture(t testing.TB, n, dim, K int) (*OneVsRest, []*sparse.Vector) {
 	return TrainOVR(xs, labels, K, dim, opt), xs
 }
 
-// TestFloat32KernelULPBound pins the float32 packed kernel against the
-// float64 oracle. The only deviation the float32 rung introduces is
-// rounding each weight once to float32 (≤ 2⁻²⁴ relative per weight);
-// accumulation stays float64 with the same addition chain, so the
-// documented bound is Σ|xⱼ·wⱼ| · 2⁻²⁴ per class plus accumulation slack —
-// checked here with a 4× safety factor.
-func TestFloat32KernelULPBound(t *testing.T) {
-	const n, dim, K = 40, 200, 7
-	o, xs := quantFixture(t, n, dim, K)
-	oracle := make([]float64, K)
-	got := make([]float64, K)
-	for _, x := range xs {
-		o.ScoresInto(x, oracle)
-		o.ScoresAtInto(Float32, x, got)
-		// Magnitude sum bounds the rounding error accumulation.
-		var mag float64
-		for k, i := range x.Idx {
-			for c := 0; c < K; c++ {
-				mag += math.Abs(x.Val[k] * o.Models[c].W[i])
-			}
-		}
-		bound := 4 * mag * math.Exp2(-24)
-		for c := range oracle {
-			if d := math.Abs(got[c] - oracle[c]); d > bound {
-				t.Fatalf("class %d: float32 kernel off by %v, documented bound %v", c, d, bound)
-			}
-		}
-	}
-}
-
-// TestScoresAtFloat64IsExact pins the Float64 rung to the exact kernel:
-// same function, bit-identical values.
-func TestScoresAtFloat64IsExact(t *testing.T) {
-	o, xs := quantFixture(t, 20, 80, 5)
-	a := make([]float64, 5)
-	b := make([]float64, 5)
-	for _, x := range xs {
-		o.ScoresInto(x, a)
-		o.ScoresAtInto(Float64, x, b)
-		for c := range a {
-			if a[c] != b[c] {
-				t.Fatalf("Float64 rung is not bit-identical: %v vs %v", a[c], b[c])
-			}
-		}
-	}
-}
-
 // TestQuantizedMatchesDequantizedOracle pins the int8 kernel's dequant
 // epilogue against scoring the explicitly dequantized float64 models:
 // identical weights, so the only difference is reassociating the scale
@@ -220,10 +173,6 @@ func TestQuantizedScoresIntoAllocFree(t *testing.T) {
 	x := xs[0]
 	if n := testing.AllocsPerRun(100, func() { q.ScoresInto(x, out) }); n != 0 {
 		t.Fatalf("quantized ScoresInto allocates %v per run, want 0", n)
-	}
-	// The float32 rung shares the gate.
-	if n := testing.AllocsPerRun(100, func() { o.ScoresAtInto(Float32, x, out) }); n != 0 {
-		t.Fatalf("float32 ScoresAtInto allocates %v per run, want 0", n)
 	}
 }
 

@@ -277,22 +277,15 @@ func (o *OneVsRest) weightDim() (dim int, ok bool) {
 }
 
 // ScoresInto writes the decision values of all class models for x into
-// out (length NumClasses) and returns it. The kernel scores straight
-// from the row-major Models[c].W (see scoresAt); per class this is the
-// same addition chain — same index order, same w·x then +bias — as
-// Model.Score, so values are bit-identical to the per-model path.
+// out (length NumClasses) and returns it. This is the class-grouped
+// kernel, scoring straight from the row-major Models[c].W: classes go
+// four at a time, each with its own register accumulator, so one pass
+// over x's nonzeros serves four weight rows; a tail loop covers K mod 4.
+// Every accumulator starts at 0, adds v·w[j] in nonzero order and adds
+// the bias last — per class the same addition chain as Model.Score, so
+// values are bit-identical to the per-model path. A battery that is not
+// homogeneous scores model by model instead.
 func (o *OneVsRest) ScoresInto(x *sparse.Vector, out []float64) []float64 {
-	return scoresAt[float64](o, x, out)
-}
-
-// scoresAt is the class-grouped kernel, reading each weight through T
-// (float64: exact; float32: the float32 rung, rounded as it is read, so
-// no weight copy is ever built). Classes go four at a time, each with
-// its own register accumulator, so one pass over x's nonzeros serves
-// four weight rows; a tail loop covers K mod 4. Every accumulator starts
-// at 0, adds v·w[j] in nonzero order and adds the bias last. A battery
-// that is not homogeneous scores model by model instead.
-func scoresAt[T float32 | float64](o *OneVsRest, x *sparse.Vector, out []float64) []float64 {
 	dim, ok := o.weightDim()
 	if !ok {
 		for k, m := range o.Models {
@@ -314,7 +307,7 @@ func scoresAt[T float32 | float64](o *OneVsRest, x *sparse.Vector, out []float64
 	c := 0
 	for ; c+3 < len(o.Models); c += 4 {
 		m, dst := o.Models[c:c+4:c+4], out[c:c+4:c+4]
-		s0, s1, s2, s3 := dot4[T](idx, val, m[0].W, m[1].W, m[2].W, m[3].W)
+		s0, s1, s2, s3 := dot4(idx, val, m[0].W, m[1].W, m[2].W, m[3].W)
 		dst[0] = s0 + m[0].Bias
 		dst[1] = s1 + m[1].Bias
 		dst[2] = s2 + m[2].Bias
@@ -324,28 +317,28 @@ func scoresAt[T float32 | float64](o *OneVsRest, x *sparse.Vector, out []float64
 		w := o.Models[c].W
 		var s float64
 		for k, i := range idx {
-			s += val[k] * float64(T(w[i]))
+			s += val[k] * w[i]
 		}
 		out[c] = s + o.Models[c].Bias
 	}
 	return out
 }
 
-// dot4 is scoresAt's four-class pass over nonzeros already cut to
+// dot4 is ScoresInto's four-class pass over nonzeros already cut to
 // [0, len(w0)); the weight rows share that length. It is kept out of
 // line so the register allocator sees only the loop (inlined, the loop
 // index spills to the stack).
 //
 //go:noinline
-func dot4[T float32 | float64](idx []int32, val, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
+func dot4(idx []int32, val, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
 	val = val[:len(idx)]
 	w1, w2, w3 = w1[:len(w0)], w2[:len(w0)], w3[:len(w0)]
 	for k, i := range idx {
 		v := val[k]
-		s0 += v * float64(T(w0[i]))
-		s1 += v * float64(T(w1[i]))
-		s2 += v * float64(T(w2[i]))
-		s3 += v * float64(T(w3[i]))
+		s0 += v * w0[i]
+		s1 += v * w1[i]
+		s2 += v * w2[i]
+		s3 += v * w3[i]
 	}
 	return
 }
