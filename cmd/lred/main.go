@@ -53,9 +53,10 @@
 // and files the finished span tree — queue wait, batch formation,
 // per-front-end scoring, fusion — into the /tracez buffer. Degraded and
 // errored traces are always retained. -no-trace turns all of it off.
-// -access-log emits sampled JSON access-log lines (one object per line,
-// keyed by the same trace id; degraded/errored requests always log) to
-// stderr, stdout, or a file; -access-log-every N keeps every Nth line.
+// -access-log emits sampled JSON access-log lines (one per request, byte
+// for byte its /tracez record, an obs.TraceEntry; degraded/errored
+// requests always log) to stderr, stdout, or a file; -access-log-every N
+// keeps every Nth line.
 //
 // Batching is work-conserving: the dispatcher scores a request as soon
 // as it is admitted, together with whatever else queued while the

@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/cascade"
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/serve"
 )
@@ -546,6 +548,20 @@ func TestServeObsSmoke(t *testing.T) {
 	}
 	contains(t, "/tracez", d.get("/tracez"), `"exemplars":[`, `"degraded":true`, `"surviving":["RU"]`)
 	contains(t, "access log", readFile(t, accessLog), `"degraded":true`)
+
+	// Every logged line is byte for byte the /tracez record of its trace
+	// id, plus a newline.
+	recent := map[string]string{}
+	for _, rec := range decode[struct{ Recent []json.RawMessage }](t, []byte(d.get("/tracez"))).Recent {
+		recent[decode[obs.TraceEntry](t, rec).TraceID] = string(rec)
+	}
+	lines := strings.SplitAfter(readFile(t, accessLog), "\n")
+	for _, line := range lines[:len(lines)-1] {
+		id := decode[obs.TraceEntry](t, []byte(line)).TraceID
+		if rec, ok := recent[id]; !ok || line != rec+"\n" {
+			t.Fatalf("access log line for trace %s is not its /tracez record:\nline   %q\nrecord %q", id, line, rec)
+		}
+	}
 
 	if d.metrics().Windows == nil {
 		t.Fatal("JSON /metricsz lacks rolling windows")

@@ -198,18 +198,27 @@ func NewTraceBuffer(recentCap, slowestCap, exemplarCap int) *TraceBuffer {
 	return &TraceBuffer{recentCap: recentCap, slowCap: slowestCap, exCap: exemplarCap}
 }
 
-// Add files one finished trace. The buffer keeps e's JSON encoding, so a
-// later change to e does not reach /tracez. A trace that cannot be
-// encoded (a NaN attribute) is counted and not kept.
-func (tb *TraceBuffer) Add(e *TraceEntry) {
-	js, err := json.Marshal(e)
+// Add files one finished trace and returns the JSON it kept followed by
+// '\n', in one slice: the request's access-log line. The buffer keeps
+// e's encoding, so a later change to e does not reach /tracez. A trace
+// that cannot be encoded (a NaN attribute) is counted, not kept, and
+// Add returns nil. The caller must not modify the returned bytes: the
+// rings share them.
+func (tb *TraceBuffer) Add(e *TraceEntry) []byte {
+	line, err := json.Marshal(e)
+	if err == nil {
+		line = append(line, '\n')
+	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	tb.added++
 	if err != nil {
-		return
+		return nil
 	}
-	t := trace{json: js, dur: e.DurationSec}
+	// The record's capacity ends before the newline, so nothing appended
+	// to it can overwrite the line's last byte.
+	n := len(line) - 1
+	t := trace{json: line[:n:n], dur: e.DurationSec}
 	// Recent ring.
 	if len(tb.recent) < tb.recentCap {
 		tb.recent = append(tb.recent, t)
@@ -241,6 +250,7 @@ func (tb *TraceBuffer) Add(e *TraceEntry) {
 		}
 		tb.exNext = (tb.exNext + 1) % tb.exCap
 	}
+	return line
 }
 
 // WriteJSON writes the /tracez body: a TracezReport of the retained

@@ -293,7 +293,7 @@ func TestTraceBufferRetainedHeap(t *testing.T) {
 		t.Skip("heap measurement")
 	}
 	tb := NewTraceBuffer(0, 0, 0)
-	flat := retainedHeap(tb.Add)
+	flat := retainedHeap(func(e *TraceEntry) { tb.Add(e) })
 	runtime.KeepAlive(tb)
 	ref := newRefTraceBuffer(0, 0, 0)
 	trees := retainedHeap(ref.Add)

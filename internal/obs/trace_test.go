@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -85,12 +86,37 @@ func snapshot(t *testing.T, tb *TraceBuffer) *TracezReport {
 
 func TestTraceBufferRecentRing(t *testing.T) {
 	tb := NewTraceBuffer(4, 2, 4)
+	var lines [][]byte
 	for i := 0; i < 10; i++ {
-		tb.Add(entry(fmt.Sprintf("t%02d", i), 0.001, false, ""))
+		lines = append(lines, tb.Add(entry(fmt.Sprintf("t%02d", i), 0.001, false, "")))
+	}
+	// A trace that cannot be encoded is counted, not kept, and gives no
+	// line.
+	nan := entry("nan", 0.001, false, "")
+	root := NewSpan("serve.score")
+	root.SetAttr("batch.size", math.NaN())
+	root.End()
+	nan.Root = root.Data()
+	if line := tb.Add(nan); line != nil {
+		t.Fatalf("unencodable trace gave line %q", line)
 	}
 	rep := snapshot(t, tb)
-	if rep.Added != 10 {
-		t.Fatalf("added = %d, want 10", rep.Added)
+	if rep.Added != 11 {
+		t.Fatalf("added = %d, want 11", rep.Added)
+	}
+	// Each line Add returned is its /tracez record plus one newline.
+	var raw struct{ Recent []json.RawMessage }
+	var buf bytes.Buffer
+	if err := tb.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range raw.Recent {
+		if want := append([]byte(rec), '\n'); !bytes.Equal(lines[9-i], want) {
+			t.Fatalf("line %d is %q, want its /tracez record %q", 9-i, lines[9-i], want)
+		}
 	}
 	if len(rep.Recent) != 4 {
 		t.Fatalf("recent len = %d, want 4", len(rep.Recent))

@@ -1,49 +1,23 @@
 package serve
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
-// Structured access logging: one JSON object per line carrying the
-// request's trace identity and the per-stage timings pulled from its
-// span tree, so a log line, the /tracez entry, and the client's
-// response all correlate by trace id. Lines are sampled (every Nth
-// request) to keep high-QPS logging cheap, but degraded and errored
-// requests always log — the same "failures are always retained" policy
-// the trace buffer applies.
+// Structured access logging: one JSON object per line, byte for byte the
+// request's /tracez record (an obs.TraceEntry), so a log line, the
+// /tracez entry, and the client's response all correlate by trace id.
+// Lines are sampled (every Nth request) to keep high-QPS logging cheap,
+// but degraded and errored requests always log — the same "failures are
+// always retained" policy the trace buffer applies.
 
-// accessRecord is one access-log line.
-type accessRecord struct {
-	Time     string  `json:"ts"`
-	TraceID  string  `json:"trace_id"`
-	Endpoint string  `json:"endpoint"`
-	Status   int     `json:"status"`
-	DurMs    float64 `json:"dur_ms"`
-	// QueueMs sums the request's queue.wait spans (one per utterance for
-	// batch requests); FEMs maps front-end name to summed scoring time.
-	QueueMs float64            `json:"queue_ms,omitempty"`
-	FEMs    map[string]float64 `json:"fe_ms,omitempty"`
-	BatchID int64              `json:"batch_id,omitempty"`
-	Model   int64              `json:"model_version,omitempty"`
-	// Utterances counts the jobs inside a /v1/score/batch request.
-	Utterances int      `json:"utterances,omitempty"`
-	Degraded   bool     `json:"degraded,omitempty"`
-	Surviving  []string `json:"surviving,omitempty"`
-	Error      string   `json:"error,omitempty"`
-	Sampled    bool     `json:"sampled,omitempty"`
-}
-
-// accessLogger serializes sampled records onto one writer. A nil
+// accessLogger serializes sampled lines onto one writer. A nil
 // *accessLogger is valid and drops everything.
 type accessLogger struct {
 	mu    sync.Mutex
-	enc   *json.Encoder
+	w     io.Writer
 	every int64
 	seen  atomic.Int64
 }
@@ -55,66 +29,25 @@ func newAccessLogger(w io.Writer, every int) *accessLogger {
 	if every < 1 {
 		every = 1
 	}
-	return &accessLogger{enc: json.NewEncoder(w), every: int64(every)}
+	return &accessLogger{w: w, every: int64(every)}
 }
 
-// log writes rec if it falls on the sampling grid or is forced
-// (degraded/errored). Encoding happens outside the hot path's locks but
-// inside this logger's own mutex so lines never interleave.
-func (al *accessLogger) log(rec *accessRecord, forced bool) {
+// log writes line, one record and its newline, if the request falls on
+// the sampling grid or is forced (degraded/errored). A nil line (a trace
+// the buffer could not encode) writes nothing. The mutex keeps this
+// logger's lines apart; writing each in one Write keeps another writer
+// of a shared stderr from landing between a record and its newline.
+func (al *accessLogger) log(line []byte, forced bool) {
 	if al == nil {
 		return
 	}
 	n := al.seen.Add(1)
-	sampled := (n-1)%al.every == 0
-	if !sampled && !forced {
+	if ((n-1)%al.every != 0 && !forced) || line == nil {
 		return
 	}
-	rec.Sampled = sampled
 	al.mu.Lock()
 	defer al.mu.Unlock()
-	// Encode errors are swallowed by design: logging must never fail a
+	// Write errors are swallowed by design: logging must never fail a
 	// request (a full disk or closed pipe degrades to silence).
-	_ = al.enc.Encode(rec)
-}
-
-// recordFromTrace assembles the log line for one finished request trace.
-func recordFromTrace(e *obs.TraceEntry) *accessRecord {
-	rec := &accessRecord{
-		Time:      e.Start.UTC().Format(time.RFC3339Nano),
-		TraceID:   e.TraceID,
-		Endpoint:  e.Endpoint,
-		Status:    e.Status,
-		DurMs:     e.DurationSec * 1e3,
-		BatchID:   e.BatchID,
-		Model:     e.ModelVersion,
-		Degraded:  e.Degraded,
-		Surviving: e.Surviving,
-		Error:     e.Error,
-	}
-	if e.Root != nil {
-		collectStageTimings(e.Root, rec)
-	}
-	return rec
-}
-
-// collectStageTimings walks a span tree accumulating queue wait and
-// per-front-end scoring time; batch requests sum across utterances.
-func collectStageTimings(d *obs.SpanData, rec *accessRecord) {
-	switch d.Name {
-	case "queue.wait":
-		rec.QueueMs += d.DurationSec * 1e3
-	case "score.fe":
-		if fe := d.Labels["fe"]; fe != "" {
-			if rec.FEMs == nil {
-				rec.FEMs = make(map[string]float64)
-			}
-			rec.FEMs[fe] += d.DurationSec * 1e3
-		}
-	case "utt":
-		rec.Utterances++
-	}
-	for _, c := range d.Children {
-		collectStageTimings(c, rec)
-	}
+	_, _ = al.w.Write(line)
 }

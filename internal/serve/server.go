@@ -53,8 +53,8 @@ type Config struct {
 	// adapt.DefaultPolicy; anything else parses as a policy spec.
 	Adapt string
 
-	// AccessLog receives sampled JSON access-log lines, one object per
-	// line (nil: access logging off).
+	// AccessLog receives sampled JSON access-log lines, one per request,
+	// each byte for byte its /tracez record (nil: access logging off).
 	AccessLog io.Writer
 	// AccessLogEvery samples every Nth request onto AccessLog (1 = all).
 	// Degraded and errored requests are always logged regardless.
@@ -299,20 +299,12 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// reqTrace is the per-request tracing context of a scoring handler:
-// W3C identifiers plus the detached root span the scoring step hangs its
-// stage spans off.
+// reqTrace is the per-request tracing context of a scoring handler: the
+// /tracez record the handler fills in as the request proceeds, plus the
+// detached root span the scoring step hangs its stage spans off.
 type reqTrace struct {
-	id        string // 32-hex trace id (accepted or minted)
-	parent    string // caller's span id when the request carried a traceparent
-	spanID    string // this server's root span id
-	start     time.Time
-	root      *obs.Span
-	batchID   int64
-	modelVer  int64
-	degraded  bool
-	surviving []string
-	errMsg    string
+	obs.TraceEntry
+	root *obs.Span
 }
 
 // startTrace accepts the request's traceparent (or mints a fresh trace),
@@ -327,43 +319,41 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, endpoint str
 		id, parent = obs.NewTraceID(), ""
 	}
 	tr := &reqTrace{
-		id:     id,
-		parent: parent,
-		spanID: obs.NewSpanID(),
-		start:  time.Now(),
-		root:   obs.NewSpan(s.ns + "." + endpoint),
+		TraceEntry: obs.TraceEntry{
+			TraceID:      id,
+			SpanID:       obs.NewSpanID(),
+			ParentSpanID: parent,
+			Endpoint:     endpoint,
+			Start:        time.Now(),
+		},
+		root: obs.NewSpan(s.ns + "." + endpoint),
 	}
 	tr.root.SetLabel("trace_id", id)
-	w.Header().Set("traceparent", obs.Traceparent(id, tr.spanID))
+	w.Header().Set("traceparent", obs.Traceparent(id, tr.SpanID))
 	return tr
 }
 
 // finishTrace ends the root span, files the finished trace into the
-// /tracez buffer, and emits the (sampled) access-log line.
-func (s *Server) finishTrace(tr *reqTrace, endpoint string, status int) {
+// /tracez buffer, and writes the bytes the buffer kept as the (sampled)
+// access-log line.
+func (s *Server) finishTrace(tr *reqTrace, status int) {
 	if tr == nil {
 		return
 	}
-	dur := tr.root.End()
-	e := &obs.TraceEntry{
-		TraceID:      tr.id,
-		SpanID:       tr.spanID,
-		ParentSpanID: tr.parent,
-		Endpoint:     endpoint,
-		Start:        tr.start,
-		DurationSec:  dur.Seconds(),
-		Status:       status,
-		ModelVersion: tr.modelVer,
-		BatchID:      tr.batchID,
-		Degraded:     tr.degraded,
-		Surviving:    tr.surviving,
-		Error:        tr.errMsg,
-		Root:         tr.root.Data(),
+	tr.DurationSec = tr.root.End().Seconds()
+	tr.Status = status
+	tr.Root = tr.root.Data()
+	s.accessLog.log(s.traces.Add(&tr.TraceEntry), tr.Degraded || tr.Error != "" || status >= 500)
+}
+
+// reject writes an error response and records its message as the
+// trace's error; tr is nil when tracing is off.
+func (tr *reqTrace) reject(w http.ResponseWriter, status int, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if tr != nil {
+		tr.Error = msg
 	}
-	s.traces.Add(e)
-	if s.accessLog != nil {
-		s.accessLog.log(recordFromTrace(e), e.Degraded || e.Error != "" || status >= 500)
-	}
+	writeError(w, status, "%s", msg)
 }
 
 // noteResult folds one utterance's result into the degradation tally and
@@ -376,15 +366,15 @@ func (s *Server) noteResult(tr *reqTrace, u *Utterance, res *ScoreResult) {
 	if tr == nil {
 		return
 	}
-	if u.batchID > tr.batchID {
-		tr.batchID = u.batchID
+	if u.batchID > tr.BatchID {
+		tr.BatchID = u.batchID
 	}
 	if res.Degraded {
-		tr.degraded = true
-		tr.surviving = mergeSurvivors(tr.surviving, res.Surviving)
+		tr.Degraded = true
+		tr.Surviving = mergeSurvivors(tr.Surviving, res.Surviving)
 	}
 	if res.Error != "" {
-		tr.errMsg = res.Error
+		tr.Error = res.Error
 	}
 }
 
@@ -421,26 +411,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // admit runs the checks every scoring request passes before decode:
 // method, drain state, and the role's model pin. It returns the pin to
-// score against, or nil after writing the response.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Pin {
+// score against, or nil after writing the response and recording the
+// rejection on tr.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, tr *reqTrace) *Pin {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		tr.reject(w, http.StatusMethodNotAllowed, "POST only")
 		return nil
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		tr.reject(w, http.StatusServiceUnavailable, "server is draining")
 		return nil
 	}
 	// Chaos hook: error faults surface as 503 (bounded, well-formed
 	// failures), delay faults model a slow handler.
 	if err := faultinject.At("serve.handler"); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		tr.reject(w, http.StatusServiceUnavailable, "%v", err)
 		return nil
 	}
 	pin, err := s.role.Resolve()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		tr.reject(w, http.StatusServiceUnavailable, "%v", err)
 		return nil
 	}
 	return pin
@@ -448,11 +439,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Pin {
 
 // decodeUtterances reads the body — one ScoreRequest, or a BatchRequest
 // when batch — under a "read" span and parses it under a "decode" span,
-// or writes the 400 and returns false.
-func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *obs.Span, batch bool) ([]ScoreRequest, bool) {
+// or writes the 400, records it on tr, and returns false.
+func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, tr *reqTrace, batch bool) ([]ScoreRequest, bool) {
 	var sp *obs.Span
-	if root != nil {
-		sp = root.StartChild("read")
+	if tr != nil {
+		sp = tr.root.StartChild("read")
 	}
 	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	if sp != nil {
@@ -460,8 +451,8 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *
 	}
 	var utts []ScoreRequest
 	if err == nil {
-		if root != nil {
-			sp = root.StartChild("decode")
+		if tr != nil {
+			sp = tr.root.StartChild("decode")
 		}
 		utts, err = DecodeScoreRequest(body, batch)
 		if sp != nil {
@@ -470,10 +461,10 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, root *
 	}
 	switch {
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		tr.reject(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil, false
 	case len(utts) == 0:
-		writeError(w, http.StatusBadRequest, "batch names no utterances")
+		tr.reject(w, http.StatusBadRequest, "batch names no utterances")
 		return nil, false
 	}
 	return utts, true
@@ -561,23 +552,23 @@ func await(ctx context.Context, j *job) (jobResult, error) {
 // carries its own error and its batch-mates still score; a single
 // request answers with the failure's status.
 func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) {
-	pin := s.admit(w, r)
-	if pin == nil {
-		return
-	}
 	endpoint := "score"
 	if batch {
 		endpoint = "batch"
 	}
-	m := pin.Model
 	tr := s.startTrace(w, r, endpoint)
-	defer func() { s.finishTrace(tr, endpoint, statusOf(w)) }()
+	defer func() { s.finishTrace(tr, statusOf(w)) }()
+	pin := s.admit(w, r, tr)
+	if pin == nil {
+		return
+	}
+	m := pin.Model
 	sc := &Scoring{Batch: batch}
 	if tr != nil {
-		tr.modelVer = m.Version
-		sc.Root, sc.TraceID = tr.root, tr.id
+		tr.ModelVersion = m.Version
+		sc.Root, sc.TraceID = tr.root, tr.TraceID
 	}
-	utts, ok := s.decodeUtterances(w, r, sc.Root, batch)
+	utts, ok := s.decodeUtterances(w, r, tr, batch)
 	if !ok {
 		return
 	}
@@ -670,7 +661,7 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 
 	traceID := ""
 	if tr != nil {
-		traceID = tr.id
+		traceID = tr.TraceID
 	}
 	if !batch {
 		writeJSON(w, http.StatusOK, ScoreResponse{

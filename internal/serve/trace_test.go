@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -50,6 +49,49 @@ func getTracez(t *testing.T, ts *httptest.Server) *obs.TracezReport {
 		t.Fatal(err)
 	}
 	return &rep
+}
+
+// loggedTraces decodes every access-log line as an obs.TraceEntry and
+// checks that each is byte for byte its /tracez record (from recent or
+// exemplars) plus a newline. Every logged request must still be in
+// /tracez.
+func loggedTraces(t *testing.T, ts *httptest.Server, log string) []obs.TraceEntry {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/tracez")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct{ Recent, Exemplars []json.RawMessage }
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[string][]byte{}
+	for _, rec := range append(raw.Recent, raw.Exemplars...) {
+		var e obs.TraceEntry
+		if err := json.Unmarshal(rec, &e); err != nil {
+			t.Fatalf("/tracez record %s: %v", rec, err)
+		}
+		records[e.TraceID] = rec
+	}
+	var out []obs.TraceEntry
+	for _, line := range strings.SplitAfter(log, "\n") {
+		if line == "" {
+			continue
+		}
+		var e obs.TraceEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("access log line %q: %v", line, err)
+		}
+		if rec, ok := records[e.TraceID]; !ok {
+			t.Fatalf("logged trace %s missing from /tracez", e.TraceID)
+		} else if line != string(rec)+"\n" {
+			t.Fatalf("access log line differs from its /tracez record:\nline   %q\nrecord %q", line, rec)
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 func findTrace(rep *obs.TracezReport, id string) *obs.TraceEntry {
@@ -184,28 +226,33 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("implausible batch.form duration %v", got.DurationSec)
 	}
 
-	// Access log: the same trace id, with per-front-end timings.
-	var rec accessRecord
-	line := strings.TrimSpace(logBuf.String())
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
-		t.Fatalf("access log line %q: %v", line, err)
+	// Access log: one line, the /tracez record itself, with a timed
+	// score.fe span per front-end.
+	lines := loggedTraces(t, ts, logBuf.String())
+	if len(lines) != 1 {
+		t.Fatalf("%d access log lines, want 1", len(lines))
 	}
+	rec := lines[0]
 	if rec.TraceID != callerTrace {
 		t.Fatalf("access log trace_id %q, want %q", rec.TraceID, callerTrace)
 	}
 	if rec.Status != http.StatusOK || rec.Endpoint != "score" {
 		t.Fatalf("access log status=%d endpoint=%q", rec.Status, rec.Endpoint)
 	}
-	if len(rec.FEMs) != len(b.FrontEnds) {
-		t.Fatalf("access log fe_ms has %d entries, want %d", len(rec.FEMs), len(b.FrontEnds))
+	feTimed := map[string]bool{}
+	for _, c := range rec.Root.Children {
+		if c.Name == "score.fe" && c.DurationSec > 0 {
+			feTimed[c.Labels["fe"]] = true
+		}
 	}
-	if !rec.Sampled {
-		t.Fatal("every=1 line not marked sampled")
+	if len(feTimed) != len(b.FrontEnds) {
+		t.Fatalf("access log line times front-ends %v, want %d", feTimed, len(b.FrontEnds))
 	}
 }
 
 // TestTraceMintedWhenAbsent: a request without (or with a malformed)
-// traceparent gets a fresh valid trace id.
+// traceparent gets a fresh valid trace id, and so does a malformed body,
+// whose 400 trace records why.
 func TestTraceMintedWhenAbsent(t *testing.T) {
 	dir := t.TempDir()
 	b := testbundle.Write(t, dir, 1)
@@ -246,6 +293,19 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 		} else if e.ParentSpanID != "" {
 			t.Fatalf("minted trace has parent span %q", e.ParentSpanID)
 		}
+	}
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", strings.NewReader(`{"frontends":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id, _, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+	if resp.StatusCode != http.StatusBadRequest || !ok {
+		t.Fatalf("malformed body: status %d, traceparent %q", resp.StatusCode, resp.Header.Get("traceparent"))
+	}
+	if e := findTrace(getTracez(t, ts), id); e == nil || e.Status != http.StatusBadRequest || !strings.HasPrefix(e.Error, "bad request body: ") {
+		t.Fatalf("400 trace %s does not say why: %+v", id, e)
 	}
 }
 
@@ -307,27 +367,154 @@ func TestDegradedTraceRetainedAsExemplar(t *testing.T) {
 		t.Fatal("degraded trace lost its span tree")
 	}
 
-	// The degraded request's log line was forced past sampling.
-	var lines []accessRecord
-	sc := bufio.NewScanner(strings.NewReader(logBuf.String()))
-	for sc.Scan() {
-		var rec accessRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("access log line %q: %v", sc.Text(), err)
+	// The degraded request's log line was forced past sampling: request
+	// 2 is off the every-1000 grid.
+	lines := loggedTraces(t, ts, logBuf.String())
+	if len(lines) != 2 || lines[1].TraceID != sr.TraceID {
+		t.Fatalf("access log has %d lines, want the sampled first and the degraded %s: %+v", len(lines), sr.TraceID, lines)
+	}
+	if !lines[1].Degraded {
+		t.Fatalf("forced line not degraded: %+v", lines[1])
+	}
+}
+
+// TestAdmissionRejectionsTraced: requests turned away before decode — a
+// draining server's 503, a 405, and a WaitForModel server's 503 with no
+// model loaded — are traced like any other: a traceparent in the
+// response, a /tracez exemplar naming the rejection, and an access-log
+// line forced past sampling.
+func TestAdmissionRejectionsTraced(t *testing.T) {
+	dir := t.TempDir()
+	testbundle.Write(t, dir, 1)
+	var drainLog, emptyLog syncBuffer
+	draining := newTestServer(t, dir, func(c *Config) {
+		c.AccessLog = &drainLog
+		c.AccessLogEvery = 1000
+	})
+	draining.draining.Store(true)
+	empty := newTestServer(t, t.TempDir(), func(c *Config) {
+		c.WaitForModel = true
+		c.AccessLog = &emptyLog
+		c.AccessLogEvery = 1000
+	})
+	for _, c := range []struct {
+		name   string
+		s      *Server
+		log    *syncBuffer
+		method string
+		status int
+		err    string
+	}{
+		{"draining", draining, &drainLog, http.MethodPost, http.StatusServiceUnavailable, "server is draining"},
+		{"GET", draining, &drainLog, http.MethodGet, http.StatusMethodNotAllowed, "POST only"},
+		{"no model", empty, &emptyLog, http.MethodPost, http.StatusServiceUnavailable, "no model loaded"},
+		{"no model again", empty, &emptyLog, http.MethodPost, http.StatusServiceUnavailable, "no model loaded"},
+	} {
+		ts := httptest.NewServer(c.s.Handler())
+		req, _ := http.NewRequest(c.method, ts.URL+"/v1/score", strings.NewReader(`{}`))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lines = append(lines, rec)
+		resp.Body.Close()
+		id, _, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+		if resp.StatusCode != c.status || !ok {
+			t.Fatalf("%s: status %d, traceparent %q", c.name, resp.StatusCode, resp.Header.Get("traceparent"))
+		}
+		var ex *obs.TraceEntry
+		for _, e := range getTracez(t, ts).Exemplars {
+			if e.TraceID == id {
+				ex = e
+			}
+		}
+		if ex == nil || ex.Status != c.status || ex.Error != c.err || ex.ModelVersion != 0 {
+			t.Fatalf("%s: rejection %s is not an exemplar with status %d and error %q: %+v", c.name, id, c.status, c.err, ex)
+		}
+		// The second request on each server is off the sampling grid,
+		// so its line is there only because it was forced.
+		lines := loggedTraces(t, ts, c.log.String())
+		if last := lines[len(lines)-1]; last.TraceID != id {
+			t.Fatalf("%s: last access log line is trace %s, want %s", c.name, last.TraceID, id)
+		}
+		ts.Close()
 	}
-	var forced *accessRecord
-	for i := range lines {
-		if lines[i].TraceID == sr.TraceID {
-			forced = &lines[i]
+	for _, log := range []*syncBuffer{&drainLog, &emptyLog} {
+		if n := strings.Count(log.String(), "\n"); n != 2 {
+			t.Fatalf("%d access log lines for 2 rejections: %s", n, log.String())
 		}
 	}
-	if forced == nil {
-		t.Fatalf("degraded request %s missing from access log: %v", sr.TraceID, lines)
+}
+
+// TestAccessLogMatchesTracezConcurrent: concurrent scoring requests,
+// /tracez reads and access logging on one server (run it under -race).
+// Every logged line parses and is byte for byte its /tracez record, so
+// the bytes the trace buffer and the logger share are never written
+// after the buffer keeps them.
+func TestAccessLogMatchesTracezConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	b := testbundle.Write(t, dir, 1)
+	var logBuf syncBuffer
+	s := newTestServer(t, dir, func(c *Config) {
+		c.AccessLog = &logBuf
+		c.AccessLogEvery = 1
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const clients, each = 4, 25 // 100 requests: all stay in the recent ring
+	data, _ := json.Marshal(scoreRequestFor(b, testbundle.Vector(7)))
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			resp, err := ts.Client().Get(ts.URL + "/tracez")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var rep obs.TracezReport
+			err = json.NewDecoder(resp.Body).Decode(&rep)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("bad /tracez body: %v", err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(data))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
 	}
-	if !forced.Degraded || forced.Sampled {
-		t.Fatalf("degraded line should be forced (degraded=true, sampled=false): %+v", forced)
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	if lines := loggedTraces(t, ts, logBuf.String()); len(lines) != clients*each {
+		t.Fatalf("%d access log lines, want %d", len(lines), clients*each)
 	}
 }
 
