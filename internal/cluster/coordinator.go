@@ -122,6 +122,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	for _, addr := range cfg.Peers {
 		c.peers = append(c.peers, newPeer(addr, cfg.Serve.Reload, cfg.Transport, cfg.clock))
 	}
+	if !cfg.Serve.DisableTracing {
+		// Like the request path's, the shard RPC metrics keep rolling
+		// windows only while tracing is on.
+		obsRPCErrors.KeepWindow()
+		for _, p := range c.peers {
+			p.rpcHist.KeepWindow()
+		}
+	}
 	c.node = newNode(srv, srv.Handler())
 	c.mux.HandleFunc("/clusterz", c.handleClusterz)
 	obs.SetGauge("cluster.peers", float64(len(c.peers)))
@@ -500,7 +508,7 @@ func (pl *fleetPlan) scatter(ctx context.Context, sc *serve.Scoring, call *shard
 	return results, err
 }
 
-var wobsShardFailed = obs.GetWindowCounter("cluster.rpc.errors")
+var obsRPCErrors = obs.GetCounter("cluster.rpc.errors")
 
 // gather folds one peer's RPC outcome into its utterances' rows,
 // AssembleResult's input maps: scores by bundle front-end index, and
@@ -509,8 +517,7 @@ var wobsShardFailed = obs.GetWindowCounter("cluster.rpc.errors")
 // worker's own per-front-end degradation).
 func (pl *fleetPlan) gather(utts []serve.Utterance, call *shardCall, results []serve.ScoreResult, err error) {
 	if err != nil {
-		obs.Inc("cluster.rpc.errors")
-		wobsShardFailed.Inc()
+		obsRPCErrors.Inc()
 	}
 	for k, i := range call.uttIdx {
 		u := &utts[i]

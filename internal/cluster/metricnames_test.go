@@ -25,15 +25,21 @@ const metricNamesFile = "testdata/metric_names.json"
 // TestMetricNameContract pins the metric names each serving role exports
 // on /metricsz: the names lrestat and the bench/ harness read. Each role
 // runs a fixed request sequence from a reset registry, and every name
-// that sequence moves must still be exported. The committed list was
-// recorded before the coordinator moved onto serve.Server's request
-// path; the tree must export a superset of it. Regenerate it with
+// that sequence moves must still be exported. "<role>" lists every moved
+// name; "<role>.windows" lists, on their own, the names that report
+// rolling windows, which lrestat's live panels read. The committed
+// lists were recorded before the coordinator moved onto serve.Server's
+// request path and before the windows moved into the metrics they
+// shadow; the tree must export a superset of each. Regenerate them with
 // `go test ./internal/cluster -run TestMetricNameContract -update`.
 func TestMetricNameContract(t *testing.T) {
-	got := map[string][]string{
-		"standalone":  standaloneMetricNames(t),
-		"worker":      workerMetricNames(t),
-		"coordinator": coordinatorMetricNames(t),
+	got := make(map[string][]string)
+	for role, names := range map[string]func(*testing.T) ([]string, []string){
+		"standalone":  standaloneMetricNames,
+		"worker":      workerMetricNames,
+		"coordinator": coordinatorMetricNames,
+	} {
+		got[role], got[role+".windows"] = names(t)
 	}
 	if *updateNames {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -72,7 +78,7 @@ func TestMetricNameContract(t *testing.T) {
 // standaloneMetricNames drives a cascade-enabled standalone server: a
 // tier-1 exit, an escalation, a batch with a bad utterance, a degraded
 // request, a malformed body and a reload.
-func standaloneMetricNames(t *testing.T) []string {
+func standaloneMetricNames(t *testing.T) ([]string, []string) {
 	dir := t.TempDir()
 	b := testbundle.WriteCascade(t, dir, 1)
 	s, err := serve.New(serve.Config{
@@ -104,7 +110,7 @@ func standaloneMetricNames(t *testing.T) []string {
 
 // workerMetricNames drives one shard worker directly: a score, a batch,
 // a request routed for another generation, a reload and introspection.
-func workerMetricNames(t *testing.T) []string {
+func workerMetricNames(t *testing.T) ([]string, []string) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)
 	h := f.workers[0].Handler()
@@ -129,7 +135,7 @@ func workerMetricNames(t *testing.T) []string {
 // degraded request, an all-shards-lost request, a redistributing reload
 // and introspection. The workers share the process, so their names are
 // part of the list too.
-func coordinatorMetricNames(t *testing.T) []string {
+func coordinatorMetricNames(t *testing.T) ([]string, []string) {
 	f := newFleetBundle(t, 2, testbundle.WriteCascade, func(cfg *CoordinatorConfig) {
 		cfg.Serve.Cascade = serve.CascadeConfig{Enabled: true, Margin: "+inf"}
 	})
@@ -163,43 +169,49 @@ func serveRaw(h http.Handler, method, path, body string, hdr http.Header) {
 }
 
 // movedMetricNames reads /metricsz and returns, sorted, every metric the
-// request sequence moved since the last obs.Reset: non-zero counters and
-// gauges, and histograms and windows holding observations. Peer
-// addresses inside names collapse to "<peer>" so the list does not
-// depend on test order.
-func movedMetricNames(t *testing.T, h http.Handler, hosts []string) []string {
+// request sequence moved since the last obs.Reset — non-zero counters and
+// gauges, and histograms and windows holding observations — and, on
+// their own, the windows among them. Peer addresses inside names
+// collapse to "<peer>" so the lists do not depend on test order.
+func movedMetricNames(t *testing.T, h http.Handler, hosts []string) (names, windows []string) {
 	t.Helper()
 	var rep obs.Report
 	getJSON(t, h, "/metricsz", &rep)
 	seen := make(map[string]bool)
-	add := func(name string) {
+	seenWin := make(map[string]bool)
+	add := func(set map[string]bool, name string) {
 		for _, host := range hosts {
 			name = strings.ReplaceAll(name, host, "<peer>")
 		}
-		seen[name] = true
+		set[name] = true
 	}
 	for n, v := range rep.Counters {
 		if v != 0 {
-			add(n)
+			add(seen, n)
 		}
 	}
 	for n, v := range rep.Gauges {
 		if v != 0 {
-			add(n)
+			add(seen, n)
 		}
 	}
 	for n, hd := range rep.Histograms {
 		if hd.Count > 0 {
-			add(n)
+			add(seen, n)
 		}
 	}
 	for n, w := range rep.Windows {
 		if w.M5.Count > 0 {
-			add(n)
+			add(seen, n)
+			add(seenWin, n)
 		}
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
+	return sortedNames(seen), sortedNames(seenWin)
+}
+
+func sortedNames(set map[string]bool) []string {
+	names := make([]string, 0, len(set))
+	for n := range set {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -47,7 +47,6 @@ type peer struct {
 	brOpen   *obs.Gauge
 	failures *obs.Counter
 	rpcHist  *obs.Histogram
-	rpcWin   *obs.Window
 }
 
 // newPeer returns the client for the worker at addr, its breaker
@@ -68,7 +67,6 @@ func newPeer(addr string, pol serve.ReloadPolicy, transport http.RoundTripper, c
 		brOpen:   obs.GetGauge("cluster.peer." + key + ".breaker_open"),
 		failures: obs.GetCounter("cluster.peer." + key + ".failures"),
 		rpcHist:  obs.GetHistogram("cluster.rpc." + key + ".seconds"),
-		rpcWin:   obs.GetWindow("cluster.rpc." + key + ".seconds"),
 	}
 }
 
@@ -139,9 +137,7 @@ func (p *peer) do(ctx context.Context, path string, hdr http.Header, body io.Rea
 	}
 	t0 := time.Now()
 	resp, err := p.client.Do(req)
-	d := time.Since(t0).Seconds()
-	p.rpcHist.Observe(d)
-	p.rpcWin.Observe(d)
+	p.rpcHist.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return err
 	}

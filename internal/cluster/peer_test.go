@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
 	"sync"
 	"testing"
@@ -155,5 +156,30 @@ func TestCoordinatorFollowsServeReloadPolicy(t *testing.T) {
 	}
 	if st := f.peerStatus(t, f.hosts[0]); st.Failures != 0 || st.Breaker != serve.BreakerClosed || st.Generation != 1 {
 		t.Fatalf("live peer %+v, want no failures, closed, generation 1", st)
+	}
+}
+
+// TestNoTraceCoordinatorKeepsNoPeerWindows: -no-trace turns the shard
+// RPC windows off like every other window. A coordinator with tracing
+// disabled, over peer addresses no other test used, scores one request;
+// /metricsz then counts its RPCs in the cumulative histograms and keeps
+// no rolling window for those peers.
+func TestNoTraceCoordinatorKeepsNoPeerWindows(t *testing.T) {
+	f := newFleet(t, 2, func(cfg *CoordinatorConfig) { cfg.Serve.DisableTracing = true })
+	mustDistribute(t, f)
+	h := f.coord.Handler()
+	if rec, body := postJSON(t, h, "/v1/score", scoreRequestFor(f.bundle, testbundle.Vector(7))); rec.Code != http.StatusOK {
+		t.Fatalf("score status %d: %s", rec.Code, body)
+	}
+	var rep obs.Report
+	getJSON(t, h, "/metricsz", &rep)
+	for _, host := range f.hosts {
+		name := "cluster.rpc." + host + ".seconds"
+		if rep.Histograms[name].Count == 0 {
+			t.Errorf("%s counted no RPC", name)
+		}
+		if _, ok := rep.Windows[name]; ok {
+			t.Errorf("tracing is off but %s keeps a window", name)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package obs is the observability substrate of the reproduction: a
 // zero-dependency (stdlib-only) process-wide registry of counters, gauges,
-// and latency histograms, plus hierarchical wall-time spans (span.go) and
-// a machine-readable run Report (report.go).
+// and latency histograms — each counter or histogram optionally keeping a
+// rolling 1m/5m window of itself (window.go) — plus hierarchical
+// wall-time spans (span.go) and a machine-readable run Report
+// (report.go).
 //
 // Every pipeline stage — corpus generation, decoding, supervector
 // extraction, TFLLR scaling, SVM training/scoring, DBA boosting rounds,
@@ -16,10 +18,14 @@
 //   - Recording must be cheap enough to leave enabled unconditionally:
 //     counters and gauges are single atomics, histograms are a bounded
 //     bucket search plus two atomics, and spans cost two time.Now calls.
+//     A counter or histogram also loads its window pointer; one that
+//     keeps a window (KeepWindow) records the same call into the current
+//     shard too, one clock read and the same few atomics again.
 //     There is no global "enabled" switch to branch on — when no sink
 //     (trace/metrics file) is requested the data simply stays in memory.
-//   - Handles remain valid across Reset: Reset zeroes values in place so
-//     call sites may cache *Counter/*Gauge/*Histogram in package vars.
+//   - Handles remain valid across Reset: Reset zeroes values and empties
+//     windows in place so call sites may cache *Counter/*Gauge/*Histogram
+//     in package vars.
 package obs
 
 import (
@@ -28,14 +34,23 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing int64.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing int64, with an optional rolling
+// window (window.go).
+type Counter struct {
+	v   atomic.Int64
+	win atomic.Pointer[ring[atomic.Int64]]
+}
 
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
+// Add increments the counter, and its window when it keeps one, by d.
+func (c *Counter) Add(d int64) {
+	c.v.Add(d)
+	if w := c.win.Load(); w != nil {
+		w.current().Add(d)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -55,11 +70,13 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 const numBuckets = 25
 
 // Histogram is a fixed exponential-bucket latency histogram (seconds).
-// Bucket i counts observations ≤ 1e-6·2^i; the final slot is +Inf.
+// Bucket i counts observations ≤ 1e-6·2^i; the final slot is +Inf. Its
+// optional rolling window (window.go) is a ring of shard Histograms.
 type Histogram struct {
 	counts  [numBuckets + 1]atomic.Int64
 	sumBits atomic.Uint64 // float64 sum, CAS-updated
 	count   atomic.Int64
+	win     atomic.Pointer[ring[Histogram]]
 }
 
 // BucketBound returns the upper bound (seconds) of bucket i, or +Inf for
@@ -71,8 +88,16 @@ func BucketBound(i int) float64 {
 	return 1e-6 * math.Pow(2, float64(i))
 }
 
-// Observe records one value (seconds).
+// Observe records one value (seconds), into the window too when h
+// keeps one.
 func (h *Histogram) Observe(v float64) {
+	h.observe(v)
+	if w := h.win.Load(); w != nil {
+		w.current().observe(v)
+	}
+}
+
+func (h *Histogram) observe(v float64) {
 	b := 0
 	for bound := 1e-6; b < numBuckets && v > bound; b++ {
 		bound *= 2
@@ -133,13 +158,16 @@ func quantileFromCounts(counts *[numBuckets + 1]int64, total int64, p float64) f
 	return math.Inf(1)
 }
 
-// reset zeroes the histogram in place.
+// reset zeroes the histogram in place and empties its window.
 func (h *Histogram) reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
 	}
 	h.count.Store(0)
 	h.sumBits.Store(0)
+	if w := h.win.Load(); w != nil {
+		w.reset()
+	}
 }
 
 // maxRoots bounds how many finished root spans a registry retains (a
@@ -150,12 +178,10 @@ const maxRoots = 4096
 // Registry holds named metrics and the finished root spans of a trace.
 // The zero value is not usable; call NewRegistry (or use Default).
 type Registry struct {
-	mu        sync.RWMutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	windows   map[string]*Window
-	wcounters map[string]*WindowCounter
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 
 	spanMu  sync.Mutex
 	roots   []*Span
@@ -165,11 +191,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		windows:   make(map[string]*Window),
-		wcounters: make(map[string]*WindowCounter),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -212,24 +236,22 @@ func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	return v
 }
 
-// Reset zeroes every metric in place (existing handles stay valid) and
-// clears the collected trace.
+// Reset zeroes every metric and empties every window in place (existing
+// handles stay valid and keep their windows) and clears the collected
+// trace.
 func (r *Registry) Reset() {
 	r.mu.RLock()
 	for _, c := range r.counters {
 		c.v.Store(0)
+		if w := c.win.Load(); w != nil {
+			w.reset()
+		}
 	}
 	for _, g := range r.gauges {
 		g.bits.Store(0)
 	}
 	for _, h := range r.hists {
 		h.reset()
-	}
-	for _, w := range r.windows {
-		w.reset()
-	}
-	for _, w := range r.wcounters {
-		w.reset()
 	}
 	r.mu.RUnlock()
 	r.spanMu.Lock()

@@ -64,8 +64,8 @@ type Report struct {
 	Counters   map[string]int64         `json:"counters,omitempty"`
 	Gauges     map[string]float64       `json:"gauges,omitempty"`
 	Histograms map[string]HistogramData `json:"histograms,omitempty"`
-	// Windows holds the rolling 1m/5m views of every windowed metric
-	// (window.go); keys share the namespace of Histograms/Counters.
+	// Windows holds the rolling 1m/5m views of every histogram and
+	// counter that keeps a window (window.go), under the same name.
 	Windows      map[string]WindowsData `json:"windows,omitempty"`
 	Spans        []*SpanData            `json:"spans,omitempty"`
 	DroppedSpans int64                  `json:"dropped_spans,omitempty"`
@@ -86,20 +86,17 @@ func (r *Registry) Snapshot() *Report {
 	r.mu.RLock()
 	for name, c := range r.counters {
 		rep.Counters[name] = c.Value()
+		if w := c.win.Load(); w != nil {
+			rep.addWindow(name, windows(w, countWindow))
+		}
 	}
 	for name, g := range r.gauges {
 		rep.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		rep.Histograms[name] = histData(h)
-	}
-	if len(r.windows)+len(r.wcounters) > 0 {
-		rep.Windows = make(map[string]WindowsData, len(r.windows)+len(r.wcounters))
-		for name, w := range r.windows {
-			rep.Windows[name] = WindowsData{M1: w.Stats(time.Minute), M5: w.Stats(5 * time.Minute)}
-		}
-		for name, w := range r.wcounters {
-			rep.Windows[name] = WindowsData{M1: w.Stats(time.Minute), M5: w.Stats(5 * time.Minute)}
+		if w := h.win.Load(); w != nil {
+			rep.addWindow(name, windows(w, histWindow))
 		}
 	}
 	r.mu.RUnlock()
@@ -111,6 +108,15 @@ func (r *Registry) Snapshot() *Report {
 		rep.Spans = append(rep.Spans, spanData(s))
 	}
 	return rep
+}
+
+// addWindow files one metric's windows, making the map on first use so a
+// registry keeping no window reports none.
+func (rep *Report) addWindow(name string, wd WindowsData) {
+	if rep.Windows == nil {
+		rep.Windows = make(map[string]WindowsData)
+	}
+	rep.Windows[name] = wd
 }
 
 func histData(h *Histogram) HistogramData {

@@ -5,26 +5,28 @@ import (
 	"time"
 )
 
-// Rolling-window decorators over the cumulative metrics: a Window is a
-// ring of fixed-duration shards, each holding the same lock-free
-// Histogram the registry uses for process-lifetime data, and a
-// WindowCounter is the same ring over a plain atomic count. Together they
-// let /metricsz report live RED metrics (rate over the last 1m/5m,
-// windowed latency quantiles, windowed error and degradation counts)
-// next to the cumulative values, without sacrificing the "recording is a
-// few atomics" cost model: Observe/Add touch exactly one shard, selected
-// by quantized wall time. The first writer to reach a ring slot in a new
-// epoch installs a fresh shard for that epoch with one compare-and-swap;
-// the old shard is dropped, never zeroed in place.
+// Rolling windows inside the cumulative metrics: a Histogram or Counter
+// that keeps a window (KeepWindow) also records every observation into a
+// ring of fixed-duration shards — each shard a lock-free Histogram, or a
+// plain atomic count for a Counter. They let /metricsz report live RED
+// metrics (rate over the last 1m/5m, windowed latency quantiles,
+// windowed error and degradation counts) next to the cumulative values,
+// from the same handle and the same call, without sacrificing the
+// "recording is a few atomics" cost model: an observation touches
+// exactly one shard, selected by quantized wall time. The first writer to
+// reach a ring slot in a new epoch installs a fresh shard for that epoch
+// with one compare-and-swap; the old shard is dropped, never zeroed in
+// place.
 //
-// Accuracy contract: a window of W seconds merges every shard whose
-// epoch lies inside (now-W, now], i.e. the current partial shard plus
-// the full shards behind it, so a "1m" view covers between W and
-// W+shardDur seconds of traffic. Every observation made within its epoch
-// lands in that epoch's shard and stays there: writers racing to open
-// an epoch all end up on the one shard that won the swap. Only a writer
-// stalled for a whole ring lap (over 5 minutes) between reading the clock
-// and recording can land in a newer shard or in one already dropped; the
+// Accuracy contract: a window of W seconds merges the current partial
+// shard plus the W/shardDur full shards behind it, so a "1m" view covers
+// between W and W+shardDur seconds of traffic, and its rate divides by
+// exactly the span it covers (the full shards plus the time elapsed in
+// the current one). Every observation made within its epoch lands in
+// that epoch's shard and stays there: writers racing to open an epoch
+// all end up on the one shard that won the swap. Only a writer stalled
+// for a whole ring lap (over 5 minutes) between reading the clock and
+// recording can land in a newer shard or in one already dropped; the
 // cumulative metrics are never affected.
 
 const (
@@ -35,8 +37,8 @@ const (
 	windowShardCount = 32
 )
 
-// WindowStats is one merged window of a Window or WindowCounter, as
-// reported under Report.Windows.
+// WindowStats is one merged window of a windowed Histogram or Counter,
+// as reported under Report.Windows.
 type WindowStats struct {
 	Count      int64   `json:"count"`
 	RatePerSec float64 `json:"rate_per_sec"`
@@ -59,19 +61,19 @@ type shard[T any] struct {
 	data  T
 }
 
-// ring is the shard ring over quantized wall time that Window and
-// WindowCounter share.
+// ring is the shard ring over quantized wall time behind a windowed
+// Histogram or Counter.
 type ring[T any] struct {
 	shardDur time.Duration
 	now      func() time.Time
 	slots    []atomic.Pointer[shard[T]]
 }
 
-func newRing[T any](shardDur time.Duration, slots int, now func() time.Time) ring[T] {
+func newRing[T any](shardDur time.Duration, slots int, now func() time.Time) *ring[T] {
 	if now == nil {
 		now = time.Now
 	}
-	return ring[T]{shardDur: shardDur, now: now, slots: make([]atomic.Pointer[shard[T]], slots)}
+	return &ring[T]{shardDur: shardDur, now: now, slots: make([]atomic.Pointer[shard[T]], slots)}
 }
 
 // epochNow quantizes the clock to shard units.
@@ -93,20 +95,18 @@ func (r *ring[T]) current() *T {
 	}
 }
 
-// each calls fn on every shard inside the trailing window and returns the
-// window's nominal length.
+// each calls fn on the current shard and the window/shardDur (at least
+// one) full shards behind it, and returns the span they cover.
 func (r *ring[T]) each(window time.Duration, fn func(*T)) time.Duration {
-	if window < r.shardDur {
-		window = r.shardDur
-	}
-	nowE := r.epochNow()
-	k := int64(window / r.shardDur)
+	k := max(int64(window/r.shardDur), 1)
+	now := r.now().UnixNano()
+	nowE := now / int64(r.shardDur)
 	for i := range r.slots {
-		if sh := r.slots[i].Load(); sh != nil && sh.epoch > nowE-k && sh.epoch <= nowE {
+		if sh := r.slots[i].Load(); sh != nil && sh.epoch >= nowE-k && sh.epoch <= nowE {
 			fn(&sh.data)
 		}
 	}
-	return window
+	return time.Duration(k)*r.shardDur + time.Duration(now-nowE*int64(r.shardDur))
 }
 
 // reset drops every shard (Registry.Reset).
@@ -116,32 +116,34 @@ func (r *ring[T]) reset() {
 	}
 }
 
-// Window is a rolling-window histogram: a ring of shard Histograms over
-// quantized wall time.
-type Window struct{ ring[Histogram] }
-
-func newWindow(shardDur time.Duration, shards int, now func() time.Time) *Window {
-	return &Window{newRing[Histogram](shardDur, shards, now)}
+// KeepWindow makes h also record into a rolling window, reported by
+// Snapshot under Report.Windows. Idempotent; returns h.
+func (h *Histogram) KeepWindow() *Histogram {
+	h.win.CompareAndSwap(nil, newRing[Histogram](windowShardDur, windowShardCount, nil))
+	return h
 }
 
-// Observe records one value (seconds) into the current shard.
-func (w *Window) Observe(v float64) { w.current().Observe(v) }
+// KeepWindow makes c also count into a rolling window, reported by
+// Snapshot under Report.Windows. Idempotent; returns c.
+func (c *Counter) KeepWindow() *Counter {
+	c.win.CompareAndSwap(nil, newRing[atomic.Int64](windowShardDur, windowShardCount, nil))
+	return c
+}
 
-// Stats merges every shard inside the trailing window into one
-// HistogramData-equivalent summary. Rate is count over the nominal
-// window length.
-func (w *Window) Stats(window time.Duration) WindowStats {
+// histWindow merges every shard inside the trailing window into one
+// HistogramData-equivalent summary.
+func histWindow(r *ring[Histogram], window time.Duration) WindowStats {
 	var counts [numBuckets + 1]int64
 	var count int64
 	var sum float64
-	window = w.each(window, func(h *Histogram) {
+	span := r.each(window, func(h *Histogram) {
 		for b := 0; b <= numBuckets; b++ {
 			counts[b] += h.counts[b].Load()
 		}
 		count += h.count.Load()
 		sum += h.Sum()
 	})
-	st := WindowStats{Count: count, RatePerSec: float64(count) / window.Seconds(), SumSec: sum}
+	st := WindowStats{Count: count, RatePerSec: float64(count) / span.Seconds(), SumSec: sum}
 	if count > 0 {
 		st.MeanSec = sum / float64(count)
 		st.P50Sec = quantileFromCounts(&counts, count, 0.50)
@@ -151,46 +153,14 @@ func (w *Window) Stats(window time.Duration) WindowStats {
 	return st
 }
 
-// WindowCounter is a rolling-window counter: the same shard ring as
-// Window over a single atomic count per shard.
-type WindowCounter struct{ ring[atomic.Int64] }
-
-func newWindowCounter(shardDur time.Duration, shards int, now func() time.Time) *WindowCounter {
-	return &WindowCounter{newRing[atomic.Int64](shardDur, shards, now)}
-}
-
-// Add increments the current shard by d.
-func (w *WindowCounter) Add(d int64) { w.current().Add(d) }
-
-// Inc increments the current shard by one.
-func (w *WindowCounter) Inc() { w.Add(1) }
-
-// Stats sums the trailing window.
-func (w *WindowCounter) Stats(window time.Duration) WindowStats {
+// countWindow sums the trailing window.
+func countWindow(r *ring[atomic.Int64], window time.Duration) WindowStats {
 	var count int64
-	window = w.each(window, func(v *atomic.Int64) { count += v.Load() })
-	return WindowStats{Count: count, RatePerSec: float64(count) / window.Seconds()}
+	span := r.each(window, func(v *atomic.Int64) { count += v.Load() })
+	return WindowStats{Count: count, RatePerSec: float64(count) / span.Seconds()}
 }
 
-// Registry accessors, mirroring Counter/Gauge/Histogram.
-
-// Window returns (creating if needed) the named rolling-window histogram.
-func (r *Registry) Window(name string) *Window {
-	return lookup(r, r.windows, name, func() *Window { return newWindow(windowShardDur, windowShardCount, nil) })
+// windows reports a ring's 1m and 5m views through stats.
+func windows[T any](r *ring[T], stats func(*ring[T], time.Duration) WindowStats) WindowsData {
+	return WindowsData{M1: stats(r, time.Minute), M5: stats(r, 5*time.Minute)}
 }
-
-// WindowCounter returns (creating if needed) the named rolling-window
-// counter.
-func (r *Registry) WindowCounter(name string) *WindowCounter {
-	return lookup(r, r.wcounters, name, func() *WindowCounter {
-		return newWindowCounter(windowShardDur, windowShardCount, nil)
-	})
-}
-
-// GetWindow returns the named rolling-window histogram of the default
-// registry.
-func GetWindow(name string) *Window { return defaultRegistry.Window(name) }
-
-// GetWindowCounter returns the named rolling-window counter of the
-// default registry.
-func GetWindowCounter(name string) *WindowCounter { return defaultRegistry.WindowCounter(name) }

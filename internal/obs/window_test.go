@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,6 +30,25 @@ func (c *manualClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// newWindow returns a histogram keeping a window of the given shape on
+// now's clock, and newWindowCounter the same for a counter; stats reads
+// the trailing window of either.
+func newWindow(shardDur time.Duration, shards int, now func() time.Time) *Histogram {
+	h := new(Histogram)
+	h.win.Store(newRing[Histogram](shardDur, shards, now))
+	return h
+}
+
+func newWindowCounter(shardDur time.Duration, shards int, now func() time.Time) *Counter {
+	c := new(Counter)
+	c.win.Store(newRing[atomic.Int64](shardDur, shards, now))
+	return c
+}
+
+func (h *Histogram) stats(window time.Duration) WindowStats { return histWindow(h.win.Load(), window) }
+
+func (c *Counter) stats(window time.Duration) WindowStats { return countWindow(c.win.Load(), window) }
+
 func TestWindowMergesTrailingShards(t *testing.T) {
 	clk := newManualClock()
 	w := newWindow(10*time.Second, 32, clk.Now)
@@ -41,7 +61,7 @@ func TestWindowMergesTrailingShards(t *testing.T) {
 	clk.Advance(10 * time.Second)
 	w.Observe(0.016)
 
-	st := w.Stats(time.Minute)
+	st := w.stats(time.Minute)
 	if st.Count != 4 {
 		t.Fatalf("1m count = %d, want 4", st.Count)
 	}
@@ -67,15 +87,15 @@ func TestWindowExpiresOldShards(t *testing.T) {
 	clk.Advance(70 * time.Second) // out of the 1m window, inside 5m
 	w.Observe(0.008)
 
-	if got := w.Stats(time.Minute).Count; got != 1 {
+	if got := w.stats(time.Minute).Count; got != 1 {
 		t.Fatalf("1m count = %d, want 1 (old shard must have aged out)", got)
 	}
-	if got := w.Stats(5 * time.Minute).Count; got != 2 {
+	if got := w.stats(5 * time.Minute).Count; got != 2 {
 		t.Fatalf("5m count = %d, want 2", got)
 	}
 
 	clk.Advance(6 * time.Minute) // beyond 5m: everything aged out
-	if got := w.Stats(5 * time.Minute).Count; got != 0 {
+	if got := w.stats(5 * time.Minute).Count; got != 0 {
 		t.Fatalf("5m count after 6m idle = %d, want 0", got)
 	}
 }
@@ -88,7 +108,7 @@ func TestWindowShardRecycling(t *testing.T) {
 	w.Observe(1)
 	clk.Advance(40 * time.Second)
 	w.Observe(2)
-	if got := w.Stats(10 * time.Second).Count; got != 1 {
+	if got := w.stats(10 * time.Second).Count; got != 1 {
 		t.Fatalf("current-shard count = %d, want 1 (lap must recycle)", got)
 	}
 }
@@ -99,14 +119,14 @@ func TestWindowCounter(t *testing.T) {
 	w.Add(3)
 	clk.Advance(30 * time.Second)
 	w.Inc()
-	if got := w.Stats(time.Minute).Count; got != 4 {
+	if got := w.stats(time.Minute).Count; got != 4 {
 		t.Fatalf("1m count = %d, want 4", got)
 	}
 	clk.Advance(50 * time.Second)
-	if got := w.Stats(time.Minute).Count; got != 1 {
+	if got := w.stats(time.Minute).Count; got != 1 {
 		t.Fatalf("1m count = %d, want 1 after first shard aged out", got)
 	}
-	if got := w.Stats(5 * time.Minute).Count; got != 4 {
+	if got := w.stats(5 * time.Minute).Count; got != 4 {
 		t.Fatalf("5m count = %d, want 4", got)
 	}
 }
@@ -118,7 +138,8 @@ func TestWindowConcurrentObserve(t *testing.T) {
 	clk := newManualClock()
 	w := newWindow(10*time.Second, 32, clk.Now)
 	c := newWindowCounter(10*time.Second, 32, clk.Now)
-	// 40 epochs lap the 32-slot ring; the 5m window holds the last 30.
+	// 40 epochs lap the 32-slot ring; the 5m window holds the current
+	// epoch plus the 30 full ones behind it.
 	const epochs, writers, per = 40, 8, 100
 	for e := 0; e < epochs; e++ {
 		clk.Advance(10 * time.Second)
@@ -138,19 +159,20 @@ func TestWindowConcurrentObserve(t *testing.T) {
 		close(start)
 		wg.Wait()
 	}
-	want := int64(30 * writers * per)
-	if got := w.Stats(5 * time.Minute).Count; got != want {
+	want := int64(31 * writers * per)
+	if got := w.stats(5 * time.Minute).Count; got != want {
 		t.Fatalf("window count = %d, want %d", got, want)
 	}
-	if got := c.Stats(5 * time.Minute).Count; got != want {
+	if got := c.stats(5 * time.Minute).Count; got != want {
 		t.Fatalf("counter count = %d, want %d", got, want)
 	}
 }
 
 func TestRegistryWindowsInSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Window("svc.latency").Observe(0.005)
-	r.WindowCounter("svc.errors").Add(2)
+	r.Histogram("svc.latency").KeepWindow().Observe(0.005)
+	r.Counter("svc.errors").KeepWindow().Add(2)
+	r.Histogram("svc.plain").Observe(0.005)
 	rep := r.Snapshot()
 	wd, ok := rep.Windows["svc.latency"]
 	if !ok {
@@ -166,10 +188,86 @@ func TestRegistryWindowsInSnapshot(t *testing.T) {
 	if !ok || ec.M1.Count != 2 {
 		t.Fatalf("windowed counter = %+v (ok=%v), want count 2", ec, ok)
 	}
+	if _, ok := rep.Windows["svc.plain"]; ok {
+		t.Fatal("a histogram that keeps no window reported one")
+	}
+	if rep.Histograms["svc.latency"].Count != 1 || rep.Counters["svc.errors"] != 2 {
+		t.Fatalf("cumulative values missed the windowed calls: %+v %+v", rep.Histograms, rep.Counters)
+	}
 
 	r.Reset()
 	rep = r.Snapshot()
-	if wd := rep.Windows["svc.latency"]; wd.M1.Count != 0 {
-		t.Fatalf("after Reset, windowed count = %d, want 0", wd.M1.Count)
+	if wd, ok := rep.Windows["svc.latency"]; !ok || wd.M1.Count != 0 {
+		t.Fatalf("after Reset, windowed count = %d (kept: %v), want 0 and still kept", wd.M1.Count, ok)
+	}
+}
+
+// TestWindowSteadyRate: steady traffic of one observation a second
+// reads 1/s on both views at every offset into a shard, because each
+// view divides by the span its shards actually cover.
+func TestWindowSteadyRate(t *testing.T) {
+	clk := newManualClock()
+	h := newWindow(10*time.Second, 32, clk.Now)
+	c := newWindowCounter(10*time.Second, 32, clk.Now)
+	// Fill the 5m view and its partial shard, then walk two more shards.
+	for i := 0; i < 330; i++ {
+		h.Observe(0.001)
+		c.Inc()
+		clk.Advance(time.Second)
+		if i < 310 {
+			continue
+		}
+		for _, view := range []time.Duration{time.Minute, 5 * time.Minute} {
+			for name, st := range map[string]WindowStats{"histogram": h.stats(view), "counter": c.stats(view)} {
+				if math.Abs(st.RatePerSec-1) > 0.01 {
+					t.Fatalf("%s %v rate at %ds into the shard = %g, want 1±1%%",
+						name, view, (i+1)%10, st.RatePerSec)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowedMetricsConcurrent: handles fetched, windowed and fed from
+// many goroutines through the registry while snapshots read them lose no
+// observation, in the cumulative values or the windows.
+func TestWindowedMetricsConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const writers, per = 8, 500
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := r.Histogram("svc.latency").KeepWindow()
+			c := r.Counter("svc.errors").KeepWindow()
+			for i := 0; i < per; i++ {
+				h.Observe(0.001)
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rep := r.Snapshot()
+	const want = writers * per
+	if rep.Histograms["svc.latency"].Count != want || rep.Counters["svc.errors"] != want {
+		t.Fatalf("cumulative = %d/%d, want %d", rep.Histograms["svc.latency"].Count, rep.Counters["svc.errors"], want)
+	}
+	for _, name := range []string{"svc.latency", "svc.errors"} {
+		if got := rep.Windows[name].M1.Count; got != want {
+			t.Fatalf("%s 1m window count = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -219,10 +219,10 @@ func latticeFromSlots(slots [][]Slot, numPhones int) (*lattice.Lattice, error) {
 }
 
 // obsDegraded counts every degraded fused result in the process,
-// whatever the serving role (obs run reports and /metricsz). Its
-// rolling window — the RED "errors" of the serving path, since
-// degradation is the failure mode scoring absorbs instead of surfacing
-// as a 5xx — is the server's (Server.degraded).
+// whatever the serving role (obs run reports and /metricsz). A traced
+// standalone server keeps its rolling window — the RED "errors" of the
+// serving path, since degradation is the failure mode scoring absorbs
+// instead of surfacing as a 5xx.
 var obsDegraded = obs.GetCounter("serve.score.degraded")
 
 // AssembleResult turns one utterance's per-front-end score rows into the

@@ -78,10 +78,6 @@ type Batcher struct {
 	maxBatch int
 	workers  int
 	process  func([]*job)
-	// windowed feeds the rolling 1m/5m views next to the cumulative
-	// metrics; the server turns it off only for the tracing-overhead
-	// benchmark baseline.
-	windowed bool
 
 	queue   chan *job
 	drainCh chan struct{}
@@ -91,8 +87,9 @@ type Batcher struct {
 	closed bool
 }
 
-// Queue-depth gauge and backpressure counters (obs run reports), plus
-// the rolling-window views /metricsz reports as 1m/5m live metrics.
+// Queue-depth gauge and backpressure counters (obs run reports); a
+// traced server keeps the windows of the queue-wait and batch-size
+// histograms, which /metricsz reports as 1m/5m live metrics.
 var (
 	obsQueueDepth = obs.GetGauge("serve.queue.depth")
 	obsQueueWait  = obs.GetHistogram("serve.queue.wait_seconds")
@@ -102,9 +99,6 @@ var (
 	obsRejected   = obs.GetCounter("serve.queue.rejected")
 	obsPanics     = obs.GetCounter("serve.score.panics")
 	obsExpired    = obs.GetCounter("serve.jobs.expired")
-
-	wobsQueueWait = obs.GetWindow("serve.queue.wait_seconds")
-	wobsBatchSize = obs.GetWindow("serve.batch.size")
 
 	// batchSeq numbers dispatch batches process-wide so traces and
 	// access-log lines can say which jobs shared a scoring pass.
@@ -126,7 +120,6 @@ func newBatcher(maxBatch, queueDepth, workers int, process func([]*job)) *Batche
 	b := &Batcher{
 		maxBatch: maxBatch,
 		workers:  workers,
-		windowed: true,
 		queue:    make(chan *job, queueDepth),
 		drainCh:  make(chan struct{}),
 		done:     make(chan struct{}),
@@ -180,11 +173,7 @@ func (b *Batcher) Drain(ctx context.Context) error {
 // numbers isolate queueing from batch formation), the job's queue.wait
 // span closes, and its batch.form span opens.
 func (b *Batcher) noteDequeue(j *job) {
-	wait := time.Since(j.enqueued).Seconds()
-	obsQueueWait.Observe(wait)
-	if b.windowed {
-		wobsQueueWait.Observe(wait)
-	}
+	obsQueueWait.Observe(time.Since(j.enqueued).Seconds())
 	if j.queueSpan != nil {
 		j.queueSpan.End()
 		j.queueSpan = nil
@@ -243,9 +232,6 @@ func (b *Batcher) runBatch(batch []*job) {
 	obsBatchJobs.Add(int64(len(batch)))
 	obs.SetGauge("serve.batch.last_size", float64(len(batch)))
 	obsBatchSize.Observe(float64(len(batch)))
-	if b.windowed {
-		wobsBatchSize.Observe(float64(len(batch)))
-	}
 	id := batchSeq.Add(1)
 	for _, j := range batch {
 		j.batchID.Store(id)

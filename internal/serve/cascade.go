@@ -56,7 +56,7 @@ type CascadeOutcome struct {
 	Margin float64 `json:"margin,omitempty"`
 }
 
-// cascadeTallies are a server's cascade counters and per-path latency
+// cascadeMetrics are a server's cascade counters and per-path latency
 // histograms, under its namespace (serve.cascade.* standalone,
 // cluster.cascade.* at the coordinator). Exit/escalate partition every
 // scoring utterance of a cascade-enabled server; tier1.failed counts
@@ -66,20 +66,20 @@ type CascadeOutcome struct {
 // battery). The two latency histograms split the /v1/score request
 // latency by path — the observable the BENCH_cascade.json speedup claims
 // are checked against in production.
-type cascadeTallies struct {
-	exit, escalate, failed, escDegraded tally
-	tier1, escalated                    timing
+type cascadeMetrics struct {
+	exit, escalate, failed, escDegraded *obs.Counter
+	tier1, escalated                    *obs.Histogram
 }
 
-func newCascadeTallies(ns string, windowed bool) cascadeTallies {
-	p := ns + ".cascade."
-	return cascadeTallies{
-		exit:        newTally(p+"exit", windowed),
-		escalate:    newTally(p+"escalate", windowed),
-		failed:      newTally(p+"tier1.failed", windowed),
-		escDegraded: newTally(p+"escalated.degraded", windowed),
-		tier1:       newTiming(p+"tier1.seconds", windowed),
-		escalated:   newTiming(p+"escalated.seconds", windowed),
+func (s *Server) newCascadeMetrics() cascadeMetrics {
+	p := s.ns + ".cascade."
+	return cascadeMetrics{
+		exit:        s.counter(p + "exit"),
+		escalate:    s.counter(p + "escalate"),
+		failed:      s.counter(p + "tier1.failed"),
+		escDegraded: s.counter(p + "escalated.degraded"),
+		tier1:       s.histogram(p + "tier1.seconds"),
+		escalated:   s.histogram(p + "escalated.seconds"),
 	}
 }
 

@@ -270,7 +270,7 @@ func TestCascadeTier1FaultDegradesToEscalation(t *testing.T) {
 				Seed:  7,
 				Rules: []faultinject.Rule{{Site: "cascade.tier1", Kind: kind, Every: 1}},
 			})()
-			before := s.casc.failed.c.Value()
+			before := s.casc.failed.Value()
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", req)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("tier-1 %s fault surfaced as %d: %s", kind, resp.StatusCode, body)
@@ -287,8 +287,8 @@ func TestCascadeTier1FaultDegradesToEscalation(t *testing.T) {
 				t.Fatalf("escalated result incomplete: %d rows, %d fused, degraded=%v",
 					len(sr.Scores), len(sr.Fused), sr.Degraded)
 			}
-			if s.casc.failed.c.Value() != before+1 {
-				t.Fatalf("tier1.failed went %d -> %d, want +1", before, s.casc.failed.c.Value())
+			if s.casc.failed.Value() != before+1 {
+				t.Fatalf("tier1.failed went %d -> %d, want +1", before, s.casc.failed.Value())
 			}
 			st := faultinject.Snapshot()["cascade.tier1"]
 			if st.Fires == 0 {

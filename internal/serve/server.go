@@ -110,10 +110,11 @@ type Server struct {
 	inflight  atomic.Int64
 
 	// ns prefixes the request path's metric and span names (see
-	// NewWithRole); degraded and casc are its namespaced tallies.
+	// NewWithRole); degraded and casc are its namespaced metrics.
+	// degraded is nil under "serve", whose count AssembleResult keeps.
 	ns       string
-	degraded tally
-	casc     cascadeTallies
+	degraded *obs.Counter
+	casc     cascadeMetrics
 
 	// cascadePolicy is the parsed threshold-offset policy; read-only
 	// after construction. Meaningful only when cfg.Cascade.Enabled.
@@ -150,7 +151,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: adapt: %w", err)
 	}
 	s.batcher = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Workers, nil)
-	s.batcher.windowed = !cfg.DisableTracing
+	if !cfg.DisableTracing {
+		obsQueueWait.KeepWindow()
+		obsBatchSize.KeepWindow()
+	}
 	return s, nil
 }
 
@@ -165,17 +169,13 @@ func newServer(cfg Config, ns string) (*Server, error) {
 		}
 		s.cascadePolicy = pol
 	}
-	windowed := !cfg.DisableTracing
-	if windowed {
+	if !cfg.DisableTracing {
 		s.accessLog = newAccessLogger(cfg.AccessLog, cfg.AccessLogEvery)
 	}
-	s.degraded = newTally(ns+".score.degraded", windowed)
-	if ns == "serve" {
-		// AssembleResult counts serve.score.degraded for every role; only
-		// the window is this server's.
-		s.degraded.c = nil
+	if degraded := s.counter(ns + ".score.degraded"); degraded != obsDegraded {
+		s.degraded = degraded
 	}
-	s.casc = newCascadeTallies(ns, windowed)
+	s.casc = s.newCascadeMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/score", s.instrument("score", func(w http.ResponseWriter, r *http.Request) {
 		s.serveScore(w, r, false)
@@ -210,47 +210,23 @@ func (s *Server) Reload() (*Model, error) { return s.reloader.Reload() }
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// tally is a cumulative counter with its rolling-window twin; the window
-// moves only while tracing is on. A nil counter keeps only the window.
-type tally struct {
-	c        *obs.Counter
-	w        *obs.WindowCounter
-	windowed bool
-}
-
-func newTally(name string, windowed bool) tally {
-	return tally{obs.GetCounter(name), obs.GetWindowCounter(name), windowed}
-}
-
-func (t tally) inc() {
-	if t.c != nil {
-		t.c.Inc()
+// counter and histogram return the named metric, keeping its rolling
+// window when tracing is on. A window belongs to the metric, so it is
+// process-wide.
+func (s *Server) counter(name string) *obs.Counter {
+	c := obs.GetCounter(name)
+	if !s.cfg.DisableTracing {
+		c.KeepWindow()
 	}
-	if t.windowed {
-		t.w.Inc()
-	}
+	return c
 }
 
-// timing is a latency histogram with its rolling-window twin; a
-// negative duration is not observed.
-type timing struct {
-	h        *obs.Histogram
-	w        *obs.Window
-	windowed bool
-}
-
-func newTiming(name string, windowed bool) timing {
-	return timing{obs.GetHistogram(name), obs.GetWindow(name), windowed}
-}
-
-func (t timing) observe(d time.Duration) {
-	if d < 0 {
-		return
+func (s *Server) histogram(name string) *obs.Histogram {
+	h := obs.GetHistogram(name)
+	if !s.cfg.DisableTracing {
+		h.KeepWindow()
 	}
-	t.h.Observe(d.Seconds())
-	if t.windowed {
-		t.w.Observe(d.Seconds())
-	}
+	return h
 }
 
 // statusWriter records the response status so instrumentation, the
@@ -278,10 +254,9 @@ func statusOf(w http.ResponseWriter) int {
 // histograms (cumulative + rolling windows), server-error counters, and
 // the shared in-flight gauge, all under the server's namespace.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	windowed := !s.cfg.DisableTracing
 	reqs := obs.GetCounter(s.ns + ".http." + name + ".requests")
-	lat := newTiming(s.ns+".http."+name+".seconds", windowed)
-	errs := newTally(s.ns+".http.errors", windowed)
+	lat := s.histogram(s.ns + ".http." + name + ".seconds")
+	errs := s.counter(s.ns + ".http.errors")
 	inflight := obs.GetGauge(s.ns + ".http.inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
@@ -289,9 +264,9 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
 		defer func() {
-			lat.observe(time.Since(t0))
+			lat.Observe(time.Since(t0).Seconds())
 			if sw.status >= 500 {
-				errs.inc()
+				errs.Inc()
 			}
 			inflight.Set(float64(s.inflight.Add(-1)))
 		}()
@@ -356,12 +331,12 @@ func (tr *reqTrace) reject(w http.ResponseWriter, status int, format string, arg
 	writeError(w, status, "%s", msg)
 }
 
-// noteResult folds one utterance's result into the degradation tally and
+// noteResult folds one utterance's result into the degradation count and
 // the trace: degradation state, survivors, error, and the dispatch batch
 // it rode in.
 func (s *Server) noteResult(tr *reqTrace, u *Utterance, res *ScoreResult) {
-	if res.Degraded {
-		s.degraded.inc()
+	if res.Degraded && s.degraded != nil {
+		s.degraded.Inc()
 	}
 	if tr == nil {
 		return
@@ -575,15 +550,14 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Cascade latency is per request (elapsed is negative in a batch):
+	// Cascade latency is per request (a batch observes none):
 	// batch utterances share dispatch, so a per-utterance wall time would
 	// price batch-mates' work.
 	start := time.Now()
-	elapsed := func() time.Duration {
-		if batch {
-			return -1
+	observe := func(h *obs.Histogram) {
+		if !batch {
+			h.Observe(time.Since(start).Seconds())
 		}
-		return time.Since(start)
 	}
 	results := make([]ScoreResult, len(utts))
 	cascOut := make([]*CascadeOutcome, len(utts))
@@ -601,11 +575,11 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 		if s.cfg.Cascade.Enabled {
 			casc, fast := CascadeTier1(m, s.cascadePolicy, u, span)
 			if casc.Reason == ReasonTier1Fault {
-				s.casc.failed.inc()
+				s.casc.failed.Inc()
 			}
 			if fast != nil {
-				s.casc.exit.inc()
-				s.casc.tier1.observe(elapsed())
+				s.casc.exit.Inc()
+				observe(s.casc.tier1)
 				results[i] = *fast
 				if batch && span != nil {
 					span.End()
@@ -647,10 +621,10 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 		}
 		if cascOut[i] != nil {
 			results[i].Cascade = cascOut[i]
-			s.casc.escalate.inc()
-			s.casc.escalated.observe(elapsed())
+			s.casc.escalate.Inc()
+			observe(s.casc.escalated)
 			if results[i].Degraded {
-				s.casc.escDegraded.inc()
+				s.casc.escDegraded.Inc()
 			}
 		}
 		s.noteResult(tr, u, &results[i])
