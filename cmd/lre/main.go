@@ -25,7 +25,7 @@
 //
 //	lre -scale full -table all -checkpoint-dir ./ckpt           # checkpoint as you go
 //	lre -scale full -table all -checkpoint-dir ./ckpt -resume   # continue a killed run
-//	lre … -checkpoint-every 2 -checkpoint-keep 3                # thin rounds, prune after success
+//	lre … -checkpoint-keep 3                                    # prune after success
 //	lre … -chaos 'seed=1; checkpoint.save.prepublish:panic:every=1,after=3,count=1'
 //
 // Resumed runs produce byte-identical tables; a corrupt or torn newest
@@ -95,7 +95,6 @@ func main() {
 		cascEval   = flag.String("cascade-eval", "", "train the tier-1 cascade, sweep thresholds, and write the exit-rate/accuracy/EER tradeoff curve JSON (BENCH_cascade.json) to this path")
 		ckDir      = flag.String("checkpoint-dir", "", "checkpoint directory: phase results are saved here and (with -resume) restored")
 		resume     = flag.Bool("resume", false, "resume from the newest intact generation in -checkpoint-dir (required when the dir already holds checkpoints)")
-		ckEvery    = flag.Int("checkpoint-every", 1, "save every Nth iterative-DBA round checkpoint (phase checkpoints are always saved)")
 		ckKeep     = flag.Int("checkpoint-keep", 0, "after a successful run, prune checkpoint generations older than the newest N (0 = keep all)")
 		chaos      = flag.String("chaos", "", "deterministic fault-injection plan, e.g. \"seed=1; checkpoint.save.prepublish:panic:after=3,count=1\"")
 	)
@@ -164,7 +163,7 @@ func main() {
 			log.Printf("resuming from checkpoint generation %d (%d entries, %d corrupt generations skipped)",
 				store.Generation(), store.Len(), store.FellBack())
 		}
-		ck = &experiments.Checkpointer{Store: store, Every: *ckEvery}
+		ck = &experiments.Checkpointer{Store: store}
 	}
 
 	var p *experiments.Pipeline

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dba"
 	"repro/internal/fusion"
 	"repro/internal/ngram"
 	"repro/internal/persist"
@@ -61,35 +62,37 @@ func buildFixture(seed uint64) (*persist.Bundle, *Set) {
 		set.HoldoutLabels = append(set.HoldoutLabels, i%tfLangs)
 	}
 
-	var dev [][][]float64
-	for f := 0; f < 2; f++ {
-		var train, holdout []*sparse.Vector
+	data := make([]*dba.SubsystemData, 2)
+	for f := range data {
+		d := &dba.SubsystemData{Name: fmt.Sprintf("FE%d", f), Dim: dim}
 		for i := 0; i < tfTrain; i++ {
-			train = append(train, synthVector(r, dim, i%tfLangs, f))
+			d.Train = append(d.Train, synthVector(r, dim, i%tfLangs, f))
 		}
 		for i := 0; i < tfHoldout; i++ {
-			holdout = append(holdout, synthVector(r, dim, i%tfLangs, f))
+			d.Test = append(d.Test, synthVector(r, dim, i%tfLangs, f))
 		}
-		// The per-front-end seed derivation the trainer uses, so a
-		// candidate trained on the unmodified frozen set reproduces these
-		// weights.
-		fopt := opt
-		fopt.Seed = opt.Seed + 7_000_003 + uint64(f)*104729
-		ovr := svm.TrainOVR(train, set.TrainLabels, tfLangs, dim, fopt)
+		data[f] = d
+	}
+	// An empty DBA-M2 selection retrains on the frozen set alone, so a
+	// candidate trained on the unmodified frozen set reproduces these
+	// weights.
+	var dev [][][]float64
+	for f, ovr := range dba.Retrain(data, set.TrainLabels, nil, dba.M2, tfLangs, opt) {
+		d := data[f]
 		b.FrontEnds = append(b.FrontEnds, persist.FrontEndModel{
-			Name:      fmt.Sprintf("FE%d", f),
+			Name:      d.Name,
 			NumPhones: tfPhones,
 			Order:     tfOrder,
 			OVR:       ovr,
 		})
 		set.FrontEnds = append(set.FrontEnds, SetFrontEnd{
-			Name:    fmt.Sprintf("FE%d", f),
+			Name:    d.Name,
 			Dim:     dim,
-			Train:   train,
-			Holdout: holdout,
+			Train:   d.Train,
+			Holdout: d.Test,
 		})
-		rows := make([][]float64, len(train))
-		for i, v := range train {
+		rows := make([][]float64, len(d.Train))
+		for i, v := range d.Train {
 			rows[i] = ovr.Scores(v)
 		}
 		dev = append(dev, rows)

@@ -44,8 +44,8 @@ type Set struct {
 	// SVM carries the export-time solver options, so candidate training
 	// uses exactly the hyperparameters the base models were trained with.
 	SVM svm.Options
-	// Seed is the export pipeline's seed (candidate seeds derive from it
-	// the same way dba.Run derives per-front-end seeds).
+	// Seed is the export pipeline's seed, kept for reference: candidate
+	// seeds derive from SVM.Seed, per front-end, in dba.Retrain.
 	Seed uint64
 	// TrainLabels pairs with every front-end's Train vectors.
 	TrainLabels []int

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dba"
 	"repro/internal/persist"
 	"repro/internal/sparse"
-	"repro/internal/svm"
 )
 
 // ErrNoSelection reports a training pass where Eq. 13 voting selected no
@@ -41,9 +40,11 @@ func voteMatrices(set *Set, obss []Observation) [][][]float64 {
 }
 
 // buildCandidate runs one self-training pass: Eq. 13 voting over the
-// buffered observations, threshold selection, and a per-front-end
-// one-vs-rest retrain (M1: selected only; M2: selected ∪ the sidecar's
-// frozen training set). The returned bundle shares the serving bundle's
+// buffered observations, threshold selection, and the offline pass's
+// per-front-end retrain, dba.Retrain (M1: selected only; M2: selected ∪
+// the sidecar's frozen training set). It calls Retrain rather than
+// dba.Run: a candidate needs no rescored observations, and the daemon
+// keeps no dba.* metrics. The returned bundle shares the serving bundle's
 // fusion backend and cascade model — only the weight batteries change —
 // so its decision scale is comparable gate-side.
 func buildCandidate(set *Set, serving *persist.Bundle, obss []Observation, pol Policy) (*persist.Bundle, TrainStats, error) {
@@ -58,27 +59,22 @@ func buildCandidate(set *Set, serving *persist.Bundle, obss []Observation, pol P
 		return nil, stats, ErrNoSelection
 	}
 
-	numLangs := len(set.Languages)
 	cand := &persist.Bundle{
 		Languages: append([]string(nil), serving.Languages...),
 		FrontEnds: append([]persist.FrontEndModel(nil), serving.FrontEnds...),
 		Fusion:    serving.Fusion,
 		Cascade:   serving.Cascade,
 	}
-	for q := range cand.FrontEnds {
+	data := make([]*dba.SubsystemData, len(set.FrontEnds))
+	for q := range set.FrontEnds {
 		sfe := &set.FrontEnds[q]
 		test := make([]*sparse.Vector, len(obss))
 		for j, o := range obss {
 			test[j] = o.Vectors[q]
 		}
-		d := &dba.SubsystemData{Name: sfe.Name, Dim: sfe.Dim, Train: sfe.Train, Test: test}
-		xs, ys := dba.BuildTrainingSet(d, set.TrainLabels, sel, pol.Method)
-		// The same per-front-end seed derivation dba.Run uses, so a
-		// candidate trained on the full frozen set under M2 with the same
-		// selection reproduces the offline second-pass models.
-		qopt := set.SVM
-		qopt.Seed = set.SVM.Seed + 7_000_003 + uint64(q)*104729
-		ovr := svm.TrainOVR(xs, ys, numLangs, d.Dim, qopt)
+		data[q] = &dba.SubsystemData{Name: sfe.Name, Dim: sfe.Dim, Train: sfe.Train, Test: test}
+	}
+	for q, ovr := range dba.Retrain(data, set.TrainLabels, sel, pol.Method, len(set.Languages), set.SVM) {
 		cand.FrontEnds[q].OVR = ovr
 	}
 	if err := cand.Validate(); err != nil {

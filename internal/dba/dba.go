@@ -174,15 +174,12 @@ type Config struct {
 
 // Outcome is the result of one DBA pass.
 type Outcome struct {
-	// BaselineScores[q][j][k]: first-pass score matrices (Eq. 8–9).
-	BaselineScores [][][]float64
-	// Votes[j][k]: the tally C_v.
-	Votes [][]int
 	// Selected is T_DBA (test indices + hypothesized labels).
 	Selected []Hypothesis
-	// Retrained[q]: second-pass models per subsystem.
+	// Retrained[q]: second-pass models per subsystem (the baseline models
+	// when nothing was selected).
 	Retrained []*svm.OneVsRest
-	// Scores[q][j][k]: second-pass score matrices.
+	// Scores[q][j][k]: Retrained's raw test score matrices.
 	Scores [][][]float64
 }
 
@@ -226,11 +223,30 @@ func BuildTrainingSet(d *SubsystemData, trainLabels []int, sel []Hypothesis, met
 	return xs, ys
 }
 
+// Retrain trains every subsystem's second-pass models on the selection
+// (paper step e): one one-vs-rest battery per subsystem on
+// BuildTrainingSet's data, seeded per subsystem from opt.Seed. The offline
+// pass (Run) and online self-training both retrain through it, so the
+// same selection over the same data yields the same models.
+func Retrain(data []*SubsystemData, trainLabels []int, sel []Hypothesis, method Method, numLangs int, opt svm.Options) []*svm.OneVsRest {
+	models := make([]*svm.OneVsRest, len(data))
+	for q, d := range data {
+		xs, ys := BuildTrainingSet(d, trainLabels, sel, method)
+		qopt := opt
+		qopt.Seed = opt.Seed + 7_000_003 + uint64(q)*104729
+		models[q] = svm.TrainOVR(xs, ys, numLangs, d.Dim, qopt)
+	}
+	return models
+}
+
 // Run executes the full DBA pass given already-trained baseline models and
-// their first-pass score matrices (so sweeps over V and Method reuse the
-// baseline work, as the algorithm itself does).
+// the score matrices to vote on (so sweeps over V and Method reuse the
+// baseline work, as the algorithm itself does). When nothing is selected
+// DBA degenerates to the baseline (M2) or to an untrainable set (M1); the
+// outcome then keeps the baseline models in both cases, with their own
+// raw scores, so downstream scoring stays well-defined.
 func Run(data []*SubsystemData, trainLabels []int, baseline []*svm.OneVsRest,
-	baselineScores [][][]float64, cfg Config) *Outcome {
+	voteScores [][][]float64, cfg Config) *Outcome {
 
 	sp := obs.ChildOf(cfg.Span, "dba.run")
 	defer sp.End()
@@ -238,7 +254,7 @@ func Run(data []*SubsystemData, trainLabels []int, baseline []*svm.OneVsRest,
 	sp.SetAttr("threshold", float64(cfg.Threshold))
 
 	voteSp := sp.StartChild("vote")
-	votes := CountVotes(baselineScores)
+	votes := CountVotes(voteScores)
 	sel := Select(votes, cfg.Threshold)
 	voteSp.SetAttr("selected", float64(len(sel)))
 	voteSp.End()
@@ -249,30 +265,13 @@ func Run(data []*SubsystemData, trainLabels []int, baseline []*svm.OneVsRest,
 	}
 	sp.SetAttr("selected", float64(len(sel)))
 
-	o := &Outcome{
-		BaselineScores: baselineScores,
-		Votes:          votes,
-		Selected:       sel,
-		Retrained:      make([]*svm.OneVsRest, len(data)),
+	o := &Outcome{Selected: sel, Retrained: baseline}
+	if len(sel) > 0 {
+		retrainSp := sp.StartChild("retrain")
+		o.Retrained = Retrain(data, trainLabels, sel, cfg.Method, cfg.NumLangs, cfg.SVMOptions)
+		retrainSp.SetAttr("subsystems", float64(len(data)))
+		retrainSp.End()
 	}
-	if len(sel) == 0 {
-		// Nothing selected: DBA degenerates to the baseline (M2) or to an
-		// untrainable set (M1); keep the baseline models in both cases so
-		// downstream scoring stays well-defined.
-		o.Retrained = baseline
-		o.Scores = baselineScores
-		return o
-	}
-	retrainSp := sp.StartChild("retrain")
-	for q, d := range data {
-		xs, ys := BuildTrainingSet(d, trainLabels, sel, cfg.Method)
-		qopt := cfg.SVMOptions
-		qopt.Seed = cfg.SVMOptions.Seed + 7_000_003 + uint64(q)*104729
-		o.Retrained[q] = svm.TrainOVR(xs, ys, cfg.NumLangs, d.Dim, qopt)
-	}
-	retrainSp.SetAttr("subsystems", float64(len(data)))
-	retrainSp.End()
-
 	rescoreSp := sp.StartChild("rescore")
 	o.Scores = ScoreAll(o.Retrained, data)
 	rescoreSp.End()

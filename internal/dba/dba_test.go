@@ -191,6 +191,31 @@ func TestRunEmptySelectionFallsBack(t *testing.T) {
 			t.Fatal("empty selection should fall back to baseline models")
 		}
 	}
+
+	// A vote input on another scale (a calibrated copy) selects nothing
+	// at any threshold; the outcome still carries the baseline's raw
+	// scores, not the input.
+	cfg.Threshold = 1
+	o = Run(data, trainLabels, baseline, shiftScores(baseScores, -100), cfg)
+	if len(o.Selected) != 0 {
+		t.Fatal("all-negative vote input selected something")
+	}
+	scoresEqual(t, o.Scores, baseScores)
+}
+
+// shiftScores returns a copy of score matrices with d added to every score.
+func shiftScores(mats [][][]float64, d float64) [][][]float64 {
+	out := make([][][]float64, len(mats))
+	for q, mat := range mats {
+		out[q] = make([][]float64, len(mat))
+		for j, row := range mat {
+			out[q][j] = make([]float64, len(row))
+			for k, v := range row {
+				out[q][j][k] = v + d
+			}
+		}
+	}
+	return out
 }
 
 func TestBuildTrainingSetMethods(t *testing.T) {

@@ -23,17 +23,17 @@ type IterativeConfig struct {
 	StopOnStable bool
 	// Checkpoint, when non-nil, persists each completed round and lets a
 	// resumed run skip straight past rounds it already finished. A loaded
-	// round replays the exact post-round state transitions (model swap,
-	// stability check, recalibrated vote scores), so a resumed run is
-	// bit-identical to an uninterrupted one.
+	// round goes through the same post-round transitions (model swap,
+	// stability check, recalibrated vote scores) as a computed one, so a
+	// resumed run is bit-identical to an uninterrupted one.
 	Checkpoint RoundCheckpoint
 }
 
 // RoundCheckpoint is the hook RunIterative uses to persist round
 // boundaries. LoadRound returns the stored result and retrained models
 // for a round, or ok=false when the round must be computed. SaveRound is
-// called after each computed round; implementations decide cadence and
-// must not fail the run (log and continue).
+// called after each computed round; implementations must not fail the
+// run (log and continue).
 type RoundCheckpoint interface {
 	LoadRound(round int) (rr *RoundResult, models []*svm.OneVsRest, ok bool)
 	SaveRound(round int, rr *RoundResult, models []*svm.OneVsRest)
@@ -43,7 +43,7 @@ type RoundCheckpoint interface {
 type RoundResult struct {
 	Round    int
 	Selected []Hypothesis
-	// ErrorRate is filled by the caller when truth is available.
+	// Scores[q][j][k]: the round's retrained models' raw test scores.
 	Scores [][][]float64
 }
 
@@ -58,8 +58,9 @@ type IterativeOutcome struct {
 
 // RunIterative performs multi-round DBA. Round 1 votes with the provided
 // baseline scores (identical to Run); round r > 1 votes with round r−1's
-// retrained scores, calibrated by the caller-provided recalibrate hook
-// (pass nil to vote on raw second-pass scores).
+// raw scores (Outcome.Scores, also after a round that selected nothing),
+// calibrated by the caller-provided recalibrate hook (pass nil to vote on
+// raw second-pass scores).
 func RunIterative(data []*SubsystemData, trainLabels []int, baseline []*svm.OneVsRest,
 	baselineScores [][][]float64, cfg IterativeConfig,
 	recalibrate func(models []*svm.OneVsRest, scores [][][]float64) [][][]float64) *IterativeOutcome {
@@ -77,55 +78,41 @@ func RunIterative(data []*SubsystemData, trainLabels []int, baseline []*svm.OneV
 	voteScores := baselineScores
 	var prev []Hypothesis
 	for round := 1; round <= cfg.Rounds; round++ {
-		var rr RoundResult
+		var rr *RoundResult
+		var roundModels []*svm.OneVsRest
+		loaded := false
 		if cfg.Checkpoint != nil {
-			if loaded, loadedModels, ok := cfg.Checkpoint.LoadRound(round); ok {
-				// Replay the round from its checkpoint: same RoundResult,
-				// same retrained models, and exactly the same post-round
-				// transitions as the computed path below.
-				obs.Inc("dba.rounds.resumed")
-				out.Rounds = append(out.Rounds, *loaded)
-				models = loadedModels
-				if cfg.StopOnStable && sameSelection(prev, loaded.Selected) {
-					out.Stable = true
-					break
-				}
-				prev = loaded.Selected
-				if round < cfg.Rounds {
-					voteScores = loaded.Scores
-					if recalibrate != nil {
-						voteScores = recalibrate(models, loaded.Scores)
-					}
-				}
-				continue
+			rr, roundModels, loaded = cfg.Checkpoint.LoadRound(round)
+		}
+		if loaded {
+			obs.Inc("dba.rounds.resumed")
+		} else {
+			roundSp := iterSp.StartChild(fmt.Sprintf("dba.round-%d", round))
+			roundCfg := cfg.Config
+			roundCfg.Span = roundSp
+			o := Run(data, trainLabels, models, voteScores, roundCfg)
+			roundSp.SetAttr("selected", float64(len(o.Selected)))
+			roundSp.End()
+			obs.Inc("dba.rounds")
+			rr = &RoundResult{Round: round, Selected: o.Selected, Scores: o.Scores}
+			roundModels = o.Retrained
+			if cfg.Checkpoint != nil {
+				cfg.Checkpoint.SaveRound(round, rr, roundModels)
 			}
 		}
-		roundSp := iterSp.StartChild(fmt.Sprintf("dba.round-%d", round))
-		roundCfg := cfg.Config
-		roundCfg.Span = roundSp
-		o := Run(data, trainLabels, models, voteScores, roundCfg)
-		roundSp.SetAttr("selected", float64(len(o.Selected)))
-		roundSp.End()
-		obs.Inc("dba.rounds")
-		rr = RoundResult{
-			Round:    round,
-			Selected: o.Selected,
-			Scores:   o.Scores,
-		}
-		out.Rounds = append(out.Rounds, rr)
-		models = o.Retrained
-		if cfg.Checkpoint != nil {
-			cfg.Checkpoint.SaveRound(round, &rr, models)
-		}
-		if cfg.StopOnStable && sameSelection(prev, o.Selected) {
+		// The post-round transitions, the same for a loaded and a computed
+		// round, so a resumed run is bit-identical to an uninterrupted one.
+		out.Rounds = append(out.Rounds, *rr)
+		models = roundModels
+		if cfg.StopOnStable && sameSelection(prev, rr.Selected) {
 			out.Stable = true
 			break
 		}
-		prev = o.Selected
+		prev = rr.Selected
 		if round < cfg.Rounds {
-			voteScores = o.Scores
+			voteScores = rr.Scores
 			if recalibrate != nil {
-				voteScores = recalibrate(models, o.Scores)
+				voteScores = recalibrate(models, rr.Scores)
 			}
 		}
 	}

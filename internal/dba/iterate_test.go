@@ -98,6 +98,45 @@ func TestRunIterativeRecalibrateHookUsed(t *testing.T) {
 	}
 }
 
+func TestRunIterativeEmptyRoundScoresRaw(t *testing.T) {
+	// The hook pushes round 2's vote input below zero, so round 2 selects
+	// nothing and keeps round 1's models. Its scores must be those models'
+	// raw scores — the next recalibration must not see the shifted input.
+	r := rng.New(4)
+	data, trainLabels, _ := synthData(r, 15, 12, 3)
+	opt := svm.DefaultOptions()
+	baseline := TrainBaseline(data, trainLabels, 3, opt)
+	baseScores := ScoreAll(baseline, data)
+	var round1 []*svm.OneVsRest
+	var got [][][]float64
+	calls := 0
+	hook := func(models []*svm.OneVsRest, scores [][][]float64) [][][]float64 {
+		calls++
+		if calls == 1 {
+			round1 = models
+			return shiftScores(scores, -100)
+		}
+		got = scores
+		return scores
+	}
+	out := RunIterative(data, trainLabels, baseline, baseScores, IterativeConfig{
+		Config: Config{Threshold: 1, Method: M2, NumLangs: 3, SVMOptions: opt},
+		Rounds: 3,
+	}, hook)
+	if len(out.Rounds) != 3 || calls != 2 {
+		t.Fatalf("%d rounds, %d recalibrations; want 3 and 2", len(out.Rounds), calls)
+	}
+	if len(out.Rounds[0].Selected) == 0 {
+		t.Fatal("round 1 selected nothing")
+	}
+	if len(out.Rounds[1].Selected) != 0 {
+		t.Fatalf("round 2 selected %d on an all-negative vote input", len(out.Rounds[1].Selected))
+	}
+	want := ScoreAll(round1, data)
+	scoresEqual(t, out.Rounds[1].Scores, want)
+	scoresEqual(t, got, want)
+}
+
 // memRoundCheckpoint is an in-memory RoundCheckpoint for the resume
 // tests: rounds saved by one run are replayed by the next.
 type memRoundCheckpoint struct {

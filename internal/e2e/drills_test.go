@@ -321,6 +321,37 @@ func TestCrashResumeSmoke(t *testing.T) {
 	}
 }
 
+// TestDBAThresholdsExample: the examples/dbathresholds walkthrough (a
+// tiny pipeline, then DBA-M2 at every vote threshold) runs to the end and
+// prints one row per V from 6 down to 1.
+func TestDBAThresholdsExample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a pipeline")
+	}
+	const pkg = "./examples/dbathresholds"
+	if _, err := deps(root, pkg); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "dbathresholds")
+	build := exec.Command("go", "build", "-o", bin, pkg)
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin).CombinedOutput()
+	if err != nil {
+		t.Fatalf("dbathresholds: %v\n%s", err, out)
+	}
+	rows := regexp.MustCompile(`(?m)^([1-6]) +\d+ +\d+\.\d\d +\d+\.\d\d$`).FindAllSubmatch(out, -1)
+	var vs []string
+	for _, r := range rows {
+		vs = append(vs, string(r[1]))
+	}
+	if strings.Join(vs, ",") != "6,5,4,3,2,1" {
+		t.Fatalf("V rows %v, want 6 down to 1\n%s", vs, out)
+	}
+}
+
 // TestClusterSmoke: a coordinator and two worker processes answer like a
 // standalone daemon over the same bundle, keep answering (degraded, 2xx)
 // under a cluster.rpc chaos plan, and keep answering with survivor fusion

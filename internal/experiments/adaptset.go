@@ -28,10 +28,6 @@ func (p *Pipeline) BuildAdaptSet() *adapt.Set {
 	if nRef > nDev {
 		nRef = nDev
 	}
-	allDev := make([]int, nDev)
-	for i := range allDev {
-		allDev[i] = i
-	}
 	devSplit := p.Corpus.AllDev()
 	s := &adapt.Set{
 		FormatVersion: adapt.SetFormatVersion,
@@ -51,7 +47,7 @@ func (p *Pipeline) BuildAdaptSet() *adapt.Set {
 			Dim:           p.Data[q].Dim,
 			Train:         p.Data[q].Train,
 			Holdout:       p.Feats[q].Vectors(devSplit),
-			VoteShifts:    voteShiftsForTier(p.BaselineDev[q], p.DevLabels, allDev, VoteCalibrationFA),
+			VoteShifts:    p.pooledVoteShifts(q),
 			RefereeScores: ref,
 		})
 	}

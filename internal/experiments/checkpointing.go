@@ -26,11 +26,6 @@ import (
 // dying mid-save.
 type Checkpointer struct {
 	Store *checkpoint.Store
-	// Every thins per-round DBA checkpoints: only rounds with
-	// (round−1) mod Every == 0 are saved. ≤ 1 saves every round.
-	// Phase-boundary checkpoints (features, baseline, DBA outcomes,
-	// Table 4) are always saved.
-	Every int
 }
 
 func (c *Checkpointer) enabled() bool { return c != nil && c.Store != nil }
@@ -67,17 +62,6 @@ func (c *Checkpointer) save(key string, v any) {
 type scoresSnap struct {
 	Test [][][]float64
 	Dev  [][][]float64
-}
-
-// dbaSnap is the slim checkpoint of one dba.Run outcome. Votes and the
-// echoed first-pass scores are recomputed from the pipeline's VoteScores
-// (bit-identical: CountVotes is integer tallying over the same floats),
-// so only the pass's real products are stored. Scores is captured after
-// the pipeline's empty-selection adjustment.
-type dbaSnap struct {
-	Selected  []dba.Hypothesis
-	Retrained []*svm.OneVsRest
-	Scores    [][][]float64
 }
 
 // iterRoundSnap checkpoints one completed boosting round of the
@@ -119,13 +103,6 @@ func (ic *iterCheckpoint) LoadRound(round int) (*dba.RoundResult, []*svm.OneVsRe
 }
 
 func (ic *iterCheckpoint) SaveRound(round int, rr *dba.RoundResult, models []*svm.OneVsRest) {
-	every := ic.ck.Every
-	if every < 1 {
-		every = 1
-	}
-	if (round-1)%every != 0 {
-		return
-	}
 	ic.ck.save(ic.key(round), &iterRoundSnap{Result: *rr, Models: models})
 }
 

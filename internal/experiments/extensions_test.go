@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -22,29 +23,19 @@ func TestIterativeDBA(t *testing.T) {
 		t.Fatalf("round 1 selected %d, single pass %d",
 			len(out.Rounds[0].Selected), len(single.Selected))
 	}
-	// Later rounds must not catastrophically degrade mean EER.
-	meanOf := func(scores [][][]float64) float64 {
-		var sum float64
-		var n int
-		for q := range scores {
-			for dur := range p.TestIdx {
-				eer, _ := Eval(scores[q], p.TestLabels, p.TestIdx[dur])
-				sum += eer
-				n++
-			}
-		}
-		return sum / float64(n)
+	// The report is pinned like the tables (see golden_test.go).
+	golden, err := os.ReadFile(iterativeGolden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := meanOf(out.Rounds[0].Scores)
-	last := meanOf(out.Rounds[len(out.Rounds)-1].Scores)
-	if last > first+10 {
-		t.Fatalf("iteration diverged: round1 %.2f -> final %.2f", first, last)
-	}
-	report := p.IterativeReport(out)
-	if !strings.Contains(report, "round") {
-		t.Error("report broken")
-	}
+	want := strings.Split(strings.TrimRight(string(golden), "\n"), "\n")
+	got := strings.Split(strings.TrimRight(p.IterativeReport(out), "\n"), "\n")
+	compareTokens(t, "iterated DBA", got, want)
 }
+
+// iterativeGolden is IterativeReport(IterativeDBA(3, M2, 3)) on the tiny
+// seed-42 pipeline.
+const iterativeGolden = "testdata/iterative_dba_tiny_seed42.txt"
 
 func TestSelectionStatsAtFA(t *testing.T) {
 	p := sharedPipeline(t)

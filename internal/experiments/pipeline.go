@@ -367,12 +367,20 @@ func voteShiftsForTier(devMat [][]float64, devLabels []int, tierIdx []int, fa fl
 	return shifts
 }
 
+// pooledVoteShifts is subsystem q's vote calibration pooled over every dev
+// duration at VoteCalibrationFA: the shifts the adapt sidecar carries
+// (BuildAdaptSet) and the replay export votes with (ExportRequests).
+func (p *Pipeline) pooledVoteShifts(q int) []float64 {
+	allDev := make([]int, len(p.DevLabels))
+	for i := range allDev {
+		allDev[i] = i
+	}
+	return voteShiftsForTier(p.BaselineDev[q], p.DevLabels, allDev, VoteCalibrationFA)
+}
+
 // DBAOutcome runs (or returns the memoized) DBA pass for a threshold and
 // method. With a checkpoint store attached, a completed pass is restored
-// from disk instead of retrained: the snapshot stores the pass's products
-// (selection, retrained models, second-pass scores) and the vote tally is
-// recomputed from the pipeline's calibrated scores, which is bit-identical
-// integer counting.
+// from disk instead of retrained: the checkpoint is the Outcome itself.
 func (p *Pipeline) DBAOutcome(v int, method dba.Method) *dba.Outcome {
 	key := outcomeKey{v: v, method: method}
 	p.mu.Lock()
@@ -382,33 +390,18 @@ func (p *Pipeline) DBAOutcome(v int, method dba.Method) *dba.Outcome {
 	}
 	p.mu.Unlock()
 	ckKey := fmt.Sprintf("dba-v%d-%s", v, method)
-	var snap dbaSnap
-	if p.ck.load(ckKey, &snap) && len(snap.Retrained) == len(p.Data) {
-		o := &dba.Outcome{
-			BaselineScores: p.VoteScores,
-			Votes:          dba.CountVotes(p.VoteScores),
-			Selected:       snap.Selected,
-			Retrained:      snap.Retrained,
-			Scores:         snap.Scores,
-		}
+	o := new(dba.Outcome)
+	if p.ck.load(ckKey, o) && len(o.Retrained) == len(p.Data) {
 		obs.Inc("checkpoint.dba.restored")
-		p.mu.Lock()
-		p.outcomes[key] = o
-		p.mu.Unlock()
-		return o
+	} else {
+		o = dba.Run(p.Data, p.TrainLabels, p.Baseline, p.VoteScores, dba.Config{
+			Threshold:  v,
+			Method:     method,
+			NumLangs:   NumLangs,
+			SVMOptions: p.SVMOptions,
+		})
+		p.ck.save(ckKey, o)
 	}
-	o := dba.Run(p.Data, p.TrainLabels, p.Baseline, p.VoteScores, dba.Config{
-		Threshold:  v,
-		Method:     method,
-		NumLangs:   NumLangs,
-		SVMOptions: p.SVMOptions,
-	})
-	if len(o.Selected) == 0 {
-		// Degenerate fallback: evaluation should see the raw baseline
-		// scores, not the vote-calibrated copy dba.Run echoes back.
-		o.Scores = p.BaselineScores
-	}
-	p.ck.save(ckKey, &dbaSnap{Selected: o.Selected, Retrained: o.Retrained, Scores: o.Scores})
 	p.mu.Lock()
 	p.outcomes[key] = o
 	p.mu.Unlock()

@@ -49,16 +49,11 @@ func (p *Pipeline) ExportRequests(path string, n int) (written, voted int, err e
 		n = total
 	}
 
-	// The sidecar's calibration, exactly: pooled-dev shifts at
-	// VoteCalibrationFA (BuildAdaptSet writes the same ones as
-	// VoteShifts), applied to the raw baseline test scores.
-	allDev := make([]int, len(p.DevLabels))
-	for i := range allDev {
-		allDev[i] = i
-	}
+	// The sidecar's vote calibration (pooledVoteShifts) applied to the raw
+	// baseline test scores.
 	cal := make([][][]float64, len(p.FEs))
 	for q := range p.FEs {
-		shifts := voteShiftsForTier(p.BaselineDev[q], p.DevLabels, allDev, VoteCalibrationFA)
+		shifts := p.pooledVoteShifts(q)
 		cal[q] = make([][]float64, total)
 		for j := 0; j < total; j++ {
 			cal[q][j] = dba.Calibrate(p.BaselineScores[q][j], shifts)
