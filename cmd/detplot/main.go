@@ -1,6 +1,9 @@
 // Command detplot emits DET-curve data (Fig. 3) as tab-separated values
-// ready for gnuplot/matplotlib: one block per (system, duration) with
-// probit-scaled axes, plus the EER operating point of each curve.
+// ready for gnuplot/matplotlib: a header line, then one blank-line
+// separated block per (duration, system) — baseline-fusion and
+// dba-fusion, longest duration first — of (Pfa, Pmiss) points with
+// their probit-scaled axes. Points with Pfa or Pmiss at 0 or 1 are
+// dropped (the probit is infinite there).
 //
 // Usage:
 //

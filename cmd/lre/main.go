@@ -21,6 +21,12 @@
 // bundle.gob with a manifest.json provenance sidecar (seed, scale,
 // front-ends, git describe). cmd/lred serves it; see README "Serving".
 //
+//	lre -scale small -seed 42 -export-models ./models -compress-rank 24
+//
+// writes the compressed form instead: an int8 rank-24 projection basis
+// and int8 rank-space kernel per front-end, the only compressed bundle
+// cmd/lred serves.
+//
 // Checkpoint/resume (see DESIGN.md "Checkpointing & crash safety"):
 //
 //	lre -scale full -table all -checkpoint-dir ./ckpt           # checkpoint as you go
@@ -33,7 +39,7 @@
 //
 // Quality sweeps (see EXPERIMENTS.md; serving cost is bench/run.sh's):
 //
-//	lre -scale medium -seed 42 -compress-eval BENCH_compress.json   # rank × precision: size, ΔEER
+//	lre -scale medium -seed 42 -compress-eval BENCH_compress.json   # rank sweep: size, ΔEER
 //	lre -scale medium -seed 42 -cascade-eval BENCH_cascade.json     # tier-1 exit rate vs EER
 //
 // Observability (internal/obs) outputs:
@@ -66,7 +72,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/scorefile"
-	"repro/internal/svm"
 	"repro/internal/synthlang"
 )
 
@@ -89,9 +94,8 @@ func main() {
 		reportOut  = flag.String("report-out", "", "write the run report (span trace, counters/gauges/latency histograms, run meta) as JSON to this path")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile of the whole run to this path")
 		pprofMem   = flag.String("pprof-mem", "", "write a heap profile at end of run to this path")
-		compEval   = flag.String("compress-eval", "", "run the rank × precision compression sweep (bundle size, fused ΔEER) and write the JSON report (BENCH_compress.json) to this path")
-		compRank   = flag.Int("compress-rank", 0, "with -export-models: export a compressed bundle at this projection rank (0 = uncompressed)")
-		compPrec   = flag.String("compress-precision", "int8", "with -compress-rank: packed basis/kernel precision: float64|int8")
+		compEval   = flag.String("compress-eval", "", "run the rank compression sweep (bundle size, fused ΔEER) and write the JSON report (BENCH_compress.json) to this path")
+		compRank   = flag.Int("compress-rank", 0, "with -export-models: export an int8 compressed bundle at this projection rank (0 = uncompressed)")
 		cascEval   = flag.String("cascade-eval", "", "train the tier-1 cascade, sweep thresholds, and write the exit-rate/accuracy/EER tradeoff curve JSON (BENCH_cascade.json) to this path")
 		ckDir      = flag.String("checkpoint-dir", "", "checkpoint directory: phase results are saved here and (with -resume) restored")
 		resume     = flag.Bool("resume", false, "resume from the newest intact generation in -checkpoint-dir (required when the dir already holds checkpoints)")
@@ -128,15 +132,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Compression flags fail fast, before the (potentially minutes-long)
+	// A bad rank fails fast, before the (potentially minutes-long)
 	// pipeline build.
 	if *compRank < 0 {
 		log.Fatalf("-compress-rank %d: rank must be >= 0 (0 = uncompressed)", *compRank)
-	}
-	if *compRank > 0 || *compEval != "" {
-		if _, perr := svm.ParsePrecision(*compPrec); perr != nil {
-			log.Fatal(perr)
-		}
 	}
 
 	wantTable := func(n string) bool {
@@ -230,16 +229,12 @@ func main() {
 	if *exportDir != "" {
 		var m *persist.Manifest
 		if *compRank > 0 {
-			prec, perr := svm.ParsePrecision(*compPrec)
-			if perr != nil {
-				log.Fatal(perr)
-			}
-			m, err = p.ExportModelsCompressed(*exportDir, gitDescribe(), *compRank, prec)
+			m, err = p.ExportModelsCompressed(*exportDir, gitDescribe(), *compRank)
 			if err != nil {
 				log.Fatal(err)
 			}
-			log.Printf("exported compressed bundle to %s: %d front-ends, rank %d, precision %s",
-				*exportDir, len(m.FrontEnds), *compRank, prec)
+			log.Printf("exported compressed bundle to %s: %d front-ends, rank %d, int8",
+				*exportDir, len(m.FrontEnds), *compRank)
 		} else {
 			m, err = p.ExportModels(*exportDir, gitDescribe())
 			if err != nil {
@@ -257,7 +252,7 @@ func main() {
 		log.Printf("exported %d replay requests to %s (%d vote-selected)", written, *exportReqs, voted)
 	}
 	if *compEval != "" {
-		rep, err := experiments.RunCompressEval(p, nil, nil)
+		rep, err := experiments.RunCompressEval(p, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

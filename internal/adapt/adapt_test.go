@@ -24,10 +24,7 @@ func TestPromoteSuccess(t *testing.T) {
 	a, h := newTestAdapter(t, dir, nil)
 	feed(a, set, tfHoldout, correct)
 
-	res, err := a.TryPromote(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := a.TryPromote(true)
 	if !res.Promoted || res.Outcome != OutcomePromoted {
 		t.Fatalf("outcome %q (err %q), want %q", res.Outcome, res.Err, OutcomePromoted)
 	}
@@ -61,7 +58,7 @@ func TestPromoteSuccess(t *testing.T) {
 		t.Fatalf("status %+v", st)
 	}
 	// A promotion consumes the buffer: the next pass (even forced) skips.
-	res, _ = a.TryPromote(true)
+	res = a.TryPromote(true)
 	if res.Outcome != OutcomeNoData {
 		t.Fatalf("post-promotion pass %q, want %q", res.Outcome, OutcomeNoData)
 	}
@@ -72,7 +69,7 @@ func TestPromoteSkipsBelowMinUtts(t *testing.T) {
 	_, set := writeFixture(t, dir, 12)
 	a, _ := newTestAdapter(t, dir, func(p *Policy) { p.MinUtts = 8 })
 	feed(a, set, 2, correct)
-	res, _ := a.TryPromote(false)
+	res := a.TryPromote(false)
 	if res.Outcome != OutcomeNoData {
 		t.Fatalf("outcome %q, want %q", res.Outcome, OutcomeNoData)
 	}
@@ -130,7 +127,7 @@ func TestGateVetoCanary(t *testing.T) {
 	before := rootDigest(t, dir)
 	feed(a, set, tfHoldout, correct)
 
-	res, _ := a.TryPromote(true)
+	res := a.TryPromote(true)
 	if res.Outcome != OutcomeCanaryVeto {
 		t.Fatalf("outcome %q (err %q), want %q", res.Outcome, res.Err, OutcomeCanaryVeto)
 	}
@@ -150,7 +147,7 @@ func TestGateVetoShadow(t *testing.T) {
 	before := rootDigest(t, dir)
 	feed(a, set, tfHoldout, correct)
 
-	res, _ := a.TryPromote(true)
+	res := a.TryPromote(true)
 	if res.Outcome != OutcomeShadowVeto {
 		t.Fatalf("outcome %q (err %q), want %q", res.Outcome, res.Err, OutcomeShadowVeto)
 	}
@@ -172,7 +169,7 @@ func TestGateVetoEER(t *testing.T) {
 	before := rootDigest(t, dir)
 	feed(a, set, tfHoldout, wrong)
 
-	res, _ := a.TryPromote(true)
+	res := a.TryPromote(true)
 	if res.Outcome != OutcomeEERVeto {
 		t.Fatalf("outcome %q (err %q; cand %.2f serv %.2f), want %q",
 			res.Outcome, res.Err, res.CandEER, res.ServEER, OutcomeEERVeto)
@@ -216,7 +213,7 @@ func TestChaosSitesLeaveServingUntouched(t *testing.T) {
 			restore := faultinject.Enable(&faultinject.Plan{Seed: 7, Rules: []faultinject.Rule{
 				{Site: tc.site, Kind: kind, Every: 1},
 			}})
-			res, _ := a.TryPromote(true)
+			res := a.TryPromote(true)
 			restore()
 
 			if res.Outcome != tc.wantOutcome {
@@ -247,7 +244,7 @@ func TestSwapRefusedRevertsPointer(t *testing.T) {
 	h.fail = errors.New("breaker open")
 	feed(a, set, tfHoldout, correct)
 
-	res, _ := a.TryPromote(true)
+	res := a.TryPromote(true)
 	if res.Outcome != OutcomeSwapErr {
 		t.Fatalf("outcome %q (err %q), want %q", res.Outcome, res.Err, OutcomeSwapErr)
 	}
@@ -265,7 +262,7 @@ func TestProbeRollback(t *testing.T) {
 	_, set := writeFixture(t, dir, 18)
 	a, h := newTestAdapter(t, dir, nil)
 	feed(a, set, tfHoldout, correct)
-	if res, _ := a.TryPromote(true); res.Outcome != OutcomePromoted {
+	if res := a.TryPromote(true); res.Outcome != OutcomePromoted {
 		t.Fatalf("setup promotion failed: %q (%s)", res.Outcome, res.Err)
 	}
 	swapsAfterPromote := h.swaps
@@ -305,7 +302,7 @@ func TestRollbackCommand(t *testing.T) {
 	_, set := writeFixture(t, dir, 19)
 	a, h := newTestAdapter(t, dir, nil)
 	feed(a, set, tfHoldout, correct)
-	if res, _ := a.TryPromote(true); res.Outcome != OutcomePromoted {
+	if res := a.TryPromote(true); res.Outcome != OutcomePromoted {
 		t.Fatalf("setup promotion failed: %q", res.Outcome)
 	}
 	servingGen1 := h.cur
@@ -335,7 +332,7 @@ func TestPromotePruneKeepsPinned(t *testing.T) {
 	a, _ := newTestAdapter(t, dir, func(p *Policy) { p.Keep = 1 })
 	for i := 0; i < 4; i++ {
 		feed(a, set, tfHoldout, correct)
-		res, _ := a.TryPromote(true)
+		res := a.TryPromote(true)
 		if res.Outcome != OutcomePromoted {
 			t.Fatalf("promotion %d: %q (%s)", i+1, res.Outcome, res.Err)
 		}
@@ -358,7 +355,7 @@ func TestCrashRestartResumesPromotedGeneration(t *testing.T) {
 	_, set := writeFixture(t, dir, 21)
 	a, _ := newTestAdapter(t, dir, nil)
 	feed(a, set, tfHoldout, correct)
-	if res, _ := a.TryPromote(true); res.Outcome != OutcomePromoted {
+	if res := a.TryPromote(true); res.Outcome != OutcomePromoted {
 		t.Fatalf("setup promotion failed: %q", res.Outcome)
 	}
 
@@ -376,7 +373,7 @@ func TestCorruptPromotedGenerationFallsBack(t *testing.T) {
 	_, set := writeFixture(t, dir, 22)
 	a, _ := newTestAdapter(t, dir, nil)
 	feed(a, set, tfHoldout, correct)
-	if res, _ := a.TryPromote(true); res.Outcome != OutcomePromoted {
+	if res := a.TryPromote(true); res.Outcome != OutcomePromoted {
 		t.Fatalf("setup promotion failed: %q", res.Outcome)
 	}
 	genBundle := filepath.Join(dir, persist.GenDirName(1), "bundle.gob")

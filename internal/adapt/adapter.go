@@ -118,8 +118,8 @@ type Adapter struct {
 }
 
 // New builds an adapter over a bundle root. The root must currently
-// resolve to a loadable, adaptable bundle: float-precision batteries
-// (int8 bundles ship no trainable weights) and an adapt sidecar whose
+// resolve to a loadable, adaptable bundle: a plain float64 battery
+// (a compressed bundle ships no trainable weights) and an adapt sidecar whose
 // geometry matches. Fails fast otherwise — adaptation is explicit
 // opt-in, and a misconfigured loop must not silently no-op.
 func New(cfg Config) (*Adapter, error) {
@@ -154,7 +154,7 @@ func New(cfg Config) (*Adapter, error) {
 
 // checkSetAgainstBundle verifies the sidecar belongs to this bundle:
 // same languages, same front-end order, matching weight-space
-// geometry, trainable precision.
+// geometry, float64 weights.
 func checkSetAgainstBundle(set *Set, b *persist.Bundle) error {
 	if len(set.Languages) != len(b.Languages) {
 		return fmt.Errorf("adapt: sidecar lists %d languages, bundle %d", len(set.Languages), len(b.Languages))
@@ -247,17 +247,16 @@ func guard(fn func() error) (err error) {
 
 // TryPromote runs one complete gated promotion attempt. force bypasses
 // the MinUtts floor (the /-/adapt/promote endpoint) but never any gate.
-// The returned Result is also recorded as Status().Last. The error
-// return is non-nil only for infrastructure failures; gate vetoes and
-// skips come back as (Result, nil).
-func (a *Adapter) TryPromote(force bool) (Result, error) {
+// The returned Result is also recorded as Status().Last; every failure,
+// veto and skip is an Outcome in it.
+func (a *Adapter) TryPromote(force bool) Result {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.attempts++
 	obs.Inc("adapt.attempts")
 	res := a.tryPromoteLocked(force)
 	a.last = res
-	return res, nil
+	return res
 }
 
 func (a *Adapter) tryPromoteLocked(force bool) Result {
@@ -540,7 +539,7 @@ func (a *Adapter) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-train.C:
-			if res, _ := a.TryPromote(false); res.Outcome != OutcomeNoData {
+			if res := a.TryPromote(false); res.Outcome != OutcomeNoData {
 				a.logf("pass: %s (gen %d)", res.Outcome, res.Generation)
 			}
 		case <-probe.C:

@@ -496,21 +496,16 @@ func promHas(t *testing.T, prom string, patterns ...string) {
 // export, and a daemon serving it agrees with a plain daemon on the best
 // language and the top-3 set. The tail of the ranking may differ: int8
 // reorders near-tied languages, which is the measured ΔEER trade. A
-// precision lre does not export (the retired float32, or junk) fails
-// before the pipeline build, naming the two it does.
+// negative rank fails before the pipeline build.
 func TestCompressSmoke(t *testing.T) {
 	setup(t)
-	for _, prec := range []string{"float32", "junk"} {
-		dir := t.TempDir()
-		_, stderr, err := runLre("-scale", "tiny", "-seed", "42", "-export-models", dir,
-			"-compress-rank", "24", "-compress-precision", prec)
-		if err == nil || !bytes.Contains(stderr, []byte("float64|int8")) || bytes.Contains(stderr, []byte("building pipeline")) {
-			t.Fatalf("-compress-precision %s: err %v, stderr:\n%s\nwant a nonzero exit naming float64|int8 before the pipeline build", prec, err, stderr)
-		}
+	_, stderr, err := runLre("-scale", "tiny", "-seed", "42", "-export-models", t.TempDir(), "-compress-rank", "-1")
+	if err == nil || !bytes.Contains(stderr, []byte("-compress-rank -1")) || bytes.Contains(stderr, []byte("building pipeline")) {
+		t.Fatalf("-compress-rank -1: err %v, stderr:\n%s\nwant a nonzero exit naming the rank before the pipeline build", err, stderr)
 	}
 	compressed := t.TempDir()
 	if _, stderr, err := runLre("-scale", "tiny", "-seed", "42", "-export-models", compressed,
-		"-compress-rank", "24", "-compress-precision", "int8"); err != nil {
+		"-compress-rank", "24"); err != nil {
 		t.Fatalf("compressed export: %v\n%s", err, stderr)
 	}
 	if full, comp := len(readFile(t, fx.models+"/bundle.gob")), len(readFile(t, compressed+"/bundle.gob")); comp*5 > full {

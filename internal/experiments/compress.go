@@ -1,5 +1,5 @@
-// Compressed serving: low-rank supervector projection + reduced-precision
-// scoring kernels (the -compress-eval / compressed -export-models path).
+// Compressed serving: low-rank supervector projection + int8 scoring
+// kernels (the -compress-eval / compressed -export-models path).
 //
 // The uncompressed serving footprint is dominated by the per-front-end
 // one-vs-rest weight matrices — K=23 languages × the full supervector
@@ -8,10 +8,9 @@
 // training supervectors (deflated power iteration on XᵀX, seeded and
 // deterministic) plus a rank-space OVR set retrained on the projected
 // training vectors. The projection basis, not the weights, then dominates
-// the footprint (r×dim vs 23×r), so the basis itself is stored at the
-// chosen precision — float64 or symmetric per-direction int8 —
-// and for int8 bundles the rank-space weights ship as a quantized kernel
-// (svm.Quantized) with the float64 set dropped.
+// the footprint (r×dim vs 23×r), so the basis itself is stored as
+// symmetric per-direction int8, and the rank-space weights ship as a
+// quantized kernel (svm.Quantized) with the float64 set dropped.
 //
 // Offline and online scoring see identical artifacts: training, scoring,
 // and the exported bundle all project through the packed (serialized)
@@ -33,38 +32,33 @@ import (
 	"repro/internal/vsm"
 )
 
-// CompressedSystem is one (rank, precision) operating point of a
-// pipeline: per-front-end packed projections, rank-space models, and the
+// CompressedSystem is one rank's operating point of a pipeline:
+// per-front-end packed projections, rank-space int8 kernels, and the
 // compressed score matrices over the pipeline's dev/test splits.
 type CompressedSystem struct {
-	Rank      int
-	Precision svm.Precision
+	Rank int
 
 	// Projs are the exact float64 projections (for analysis); Packed the
 	// serialized forms everything actually scores through.
 	Projs  []*proj.Projection
 	Packed []*proj.Packed
-	// OVRs holds the rank-space float64 models (float64 points);
-	// Quants the int8 kernels (int8 points). Exactly one is non-nil per
-	// front-end.
-	OVRs   []*svm.OneVsRest
 	Quants []*svm.Quantized
 
 	// TestScores/DevScores are [q][utterance][language] over the pooled
-	// test and dev orders, computed with the precision-dispatched kernel
-	// (quantization loss included for int8).
+	// test and dev orders, computed with the int8 kernels (quantization
+	// loss included).
 	TestScores [][][]float64
 	DevScores  [][][]float64
 }
 
 // Compress fits rank-r projections on the training supervectors and
-// builds the compressed system at the given precision.
-func (p *Pipeline) Compress(rank int, prec svm.Precision) (*CompressedSystem, error) {
+// builds the compressed system.
+func (p *Pipeline) Compress(rank int) (*CompressedSystem, error) {
 	projs, err := p.fitProjections(rank)
 	if err != nil {
 		return nil, err
 	}
-	return p.compressWith(projs, rank, prec)
+	return p.compressWith(projs, rank)
 }
 
 // fitProjections fits one rank-r projection per front-end on that
@@ -118,21 +112,19 @@ func truncateProj(pj *proj.Projection, rank int) *proj.Projection {
 }
 
 // compressWith builds the operating point from pre-fitted projections
-// (truncating them to rank as needed): pack the basis at the target
-// precision, project train/dev/test through the packed basis, retrain
-// the OVR set in rank space, and (for int8) quantize it.
-func (p *Pipeline) compressWith(projs []*proj.Projection, rank int, prec svm.Precision) (*CompressedSystem, error) {
+// (truncating them to rank as needed): pack the basis, project
+// train/dev/test through the packed basis, retrain the OVR set in rank
+// space, quantize it, and score with the quantized kernel.
+func (p *Pipeline) compressWith(projs []*proj.Projection, rank int) (*CompressedSystem, error) {
 	sp := obs.StartSpan("compress.build")
 	defer sp.End()
 	sp.SetAttr("rank", float64(rank))
-	sp.SetLabel("precision", prec.String())
 
 	nFE := len(p.FEs)
 	cs := &CompressedSystem{
-		Rank: rank, Precision: prec,
+		Rank:   rank,
 		Projs:  make([]*proj.Projection, nFE),
 		Packed: make([]*proj.Packed, nFE),
-		OVRs:   make([]*svm.OneVsRest, nFE),
 		Quants: make([]*svm.Quantized, nFE),
 
 		TestScores: make([][][]float64, nFE),
@@ -142,31 +134,23 @@ func (p *Pipeline) compressWith(projs []*proj.Projection, rank int, prec svm.Pre
 	errs := make([]error, nFE)
 	parallel.For(nFE, func(q int) {
 		pj := truncateProj(projs[q], rank)
-		packed, err := pj.Pack(prec)
+		packed, err := pj.Pack()
 		if err != nil {
 			errs[q] = err
 			return
 		}
 		trainR := vsm.ProjectVectors(packed, rank, p.Data[q].Train)
-		testR := vsm.ProjectVectors(packed, rank, p.Data[q].Test)
-		devR := vsm.ProjectVectors(packed, rank, p.Feats[q].Vectors(dev))
 		ovr := svm.TrainOVR(trainR, p.TrainLabels, NumLangs, rank, p.SVMOptions)
-		cs.Projs[q] = pj
-		cs.Packed[q] = packed
-		if prec == svm.Int8 {
-			qk, err := ovr.Quantize()
-			if err != nil {
-				errs[q] = err
-				return
-			}
-			cs.Quants[q] = qk
-			cs.TestScores[q] = scoreMatrixQuant(qk, testR)
-			cs.DevScores[q] = scoreMatrixQuant(qk, devR)
+		qk, err := ovr.Quantize()
+		if err != nil {
+			errs[q] = err
 			return
 		}
-		cs.OVRs[q] = ovr
-		cs.TestScores[q] = scoreMatrixAt(ovr, testR)
-		cs.DevScores[q] = scoreMatrixAt(ovr, devR)
+		cs.Projs[q] = pj
+		cs.Packed[q] = packed
+		cs.Quants[q] = qk
+		cs.TestScores[q] = scoreMatrixQuant(qk, vsm.ProjectVectors(packed, rank, p.Data[q].Test))
+		cs.DevScores[q] = scoreMatrixQuant(qk, vsm.ProjectVectors(packed, rank, p.Feats[q].Vectors(dev)))
 	})
 	for q, err := range errs {
 		if err != nil {
@@ -184,14 +168,6 @@ func scoreMatrixQuant(qk *svm.Quantized, xs []*sparse.Vector) [][]float64 {
 	return out
 }
 
-func scoreMatrixAt(o *svm.OneVsRest, xs []*sparse.Vector) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = o.Scores(x)
-	}
-	return out
-}
-
 // BuildBundle assembles the compressed serving bundle: packed projection
 // + rank-space kernel per front-end, with the trial-level fusion backend
 // retrained on the compressed dev scores (the uncompressed backend's
@@ -204,20 +180,15 @@ func (cs *CompressedSystem) BuildBundle(p *Pipeline) *persist.Bundle {
 		Languages: append([]string(nil), synthlang.LanguageNames...),
 	}
 	for q, fe := range p.FEs {
-		fem := persist.FrontEndModel{
+		b.FrontEnds = append(b.FrontEnds, persist.FrontEndModel{
 			Name:      fe.Name,
 			NumPhones: fe.Set.Size,
 			Order:     fe.Space.Order,
 			TFLLR:     p.Feats[q].TF,
 			Proj:      cs.Packed[q],
-			Precision: cs.Precision.String(),
-		}
-		if cs.Precision == svm.Int8 {
-			fem.Quant = cs.Quants[q]
-		} else {
-			fem.OVR = cs.OVRs[q]
-		}
-		b.FrontEnds = append(b.FrontEnds, fem)
+			Quant:     cs.Quants[q],
+			Precision: "int8",
+		})
 	}
 	b.Fusion = pooledDevBackend(cs.DevScores, p.DevLabels)
 	return b
@@ -225,10 +196,10 @@ func (cs *CompressedSystem) BuildBundle(p *Pipeline) *persist.Bundle {
 
 // ExportModelsCompressed writes the compressed serving bundle + manifest
 // to dir (the cmd/lre -export-models path with -compress-rank set).
-func (p *Pipeline) ExportModelsCompressed(dir, gitDescribe string, rank int, prec svm.Precision) (*persist.Manifest, error) {
+func (p *Pipeline) ExportModelsCompressed(dir, gitDescribe string, rank int) (*persist.Manifest, error) {
 	sp := obs.StartSpan("export-models-compressed")
 	defer sp.End()
-	cs, err := p.Compress(rank, prec)
+	cs, err := p.Compress(rank)
 	if err != nil {
 		return nil, err
 	}
@@ -247,9 +218,10 @@ func (p *Pipeline) ExportModelsCompressed(dir, gitDescribe string, rank int, pre
 
 // ---- the compress-eval sweep (BENCH_compress.json) ----
 
-// CompressPoint is one evaluated (rank, precision) cell of the sweep.
+// CompressPoint is one evaluated rank of the sweep.
 type CompressPoint struct {
-	Rank      int    `json:"rank"`
+	Rank int `json:"rank"`
+	// Precision is always "int8"; the field keeps the report's schema.
 	Precision string `json:"precision"`
 	// BundleBytes is the serialized (sealed) compressed bundle size;
 	// SizeReduction the ratio vs the uncompressed serving bundle.
@@ -288,25 +260,18 @@ type CompressReport struct {
 	HeadlineCriteria string         `json:"headline_criteria"`
 }
 
-// DefaultCompressRanks and DefaultCompressPrecisions define the standard
-// sweep grid.
-var (
-	DefaultCompressRanks      = []int{8, 16, 24, 32}
-	DefaultCompressPrecisions = []svm.Precision{svm.Float64, svm.Int8}
-)
+// DefaultCompressRanks is the standard sweep grid.
+var DefaultCompressRanks = []int{8, 16, 24, 32}
 
 func durKey(dur float64) string { return fmt.Sprintf("%gs", dur) }
 
-// RunCompressEval evaluates the full rank × precision grid against the
-// uncompressed baseline: serialized size and fused EER per duration tier.
-func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*CompressReport, error) {
+// RunCompressEval evaluates each rank against the uncompressed
+// baseline: serialized size and fused EER per duration tier.
+func RunCompressEval(p *Pipeline, ranks []int) (*CompressReport, error) {
 	sp := obs.StartSpan("compress-eval")
 	defer sp.End()
 	if len(ranks) == 0 {
 		ranks = DefaultCompressRanks
-	}
-	if len(precs) == 0 {
-		precs = DefaultCompressPrecisions
 	}
 	rep := &CompressReport{
 		GoVersion: runtime.Version(),
@@ -344,17 +309,15 @@ func RunCompressEval(p *Pipeline, ranks []int, precs []svm.Precision) (*Compress
 	}
 
 	for _, rank := range ranks {
-		for _, prec := range precs {
-			cs, err := p.compressWith(projs, rank, prec)
-			if err != nil {
-				return nil, err
-			}
-			pt, err := measurePoint(p, cs, rep.Baseline)
-			if err != nil {
-				return nil, err
-			}
-			rep.Points = append(rep.Points, *pt)
+		cs, err := p.compressWith(projs, rank)
+		if err != nil {
+			return nil, err
 		}
+		pt, err := measurePoint(p, cs, rep.Baseline)
+		if err != nil {
+			return nil, err
+		}
+		rep.Points = append(rep.Points, *pt)
 	}
 
 	// Headline selection.
@@ -378,7 +341,7 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 	}
 	pt := &CompressPoint{
 		Rank:          cs.Rank,
-		Precision:     cs.Precision.String(),
+		Precision:     "int8",
 		BundleBytes:   len(sealed),
 		SizeReduction: float64(base.BundleBytes) / float64(len(sealed)),
 		FusedEER:      make(map[string]float64),

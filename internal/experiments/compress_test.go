@@ -6,69 +6,66 @@ import (
 	"testing"
 
 	"repro/internal/persist"
-	"repro/internal/svm"
 	"repro/internal/vsm"
 )
 
-// TestCompressTinyEndToEnd runs the compression path at tiny scale over
-// every precision rung: the compressed bundle must validate, survive a
-// sealed round trip, and score the pooled test set exactly like the
-// offline compressed system (the offline/online consistency contract —
-// both sides project through the same packed basis).
+// TestCompressTinyEndToEnd runs the compression path at tiny scale: the
+// compressed bundle must validate, survive a sealed round trip, and
+// score the pooled test set exactly like the offline compressed system
+// (the offline/online consistency contract — both sides project through
+// the same packed basis).
 func TestCompressTinyEndToEnd(t *testing.T) {
 	p := BuildPipeline(ScaleTiny, 5)
 	const rank = 4
-	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
-		t.Run(prec.String(), func(t *testing.T) {
-			cs, err := p.Compress(rank, prec)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("int8", func(t *testing.T) {
+		cs, err := p.Compress(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := cs.BuildBundle(p)
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "bundle.gob")
+		if err := persist.Save(path, b); err != nil {
+			t.Fatal(err)
+		}
+		var lb persist.Bundle
+		if err := persist.Load(path, &lb); err != nil {
+			t.Fatal(err)
+		}
+		if err := lb.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for q := range lb.FrontEnds {
+			fe := &lb.FrontEnds[q]
+			if fe.WeightDim() != rank {
+				t.Fatalf("front-end %s weight dim %d, want rank %d", fe.Name, fe.WeightDim(), rank)
 			}
-			b := cs.BuildBundle(p)
-			if err := b.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "bundle.gob")
-			if err := persist.Save(path, b); err != nil {
-				t.Fatal(err)
-			}
-			var lb persist.Bundle
-			if err := persist.Load(path, &lb); err != nil {
-				t.Fatal(err)
-			}
-			if err := lb.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			for q := range lb.FrontEnds {
-				fe := &lb.FrontEnds[q]
-				if fe.WeightDim() != rank {
-					t.Fatalf("front-end %s weight dim %d, want rank %d", fe.Name, fe.WeightDim(), rank)
-				}
-				// The loaded bundle's projection+kernel reproduce the offline
-				// compressed scores bit-for-bit (TFLLR is already applied to
-				// the pipeline's cached test vectors).
-				for j, x := range p.Data[q].Test {
-					got := fe.Scores(fe.Proj.Apply(x))
-					want := cs.TestScores[q][j]
-					for k := range want {
-						if got[k] != want[k] {
-							t.Fatalf("front-end %s utt %d class %d: served %v, offline %v",
-								fe.Name, j, k, got[k], want[k])
-						}
-					}
-					if j >= 3 {
-						break // three utterances per FE pin the path
+			// The loaded bundle's projection+kernel reproduce the offline
+			// compressed scores bit-for-bit (TFLLR is already applied to
+			// the pipeline's cached test vectors).
+			for j, x := range p.Data[q].Test {
+				got := fe.Scores(fe.Proj.Apply(x))
+				want := cs.TestScores[q][j]
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("front-end %s utt %d class %d: served %v, offline %v",
+							fe.Name, j, k, got[k], want[k])
 					}
 				}
+				if j >= 3 {
+					break // three utterances per FE pin the path
+				}
 			}
-			if b.Fusion == nil {
-				t.Fatal("compressed bundle shipped without a fusion backend")
-			}
-			if b.Cascade != nil {
-				t.Fatal("compressed bundle should omit the cascade")
-			}
-		})
-	}
+		}
+		if b.Fusion == nil {
+			t.Fatal("compressed bundle shipped without a fusion backend")
+		}
+		if b.Cascade != nil {
+			t.Fatal("compressed bundle should omit the cascade")
+		}
+	})
 }
 
 // TestCompressEvalTiny exercises the sweep end to end on a minimal grid:
@@ -76,7 +73,7 @@ func TestCompressTinyEndToEnd(t *testing.T) {
 // quality numbers, and coherent size accounting.
 func TestCompressEvalTiny(t *testing.T) {
 	p := BuildPipeline(ScaleTiny, 7)
-	rep, err := RunCompressEval(p, []int{3}, []svm.Precision{svm.Int8})
+	rep, err := RunCompressEval(p, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +117,7 @@ func TestCompressedOrderPreservationMediumSeed42(t *testing.T) {
 	}
 	p := BuildPipeline(ScaleMedium, 42)
 	const rank = 24 // the BENCH_compress.json headline operating point
-	cs, err := p.Compress(rank, svm.Int8)
+	cs, err := p.Compress(rank)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/internal/dba"
+	"repro/internal/serve"
 	"repro/internal/synthlang"
 )
 
@@ -16,25 +17,8 @@ import (
 // supervector marked scaled, so a daemon serving the matching exported
 // bundle scores each line bit-identically to the offline pipeline — the
 // replay file is a deterministic traffic source for smoke tests, load
-// generation, and the internal/e2e adapt promotion drill.
-//
-// The local wire types mirror internal/serve's request schema (the
-// export round-trip test decodes a line with the real server types).
-
-type reqSupervector struct {
-	Idx    []int32   `json:"idx"`
-	Val    []float64 `json:"val"`
-	Scaled bool      `json:"scaled"`
-}
-
-type reqFrontEnd struct {
-	Supervector *reqSupervector `json:"supervector"`
-}
-
-type scoreRequest struct {
-	ID        string                 `json:"id"`
-	FrontEnds map[string]reqFrontEnd `json:"frontends"`
-}
+// generation, and the internal/e2e adapt promotion drill. Lines are
+// written with internal/serve's own request types.
 
 // ExportRequests writes up to n pooled test utterances (0 or negative:
 // all) as replay requests. Utterances that the exported sidecar's
@@ -81,13 +65,13 @@ func (p *Pipeline) ExportRequests(path string, n int) (written, voted int, err e
 	enc := json.NewEncoder(w)
 	for i := 0; i < n; i++ {
 		j := order[i]
-		req := scoreRequest{
+		req := serve.ScoreRequest{
 			ID:        fmt.Sprintf("replay-%04d-%s", j, synthlang.LanguageNames[p.TestLabels[j]]),
-			FrontEnds: make(map[string]reqFrontEnd, len(p.FEs)),
+			FrontEnds: make(map[string]serve.FrontEndInput, len(p.FEs)),
 		}
 		for q, fe := range p.FEs {
 			v := p.Data[q].Test[j]
-			req.FrontEnds[fe.Name] = reqFrontEnd{Supervector: &reqSupervector{
+			req.FrontEnds[fe.Name] = serve.FrontEndInput{Supervector: &serve.Supervector{
 				Idx:    v.Idx,
 				Val:    v.Val,
 				Scaled: true,

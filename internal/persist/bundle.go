@@ -39,23 +39,20 @@ type FrontEndModel struct {
 	Order     int
 	// TFLLR is nil when background scaling was disabled at training time.
 	TFLLR *ngram.TFLLR
-	// OVR holds the float64 one-vs-rest models. In a compressed int8
-	// bundle it is nil — Quant replaces it — and in a projected
-	// float64 bundle its weights live in the rank-r space (so
-	// they are tiny; the basis in Proj dominates). All three compression
+	// OVR holds the float64 one-vs-rest models of a plain bundle. In a
+	// compressed bundle it is nil: Quant replaces it. The compression
 	// fields are gob-additive: bundles written before they existed decode
 	// with them nil and score exactly as they always did.
 	OVR *svm.OneVsRest
 	// Proj, when non-nil, is the trained low-rank projection applied to
 	// TFLLR-scaled supervectors before scoring; the weight space is then
-	// Proj.Rank-dimensional.
+	// Proj.Rank-dimensional, and Quant must be set.
 	Proj *proj.Packed
 	// Quant is the int8 quantized scoring kernel (precision "int8"); the
 	// bundle then ships no float64 weights for this front-end.
 	Quant *svm.Quantized
-	// Precision is the scoring precision ("" or "float64", "int8") the
-	// bundle was exported for; Validate checks it against the kernel the
-	// bundle carries.
+	// Precision is "int8" when Quant is set, "" or "float64" otherwise;
+	// Validate checks it against the kernel the bundle carries.
 	Precision string
 }
 
@@ -153,15 +150,20 @@ func (b *Bundle) Validate() error {
 		if fe.NumPhones <= 0 || fe.Order < 1 {
 			return fmt.Errorf("persist: front-end %q has invalid space %d^%d", fe.Name, fe.NumPhones, fe.Order)
 		}
-		prec, err := svm.ParsePrecision(fe.Precision)
-		if err != nil {
-			return fmt.Errorf("persist: front-end %q: %w", fe.Name, err)
+		// The one compressed shape is an int8 projection basis plus an
+		// int8 kernel: Quant ⇔ "int8", and Proj requires Quant. Any other
+		// precision spelling, or a projection scored by float64 weights,
+		// is a retired rung and gets the one re-export message.
+		quantized := fe.Precision == "int8"
+		plain := fe.Precision == "" || fe.Precision == "float64"
+		if !quantized && !plain || fe.Proj != nil && fe.Quant == nil {
+			return fmt.Errorf("persist: front-end %q: %w", fe.Name, proj.ErrRetired)
 		}
 		if fe.Quant != nil {
 			if err := fe.Quant.Validate(); err != nil {
 				return fmt.Errorf("persist: front-end %q: %w", fe.Name, err)
 			}
-			if prec != svm.Int8 {
+			if !quantized {
 				return fmt.Errorf("persist: front-end %q carries an int8 kernel but precision %q", fe.Name, fe.Precision)
 			}
 			if fe.Quant.NumClasses != len(b.Languages) {
@@ -169,7 +171,7 @@ func (b *Bundle) Validate() error {
 					fe.Name, fe.Quant.NumClasses, len(b.Languages))
 			}
 		} else {
-			if prec == svm.Int8 {
+			if quantized {
 				return fmt.Errorf("persist: front-end %q declares int8 precision but has no quantized kernel", fe.Name)
 			}
 			if fe.OVR == nil || len(fe.OVR.Models) == 0 {
@@ -332,7 +334,7 @@ func (m *Manifest) stampContents(b *Bundle) {
 // (legacy bundles leave the field empty, which means float64).
 func precisionOf(fe *FrontEndModel) string {
 	if fe.Precision == "" {
-		return svm.Float64.String()
+		return "float64"
 	}
 	return fe.Precision
 }

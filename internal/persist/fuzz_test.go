@@ -110,6 +110,13 @@ func FuzzCompressedBundleUnseal(f *testing.F) {
 	f.Add(sealed[:len(sealed)-3]) // torn tail
 	f.Add(sealed[:16])
 	f.Add([]byte{})
+	// The same bundle as the retired float64 rung exported it: it
+	// decodes, so the fuzzer starts at Validate's refusal.
+	retired, err := MarshalSealed(Retire(b, "float64"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var lb Bundle
@@ -120,7 +127,7 @@ func FuzzCompressedBundleUnseal(f *testing.F) {
 			return
 		}
 		// A bundle that decodes and validates must score without
-		// panicking through the precision-dispatch path.
+		// panicking through the projection and kernel.
 		x := fuzzProbe()
 		for i := range lb.FrontEnds {
 			fe := &lb.FrontEnds[i]

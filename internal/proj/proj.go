@@ -20,12 +20,12 @@
 package proj
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sparse"
-	"repro/internal/svm"
 )
 
 // Config controls a projection fit.
@@ -71,7 +71,7 @@ const DefaultIters = 50
 const DefaultTol = 1e-6
 
 // Projection is the training-time form of a fitted rank-r projection:
-// orthonormal basis rows in float64. The serving form (quantized,
+// orthonormal basis rows in float64. The serving form (int8,
 // column-major) is built by Pack.
 type Projection struct {
 	Dim  int
@@ -316,145 +316,118 @@ func normalize(v []float64) float64 {
 	return n
 }
 
-// Pack builds the serving form of the projection at the requested
-// precision: column-major (feature-major) so applying it walks a
-// supervector's nonzeros once with Rank contiguous multiply-adds per
-// nonzero — the same access pattern as the packed SVM kernel. Int8
-// packing quantizes symmetrically per direction (per output component),
-// so the dequantization is a single per-direction scale in the epilogue.
-func (p *Projection) Pack(prec svm.Precision) (*Packed, error) {
-	pk := &Packed{Dim: p.Dim, Rank: p.Rank, Precision: prec.String()}
-	switch prec {
-	case svm.Float64:
-		pk.F64 = make([]float64, len(p.Basis))
-		for d := 0; d < p.Rank; d++ {
-			for j := 0; j < p.Dim; j++ {
-				pk.F64[j*p.Rank+d] = p.Basis[d*p.Dim+j]
+// Pack builds the serving form of the projection: the basis quantized
+// symmetrically per direction (per output component) to int8, laid out
+// column-major (feature-major) so applying it walks a supervector's
+// nonzeros once with Rank contiguous multiply-adds per nonzero, and the
+// dequantization is a single per-direction scale in the epilogue.
+func (p *Projection) Pack() (*Packed, error) {
+	pk := &Packed{
+		Dim:       p.Dim,
+		Rank:      p.Rank,
+		Precision: "int8",
+		Q8:        make([]byte, len(p.Basis)),
+		Scale:     make([]float64, p.Rank),
+	}
+	for d := 0; d < p.Rank; d++ {
+		row := p.Basis[d*p.Dim : (d+1)*p.Dim]
+		var maxAbs float64
+		for _, w := range row {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("proj: direction %d has a non-finite component", d)
+			}
+			if a := math.Abs(w); a > maxAbs {
+				maxAbs = a
 			}
 		}
-	case svm.Int8:
-		pk.Q8 = make([]byte, len(p.Basis))
-		pk.Scale = make([]float64, p.Rank)
-		for d := 0; d < p.Rank; d++ {
-			row := p.Basis[d*p.Dim : (d+1)*p.Dim]
-			var maxAbs float64
-			for _, w := range row {
-				if math.IsNaN(w) || math.IsInf(w, 0) {
-					return nil, fmt.Errorf("proj: direction %d has a non-finite component", d)
-				}
-				if a := math.Abs(w); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			s := maxAbs / 127
-			if s == 0 {
-				s = 1
-			}
-			pk.Scale[d] = s
-			for j, w := range row {
-				pk.Q8[j*p.Rank+d] = byte(int8(math.RoundToEven(w / s)))
-			}
+		s := maxAbs / 127
+		if s == 0 {
+			s = 1
 		}
-	default:
-		return nil, fmt.Errorf("proj: cannot pack at precision %v", prec)
+		pk.Scale[d] = s
+		for j, w := range row {
+			pk.Q8[j*p.Rank+d] = byte(int8(math.RoundToEven(w / s)))
+		}
 	}
 	return pk, nil
 }
 
-// Packed is the persisted, serve-time form of a projection: the basis in
-// column-major (feature-major) layout at one precision. Exactly one of
-// F64/Q8 is populated, matching Precision. Q8 is byte-encoded int8
-// (gob stores byte slices at one byte per element — the reason a rank-32
+// ErrRetired is the one refusal for a bundle in a compressed shape this
+// build no longer serves (a float32 or float64 basis, a float64 kernel
+// behind a projection, or an unknown precision spelling): the bundle
+// load, a reload and a fleet push all report it.
+var ErrRetired = errors.New("proj: compressed shape is no longer served: re-export with lre -export-models DIR -compress-rank N")
+
+// Packed is the persisted, serve-time form of a projection: the int8
+// basis in column-major (feature-major) layout, byte-encoded (gob
+// stores byte slices at one byte per element — the reason a rank-32
 // int8 basis is ~9× smaller than its float64 form on disk) with a
 // per-direction symmetric dequantization scale.
 type Packed struct {
-	Dim       int
-	Rank      int
+	Dim  int
+	Rank int
+	// Precision is always "int8".
 	Precision string
-	F64       []float64
-	// F32 is always empty (Validate rejects it). It stays because
-	// encoding/gob writes the definition of every reachable type into
-	// the stream, even when Proj is nil: removing it would change every
-	// exported bundle's bytes.
+	// F64 and F32 are always empty (Validate rejects them). They stay
+	// because encoding/gob writes the definition of every reachable
+	// type into the stream, even when Proj is nil: removing them would
+	// change every exported bundle's bytes.
+	F64 []float64
 	F32 []float32
 	Q8  []byte
-	// Scale[d] dequantizes direction d of Q8 (int8 precision only).
+	// Scale[d] dequantizes direction d of Q8.
 	Scale []float64
 }
 
 // Validate checks the invariants ApplyInto relies on — the backstop
 // behind untrusted gob decodes (truncated blocks, NaN scales), which must
-// error cleanly rather than panic at scoring time.
+// error cleanly rather than panic at scoring time. A basis in a retired
+// shape is refused with ErrRetired.
 func (pk *Packed) Validate() error {
 	if pk == nil {
 		return nil
 	}
+	if pk.Precision != "int8" || len(pk.F64) != 0 || len(pk.F32) != 0 {
+		return ErrRetired
+	}
 	if pk.Dim <= 0 || pk.Rank <= 0 || pk.Rank > pk.Dim {
 		return fmt.Errorf("proj: packed projection rank %d over dimension %d", pk.Rank, pk.Dim)
 	}
-	prec, err := svm.ParsePrecision(pk.Precision)
-	if err != nil {
-		return err
+	if want := pk.Dim * pk.Rank; len(pk.Q8) != want {
+		return fmt.Errorf("proj: packed projection holds %d weights, want %d", len(pk.Q8), want)
 	}
-	want := pk.Dim * pk.Rank
-	switch prec {
-	case svm.Float64:
-		if len(pk.F64) != want || len(pk.F32) != 0 || len(pk.Q8) != 0 {
-			return fmt.Errorf("proj: float64 packed projection holds %d weights, want %d", len(pk.F64), want)
-		}
-	case svm.Int8:
-		if len(pk.Q8) != want || len(pk.F64) != 0 || len(pk.F32) != 0 {
-			return fmt.Errorf("proj: int8 packed projection holds %d weights, want %d", len(pk.Q8), want)
-		}
-		if len(pk.Scale) != pk.Rank {
-			return fmt.Errorf("proj: int8 packed projection has %d scales, want %d", len(pk.Scale), pk.Rank)
-		}
-		for d, s := range pk.Scale {
-			if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-				return fmt.Errorf("proj: packed projection direction %d has scale %v", d, s)
-			}
+	if len(pk.Scale) != pk.Rank {
+		return fmt.Errorf("proj: packed projection has %d scales, want %d", len(pk.Scale), pk.Rank)
+	}
+	for d, s := range pk.Scale {
+		if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
+			return fmt.Errorf("proj: packed projection direction %d has scale %v", d, s)
 		}
 	}
 	return nil
 }
 
 // ApplyInto writes the projection of a raw-space supervector into out
-// (length Rank), dequantizing in the epilogue for int8 bases.
-// Allocation-free.
+// (length Rank), dequantizing in the epilogue. Allocation-free.
 func (pk *Packed) ApplyInto(x *sparse.Vector, out []float64) {
 	R := pk.Rank
 	for d := range out {
 		out[d] = 0
 	}
 	val := x.Val[:len(x.Idx)]
-	switch {
-	case pk.F64 != nil:
-		for k, i := range x.Idx {
-			j := int(i)
-			if j >= pk.Dim {
-				break
-			}
-			xv := val[k]
-			col := pk.F64[j*R : j*R+R]
-			for d, w := range col {
-				out[d] += xv * w
-			}
+	for k, i := range x.Idx {
+		j := int(i)
+		if j >= pk.Dim {
+			break
 		}
-	default:
-		for k, i := range x.Idx {
-			j := int(i)
-			if j >= pk.Dim {
-				break
-			}
-			xv := val[k]
-			col := pk.Q8[j*R : j*R+R]
-			for d, w := range col {
-				out[d] += xv * float64(int8(w))
-			}
+		xv := val[k]
+		col := pk.Q8[j*R : j*R+R]
+		for d, w := range col {
+			out[d] += xv * float64(int8(w))
 		}
-		for d := range out {
-			out[d] *= pk.Scale[d]
-		}
+	}
+	for d := range out {
+		out[d] *= pk.Scale[d]
 	}
 }
 
@@ -470,5 +443,5 @@ func (pk *Packed) Bytes() int {
 	if pk == nil {
 		return 0
 	}
-	return len(pk.F64)*8 + len(pk.Q8) + len(pk.Scale)*8
+	return len(pk.Q8) + len(pk.Scale)*8
 }

@@ -3,13 +3,13 @@ package proj
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/sparse"
-	"repro/internal/svm"
 )
 
 // plantedData draws n sparse vectors concentrated on a planted rank-k
@@ -308,8 +308,8 @@ func TestFitArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestPackedMatchesFloat64 pins every precision rung of the packed apply
-// against the row-major float64 oracle.
+// TestPackedMatchesFloat64 pins the int8 packed apply against the
+// row-major float64 oracle.
 func TestPackedMatchesFloat64(t *testing.T) {
 	const n, dim, k = 30, 64, 5
 	xs, _ := plantedData(n, dim, k, 19)
@@ -319,31 +319,26 @@ func TestPackedMatchesFloat64(t *testing.T) {
 	}
 	oracle := make([]float64, k)
 	got := make([]float64, k)
-	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
-		pk, err := p.Pack(prec)
-		if err != nil {
-			t.Fatalf("%v: %v", prec, err)
-		}
-		if err := pk.Validate(); err != nil {
-			t.Fatalf("%v: %v", prec, err)
-		}
-		for _, x := range xs {
-			p.ApplyInto(x, oracle)
-			pk.ApplyInto(x, got)
-			var scale float64
-			for d := range oracle {
-				if a := math.Abs(oracle[d]); a > scale {
-					scale = a
-				}
+	pk, err := p.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pk.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		p.ApplyInto(x, oracle)
+		pk.ApplyInto(x, got)
+		var scale float64
+		for d := range oracle {
+			if a := math.Abs(oracle[d]); a > scale {
+				scale = a
 			}
-			tol := 1e-12 * scale // float64 pack reorders additions: allow tiny slack
-			if prec == svm.Int8 {
-				tol = 0.02 * scale // 1/127 per-component step, accumulated
-			}
-			for d := range oracle {
-				if math.Abs(got[d]-oracle[d]) > tol {
-					t.Fatalf("%v: direction %d: got %v, oracle %v (tol %v)", prec, d, got[d], oracle[d], tol)
-				}
+		}
+		tol := 0.02 * scale // 1/127 per-component step, accumulated
+		for d := range oracle {
+			if math.Abs(got[d]-oracle[d]) > tol {
+				t.Fatalf("direction %d: got %v, oracle %v (tol %v)", d, got[d], oracle[d], tol)
 			}
 		}
 	}
@@ -355,7 +350,7 @@ func TestPackedGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := p.Pack(svm.Int8)
+	pk, err := p.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +381,7 @@ func TestPackedValidateRejects(t *testing.T) {
 	xs, _ := plantedData(10, 20, 2, 29)
 	p, _ := Fit(xs, 20, Config{Rank: 2, Seed: 3})
 	fresh := func() *Packed {
-		pk, err := p.Pack(svm.Int8)
+		pk, err := p.Pack()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,28 +400,31 @@ func TestPackedValidateRejects(t *testing.T) {
 	pk = fresh()
 	pk.Rank = pk.Dim + 1
 	cases["rank over dim"] = pk
-	pk = fresh()
-	pk.Precision = "int4"
-	cases["unknown precision"] = pk
-	pk = fresh()
-	pk.F32 = make([]float32, 4)
-	cases["mixed precisions"] = pk
-	pk, err := p.Pack(svm.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk.F32 = make([]float32, 4)
-	cases["float64 with float32 weights"] = pk
 	for name, bad := range cases {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a corrupt projection", name)
 		}
 	}
-	// A basis the retired float32 rung packed is refused with the
-	// re-export command.
-	retired := &Packed{Dim: p.Dim, Rank: p.Rank, Precision: "float32", F32: make([]float32, p.Dim*p.Rank)}
-	if err := retired.Validate(); err == nil || !strings.Contains(err.Error(), "lre -compress-precision float64|int8") {
-		t.Errorf("float32 packed projection: Validate returned %v, want the re-export message", err)
+	// A basis in a retired shape is refused with the one re-export
+	// message: the float32 and float64 rungs as they packed it, an
+	// unknown spelling, and an int8 basis carrying float weights.
+	retired := map[string]*Packed{
+		"float32 basis": {Dim: p.Dim, Rank: p.Rank, Precision: "float32", F32: make([]float32, p.Dim*p.Rank)},
+		"float64 basis": {Dim: p.Dim, Rank: p.Rank, Precision: "float64", F64: make([]float64, p.Dim*p.Rank)},
+	}
+	pk = fresh()
+	pk.Precision = "int4"
+	retired["unknown precision"] = pk
+	pk = fresh()
+	pk.F32 = make([]float32, 4)
+	retired["int8 with float32 weights"] = pk
+	pk = fresh()
+	pk.F64 = make([]float64, 4)
+	retired["int8 with float64 weights"] = pk
+	for name, bad := range retired {
+		if err := bad.Validate(); !errors.Is(err, ErrRetired) || !strings.Contains(err.Error(), "lre -export-models DIR -compress-rank N") {
+			t.Errorf("%s: Validate returned %v, want the re-export message", name, err)
+		}
 	}
 	var nilPk *Packed
 	if err := nilPk.Validate(); err != nil {

@@ -99,19 +99,14 @@ func (s *Server) adaptAdmin(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // handleAdaptPromote forces one promotion attempt (bypassing only the
-// min-utts floor, never a gate). Gate vetoes and skips are 200 with the
-// outcome in the body — they are the loop working as designed, not
-// server errors.
+// min-utts floor, never a gate). Every attempt is 200 with its outcome
+// in the body: vetoes, skips and failed passes are the loop working as
+// designed, not server errors.
 func (s *Server) handleAdaptPromote(w http.ResponseWriter, r *http.Request) {
 	if !s.adaptAdmin(w, r) {
 		return
 	}
-	res, err := s.adapter.TryPromote(true)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, s.adapter.TryPromote(true))
 }
 
 func (s *Server) handleAdaptRollback(w http.ResponseWriter, r *http.Request) {

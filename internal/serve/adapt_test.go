@@ -270,12 +270,9 @@ func TestConcurrentReloadRacesPromotion(t *testing.T) {
 		}
 	}()
 
-	res, err := s.Adapter().TryPromote(true)
+	res := s.Adapter().TryPromote(true)
 	close(stop)
 	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.Promoted || res.Generation != 1 {
 		t.Fatalf("promotion under reload storm: %+v", res)
 	}

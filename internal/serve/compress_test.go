@@ -11,79 +11,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ngram"
 	"repro/internal/persist"
-	"repro/internal/proj"
-	"repro/internal/rng"
 	"repro/internal/sparse"
-	"repro/internal/svm"
 	"repro/internal/testbundle"
 )
 
-// compressTestBundle rewrites the serve fixture bundle into compressed
-// form: a rank-r projection fitted on TFLLR-scaled probe vectors, OVR
-// weights projected into the rank space, and for int8 the projected
-// weights quantized. The fusion backend is kept — structurally it only
-// sees score rows, whatever space they came from.
-func compressTestBundle(t *testing.T, seed uint64, rank int, prec svm.Precision) *persist.Bundle {
-	t.Helper()
-	b := testbundle.New(seed)
-	space := ngram.NewSpace(testbundle.Phones, testbundle.Order)
-	dim := space.Dim()
-	r := rng.New(seed ^ 0xc0ffee)
-	var probes []*sparse.Vector
-	for i := 0; i < 40; i++ {
-		m := make(map[int32]float64)
-		for j := 0; j < 8; j++ {
-			m[int32(r.Intn(dim))] = r.Float64()
-		}
-		probes = append(probes, sparse.FromMap(m))
-	}
-	for f := range b.FrontEnds {
-		fe := &b.FrontEnds[f]
-		scaled := make([]*sparse.Vector, len(probes))
-		for i, p := range probes {
-			v := p.Clone()
-			fe.TFLLR.Apply(v)
-			scaled[i] = v
-		}
-		p, err := proj.Fit(scaled, dim, proj.Config{Rank: rank, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, err := p.Pack(prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ovr := &svm.OneVsRest{NumClasses: fe.OVR.NumClasses}
-		for _, mdl := range fe.OVR.Models {
-			w := make([]float64, rank)
-			for d := 0; d < rank; d++ {
-				row := p.Basis[d*dim : (d+1)*dim]
-				var s float64
-				for j, wv := range mdl.W {
-					s += wv * row[j]
-				}
-				w[d] = s
-			}
-			ovr.Models = append(ovr.Models, &svm.Model{W: w, Bias: mdl.Bias})
-		}
-		fe.Proj = packed
-		if prec == svm.Int8 {
-			q, err := ovr.Quantize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fe.OVR, fe.Quant, fe.Precision = nil, q, svm.Int8.String()
-		} else {
-			fe.OVR, fe.Precision = ovr, prec.String()
-		}
-	}
-	return b
-}
-
 // expectedCompressedScores is the local ground truth for the projected
-// path: TFLLR → projection → precision-dispatched kernel.
+// path: TFLLR → projection → int8 kernel.
 func expectedCompressedScores(b *persist.Bundle, raw *sparse.Vector) map[string][]float64 {
 	out := make(map[string][]float64)
 	for i := range b.FrontEnds {
@@ -98,67 +32,68 @@ func expectedCompressedScores(b *persist.Bundle, raw *sparse.Vector) map[string]
 }
 
 // TestServeCompressedBundleEndToEnd drives a raw supervector through the
-// full HTTP path against a compressed bundle at every precision rung and
-// pins the response to the local projected-scoring ground truth — the
-// serving layer must apply TFLLR, then the projection, then the
-// precision-dispatched kernel, exactly once each.
+// full HTTP path against a compressed bundle and pins the response to
+// the local projected-scoring ground truth — the serving layer must
+// apply TFLLR, then the projection, then the int8 kernel, exactly once
+// each.
 func TestServeCompressedBundleEndToEnd(t *testing.T) {
 	const rank = 6
-	for _, prec := range []svm.Precision{svm.Float64, svm.Int8} {
-		t.Run(prec.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			b := compressTestBundle(t, 21, rank, prec)
-			if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: 21}); err != nil {
-				t.Fatal(err)
-			}
-			s := newTestServer(t, dir, nil)
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+	t.Run("int8", func(t *testing.T) {
+		dir := t.TempDir()
+		b := testbundle.NewCompressed(t, 21, rank)
+		if err := persist.SaveBundle(dir, b, persist.Manifest{Seed: 21}); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, dir, nil)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-			raw := testbundle.Vector(31)
-			want := expectedCompressedScores(b, raw)
-			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d: %s", resp.StatusCode, body)
-			}
-			var sr ScoreResponse
-			if err := json.Unmarshal(body, &sr); err != nil {
-				t.Fatal(err)
-			}
-			testbundle.SameRows(t, sr.Scores, want)
-			if len(sr.Fused) != testbundle.Langs {
-				t.Fatalf("fused has %d entries, want %d (full battery)", len(sr.Fused), testbundle.Langs)
-			}
+		raw := testbundle.Vector(31)
+		want := expectedCompressedScores(b, raw)
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, raw))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var sr ScoreResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		testbundle.SameRows(t, sr.Scores, want)
+		if len(sr.Fused) != testbundle.Langs {
+			t.Fatalf("fused has %d entries, want %d (full battery)", len(sr.Fused), testbundle.Langs)
+		}
 
-			// The model footprint surfaces on /metricsz: precision/rank meta
-			// and the compression gauges of the live generation.
-			mresp, mbody := getJSON(t, ts.Client(), ts.URL+"/metricsz")
-			if mresp.StatusCode != http.StatusOK {
-				t.Fatalf("/metricsz status %d", mresp.StatusCode)
+		// The model footprint surfaces on /metricsz: precision/rank meta
+		// and the compression gauges of the live generation.
+		mresp, mbody := getJSON(t, ts.Client(), ts.URL+"/metricsz")
+		if mresp.StatusCode != http.StatusOK {
+			t.Fatalf("/metricsz status %d", mresp.StatusCode)
+		}
+		var rep struct {
+			Meta   map[string]string  `json:"meta"`
+			Gauges map[string]float64 `json:"gauges"`
+		}
+		if err := json.Unmarshal(mbody, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Meta["model_precision"]; got != "int8" {
+			t.Fatalf("model_precision meta %q, want int8", got)
+		}
+		if got := rep.Meta["model_rank"]; got != "6" {
+			t.Fatalf("model_rank meta %q, want 6", got)
+		}
+		for _, g := range []string{"serve.model.bundle_bytes", "serve.model.packed_bytes", "serve.model.rank", "serve.model.precision_bits"} {
+			if rep.Gauges[g] <= 0 {
+				t.Fatalf("gauge %s = %v, want > 0", g, rep.Gauges[g])
 			}
-			var rep struct {
-				Meta   map[string]string  `json:"meta"`
-				Gauges map[string]float64 `json:"gauges"`
-			}
-			if err := json.Unmarshal(mbody, &rep); err != nil {
-				t.Fatal(err)
-			}
-			if got := rep.Meta["model_precision"]; got != prec.String() {
-				t.Fatalf("model_precision meta %q, want %q", got, prec)
-			}
-			if got := rep.Meta["model_rank"]; got != "6" {
-				t.Fatalf("model_rank meta %q, want 6", got)
-			}
-			for _, g := range []string{"serve.model.bundle_bytes", "serve.model.packed_bytes", "serve.model.rank", "serve.model.precision_bits"} {
-				if rep.Gauges[g] <= 0 {
-					t.Fatalf("gauge %s = %v, want > 0", g, rep.Gauges[g])
-				}
-			}
-			if rep.Gauges["serve.model.rank"] != rank {
-				t.Fatalf("rank gauge %v, want %d", rep.Gauges["serve.model.rank"], rank)
-			}
-		})
-	}
+		}
+		if rep.Gauges["serve.model.rank"] != rank {
+			t.Fatalf("rank gauge %v, want %d", rep.Gauges["serve.model.rank"], rank)
+		}
+		if rep.Gauges["serve.model.precision_bits"] != 8 {
+			t.Fatalf("precision_bits gauge %v, want 8", rep.Gauges["serve.model.precision_bits"])
+		}
+	})
 }
 
 func getJSON(t *testing.T, client *http.Client, url string) (*http.Response, []byte) {
@@ -188,7 +123,7 @@ func TestReloadRejectsDimensionMismatchedBundle(t *testing.T) {
 	}
 	prev := reg.Current()
 
-	cb := compressTestBundle(t, 22, 5, svm.Int8)
+	cb := testbundle.NewCompressed(t, 22, 5)
 	if err := persist.SaveBundle(dir, cb, persist.Manifest{Seed: 22}); err != nil {
 		t.Fatal(err)
 	}

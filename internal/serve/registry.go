@@ -87,22 +87,27 @@ func (m *Model) FrontEndIndex(name string) (int, bool) {
 
 // CompressionSummary reports the model's compression operating point:
 // the largest projection rank across front-ends (0 when unprojected)
-// and the narrowest precision in the battery ("float64" for legacy
-// bundles, which predate the Precision field).
+// and the precision, "int8" when any front-end scores through the int8
+// kernel and "float64" otherwise.
 func (m *Model) CompressionSummary() (rank int, precision string) {
-	bits := 64
-	precision = "float64"
-	for q := range m.Bundle.FrontEnds {
-		fe := &m.Bundle.FrontEnds[q]
+	rank, quantized := compression(m.Bundle)
+	if quantized {
+		return rank, "int8"
+	}
+	return rank, "float64"
+}
+
+// compression reports a battery's largest projection rank and whether
+// any front-end scores through the int8 kernel.
+func compression(b *persist.Bundle) (rank int, quantized bool) {
+	for q := range b.FrontEnds {
+		fe := &b.FrontEnds[q]
 		if fe.Proj != nil && fe.Proj.Rank > rank {
 			rank = fe.Proj.Rank
 		}
-		if fb := precisionBits(fe.Precision); fb < bits {
-			bits = fb
-			precision = fe.Precision
-		}
+		quantized = quantized || fe.Quant != nil
 	}
-	return rank, precision
+	return rank, quantized
 }
 
 // ClusterGeneration is the fleet generation the bundle was distributed
@@ -256,9 +261,9 @@ func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, img *persist.Ima
 // setFootprintGauges publishes the live generation's serving footprint:
 // sealed bundle size on disk, resident scoring-weight bytes across all
 // front-ends (under the historical serve.model.packed_bytes name), and
-// the compression operating point (projection rank, the narrowest
-// precision in the battery as bits). lrestat's model panel reads these
-// from /metricsz.
+// the compression operating point (projection rank, precision as bits:
+// 8 when any front-end scores int8, else 64). lrestat's model panel
+// reads these from /metricsz.
 func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
 	file := defaultBundleFileName
 	if m != nil && m.BundleFile != "" {
@@ -267,17 +272,14 @@ func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
 	if st, err := os.Stat(filepath.Join(dir, file)); err == nil {
 		obs.SetGauge("serve.model.bundle_bytes", float64(st.Size()))
 	}
-	var packed, rank int
-	bits := 64
+	var packed int
 	for q := range b.FrontEnds {
-		fe := &b.FrontEnds[q]
-		packed += fe.PackedBytes()
-		if fe.Proj != nil && fe.Proj.Rank > rank {
-			rank = fe.Proj.Rank
-		}
-		if fb := precisionBits(fe.Precision); fb < bits {
-			bits = fb
-		}
+		packed += b.FrontEnds[q].PackedBytes()
+	}
+	rank, quantized := compression(b)
+	bits := 64
+	if quantized {
+		bits = 8
 	}
 	obs.SetGauge("serve.model.packed_bytes", float64(packed))
 	obs.SetGauge("serve.model.rank", float64(rank))
@@ -287,10 +289,3 @@ func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
 // defaultBundleFileName mirrors persist's unexported default for the
 // footprint gauge when a manifest predates the BundleFile field.
 const defaultBundleFileName = "bundle.gob"
-
-func precisionBits(p string) int {
-	if p == "int8" {
-		return 8
-	}
-	return 64
-}

@@ -203,44 +203,46 @@ func FuzzScoresIntoMatchesPerModel(f *testing.F) {
 }
 
 // BenchmarkScoresInto times one row against a 23-class battery at the
-// serving front-ends' weight dims, ≈50% dense, for both precision rungs:
-// the packed sub-benchmark runs the frozen feature-major kernel the
-// float64 rung replaced (already packed) on the same row, and the int8
-// rung runs Quantized.ScoresInto over the battery's quantized form.
+// serving front-ends' weight dims, ≈50% dense, for both kernels: the
+// float64 one-vs-rest kernel of a plain bundle (beside it, the frozen
+// feature-major kernel it replaced, already packed, on the same row)
+// and Quantized.ScoresInto over the battery's int8 form, the kernel of
+// a compressed bundle.
 func BenchmarkScoresInto(b *testing.B) {
 	const K = 23
-	for _, prec := range []Precision{Float64, Int8} {
-		for _, dim := range []int{1892, 4160} {
-			r := rng.New(uint64(dim))
-			o := randOVR(r, K, dim)
-			x := randRow(r, dim, 0.5)
-			out := make([]float64, K)
-			if prec == Int8 {
-				q, err := o.Quantize()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(fmt.Sprintf("%v/dim=%d/quantized", prec, dim), func(b *testing.B) {
-					b.ReportAllocs()
-					for n := 0; n < b.N; n++ {
-						q.ScoresInto(x, out)
-					}
-				})
-				continue
+	for _, dim := range []int{1892, 4160} {
+		r := rng.New(uint64(dim))
+		o := randOVR(r, K, dim)
+		x := randRow(r, dim, 0.5)
+		out := make([]float64, K)
+		ref := newFrozenPacked(o)
+		ref.ScoresInto(x, out)
+		b.Run(fmt.Sprintf("float64/dim=%d/grouped", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				o.ScoresInto(x, out)
 			}
-			ref := newFrozenPacked(o)
-			ref.ScoresInto(x, out)
-			b.Run(fmt.Sprintf("%v/dim=%d/grouped", prec, dim), func(b *testing.B) {
-				b.ReportAllocs()
-				for n := 0; n < b.N; n++ {
-					o.ScoresInto(x, out)
-				}
-			})
-			b.Run(fmt.Sprintf("%v/dim=%d/packed", prec, dim), func(b *testing.B) {
-				for n := 0; n < b.N; n++ {
-					ref.ScoresInto(x, out)
-				}
-			})
+		})
+		b.Run(fmt.Sprintf("float64/dim=%d/packed", dim), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				ref.ScoresInto(x, out)
+			}
+		})
+	}
+	for _, dim := range []int{1892, 4160} {
+		r := rng.New(uint64(dim))
+		o := randOVR(r, K, dim)
+		x := randRow(r, dim, 0.5)
+		out := make([]float64, K)
+		q, err := o.Quantize()
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("int8/dim=%d/quantized", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				q.ScoresInto(x, out)
+			}
+		})
 	}
 }

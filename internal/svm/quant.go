@@ -7,51 +7,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// Precision selects the scoring kernel's weight representation.
-// The ladder trades score fidelity for footprint:
-//
-//	Float64 — the exact kernel. Scores are bit-identical to the
-//	          per-model path (the repo's referee suites pin this).
-//	Int8    — symmetric per-class int8 weights with a scale/zero-point
-//	          dequant epilogue (see Quantized). Scores are approximate;
-//	          the guarantee that replaces bit-identity is rank
-//	          preservation, enforced by the order-preservation referee.
-type Precision int
-
-const (
-	Float64 Precision = iota
-	Int8
-)
-
-// String renders the precision as its flag/manifest spelling.
-func (p Precision) String() string {
-	switch p {
-	case Float64:
-		return "float64"
-	case Int8:
-		return "int8"
-	}
-	return fmt.Sprintf("precision(%d)", int(p))
-}
-
-// ParsePrecision parses the flag/manifest spelling. The empty string is
-// Float64: bundles written before the precision field existed carry no
-// value and must keep scoring exactly as they always did. "float32" was
-// a rung once and is refused with the re-export command: the flag check,
-// a bundle load and a fleet push all report this one message.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "float64":
-		return Float64, nil
-	case "int8":
-		return Int8, nil
-	case "float32":
-		return Float64, fmt.Errorf("svm: precision \"float32\" is no longer served: re-export with lre -compress-precision float64|int8")
-	}
-	return Float64, fmt.Errorf("svm: unknown precision %q (want float64|int8)", s)
-}
-
-// Quantized is the int8 rung of the precision ladder: the one-vs-rest
+// Quantized is the compressed scoring kernel: the one-vs-rest
 // weights quantized symmetrically per class into a column-blocked
 // (feature-major) block,
 //

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/ngram"
 	"repro/internal/persist"
+	"repro/internal/proj"
 	"repro/internal/rng"
 	"repro/internal/sparse"
 	"repro/internal/svm"
@@ -74,6 +75,63 @@ func New(seed uint64) *persist.Bundle {
 		panic(err)
 	}
 	b.Fusion = bk
+	return b
+}
+
+// NewCompressed is New(seed) in the compressed form `lre -export-models
+// -compress-rank` writes: per front-end, a rank-r projection fitted on
+// TFLLR-scaled probe vectors and packed to int8, and the OVR weights
+// projected into the rank space (w' = B·w, so w'·Bx ≈ w·x) and
+// quantized, with the float64 set dropped. The fusion backend is kept:
+// it only sees score rows, whatever space they came from.
+func NewCompressed(t testing.TB, seed uint64, rank int) *persist.Bundle {
+	t.Helper()
+	b := New(seed)
+	dim := ngram.NewSpace(Phones, Order).Dim()
+	r := rng.New(seed ^ 0xc0ffee)
+	var probes []*sparse.Vector
+	for i := 0; i < 40; i++ {
+		m := make(map[int32]float64)
+		for j := 0; j < 8; j++ {
+			m[int32(r.Intn(dim))] = r.Float64()
+		}
+		probes = append(probes, sparse.FromMap(m))
+	}
+	for f := range b.FrontEnds {
+		fe := &b.FrontEnds[f]
+		scaled := make([]*sparse.Vector, len(probes))
+		for i, p := range probes {
+			v := p.Clone()
+			fe.TFLLR.Apply(v)
+			scaled[i] = v
+		}
+		p, err := proj.Fit(scaled, dim, proj.Config{Rank: rank, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := p.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ovr := &svm.OneVsRest{NumClasses: fe.OVR.NumClasses}
+		for _, mdl := range fe.OVR.Models {
+			w := make([]float64, rank)
+			for d := 0; d < rank; d++ {
+				row := p.Basis[d*dim : (d+1)*dim]
+				var s float64
+				for j, wv := range mdl.W {
+					s += wv * row[j]
+				}
+				w[d] = s
+			}
+			ovr.Models = append(ovr.Models, &svm.Model{W: w, Bias: mdl.Bias})
+		}
+		q, err := ovr.Quantize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe.Proj, fe.OVR, fe.Quant, fe.Precision = packed, nil, q, "int8"
+	}
 	return b
 }
 
