@@ -19,7 +19,9 @@
 // writes the trained baseline bundle — per-front-end TFLLR scalers and
 // one-vs-rest SVM sets plus the trial-level fusion backend — as
 // bundle.gob with a manifest.json provenance sidecar (seed, scale,
-// front-ends, git describe). cmd/lred serves it; see README "Serving".
+// front-ends, git describe), in bundle format 2. cmd/lred serves it; see
+// README "Serving". A bundle an older build exported is format 1, which
+// cmd/lred refuses: re-run this export.
 //
 //	lre -scale small -seed 42 -export-models ./models -compress-rank 24
 //
@@ -70,7 +72,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/scorefile"
 	"repro/internal/synthlang"
 )
@@ -227,22 +228,12 @@ func main() {
 		log.Printf("wrote score file %s", *scoresOut)
 	}
 	if *exportDir != "" {
-		var m *persist.Manifest
-		if *compRank > 0 {
-			m, err = p.ExportModelsCompressed(*exportDir, gitDescribe(), *compRank)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("exported compressed bundle to %s: %d front-ends, rank %d, int8",
-				*exportDir, len(m.FrontEnds), *compRank)
-		} else {
-			m, err = p.ExportModels(*exportDir, gitDescribe())
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("exported bundle to %s: %d front-ends, %d languages, fusion=%v, cascade=%q",
-				*exportDir, len(m.FrontEnds), m.NumLanguages, m.Fusion, m.Cascade)
+		m, err := p.ExportModels(*exportDir, gitDescribe(), *compRank)
+		if err != nil {
+			log.Fatal(err)
 		}
+		log.Printf("exported bundle to %s: %d front-ends, %d languages, rank %d, fusion=%v, cascade=%q",
+			*exportDir, len(m.FrontEnds), m.NumLanguages, *compRank, m.Fusion, m.Cascade)
 	}
 	if *exportReqs != "" {
 		written, voted, err := p.ExportRequests(*exportReqs, *exportReqN)
@@ -264,8 +255,8 @@ func main() {
 			log.Fatal(err)
 		}
 		if rep.Headline != nil {
-			log.Printf("compress-eval: headline rank=%d precision=%s size=%.1fx max|ΔEER|=%.2f → %s",
-				rep.Headline.Rank, rep.Headline.Precision, rep.Headline.SizeReduction,
+			log.Printf("compress-eval: headline rank=%d size=%.1fx max|ΔEER|=%.2f → %s",
+				rep.Headline.Rank, rep.Headline.SizeReduction,
 				rep.Headline.MaxAbsDeltaEER, *compEval)
 		} else {
 			log.Printf("compress-eval: no operating point met the headline criteria → %s", *compEval)

@@ -8,6 +8,12 @@
 //	lre -scale small -seed 42 -export-models ./models
 //	lred -models ./models -addr 127.0.0.1:8080
 //
+// The bundle must be format 2, what this build's lre writes. A bundle
+// directory or adapt model dir from an older build fails startup (exit
+// 1), a reload (the previous model keeps serving) and a worker push
+// (400) with one message: "persist: bundle format 1 (want 2): re-export
+// with lre -export-models DIR".
+//
 // Endpoints:
 //
 //	POST /v1/score        score one utterance (per-front-end lattice or supervector)

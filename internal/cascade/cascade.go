@@ -28,11 +28,6 @@ import (
 	"repro/internal/prlm"
 )
 
-// ModelVersion versions the persisted cascade artifact inside a bundle.
-// Loaders reject other versions instead of guessing (legacy bundles carry
-// no cascade at all and load with the cascade disabled).
-const ModelVersion = 1
-
 // TierPolicy is one duration tier's calibrated exit policy. Tiers are
 // ordered longest-first (matching corpus.Durations); membership is decided
 // by the decoded phone-string length — the only duration proxy available
@@ -62,8 +57,8 @@ type TierPolicy struct {
 
 // Model is the persisted tier-1 artifact carried inside a persist.Bundle:
 // the PRLM scorer for one designated front-end plus the per-tier policy.
+// The bundle's format version covers its layout.
 type Model struct {
-	Version int
 	// FrontEnd names the bundle front-end whose 1-best decode feeds tier 1.
 	FrontEnd  string
 	NumPhones int
@@ -170,9 +165,6 @@ func (m *Model) Decide(seq []int, threshold float64) Decision {
 
 // Validate checks the internal consistency a scoring process relies on.
 func (m *Model) Validate() error {
-	if m.Version != ModelVersion {
-		return fmt.Errorf("cascade: model version %d (want %d)", m.Version, ModelVersion)
-	}
 	if m.FrontEnd == "" {
 		return fmt.Errorf("cascade: model names no front-end")
 	}

@@ -268,7 +268,6 @@ func TestValidateRejectsCorruptModels(t *testing.T) {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
-	check("version", func(c Model) Model { c.Version = 99; return c })
 	check("no front-end", func(c Model) Model { c.FrontEnd = ""; return c })
 	check("no LM", func(c Model) Model { c.LM = nil; return c })
 	check("no tiers", func(c Model) Model { c.Tiers = nil; return c })

@@ -87,7 +87,6 @@ func Train(frontEnd string, numPhones int, trainSeqs [][][]int, tierNames []stri
 		return nil, err
 	}
 	m := &Model{
-		Version:   ModelVersion,
 		FrontEnd:  frontEnd,
 		NumPhones: numPhones,
 		LM:        sys,

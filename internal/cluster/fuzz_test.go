@@ -38,8 +38,9 @@ func TestMain(m *testing.M) {
 // spool equals the model served. Seeds: a valid push and truncated,
 // bit-flipped and header-mangled copies of it, and the push contract's
 // refusals — an image other than the pinned one, an assignment naming a
-// front-end the image lacks, an empty or duplicated assignment — and the
-// failure table's re-sealed garbage payload and length mismatches.
+// front-end the image lacks, an empty or duplicated assignment, a
+// manifest of bundle format 1 — and the failure table's re-sealed
+// garbage payload and length mismatches.
 func FuzzBundlePush(f *testing.F) {
 	fl := newFleet(f, 1, nil)
 	mustDistribute(f, fl)
@@ -59,6 +60,7 @@ func FuzzBundlePush(f *testing.F) {
 	f.Add(editManifest(f, mf, assigning("FE0", "FE7")), sealed, int64(0))
 	f.Add(editManifest(f, mf, assigning()), sealed, int64(0))
 	f.Add(editManifest(f, mf, assigning("FE0", "FE0")), sealed, int64(0))
+	f.Add(editManifest(f, mf, func(m *persist.Manifest) { m.FormatVersion = 1 }), sealed, int64(0))
 	f.Add(mf, sealed[:len(sealed)*3/4], int64(0))
 	// The failure table's seeds: a payload sealed afresh, so the footer
 	// and the pinned SHA-256 verify but the decode fails, and bodies

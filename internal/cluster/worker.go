@@ -103,11 +103,12 @@ const maxPushBytes = 256 << 20
 // front-ends. Check the content type and the manifest header; read the
 // body once, hashing it as it comes off the socket and decoding it while
 // the hash finishes, and keep the assigned front-ends once the footer,
-// the pinned SHA-256 and the shard's own checks pass
-// (persist.UnsealBundle); publish the received bytes unchanged into the
-// spool with the manifest last (SealedBundle.Install); and swap the
-// shard in through the registry's one swap step. On any failure the
-// previously installed bundle keeps serving.
+// the manifest's format version, the pinned SHA-256 and the shard's own
+// checks pass (persist.UnsealBundle); publish the received bytes
+// unchanged into the spool with the manifest last
+// (SealedBundle.Install); and swap the shard in through the registry's
+// one swap step. On any failure the previously installed bundle keeps
+// serving.
 func (w *Worker) handleBundle(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rw.Header().Set("Allow", http.MethodPost)

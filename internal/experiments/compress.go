@@ -20,7 +20,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -187,33 +186,10 @@ func (cs *CompressedSystem) BuildBundle(p *Pipeline) *persist.Bundle {
 			TFLLR:     p.Feats[q].TF,
 			Proj:      cs.Packed[q],
 			Quant:     cs.Quants[q],
-			Precision: "int8",
 		})
 	}
 	b.Fusion = pooledDevBackend(cs.DevScores, p.DevLabels)
 	return b
-}
-
-// ExportModelsCompressed writes the compressed serving bundle + manifest
-// to dir (the cmd/lre -export-models path with -compress-rank set).
-func (p *Pipeline) ExportModelsCompressed(dir, gitDescribe string, rank int) (*persist.Manifest, error) {
-	sp := obs.StartSpan("export-models-compressed")
-	defer sp.End()
-	cs, err := p.Compress(rank)
-	if err != nil {
-		return nil, err
-	}
-	m := persist.Manifest{
-		CreatedAt:   time.Now().UTC().Format(time.RFC3339),
-		Seed:        p.Seed,
-		Scale:       p.Scale.String(),
-		GitDescribe: gitDescribe,
-	}
-	if err := persist.SaveBundle(dir, cs.BuildBundle(p), m); err != nil {
-		return nil, err
-	}
-	_, out, err := persist.LoadBundle(dir)
-	return out, err
 }
 
 // ---- the compress-eval sweep (BENCH_compress.json) ----
@@ -221,8 +197,6 @@ func (p *Pipeline) ExportModelsCompressed(dir, gitDescribe string, rank int) (*p
 // CompressPoint is one evaluated rank of the sweep.
 type CompressPoint struct {
 	Rank int `json:"rank"`
-	// Precision is always "int8"; the field keeps the report's schema.
-	Precision string `json:"precision"`
 	// BundleBytes is the serialized (sealed) compressed bundle size;
 	// SizeReduction the ratio vs the uncompressed serving bundle.
 	BundleBytes   int     `json:"bundle_bytes"`
@@ -341,7 +315,6 @@ func measurePoint(p *Pipeline, cs *CompressedSystem, base CompressBaseline) (*Co
 	}
 	pt := &CompressPoint{
 		Rank:          cs.Rank,
-		Precision:     "int8",
 		BundleBytes:   len(sealed),
 		SizeReduction: float64(base.BundleBytes) / float64(len(sealed)),
 		FusedEER:      make(map[string]float64),

@@ -84,7 +84,7 @@ func TestCompressEvalTiny(t *testing.T) {
 		t.Fatalf("%d points, want 1", len(rep.Points))
 	}
 	pt := rep.Points[0]
-	if pt.Rank != 3 || pt.Precision != "int8" {
+	if pt.Rank != 3 {
 		t.Fatalf("point identity %+v", pt)
 	}
 	if pt.BundleBytes <= 0 || pt.BundleBytes >= rep.Baseline.BundleBytes {

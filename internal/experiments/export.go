@@ -72,8 +72,11 @@ func pooledDevBackend(dev [][][]float64, labels []int) *fusion.Backend {
 
 // ExportModels writes the pipeline's serving bundle plus a provenance
 // manifest to dir (the cmd/lre -export-models path; cmd/lred loads the
-// result).
-func (p *Pipeline) ExportModels(dir, gitDescribe string) (*persist.Manifest, error) {
+// result). A positive rank exports the compressed bundle instead
+// (Compress(rank), CompressedSystem.BuildBundle). rank is optional so
+// that the two-argument call, the plain export, stays valid for callers
+// outside this module (the bench harness); at most one may be given.
+func (p *Pipeline) ExportModels(dir, gitDescribe string, rank ...int) (*persist.Manifest, error) {
 	sp := obs.StartSpan("export-models")
 	defer sp.End()
 	m := persist.Manifest{
@@ -82,19 +85,29 @@ func (p *Pipeline) ExportModels(dir, gitDescribe string) (*persist.Manifest, err
 		Scale:       p.Scale.String(),
 		GitDescribe: gitDescribe,
 	}
-	// The adapt sidecar lands before the bundle, the manifest last — a
-	// manifest that names AdaptFile therefore never points at a missing or
-	// torn sidecar. (The compressed-export path in cmd/lre skips the
-	// sidecar: int8 bundles carry no trainable weights, so they serve with
-	// adaptation off.)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	var b *persist.Bundle
+	if len(rank) > 0 && rank[0] > 0 {
+		// No adapt sidecar: int8 bundles carry no trainable weights, so
+		// they serve with adaptation off.
+		cs, err := p.Compress(rank[0])
+		if err != nil {
+			return nil, err
+		}
+		b = cs.BuildBundle(p)
+	} else {
+		// The adapt sidecar lands before the bundle, the manifest last —
+		// a manifest that names AdaptFile therefore never points at a
+		// missing or torn sidecar.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := adapt.SaveSet(dir, p.BuildAdaptSet()); err != nil {
+			return nil, err
+		}
+		m.AdaptFile = adapt.SetFile
+		b = p.BuildBundle()
 	}
-	if err := adapt.SaveSet(dir, p.BuildAdaptSet()); err != nil {
-		return nil, err
-	}
-	m.AdaptFile = adapt.SetFile
-	if err := persist.SaveBundle(dir, p.BuildBundle(), m); err != nil {
+	if err := persist.SaveBundle(dir, b, m); err != nil {
 		return nil, err
 	}
 	// Re-read what was written: the returned manifest is exactly what a

@@ -7,10 +7,10 @@
 //
 // It exists for speed. encoding/gob decodes every element of a slice
 // through a generic per-element step; model bundles are mostly []float64
-// weights, so this package decodes []float64, []float32, integer slices
-// and []byte in typed loops instead (a gob float is, in the common 8-byte
-// case, one little-endian load). Everything else follows encoding/gob's
-// decoder step for step, including its compatibility rules:
+// weights, so this package decodes []float64, integer slices and []byte
+// in typed loops instead (a gob float is, in the common 8-byte case, one
+// little-endian load). Everything else follows encoding/gob's decoder
+// step for step, including its compatibility rules:
 //
 //   - fields are matched by name; fields the sender left out stay zero and
 //     fields the receiver does not have are skipped, whatever their wire

@@ -124,13 +124,6 @@ var typedSliceOps = map[reflect.Type]decOp{
 	reflect.TypeFor[[]float64](): func(d *Decoder, v reflect.Value) {
 		d.float64s(resize(d, v.Addr().Interface().(*[]float64), v.Type()))
 	},
-	reflect.TypeFor[[]float32](): func(d *Decoder, v reflect.Value) {
-		s := resize(d, v.Addr().Interface().(*[]float32), v.Type())
-		for i := range s {
-			d.elemDue(len(s))
-			s[i] = float32(d.float32())
-		}
-	},
 	reflect.TypeFor[[]int]():   intSlice[int](math.MinInt, math.MaxInt),
 	reflect.TypeFor[[]int32](): intSlice[int32](math.MinInt32, math.MaxInt32),
 	reflect.TypeFor[[]int64](): intSlice[int64](math.MinInt64, math.MaxInt64),

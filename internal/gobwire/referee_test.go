@@ -51,6 +51,7 @@ var targets = []func() any{
 	func() any { return new(experiments.Table4) },
 	func() any { return new([]*sparse.Vector) }, // an adapt sidecar chunk
 	func() any { return new(adapt.Set) },
+	func() any { return new(float32Basis) },
 }
 
 const (
@@ -59,7 +60,16 @@ const (
 	targetTable4
 	targetChunk
 	targetSet
+	targetFloat32
 )
+
+// float32Basis holds a []float32, which no persisted type does, so the
+// fuzzer still drives the generic element step over float32s.
+type float32Basis struct {
+	Dim, Rank int
+	F32       []float32
+	Scale     []float64
+}
 
 // oldFrontEnd and oldBundle are a bundle as builds before compression
 // and the cascade wrote it.
@@ -118,8 +128,8 @@ func seeds(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe.OVR, fe.Quant, fe.Precision = nil, q, "int8"
-		fe.Proj = &proj.Packed{Dim: fe.SpaceDim(), Rank: 2, Precision: "float32", F32: []float32{0.5, -1, 2, 0}, Scale: []float64{1, 2}}
+		fe.OVR, fe.Quant = nil, q
+		fe.Proj = &proj.Packed{Dim: fe.SpaceDim(), Rank: 2, Q8: []byte{1, 0xff, 2, 0}, Scale: []float64{1, 2}}
 	}
 
 	old := oldBundle{Languages: b.Languages, Fusion: b.Fusion}
@@ -151,6 +161,7 @@ func seeds(t testing.TB) [][]byte {
 		enc(targetTable4, table),
 		enc(targetChunk, rows, rows[:1]),
 		enc(targetSet, set),
+		enc(targetFloat32, &float32Basis{Dim: 2, Rank: 2, F32: []float32{0.5, -1, 2, 0}, Scale: []float64{1, 2}}),
 		// Small streams, which mutations reshape more often.
 		enc(targetTable4, &experiments.Table4{V: 1, DBAFusion: map[float64]experiments.Cell{3: {EER: 1}}}),
 		enc(targetChunk, []*sparse.Vector{{Idx: []int32{1}, Val: []float64{2}}}),

@@ -19,16 +19,18 @@ import (
 )
 
 // BundleFormatVersion versions the on-disk bundle layout (manifest.json +
-// bundle.gob). Loaders reject other versions instead of guessing.
-const BundleFormatVersion = 1
+// bundle.gob). A bundle of this version is exactly what SaveBundle
+// writes; every other version is refused with one message naming the
+// re-export (checkBundle), whether it arrives from disk or in a push.
+const BundleFormatVersion = 2
 
 // ManifestName is the JSON sidecar a bundle directory must contain. It is
 // written last (atomically), so a directory with a readable manifest always
 // holds a complete bundle — reloaders key on it.
 const ManifestName = "manifest.json"
 
-// defaultBundleFile is the gob file a manifest points at by default.
-const defaultBundleFile = "bundle.gob"
+// BundleName is the sealed gob file beside the manifest.
+const BundleName = "bundle.gob"
 
 // FrontEndModel is one front-end's complete scoring artifacts: enough to
 // turn a phone lattice over that front-end's inventory into a supervector
@@ -40,20 +42,15 @@ type FrontEndModel struct {
 	// TFLLR is nil when background scaling was disabled at training time.
 	TFLLR *ngram.TFLLR
 	// OVR holds the float64 one-vs-rest models of a plain bundle. In a
-	// compressed bundle it is nil: Quant replaces it. The compression
-	// fields are gob-additive: bundles written before they existed decode
-	// with them nil and score exactly as they always did.
+	// compressed bundle it is nil: Quant replaces it.
 	OVR *svm.OneVsRest
 	// Proj, when non-nil, is the trained low-rank projection applied to
 	// TFLLR-scaled supervectors before scoring; the weight space is then
 	// Proj.Rank-dimensional, and Quant must be set.
 	Proj *proj.Packed
-	// Quant is the int8 quantized scoring kernel (precision "int8"); the
-	// bundle then ships no float64 weights for this front-end.
+	// Quant is the int8 quantized scoring kernel; the bundle then ships
+	// no float64 weights for this front-end.
 	Quant *svm.Quantized
-	// Precision is "int8" when Quant is set, "" or "float64" otherwise;
-	// Validate checks it against the kernel the bundle carries.
-	Precision string
 }
 
 // SpaceDim returns the raw supervector dimensionality of the front-end's
@@ -122,10 +119,7 @@ type Bundle struct {
 	Fusion    *fusion.Backend
 	// Cascade is the optional tier-1 fast-path artifact (designated
 	// front-end PRLM + per-duration-tier exit policy; see
-	// internal/cascade). Nil when the bundle was exported without one —
-	// gob leaves absent fields nil, so legacy bundles load with the
-	// cascade disabled. The cascade model carries its own format version,
-	// checked by Validate.
+	// internal/cascade). Nil when the bundle was exported without one.
 	Cascade *cascade.Model
 }
 
@@ -151,29 +145,19 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("persist: front-end %q has invalid space %d^%d", fe.Name, fe.NumPhones, fe.Order)
 		}
 		// The one compressed shape is an int8 projection basis plus an
-		// int8 kernel: Quant ⇔ "int8", and Proj requires Quant. Any other
-		// precision spelling, or a projection scored by float64 weights,
-		// is a retired rung and gets the one re-export message.
-		quantized := fe.Precision == "int8"
-		plain := fe.Precision == "" || fe.Precision == "float64"
-		if !quantized && !plain || fe.Proj != nil && fe.Quant == nil {
-			return fmt.Errorf("persist: front-end %q: %w", fe.Name, proj.ErrRetired)
+		// int8 kernel: Proj requires Quant.
+		if fe.Proj != nil && fe.Quant == nil {
+			return fmt.Errorf("persist: front-end %q projects but has no int8 kernel", fe.Name)
 		}
 		if fe.Quant != nil {
 			if err := fe.Quant.Validate(); err != nil {
 				return fmt.Errorf("persist: front-end %q: %w", fe.Name, err)
-			}
-			if !quantized {
-				return fmt.Errorf("persist: front-end %q carries an int8 kernel but precision %q", fe.Name, fe.Precision)
 			}
 			if fe.Quant.NumClasses != len(b.Languages) {
 				return fmt.Errorf("persist: front-end %q scores %d classes, bundle lists %d languages",
 					fe.Name, fe.Quant.NumClasses, len(b.Languages))
 			}
 		} else {
-			if quantized {
-				return fmt.Errorf("persist: front-end %q declares int8 precision but has no quantized kernel", fe.Name)
-			}
 			if fe.OVR == nil || len(fe.OVR.Models) == 0 {
 				return fmt.Errorf("persist: front-end %q has no language models", fe.Name)
 			}
@@ -254,23 +238,19 @@ type Manifest struct {
 	// bundle carries a cascade model; empty otherwise.
 	Cascade string `json:"cascade,omitempty"`
 	// FrontEndDims records each front-end's feature-space geometry: the
-	// raw supervector dimensionality, the projection rank (0 when the
-	// bundle is unprojected), and the scoring precision. LoadBundle
-	// cross-checks these against the decoded bundle, so a manifest paired
-	// with the wrong bundle — or a bundle whose projection rank disagrees
-	// with what the manifest (and hence the registry's active generation)
-	// advertises — is rejected at load instead of surfacing as silent
-	// truncation or a kernel panic at score time. Empty in manifests
-	// written before the field existed.
-	FrontEndDims []FrontEndDims `json:"front_end_dims,omitempty"`
-	BundleFile   string         `json:"bundle_file"`
+	// raw supervector dimensionality and the projection rank (0 when the
+	// bundle is unprojected). LoadBundle cross-checks these against the
+	// decoded bundle, so a manifest paired with the wrong bundle — or a
+	// bundle whose projection rank disagrees with what the manifest (and
+	// hence the registry's active generation) advertises — is rejected at
+	// load instead of surfacing as silent truncation or a kernel panic at
+	// score time.
+	FrontEndDims []FrontEndDims `json:"front_end_dims"`
 	// BundleSHA256 is the hex SHA-256 of the complete (sealed) bundle
 	// file, recorded at export time; LoadBundle re-verifies it, so a
 	// manifest/bundle mismatch (partial copy, wrong file swapped in) is
-	// caught even when each file is individually well-formed. Empty in
-	// bundles written before the field existed — then only the bundle
-	// file's own integrity footer applies.
-	BundleSHA256 string `json:"bundle_sha256,omitempty"`
+	// caught even when each file is individually well-formed.
+	BundleSHA256 string `json:"bundle_sha256"`
 	// AdaptFile names the self-training sidecar (adapt.gob) exported
 	// alongside the bundle: frozen train/holdout supervectors, vote
 	// calibration, and the pinned referee scores internal/adapt's gates
@@ -301,9 +281,6 @@ type FrontEndDims struct {
 	// Rank is the low-rank projection's output dimension; 0 means the
 	// bundle scores in the raw space.
 	Rank int `json:"rank,omitempty"`
-	// Precision is the scoring precision ("float64" when unset in the
-	// bundle).
-	Precision string `json:"precision,omitempty"`
 }
 
 // stampContents overwrites the manifest's contents-summary fields
@@ -316,7 +293,7 @@ func (m *Manifest) stampContents(b *Bundle) {
 	for i := range b.FrontEnds {
 		fe := &b.FrontEnds[i]
 		m.FrontEnds = append(m.FrontEnds, fe.Name)
-		d := FrontEndDims{Name: fe.Name, Dim: fe.SpaceDim(), Precision: precisionOf(fe)}
+		d := FrontEndDims{Name: fe.Name, Dim: fe.SpaceDim()}
 		if fe.Proj != nil {
 			d.Rank = fe.Proj.Rank
 		}
@@ -330,23 +307,11 @@ func (m *Manifest) stampContents(b *Bundle) {
 	}
 }
 
-// precisionOf normalizes a front-end's precision for the manifest
-// (legacy bundles leave the field empty, which means float64).
-func precisionOf(fe *FrontEndModel) string {
-	if fe.Precision == "" {
-		return "float64"
-	}
-	return fe.Precision
-}
-
 // checkDims verifies a manifest's recorded geometry against the decoded
 // bundle. A mismatch means the manifest belongs to a different bundle
 // (partial copy, wrong generation swapped in) — rejected as corruption,
 // because scoring against it would truncate or panic.
 func checkDims(m *Manifest, b *Bundle) error {
-	if len(m.FrontEndDims) == 0 {
-		return nil // pre-field manifest: only the SHA/footer checks apply
-	}
 	if len(m.FrontEndDims) != len(b.FrontEnds) {
 		return fmt.Errorf("persist: manifest records %d front-end geometries, bundle has %d (%w)",
 			len(m.FrontEndDims), len(b.FrontEnds), ErrCorrupt)
@@ -368,10 +333,6 @@ func checkDims(m *Manifest, b *Bundle) error {
 		if d.Rank != rank {
 			return fmt.Errorf("persist: front-end %q: manifest records projection rank %d, bundle carries %d (%w)",
 				fe.Name, d.Rank, rank, ErrCorrupt)
-		}
-		if d.Precision != "" && d.Precision != precisionOf(fe) {
-			return fmt.Errorf("persist: front-end %q: manifest records precision %s, bundle carries %s (%w)",
-				fe.Name, d.Precision, precisionOf(fe), ErrCorrupt)
 		}
 	}
 	return nil
@@ -416,7 +377,7 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("persist: bundle dir: %w", err)
 	}
-	w, err := saveAt(filepath.Join(dir, defaultBundleFile), "persist.save", b)
+	w, err := saveAt(filepath.Join(dir, BundleName), "persist.save", b)
 	if err != nil {
 		return err
 	}
@@ -424,12 +385,11 @@ func SaveBundle(dir string, b *Bundle, m Manifest) error {
 }
 
 // writeManifest stamps m for the bundle file just published in dir — format
-// version, file name, contents summary from b, the file's SHA-256 — and
+// version, contents summary from b, the file's SHA-256 — and
 // writes it atomically, last, so the directory then holds the complete new
 // bundle.
 func writeManifest(dir string, m *Manifest, b *Bundle, sha string) error {
 	m.FormatVersion = BundleFormatVersion
-	m.BundleFile = defaultBundleFile
 	m.stampContents(b)
 	m.BundleSHA256 = sha
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -458,8 +418,9 @@ type SealedBundle struct {
 // UnsealBundle reads a sealed bundle image from body to its end, hashing
 // it as it arrives and decoding it once (readSealed); declared is the
 // body's declared length, a sizing hint (≤ 0 when unknown). The bundle
-// is returned only once every check has passed: the footer, the SHA-256
-// the manifest pins when it pins one, the decode, the shard manifest's
+// is returned only once every check has passed: the footer, the
+// manifest's format version, the SHA-256 it pins, the decode, the shard
+// manifest's
 // assignment (selectShard), and the result against itself (Validate)
 // and against the manifest's geometry (checkDims: a manifest recording
 // another bundle's is ErrCorrupt). A body that cannot be read to its end
@@ -477,10 +438,17 @@ func UnsealBundle(body io.Reader, declared int64, m Manifest) (*SealedBundle, er
 }
 
 // checkBundle runs the checks a bundle image faces after its footer, in
-// order: the SHA-256 m pins, the decode's verdict, the shard manifest's
-// assignment, Validate and checkDims; name labels errors.
+// order: the manifest's format version, the SHA-256 it pins, the
+// decode's verdict, the shard manifest's assignment, Validate and
+// checkDims; name labels errors. Every load, reload, adapt root and
+// worker push passes through here, so a bundle from another format gets
+// the one re-export message wherever it arrives.
 func checkBundle(img *sealedImage, b *Bundle, m *Manifest, name string) error {
-	if m.BundleSHA256 != "" && img.sha256() != m.BundleSHA256 {
+	if m.FormatVersion != BundleFormatVersion {
+		return fmt.Errorf("persist: bundle format %d (want %d): re-export with lre -export-models DIR",
+			m.FormatVersion, BundleFormatVersion)
+	}
+	if img.sha256() != m.BundleSHA256 {
 		return fmt.Errorf("persist: bundle %s does not match the manifest's SHA-256 (%w)", name, ErrCorrupt)
 	}
 	if img.decodeErr != nil {
@@ -505,7 +473,7 @@ func (s *SealedBundle) Install(dir string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: bundle dir: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(dir, defaultBundleFile), s.image, "persist.save"); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, BundleName), s.image, "persist.save"); err != nil {
 		return nil, err
 	}
 	m := s.manifest
@@ -567,22 +535,15 @@ func loadBundle(dir string) (*Bundle, *Manifest, *Image, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, nil, nil, fmt.Errorf("persist: manifest: %w", err)
 	}
-	if m.FormatVersion != BundleFormatVersion {
-		return nil, nil, nil, fmt.Errorf("persist: bundle format %d (want %d)", m.FormatVersion, BundleFormatVersion)
-	}
-	file := m.BundleFile
-	if file == "" {
-		file = defaultBundleFile
-	}
 	// One read brings the whole file into memory, hashed as it arrives
 	// and decoded from those bytes; whatever happens to the file
 	// meanwhile, the bundle returned is the one whose SHA-256 matched.
-	path := filepath.Join(dir, file)
+	path := filepath.Join(dir, BundleName)
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+		return nil, nil, nil, fmt.Errorf("persist: bundle %s: %w", BundleName, err)
 	}
-	b, img, err := readBundleFile(f, path, &m, file)
+	b, img, err := readBundle(f, path, &m)
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, err
@@ -590,21 +551,21 @@ func loadBundle(dir string) (*Bundle, *Manifest, *Image, error) {
 	return b, &m, &Image{f: f, size: int64(len(img.data)), sha: img.sha256(), verifyWait: img.verifyWait}, nil
 }
 
-// readBundleFile reads the open bundle file f through the
+// readBundle reads the open bundle file f through the
 // persist.load.read fault site and checks it against m.
-func readBundleFile(f *os.File, path string, m *Manifest, file string) (*Bundle, *sealedImage, error) {
+func readBundle(f *os.File, path string, m *Manifest) (*Bundle, *sealedImage, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+		return nil, nil, fmt.Errorf("persist: bundle %s: %w", BundleName, err)
 	}
 	var b Bundle
 	in := faultinject.Reader("persist.load.read", io.LimitReader(f, st.Size()))
 	img, err := readSealed(in, st.Size(), path, &b)
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: bundle %s: %w", file, err)
+		return nil, nil, fmt.Errorf("persist: bundle %s: %w", BundleName, err)
 	}
 	testHookBundleOpened()
-	if err := checkBundle(img, &b, m, file); err != nil {
+	if err := checkBundle(img, &b, m, BundleName); err != nil {
 		return nil, nil, err
 	}
 	return &b, img, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -230,9 +231,9 @@ func TestBundleTornTailIsErrCorrupt(t *testing.T) {
 	}
 }
 
-func TestBundleLegacyManifestWithoutSHALoads(t *testing.T) {
-	// Bundles exported before BundleSHA256 existed have no hash in the
-	// manifest; they must still load (the file's own footer still applies).
+// TestBundleManifestWithoutSHARefused: every format-2 manifest pins its
+// bundle's SHA-256, so one without bundle_sha256 fails as corruption.
+func TestBundleManifestWithoutSHARefused(t *testing.T) {
 	b, _ := trainedBundle(t, 9)
 	dir := t.TempDir()
 	if err := SaveBundle(dir, b, Manifest{Seed: 9}); err != nil {
@@ -255,8 +256,8 @@ func TestBundleLegacyManifestWithoutSHALoads(t *testing.T) {
 	if err := os.WriteFile(mpath, stripped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadBundle(dir); err != nil {
-		t.Fatalf("manifest without bundle_sha256 failed to load: %v", err)
+	if _, _, err := LoadBundle(dir); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "SHA-256") {
+		t.Fatalf("manifest without bundle_sha256: err=%v, want the SHA-256 mismatch", err)
 	}
 }
 
@@ -271,15 +272,16 @@ func TestLoadBundleRejectsBadFormatVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := strings.Replace(string(data), `"format_version": 1`, `"format_version": 99`, 1)
+	bad := strings.Replace(string(data), fmt.Sprintf(`"format_version": %d`, BundleFormatVersion), `"format_version": 99`, 1)
 	if bad == string(data) {
 		t.Fatal("manifest fixture did not contain the format version")
 	}
 	if err := os.WriteFile(mf, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadBundle(dir); err == nil || !strings.Contains(err.Error(), "format") {
-		t.Fatalf("format version 99 accepted: %v", err)
+	want := fmt.Sprintf("persist: bundle format 99 (want %d): re-export with lre -export-models DIR", BundleFormatVersion)
+	if _, _, err := LoadBundle(dir); err == nil || err.Error() != want {
+		t.Fatalf("format version 99: err=%v, want %q", err, want)
 	}
 }
 

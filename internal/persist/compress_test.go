@@ -3,12 +3,17 @@ package persist
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cascade"
+	"repro/internal/fusion"
+	"repro/internal/ngram"
+	"repro/internal/prlm"
 	"repro/internal/proj"
 	"repro/internal/sparse"
 	"repro/internal/svm"
@@ -47,31 +52,120 @@ func compressFE(t *testing.T, fe FrontEndModel, probes []*sparse.Vector, rank in
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe.Proj, fe.OVR, fe.Quant, fe.Precision = packed, nil, q, "int8"
+	fe.Proj, fe.OVR, fe.Quant = packed, nil, q
 	return fe
 }
 
-// Retire rewrites a compressed bundle into the shape a retired rung
-// exported: the basis dequantized into Packed.F64 (precision "float64")
-// or Packed.F32 ("float32"), scored by the dequantized rank-space
-// float64 weights. b is not modified.
-func Retire(b *Bundle, precision string) *Bundle {
-	out := *b
-	out.FrontEnds = make([]FrontEndModel, len(b.FrontEnds))
-	for i, fe := range b.FrontEnds {
-		pk := &proj.Packed{Dim: fe.Proj.Dim, Rank: fe.Proj.Rank, Precision: precision}
-		for k, w := range fe.Proj.Q8 {
-			v := fe.Proj.Scale[k%pk.Rank] * float64(int8(w))
-			if precision == "float32" {
-				pk.F32 = append(pk.F32, float32(v))
-			} else {
-				pk.F64 = append(pk.F64, v)
+// v1Packed, v1FrontEnd, v1Cascade and v1Bundle are the wire shapes
+// bundle format 1 wrote: every front-end spelled its precision out,
+// a projection basis had float64 and float32 fields beside its int8
+// one, and the cascade carried its own version.
+type v1Packed struct {
+	Dim       int
+	Rank      int
+	Precision string
+	F64       []float64
+	F32       []float32
+	Q8        []byte
+	Scale     []float64
+}
+
+type v1FrontEnd struct {
+	Name      string
+	NumPhones int
+	Order     int
+	TFLLR     *ngram.TFLLR
+	OVR       *svm.OneVsRest
+	Proj      *v1Packed
+	Quant     *svm.Quantized
+	Precision string
+}
+
+type v1Cascade struct {
+	Version   int
+	FrontEnd  string
+	NumPhones int
+	LM        *prlm.System
+	Tiers     []cascade.TierPolicy
+}
+
+type v1Bundle struct {
+	Languages []string
+	FrontEnds []v1FrontEnd
+	Fusion    *fusion.Backend
+	Cascade   *v1Cascade
+}
+
+// V1Image seals b as format 1 wrote it. With float64Basis, every
+// projected front-end takes the shape the retired float64 rung
+// exported: the basis dequantized into F64, scored by the dequantized
+// rank-space float64 weights.
+func V1Image(b *Bundle, float64Basis bool) ([]byte, error) {
+	v1 := v1Bundle{Languages: b.Languages, Fusion: b.Fusion}
+	if c := b.Cascade; c != nil {
+		v1.Cascade = &v1Cascade{Version: 1, FrontEnd: c.FrontEnd, NumPhones: c.NumPhones, LM: c.LM, Tiers: c.Tiers}
+	}
+	for _, fe := range b.FrontEnds {
+		v := v1FrontEnd{Name: fe.Name, NumPhones: fe.NumPhones, Order: fe.Order, TFLLR: fe.TFLLR, OVR: fe.OVR, Quant: fe.Quant, Precision: "float64"}
+		if fe.Quant != nil {
+			v.Precision = "int8"
+		}
+		if pk := fe.Proj; pk != nil {
+			v.Proj = &v1Packed{Dim: pk.Dim, Rank: pk.Rank, Precision: "int8", Q8: pk.Q8, Scale: pk.Scale}
+			if float64Basis {
+				v.Proj = &v1Packed{Dim: pk.Dim, Rank: pk.Rank, Precision: "float64"}
+				for k, w := range pk.Q8 {
+					v.Proj.F64 = append(v.Proj.F64, pk.Scale[k%pk.Rank]*float64(int8(w)))
+				}
+				v.OVR, v.Quant, v.Precision = fe.Quant.Dequantize(), nil, "float64"
 			}
 		}
-		fe.Proj, fe.OVR, fe.Quant, fe.Precision = pk, fe.Quant.Dequantize(), nil, precision
-		out.FrontEnds[i] = fe
+		v1.FrontEnds = append(v1.FrontEnds, v)
 	}
-	return &out
+	return MarshalSealed(&v1)
+}
+
+// WriteV1Dir writes b into dir as a format-1 build exported it: V1Image
+// as bundle.gob, and a manifest with format 1's fields (each geometry's
+// precision, the bundle file's name) pinning its SHA-256. It returns the
+// image.
+func WriteV1Dir(dir string, b *Bundle) ([]byte, error) {
+	image, err := V1Image(b, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, BundleName), image, 0o644); err != nil {
+		return nil, err
+	}
+	var m Manifest
+	m.stampContents(b)
+	type v1Dims struct {
+		FrontEndDims
+		Precision string `json:"precision"`
+	}
+	var dims []v1Dims
+	for i, d := range m.FrontEndDims {
+		prec := "float64"
+		if b.FrontEnds[i].Quant != nil {
+			prec = "int8"
+		}
+		dims = append(dims, v1Dims{d, prec})
+	}
+	sum := sha256.Sum256(image)
+	data, err := json.MarshalIndent(map[string]any{
+		"format_version": 1,
+		"front_ends":     m.FrontEnds,
+		"num_languages":  m.NumLanguages,
+		"fusion":         m.Fusion,
+		"cascade":        m.Cascade,
+		"front_end_dims": dims,
+		"bundle_file":    BundleName,
+		"bundle_sha256":  hex.EncodeToString(sum[:]),
+	}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return image, os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644)
 }
 
 // pinnedBundleSHA256 holds the SHA-256 of the sealed bundle.gob bytes
@@ -79,17 +173,18 @@ func Retire(b *Bundle, precision string) *Bundle {
 // rank-6 int8 compression. Every exported bundle's bytes,
 // gob type definitions included, are part of the format: a manifest and
 // every fleet push pin their SHA-256. A change to any of these hashes
-// must be deliberate, noted with the format change that caused it.
+// must be deliberate, noted with the format change that caused it;
+// these are format 2's.
 var pinnedBundleSHA256 = map[string]string{
-	"plain": "0dcb955d8b79db3ceeab7190c43d5e192113825fab9ef969f12b41bc570f95ef",
-	"int8":  "c8f4fadcc1eb9fd24d7701016892816bc9694200ccb318b4dff202bb6339d6f2",
+	"plain": "51fddd450b6b2fa88bb822c39eaa86fd50bfdc6368ef9f8b844574bf3744411f",
+	"int8":  "a4dd2a093bc54ef52530b7198ffdd12393e57814b4294f63ad1406d2a4aef33e",
 }
 
 // checkPinnedBytes hashes dir's sealed bundle file against the pin for
 // name.
 func checkPinnedBytes(t *testing.T, name, dir string) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, defaultBundleFile))
+	data, err := os.ReadFile(filepath.Join(dir, BundleName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +223,8 @@ func TestCompressedBundleRoundTrip(t *testing.T) {
 			t.Fatalf("manifest records %d geometries, want %d", len(m.FrontEndDims), len(cb.FrontEnds))
 		}
 		for _, d := range m.FrontEndDims {
-			if d.Dim != dim || d.Rank != rank || d.Precision != "int8" {
-				t.Fatalf("manifest geometry %+v, want dim %d rank %d precision int8", d, dim, rank)
+			if d.Dim != dim || d.Rank != rank {
+				t.Fatalf("manifest geometry %+v, want dim %d rank %d", d, dim, rank)
 			}
 		}
 		// Loaded kernels score identically to the pre-save ones.
@@ -158,7 +253,7 @@ func TestCompressedBundleRoundTrip(t *testing.T) {
 
 func bundleSize(t *testing.T, dir string) int64 {
 	t.Helper()
-	st, err := os.Stat(filepath.Join(dir, defaultBundleFile))
+	st, err := os.Stat(filepath.Join(dir, BundleName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +272,7 @@ func TestCompressedBundleValidateRejectsMismatches(t *testing.T) {
 
 	mutations := map[string]func(*Bundle){
 		"rank disagrees with kernel dim": func(x *Bundle) { x.FrontEnds[0].Quant.Dim = 9 },
-		"int8 kernel without precision":  func(x *Bundle) { x.FrontEnds[0].Precision = "" },
-		"precision without kernel":       func(x *Bundle) { x.FrontEnds[1].Quant = nil },
-		"unknown precision":              func(x *Bundle) { x.FrontEnds[0].Precision = "bf16" },
+		"projection without kernel":      func(x *Bundle) { x.FrontEnds[1].Quant = nil },
 		"projection dim vs space":        func(x *Bundle) { x.FrontEnds[0].Proj.Dim = 4 },
 	}
 	for name, mutate := range mutations {
@@ -235,10 +328,10 @@ func TestManifestDimsMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyManifestWithoutDimsLoads pins the gob/JSON-additive contract:
-// a manifest written before FrontEndDims existed (field absent) loads
-// fine and only the structural checks apply.
-func TestLegacyManifestWithoutDimsLoads(t *testing.T) {
+// TestManifestWithoutDimsRefused: format 2 requires one geometry per
+// front-end, so a manifest without front_end_dims describes no bundle
+// and its load fails as corruption.
+func TestManifestWithoutDimsRefused(t *testing.T) {
 	b, _ := trainedBundle(t, 13)
 	dir := t.TempDir()
 	if err := SaveBundle(dir, b, Manifest{Seed: 13}); err != nil {
@@ -249,8 +342,6 @@ func TestLegacyManifestWithoutDimsLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the front_end_dims block wholesale, as an old writer would
-	// never have emitted it.
 	s := string(data)
 	start := strings.Index(s, `"front_end_dims"`)
 	if start < 0 {
@@ -261,9 +352,7 @@ func TestLegacyManifestWithoutDimsLoads(t *testing.T) {
 	if err := os.WriteFile(mpath, []byte(s), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, m, err := LoadBundle(dir); err != nil {
-		t.Fatalf("legacy manifest rejected: %v", err)
-	} else if len(m.FrontEndDims) != 0 {
-		t.Fatalf("stripped manifest still decoded dims: %+v", m.FrontEndDims)
+	if _, _, err := LoadBundle(dir); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "0 front-end geometries") {
+		t.Fatalf("manifest without geometry: err=%v, want ErrCorrupt naming the missing geometries", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/proj"
@@ -25,7 +26,7 @@ func fuzzQuantSeed() []byte {
 		Bias:  []float64{0.1, -0.1},
 	}
 	pk := &proj.Packed{
-		Dim: 4, Rank: 3, Precision: "int8",
+		Dim: 4, Rank: 3,
 		Q8:    bytes.Repeat([]byte{enc(7)}, 12),
 		Scale: []float64{1, 2, 3},
 	}
@@ -110,11 +111,19 @@ func FuzzCompressedBundleUnseal(f *testing.F) {
 	f.Add(sealed[:len(sealed)-3]) // torn tail
 	f.Add(sealed[:16])
 	f.Add([]byte{})
-	// The same bundle as the retired float64 rung exported it: it
-	// decodes, so the fuzzer starts at Validate's refusal.
-	retired, err := MarshalSealed(Retire(b, "float64"))
+	// The same bundle as format 1's float64 rung wrote it: it decodes
+	// with the basis's F64 field skipped, so the fuzzer starts at
+	// Validate's refusal of a projection scored by float64 weights.
+	retired, err := V1Image(b, true)
 	if err != nil {
 		f.Fatal(err)
+	}
+	var lb Bundle
+	if err := UnmarshalSealed(retired, &lb); err != nil {
+		f.Fatal(err)
+	}
+	if err := lb.Validate(); err == nil || !strings.Contains(err.Error(), "no int8 kernel") {
+		f.Fatalf("float64-rung image: Validate returned %v, want the projection without a kernel refused", err)
 	}
 	f.Add(retired)
 
@@ -152,7 +161,7 @@ func fuzzCompressedBundle() *Bundle {
 		Bias:  []float64{0.1, -0.1},
 	}
 	pk := &proj.Packed{
-		Dim: dim, Rank: rank, Precision: "int8",
+		Dim: dim, Rank: rank,
 		Q8:    bytes.Repeat([]byte{enc(9)}, dim*rank),
 		Scale: []float64{0.5, 0.25},
 	}
@@ -160,7 +169,7 @@ func fuzzCompressedBundle() *Bundle {
 		Languages: []string{"aa", "bb"},
 		FrontEnds: []FrontEndModel{{
 			Name: "FE0", NumPhones: 2, Order: 2,
-			Proj: pk, Quant: q, Precision: "int8",
+			Proj: pk, Quant: q,
 		}},
 	}
 }

@@ -29,11 +29,6 @@ const BaseGenDir = "."
 // genPrefix names generation subdirectories.
 const genPrefix = "gen-"
 
-// legacyPointer is the generation pointer file earlier builds rewrote on
-// every promotion. A root that still has one but no commit record is
-// refused rather than silently served as generation 0.
-const legacyPointer = "CURRENT"
-
 // Entry keys of a bundle root's commit records.
 const (
 	servingEntry = "serving"
@@ -117,12 +112,6 @@ func ResolveBundleImage(root string) (*Bundle, *Manifest, ResolveInfo, *Image, e
 	ents, _ := os.ReadDir(root)
 	gens := records(ents)
 	if len(gens) == 0 {
-		for _, e := range ents {
-			if e.Name() == legacyPointer {
-				return nil, nil, base, nil, fmt.Errorf("persist: %s is a legacy generation pointer with no commit record beside it: remove it (the base export then serves) and re-promote",
-					filepath.Join(root, legacyPointer))
-			}
-		}
 		b, m, im, err := loadBundle(root)
 		return b, m, base, im, err
 	}
@@ -158,7 +147,7 @@ func ResolveBundleImage(root string) (*Bundle, *Manifest, ResolveInfo, *Image, e
 	}
 	b, m, im, err := loadBundle(root)
 	if err != nil {
-		return nil, nil, base, nil, fmt.Errorf("persist: no loadable generation under %s (%w)", root, ErrCorrupt)
+		return nil, nil, base, nil, fmt.Errorf("%w; no committed generation under %s loads either (%w)", err, root, ErrCorrupt)
 	}
 	base.Fallback = true
 	return b, m, base, im, nil

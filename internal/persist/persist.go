@@ -20,6 +20,12 @@
 // Save, Load, the bundle files, the generation store's payloads
 // (store.go), internal/checkpoint and internal/adapt's sidecar all go
 // through them.
+//
+// A bundle directory (bundle.go) is a manifest.json beside a sealed
+// bundle.gob, in bundle format BundleFormatVersion: exactly what this
+// build's SaveBundle writes. A bundle of any other format is refused
+// with one message naming the re-export, whether it is loaded from disk,
+// reloaded, resolved under an adapt root or pushed to a fleet worker.
 package persist
 
 import (

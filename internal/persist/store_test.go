@@ -106,7 +106,7 @@ func saveGen(t *testing.T, root, name string, seed uint64) string {
 	if err := SaveBundle(dir, b, Manifest{Seed: seed, Scale: "test"}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(filepath.Join(dir, defaultBundleFile))
+	r, err := Open(filepath.Join(dir, BundleName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,26 +153,6 @@ func TestResolveBundleLegacyRoot(t *testing.T) {
 	}
 	if info.Generation != 0 || info.DirName != BaseGenDir || info.Fallback {
 		t.Fatalf("legacy root resolved as %+v", info)
-	}
-}
-
-func TestResolveBundleRefusesLegacyPointer(t *testing.T) {
-	root := t.TempDir()
-	saveGen(t, root, BaseGenDir, 1)
-	saveGen(t, root, GenDirName(1), 2)
-	pointer := filepath.Join(root, "CURRENT")
-	if err := os.WriteFile(pointer, Seal([]byte(`{"generation":1,"dir":"gen-000001"}`)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err := ResolveBundle(root)
-	if err == nil || !strings.Contains(err.Error(), pointer) || !strings.Contains(err.Error(), "re-promote") {
-		t.Fatalf("legacy pointer root: err %v, want a refusal naming %s and the fix", err, pointer)
-	}
-	if err := os.Remove(pointer); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, info, err := ResolveBundle(root); err != nil || info.Generation != 0 {
-		t.Fatalf("after removing the pointer: %+v err %v, want the base export", info, err)
 	}
 }
 
@@ -263,6 +243,28 @@ func TestResolveBundleFallsBackToBase(t *testing.T) {
 	commitGen(t, empty, 1, GenDirName(1), "", "")
 	if _, _, _, err := ResolveBundle(empty); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty root resolved: %v", err)
+	}
+	// The error says why the base failed: a root whose base export is
+	// from another format names the format and the re-export.
+	mpath := filepath.Join(root, ManifestName)
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["format_version"] = 99
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = ResolveBundle(root)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bundle format 99") || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("root with a format-99 base: err=%v, want ErrCorrupt naming the format and the re-export", err)
 	}
 }
 
@@ -377,7 +379,7 @@ func TestPruneCollectsOrphanedStagedDir(t *testing.T) {
 	if err := BundleRoot(root).Prune(4); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{recordName(1), defaultBundleFile, GenDirName(1), ManifestName}
+	want := []string{recordName(1), BundleName, GenDirName(1), ManifestName}
 	if got := listRoot(t, root); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after prune: %v, want %v", got, want)
 	}

@@ -20,7 +20,6 @@
 package proj
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -323,11 +322,10 @@ func normalize(v []float64) float64 {
 // dequantization is a single per-direction scale in the epilogue.
 func (p *Projection) Pack() (*Packed, error) {
 	pk := &Packed{
-		Dim:       p.Dim,
-		Rank:      p.Rank,
-		Precision: "int8",
-		Q8:        make([]byte, len(p.Basis)),
-		Scale:     make([]float64, p.Rank),
+		Dim:   p.Dim,
+		Rank:  p.Rank,
+		Q8:    make([]byte, len(p.Basis)),
+		Scale: make([]float64, p.Rank),
 	}
 	for d := 0; d < p.Rank; d++ {
 		row := p.Basis[d*p.Dim : (d+1)*p.Dim]
@@ -352,12 +350,6 @@ func (p *Projection) Pack() (*Packed, error) {
 	return pk, nil
 }
 
-// ErrRetired is the one refusal for a bundle in a compressed shape this
-// build no longer serves (a float32 or float64 basis, a float64 kernel
-// behind a projection, or an unknown precision spelling): the bundle
-// load, a reload and a fleet push all report it.
-var ErrRetired = errors.New("proj: compressed shape is no longer served: re-export with lre -export-models DIR -compress-rank N")
-
 // Packed is the persisted, serve-time form of a projection: the int8
 // basis in column-major (feature-major) layout, byte-encoded (gob
 // stores byte slices at one byte per element — the reason a rank-32
@@ -366,29 +358,17 @@ var ErrRetired = errors.New("proj: compressed shape is no longer served: re-expo
 type Packed struct {
 	Dim  int
 	Rank int
-	// Precision is always "int8".
-	Precision string
-	// F64 and F32 are always empty (Validate rejects them). They stay
-	// because encoding/gob writes the definition of every reachable
-	// type into the stream, even when Proj is nil: removing them would
-	// change every exported bundle's bytes.
-	F64 []float64
-	F32 []float32
-	Q8  []byte
+	Q8   []byte
 	// Scale[d] dequantizes direction d of Q8.
 	Scale []float64
 }
 
 // Validate checks the invariants ApplyInto relies on — the backstop
 // behind untrusted gob decodes (truncated blocks, NaN scales), which must
-// error cleanly rather than panic at scoring time. A basis in a retired
-// shape is refused with ErrRetired.
+// error cleanly rather than panic at scoring time.
 func (pk *Packed) Validate() error {
 	if pk == nil {
 		return nil
-	}
-	if pk.Precision != "int8" || len(pk.F64) != 0 || len(pk.F32) != 0 {
-		return ErrRetired
 	}
 	if pk.Dim <= 0 || pk.Rank <= 0 || pk.Rank > pk.Dim {
 		return fmt.Errorf("proj: packed projection rank %d over dimension %d", pk.Rank, pk.Dim)

@@ -3,9 +3,7 @@ package proj
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -403,27 +401,6 @@ func TestPackedValidateRejects(t *testing.T) {
 	for name, bad := range cases {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a corrupt projection", name)
-		}
-	}
-	// A basis in a retired shape is refused with the one re-export
-	// message: the float32 and float64 rungs as they packed it, an
-	// unknown spelling, and an int8 basis carrying float weights.
-	retired := map[string]*Packed{
-		"float32 basis": {Dim: p.Dim, Rank: p.Rank, Precision: "float32", F32: make([]float32, p.Dim*p.Rank)},
-		"float64 basis": {Dim: p.Dim, Rank: p.Rank, Precision: "float64", F64: make([]float64, p.Dim*p.Rank)},
-	}
-	pk = fresh()
-	pk.Precision = "int4"
-	retired["unknown precision"] = pk
-	pk = fresh()
-	pk.F32 = make([]float32, 4)
-	retired["int8 with float32 weights"] = pk
-	pk = fresh()
-	pk.F64 = make([]float64, 4)
-	retired["int8 with float64 weights"] = pk
-	for name, bad := range retired {
-		if err := bad.Validate(); !errors.Is(err, ErrRetired) || !strings.Contains(err.Error(), "lre -export-models DIR -compress-rank N") {
-			t.Errorf("%s: Validate returned %v, want the re-export message", name, err)
 		}
 	}
 	var nilPk *Packed

@@ -254,7 +254,7 @@ func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, img *persist.Ima
 	obs.SetGauge("serve.model.version", float64(mod.Version))
 	obs.SetGauge("serve.model.front_ends", float64(len(b.FrontEnds)))
 	obs.SetGauge("serve.model.generation", float64(info.Generation))
-	setFootprintGauges(filepath.Join(r.dir, info.DirName), b, m)
+	setFootprintGauges(filepath.Join(r.dir, info.DirName), b)
 	return mod
 }
 
@@ -264,12 +264,8 @@ func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, img *persist.Ima
 // the compression operating point (projection rank, precision as bits:
 // 8 when any front-end scores int8, else 64). lrestat's model panel
 // reads these from /metricsz.
-func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
-	file := defaultBundleFileName
-	if m != nil && m.BundleFile != "" {
-		file = m.BundleFile
-	}
-	if st, err := os.Stat(filepath.Join(dir, file)); err == nil {
+func setFootprintGauges(dir string, b *persist.Bundle) {
+	if st, err := os.Stat(filepath.Join(dir, persist.BundleName)); err == nil {
 		obs.SetGauge("serve.model.bundle_bytes", float64(st.Size()))
 	}
 	var packed int
@@ -285,7 +281,3 @@ func setFootprintGauges(dir string, b *persist.Bundle, m *persist.Manifest) {
 	obs.SetGauge("serve.model.rank", float64(rank))
 	obs.SetGauge("serve.model.precision_bits", float64(bits))
 }
-
-// defaultBundleFileName mirrors persist's unexported default for the
-// footprint gauge when a manifest predates the BundleFile field.
-const defaultBundleFileName = "bundle.gob"

@@ -130,7 +130,7 @@ func NewCompressed(t testing.TB, seed uint64, rank int) *persist.Bundle {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe.Proj, fe.OVR, fe.Quant, fe.Precision = packed, nil, q, "int8"
+		fe.Proj, fe.OVR, fe.Quant = packed, nil, q
 	}
 	return b
 }
