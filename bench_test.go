@@ -303,6 +303,33 @@ func BenchmarkMFCC30s(b *testing.B) {
 	}
 }
 
+// BenchmarkMinCavg times one minimum-Cavg search at Table 4 size: the
+// 184 test utterances of one duration at small scale, each scored
+// against the K = 23 language models (4,232 pair trials).
+func BenchmarkMinCavg(b *testing.B) {
+	const utts, k = 184, 23
+	r := rng.New(4)
+	trials := make([]metrics.PairTrial, 0, utts*k)
+	for u := 0; u < utts; u++ {
+		truth := u % k
+		for m := 0; m < k; m++ {
+			s := r.Norm()
+			if m == truth {
+				s += 2
+			}
+			trials = append(trials, metrics.PairTrial{Model: m, True: truth, Score: s})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		minCavgSink, _ = metrics.MinCavg(trials, k)
+	}
+}
+
+// minCavgSink keeps BenchmarkMinCavg's call from being optimized away.
+var minCavgSink float64
+
 func BenchmarkLatticeExpectedBigrams(b *testing.B) {
 	// A 300-slot, 4-alternative sausage ≈ one 30 s utterance.
 	r := rng.New(3)

@@ -74,7 +74,7 @@ func main() {
 	for _, k := range keys {
 		trials, err := scorefile.ToPairTrials(groups[k], nameIndex)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s %gs: %v", k.system, k.dur, err)
 		}
 		if len(trials) == 0 {
 			continue

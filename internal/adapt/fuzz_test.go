@@ -25,7 +25,7 @@ func sidecarPayload(f *testing.F, write func(dir string)) []byte {
 	return payload
 }
 
-// FuzzLoadSet drives the v2 sidecar reader with arbitrary streams. Inputs
+// FuzzLoadSet drives the sidecar reader with arbitrary streams. Inputs
 // are sealed before they reach LoadSet — the footer would otherwise
 // reject every mutation — so the skeleton and chunk decoding see them.
 // Every input must end in an error or a Set that Validate accepts: never
@@ -53,6 +53,9 @@ func FuzzLoadSet(f *testing.F) {
 		if err := persist.Save(filepath.Join(dir, SetFile), &v1); err != nil {
 			f.Fatal(err)
 		}
+	}))
+	f.Add(sidecarPayload(f, func(dir string) { // version 2: 256-vector chunks
+		writeV2(f, dir, plainSet(chunkSize+8, 2))
 	}))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

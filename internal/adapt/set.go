@@ -21,15 +21,18 @@ import (
 // referee scores the canary gate checks candidates against.
 const SetFile = "adapt.gob"
 
-// SetFormatVersion versions the sidecar layout. Version 2 streams the
-// vectors in chunks after a vector-free skeleton (see SaveSet); version 1
-// sidecars (one gob value holding everything) are refused — re-export.
-const SetFormatVersion = 2
+// SetFormatVersion versions the sidecar layout. Version 3 streams the
+// vectors in chunks of chunkSize after a vector-free skeleton (see
+// SaveSet). Older sidecars are refused — re-export: version 1 held
+// everything in one gob value, version 2 used 256-vector chunks.
+const SetFormatVersion = 3
 
-// chunkSize is how many vectors one sidecar chunk carries: each chunk is
-// one gob message, so it bounds what saving or loading a sidecar holds in
-// flight beyond the Set itself.
-const chunkSize = 256
+// chunkSize is how many vectors one sidecar chunk carries. Each chunk is
+// one gob message, which encoding/gob buffers whole, so it bounds what
+// saving or loading a sidecar holds in flight beyond the Set itself: 32
+// rows of ≈2,400 nonzeros (HU's train rows at small scale) are ≈1 MB,
+// where 256 made a ≈6 MB message that raised the offline job's peak.
+const chunkSize = 32
 
 // ErrNoSet marks a bundle directory exported without an adapt sidecar —
 // such bundles serve normally but cannot self-train.

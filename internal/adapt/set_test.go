@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -201,57 +202,95 @@ func TestLoadSetRefusesV1Sidecar(t *testing.T) {
 	}
 }
 
+// writeV2 writes s as a format-2 sidecar: the skeleton, then every split
+// in 256-vector chunks.
+func writeV2(t testing.TB, dir string, s *Set) {
+	t.Helper()
+	skel := skeletonOf(s)
+	skel.FormatVersion = 2
+	var chunks [][]*sparse.Vector
+	for _, fe := range s.FrontEnds {
+		for _, split := range [][]*sparse.Vector{fe.Train, fe.Holdout} {
+			for len(split) > 0 {
+				n := min(256, len(split))
+				chunks, split = append(chunks, split[:n]), split[n:]
+			}
+		}
+	}
+	writeRaw(t, dir, skel, chunks...)
+}
+
+// TestLoadSetRefusesV2Sidecar: a format-2 sidecar is refused with the
+// re-export message before any chunk is read, never as a chunk of the
+// wrong size.
+func TestLoadSetRefusesV2Sidecar(t *testing.T) {
+	dir := t.TempDir()
+	writeV2(t, dir, plainSet(chunkSize+8, 3))
+	_, err := LoadSet(dir)
+	if err == nil || !strings.Contains(err.Error(), "sidecar format 2 (want 3): re-export") {
+		t.Fatalf("v2 sidecar: err %v, want the re-export refusal", err)
+	}
+}
+
 // TestSaveSetStreamsInBoundedMemory is the memory gate: saving a sidecar
 // of at least 32 MB may allocate less than a quarter of its size, so a
 // save that buffers the file image (or one whole gob value) fails here.
+// The 2,400-nonzero case has rows as long as HU's small-scale train rows
+// (2,362 on average), so each chunk is as large as a real export's: with
+// 256-vector chunks the encoder's buffer alone broke the bound.
 func TestSaveSetStreamsInBoundedMemory(t *testing.T) {
-	const nnz = 100
-	v := &sparse.Vector{Idx: make([]int32, nnz), Val: make([]float64, nnz)}
-	for j := range v.Idx {
-		v.Idx[j] = int32(j * 200)
-		v.Val[j] = math.Sqrt(float64(j) + 0.5)
-	}
-	// Every slot shares one vector: the encoder writes each slot in full,
-	// while the test itself stays small.
-	s := plainSet(0, 1)
-	const nTrain, nHoldout = 14000, 1000
-	for i := 0; i < nTrain; i++ {
-		s.TrainLabels = append(s.TrainLabels, i%3)
-	}
-	s.HoldoutLabels = s.HoldoutLabels[:0]
-	for i := 0; i < nHoldout; i++ {
-		s.HoldoutLabels = append(s.HoldoutLabels, i%3)
-	}
-	for q := range s.FrontEnds {
-		fe := &s.FrontEnds[q]
-		fe.Train, fe.Holdout = make([]*sparse.Vector, nTrain), make([]*sparse.Vector, nHoldout)
-		for i := range fe.Train {
-			fe.Train[i] = v
-		}
-		for i := range fe.Holdout {
-			fe.Holdout[i] = v
-		}
-	}
-	dir := t.TempDir()
+	for _, c := range []struct{ nnz, nTrain, nHoldout int }{
+		{100, 14000, 1000},
+		{2400, 700, 300},
+	} {
+		t.Run(fmt.Sprintf("nnz=%d", c.nnz), func(t *testing.T) {
+			v := &sparse.Vector{Idx: make([]int32, c.nnz), Val: make([]float64, c.nnz)}
+			for j := range v.Idx {
+				v.Idx[j] = int32(j * 200)
+				v.Val[j] = math.Sqrt(float64(j) + 0.5)
+			}
+			// Every slot shares one vector: the encoder writes each slot
+			// in full, while the test itself stays small.
+			s := plainSet(0, 1)
+			for i := 0; i < c.nTrain; i++ {
+				s.TrainLabels = append(s.TrainLabels, i%3)
+			}
+			s.HoldoutLabels = s.HoldoutLabels[:0]
+			for i := 0; i < c.nHoldout; i++ {
+				s.HoldoutLabels = append(s.HoldoutLabels, i%3)
+			}
+			for q := range s.FrontEnds {
+				fe := &s.FrontEnds[q]
+				fe.Train, fe.Holdout = make([]*sparse.Vector, c.nTrain), make([]*sparse.Vector, c.nHoldout)
+				for i := range fe.Train {
+					fe.Train[i] = v
+				}
+				for i := range fe.Holdout {
+					fe.Holdout[i] = v
+				}
+			}
+			dir := t.TempDir()
 
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := SaveSet(dir, s); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := SaveSet(dir, s); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
 
-	st, err := os.Stat(filepath.Join(dir, SetFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() < 32<<20 {
-		t.Fatalf("synthetic sidecar is %d bytes, the gate needs at least 32 MB", st.Size())
-	}
-	grew := after.TotalAlloc - before.TotalAlloc
-	t.Logf("SaveSet of a %.1f MB sidecar allocated %.2f MB", float64(st.Size())/(1<<20), float64(grew)/(1<<20))
-	if grew >= uint64(st.Size())/4 {
-		t.Fatalf("SaveSet allocated %d bytes for a %d-byte sidecar (limit: a quarter of the file)", grew, st.Size())
+			st, err := os.Stat(filepath.Join(dir, SetFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() < 32<<20 {
+				t.Fatalf("synthetic sidecar is %d bytes, the gate needs at least 32 MB", st.Size())
+			}
+			grew := after.TotalAlloc - before.TotalAlloc
+			t.Logf("SaveSet of a %.1f MB sidecar allocated %.2f MB", float64(st.Size())/(1<<20), float64(grew)/(1<<20))
+			if grew >= uint64(st.Size())/4 {
+				t.Fatalf("SaveSet allocated %d bytes for a %d-byte sidecar (limit: a quarter of the file)", grew, st.Size())
+			}
+		})
 	}
 }

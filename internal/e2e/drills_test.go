@@ -158,6 +158,7 @@ var linkAllow = map[string]string{
 	"faultinject.Snapshot":                   "serve's TestChaosServeUnderSeededFaults and cluster's TestChaosPlanDrivesShardRPCs check every site fired",
 	"lattice.(*Lattice).ExpectedNgramCounts": "ngram's TestSupervectorMatchesMapReference sums its per-order counts",
 	"lattice.(*Lattice).ForwardBackward":     "ExpectedNgramCounts runs it; FuzzParseSausage compares the arena lattice's to it",
+	"metrics.Cavg":                           "the quadratic referee of TestMinCavgMatchesReferee and FuzzMinCavgMatchesReferee; TestCavgPerfectSystem",
 	"metrics.PairwiseEER":                    "experiments' TestFamilyPairsAreHardestConfusions",
 	"ngram.(*TFLLR).Dim":                     "persist's TestRoundTripTFLLR; TestTFLLRScaling",
 	"ngram.(*TFLLR).Scale":                   "persist's TestRoundTripTFLLR",

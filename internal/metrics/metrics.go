@@ -11,7 +11,9 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -257,33 +259,140 @@ func Cavg(trials []PairTrial, numLangs int, threshold float64) float64 {
 	return cavg / float64(langsCounted)
 }
 
-// MinCavg searches all candidate thresholds (the distinct trial scores)
-// for the minimal Cavg and returns it with the minimizing threshold.
+// MinCavg searches the candidate thresholds — one below every score, the
+// midpoints between consecutive distinct scores and one above every
+// score — for the minimal Cavg, and returns it with the first minimizing
+// threshold. Scores must be finite. Each candidate's cost has the bits
+// Cavg would give at that threshold, but the search is one sweep: the
+// trials are sorted once and, as the threshold rises past a trial, the
+// trial moves from accepted to rejected, updating the integer counts and
+// the cost term of its model only. A set without target trials has no
+// defined cost at any threshold and returns (+Inf, 0).
 func MinCavg(trials []PairTrial, numLangs int) (minCost, bestThreshold float64) {
 	if len(trials) == 0 {
 		return math.NaN(), 0
 	}
-	scores := make([]float64, 0, len(trials)+1)
-	for _, t := range trials {
-		scores = append(scores, t.Score)
-	}
-	sort.Float64s(scores)
-	// Candidate thresholds: midpoints between consecutive distinct scores,
-	// plus the extremes.
-	cands := []float64{scores[0] - 1}
-	for i := 1; i < len(scores); i++ {
-		if scores[i] != scores[i-1] {
-			cands = append(cands, (scores[i]+scores[i-1])/2)
-		}
-	}
-	cands = append(cands, scores[len(scores)-1]+1)
+	s := newCavgSweep(trials, numLangs)
 	minCost = math.Inf(1)
-	for _, th := range cands {
-		if c := Cavg(trials, numLangs, th); c < minCost {
+	if s.langsCounted == 0 {
+		return minCost, 0
+	}
+	try := func(th float64) {
+		if c := s.costAt(th); c < minCost {
 			minCost, bestThreshold = c, th
 		}
 	}
+	sorted := s.sorted
+	try(sorted[0].Score - 1)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Score != sorted[i-1].Score {
+			try((sorted[i].Score + sorted[i-1].Score) / 2)
+		}
+	}
+	try(sorted[len(sorted)-1].Score + 1)
 	return minCost, bestThreshold
+}
+
+// cavgSweep holds Cavg's counts at one threshold. Trials sorted[:rejected]
+// score at or below it: their targets are misses, their non-targets are
+// not false alarms.
+type cavgSweep struct {
+	k        int
+	sorted   []PairTrial // ascending by score
+	rejected int
+	// missCnt/missTot by target language; faCnt/faTot row-major by
+	// (target, non-target) pair.
+	missCnt, missTot []int
+	faCnt, faTot     []int
+	// terms[lt] is model lt's cost term at the current threshold, valid
+	// where missTot[lt] > 0.
+	terms        []float64
+	langsCounted int
+}
+
+func newCavgSweep(trials []PairTrial, k int) *cavgSweep {
+	s := &cavgSweep{
+		k:       k,
+		sorted:  slices.Clone(trials),
+		missCnt: make([]int, k),
+		missTot: make([]int, k),
+		faCnt:   make([]int, k*k),
+		faTot:   make([]int, k*k),
+		terms:   make([]float64, k),
+	}
+	slices.SortFunc(s.sorted, func(a, b PairTrial) int { return cmp.Compare(a.Score, b.Score) })
+	// Below every score everything is accepted: no misses, every
+	// non-target a false alarm.
+	for _, t := range trials {
+		if t.Model == t.True {
+			s.missTot[t.Model]++
+		} else {
+			s.faTot[t.Model*k+t.True]++
+			s.faCnt[t.Model*k+t.True]++
+		}
+	}
+	for lt := 0; lt < k; lt++ {
+		if s.missTot[lt] > 0 {
+			s.langsCounted++
+			s.term(lt)
+		}
+	}
+	return s
+}
+
+// costAt moves the threshold to th and returns Cavg there. Candidates
+// normally rise, but a midpoint that overflows to ±Inf can fall back, so
+// trials move in both directions.
+func (s *cavgSweep) costAt(th float64) float64 {
+	for s.rejected < len(s.sorted) && s.sorted[s.rejected].Score <= th {
+		s.move(s.sorted[s.rejected], 1)
+		s.rejected++
+	}
+	for s.rejected > 0 && s.sorted[s.rejected-1].Score > th {
+		s.rejected--
+		s.move(s.sorted[s.rejected], -1)
+	}
+	var cavg float64
+	for lt := 0; lt < s.k; lt++ {
+		if s.missTot[lt] == 0 {
+			continue
+		}
+		cavg += s.terms[lt]
+	}
+	return cavg / float64(s.langsCounted)
+}
+
+// move rejects trial t (d = 1) or accepts it again (d = -1).
+func (s *cavgSweep) move(t PairTrial, d int) {
+	if t.Model == t.True {
+		s.missCnt[t.Model] += d
+	} else {
+		s.faCnt[t.Model*s.k+t.True] -= d
+	}
+	if s.missTot[t.Model] > 0 {
+		s.term(t.Model)
+	}
+}
+
+// term recomputes model lt's cost term with Cavg's expression, so every
+// cost the sweep sums has Cavg's bits.
+func (s *cavgSweep) term(lt int) {
+	const pTarget = 0.5
+	pMiss := float64(s.missCnt[lt]) / float64(s.missTot[lt])
+	var faSum float64
+	faLangs := 0
+	for ln := 0; ln < s.k; ln++ {
+		if ln == lt || s.faTot[lt*s.k+ln] == 0 {
+			continue
+		}
+		faSum += float64(s.faCnt[lt*s.k+ln]) / float64(s.faTot[lt*s.k+ln])
+		faLangs++
+	}
+	cost := pTarget * pMiss
+	if faLangs > 0 {
+		cost += (1 - pTarget) * faSum / float64(faLangs)
+	}
+	s.terms[lt] = cost
 }
 
 // PairTrialsToDetection flattens language-pair trials into detection

@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -131,7 +132,8 @@ func FromScoreMatrix(system string, durationS float64, scores [][]float64,
 }
 
 // ToPairTrials converts labeled records into metric trials. Records with
-// unknown truth are skipped; nameIndex maps language names to indices.
+// unknown truth are skipped; nameIndex maps language names to indices. A
+// NaN or infinite score is refused: the metrics take finite scores only.
 func ToPairTrials(records []Record, nameIndex map[string]int) ([]metrics.PairTrial, error) {
 	var out []metrics.PairTrial
 	for i, r := range records {
@@ -145,6 +147,9 @@ func ToPairTrials(records []Record, nameIndex map[string]int) ([]metrics.PairTri
 		truth, ok := nameIndex[r.Truth]
 		if !ok {
 			return nil, fmt.Errorf("scorefile: record %d has unknown truth language %q", i, r.Truth)
+		}
+		if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+			return nil, fmt.Errorf("scorefile: record %d (segment %q, model %q) has non-finite score %v", i, r.Segment, r.Model, r.Score)
 		}
 		out = append(out, metrics.PairTrial{Model: model, True: truth, Score: r.Score})
 	}

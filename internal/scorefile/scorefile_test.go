@@ -193,6 +193,24 @@ func TestToPairTrialsUnknownLanguage(t *testing.T) {
 	}
 }
 
+func TestToPairTrialsRefusesNonFiniteScores(t *testing.T) {
+	for _, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		recs := []Record{
+			{Model: "farsi", Segment: "seg1", Truth: "farsi", Score: 1},
+			{Model: "hindi", Segment: "seg2", Truth: "farsi", Score: score},
+		}
+		_, err := ToPairTrials(recs, map[string]int{"farsi": 0, "hindi": 1})
+		if err == nil {
+			t.Fatalf("score %v: accepted", score)
+		}
+		for _, want := range []string{"record 1", `"seg2"`, `"hindi"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("score %v: error %q does not name %s", score, err, want)
+			}
+		}
+	}
+}
+
 func TestToPairTrialsSkipsUnlabeled(t *testing.T) {
 	recs := []Record{
 		{Model: "farsi", Truth: "-", Score: 1},

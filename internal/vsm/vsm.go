@@ -40,10 +40,6 @@ type Features struct {
 	// best maps an item ID to its kept 1-best phone string; nil unless
 	// extraction kept them.
 	best map[int][]int
-	// mat is the CSR arena backing every cached vector: one contiguous
-	// Idx/Val/RowPtr triple for the whole corpus instead of thousands of
-	// boxed slice pairs.
-	mat *sparse.Matrix
 }
 
 // QuarantinedUtterance records one utterance skipped during extraction.
@@ -135,14 +131,12 @@ func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions)
 				fe.Name, n, len(items), 100*float64(n)/float64(len(items)), 100*DefaultMaxQuarantineFrac, first.ItemID, first.Err)
 		}
 	}
-	// Repack the per-utterance vectors into one CSR matrix so the whole
-	// feature cache lives in three contiguous arenas; the cached entries
-	// are row views into them. TFLLR scaling below mutates values through
-	// the views, which writes into the shared arena as intended. Kept
-	// 1-best strings are copied into one exactly sized arena too: left as
+	// The cache keeps each supervector as the accumulator built it, sized
+	// to its nonzeros: a repack into one CSR arena would hold every
+	// front-end's features twice while it ran, for no scoring gain. Kept
+	// 1-best strings are copied into one exactly sized arena: left as
 	// thousands of small blocks among the phase's garbage they raised the
 	// offline job's peak RSS by ~5%.
-	f.mat = sparse.MatrixFromRows(vecs)
 	phones := 0
 	for _, path := range paths {
 		phones += len(path)
@@ -150,8 +144,8 @@ func ExtractChecked(fe *frontend.FrontEnd, c *corpus.Corpus, opt ExtractOptions)
 	arena := make([]int, 0, phones)
 	var nnz int64
 	for i, it := range items {
-		f.vectors[it.ID] = f.mat.Row(i)
-		nnz += int64(f.mat.Row(i).NNZ())
+		f.vectors[it.ID] = vecs[i]
+		nnz += int64(vecs[i].NNZ())
 		if paths != nil {
 			arena = append(arena, paths[i]...)
 			f.best[it.ID] = arena[len(arena)-len(paths[i]) : len(arena) : len(arena)]
@@ -215,8 +209,8 @@ func (f *Features) Snapshot() *FeaturesSnapshot {
 	}
 }
 
-// RestoreFeatures rebuilds a Features cache from a snapshot, repacking
-// the rows into a fresh CSR arena. The snapshot must belong to a
+// RestoreFeatures rebuilds a Features cache from a snapshot, keeping the
+// snapshot's rows as the cached vectors. The snapshot must belong to a
 // front-end with the same name and supervector dimension, and carry
 // either no 1-best paths or one per ID; item coverage is the caller's
 // check (Has).
@@ -238,10 +232,9 @@ func RestoreFeatures(fe *frontend.FrontEnd, snap *FeaturesSnapshot) (*Features, 
 		TF:          snap.TF,
 		Quarantined: snap.Quarantined,
 		vectors:     make(map[int]*sparse.Vector, len(snap.IDs)),
-		mat:         sparse.MatrixFromRows(snap.Rows),
 	}
 	for i, id := range snap.IDs {
-		f.vectors[id] = f.mat.Row(i)
+		f.vectors[id] = snap.Rows[i]
 	}
 	if len(snap.BestPaths) != 0 {
 		f.best = make(map[int][]int, len(snap.IDs))
@@ -298,10 +291,9 @@ type Projector interface {
 }
 
 // ProjectVectors maps supervectors into a projection's rank space in
-// parallel and repacks the results into one CSR arena — the same
-// locality layout extraction builds, so downstream SVM training and
-// scoring over projected features touch contiguous memory. The inputs
-// are not modified.
+// parallel and repacks the results into one CSR arena: FromDense grows
+// its rows by appending, so they carry slack capacity until the repack
+// sizes them to their nonzeros. The inputs are not modified.
 func ProjectVectors(p Projector, rank int, xs []*sparse.Vector) []*sparse.Vector {
 	rows := make([]*sparse.Vector, len(xs))
 	parallel.ForPool("project", len(xs), func(i int) {
