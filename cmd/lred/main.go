@@ -1,7 +1,7 @@
 // Command lred is the online scoring daemon: it loads a model bundle
 // exported by `lre -export-models`, and serves language-recognition
-// scores over HTTP/JSON with micro-batched SVM scoring, bounded-queue
-// backpressure, hot model reload, and graceful drain.
+// scores over HTTP/JSON with inline SVM scoring under an admission
+// bound, hot model reload, and graceful drain.
 //
 // Usage:
 //
@@ -56,7 +56,7 @@
 //
 // Tracing: every scoring request accepts a W3C `traceparent` header (or
 // mints a fresh trace), returns the id in the response header and body,
-// and files the finished span tree — queue wait, batch formation,
+// and files the finished span tree — body read and decode, resolution,
 // per-front-end scoring, fusion — into the /tracez buffer. Degraded and
 // errored traces are always retained. -no-trace turns all of it off.
 // -access-log emits sampled JSON access-log lines (one per request, byte
@@ -64,18 +64,18 @@
 // requests always log) to stderr, stdout, or a file; -access-log-every N
 // keeps every Nth line.
 //
-// Batching is work-conserving: the dispatcher scores a request as soon
-// as it is admitted, together with whatever else queued while the
-// previous batch held the scoring pool (at most -max-batch). A lone
-// request never waits for company, and batches grow with load.
+// Scoring is inline: each request is admitted once and scored at once in
+// its own pass over a pool of -workers goroutines; the utterances of a
+// /v1/score/batch request share that one pass. -queue bounds the passes
+// in flight, a batch request counting once.
 //
 // Robustness: per-request deadlines (-timeout), 429 + Retry-After when
-// the admission queue is full (-queue), panic-isolated scoring workers,
+// every admission slot is taken (-queue), panic-isolated scoring workers,
 // graceful front-end degradation (a failing recognizer/SVM is dropped
 // from fusion and the response is marked degraded), reload retry/backoff
 // behind a circuit breaker (-reload-retries, -reload-backoff,
 // -breaker-trip, -breaker-cooldown), and graceful drain on
-// SIGTERM/SIGINT — queued work finishes, new work gets 503, and the
+// SIGTERM/SIGINT — admitted work finishes, new work gets 503, and the
 // process exits 0 within -drain-timeout. The same four flags govern a
 // coordinator's bundle-push retries and its per-peer circuit breakers:
 // every role builds one serve.Config from the flags, and one policy
@@ -154,10 +154,9 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		models       = flag.String("models", "", "bundle directory written by lre -export-models (required)")
-		maxBatch     = flag.Int("max-batch", 16, "max requests sharing one scoring pass")
-		queueDepth   = flag.Int("queue", 256, "admission queue depth (beyond it: 429 + Retry-After)")
-		workers      = flag.Int("workers", 0, "scoring pool size (0 = GOMAXPROCS)")
-		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (queueing + scoring)")
+		queueDepth   = flag.Int("queue", 256, "admission bound: scoring requests in flight, a batch counting once (beyond it: 429 + Retry-After)")
+		workers      = flag.Int("workers", 0, "scoring pool size per pass (0 = GOMAXPROCS)")
+		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (resolution + scoring)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
 
 		reloadRetries = flag.Int("reload-retries", 2, "extra attempts after a failed model reload or, on a coordinator, a failed bundle push (0 = none)")
@@ -215,7 +214,6 @@ func main() {
 	}
 	serveCfg := serve.Config{
 		ModelDir:       dir,
-		MaxBatch:       *maxBatch,
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
@@ -304,7 +302,7 @@ func main() {
 			st := a.Status()
 			log.Printf("online adaptation on: generation %d, policy %s", st.Generation, st.Policy)
 		}
-		log.Printf("serving on http://%s (max-batch=%d queue=%d)", ln.Addr(), *maxBatch, *queueDepth)
+		log.Printf("serving on http://%s (queue=%d)", ln.Addr(), *queueDepth)
 		run, reload = s.Run, reloadServer(s, "bundle")
 	}
 

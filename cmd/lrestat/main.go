@@ -2,7 +2,7 @@
 // polls GET /metricsz (the JSON metrics report) and redraws a terminal
 // dashboard of the serving tier's RED metrics — per-endpoint request
 // rates and latency quantiles over the rolling 1m/5m windows, error and
-// degradation rates, queue depth and wait, and batching effectiveness.
+// degradation rates, and admission (requests in flight, 429s).
 //
 // Usage:
 //

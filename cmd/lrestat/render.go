@@ -42,9 +42,11 @@ func render(rep *obs.Report, target string) string {
 			bytesHuman(bb), bytesHuman(rep.Gauges["serve.model.packed_bytes"]))
 	}
 
-	fmt.Fprintf(&b, "queue depth %s   inflight %s   draining %s   reload breaker %s\n",
-		fmtGauge(rep.Gauges, "serve.queue.depth"),
+	// Admission: requests in the handlers, and calls turned away with 429
+	// because every admission slot was taken.
+	fmt.Fprintf(&b, "inflight %s   429 total %d   draining %s   reload breaker %s\n",
 		fmtGauge(rep.Gauges, "serve.http.inflight"),
+		rep.Counters["serve.queue.rejected"],
 		fmtGauge(rep.Gauges, "serve.draining"),
 		breakerState(rep.Gauges))
 
@@ -78,16 +80,9 @@ func render(rep *obs.Report, target string) string {
 	// Errors and degradation (the RED "E"), windowed and cumulative.
 	errs := rep.Windows["serve.http.errors"]
 	deg := rep.Windows["serve.score.degraded"]
-	fmt.Fprintf(&b, "5xx/s 1m %8.2f  (total %d)    degraded/s 1m %8.2f  (total %d)    429 total %d\n",
+	fmt.Fprintf(&b, "5xx/s 1m %8.2f  (total %d)    degraded/s 1m %8.2f  (total %d)\n",
 		errs.M1.RatePerSec, rep.Counters["serve.http.errors"],
-		deg.M1.RatePerSec, rep.Counters["serve.score.degraded"],
-		rep.Counters["serve.queue.rejected"])
-
-	// Batching health: queue wait and batch size over the last minute.
-	qw := rep.Windows["serve.queue.wait_seconds"]
-	bs := rep.Windows["serve.batch.size"]
-	fmt.Fprintf(&b, "queue wait 1m p50 %s p95 %s p99 %s    batch size 1m mean %.1f (n=%d)\n",
-		ms(qw.M1.P50Sec), ms(qw.M1.P95Sec), ms(qw.M1.P99Sec), bs.M1.MeanSec, bs.M1.Count)
+		deg.M1.RatePerSec, rep.Counters["serve.score.degraded"])
 
 	// Cascade rows: only on daemons running -cascade (the exit/escalate
 	// counters then partition every scoring utterance). A coordinator's

@@ -17,7 +17,6 @@ func sampleReport() *obs.Report {
 			"serve.http.score.requests": 900,
 		},
 		Gauges: map[string]float64{
-			"serve.queue.depth":   3,
 			"serve.http.inflight": 12,
 		},
 		Windows: map[string]obs.WindowsData{
@@ -28,10 +27,8 @@ func sampleReport() *obs.Report {
 			"serve.http.batch.seconds": {
 				M1: obs.WindowStats{Count: 60, RatePerSec: 1, P50Sec: 0.011},
 			},
-			"serve.http.errors":        {M1: obs.WindowStats{Count: 2, RatePerSec: 0.03}},
-			"serve.score.degraded":     {M1: obs.WindowStats{Count: 5, RatePerSec: 0.08}},
-			"serve.queue.wait_seconds": {M1: obs.WindowStats{Count: 600, P50Sec: 0.0002, P95Sec: 0.0009, P99Sec: 0.0015}},
-			"serve.batch.size":         {M1: obs.WindowStats{Count: 80, MeanSec: 7.5}},
+			"serve.http.errors":    {M1: obs.WindowStats{Count: 2, RatePerSec: 0.03}},
+			"serve.score.degraded": {M1: obs.WindowStats{Count: 5, RatePerSec: 0.08}},
 		},
 	}
 }
@@ -41,8 +38,7 @@ func TestRenderDashboard(t *testing.T) {
 	for _, want := range []string{
 		"model v3",
 		"front-ends FE0,FE1",
-		"queue depth 3",
-		"inflight 12",
+		"inflight 12   429 total 7",
 		"score",  // endpoint row
 		"batch",  // endpoint row
 		"10.0",   // score req/s 1m
@@ -52,11 +48,15 @@ func TestRenderDashboard(t *testing.T) {
 		"20.1ms", // p99 5m
 		"(total 2)",
 		"(total 5)",
-		"429 total 7",
-		"batch size 1m mean 7.5 (n=80)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dashboard missing %q:\n%s", want, out)
+		}
+	}
+	// Admission has no queue and forms no batches: no row reports either.
+	for _, gone := range []string{"queue depth", "queue wait", "batch size"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("dashboard still renders %q:\n%s", gone, out)
 		}
 	}
 	// Endpoint rows are sorted for a stable layout.
@@ -80,7 +80,7 @@ func TestEndpointRows(t *testing.T) {
 	rows := endpointRows(map[string]obs.WindowsData{
 		"serve.http.score.seconds":   {},
 		"serve.http.batch.seconds":   {},
-		"serve.queue.wait_seconds":   {}, // not an endpoint latency metric
+		"serve.score.degraded":       {}, // not an endpoint latency metric
 		"serve.http..seconds":        {}, // degenerate: empty name skipped
 		"cluster.http.score.seconds": {}, // coordinator tier: own labelled row
 		"cluster.rpc.w0:91.seconds":  {}, // per-peer RPC latency, not an endpoint

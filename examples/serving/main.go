@@ -1,7 +1,7 @@
 // serving: the online-scoring workflow end to end, in one process — train
 // a tiny battery, export its bundle with ExportModels, stand up the
-// internal/serve server (the same registry + micro-batching machinery
-// cmd/lred wraps), then act as a client: score an utterance by phone
+// internal/serve server (the same registry + scoring machinery cmd/lred
+// wraps), then act as a client: score an utterance by phone
 // lattice over HTTP, hot-reload a retrained bundle while requests are in
 // flight, and drain gracefully. Part two turns on the tier-1 cascade
 // fast path (`lred -cascade`) and shows both a tier-1 exit and a
@@ -110,7 +110,7 @@ func main() {
 	fmt.Printf("same request now answered by v%d\n\n", res2.ModelVersion)
 
 	// 5. Graceful drain: cancel the serve context (what SIGTERM does in
-	// cmd/lred); queued work finishes, then Run returns nil.
+	// cmd/lred); admitted work finishes, then Run returns nil.
 	fmt.Println("== draining ==")
 	shutdown()
 	if err := <-done; err != nil {

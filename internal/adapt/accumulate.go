@@ -8,7 +8,7 @@ import (
 )
 
 // Observation is one served full-battery utterance: the weight-space
-// vectors the batcher scored (already TFLLR-scaled and projected — the
+// vectors the scoring pass scored (already TFLLR-scaled and projected — the
 // serve layer's buildVectors output) and the score rows that were
 // actually served, both indexed by the bundle's front-end order.
 type Observation struct {

@@ -91,7 +91,7 @@ func newNode(srv *serve.Server, root http.Handler) node {
 }
 
 // Run serves until ctx is cancelled, then drains like the standalone
-// daemon: queued scoring work finishes before connections close, and
+// daemon: admitted scoring work finishes before connections close, and
 // the role's background loop has exited when Run returns.
 func (n *node) Run(ctx context.Context, l net.Listener) error {
 	return n.srv.RunHandler(ctx, l, n.mux)

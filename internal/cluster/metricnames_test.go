@@ -22,6 +22,9 @@ var updateNames = flag.Bool("update", false, "rewrite testdata/metric_names.json
 
 const metricNamesFile = "testdata/metric_names.json"
 
+// retiredKey names the list of retired metric names in metricNamesFile.
+const retiredKey = "retired"
+
 // TestMetricNameContract pins the metric names each serving role exports
 // on /metricsz: the names lrestat and the bench/ harness read. Each role
 // runs a fixed request sequence from a reset registry, and every name
@@ -30,8 +33,10 @@ const metricNamesFile = "testdata/metric_names.json"
 // rolling windows, which lrestat's live panels read. The committed
 // lists were recorded before the coordinator moved onto serve.Server's
 // request path and before the windows moved into the metrics they
-// shadow; the tree must export a superset of each. Regenerate them with
-// `go test ./internal/cluster -run TestMetricNameContract -update`.
+// shadow; the tree must export a superset of each. "retired" lists the
+// names removed on purpose, which no role may export. Regenerate the
+// role lists with `go test ./internal/cluster -run TestMetricNameContract
+// -update`; it keeps "retired" as it is.
 func TestMetricNameContract(t *testing.T) {
 	got := make(map[string][]string)
 	for role, names := range map[string]func(*testing.T) ([]string, []string){
@@ -41,7 +46,16 @@ func TestMetricNameContract(t *testing.T) {
 	} {
 		got[role], got[role+".windows"] = names(t)
 	}
+	data, err := os.ReadFile(metricNamesFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string][]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
 	if *updateNames {
+		got[retiredKey] = want[retiredKey]
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -54,15 +68,21 @@ func TestMetricNameContract(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(metricNamesFile)
-	if err != nil {
-		t.Fatal(err)
+	retired := make(map[string]bool)
+	for _, n := range want[retiredKey] {
+		retired[n] = true
 	}
-	var want map[string][]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
+	for role, names := range got {
+		for _, n := range names {
+			if retired[n] {
+				t.Errorf("%s exports the retired name %s", role, n)
+			}
+		}
 	}
 	for role, names := range want {
+		if role == retiredKey {
+			continue
+		}
 		have := make(map[string]bool, len(got[role]))
 		for _, n := range got[role] {
 			have[n] = true

@@ -18,7 +18,7 @@ import (
 )
 
 // Worker is a shared-nothing shard: the ordinary internal/serve scoring
-// server (micro-batching, degradation, reload breaker, tracing — all of
+// server (admission, degradation, reload breaker, tracing — all of
 // it) loading only the front-ends the coordinator assigned it, plus the
 // cluster endpoints:
 //

@@ -23,7 +23,7 @@
 //	persist.load.read      model read stream — partial/torn reads (error)
 //	parallel.task          worker-pool task body (panic/stall)
 //	serve.handler          HTTP scoring handler entry (delay/error)
-//	serve.batch            batch dispatch — queue pressure (delay/panic)
+//	serve.batch            one request's scoring pass (delay/panic)
 //	serve.score.fe.<name>  one front-end's scoring pass (error/panic)
 //	serve.reload           model registry reload from disk (error)
 //	cascade.tier1          cascade tier-1 scoring (error/panic → transparent

@@ -234,7 +234,7 @@ func (f *FrontEnd) drawConfusion(r *rng.RNG, p int, ch synthlang.Channel) int {
 func (f *FrontEnd) Decode(r *rng.RNG, u *synthlang.Utterance) *lattice.Lattice {
 	// Chaos hook: Decode has no error path, so injected faults surface as
 	// panics or stalls here — the isolation layers in callers (worker
-	// pools, the serve batcher) are what the chaos suite exercises.
+	// pools, the serve scoring pass) are what the chaos suite exercises.
 	faultinject.Disturb("frontend.decode")
 	l := lattice.FromSausage(f.decodeSlots(r, u))
 	obsDecodedUtts.Inc()

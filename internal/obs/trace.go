@@ -14,7 +14,7 @@ import (
 // Request-scoped tracing: W3C trace-context identifiers plus a bounded
 // in-memory buffer of finished request traces. The serving tier accepts
 // (or mints) a `traceparent` per request, threads a detached span tree
-// through enqueue → batch dispatch → per-front-end scoring → fusion, and
+// through decode → resolution → per-front-end scoring → fusion, and
 // files the finished tree here; /tracez serves the buffer. The same
 // identifiers travel in responses and access-log lines, so one id
 // correlates the client's view, the server's span tree, and the logs —
@@ -128,13 +128,12 @@ type TraceEntry struct {
 	DurationSec  float64   `json:"duration_sec"`
 	Status       int       `json:"status"`
 	ModelVersion int64     `json:"model_version,omitempty"`
-	BatchID      int64     `json:"batch_id,omitempty"`
 	Degraded     bool      `json:"degraded,omitempty"`
 	// Surviving is the front-end set that still contributed to a degraded
 	// result.
 	Surviving []string `json:"surviving,omitempty"`
 	Error     string   `json:"error,omitempty"`
-	// Root is the request's span tree (queue wait, batch formation,
+	// Root is the request's span tree (body read and decode, resolution,
 	// per-front-end scoring, fusion).
 	Root *SpanData `json:"root,omitempty"`
 }

@@ -156,15 +156,10 @@ const (
 var frontEnds = []string{"HU", "RU", "CZ", "EN", "GE", "MA"}
 
 // scoringSpans hangs one utterance's stage spans off sp, the way the
-// standalone request path does: resolve, queue wait, batch formation,
-// one score.fe per front-end and fusion. failFE names a front-end whose
-// scoring failed, or is empty.
-func scoringSpans(sp *Span, batchID int, failFE string) {
+// standalone request path does: resolve, one score.fe per front-end and
+// fusion. failFE names a front-end whose scoring failed, or is empty.
+func scoringSpans(sp *Span, failFE string) {
 	sp.StartChild("resolve").End()
-	sp.StartChild("queue.wait").End()
-	sp.StartChild("batch.form").End()
-	sp.SetAttr("batch.id", float64(batchID))
-	sp.SetAttr("batch.size", float64(1+batchID%4))
 	for _, fe := range frontEnds {
 		c := sp.StartChild("score.fe")
 		c.SetLabel("fe", fe)
@@ -197,23 +192,22 @@ func sampleTrace(i int) *TraceEntry {
 		DurationSec:  float64((i*7919)%997+1) * 1e-5,
 		Status:       200,
 		ModelVersion: 1 + int64(i/100),
-		BatchID:      int64(i),
 	}
 	switch kind {
 	case kindPlain:
-		scoringSpans(root, i, "")
+		scoringSpans(root, "")
 	case kindBatch:
 		for u := 0; u < 3; u++ {
 			utt := root.StartChild("utt")
 			utt.SetLabel("id", fmt.Sprintf("utt-%d-%d", i, u))
-			scoringSpans(utt, i, "")
+			scoringSpans(utt, "")
 			utt.End()
 		}
 	case kindCallerParent:
 		e.ParentSpanID = fmt.Sprintf("%016x", 11*i+5)
-		scoringSpans(root, i, "")
+		scoringSpans(root, "")
 	case kindDegraded:
-		scoringSpans(root, i, "CZ")
+		scoringSpans(root, "CZ")
 		e.Degraded = true
 		e.Surviving = []string{"EN", "GE", "HU", "MA", "RU"}
 	case kind5xx:

@@ -126,18 +126,12 @@ func TestChaosServeUnderSeededFaults(t *testing.T) {
 	}
 
 	total := 10000
-	// Coalescing turns requests into far fewer micro-batches, so the
-	// serve.batch deterministic rule must fire well within the batch
-	// count or the every-site-fired assertion below fails; short mode's
-	// ~95 batches can't reach 211.
-	batchEvery := 211
 	if testing.Short() {
 		total = 1500
-		batchEvery = 23
 	}
 	plan := &faultinject.Plan{Seed: 1337, Rules: []faultinject.Rule{
 		{Site: "serve.handler", Kind: faultinject.KindError, Prob: 0.03, Err: "chaos: handler fault"},
-		{Site: "serve.batch", Kind: faultinject.KindPanic, Every: batchEvery},
+		{Site: "serve.batch", Kind: faultinject.KindPanic, Every: 211},
 		{Site: "serve.score.fe.FE0", Kind: faultinject.KindError, Prob: 0.03, Err: "chaos: FE0 down"},
 		{Site: "serve.score.fe.FE1", Kind: faultinject.KindError, Prob: 0.03, Err: "chaos: FE1 down"},
 		{Site: "parallel.task", Kind: faultinject.KindPanic, Every: 2003},
@@ -228,7 +222,7 @@ func TestChaosServeUnderSeededFaults(t *testing.T) {
 	t.Logf("chaos: %d requests → %d healthy, %d degraded, %d non-2xx",
 		sent, ok200.Load(), degraded.Load(), non2xx.Load())
 	// Error rates stay bounded: the plan injects ~3% handler faults plus
-	// occasional batch/pool panics (each costs at most one micro-batch), so
+	// occasional pass/pool panics (each costs at most one request), so
 	// well under a quarter of traffic may fail; most must come back 200.
 	if non2xx.Load() > sent/4 {
 		t.Fatalf("unbounded error rate: %d non-2xx of %d", non2xx.Load(), sent)

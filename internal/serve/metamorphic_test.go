@@ -148,7 +148,7 @@ func TestLatticeProbScalingInvariance(t *testing.T) {
 func TestBatchVsSequentialPermutationInvariance(t *testing.T) {
 	dir := t.TempDir()
 	b := testbundle.Write(t, dir, 13)
-	s := newTestServer(t, dir, func(c *Config) { c.MaxBatch = 4 })
+	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -1,8 +1,8 @@
 // Package serve is the online scoring subsystem: a versioned model
-// registry with atomic hot-swap reload (registry.go), a micro-batching
-// dispatcher that lets concurrent requests share SVM scoring passes
-// (batcher.go), and the HTTP/JSON server that ties them together with
-// deadlines, backpressure, and graceful drain (server.go). cmd/lred is the
+// registry with atomic hot-swap reload (registry.go), the admission bound
+// and SVM scoring pass each request runs inline (admission.go), and the
+// HTTP/JSON server that ties them together with deadlines, backpressure,
+// and graceful drain (server.go). cmd/lred is the
 // daemon entry point; cmd/lre -export-models produces the bundles it
 // loads.
 //

@@ -12,7 +12,7 @@ import (
 )
 
 // Role is what one serving role plugs into Server's request path: the
-// standalone daemon scores in process through the micro-batcher, the
+// standalone daemon scores in process under its admission bound, the
 // cluster coordinator (internal/cluster) scatters to shard workers.
 // Everything else on the path is Server's, the same code for every role.
 type Role interface {
@@ -71,8 +71,6 @@ type Utterance struct {
 	FrontEndErrs map[int]error
 	Err          error
 	Status       int
-
-	batchID int64 // dispatch batch of the standalone step, for the trace
 }
 
 // NewWithRole builds a server whose request path scores through role.
@@ -81,7 +79,7 @@ type Utterance struct {
 // co-resident standalone tier keeps its serve.* names apart in one obs
 // registry. The request path reads cfg's deadlines, body limit, tracing
 // and access-log switches and cascade, and Reload.Cooldown for a
-// breaker-open Retry-After. The rest of cfg (ModelDir, batching, Reload's
+// breaker-open Retry-After. The rest of cfg (ModelDir, admission, Reload's
 // retries, Adapt, WaitForModel) is the role's to read: every lred role
 // shares one Config, and a fleet coordinator reads ModelDir and Reload.
 func NewWithRole(cfg Config, namespace string, role Role) (*Server, error) {
@@ -94,18 +92,35 @@ func NewWithRole(cfg Config, namespace string, role Role) (*Server, error) {
 }
 
 // standalone is the in-process role of a server built by New: the
-// registry's current model, scored through the micro-batcher, with the
-// online-adaptation loop in the background.
+// registry's current model, scored in one admitted pass per request,
+// with the online-adaptation loop in the background.
 type standalone Server
 
-// score admits every utterance into the batcher first, so they coalesce
-// into shared scoring passes, then awaits them in order.
+// score resolves every utterance, admits those that resolved as one
+// scoring pass, and awaits them in order.
 func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
-	srv := (*Server)(s)
 	jobs := make([]*job, len(sc.Utts))
+	live := make([]*job, 0, len(sc.Utts))
 	for i := range sc.Utts {
 		u := &sc.Utts[i]
-		jobs[i], u.Status, u.Err = srv.submit(ctx, m, u.Req.ID, u.Req, u.Span)
+		if jobs[i], u.Status, u.Err = resolve(ctx, m, u); jobs[i] != nil {
+			live = append(live, jobs[i])
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	if err := s.passes.submit(live); err != nil {
+		status := http.StatusTooManyRequests
+		if errors.Is(err, ErrDraining) {
+			status = http.StatusServiceUnavailable
+		}
+		for i, j := range jobs {
+			if j != nil {
+				sc.Utts[i].Err, sc.Utts[i].Status = err, status
+			}
+		}
+		return
 	}
 	for i, j := range jobs {
 		if j == nil {
@@ -113,7 +128,6 @@ func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
 		}
 		u := &sc.Utts[i]
 		res, err := await(ctx, j)
-		u.batchID = j.batchID.Load()
 		switch {
 		case err != nil:
 			u.Err, u.Status = fmt.Errorf("deadline exceeded: %w", err), http.StatusGatewayTimeout
@@ -124,7 +138,7 @@ func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
 			}
 		default:
 			u.Scores, u.FrontEndErrs = res.scores, res.feErrs
-			srv.observeAdapt(j, res)
+			(*Server)(s).observeAdapt(j, res)
 		}
 	}
 }

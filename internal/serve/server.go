@@ -27,17 +27,16 @@ type Config struct {
 	// is pushed into. New fails fast if the initial load fails, unless
 	// WaitForModel is set.
 	ModelDir string
-	// MaxBatch bounds how many requests share one scoring pass (16).
-	MaxBatch int
-	// QueueDepth bounds the admission queue; beyond it requests get
-	// 429 + Retry-After (256).
+	// QueueDepth is the admission bound: how many scoring calls may be
+	// in flight at once, a batch request counting once; beyond it
+	// requests get 429 + Retry-After (256).
 	QueueDepth int
-	// Workers sizes the scoring pool (GOMAXPROCS).
+	// Workers sizes the scoring pool of each pass (GOMAXPROCS).
 	Workers int
-	// RequestTimeout is the per-request deadline covering queueing and
+	// RequestTimeout is the per-request deadline covering resolution and
 	// scoring (5 s).
 	RequestTimeout time.Duration
-	// DrainTimeout bounds graceful shutdown: queued work is finished and
+	// DrainTimeout bounds graceful shutdown: admitted work is finished and
 	// open connections closed within it (10 s).
 	DrainTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (32 MiB).
@@ -77,9 +76,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -125,13 +121,12 @@ type Server struct {
 	// selects a policy (see adapt.go).
 	reg      *Registry
 	reloader *reloader
-	batcher  *Batcher
+	passes   *admission
 	adapter  *adapt.Adapter
 }
 
-// New loads the bundle and starts the batching dispatcher. The returned
-// server is ready to serve; pass its Handler to an http.Server or call
-// Run.
+// New loads the bundle and sizes admission. The returned server is ready
+// to serve; pass its Handler to an http.Server or call Run.
 func New(cfg Config) (*Server, error) {
 	if cfg.ModelDir == "" {
 		return nil, fmt.Errorf("serve: no model directory configured")
@@ -150,11 +145,7 @@ func New(cfg Config) (*Server, error) {
 	if err := s.initAdapter(); err != nil {
 		return nil, fmt.Errorf("serve: adapt: %w", err)
 	}
-	s.batcher = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.Workers, nil)
-	if !cfg.DisableTracing {
-		obsQueueWait.KeepWindow()
-		obsBatchSize.KeepWindow()
-	}
+	s.passes = newAdmission(cfg.QueueDepth, cfg.Workers)
 	return s, nil
 }
 
@@ -332,17 +323,13 @@ func (tr *reqTrace) reject(w http.ResponseWriter, status int, format string, arg
 }
 
 // noteResult folds one utterance's result into the degradation count and
-// the trace: degradation state, survivors, error, and the dispatch batch
-// it rode in.
-func (s *Server) noteResult(tr *reqTrace, u *Utterance, res *ScoreResult) {
+// the trace: degradation state, survivors and error.
+func (s *Server) noteResult(tr *reqTrace, res *ScoreResult) {
 	if res.Degraded && s.degraded != nil {
 		s.degraded.Inc()
 	}
 	if tr == nil {
 		return
-	}
-	if u.batchID > tr.BatchID {
-		tr.BatchID = u.batchID
 	}
 	if res.Degraded {
 		tr.Degraded = true
@@ -461,16 +448,14 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// submit admits one resolved utterance into the batcher and translates
-// backpressure into HTTP semantics. span, when non-nil, becomes the
-// job's trace node: resolution and queue wait record as children, and
-// the batcher attaches batch-formation and per-front-end scoring spans.
-func (s *Server) submit(ctx context.Context, m *Model, id string, req *ScoreRequest, span *obs.Span) (*job, int, error) {
+// resolve builds one utterance's scoring job under a "resolve" span, or
+// returns the error and the status a single request answers it with.
+func resolve(ctx context.Context, m *Model, u *Utterance) (*job, int, error) {
 	var rsp *obs.Span
-	if span != nil {
-		rsp = span.StartChild("resolve")
+	if u.Span != nil {
+		rsp = u.Span.StartChild("resolve")
 	}
-	vectors, err := buildVectors(m, req)
+	vectors, err := buildVectors(m, u.Req)
 	if rsp != nil {
 		rsp.End()
 	}
@@ -481,33 +466,7 @@ func (s *Server) submit(ctx context.Context, m *Model, id string, req *ScoreRequ
 		}
 		return nil, http.StatusInternalServerError, err
 	}
-	j := &job{
-		ctx:      ctx,
-		model:    m,
-		id:       id,
-		vectors:  vectors,
-		result:   make(chan jobResult, 1),
-		enqueued: time.Now(),
-		span:     span,
-	}
-	if span != nil {
-		j.queueSpan = span.StartChild("queue.wait")
-	}
-	if err := s.batcher.Submit(j); err != nil {
-		if j.queueSpan != nil {
-			j.queueSpan.SetLabel("error", err.Error())
-			j.queueSpan.End()
-		}
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			return nil, http.StatusTooManyRequests, err
-		case errors.Is(err, ErrDraining):
-			return nil, http.StatusServiceUnavailable, err
-		default:
-			return nil, http.StatusInternalServerError, err
-		}
-	}
-	return j, 0, nil
+	return &job{ctx: ctx, model: m, vectors: vectors, result: make(chan jobResult, 1), span: u.Span}, 0, nil
 }
 
 // await blocks until the job completes or its deadline passes.
@@ -550,9 +509,9 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Cascade latency is per request (a batch observes none):
-	// batch utterances share dispatch, so a per-utterance wall time would
-	// price batch-mates' work.
+	// Cascade latency is per request (a batch observes none): batch
+	// utterances share one scoring pass, so a per-utterance wall time
+	// would price batch-mates' work.
 	start := time.Now()
 	observe := func(h *obs.Histogram) {
 		if !batch {
@@ -597,7 +556,7 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 	for k := range sc.Utts {
 		u, i := &sc.Utts[k], pos[k]
 		if u.Err != nil && !batch {
-			s.noteResult(tr, u, &ScoreResult{Error: u.Err.Error()})
+			s.noteResult(tr, &ScoreResult{Error: u.Err.Error()})
 			if u.Status == http.StatusTooManyRequests {
 				w.Header().Set("Retry-After", "1")
 			}
@@ -627,7 +586,7 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 				s.casc.escDegraded.Inc()
 			}
 		}
-		s.noteResult(tr, u, &results[i])
+		s.noteResult(tr, &results[i])
 		if batch && u.Span != nil {
 			u.Span.End()
 		}
@@ -750,8 +709,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // Run serves on l until ctx is cancelled (the daemon wires SIGTERM/SIGINT
 // into that), then drains gracefully: new scoring work is rejected with
-// 503, every queued job is finished and delivered, and open connections
-// close — all within DrainTimeout. A clean drain returns nil.
+// 503, every admitted pass is finished and delivered, and open
+// connections close — all within DrainTimeout. A clean drain returns nil.
 func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	return s.RunHandler(ctx, l, s.mux)
 }
@@ -780,11 +739,11 @@ func (s *Server) drain(hs *http.Server) error {
 	obs.SetGauge(s.ns+".draining", 1)
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
-	// Finish the queue first: handlers blocked in await are the open
-	// connections Shutdown waits on, and they can only finish once the
-	// dispatcher delivers their results.
-	if s.batcher != nil {
-		if err := s.batcher.Drain(ctx); err != nil {
+	// Finish the admitted passes first: handlers blocked in await are the
+	// open connections Shutdown waits on, and they can only finish once
+	// their pass delivers its results.
+	if s.passes != nil {
+		if err := s.passes.drain(ctx); err != nil {
 			hs.Close()
 			return fmt.Errorf("serve: drain: %w", err)
 		}

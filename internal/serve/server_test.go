@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, dir string, mutate func(*Config)) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		s.batcher.Drain(context.Background())
+		s.passes.drain(context.Background())
 	})
 	return s
 }
@@ -411,17 +411,11 @@ func TestGracefulDrain(t *testing.T) {
 	b := testbundle.Write(t, dir, 11)
 	s := newTestServer(t, dir, func(c *Config) {
 		c.DrainTimeout = 30 * time.Second
-		c.MaxBatch = 64
 	})
-	// Gate the scoring pass so accepted jobs are provably still queued when
-	// the drain starts (no sleep-length race: the pass cannot finish until
-	// the test releases it).
-	gate := make(chan struct{})
-	s.batcher.Drain(context.Background())
-	s.batcher = newBatcher(64, 256, 2, func(batch []*job) {
-		<-gate
-		scoreJobs(batch, 2)
-	})
+	// Gate the scoring passes so admitted requests are provably still
+	// being scored when the drain starts (no sleep-length race: no pass
+	// can finish until the test releases it).
+	_, release := holdPasses(t, s)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -454,15 +448,15 @@ func TestGracefulDrain(t *testing.T) {
 		}()
 	}
 	// Pull the plug only once every request is provably in flight (inside a
-	// handler, queued, or held at the gate) — polling the server's own
-	// in-flight gauge replaces the old sleep-and-hope.
+	// handler or held at the gate) — polling the server's own in-flight
+	// gauge replaces the old sleep-and-hope.
 	for s.inflight.Load() < accepted {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 
 	// While draining, new work must be rejected with 503 (the listener is
-	// still open: Shutdown only runs after the queue is finished).
+	// still open: Shutdown only runs after the admitted passes finish).
 	saw503 := false
 	for i := 0; i < 50 && !saw503; i++ {
 		resp, err := client.Post(base+"/v1/score", "application/json", bytes.NewReader(reqBody))
@@ -479,8 +473,9 @@ func TestGracefulDrain(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Release the scoring gate: the drain must now finish every queued job.
-	close(gate)
+	// Release the scoring gate: the drain must now finish every admitted
+	// pass.
+	release()
 	wg.Wait()
 	close(statuses)
 	ok200 := 0
@@ -505,78 +500,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestBatchesFormUnderLoad drives the real HTTP path: the first scoring
-// pass is held until every other request is admitted, so the queued ones
-// must coalesce into multi-job batches, and each response must equal the
-// same request scored alone.
-func TestBatchesFormUnderLoad(t *testing.T) {
-	dir := t.TempDir()
-	b := testbundle.Write(t, dir, 14)
-	s := newTestServer(t, dir, nil)
-	const n = 32
-	var held atomic.Bool
-	var bt *Batcher
-	bt = newBatcher(s.cfg.MaxBatch, s.cfg.QueueDepth, s.cfg.Workers, func(batch []*job) {
-		if held.CompareAndSwap(false, true) {
-			// Polls a condition, not a duration: the deadline only keeps a
-			// broken admission path from hanging the test.
-			deadline := time.Now().Add(10 * time.Second)
-			for len(batch)+len(bt.queue) < n && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		bt.scoreBatch(batch)
-	})
-	s.batcher.Drain(context.Background())
-	s.batcher = bt
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	reqs := make([]ScoreRequest, n)
-	bodies := make([][]byte, n)
-	for i := range reqs {
-		reqs[i] = scoreRequestFor(b, testbundle.Vector(uint64(700+i)))
-		reqs[i].ID = fmt.Sprintf("u%02d", i)
-		var err error
-		if bodies[i], err = json.Marshal(reqs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batches, jobs := obsBatches.Value(), obsBatchJobs.Value()
-	got := make([]ScoreResult, n)
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(bodies[i]))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var sr ScoreResponse
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("%s: status %d", reqs[i].ID, resp.StatusCode)
-			} else if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-				t.Error(err)
-			}
-			got[i] = sr.ScoreResult
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	batches, jobs = obsBatches.Value()-batches, obsBatchJobs.Value()-jobs
-	if jobs != n || float64(jobs)/float64(batches) <= 1 {
-		t.Fatalf("%d jobs in %d batches: want %d jobs, more than one per batch", jobs, batches, n)
-	}
-	for i := range reqs {
-		resultsEqual(t, "loaded-vs-alone "+reqs[i].ID, got[i], scoreOne(t, ts, reqs[i]).ScoreResult)
-	}
-}
-
 func TestNewFailsFastOnBadBundleDir(t *testing.T) {
 	_, err := New(Config{ModelDir: t.TempDir()})
 	if err == nil {
@@ -584,7 +507,9 @@ func TestNewFailsFastOnBadBundleDir(t *testing.T) {
 	}
 }
 
-func TestRequestDeadlineWhileQueued(t *testing.T) {
+// TestRequestDeadlineWhileScoring: a request whose pass is still held at
+// its deadline answers 504.
+func TestRequestDeadlineWhileScoring(t *testing.T) {
 	dir := t.TempDir()
 	b := testbundle.Write(t, dir, 12)
 	s := newTestServer(t, dir, func(c *Config) {
@@ -593,13 +518,7 @@ func TestRequestDeadlineWhileQueued(t *testing.T) {
 	// A scoring pass that cannot finish before the request deadline: the
 	// gate is released only at cleanup, so the handler must come back with
 	// 504 — there is no schedule under which the pass wins the race.
-	gate := make(chan struct{})
-	s.batcher.Drain(context.Background())
-	s.batcher = newBatcher(16, 64, 2, func(batch []*job) {
-		<-gate
-		scoreJobs(batch, 2)
-	})
-	t.Cleanup(func() { close(gate) })
+	holdPasses(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

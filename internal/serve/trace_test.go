@@ -171,9 +171,6 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if e.ModelVersion != 1 {
 		t.Fatalf("model version %d, want 1", e.ModelVersion)
 	}
-	if e.BatchID == 0 {
-		t.Fatal("no dispatch batch recorded")
-	}
 	if e.Degraded {
 		t.Fatal("healthy request marked degraded")
 	}
@@ -197,7 +194,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("decode started %v before read %v", dc.Start, rd.Start)
 	}
 	fes := 0
-	for _, stage := range []string{"read", "decode", "resolve", "queue.wait", "batch.form", "score.fe", "fuse"} {
+	for _, stage := range []string{"read", "decode", "resolve", "score.fe", "fuse"} {
 		sp := e.Root.Find(stage)
 		if sp == nil {
 			t.Fatalf("stage %q missing from span tree", stage)
@@ -221,9 +218,6 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	walk(e.Root)
 	if fes != len(b.FrontEnds) {
 		t.Fatalf("%d score.fe spans, want %d", fes, len(b.FrontEnds))
-	}
-	if got := e.Root.Find("batch.form"); got.DurationSec > e.Root.Find("queue.wait").DurationSec+e.DurationSec {
-		t.Fatalf("implausible batch.form duration %v", got.DurationSec)
 	}
 
 	// Access log: one line, the /tracez record itself, with a timed
@@ -556,7 +550,7 @@ func TestBatchTraceFansOut(t *testing.T) {
 	for _, c := range e.Root.Children {
 		if c.Name == "utt" {
 			utts++
-			for _, stage := range []string{"queue.wait", "score.fe", "fuse"} {
+			for _, stage := range []string{"resolve", "score.fe", "fuse"} {
 				if c.Find(stage) == nil {
 					t.Fatalf("utterance subtree missing %q", stage)
 				}
