@@ -65,7 +65,7 @@
 // keeps every Nth line.
 //
 // Scoring is inline: each request is admitted once and scored at once in
-// its own pass over a pool of -workers goroutines; the utterances of a
+// its own pass over a pool of GOMAXPROCS goroutines; the utterances of a
 // /v1/score/batch request share that one pass. -queue bounds the passes
 // in flight, a batch request counting once.
 //
@@ -155,7 +155,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		models       = flag.String("models", "", "bundle directory written by lre -export-models (required)")
 		queueDepth   = flag.Int("queue", 256, "admission bound: scoring requests in flight, a batch counting once (beyond it: 429 + Retry-After)")
-		workers      = flag.Int("workers", 0, "scoring pool size per pass (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (resolution + scoring)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
 
@@ -215,7 +214,6 @@ func main() {
 	serveCfg := serve.Config{
 		ModelDir:       dir,
 		QueueDepth:     *queueDepth,
-		Workers:        *workers,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drainTimeout,
 		AccessLog:      logDst,

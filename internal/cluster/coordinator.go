@@ -31,8 +31,8 @@ type CoordinatorConfig struct {
 	// without a single shard RPC (workers keep neither the cascade nor
 	// fusion). Reload governs the bundle pushes (Retries, BaseBackoff,
 	// MaxBackoff) and the per-peer circuit breakers (TripAfter,
-	// Cooldown). The batching fields, Adapt and WaitForModel are unused,
-	// and the access log stays off.
+	// Cooldown). QueueDepth, Adapt and WaitForModel are unused, and the
+	// access log stays off.
 	Serve serve.Config
 	// Peers are the worker addresses (host:port or http:// URLs), one
 	// shard per worker (required, at least one).
@@ -450,7 +450,7 @@ func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
 			results, err := pl.scatter(ctx, sc, call)
 			mu.Lock()
 			defer mu.Unlock()
-			pl.gather(sc.Utts, call, results, err)
+			pl.gather(sc, call, results, err)
 		}(call)
 	}
 	wg.Wait()
@@ -514,13 +514,20 @@ var obsRPCErrors = obs.GetCounter("cluster.rpc.errors")
 // AssembleResult's input maps: scores by bundle front-end index, and
 // per-front-end errors for everything the shard failed to score (peer
 // down, deadline missed, breaker open, generation conflict, or the
-// worker's own per-front-end degradation).
-func (pl *fleetPlan) gather(utts []serve.Utterance, call *shardCall, results []serve.ScoreResult, err error) {
+// worker's own per-front-end degradation). A single request a worker
+// rejected with 400 fails whole with the worker's message, as it would
+// on a standalone daemon.
+func (pl *fleetPlan) gather(sc *serve.Scoring, call *shardCall, results []serve.ScoreResult, err error) {
+	if se := rejected(err); se != nil && !sc.Batch {
+		u := &sc.Utts[call.uttIdx[0]]
+		u.Err, u.Status = errors.New(se.msg), http.StatusBadRequest
+		return
+	}
 	if err != nil {
 		obsRPCErrors.Inc()
 	}
 	for k, i := range call.uttIdx {
-		u := &utts[i]
+		u := &sc.Utts[i]
 		for _, name := range call.fes[k] {
 			q, _ := pl.model.FrontEndIndex(name) // routed names are the model's
 			if err != nil {

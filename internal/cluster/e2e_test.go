@@ -120,6 +120,40 @@ func TestFleetUnknownFrontEndIs400(t *testing.T) {
 	}
 }
 
+// TestFleetBadValueIs400NotPeerFailure: a value only the owning worker
+// can judge (an index outside its front-end's space) answers 400 with the
+// worker's message, as standalone does, and never counts against the
+// peer: after more rejections than TripAfter the peer is still up with a
+// closed breaker and no failures, and a good request scores in full.
+func TestFleetBadValueIs400NotPeerFailure(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	mustDistribute(t, f)
+	s, err := serve.New(serve.Config{ModelDir: f.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := scoreRequestFor(f.bundle, testbundle.Vector(8))
+	bad.FrontEnds["FE0"] = serve.FrontEndInput{Supervector: &serve.Supervector{Idx: []int32{1 << 30}, Val: []float64{1}}}
+	stdRec, want := postJSON(t, s.Handler(), "/v1/score", bad)
+	if stdRec.Code != http.StatusBadRequest {
+		t.Fatalf("standalone answers the bad value %d: %s", stdRec.Code, want)
+	}
+	for i := 0; i < 4; i++ {
+		rec, body := postJSON(t, f.coord.Handler(), "/v1/score", bad)
+		if rec.Code != http.StatusBadRequest || !bytes.Equal(body, want) {
+			t.Fatalf("bad value %d: coordinator answers %d %s, standalone 400 %s", i, rec.Code, body, want)
+		}
+	}
+	if ps := f.peerStatus(t, f.hosts[0]); !ps.Up || ps.Breaker != serve.BreakerClosed || ps.Failures != 0 {
+		t.Fatalf("FE0's peer after worker 400s: up=%v breaker=%s failures=%d, want up, closed, 0",
+			ps.Up, ps.Breaker, ps.Failures)
+	}
+	rec, sr := f.score(t, scoreRequestFor(f.bundle, testbundle.Vector(8)))
+	if rec.Code != http.StatusOK || sr.Degraded {
+		t.Fatalf("good request after the bad ones: status %d degraded=%v %v", rec.Code, sr.Degraded, sr.FrontEndErrors)
+	}
+}
+
 func TestKillWorkerDegradesWithSurvivorFusion(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)

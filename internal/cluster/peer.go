@@ -95,6 +95,11 @@ func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body io.Re
 		return ErrBreakerOpen
 	}
 	err := p.do(ctx, path, hdr, body, out)
+	if rejected(err) != nil {
+		// The worker is up and judged the request malformed: the client's
+		// fault, not the peer's, so its health stays as it was.
+		return err
+	}
 	if err != nil {
 		p.failures.Inc()
 		p.up.Set(0)
@@ -150,15 +155,36 @@ func (p *peer) do(ctx context.Context, path string, hdr http.Header, body io.Rea
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("shard status %d: %s", resp.StatusCode, e.Error)
-		}
-		return fmt.Errorf("shard status %d", resp.StatusCode)
+		json.Unmarshal(data, &e)
+		return &statusError{code: resp.StatusCode, msg: e.Error}
 	}
 	if out == nil {
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// statusError is a worker's non-200 answer: its status and the message
+// of its {"error": …} body, if it had one.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string {
+	if e.msg == "" {
+		return fmt.Sprintf("shard status %d", e.code)
+	}
+	return fmt.Sprintf("shard status %d: %s", e.code, e.msg)
+}
+
+// rejected returns err's worker answer if it is a 400, else nil.
+func rejected(err error) *statusError {
+	var se *statusError
+	if errors.As(err, &se) && se.code == http.StatusBadRequest {
+		return se
+	}
+	return nil
 }
 
 // score runs one scoring RPC routed for generation gen and returns one

@@ -273,29 +273,17 @@ type SausageSlot []struct {
 
 // FromSausage builds a linear confusion-network lattice: slot i spans
 // nodes i→i+1 with one edge per alternative, weighted by log probability.
-// Zero-probability alternatives are dropped; a slot with no positive
-// alternatives panics (it would disconnect the lattice). Trusted-input
-// paths (the decoders) use this; untrusted input goes through
-// ParseSausage.
+// Zero-probability alternatives are dropped. It runs ParseSausage's
+// checks with no phone inventory and no chaos site, and panics where
+// ParseSausage returns an error (a slot with no positive alternative
+// would disconnect the lattice). Trusted-input paths (the decoders) use
+// this; untrusted input goes through ParseSausage.
 func FromSausage(slots []SausageSlot) *Lattice {
-	if len(slots) == 0 {
-		panic("lattice: empty sausage")
+	l, err := parseSausage(slots, 0)
+	if err != nil {
+		panic(err)
 	}
-	numEdges := 0
-	for i, slot := range slots {
-		added := 0
-		for _, alt := range slot {
-			if alt.Prob <= 0 {
-				continue
-			}
-			added++
-		}
-		if added == 0 {
-			panic(fmt.Sprintf("lattice: sausage slot %d has no positive-probability alternative", i))
-		}
-		numEdges += added
-	}
-	return buildSausage(slots, numEdges)
+	return l
 }
 
 // ParseSausage is the error-returning sausage builder for untrusted input
@@ -308,6 +296,12 @@ func ParseSausage(slots []SausageSlot, numPhones int) (*Lattice, error) {
 	if err := faultinject.At("lattice.sausage"); err != nil {
 		return nil, err
 	}
+	return parseSausage(slots, numPhones)
+}
+
+// parseSausage checks slots (phones against numPhones when it is > 0)
+// and counts the kept alternatives, then builds the lattice.
+func parseSausage(slots []SausageSlot, numPhones int) (*Lattice, error) {
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("lattice: empty sausage")
 	}
@@ -335,7 +329,7 @@ func ParseSausage(slots []SausageSlot, numPhones int) (*Lattice, error) {
 }
 
 // buildSausage lays out a checked sausage with numEdges kept alternatives:
-// those the Prob <= 0 drop rule both callers count with lets through.
+// those with a positive probability.
 // Edges is sized exactly, and every slot's edge indices form one run of a
 // single int32 arena that serves as both node i's out list and node i+1's
 // in list: in a sausage they are the same edges. Each run is a 3-index

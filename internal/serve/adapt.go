@@ -70,11 +70,11 @@ func (s *Server) Adapter() *adapt.Adapter { return s.adapter }
 // with no failed front-end only (a degraded row would poison
 // self-training with scores the client was warned about; the adapter
 // itself skips partial batteries, which cannot vote).
-func (s *Server) observeAdapt(j *job, res jobResult) {
-	if s.adapter == nil || len(res.feErrs) > 0 {
+func (s *Server) observeAdapt(j *job) {
+	if s.adapter == nil || len(j.res.feErrs) > 0 {
 		return
 	}
-	s.adapter.Observe(j.vectors, res.scores)
+	s.adapter.Observe(j.vectors, j.res.scores)
 }
 
 func (s *Server) handleAdaptz(w http.ResponseWriter, r *http.Request) {

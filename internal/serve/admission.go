@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -22,17 +21,25 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
-// job is one resolved utterance of a scoring pass: the model it resolved
-// against, its TFLLR-scaled vectors by front-end index, and the channel
-// its result is delivered on (buffered, so a departed handler never
-// blocks the pass). span is the utterance's trace node, nil when tracing
-// is off; the pass hangs its per-front-end scoring spans off it.
+// pass is one admitted request's scoring work: the context and model
+// the request resolved against, one job per utterance that resolved, and
+// done, which the pass closes once every job's res is final. The handler
+// reads res only after done is closed.
+type pass struct {
+	ctx   context.Context
+	model *Model
+	jobs  []job
+	done  chan struct{}
+}
+
+// job is one utterance of a pass: its TFLLR-scaled vectors by front-end
+// index and the result the pass fills in. span is the utterance's trace
+// node, nil when tracing is off; the pass hangs its per-front-end scoring
+// spans off it.
 type job struct {
-	ctx     context.Context
-	model   *Model
 	vectors map[int]*sparse.Vector
-	result  chan jobResult
 	span    *obs.Span
+	res     jobResult
 }
 
 type jobResult struct {
@@ -44,16 +51,6 @@ type jobResult struct {
 	err    error
 }
 
-// trySend delivers a result without ever blocking: the buffer holds one
-// result, and a job is completed at most once (late error deliveries to a
-// departed handler are dropped).
-func (j *job) trySend(res jobResult) {
-	select {
-	case j.result <- res:
-	default:
-	}
-}
-
 // admission bounds the scoring passes in flight. A scoring call — one
 // /v1/score or /v1/score/batch request — takes one of its slots for its
 // whole pass, however many utterances it carries; the pass runs at once
@@ -61,7 +58,7 @@ func (j *job) trySend(res jobResult) {
 // queue: a call that finds every slot taken is rejected.
 type admission struct {
 	slots   chan struct{}
-	process func([]*job) // scores one pass; tests swap in gated stand-ins
+	process func(*pass) // scores one pass; tests swap in gated stand-ins
 
 	mu     sync.RWMutex // guards closed against concurrent submit/drain
 	closed bool
@@ -75,22 +72,13 @@ var (
 	obsExpired  = obs.GetCounter("serve.jobs.expired")
 )
 
-// newAdmission sizes the admission bound and the scoring pool of each
-// pass (workers < 1: GOMAXPROCS).
-func newAdmission(slots, workers int) *admission {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &admission{
-		slots:   make(chan struct{}, max(slots, 1)),
-		process: func(batch []*job) { scoreJobs(batch, workers) },
-	}
+func newAdmission(slots int) *admission {
+	return &admission{slots: make(chan struct{}, max(slots, 1)), process: scorePass}
 }
 
-// submit admits batch as one scoring pass without blocking. Every job's
-// result channel receives exactly one result unless submit returns an
-// error.
-func (a *admission) submit(batch []*job) error {
+// submit admits p without blocking. Unless submit returns an error, p.done
+// is closed once every job's result is final.
+func (a *admission) submit(p *pass) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
@@ -108,13 +96,13 @@ func (a *admission) submit(batch []*job) error {
 			<-a.slots
 			a.passes.Done()
 		}()
-		a.runPass(batch)
+		a.runPass(p)
 	}()
 	return nil
 }
 
 // drain stops intake (further submits fail with ErrDraining) and waits
-// for every admitted pass to end — or for ctx. No admitted job is
+// for every admitted pass to end — or for ctx. No admitted pass is
 // dropped.
 func (a *admission) drain(ctx context.Context) error {
 	a.mu.Lock()
@@ -133,54 +121,55 @@ func (a *admission) drain(ctx context.Context) error {
 	}
 }
 
-// runPass invokes process with a safety net: if the whole pass panics
-// (beyond the per-task isolation inside scoreJobs), every job in it
-// still gets an error result so no handler hangs until its deadline.
-func (a *admission) runPass(batch []*job) {
+// runPass invokes process with a safety net, then closes p.done: if the
+// whole pass panics (beyond the per-task isolation inside scorePass),
+// every job in it gets an error result so no handler waits out its
+// deadline.
+func (a *admission) runPass(p *pass) {
+	defer close(p.done)
 	defer func() {
 		if r := recover(); r != nil {
 			obsPanics.Inc()
-			for _, j := range batch {
-				j.trySend(jobResult{err: fmt.Errorf("serve: scoring pass panicked: %v", r)})
+			err := fmt.Errorf("serve: scoring pass panicked: %v", r)
+			for i := range p.jobs {
+				p.jobs[i].res = jobResult{err: err}
 			}
 		}
 	}()
 	// Chaos hook: a fault at serve.batch exercises this very safety net —
 	// an injected panic here must turn into error results, never a crash.
 	faultinject.Disturb("serve.batch")
-	a.process(batch)
+	a.process(p)
 }
 
-// scoreJobs is the SVM scoring pass: the batch flattens into one
-// (job, front-end) task list scored by a single instrumented pool, so the
-// utterances of a batch request cost one pool spin-up, not one each.
-// Tasks are ordered front-end-major so a front-end's SVM weight matrices
-// are reused across every job in the batch while they are cache-hot,
-// instead of being re-streamed per job.
-func scoreJobs(batch []*job, workers int) {
+// scorePass is the SVM scoring pass: the request's utterances flatten
+// into one (job, front-end) task list scored by a single instrumented
+// pool of GOMAXPROCS goroutines, so a batch request costs one pool
+// spin-up, not one per utterance. Tasks are ordered front-end-major so a
+// front-end's SVM weight matrices are reused across every job of the
+// pass while they are cache-hot, instead of being re-streamed per job.
+func scorePass(p *pass) {
+	if err := p.ctx.Err(); err != nil {
+		// Expired before its pass began: don't waste the pool on it.
+		for i := range p.jobs {
+			j := &p.jobs[i]
+			obsExpired.Inc()
+			if j.span != nil {
+				j.span.SetLabel("error", "expired before scoring: "+err.Error())
+			}
+			j.res.err = err
+		}
+		return
+	}
 	type task struct {
 		j  *job
 		fe int
 	}
 	var tasks []task
-	live := batch[:0:0]
-	for _, j := range batch {
-		if err := j.ctx.Err(); err != nil {
-			// Expired before its pass began: don't waste the pool on it.
-			obsExpired.Inc()
-			if j.span != nil {
-				j.span.SetLabel("error", "expired before scoring: "+err.Error())
-			}
-			j.trySend(jobResult{err: err})
-			continue
+	for i := range p.jobs {
+		for fe := range p.jobs[i].vectors {
+			tasks = append(tasks, task{j: &p.jobs[i], fe: fe})
 		}
-		live = append(live, j)
-		for fe := range j.vectors {
-			tasks = append(tasks, task{j: j, fe: fe})
-		}
-	}
-	if len(tasks) == 0 {
-		return
 	}
 	sort.Slice(tasks, func(a, b int) bool { return tasks[a].fe < tasks[b].fe })
 	type taskOut struct {
@@ -188,16 +177,16 @@ func scoreJobs(batch []*job, workers int) {
 		err    error
 	}
 	outs := make([]taskOut, len(tasks))
-	parallel.ForPoolWorkers("serve-score", len(tasks), workers, func(i int) {
+	parallel.ForPool("serve-score", len(tasks), func(i int) {
 		t := tasks[i]
-		fe := &t.j.model.Bundle.FrontEnds[t.fe]
+		fe := &p.model.Bundle.FrontEnds[t.fe]
 		var sp *obs.Span
 		if t.j.span != nil {
 			sp = t.j.span.StartChild("score.fe")
 			sp.SetLabel("fe", fe.Name)
 		}
 		// A panicking task poisons only its own front-end within its own
-		// job, not the batch or the process (parallel.ForWorkers would
+		// job, not the pass or the process (parallel.ForWorkers would
 		// re-panic on the pool goroutine).
 		defer func() {
 			if r := recover(); r != nil {
@@ -217,45 +206,34 @@ func scoreJobs(batch []*job, workers int) {
 		}
 		outs[i].scores = fe.Scores(t.j.vectors[t.fe])
 	})
-	// Reassemble per job. A front-end failure degrades only that job's
-	// fusion input (the surviving front-ends still score); the job-level
-	// error path is reserved for jobs where nothing survived.
-	scores := make(map[*job]map[int][]float64, len(live))
-	feErrs := make(map[*job]map[int]error)
+	// A front-end failure degrades only its job's fusion input (the
+	// surviving front-ends still score); the job-level error is reserved
+	// for jobs where nothing survived.
 	for i, t := range tasks {
+		res := &t.j.res
 		if outs[i].err != nil {
-			m, ok := feErrs[t.j]
-			if !ok {
-				m = make(map[int]error)
-				feErrs[t.j] = m
+			if res.feErrs == nil {
+				res.feErrs = make(map[int]error)
 			}
-			m[t.fe] = outs[i].err
-			obs.GetCounter("serve.fe.failures." + t.j.model.Bundle.FrontEnds[t.fe].Name).Inc()
+			res.feErrs[t.fe] = outs[i].err
+			obs.GetCounter("serve.fe.failures." + p.model.Bundle.FrontEnds[t.fe].Name).Inc()
 			continue
 		}
-		m, ok := scores[t.j]
-		if !ok {
-			m = make(map[int][]float64, len(t.j.vectors))
-			scores[t.j] = m
+		if res.scores == nil {
+			res.scores = make(map[int][]float64, len(t.j.vectors))
 		}
-		m[t.fe] = outs[i].scores
+		res.scores[t.fe] = outs[i].scores
 	}
-	for _, j := range live {
-		s := scores[j]
-		errs := feErrs[j]
-		if len(s) == 0 {
-			// Every requested front-end failed: no fusion input survives.
-			var err error
-			for _, e := range errs {
-				err = e
-				break
-			}
-			if err == nil {
-				err = errors.New("serve: no front-end produced scores")
-			}
-			j.trySend(jobResult{err: err})
+	for i := range p.jobs {
+		res := &p.jobs[i].res
+		if len(res.scores) > 0 {
 			continue
 		}
-		j.trySend(jobResult{scores: s, feErrs: errs})
+		// Every requested front-end failed: no fusion input survives.
+		res.err = errors.New("serve: no front-end produced scores")
+		for _, e := range res.feErrs {
+			res.err = e
+			break
+		}
 	}
 }

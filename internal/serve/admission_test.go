@@ -17,11 +17,8 @@ import (
 	"repro/internal/testbundle"
 )
 
-func newJob(ctx context.Context) *job {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &job{ctx: ctx, result: make(chan jobResult, 1)}
+func newPass(ctx context.Context) *pass {
+	return &pass{ctx: ctx, jobs: make([]job, 1), done: make(chan struct{})}
 }
 
 // holdPasses makes every scoring pass of s signal entered (without
@@ -33,13 +30,13 @@ func holdPasses(t *testing.T, s *Server) (entered <-chan struct{}, release func(
 	in := make(chan struct{}, 64) // above any test's passes in flight, so no signal drops
 	gate := make(chan struct{})
 	score := s.passes.process
-	s.passes.process = func(batch []*job) {
+	s.passes.process = func(p *pass) {
 		select {
 		case in <- struct{}{}:
 		default:
 		}
 		<-gate
-		score(batch)
+		score(p)
 	}
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
@@ -75,11 +72,11 @@ func TestBatchRequestAdmitsOnce(t *testing.T) {
 	var mu sync.Mutex
 	var passes []int
 	score := s.passes.process
-	s.passes.process = func(batch []*job) {
+	s.passes.process = func(p *pass) {
 		mu.Lock()
-		passes = append(passes, len(batch))
+		passes = append(passes, len(p.jobs))
 		mu.Unlock()
-		score(batch)
+		score(p)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -167,6 +164,44 @@ func TestAdmissionFullAnswers429(t *testing.T) {
 	}
 }
 
+// TestAdmissionTimedOutPassKeepsSlot: a request that answers 504 while
+// its pass is held leaves the pass holding its slot, so with QueueDepth
+// 1 the next request gets 429. Once released, the pass skips the expired
+// job and gives the slot back, and the next request scores.
+func TestAdmissionTimedOutPassKeepsSlot(t *testing.T) {
+	dir := t.TempDir()
+	b := testbundle.Write(t, dir, 19)
+	s := newTestServer(t, dir, func(c *Config) {
+		c.QueueDepth = 1
+		c.RequestTimeout = 100 * time.Millisecond
+	})
+	entered, release := holdPasses(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := scoreRequestFor(b, testbundle.Vector(7))
+	expired := obsExpired.Value()
+	if resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/score", req); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("request with its pass held: status %d (want 504): %s", resp.StatusCode, out)
+	}
+	<-entered
+	if resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/score", req); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request while the timed-out pass holds the slot: status %d (want 429): %s", resp.StatusCode, out)
+	}
+	release()
+	for deadline := time.Now().Add(10 * time.Second); len(s.passes.slots) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the released pass never gave its slot back")
+		}
+	}
+	if got := obsExpired.Value() - expired; got != 1 {
+		t.Fatalf("serve.jobs.expired grew by %d, want 1 (the timed-out job)", got)
+	}
+	if resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/score", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after release: status %d: %s", resp.StatusCode, out)
+	}
+}
+
 // TestAdmissionDrainFinishesAdmitted: a drain that starts while a pass
 // holds its slot lets the admitted request finish with 200, answers new
 // requests 503 meanwhile, and returns cleanly once the pass ends.
@@ -204,7 +239,7 @@ func TestAdmissionDrainFinishesAdmitted(t *testing.T) {
 		closed = s.passes.closed
 		s.passes.mu.RUnlock()
 	}
-	if err := s.passes.submit([]*job{newJob(nil)}); !errors.Is(err, ErrDraining) {
+	if err := s.passes.submit(newPass(context.Background())); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit during drain: %v, want ErrDraining", err)
 	}
 	release()
@@ -221,11 +256,11 @@ func TestAdmissionDrainFinishesAdmitted(t *testing.T) {
 // stands in for the elapsed drain deadline, so the outcome does not
 // depend on scheduling.
 func TestAdmissionDrainTimeout(t *testing.T) {
-	a := newAdmission(1, 1)
+	a := newAdmission(1)
 	block := make(chan struct{})
 	defer close(block)
-	a.process = func([]*job) { <-block }
-	if err := a.submit([]*job{newJob(nil)}); err != nil {
+	a.process = func(*pass) { <-block }
+	if err := a.submit(newPass(context.Background())); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -283,17 +318,14 @@ func TestAdmissionPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestScoreJobsSkipsExpired(t *testing.T) {
+// TestScorePassSkipsExpired: a pass whose request expired before it
+// began fails its jobs with the context's error instead of scoring them.
+func TestScorePassSkipsExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	j := newJob(ctx)
-	scoreJobs([]*job{j}, 1)
-	select {
-	case res := <-j.result:
-		if !errors.Is(res.err, context.Canceled) {
-			t.Fatalf("expired job got %v, want context.Canceled", res.err)
-		}
-	default:
-		t.Fatal("expired job got no result")
+	p := newPass(ctx)
+	scorePass(p)
+	if err := p.jobs[0].res.err; !errors.Is(err, context.Canceled) {
+		t.Fatalf("expired job got %v, want context.Canceled", err)
 	}
 }

@@ -125,13 +125,18 @@ type BatchResponse struct {
 	DegradedCount int  `json:"degraded_count,omitempty"`
 }
 
-// requestError is a client-side fault (HTTP 400).
-type requestError struct{ msg string }
-
-func (e *requestError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &requestError{msg: fmt.Sprintf(format, args...)}
+// resolve builds one utterance's scoring vectors under a "resolve" span.
+// Its errors are the client's (HTTP 400).
+func resolve(m *Model, u *Utterance) (map[int]*sparse.Vector, error) {
+	var rsp *obs.Span
+	if u.Span != nil {
+		rsp = u.Span.StartChild("resolve")
+	}
+	vectors, err := buildVectors(m, u.Req)
+	if rsp != nil {
+		rsp.End()
+	}
+	return vectors, err
 }
 
 // buildVectors resolves a request against a model: every named front-end
@@ -140,37 +145,37 @@ func badRequest(format string, args ...any) error {
 // bundle's front-end index.
 func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 	if len(req.FrontEnds) == 0 {
-		return nil, badRequest("request names no front-ends")
+		return nil, fmt.Errorf("request names no front-ends")
 	}
 	out := make(map[int]*sparse.Vector, len(req.FrontEnds))
 	for name, in := range req.FrontEnds {
 		q, ok := m.feIndex[name]
 		if !ok {
-			return nil, badRequest("unknown front-end %q (model has %v)", name, m.Manifest.FrontEnds)
+			return nil, fmt.Errorf("unknown front-end %q (model has %v)", name, m.Manifest.FrontEnds)
 		}
 		fe := &m.Bundle.FrontEnds[q]
 		space := m.spaces[q]
 		var v *sparse.Vector
 		switch {
 		case in.Supervector != nil && in.Lattice != nil:
-			return nil, badRequest("front-end %q: supply a supervector or a lattice, not both", name)
+			return nil, fmt.Errorf("front-end %q: supply a supervector or a lattice, not both", name)
 		case in.Supervector != nil:
 			sv := in.Supervector
 			if len(sv.Idx) != len(sv.Val) {
-				return nil, badRequest("front-end %q: %d indices for %d values", name, len(sv.Idx), len(sv.Val))
+				return nil, fmt.Errorf("front-end %q: %d indices for %d values", name, len(sv.Idx), len(sv.Val))
 			}
 			// The decoder gave the request its own exactly sized slices: the
 			// vector adopts them, and TFLLR scales them in place.
 			v = &sparse.Vector{Idx: sv.Idx, Val: sv.Val}
 			if err := v.Validate(); err != nil {
-				return nil, badRequest("front-end %q: %v", name, err)
+				return nil, fmt.Errorf("front-end %q: %v", name, err)
 			}
 			if n := len(v.Idx); n > 0 && int(v.Idx[n-1]) >= space.Dim() {
-				return nil, badRequest("front-end %q: index %d outside the %d-dim space", name, v.Idx[n-1], space.Dim())
+				return nil, fmt.Errorf("front-end %q: index %d outside the %d-dim space", name, v.Idx[n-1], space.Dim())
 			}
 			for _, x := range v.Val {
 				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return nil, badRequest("front-end %q: non-finite supervector value", name)
+					return nil, fmt.Errorf("front-end %q: non-finite supervector value", name)
 				}
 			}
 			if !sv.Scaled && fe.TFLLR != nil {
@@ -179,14 +184,14 @@ func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 		case in.Lattice != nil:
 			l, err := latticeFromSlots(in.Lattice, fe.NumPhones)
 			if err != nil {
-				return nil, badRequest("front-end %q: %v", name, err)
+				return nil, fmt.Errorf("front-end %q: %v", name, err)
 			}
 			v = space.Supervector(l)
 			if fe.TFLLR != nil {
 				fe.TFLLR.Apply(v)
 			}
 		default:
-			return nil, badRequest("front-end %q: empty input", name)
+			return nil, fmt.Errorf("front-end %q: empty input", name)
 		}
 		// Compressed bundles carry a low-rank projection: the TFLLR-scaled
 		// raw-space supervector is mapped into the rank space here, once per

@@ -12,10 +12,9 @@
 // language) pair — stateless, read-only, and embarrassingly parallel.
 // That is why a single model pointer can be swapped atomically under live
 // traffic (in-flight requests keep scoring against the model they
-// resolved at admission), and why batching helps: a batch of B requests
-// over Q front-ends becomes B·Q independent tasks for one instrumented
-// worker pool, amortizing pool spin-up and keeping every core busy
-// instead of serializing B small passes.
+// resolved at admission), and why a request is scored inline in one
+// pass: its U utterances over Q front-ends become U·Q independent tasks
+// for one instrumented worker pool.
 package serve
 
 import (

@@ -97,48 +97,52 @@ func NewWithRole(cfg Config, namespace string, role Role) (*Server, error) {
 type standalone Server
 
 // score resolves every utterance, admits those that resolved as one
-// scoring pass, and awaits them in order.
+// scoring pass, and waits for the pass to finish or for ctx.
 func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
-	jobs := make([]*job, len(sc.Utts))
-	live := make([]*job, 0, len(sc.Utts))
+	p := &pass{ctx: ctx, model: m, done: make(chan struct{})}
+	utt := make([]int, 0, len(sc.Utts)) // sc.Utts index of each job
 	for i := range sc.Utts {
 		u := &sc.Utts[i]
-		if jobs[i], u.Status, u.Err = resolve(ctx, m, u); jobs[i] != nil {
-			live = append(live, jobs[i])
+		vectors, err := resolve(m, u)
+		if err != nil {
+			u.Err, u.Status = err, http.StatusBadRequest
+			continue
 		}
+		p.jobs = append(p.jobs, job{vectors: vectors, span: u.Span})
+		utt = append(utt, i)
 	}
-	if len(live) == 0 {
+	if len(p.jobs) == 0 {
 		return
 	}
-	if err := s.passes.submit(live); err != nil {
+	fail := func(err error, status int) {
+		for _, i := range utt {
+			sc.Utts[i].Err, sc.Utts[i].Status = err, status
+		}
+	}
+	if err := s.passes.submit(p); err != nil {
 		status := http.StatusTooManyRequests
 		if errors.Is(err, ErrDraining) {
 			status = http.StatusServiceUnavailable
 		}
-		for i, j := range jobs {
-			if j != nil {
-				sc.Utts[i].Err, sc.Utts[i].Status = err, status
-			}
-		}
+		fail(err, status)
 		return
 	}
-	for i, j := range jobs {
-		if j == nil {
-			continue
-		}
-		u := &sc.Utts[i]
-		res, err := await(ctx, j)
-		switch {
+	select {
+	case <-p.done:
+	case <-ctx.Done():
+		fail(fmt.Errorf("deadline exceeded: %w", ctx.Err()), http.StatusGatewayTimeout)
+		return
+	}
+	for k, i := range utt {
+		u, j := &sc.Utts[i], &p.jobs[k]
+		switch err := j.res.err; {
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+			u.Err, u.Status = err, http.StatusGatewayTimeout
 		case err != nil:
-			u.Err, u.Status = fmt.Errorf("deadline exceeded: %w", err), http.StatusGatewayTimeout
-		case res.err != nil:
-			u.Err, u.Status = res.err, http.StatusInternalServerError
-			if errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled) {
-				u.Status = http.StatusGatewayTimeout
-			}
+			u.Err, u.Status = err, http.StatusInternalServerError
 		default:
-			u.Scores, u.FrontEndErrs = res.scores, res.feErrs
-			(*Server)(s).observeAdapt(j, res)
+			u.Scores, u.FrontEndErrs = j.res.scores, j.res.feErrs
+			(*Server)(s).observeAdapt(j)
 		}
 	}
 }

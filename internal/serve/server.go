@@ -31,8 +31,6 @@ type Config struct {
 	// in flight at once, a batch request counting once; beyond it
 	// requests get 429 + Retry-After (256).
 	QueueDepth int
-	// Workers sizes the scoring pool of each pass (GOMAXPROCS).
-	Workers int
 	// RequestTimeout is the per-request deadline covering resolution and
 	// scoring (5 s).
 	RequestTimeout time.Duration
@@ -145,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 	if err := s.initAdapter(); err != nil {
 		return nil, fmt.Errorf("serve: adapt: %w", err)
 	}
-	s.passes = newAdmission(cfg.QueueDepth, cfg.Workers)
+	s.passes = newAdmission(cfg.QueueDepth)
 	return s, nil
 }
 
@@ -448,37 +446,6 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// resolve builds one utterance's scoring job under a "resolve" span, or
-// returns the error and the status a single request answers it with.
-func resolve(ctx context.Context, m *Model, u *Utterance) (*job, int, error) {
-	var rsp *obs.Span
-	if u.Span != nil {
-		rsp = u.Span.StartChild("resolve")
-	}
-	vectors, err := buildVectors(m, u.Req)
-	if rsp != nil {
-		rsp.End()
-	}
-	if err != nil {
-		var re *requestError
-		if errors.As(err, &re) {
-			return nil, http.StatusBadRequest, err
-		}
-		return nil, http.StatusInternalServerError, err
-	}
-	return &job{ctx: ctx, model: m, vectors: vectors, result: make(chan jobResult, 1), span: u.Span}, 0, nil
-}
-
-// await blocks until the job completes or its deadline passes.
-func await(ctx context.Context, j *job) (jobResult, error) {
-	select {
-	case res := <-j.result:
-		return res, nil
-	case <-ctx.Done():
-		return jobResult{}, ctx.Err()
-	}
-}
-
 // serveScore is every role's scoring request path, for /v1/score and
 // (batch) /v1/score/batch: admit, decode, the cascade fast path per
 // utterance, the role's scoring step for everything tier 1 did not
@@ -739,9 +706,9 @@ func (s *Server) drain(hs *http.Server) error {
 	obs.SetGauge(s.ns+".draining", 1)
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
-	// Finish the admitted passes first: handlers blocked in await are the
-	// open connections Shutdown waits on, and they can only finish once
-	// their pass delivers its results.
+	// Finish the admitted passes first: handlers waiting on their pass
+	// are the open connections Shutdown waits on, and they can only
+	// finish once their pass is done.
 	if s.passes != nil {
 		if err := s.passes.drain(ctx); err != nil {
 			hs.Close()
