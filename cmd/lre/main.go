@@ -148,7 +148,11 @@ func main() {
 		*iterate > 0 || *openset > 0 || *exportDir != "" || *exportReqs != "" ||
 		*cascEval != "" || *compEval != ""
 
-	var ck *experiments.Checkpointer
+	// The checkpoint flags act on -checkpoint-dir; without it they would
+	// be silently ignored, and -resume would quietly start a fresh run.
+	if *ckDir == "" && (*resume || *ckKeep != 0) {
+		log.Fatal("-resume and -checkpoint-keep need -checkpoint-dir")
+	}
 	var store *checkpoint.Store
 	if *ckDir != "" {
 		store, err = checkpoint.Open(*ckDir, checkpoint.Meta{Scale: scale.String(), Seed: *seed})
@@ -163,14 +167,13 @@ func main() {
 			log.Printf("resuming from checkpoint generation %d (%d entries, %d corrupt generations skipped)",
 				store.Generation(), store.Len(), store.FellBack())
 		}
-		ck = &experiments.Checkpointer{Store: store}
 	}
 
 	var p *experiments.Pipeline
 	if needPipeline {
 		start := time.Now()
 		log.Printf("building pipeline (scale=%s seed=%d)…", scale, *seed)
-		p, err = experiments.BuildPipelineCK(scale, *seed, ck)
+		p, err = experiments.BuildPipelineCK(scale, *seed, store)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -69,6 +72,49 @@ func TestRoundTripAndGenerations(t *testing.T) {
 	}
 	if got.Name != "a2" {
 		t.Fatalf("re-saved key loaded stale value: %+v", got)
+	}
+}
+
+// TestConcurrentSavesKeepEveryEntry: the extraction pool saves its six
+// front-end snapshots from six goroutines at once; every save must land
+// in its own generation and every entry survive into the newest one.
+func TestConcurrentSavesKeepEveryEntry(t *testing.T) {
+	const n = 6
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	want := func(i int) payload {
+		return payload{Name: fmt.Sprintf("fe-%d", i), Vals: []float64{float64(i), -0.5 * float64(i)}}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v := want(i)
+			errs[i] = s.Save(v.Name, &v)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
+	}
+
+	s2 := openStore(t, dir)
+	if s2.Generation() != n || s2.Len() != n {
+		t.Fatalf("reopened after %d concurrent saves: gen=%d len=%d", n, s2.Generation(), s2.Len())
+	}
+	for i := 0; i < n; i++ {
+		w := want(i)
+		var got payload
+		if err := s2.Load(w.Name, &got); err != nil {
+			t.Fatalf("Load %s: %v", w.Name, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("entry %s: got %+v, want %+v", w.Name, got, w)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ type CoordinatorConfig struct {
 	// backend and front-end geometry, and the cascade model when Cascade
 	// is on, and pushes its sealed bundle file to every worker; it keeps
 	// no scoring weights.
-	// RequestTimeout, DrainTimeout, MaxBodyBytes, DisableTracing and
+	// RequestTimeout, DrainTimeout, DisableTracing and
 	// Cascade act as on the standalone daemon; with Cascade on, tier 1
 	// runs on the coordinator, and a high-margin request is answered
 	// without a single shard RPC (workers keep neither the cascade nor

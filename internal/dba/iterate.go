@@ -21,22 +21,20 @@ type IterativeConfig struct {
 	// StopOnStable terminates when a round selects the same utterance set
 	// with the same labels as the previous one.
 	StopOnStable bool
-	// Checkpoint, when non-nil, persists each completed round and lets a
-	// resumed run skip straight past rounds it already finished. A loaded
-	// round goes through the same post-round transitions (model swap,
-	// stability check, recalibrated vote scores) as a computed one, so a
-	// resumed run is bit-identical to an uninterrupted one.
-	Checkpoint RoundCheckpoint
+	// Round, when non-nil, produces each round: it returns a state kept
+	// from an earlier run, or calls run, which computes the round. nil
+	// means run every round. A kept round goes through the same post-round
+	// transitions (model swap, stability check, recalibrated vote scores)
+	// as a computed one, so a resumed run is bit-identical to an
+	// uninterrupted one.
+	Round func(round int, run func() *RoundState) *RoundState
 }
 
-// RoundCheckpoint is the hook RunIterative uses to persist round
-// boundaries. LoadRound returns the stored result and retrained models
-// for a round, or ok=false when the round must be computed. SaveRound is
-// called after each computed round; implementations must not fail the
-// run (log and continue).
-type RoundCheckpoint interface {
-	LoadRound(round int) (rr *RoundResult, models []*svm.OneVsRest, ok bool)
-	SaveRound(round int, rr *RoundResult, models []*svm.OneVsRest)
+// RoundState is one completed round: its record and the models it
+// retrained.
+type RoundState struct {
+	Result RoundResult
+	Models []*svm.OneVsRest
 }
 
 // RoundResult records one boosting round.
@@ -78,15 +76,7 @@ func RunIterative(data []*SubsystemData, trainLabels []int, baseline []*svm.OneV
 	voteScores := baselineScores
 	var prev []Hypothesis
 	for round := 1; round <= cfg.Rounds; round++ {
-		var rr *RoundResult
-		var roundModels []*svm.OneVsRest
-		loaded := false
-		if cfg.Checkpoint != nil {
-			rr, roundModels, loaded = cfg.Checkpoint.LoadRound(round)
-		}
-		if loaded {
-			obs.Inc("dba.rounds.resumed")
-		} else {
+		run := func() *RoundState {
 			roundSp := iterSp.StartChild(fmt.Sprintf("dba.round-%d", round))
 			roundCfg := cfg.Config
 			roundCfg.Span = roundSp
@@ -94,16 +84,19 @@ func RunIterative(data []*SubsystemData, trainLabels []int, baseline []*svm.OneV
 			roundSp.SetAttr("selected", float64(len(o.Selected)))
 			roundSp.End()
 			obs.Inc("dba.rounds")
-			rr = &RoundResult{Round: round, Selected: o.Selected, Scores: o.Scores}
-			roundModels = o.Retrained
-			if cfg.Checkpoint != nil {
-				cfg.Checkpoint.SaveRound(round, rr, roundModels)
-			}
+			return &RoundState{Result: RoundResult{Round: round, Selected: o.Selected, Scores: o.Scores}, Models: o.Retrained}
 		}
-		// The post-round transitions, the same for a loaded and a computed
+		var st *RoundState
+		if cfg.Round != nil {
+			st = cfg.Round(round, run)
+		} else {
+			st = run()
+		}
+		rr := &st.Result
+		// The post-round transitions, the same for a kept and a computed
 		// round, so a resumed run is bit-identical to an uninterrupted one.
 		out.Rounds = append(out.Rounds, *rr)
-		models = roundModels
+		models = st.Models
 		if cfg.StopOnStable && sameSelection(prev, rr.Selected) {
 			out.Stable = true
 			break

@@ -137,10 +137,11 @@ func TestRunIterativeEmptyRoundScoresRaw(t *testing.T) {
 	scoresEqual(t, got, want)
 }
 
-// memRoundCheckpoint is an in-memory RoundCheckpoint for the resume
-// tests: rounds saved by one run are replayed by the next.
-type memRoundCheckpoint struct {
-	saved map[int]*iterSnap
+// memRounds keeps rounds in memory for the resume tests: rounds run by
+// one RunIterative are replayed by the next. Its round method is an
+// IterativeConfig.Round.
+type memRounds struct {
+	saved map[int]*RoundState
 	loads int
 	saves int
 	// stopAfter, when > 0, panics once that many rounds have been saved —
@@ -148,27 +149,18 @@ type memRoundCheckpoint struct {
 	stopAfter int
 }
 
-type iterSnap struct {
-	rr     RoundResult
-	models []*svm.OneVsRest
-}
-
-func (m *memRoundCheckpoint) LoadRound(round int) (*RoundResult, []*svm.OneVsRest, bool) {
-	s, ok := m.saved[round]
-	if !ok {
-		return nil, nil, false
+func (m *memRounds) round(round int, run func() *RoundState) *RoundState {
+	if st, ok := m.saved[round]; ok {
+		m.loads++
+		return st
 	}
-	m.loads++
-	rr := s.rr
-	return &rr, s.models, true
-}
-
-func (m *memRoundCheckpoint) SaveRound(round int, rr *RoundResult, models []*svm.OneVsRest) {
-	m.saved[round] = &iterSnap{rr: *rr, models: models}
+	st := run()
+	m.saved[round] = st
 	m.saves++
 	if m.stopAfter > 0 && m.saves >= m.stopAfter {
-		panic("memRoundCheckpoint: simulated crash")
+		panic("memRounds: simulated crash")
 	}
+	return st
 }
 
 func scoresEqual(t *testing.T, a, b [][][]float64) {
@@ -205,9 +197,9 @@ func TestRunIterativeResumeBitIdentical(t *testing.T) {
 	ref := RunIterative(data, trainLabels, baseline, baseScores, base, nil)
 
 	// Run 1: dies after saving round 2 (of 3).
-	ck := &memRoundCheckpoint{saved: make(map[int]*iterSnap), stopAfter: 2}
+	ck := &memRounds{saved: make(map[int]*RoundState), stopAfter: 2}
 	killed := base
-	killed.Checkpoint = ck
+	killed.Round = ck.round
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -223,7 +215,7 @@ func TestRunIterativeResumeBitIdentical(t *testing.T) {
 	// Run 2: resumes from the two saved rounds, computes only round 3.
 	ck.stopAfter = 0
 	resumed := base
-	resumed.Checkpoint = ck
+	resumed.Round = ck.round
 	out := RunIterative(data, trainLabels, baseline, baseScores, resumed, nil)
 	if ck.loads != 2 {
 		t.Fatalf("resume replayed %d rounds, want 2", ck.loads)
@@ -256,15 +248,15 @@ func TestRunIterativeResumeStopsOnStable(t *testing.T) {
 	baseScores := ScoreAll(baseline, data)
 
 	sel := []Hypothesis{{Utt: 0, Label: 1, Votes: 2}}
-	ck := &memRoundCheckpoint{saved: map[int]*iterSnap{
-		1: {rr: RoundResult{Round: 1, Selected: sel, Scores: baseScores}, models: baseline},
-		2: {rr: RoundResult{Round: 2, Selected: sel, Scores: baseScores}, models: baseline},
+	ck := &memRounds{saved: map[int]*RoundState{
+		1: {Result: RoundResult{Round: 1, Selected: sel, Scores: baseScores}, Models: baseline},
+		2: {Result: RoundResult{Round: 2, Selected: sel, Scores: baseScores}, Models: baseline},
 	}}
 	out := RunIterative(data, trainLabels, baseline, baseScores, IterativeConfig{
 		Config:       Config{Threshold: 1, Method: M2, NumLangs: 3, SVMOptions: opt},
 		Rounds:       5,
 		StopOnStable: true,
-		Checkpoint:   ck,
+		Round:        ck.round,
 	}, nil)
 	if !out.Stable {
 		t.Fatal("replayed fixed point not detected")

@@ -322,6 +322,19 @@ func TestCrashResumeSmoke(t *testing.T) {
 	}
 }
 
+// TestCheckpointFlagsNeedDir: -resume and -checkpoint-keep act on a
+// -checkpoint-dir; without one, lre exits nonzero before any pipeline is
+// built instead of quietly running fresh.
+func TestCheckpointFlagsNeedDir(t *testing.T) {
+	setup(t)
+	for _, flag := range [][]string{{"-resume"}, {"-checkpoint-keep", "2"}} {
+		stdout, stderr, err := runLre(append([]string{"-scale", "tiny", "-table", "1"}, flag...)...)
+		if err == nil || len(stdout) != 0 || !bytes.Contains(stderr, []byte("-checkpoint-dir")) || bytes.Contains(stderr, []byte("building pipeline")) {
+			t.Fatalf("lre %s without -checkpoint-dir: err %v, stdout %q, stderr:\n%s\nwant a nonzero exit naming -checkpoint-dir before the pipeline build", flag[0], err, stdout, stderr)
+		}
+	}
+}
+
 // TestDBAThresholdsExample: the examples/dbathresholds walkthrough (a
 // tiny pipeline, then DBA-M2 at every vote threshold) runs to the end and
 // prints one row per V from 6 down to 1.

@@ -1,55 +1,55 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
 	"repro/internal/checkpoint"
 	"repro/internal/corpus"
-	"repro/internal/dba"
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/svm"
 	"repro/internal/vsm"
 )
 
-// Checkpointer wires a checkpoint.Store into the pipeline's phase
-// boundaries. All methods are nil-receiver-safe, so pipeline code calls
-// them unconditionally; a nil Checkpointer (or nil Store) is a no-op and
-// the run behaves exactly as before checkpointing existed.
+// restore is the one restore rule of every checkpointed phase — the six
+// feature snapshots, the baseline models and scores, each DBA outcome,
+// each iterated round, Table 4 — and save its one save rule. A nil store
+// makes both no-ops, and the run behaves exactly as without
+// checkpointing. No failure of either stops the run; only injected
+// crashes (panic-kind faults at the checkpoint.save sites) propagate,
+// which is how the kill-and-resume tests die mid-save.
 //
-// Load failures are never fatal: a missing, corrupt, or shape-mismatched
-// entry logs, bumps checkpoint.recompute, and the phase recomputes from
-// scratch. Save failures (I/O errors) log and bump checkpoint.save_failed
-// without stopping the run — a checkpoint is an optimization, not a
-// dependency. Injected crashes (panic-kind faults at the checkpoint.save
-// sites) do propagate, which is how the kill-and-resume tests simulate
-// dying mid-save.
-type Checkpointer struct {
-	Store *checkpoint.Store
-}
-
-func (c *Checkpointer) enabled() bool { return c != nil && c.Store != nil }
-
-// load restores key into v, reporting whether v now holds a verified
-// checkpoint. Any failure is logged and counted, never propagated.
-func (c *Checkpointer) load(key string, v any) bool {
-	if !c.enabled() || !c.Store.Has(key) {
+// restore loads the entry for key into v and reports whether v now holds
+// one this run can use. A key the store does not hold is a plain miss.
+// Any other unusable entry — a load error, or a decoded value that fit
+// rejects — is logged and counted once in checkpoint.recompute; a usable
+// one is counted in checkpoint.restored.
+func restore(s *checkpoint.Store, key string, v any, fit func() error) bool {
+	if s == nil || !s.Has(key) {
 		return false
 	}
-	if err := c.Store.Load(key, v); err != nil {
+	err := s.Load(key, v)
+	if err == nil {
+		err = fit()
+	}
+	if err != nil {
 		log.Printf("experiments: checkpoint %q unusable, recomputing: %v", key, err)
 		obs.Inc("checkpoint.recompute")
 		return false
 	}
+	obs.Inc("checkpoint.restored")
 	return true
 }
 
-// save persists v under key, logging (not failing) on I/O errors.
-func (c *Checkpointer) save(key string, v any) {
-	if !c.enabled() {
+// save persists v under key. An I/O failure is logged and counted in
+// checkpoint.save_failed, and the run continues.
+func save(s *checkpoint.Store, key string, v any) {
+	if s == nil {
 		return
 	}
-	if err := c.Store.Save(key, v); err != nil {
+	if err := s.Save(key, v); err != nil {
 		log.Printf("experiments: checkpoint save %q failed (run continues): %v", key, err)
 		obs.Inc("checkpoint.save_failed")
 	}
@@ -64,53 +64,33 @@ type scoresSnap struct {
 	Dev  [][][]float64
 }
 
-// iterRoundSnap checkpoints one completed boosting round of the
-// iterative-DBA extension.
-type iterRoundSnap struct {
-	Result dba.RoundResult
-	Models []*svm.OneVsRest
-}
-
-// roundCheckpoint adapts the Checkpointer to dba.RoundCheckpoint for one
-// (threshold, method) iterative run; nil when checkpointing is off.
-func (c *Checkpointer) roundCheckpoint(v int, method dba.Method) dba.RoundCheckpoint {
-	if !c.enabled() {
-		return nil
+// fitModels is the fit check of every restored model battery: one model
+// per front-end.
+func (p *Pipeline) fitModels(models []*svm.OneVsRest) error {
+	if len(models) != len(p.FEs) {
+		return fmt.Errorf("%d models for %d front-ends", len(models), len(p.FEs))
 	}
-	return &iterCheckpoint{ck: c, prefix: fmt.Sprintf("dba-iter-v%d-%s", v, method)}
+	return nil
 }
 
-type iterCheckpoint struct {
-	ck     *Checkpointer
-	prefix string
-}
-
-func (ic *iterCheckpoint) key(round int) string {
-	return fmt.Sprintf("%s-round-%03d", ic.prefix, round)
-}
-
-func (ic *iterCheckpoint) LoadRound(round int) (*dba.RoundResult, []*svm.OneVsRest, bool) {
-	var snap iterRoundSnap
-	if !ic.ck.load(ic.key(round), &snap) {
-		return nil, nil, false
+// fitScores checks restored baseline scores: test and dev matrices for
+// every front-end.
+func (p *Pipeline) fitScores(ss scoresSnap) error {
+	if len(ss.Test) != len(p.FEs) || len(ss.Dev) != len(p.FEs) {
+		return fmt.Errorf("%d test and %d dev score matrices for %d front-ends", len(ss.Test), len(ss.Dev), len(p.FEs))
 	}
-	if snap.Result.Round != round || len(snap.Models) == 0 {
-		log.Printf("experiments: checkpoint %q is not round %d, recomputing", ic.key(round), round)
-		obs.Inc("checkpoint.recompute")
-		return nil, nil, false
+	return nil
+}
+
+// fitFeatures rebuilds a front-end's features from a restored snapshot
+// and checks they fit this run: a supervector for every utterance of
+// every split (a checkpoint of a differently-sized corpus can share the
+// run's metadata), and the 1-best paths the cascade front-end keeps.
+func fitFeatures(fe *frontend.FrontEnd, snap *vsm.FeaturesSnapshot, c *corpus.Corpus) (*vsm.Features, error) {
+	f, err := vsm.RestoreFeatures(fe, snap)
+	if err != nil {
+		return nil, err
 	}
-	return &snap.Result, snap.Models, true
-}
-
-func (ic *iterCheckpoint) SaveRound(round int, rr *dba.RoundResult, models []*svm.OneVsRest) {
-	ic.ck.save(ic.key(round), &iterRoundSnap{Result: *rr, Models: models})
-}
-
-// featuresCover reports whether a restored feature cache holds a
-// supervector for every utterance of every split — the shape check that
-// guards against resuming a checkpoint from a differently-sized corpus
-// that happens to share metadata.
-func featuresCover(f *vsm.Features, c *corpus.Corpus) bool {
 	splits := []*corpus.Split{c.Train}
 	for _, dur := range corpus.Durations {
 		splits = append(splits, c.Dev[dur], c.Test[dur])
@@ -118,9 +98,12 @@ func featuresCover(f *vsm.Features, c *corpus.Corpus) bool {
 	for _, s := range splits {
 		for _, it := range s.Items {
 			if !f.Has(it.ID) {
-				return false
+				return nil, fmt.Errorf("no supervector for utterance %d of this corpus", it.ID)
 			}
 		}
 	}
-	return true
+	if fe.Name == CascadeFrontEnd && len(snap.BestPaths) == 0 {
+		return nil, errors.New("no 1-best paths for the cascade front-end")
+	}
+	return f, nil
 }

@@ -23,7 +23,21 @@ func (p *Pipeline) IterativeDBA(v int, method dba.Method, rounds int) *dba.Itera
 		},
 		Rounds:       rounds,
 		StopOnStable: true,
-		Checkpoint:   p.ck.roundCheckpoint(v, method),
+	}
+	cfg.Round = func(round int, run func() *dba.RoundState) *dba.RoundState {
+		key := fmt.Sprintf("dba-iter-v%d-%s-round-%03d", v, method, round)
+		st := new(dba.RoundState)
+		if restore(p.ck, key, st, func() error {
+			if st.Result.Round != round {
+				return fmt.Errorf("holds round %d", st.Result.Round)
+			}
+			return p.fitModels(st.Models)
+		}) {
+			return st
+		}
+		st = run()
+		save(p.ck, key, st)
+		return st
 	}
 	recal := func(models []*svm.OneVsRest, scores [][][]float64) [][][]float64 {
 		return p.voteScores(scores, p.DevScores(models), VoteCalibrationFA)

@@ -9,10 +9,10 @@ package experiments
 
 import (
 	"fmt"
-	"log"
 	"sync"
 
 	"repro/internal/cascade"
+	"repro/internal/checkpoint"
 	"repro/internal/corpus"
 	"repro/internal/dba"
 	"repro/internal/frontend"
@@ -120,8 +120,9 @@ type Pipeline struct {
 
 	SVMOptions svm.Options
 
-	// ck is the (possibly nil) checkpoint hookup; all uses are nil-safe.
-	ck *Checkpointer
+	// ck is the checkpoint store every phase restores from and saves to
+	// (nil: no checkpointing).
+	ck *checkpoint.Store
 
 	mu       sync.Mutex
 	outcomes map[outcomeKey]*dba.Outcome
@@ -151,7 +152,7 @@ const NumLangs = synthlang.NumLanguages
 func BuildPipeline(scale Scale, seed uint64) *Pipeline {
 	p, err := BuildPipelineCK(scale, seed, nil)
 	if err != nil {
-		// Without a checkpointer the only error source is extraction's
+		// Without a checkpoint store the only error source is extraction's
 		// quarantine overflow.
 		panic(err)
 	}
@@ -165,7 +166,7 @@ func BuildPipeline(scale Scale, seed uint64) *Pipeline {
 // round-trips float64 exactly, and everything derived (vote calibration,
 // duration indices) is recomputed deterministically. The error return
 // surfaces per-utterance quarantine overflow (see vsm.ExtractChecked).
-func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, error) {
+func BuildPipelineCK(scale Scale, seed uint64, ck *checkpoint.Store) (*Pipeline, error) {
 	sp := obs.StartSpan("pipeline.build")
 	defer sp.End()
 	sp.SetLabel("scale", scale.String())
@@ -190,9 +191,9 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 	// Supervector extraction decodes every utterance through every
 	// front-end — the pipeline's dominant cost. Each front-end gets its own
 	// child span (they extract concurrently, so siblings overlap in time).
-	// With a checkpointer, a front-end whose snapshot verifies is restored
-	// instead of re-decoded; Store.Save serializes internally, so the
-	// parallel loop can checkpoint each front-end as it finishes.
+	// With a checkpoint store, a front-end whose snapshot fits the run is
+	// restored instead of re-decoded; Store.Save serializes internally, so
+	// the parallel loop can checkpoint each front-end as it finishes.
 	extractSp := sp.StartChild("extract")
 	p.Feats = make([]*vsm.Features, len(p.FEs))
 	extractErrs := make([]error, len(p.FEs))
@@ -203,20 +204,13 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 		defer feSp.End()
 		key := "features-" + fe.Name
 		var snap vsm.FeaturesSnapshot
-		if ck.load(key, &snap) {
-			if f, err := vsm.RestoreFeatures(fe, &snap); err == nil && featuresCover(f, p.Corpus) && (!keepBest || len(snap.BestPaths) > 0) {
-				p.Feats[q] = f
-				feSp.SetLabel("source", "checkpoint")
-				feSp.SetAttr("dim", float64(f.Dim()))
-				obs.Inc("checkpoint.features.restored")
-				return
-			} else if err != nil {
-				log.Printf("experiments: checkpoint %q does not fit this run, recomputing: %v", key, err)
-				obs.Inc("checkpoint.recompute")
-			} else {
-				log.Printf("experiments: checkpoint %q misses utterances (or 1-best paths) of this corpus, recomputing", key)
-				obs.Inc("checkpoint.recompute")
-			}
+		if restore(ck, key, &snap, func() (err error) {
+			p.Feats[q], err = fitFeatures(fe, &snap, p.Corpus)
+			return err
+		}) {
+			feSp.SetLabel("source", "checkpoint")
+			feSp.SetAttr("dim", float64(p.Feats[q].Dim()))
+			return
 		}
 		f, err := vsm.ExtractChecked(fe, p.Corpus, vsm.ExtractOptions{Seed: seed, KeepBestPath: keepBest})
 		if err != nil {
@@ -225,7 +219,7 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 		}
 		p.Feats[q] = f
 		feSp.SetAttr("dim", float64(f.Dim()))
-		ck.save(key, f.Snapshot())
+		save(ck, key, f.Snapshot())
 	})
 	extractSp.End()
 	for _, err := range extractErrs {
@@ -273,12 +267,11 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 	// vice versa) would split one phase across two generations.
 	var baseline []*svm.OneVsRest
 	var ss scoresSnap
-	if ck.load("baseline", &baseline) && ck.load("baseline-scores", &ss) &&
-		len(baseline) == len(p.Data) && len(ss.Test) == len(p.Data) && len(ss.Dev) == len(p.Data) {
+	if restore(ck, "baseline", &baseline, func() error { return p.fitModels(baseline) }) &&
+		restore(ck, "baseline-scores", &ss, func() error { return p.fitScores(ss) }) {
 		p.Baseline = baseline
 		p.BaselineScores = ss.Test
 		p.BaselineDev = ss.Dev
-		obs.Inc("checkpoint.baseline.restored")
 	} else {
 		trainSp := sp.StartChild("train-baseline")
 		p.Baseline = dba.TrainBaseline(p.Data, p.TrainLabels, NumLangs, p.SVMOptions)
@@ -290,8 +283,8 @@ func BuildPipelineCK(scale Scale, seed uint64, ck *Checkpointer) (*Pipeline, err
 		devSp := sp.StartChild("dev-score")
 		p.BaselineDev = p.DevScores(p.Baseline)
 		devSp.End()
-		ck.save("baseline", p.Baseline)
-		ck.save("baseline-scores", &scoresSnap{Test: p.BaselineScores, Dev: p.BaselineDev})
+		save(ck, "baseline", p.Baseline)
+		save(ck, "baseline-scores", &scoresSnap{Test: p.BaselineScores, Dev: p.BaselineDev})
 	}
 
 	// Vote calibration: the Eq. 13 criterion (target > 0, all others < 0)
@@ -391,16 +384,14 @@ func (p *Pipeline) DBAOutcome(v int, method dba.Method) *dba.Outcome {
 	p.mu.Unlock()
 	ckKey := fmt.Sprintf("dba-v%d-%s", v, method)
 	o := new(dba.Outcome)
-	if p.ck.load(ckKey, o) && len(o.Retrained) == len(p.Data) {
-		obs.Inc("checkpoint.dba.restored")
-	} else {
+	if !restore(p.ck, ckKey, o, func() error { return p.fitModels(o.Retrained) }) {
 		o = dba.Run(p.Data, p.TrainLabels, p.Baseline, p.VoteScores, dba.Config{
 			Threshold:  v,
 			Method:     method,
 			NumLangs:   NumLangs,
 			SVMOptions: p.SVMOptions,
 		})
-		p.ck.save(ckKey, o)
+		save(p.ck, ckKey, o)
 	}
 	p.mu.Lock()
 	p.outcomes[key] = o

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dba"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/svm"
 	"repro/internal/vsm"
 )
 
@@ -22,7 +23,7 @@ const resumeSeed = 42
 // and renders the sections the suite pins: Table 1, the DBA-M1 sweep,
 // and Table 4 at V=3. The returned string is the referee — resumed runs
 // must reproduce it byte-for-byte.
-func renderRun(t *testing.T, ck *Checkpointer) string {
+func renderRun(t *testing.T, ck *checkpoint.Store) string {
 	t.Helper()
 	p, err := BuildPipelineCK(ScaleTiny, resumeSeed, ck)
 	if err != nil {
@@ -51,13 +52,13 @@ func golden(t *testing.T) string {
 	return goldenRun
 }
 
-func openCK(t *testing.T, dir string) (*Checkpointer, *checkpoint.Store) {
+func openCK(t *testing.T, dir string) *checkpoint.Store {
 	t.Helper()
 	store, err := checkpoint.Open(dir, checkpoint.Meta{Scale: ScaleTiny.String(), Seed: resumeSeed})
 	if err != nil {
 		t.Fatalf("checkpoint.Open: %v", err)
 	}
-	return &Checkpointer{Store: store}, store
+	return store
 }
 
 // runKilled executes a checkpointed run under a chaos plan that must kill
@@ -75,8 +76,7 @@ func runKilled(t *testing.T, dir, plan string) {
 			t.Fatalf("chaos plan %q did not kill the run", plan)
 		}
 	}()
-	ck, _ := openCK(t, dir)
-	renderRun(t, ck)
+	renderRun(t, openCK(t, dir))
 }
 
 // TestKillAndResumeBitIdentical is the tentpole referee: a run killed at
@@ -106,11 +106,11 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			dir := t.TempDir()
 			runKilled(t, dir, tc.plan)
 
-			ck, store := openCK(t, dir)
+			store := openCK(t, dir)
 			if tc.name != "decode-mid-frontend" && store.Generation() == 0 {
 				t.Fatal("killed run left no checkpoint generations to resume from")
 			}
-			got := renderRun(t, ck)
+			got := renderRun(t, store)
 			if got != want {
 				t.Fatalf("resumed output differs from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", want, got)
 			}
@@ -124,8 +124,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 func TestResumeFromCorruptNewestGeneration(t *testing.T) {
 	want := golden(t)
 	dir := t.TempDir()
-	ck, _ := openCK(t, dir)
-	if got := renderRun(t, ck); got != want {
+	if got := renderRun(t, openCK(t, dir)); got != want {
 		t.Fatalf("checkpointed run differs from plain run\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 
@@ -143,14 +142,14 @@ func TestResumeFromCorruptNewestGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck2, store := openCK(t, dir)
+	store := openCK(t, dir)
 	if store.FellBack() < 1 {
 		t.Fatalf("fellBack=%d, want ≥1", store.FellBack())
 	}
 	if store.Generation() == 0 {
 		t.Fatal("no intact generation survived")
 	}
-	if got := renderRun(t, ck2); got != want {
+	if got := renderRun(t, store); got != want {
 		t.Fatalf("fallback run differs from golden\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
@@ -160,20 +159,63 @@ func TestResumeFromCorruptNewestGeneration(t *testing.T) {
 func TestFullyCheckpointedRerunIsIdentical(t *testing.T) {
 	want := golden(t)
 	dir := t.TempDir()
-	ck, _ := openCK(t, dir)
-	if got := renderRun(t, ck); got != want {
+	if got := renderRun(t, openCK(t, dir)); got != want {
 		t.Fatal("first checkpointed run differs from plain run")
 	}
-	ck2, store := openCK(t, dir)
+	store := openCK(t, dir)
 	gen := store.Generation()
 	if gen == 0 {
 		t.Fatal("no generations after a full run")
 	}
-	if got := renderRun(t, ck2); got != want {
+	if got := renderRun(t, store); got != want {
 		t.Fatal("fully-checkpointed rerun differs from golden")
 	}
 	if store.Generation() != gen {
 		t.Fatalf("fully-cached rerun published %d new generations", store.Generation()-gen)
+	}
+}
+
+// TestMisfitEntriesRecomputeOnce resumes a complete checkpoint whose
+// baseline battery and one DBA outcome are short of a front-end and whose
+// Table 4 is of another V. Each misfit is an entry that loads but does
+// not fit the run: it must be recomputed and counted once, and the
+// resumed run must render the golden tables.
+func TestMisfitEntriesRecomputeOnce(t *testing.T) {
+	want := golden(t)
+	dir := t.TempDir()
+	store := openCK(t, dir)
+	if got := renderRun(t, store); got != want {
+		t.Fatal("checkpointed run differs from plain run")
+	}
+
+	var baseline []*svm.OneVsRest
+	if err := store.Load("baseline", &baseline); err != nil {
+		t.Fatal(err)
+	}
+	dbaKey := fmt.Sprintf("dba-v3-%s", dba.M2)
+	var o dba.Outcome
+	if err := store.Load(dbaKey, &o); err != nil {
+		t.Fatal(err)
+	}
+	o.Retrained = o.Retrained[1:]
+	var t4 Table4
+	if err := store.Load("table4-v3", &t4); err != nil {
+		t.Fatal(err)
+	}
+	t4.V = 2
+	for key, v := range map[string]any{"baseline": baseline[1:], dbaKey: &o, "table4-v3": &t4} {
+		if err := store.Save(key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	recomputed := obs.GetCounter("checkpoint.recompute")
+	before := recomputed.Value()
+	if got := renderRun(t, openCK(t, dir)); got != want {
+		t.Fatalf("resume over misfit entries differs from golden\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	if n := recomputed.Value() - before; n != 3 {
+		t.Fatalf("checkpoint.recompute grew by %d over three misfit entries, want 3", n)
 	}
 }
 
@@ -195,7 +237,7 @@ func TestBuildAndExportDecodeEachUtteranceOnce(t *testing.T) {
 
 	decoded := obs.GetCounter("decode.utterances")
 	recomputed := obs.GetCounter("checkpoint.recompute")
-	buildAndExport := func(ck *Checkpointer) (decodes int64, bundle []byte, p *Pipeline) {
+	buildAndExport := func(ck *checkpoint.Store) (decodes int64, bundle []byte, p *Pipeline) {
 		t.Helper()
 		before := decoded.Value()
 		p, err := BuildPipelineCK(ScaleTiny, resumeSeed, ck)
@@ -210,8 +252,8 @@ func TestBuildAndExportDecodeEachUtteranceOnce(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	ck, store := openCK(t, dir)
-	n, bundle, p := buildAndExport(ck)
+	store := openCK(t, dir)
+	n, bundle, p := buildAndExport(store)
 	utts := int64(p.Corpus.Train.Len() + p.Corpus.AllDev().Len() + p.Corpus.AllTest().Len())
 	if want := int64(len(p.FEs)) * utts; n != want {
 		t.Fatalf("build + export decoded %d utterances, want %d front-ends × %d", n, len(p.FEs), utts)
@@ -220,8 +262,7 @@ func TestBuildAndExportDecodeEachUtteranceOnce(t *testing.T) {
 		t.Fatal("checkpointed export differs from a plain export")
 	}
 
-	ck2, _ := openCK(t, dir)
-	if n, bundle, _ = buildAndExport(ck2); n != 0 {
+	if n, bundle, _ = buildAndExport(openCK(t, dir)); n != 0 {
 		t.Fatalf("rerun on a complete checkpoint decoded %d utterances", n)
 	}
 	if !bytes.Equal(bundle, plain) {
@@ -239,9 +280,8 @@ func TestBuildAndExportDecodeEachUtteranceOnce(t *testing.T) {
 	if err := store.Save(key, &snap); err != nil {
 		t.Fatal(err)
 	}
-	ck3, _ := openCK(t, dir)
 	rec := recomputed.Value()
-	if n, bundle, _ = buildAndExport(ck3); n != utts {
+	if n, bundle, _ = buildAndExport(openCK(t, dir)); n != utts {
 		t.Fatalf("rerun on a path-less %s snapshot decoded %d utterances, want %d", CascadeFrontEnd, n, utts)
 	}
 	if recomputed.Value() == rec {
@@ -290,19 +330,18 @@ func TestIterativeResumeBitIdentical(t *testing.T) {
 				t.Fatal("iterative kill plan did not fire")
 			}
 		}()
-		ck, _ := openCK(t, dir)
-		kp, err := BuildPipelineCK(ScaleTiny, resumeSeed, ck)
+		kp, err := BuildPipelineCK(ScaleTiny, resumeSeed, openCK(t, dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		kp.IterativeReport(kp.IterativeDBA(3, dba.M2, 3))
 	}()
 
-	ck, store := openCK(t, dir)
+	store := openCK(t, dir)
 	if store.Generation() == 0 {
 		t.Fatal("killed iterative run checkpointed nothing")
 	}
-	rp, err := BuildPipelineCK(ScaleTiny, resumeSeed, ck)
+	rp, err := BuildPipelineCK(ScaleTiny, resumeSeed, store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dba"
 	"repro/internal/fusion"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 )
 
 // Cell is one EER/Cavg measurement in percent.
@@ -199,8 +198,12 @@ func (p *Pipeline) evalFused(fused [][]float64) map[float64]Cell {
 func RunTable4(p *Pipeline, v int) *Table4 {
 	ckKey := fmt.Sprintf("table4-v%d", v)
 	var cached Table4
-	if p.ck.load(ckKey, &cached) && cached.V == v {
-		obs.Inc("checkpoint.table4.restored")
+	if restore(p.ck, ckKey, &cached, func() error {
+		if cached.V != v {
+			return fmt.Errorf("holds V=%d, not %d", cached.V, v)
+		}
+		return nil
+	}) {
 		return &cached
 	}
 	t := &Table4{
@@ -229,7 +232,7 @@ func RunTable4(p *Pipeline, v int) *Table4 {
 	}
 	t.BaselineFusion = p.evalFused(p.fusePerDuration(p.BaselineDev, p.BaselineScores, nil))
 	t.DBAFusion = p.evalFused(p.fusePerDuration(dev, test, weights))
-	p.ck.save(ckKey, t)
+	save(p.ck, ckKey, t)
 	return t
 }
 

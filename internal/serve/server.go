@@ -37,8 +37,6 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: admitted work is finished and
 	// open connections closed within it (10 s).
 	DrainTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (32 MiB).
-	MaxBodyBytes int64
 	// Reload governs every retry loop and circuit breaker: model reloads,
 	// and on a fleet coordinator the bundle pushes and per-peer breakers.
 	Reload ReloadPolicy
@@ -82,9 +80,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
 	}
 	c.Reload.setDefaults()
 }
@@ -405,7 +400,7 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, tr *re
 	if tr != nil {
 		sp = tr.root.StartChild("read")
 	}
-	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if sp != nil {
 		sp.End()
 	}
@@ -429,6 +424,10 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, tr *re
 	}
 	return utts, true
 }
+
+// maxBodyBytes bounds request bodies on every role: one byte more is a
+// 400.
+const maxBodyBytes = 32 << 20
 
 // maxBodyHint caps how much readBody allocates on a Content-Length's
 // word alone.

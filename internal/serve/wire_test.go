@@ -236,25 +236,31 @@ func TestDecodeScoreRequestBounds(t *testing.T) {
 	b := testbundle.Write(t, dir, 3)
 	good, _ := json.Marshal(scoreRequestFor(b, testbundle.Vector(7)))
 	nested := `{"x":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `}`
-	limit := len(nested) + 64
-	s := newTestServer(t, dir, func(c *Config) { c.MaxBodyBytes = int64(limit) })
+	const limit = maxBodyBytes
+	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	fe := b.FrontEnds[0].Name
 
-	pad := func(n int) string { return string(good) + strings.Repeat(" ", n-len(good)) }
-	commas := strings.Repeat(",", limit-64)
+	// Bodies are built one case at a time: each limit-sized one is 32 MiB.
+	pad := func(n int) func() string {
+		return func() string { return string(good) + strings.Repeat(" ", n-len(good)) }
+	}
+	commas := func(prefix, suffix string) func() string {
+		return func() string { return prefix + strings.Repeat(",", limit-64) + suffix }
+	}
 	for _, tc := range []struct {
-		name, body string
-		want       int
+		name string
+		body func() string
+		want int
 	}{
 		{"body at the limit", pad(limit), http.StatusOK},
 		{"body one byte over the limit", pad(limit + 1), http.StatusBadRequest},
-		{"10,001 nested arrays under an unknown key", nested, http.StatusBadRequest},
-		{"idx count-first sizing past len(body)/2", `{"frontends":{"` + fe + `":{"supervector":{"idx":[` + commas + `],"val":[]}}}}`, http.StatusBadRequest},
-		{"lattice shape past len(body)/3", `{"frontends":{"` + fe + `":{"lattice":[` + commas + `]}}}`, http.StatusBadRequest},
+		{"10,001 nested arrays under an unknown key", func() string { return nested }, http.StatusBadRequest},
+		{"idx count-first sizing past len(body)/2", commas(`{"frontends":{"`+fe+`":{"supervector":{"idx":[`, `],"val":[]}}}}`), http.StatusBadRequest},
+		{"lattice shape past len(body)/3", commas(`{"frontends":{"`+fe+`":{"lattice":[`, `]}}}`), http.StatusBadRequest},
 	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", strings.NewReader(tc.body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json", strings.NewReader(tc.body()))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -277,7 +283,7 @@ func TestDecodeScoreRequestBounds(t *testing.T) {
 // body's read and parse allocate a fixed number of times per front-end,
 // however many nonzeros its supervectors carry.
 func TestDecodeScoreRequestAllocs(t *testing.T) {
-	s := &Server{cfg: Config{MaxBodyBytes: 32 << 20}}
+	s := &Server{}
 	allocs := func(nnz int) float64 {
 		body := sixFrontEndBody(t, nnz)
 		return testing.AllocsPerRun(20, func() {
