@@ -20,6 +20,29 @@ type Observation struct {
 // buffer: the shadow gate needs a representative slice, not the volume.
 const shadowCap = 256
 
+// ring is a fixed-capacity observation buffer that drops oldest-first:
+// once full, each push overwrites the oldest entry in place, so nothing
+// is shifted per observation.
+type ring struct {
+	cap   int
+	items []Observation
+	next  int // the oldest entry's index once full
+}
+
+func (r *ring) push(o Observation) {
+	if len(r.items) < r.cap {
+		r.items = append(r.items, o)
+		return
+	}
+	r.items[r.next] = o
+	r.next = (r.next + 1) % r.cap
+}
+
+// oldestFirst copies the ring in arrival order (nil when empty).
+func (r *ring) oldestFirst() []Observation {
+	return append(append([]Observation(nil), r.items[r.next:]...), r.items[:r.next]...)
+}
+
 // accumulator is the lock-guarded observation store the serving handlers
 // feed and the trainer snapshots. Both rings drop oldest-first; the
 // shadow ring samples deterministically (every Nth observation for
@@ -28,10 +51,9 @@ const shadowCap = 256
 type accumulator struct {
 	mu     sync.Mutex
 	numFE  int
-	cap    int
 	every  int // shadow sampling stride; 0 = shadow off
-	buf    []Observation
-	shadow []Observation
+	buf    ring
+	shadow ring
 	seen   int64 // total observations ever offered
 }
 
@@ -43,7 +65,7 @@ func newAccumulator(numFE, capacity int, shadowRate float64) *accumulator {
 			every = 1
 		}
 	}
-	return &accumulator{numFE: numFE, cap: capacity, every: every}
+	return &accumulator{numFE: numFE, every: every, buf: ring{cap: capacity}, shadow: ring{cap: shadowCap}}
 }
 
 // add offers one observation; incomplete batteries are rejected (the
@@ -60,18 +82,12 @@ func (a *accumulator) add(o Observation) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.seen++
-	if len(a.buf) >= a.cap {
-		a.buf = append(a.buf[:0], a.buf[1:]...)
-	}
-	a.buf = append(a.buf, o)
+	a.buf.push(o)
 	if a.every > 0 && a.seen%int64(a.every) == 0 {
-		if len(a.shadow) >= shadowCap {
-			a.shadow = append(a.shadow[:0], a.shadow[1:]...)
-		}
-		a.shadow = append(a.shadow, o)
+		a.shadow.push(o)
 	}
-	obs.SetGauge("adapt.buffer_utts", float64(len(a.buf)))
-	obs.SetGauge("adapt.shadow_utts", float64(len(a.shadow)))
+	obs.SetGauge("adapt.buffer_utts", float64(len(a.buf.items)))
+	obs.SetGauge("adapt.shadow_utts", float64(len(a.shadow.items)))
 	return true
 }
 
@@ -80,7 +96,7 @@ func (a *accumulator) add(o Observation) bool {
 func (a *accumulator) snapshot() (buf, shadow []Observation) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Observation(nil), a.buf...), append([]Observation(nil), a.shadow...)
+	return a.buf.oldestFirst(), a.shadow.oldestFirst()
 }
 
 // reset drops everything — called after a promotion or rollback, so the
@@ -88,7 +104,7 @@ func (a *accumulator) snapshot() (buf, shadow []Observation) {
 func (a *accumulator) reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.buf, a.shadow = nil, nil
+	a.buf, a.shadow = ring{cap: a.buf.cap}, ring{cap: a.shadow.cap}
 	obs.SetGauge("adapt.buffer_utts", 0)
 	obs.SetGauge("adapt.shadow_utts", 0)
 }
@@ -97,5 +113,5 @@ func (a *accumulator) reset() {
 func (a *accumulator) counts() (buffered, shadow int, seen int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.buf), len(a.shadow), a.seen
+	return len(a.buf.items), len(a.shadow.items), a.seen
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -433,5 +434,47 @@ func TestObserveRejectsPartialBattery(t *testing.T) {
 	)
 	if st := a.Status(); st.Buffered != 0 {
 		t.Fatalf("partial battery buffered: %+v", st)
+	}
+}
+
+// TestRingsMatchShiftingReference: both observation rings overwrite in
+// place once full, yet every snapshot equals a slice that shifts its
+// oldest entry out, oldest first, for the buffer and the shadow ring
+// alike, and a reset starts both over.
+func TestRingsMatchShiftingReference(t *testing.T) {
+	const buffer, k = 300, 37
+	acc := newAccumulator(2, buffer, 1) // shadow samples every observation
+	var wantBuf, wantShadow []Observation
+	shift := func(s []Observation, o Observation, capacity int) []Observation {
+		if s = append(s, o); len(s) > capacity {
+			s = s[1:]
+		}
+		return s
+	}
+	for i := 0; i < buffer+k; i++ {
+		o := Observation{
+			Vectors: []*sparse.Vector{{Idx: []int32{int32(i)}, Val: []float64{1}}, {Idx: []int32{0}, Val: []float64{float64(i)}}},
+			Scores:  [][]float64{{float64(i)}, {float64(-i)}},
+		}
+		if !acc.add(o) {
+			t.Fatalf("observation %d rejected", i)
+		}
+		wantBuf, wantShadow = shift(wantBuf, o, buffer), shift(wantShadow, o, shadowCap)
+		buf, shadow := acc.snapshot()
+		if !reflect.DeepEqual(buf, wantBuf) || !reflect.DeepEqual(shadow, wantShadow) {
+			t.Fatalf("after %d observations: snapshot differs from the shifting reference", i+1)
+		}
+	}
+	if b, s, seen := acc.counts(); b != buffer || s != shadowCap || seen != buffer+k {
+		t.Fatalf("counts %d, %d, %d; want %d, %d, %d", b, s, seen, buffer, shadowCap, buffer+k)
+	}
+	acc.reset()
+	if buf, shadow := acc.snapshot(); buf != nil || shadow != nil {
+		t.Fatalf("reset left %d buffered, %d shadow", len(buf), len(shadow))
+	}
+	o := Observation{Vectors: []*sparse.Vector{{}, {}}, Scores: [][]float64{{1}, {2}}}
+	acc.add(o)
+	if buf, shadow := acc.snapshot(); !reflect.DeepEqual(buf, []Observation{o}) || !reflect.DeepEqual(shadow, []Observation{o}) {
+		t.Fatalf("after a reset and one observation: %d buffered, %d shadow", len(buf), len(shadow))
 	}
 }

@@ -4,10 +4,14 @@
 // only their assigned front-ends and score them on demand.
 //
 // The coordinator is a serve.Server: the standalone daemon's own request
-// path (admission, decode, cascade fast path, fusion, tracing, metrics,
-// reload, drain) under the cluster.* metric namespace, so it serves the
-// exact /v1/score and /v1/score/batch API by construction. Only its
-// scoring step differs (a serve.Role): it scatters per-front-end scoring
+// path (admission, decode, cascade fast path, resolution, fusion,
+// tracing, metrics, reload, drain) under the cluster.* metric namespace,
+// so it serves the exact /v1/score and /v1/score/batch API by
+// construction. Every utterance is resolved against the routed bundle
+// before the scoring step, so a malformed one is answered there, as a
+// standalone daemon answers it, and a worker only ever receives
+// utterances that resolved; any non-200 from a worker is a peer failure.
+// Only its scoring step differs (a serve.Role): it scatters per-front-end scoring
 // RPCs to the workers that own them and gathers the partial score rows
 // under a per-shard deadline, and the shared path fuses the survivors
 // with serve.AssembleResult — fusion.Score when every shard answered and
@@ -54,7 +58,7 @@
 // consecutive RPC failures open the breaker, scoring then fails fast
 // (degrading instead of stalling on a dead worker) until Cooldown
 // elapses and a half-open probe re-tests the peer. A push is retried
-// Retries times, from BaseBackoff doubling up to MaxBackoff.
+// Retries times, from BaseBackoff doubling up to 2 s.
 //
 // Chaos: every shard RPC passes the fault-injection site
 // "cluster.rpc.<host:port>" (prefix rules: cluster.rpc.*), so the chaos

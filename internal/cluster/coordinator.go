@@ -29,10 +29,10 @@ type CoordinatorConfig struct {
 	// Cascade act as on the standalone daemon; with Cascade on, tier 1
 	// runs on the coordinator, and a high-margin request is answered
 	// without a single shard RPC (workers keep neither the cascade nor
-	// fusion). Reload governs the bundle pushes (Retries, BaseBackoff,
-	// MaxBackoff) and the per-peer circuit breakers (TripAfter,
-	// Cooldown). QueueDepth, Adapt and WaitForModel are unused, and the
-	// access log stays off.
+	// fusion). Reload governs the bundle pushes (Retries, BaseBackoff)
+	// and the per-peer circuit breakers (TripAfter, Cooldown).
+	// QueueDepth, Adapt and WaitForModel are unused, and the access log
+	// stays off.
 	Serve serve.Config
 	// Peers are the worker addresses (host:port or http:// URLs), one
 	// shard per worker (required, at least one).
@@ -86,6 +86,8 @@ type Coordinator struct {
 	cfg   CoordinatorConfig
 	reg   *serve.Registry
 	peers []*peer
+	// rpcErrors counts failed shard RPCs (cluster.rpc.errors).
+	rpcErrors *obs.Counter
 
 	plan atomic.Pointer[fleetPlan]
 	// distMu serializes reloads, distributions and repair pushes, and so
@@ -119,16 +121,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if _, err := c.reg.Reload(); err != nil {
 		return nil, fmt.Errorf("cluster: initial model load: %w", err)
 	}
+	// The shard RPC metrics follow the request path's window rule.
+	c.rpcErrors = srv.Counter("cluster.rpc.errors")
 	for _, addr := range cfg.Peers {
-		c.peers = append(c.peers, newPeer(addr, cfg.Serve.Reload, cfg.Transport, cfg.clock))
-	}
-	if !cfg.Serve.DisableTracing {
-		// Like the request path's, the shard RPC metrics keep rolling
-		// windows only while tracing is on.
-		obsRPCErrors.KeepWindow()
-		for _, p := range c.peers {
-			p.rpcHist.KeepWindow()
-		}
+		c.peers = append(c.peers, newPeer(addr, cfg.Serve.Reload, cfg.Transport, cfg.clock, srv.Histogram))
 	}
 	c.node = newNode(srv, srv.Handler())
 	c.mux.HandleFunc("/clusterz", c.handleClusterz)
@@ -412,15 +408,9 @@ type shardCall struct {
 // degradation degrades exactly the utterances it named.
 func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
 	calls := make([]*shardCall, len(pl.c.peers))
-	for i := range sc.Utts {
-		u := &sc.Utts[i]
-		byPeer, err := pl.planShards(u.Req)
-		if err != nil {
-			u.Err, u.Status = err, http.StatusBadRequest
-			continue
-		}
+	for i, u := range sc.Utts {
 		u.Scores, u.FrontEndErrs = make(map[int][]float64), make(map[int]error)
-		for k, fes := range byPeer {
+		for k, fes := range pl.planShards(u.Req) {
 			if len(fes) == 0 {
 				continue
 			}
@@ -455,28 +445,22 @@ func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
 	}
 	wg.Wait()
 
-	for i := range sc.Utts {
-		if u := &sc.Utts[i]; u.Err == nil && len(u.Scores) == 0 {
+	for _, u := range sc.Utts {
+		if len(u.Scores) == 0 {
 			u.Err, u.Status = fmt.Errorf("all shards failed: %v", firstErr(u.FrontEndErrs)), http.StatusServiceUnavailable
 		}
 	}
 }
 
-// planShards groups a request's front-ends by owning peer index,
-// validating names against the plan's model.
-func (pl *fleetPlan) planShards(req *serve.ScoreRequest) ([][]string, error) {
-	if len(req.FrontEnds) == 0 {
-		return nil, errors.New("request names no front-ends")
-	}
+// planShards groups a resolved request's front-ends by owning peer
+// index; resolution against the plan's model vouched for every name.
+func (pl *fleetPlan) planShards(req *serve.ScoreRequest) [][]string {
 	byPeer := make([][]string, len(pl.c.peers))
 	for name := range req.FrontEnds {
-		k, ok := pl.route[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown front-end %q (model has %v)", name, pl.model.Manifest.FrontEnds)
-		}
+		k := pl.route[name]
 		byPeer[k] = append(byPeer[k], name)
 	}
-	return byPeer, nil
+	return byPeer
 }
 
 // scatter runs one peer's RPC under the shard deadline, with an
@@ -486,48 +470,36 @@ func (pl *fleetPlan) planShards(req *serve.ScoreRequest) ([][]string, error) {
 func (pl *fleetPlan) scatter(ctx context.Context, sc *serve.Scoring, call *shardCall) ([]serve.ScoreResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, pl.c.cfg.ShardTimeout)
 	defer cancel()
-	var sp *obs.Span
+	sp := sc.Root.StartChild("rpc.shard")
+	sp.SetLabel("shard", call.p.addr)
+	if sc.Batch {
+		sp.SetAttr("utterances", float64(len(call.sub.Utterances)))
+	}
 	var traceparent string
-	if sc.Root != nil {
-		sp = sc.Root.StartChild("rpc.shard")
-		sp.SetLabel("shard", call.p.addr)
-		if sc.Batch {
-			sp.SetAttr("utterances", float64(len(call.sub.Utterances)))
-		}
+	if sp != nil {
 		spanID := obs.NewSpanID()
 		sp.SetLabel("span_id", spanID)
 		traceparent = obs.Traceparent(sc.TraceID, spanID)
 	}
 	results, err := call.p.score(ctx, pl.gen, traceparent, &call.sub, sc.Batch)
-	if sp != nil {
-		if err != nil {
-			sp.SetLabel("error", err.Error())
-		}
-		sp.End()
+	if err != nil {
+		sp.SetLabel("error", err.Error())
 	}
+	sp.End()
 	return results, err
 }
-
-var obsRPCErrors = obs.GetCounter("cluster.rpc.errors")
 
 // gather folds one peer's RPC outcome into its utterances' rows,
 // AssembleResult's input maps: scores by bundle front-end index, and
 // per-front-end errors for everything the shard failed to score (peer
 // down, deadline missed, breaker open, generation conflict, or the
-// worker's own per-front-end degradation). A single request a worker
-// rejected with 400 fails whole with the worker's message, as it would
-// on a standalone daemon.
+// worker's own per-front-end degradation).
 func (pl *fleetPlan) gather(sc *serve.Scoring, call *shardCall, results []serve.ScoreResult, err error) {
-	if se := rejected(err); se != nil && !sc.Batch {
-		u := &sc.Utts[call.uttIdx[0]]
-		u.Err, u.Status = errors.New(se.msg), http.StatusBadRequest
-		return
-	}
 	if err != nil {
-		obsRPCErrors.Inc()
+		pl.c.rpcErrors.Inc()
 	}
 	for k, i := range call.uttIdx {
-		u := &sc.Utts[i]
+		u := sc.Utts[i]
 		for _, name := range call.fes[k] {
 			q, _ := pl.model.FrontEndIndex(name) // routed names are the model's
 			if err != nil {

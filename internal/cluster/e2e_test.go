@@ -120,11 +120,13 @@ func TestFleetUnknownFrontEndIs400(t *testing.T) {
 	}
 }
 
-// TestFleetBadValueIs400NotPeerFailure: a value only the owning worker
-// can judge (an index outside its front-end's space) answers 400 with the
-// worker's message, as standalone does, and never counts against the
-// peer: after more rejections than TripAfter the peer is still up with a
-// closed breaker and no failures, and a good request scores in full.
+// TestFleetBadValueIs400NotPeerFailure: a value only the bundle can
+// judge (an index outside its front-end's space) is judged by the
+// coordinator, which resolves every utterance against the bundle it
+// routes before any shard RPC: it answers 400 with the standalone
+// daemon's message and never reaches the peer, which after more
+// rejections than TripAfter is still up with a closed breaker and no
+// failures, and a good request scores in full.
 func TestFleetBadValueIs400NotPeerFailure(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	mustDistribute(t, f)

@@ -31,12 +31,27 @@ func TestFleetStandaloneEdgeParity(t *testing.T) {
 	unknown := serve.ScoreRequest{ID: "unknown", FrontEnds: map[string]serve.FrontEndInput{
 		"nope": good.FrontEnds["FE0"],
 	}}
+	// A value only the bundle can judge: FE0's lattice names a phone
+	// outside its inventory, while FE1 alone would still score.
+	badPhone := scoreRequestFor(f.bundle, testbundle.Vector(5))
+	badPhone.ID = "bad-phone"
+	badPhone.FrontEnds["FE0"] = serve.FrontEndInput{Lattice: [][]serve.Slot{{{Phone: 99, Prob: 1}}}}
 	mixed, err := json.Marshal(serve.BatchRequest{Utterances: []serve.ScoreRequest{good, unknown, good}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodBadPhone, err := json.Marshal(serve.BatchRequest{Utterances: []serve.ScoreRequest{good, badPhone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPhoneAlone, err := json.Marshal(badPhone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct{ name, method, path, body string }{
 		{"good + unknown-FE batch", http.MethodPost, "/v1/score/batch", string(mixed)},
+		{"good + bad-phone batch", http.MethodPost, "/v1/score/batch", string(goodBadPhone)},
+		{"bad-phone score", http.MethodPost, "/v1/score", string(badPhoneAlone)},
 		{"non-POST score", http.MethodGet, "/v1/score", ""},
 		{"junk JSON", http.MethodPost, "/v1/score", "{not json"},
 		{"empty frontends", http.MethodPost, "/v1/score", `{"frontends":{}}`},

@@ -50,8 +50,9 @@ type peer struct {
 }
 
 // newPeer returns the client for the worker at addr, its breaker
-// governed by pol's TripAfter and Cooldown.
-func newPeer(addr string, pol serve.ReloadPolicy, transport http.RoundTripper, clock serve.Clock) *peer {
+// governed by pol's TripAfter and Cooldown; hist returns its RPC latency
+// histogram by name (the coordinator's Server.Histogram).
+func newPeer(addr string, pol serve.ReloadPolicy, transport http.RoundTripper, clock serve.Clock, hist func(string) *obs.Histogram) *peer {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -66,7 +67,7 @@ func newPeer(addr string, pol serve.ReloadPolicy, transport http.RoundTripper, c
 		up:       obs.GetGauge("cluster.peer." + key + ".up"),
 		brOpen:   obs.GetGauge("cluster.peer." + key + ".breaker_open"),
 		failures: obs.GetCounter("cluster.peer." + key + ".failures"),
-		rpcHist:  obs.GetHistogram("cluster.rpc." + key + ".seconds"),
+		rpcHist:  hist("cluster.rpc." + key + ".seconds"),
 	}
 }
 
@@ -94,13 +95,7 @@ func (p *peer) rpc(ctx context.Context, path string, hdr http.Header, body io.Re
 		// state only moves on real probe outcomes.
 		return ErrBreakerOpen
 	}
-	err := p.do(ctx, path, hdr, body, out)
-	if rejected(err) != nil {
-		// The worker is up and judged the request malformed: the client's
-		// fault, not the peer's, so its health stays as it was.
-		return err
-	}
-	if err != nil {
+	if err := p.do(ctx, path, hdr, body, out); err != nil {
 		p.failures.Inc()
 		p.up.Set(0)
 		if p.br.Failure(p.clock.Now()) {
@@ -176,15 +171,6 @@ func (e *statusError) Error() string {
 		return fmt.Sprintf("shard status %d", e.code)
 	}
 	return fmt.Sprintf("shard status %d: %s", e.code, e.msg)
-}
-
-// rejected returns err's worker answer if it is a 400, else nil.
-func rejected(err error) *statusError {
-	var se *statusError
-	if errors.As(err, &se) && se.code == http.StatusBadRequest {
-		return se
-	}
-	return nil
 }
 
 // score runs one scoring RPC routed for generation gen and returns one

@@ -47,14 +47,14 @@ func (c *backoffClock) recorded() []time.Duration {
 
 // TestPushBackoffCappedAndCancellable: a push to a dead worker retries
 // on the reload loop's doubling schedule, capped at the policy's default
-// 2 s MaxBackoff, and a ctx cancelled during a backoff ends the push at
+// 2 s backoff cap, and a ctx cancelled during a backoff ends the push at
 // once instead of waiting the backoff out.
 func TestPushBackoffCappedAndCancellable(t *testing.T) {
 	deadPeer := func(clk serve.Clock) *peer {
 		// No handler is registered for the host, so every RPC fails like a
 		// refused connection; the breaker never opens within the test.
 		host := fmt.Sprintf("dead%d.test:9100", fleetSeq.Add(1))
-		return newPeer(host, serve.ReloadPolicy{TripAfter: 1000}, newTestNet(), clk)
+		return newPeer(host, serve.ReloadPolicy{TripAfter: 1000}, newTestNet(), clk, obs.GetHistogram)
 	}
 	mf := persist.Manifest{ClusterGeneration: 1}
 	dir := t.TempDir()
@@ -120,13 +120,13 @@ func TestPushZeroRetriesIsOneRPC(t *testing.T) {
 
 // TestCoordinatorFollowsServeReloadPolicy: Serve.Reload is the one
 // policy of a coordinator's pushes and peer breakers. A push to a dead
-// worker retries Retries times, waiting BaseBackoff doubling up to
-// MaxBackoff; the peer's breaker opens after TripAfter consecutive RPC
+// worker retries Retries times, waiting BaseBackoff doubling up to the
+// 2 s cap; the peer's breaker opens after TripAfter consecutive RPC
 // failures, fails the remaining retries fast without an RPC, and
 // half-opens once Cooldown has passed.
 func TestCoordinatorFollowsServeReloadPolicy(t *testing.T) {
 	ms := time.Millisecond
-	pol := serve.ReloadPolicy{Retries: 4, BaseBackoff: 50 * ms, MaxBackoff: 150 * ms, TripAfter: 2, Cooldown: 7 * time.Second}
+	pol := serve.ReloadPolicy{Retries: 4, BaseBackoff: 700 * ms, TripAfter: 2, Cooldown: 7 * time.Second}
 	clk := &backoffClock{}
 	f := newFleet(t, 2, func(cfg *CoordinatorConfig) {
 		cfg.Serve.Reload = pol
@@ -137,7 +137,7 @@ func TestCoordinatorFollowsServeReloadPolicy(t *testing.T) {
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("distribution to a dead worker: %v, want its open breaker's error", err)
 	}
-	if want := []time.Duration{50 * ms, 100 * ms, 150 * ms, 150 * ms}; !reflect.DeepEqual(clk.recorded(), want) {
+	if want := []time.Duration{700 * ms, 1400 * ms, 2000 * ms, 2000 * ms}; !reflect.DeepEqual(clk.recorded(), want) {
 		t.Fatalf("push backoff waits %v, want %v", clk.recorded(), want)
 	}
 	st := f.peerStatus(t, f.hosts[1])

@@ -136,6 +136,41 @@ func TestChildOf(t *testing.T) {
 	Reset()
 }
 
+// TestNilSpanIsNoOp: a nil *Span is an untraced region. Every method is
+// a no-op on it, StartChild hands back another nil span, and nothing
+// reaches a registry; ChildOf(nil, …) still opens a registry root,
+// because there it is the caller's nil parent, not an untraced one.
+func TestNilSpanIsNoOp(t *testing.T) {
+	Reset()
+	defer Reset()
+	var s *Span
+	if c := s.StartChild("c"); c != nil {
+		t.Fatalf("StartChild on a nil span = %v, want nil", c)
+	}
+	s.SetAttr("k", 1)
+	s.SetLabel("k", "v")
+	if d := s.End(); d != 0 {
+		t.Fatalf("End on a nil span = %v, want 0", d)
+	}
+	if n := s.Name(); n != "" {
+		t.Fatalf("Name on a nil span = %q, want empty", n)
+	}
+	if d := s.Data(); d != nil {
+		t.Fatalf("Data on a nil span = %+v, want nil", d)
+	}
+	if n := len(Snapshot().Spans); n != 0 {
+		t.Fatalf("nil-span calls filed %d roots", n)
+	}
+	root := ChildOf(s, "nil-parent")
+	if root == nil {
+		t.Fatal("ChildOf(nil, …) returned nil")
+	}
+	root.End()
+	if Snapshot().Find("nil-parent") == nil {
+		t.Fatal("ChildOf(nil, …) did not file a registry root")
+	}
+}
+
 func TestReportJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("utts").Add(7)

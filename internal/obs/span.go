@@ -14,6 +14,10 @@ import (
 //
 // Spans are safe for concurrent use: parallel stages may call StartChild
 // on a shared parent from many goroutines.
+//
+// A nil *Span is an untraced region: every method is a no-op on it, and
+// StartChild returns nil, so code under a possibly-untraced parent needs
+// no guard.
 type Span struct {
 	name  string
 	start time.Time
@@ -38,8 +42,13 @@ func StartSpan(name string) *Span { return defaultRegistry.StartSpan(name) }
 func NewSpan(name string) *Span { return &Span{name: name, start: time.Now()} }
 
 // Data serializes the span subtree (running spans report their elapsed
-// time so far).
-func (s *Span) Data() *SpanData { return spanData(s) }
+// time so far); nil for a nil span.
+func (s *Span) Data() *SpanData {
+	if s == nil {
+		return nil
+	}
+	return spanData(s)
+}
 
 // StartSpan begins a root span recorded in this registry.
 func (r *Registry) StartSpan(name string) *Span {
@@ -50,6 +59,9 @@ func (r *Registry) StartSpan(name string) *Span {
 // parent; a parent ending first simply stops attributing the child's tail
 // to itself (the trace keeps both durations).
 func (s *Span) StartChild(name string) *Span {
+	if s == nil {
+		return nil
+	}
 	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
@@ -68,10 +80,18 @@ func ChildOf(parent *Span, name string) *Span {
 }
 
 // Name returns the span name.
-func (s *Span) Name() string { return s.name }
+func (s *Span) Name() string {
+	if s == nil {
+		return ""
+	}
+	return s.name
+}
 
 // SetAttr records a numeric attribute (count, RTF, dimension…).
 func (s *Span) SetAttr(key string, v float64) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.attrs == nil {
 		s.attrs = make(map[string]float64)
@@ -82,6 +102,9 @@ func (s *Span) SetAttr(key string, v float64) {
 
 // SetLabel records a string attribute (front-end name, method…).
 func (s *Span) SetLabel(key, v string) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.labels == nil {
 		s.labels = make(map[string]string)
@@ -91,8 +114,12 @@ func (s *Span) SetLabel(key, v string) {
 }
 
 // End stops the clock (idempotent) and, for root spans, files the span
-// into the registry trace. It returns the span duration.
+// into the registry trace. It returns the span duration (zero for a nil
+// span).
 func (s *Span) End() time.Duration {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	if !s.ended {
 		s.ended = true

@@ -154,9 +154,7 @@ func scorePass(p *pass) {
 		for i := range p.jobs {
 			j := &p.jobs[i]
 			obsExpired.Inc()
-			if j.span != nil {
-				j.span.SetLabel("error", "expired before scoring: "+err.Error())
-			}
+			j.span.SetLabel("error", "expired before scoring: "+err.Error())
 			j.res.err = err
 		}
 		return
@@ -180,11 +178,8 @@ func scorePass(p *pass) {
 	parallel.ForPool("serve-score", len(tasks), func(i int) {
 		t := tasks[i]
 		fe := &p.model.Bundle.FrontEnds[t.fe]
-		var sp *obs.Span
-		if t.j.span != nil {
-			sp = t.j.span.StartChild("score.fe")
-			sp.SetLabel("fe", fe.Name)
-		}
+		sp := t.j.span.StartChild("score.fe")
+		sp.SetLabel("fe", fe.Name)
 		// A panicking task poisons only its own front-end within its own
 		// job, not the pass or the process (parallel.ForWorkers would
 		// re-panic on the pool goroutine).
@@ -193,12 +188,10 @@ func scorePass(p *pass) {
 				obsPanics.Inc()
 				outs[i].err = fmt.Errorf("serve: scoring panicked: %v", r)
 			}
-			if sp != nil {
-				if outs[i].err != nil {
-					sp.SetLabel("error", outs[i].err.Error())
-				}
-				sp.End()
+			if outs[i].err != nil {
+				sp.SetLabel("error", outs[i].err.Error())
 			}
+			sp.End()
 		}()
 		if err := faultinject.At("serve.score.fe." + fe.Name); err != nil {
 			outs[i].err = err

@@ -125,18 +125,15 @@ type BatchResponse struct {
 	DegradedCount int  `json:"degraded_count,omitempty"`
 }
 
-// resolve builds one utterance's scoring vectors under a "resolve" span.
-// Its errors are the client's (HTTP 400).
-func resolve(m *Model, u *Utterance) (map[int]*sparse.Vector, error) {
-	var rsp *obs.Span
-	if u.Span != nil {
-		rsp = u.Span.StartChild("resolve")
-	}
-	vectors, err := buildVectors(m, u.Req)
-	if rsp != nil {
-		rsp.End()
-	}
-	return vectors, err
+// resolve builds u's scoring vectors under a "resolve" span. Every role
+// resolves each utterance tier 1 did not answer before its scoring step,
+// so only resolved utterances reach a Pin's Score. Its errors are the
+// client's (HTTP 400).
+func resolve(m *Model, u *Utterance) (err error) {
+	sp := u.Span.StartChild("resolve")
+	u.Vectors, err = buildVectors(m, u.Req)
+	sp.End()
+	return err
 }
 
 // buildVectors resolves a request against a model: every named front-end
@@ -165,7 +162,9 @@ func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 				return nil, fmt.Errorf("front-end %q: %d indices for %d values", name, len(sv.Idx), len(sv.Val))
 			}
 			// The decoder gave the request its own exactly sized slices: the
-			// vector adopts them, and TFLLR scales them in place.
+			// vector adopts them, and TFLLR scales them in place. A routing
+			// model holds no TFLLR, so the coordinator validates the slices
+			// it forwards to its shards without touching them.
 			v = &sparse.Vector{Idx: sv.Idx, Val: sv.Val}
 			if err := v.Validate(); err != nil {
 				return nil, fmt.Errorf("front-end %q: %v", name, err)

@@ -16,10 +16,8 @@ type ReloadPolicy struct {
 	// distribution (0: none).
 	Retries int
 	// BaseBackoff is the delay before the first retry; it doubles per
-	// retry (100 ms).
+	// retry up to maxBackoff (100 ms).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry delay (2 s).
-	MaxBackoff time.Duration
 	// TripAfter is how many consecutive failures open a breaker: failed
 	// Reload calls (each already retried), or failed RPCs to one peer (3).
 	TripAfter int
@@ -28,12 +26,12 @@ type ReloadPolicy struct {
 	Cooldown time.Duration
 }
 
+// maxBackoff caps every retry loop's per-retry delay.
+const maxBackoff = 2 * time.Second
+
 func (p *ReloadPolicy) setDefaults() {
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
 	}
 	if p.TripAfter <= 0 {
 		p.TripAfter = 3
@@ -122,7 +120,7 @@ func (b *Breaker) State(now time.Time) string {
 // Retry runs attempt, and while it fails runs it up to pol.Retries more
 // times, calling onRetry and then waiting on clock before each one. The
 // wait starts at pol.BaseBackoff and doubles per retry up to
-// pol.MaxBackoff. A cancelled ctx ends the loop without waiting further.
+// maxBackoff. A cancelled ctx ends the loop without waiting further.
 // Retry returns the last attempt's error.
 func Retry(ctx context.Context, clock Clock, pol ReloadPolicy, onRetry func(), attempt func() error) error {
 	pol.setDefaults()
@@ -138,6 +136,6 @@ func Retry(ctx context.Context, clock Clock, pol ReloadPolicy, onRetry func(), a
 			return err
 		case <-clock.After(backoff):
 		}
-		backoff = min(2*backoff, pol.MaxBackoff)
+		backoff = min(2*backoff, maxBackoff)
 	}
 }

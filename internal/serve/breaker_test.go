@@ -94,7 +94,7 @@ func TestReloadPolicyDefaults(t *testing.T) {
 	}
 	var pol ReloadPolicy
 	pol.setDefaults()
-	if want := (ReloadPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second, TripAfter: 3, Cooldown: 30 * time.Second}); pol != want {
+	if want := (ReloadPolicy{BaseBackoff: 100 * time.Millisecond, TripAfter: 3, Cooldown: 30 * time.Second}); pol != want {
 		t.Fatalf("defaults = %+v, want %+v", pol, want)
 	}
 

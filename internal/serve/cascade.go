@@ -74,12 +74,12 @@ type cascadeMetrics struct {
 func (s *Server) newCascadeMetrics() cascadeMetrics {
 	p := s.ns + ".cascade."
 	return cascadeMetrics{
-		exit:        s.counter(p + "exit"),
-		escalate:    s.counter(p + "escalate"),
-		failed:      s.counter(p + "tier1.failed"),
-		escDegraded: s.counter(p + "escalated.degraded"),
-		tier1:       s.histogram(p + "tier1.seconds"),
-		escalated:   s.histogram(p + "escalated.seconds"),
+		exit:        s.Counter(p + "exit"),
+		escalate:    s.Counter(p + "escalate"),
+		failed:      s.Counter(p + "tier1.failed"),
+		escDegraded: s.Counter(p + "escalated.degraded"),
+		tier1:       s.Histogram(p + "tier1.seconds"),
+		escalated:   s.Histogram(p + "escalated.seconds"),
 	}
 }
 
@@ -105,27 +105,20 @@ func CascadeTier1(m *Model, pol cascade.Policy, req *ScoreRequest, parent *obs.S
 		out.Reason = ReasonNoTier1Input
 		return out, nil
 	}
-	var sp *obs.Span
-	if parent != nil {
-		sp = parent.StartChild("cascade.tier1")
-	}
+	sp := parent.StartChild("cascade.tier1")
 	d, err := decideTier1(cm, pol, in.Lattice)
 	if err != nil {
 		out.Reason = ReasonTier1Fault
-		if sp != nil {
-			sp.SetLabel("error", err.Error())
-			sp.End()
-		}
+		sp.SetLabel("error", err.Error())
+		sp.End()
 		escalateSpan(parent, out)
 		return out, nil
 	}
 	out.Tier, out.Margin, out.Reason, out.Exited = d.Tier, d.Margin, d.Reason, d.Exit
-	if sp != nil {
-		sp.SetLabel("tier", d.Tier)
-		sp.SetLabel("reason", d.Reason)
-		sp.SetLabel("margin", fmt.Sprintf("%.4f", d.Margin))
-		sp.End()
-	}
+	sp.SetLabel("tier", d.Tier)
+	sp.SetLabel("reason", d.Reason)
+	sp.SetLabel("margin", fmt.Sprintf("%.4f", d.Margin))
+	sp.End()
 	if !d.Exit {
 		escalateSpan(parent, out)
 		return out, nil
@@ -166,9 +159,6 @@ func decideTier1(cm *cascade.Model, pol cascade.Policy, slots [][]Slot) (d casca
 
 // escalateSpan marks an escalation in the request trace.
 func escalateSpan(parent *obs.Span, out *CascadeOutcome) {
-	if parent == nil {
-		return
-	}
 	sp := parent.StartChild("cascade.escalate")
 	sp.SetLabel("reason", out.Reason)
 	sp.End()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
 // Role is what one serving role plugs into Server's request path: the
@@ -45,9 +46,11 @@ type Pin struct {
 
 // Scoring is one request's work for a scoring step.
 type Scoring struct {
-	// Utts are the utterances that need the front-end battery (tier-1
-	// cascade exits never reach the step); exactly one for /v1/score.
-	Utts []Utterance
+	// Utts are the utterances that need the front-end battery, each
+	// resolved against the pinned model (tier-1 cascade exits and
+	// utterances that failed resolution never reach the step); exactly one
+	// for /v1/score.
+	Utts []*Utterance
 	// Batch is set for /v1/score/batch.
 	Batch bool
 	// Root is the request's root span and TraceID its W3C trace id (nil
@@ -66,6 +69,9 @@ type Utterance struct {
 	// Span is the utterance's trace node: the root span of a single
 	// request, an "utt" child in a batch (nil with tracing off).
 	Span *obs.Span
+	// Vectors are the utterance's scoring vectors by bundle front-end
+	// index, as resolution built them against the pinned model.
+	Vectors map[int]*sparse.Vector
 
 	Scores       map[int][]float64
 	FrontEndErrs map[int]error
@@ -96,27 +102,16 @@ func NewWithRole(cfg Config, namespace string, role Role) (*Server, error) {
 // with the online-adaptation loop in the background.
 type standalone Server
 
-// score resolves every utterance, admits those that resolved as one
-// scoring pass, and waits for the pass to finish or for ctx.
+// score admits sc's utterances as one scoring pass and waits for the
+// pass to finish or for ctx.
 func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
-	p := &pass{ctx: ctx, model: m, done: make(chan struct{})}
-	utt := make([]int, 0, len(sc.Utts)) // sc.Utts index of each job
-	for i := range sc.Utts {
-		u := &sc.Utts[i]
-		vectors, err := resolve(m, u)
-		if err != nil {
-			u.Err, u.Status = err, http.StatusBadRequest
-			continue
-		}
-		p.jobs = append(p.jobs, job{vectors: vectors, span: u.Span})
-		utt = append(utt, i)
-	}
-	if len(p.jobs) == 0 {
-		return
+	p := &pass{ctx: ctx, model: m, jobs: make([]job, len(sc.Utts)), done: make(chan struct{})}
+	for i, u := range sc.Utts {
+		p.jobs[i] = job{vectors: u.Vectors, span: u.Span}
 	}
 	fail := func(err error, status int) {
-		for _, i := range utt {
-			sc.Utts[i].Err, sc.Utts[i].Status = err, status
+		for _, u := range sc.Utts {
+			u.Err, u.Status = err, status
 		}
 	}
 	if err := s.passes.submit(p); err != nil {
@@ -133,8 +128,8 @@ func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
 		fail(fmt.Errorf("deadline exceeded: %w", ctx.Err()), http.StatusGatewayTimeout)
 		return
 	}
-	for k, i := range utt {
-		u, j := &sc.Utts[i], &p.jobs[k]
+	for i, u := range sc.Utts {
+		j := &p.jobs[i]
 		switch err := j.res.err; {
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			u.Err, u.Status = err, http.StatusGatewayTimeout

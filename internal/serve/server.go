@@ -156,7 +156,7 @@ func newServer(cfg Config, ns string) (*Server, error) {
 	if !cfg.DisableTracing {
 		s.accessLog = newAccessLogger(cfg.AccessLog, cfg.AccessLogEvery)
 	}
-	if degraded := s.counter(ns + ".score.degraded"); degraded != obsDegraded {
+	if degraded := s.Counter(ns + ".score.degraded"); degraded != obsDegraded {
 		s.degraded = degraded
 	}
 	s.casc = s.newCascadeMetrics()
@@ -194,10 +194,11 @@ func (s *Server) Reload() (*Model, error) { return s.reloader.Reload() }
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// counter and histogram return the named metric, keeping its rolling
-// window when tracing is on. A window belongs to the metric, so it is
-// process-wide.
-func (s *Server) counter(name string) *obs.Counter {
+// Counter and Histogram return the named metric, keeping its rolling
+// window when tracing is on: the one window rule of every metric a
+// serving role keeps (the fleet coordinator's shard-RPC metrics
+// included). A window belongs to the metric, so it is process-wide.
+func (s *Server) Counter(name string) *obs.Counter {
 	c := obs.GetCounter(name)
 	if !s.cfg.DisableTracing {
 		c.KeepWindow()
@@ -205,7 +206,7 @@ func (s *Server) counter(name string) *obs.Counter {
 	return c
 }
 
-func (s *Server) histogram(name string) *obs.Histogram {
+func (s *Server) Histogram(name string) *obs.Histogram {
 	h := obs.GetHistogram(name)
 	if !s.cfg.DisableTracing {
 		h.KeepWindow()
@@ -239,8 +240,8 @@ func statusOf(w http.ResponseWriter) int {
 // the shared in-flight gauge, all under the server's namespace.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := obs.GetCounter(s.ns + ".http." + name + ".requests")
-	lat := s.histogram(s.ns + ".http." + name + ".seconds")
-	errs := s.counter(s.ns + ".http.errors")
+	lat := s.Histogram(s.ns + ".http." + name + ".seconds")
+	errs := s.Counter(s.ns + ".http.errors")
 	inflight := obs.GetGauge(s.ns + ".http.inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
@@ -268,25 +269,26 @@ type reqTrace struct {
 
 // startTrace accepts the request's traceparent (or mints a fresh trace),
 // opens the root span, and stamps the response header so the client
-// learns the id even on error paths. Returns nil when tracing is off.
+// learns the id even on error paths. With tracing off the record has no
+// id and a nil root, so every span under it is a no-op, and finishTrace
+// files nothing.
 func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, endpoint string) *reqTrace {
+	tr := &reqTrace{}
 	if s.cfg.DisableTracing {
-		return nil
+		return tr
 	}
 	id, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	if !ok {
 		id, parent = obs.NewTraceID(), ""
 	}
-	tr := &reqTrace{
-		TraceEntry: obs.TraceEntry{
-			TraceID:      id,
-			SpanID:       obs.NewSpanID(),
-			ParentSpanID: parent,
-			Endpoint:     endpoint,
-			Start:        time.Now(),
-		},
-		root: obs.NewSpan(s.ns + "." + endpoint),
+	tr.TraceEntry = obs.TraceEntry{
+		TraceID:      id,
+		SpanID:       obs.NewSpanID(),
+		ParentSpanID: parent,
+		Endpoint:     endpoint,
+		Start:        time.Now(),
 	}
+	tr.root = obs.NewSpan(s.ns + "." + endpoint)
 	tr.root.SetLabel("trace_id", id)
 	w.Header().Set("traceparent", obs.Traceparent(id, tr.SpanID))
 	return tr
@@ -296,7 +298,7 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, endpoint str
 // /tracez buffer, and writes the bytes the buffer kept as the (sampled)
 // access-log line.
 func (s *Server) finishTrace(tr *reqTrace, status int) {
-	if tr == nil {
+	if s.cfg.DisableTracing {
 		return
 	}
 	tr.DurationSec = tr.root.End().Seconds()
@@ -306,12 +308,10 @@ func (s *Server) finishTrace(tr *reqTrace, status int) {
 }
 
 // reject writes an error response and records its message as the
-// trace's error; tr is nil when tracing is off.
+// trace's error.
 func (tr *reqTrace) reject(w http.ResponseWriter, status int, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	if tr != nil {
-		tr.Error = msg
-	}
+	tr.Error = msg
 	writeError(w, status, "%s", msg)
 }
 
@@ -320,9 +320,6 @@ func (tr *reqTrace) reject(w http.ResponseWriter, status int, format string, arg
 func (s *Server) noteResult(tr *reqTrace, res *ScoreResult) {
 	if res.Degraded && s.degraded != nil {
 		s.degraded.Inc()
-	}
-	if tr == nil {
-		return
 	}
 	if res.Degraded {
 		tr.Degraded = true
@@ -396,23 +393,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tr *reqTrace) *Pi
 // when batch — under a "read" span and parses it under a "decode" span,
 // or writes the 400, records it on tr, and returns false.
 func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, tr *reqTrace, batch bool) ([]ScoreRequest, bool) {
-	var sp *obs.Span
-	if tr != nil {
-		sp = tr.root.StartChild("read")
-	}
+	sp := tr.root.StartChild("read")
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
-	if sp != nil {
-		sp.End()
-	}
+	sp.End()
 	var utts []ScoreRequest
 	if err == nil {
-		if tr != nil {
-			sp = tr.root.StartChild("decode")
-		}
+		sp = tr.root.StartChild("decode")
 		utts, err = DecodeScoreRequest(body, batch)
-		if sp != nil {
-			sp.End()
-		}
+		sp.End()
 	}
 	switch {
 	case err != nil:
@@ -447,10 +435,10 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 
 // serveScore is every role's scoring request path, for /v1/score and
 // (batch) /v1/score/batch: admit, decode, the cascade fast path per
-// utterance, the role's scoring step for everything tier 1 did not
-// answer, fusion, and the response. In a batch a failed utterance
-// carries its own error and its batch-mates still score; a single
-// request answers with the failure's status.
+// utterance, resolution of everything tier 1 did not answer, the role's
+// scoring step for what resolved, fusion, and the response. In a batch a
+// failed utterance carries its own error and its batch-mates still
+// score; a single request answers with the failure's status.
 func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) {
 	endpoint := "score"
 	if batch {
@@ -463,12 +451,9 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 		return
 	}
 	m := pin.Model
-	sc := &Scoring{Batch: batch}
-	if tr != nil {
-		tr.ModelVersion = m.Version
-		sc.Root, sc.TraceID = tr.root, tr.TraceID
-	}
-	utts, ok := s.decodeUtterances(w, r, tr, batch)
+	tr.ModelVersion = m.Version
+	sc := &Scoring{Batch: batch, Root: tr.root, TraceID: tr.TraceID}
+	reqs, ok := s.decodeUtterances(w, r, tr, batch)
 	if !ok {
 		return
 	}
@@ -484,21 +469,22 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 			h.Observe(time.Since(start).Seconds())
 		}
 	}
-	results := make([]ScoreResult, len(utts))
-	cascOut := make([]*CascadeOutcome, len(utts))
-	pos := make([]int, 0, len(utts)) // request position of each sc.Utts entry
-	for i := range utts {
-		u := &utts[i]
+	results := make([]ScoreResult, len(reqs))
+	cascOut := make([]*CascadeOutcome, len(reqs))
+	heavy := make([]Utterance, 0, len(reqs)) // the utterances tier 1 did not answer
+	pos := make([]int, 0, len(reqs))         // request position of each heavy entry
+	for i := range reqs {
+		req := &reqs[i]
 		span := sc.Root
-		if batch && span != nil {
+		if batch {
 			span = span.StartChild("utt")
-			span.SetLabel("id", u.ID)
+			span.SetLabel("id", req.ID)
 		}
 		// Cascade fast path: a confident tier-1 answer finishes the
 		// utterance without the scoring step. Escalations (tier-1 faults
 		// included) fall through and carry their outcome onto the result.
 		if s.cfg.Cascade.Enabled {
-			casc, fast := CascadeTier1(m, s.cascadePolicy, u, span)
+			casc, fast := CascadeTier1(m, s.cascadePolicy, req, span)
 			if casc.Reason == ReasonTier1Fault {
 				s.casc.failed.Inc()
 			}
@@ -506,21 +492,30 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 				s.casc.exit.Inc()
 				observe(s.casc.tier1)
 				results[i] = *fast
-				if batch && span != nil {
+				if batch {
 					span.End()
 				}
 				continue
 			}
 			cascOut[i] = casc
 		}
-		sc.Utts = append(sc.Utts, Utterance{Req: u, Span: span})
+		u := Utterance{Req: req, Span: span}
+		if err := resolve(m, &u); err != nil {
+			u.Err, u.Status = err, http.StatusBadRequest
+		}
+		heavy = append(heavy, u)
 		pos = append(pos, i)
+	}
+	for k := range heavy {
+		if heavy[k].Err == nil {
+			sc.Utts = append(sc.Utts, &heavy[k])
+		}
 	}
 	if len(sc.Utts) > 0 {
 		pin.Score(ctx, sc)
 	}
-	for k := range sc.Utts {
-		u, i := &sc.Utts[k], pos[k]
+	for k := range heavy {
+		u, i := &heavy[k], pos[k]
 		if u.Err != nil && !batch {
 			s.noteResult(tr, &ScoreResult{Error: u.Err.Error()})
 			if u.Status == http.StatusTooManyRequests {
@@ -531,18 +526,11 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 		}
 		if u.Err != nil {
 			results[i] = ScoreResult{ID: u.Req.ID, Error: u.Err.Error()}
-			if u.Span != nil {
-				u.Span.SetLabel("error", u.Err.Error())
-			}
+			u.Span.SetLabel("error", u.Err.Error())
 		} else {
-			var fsp *obs.Span
-			if u.Span != nil {
-				fsp = u.Span.StartChild("fuse")
-			}
+			fsp := u.Span.StartChild("fuse")
 			results[i] = AssembleResult(m, u.Req.ID, u.Scores, u.FrontEndErrs)
-			if fsp != nil {
-				fsp.End()
-			}
+			fsp.End()
 		}
 		if cascOut[i] != nil {
 			results[i].Cascade = cascOut[i]
@@ -553,21 +541,17 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 			}
 		}
 		s.noteResult(tr, &results[i])
-		if batch && u.Span != nil {
+		if batch {
 			u.Span.End()
 		}
 	}
 
-	traceID := ""
-	if tr != nil {
-		traceID = tr.TraceID
-	}
 	if !batch {
 		writeJSON(w, http.StatusOK, ScoreResponse{
 			ModelVersion:      m.Version,
 			ClusterGeneration: pin.Generation,
 			Languages:         m.Bundle.Languages,
-			TraceID:           traceID,
+			TraceID:           tr.TraceID,
 			ScoreResult:       results[0],
 		})
 		return
@@ -576,7 +560,7 @@ func (s *Server) serveScore(w http.ResponseWriter, r *http.Request, batch bool) 
 		ModelVersion:      m.Version,
 		ClusterGeneration: pin.Generation,
 		Languages:         m.Bundle.Languages,
-		TraceID:           traceID,
+		TraceID:           tr.TraceID,
 		Results:           results,
 	}
 	// Per-utterance degradation rolls up into the batch summary; the

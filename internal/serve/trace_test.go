@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/testbundle"
 )
 
@@ -635,18 +636,26 @@ func TestMetricszFormats(t *testing.T) {
 }
 
 // TestDisableTracing: the benchmark baseline really is dark — no trace
-// ids minted, nothing buffered, nothing logged.
+// ids minted, nothing buffered, nothing logged — and an untraced request
+// runs the traced request path under nil spans: a single request, a
+// batch with a malformed utterance, a degraded request and a cascade
+// request each answer byte for byte what a traced twin answers, once
+// trace_id is dropped.
 func TestDisableTracing(t *testing.T) {
 	dir := t.TempDir()
-	b := testbundle.Write(t, dir, 1)
+	b := testbundle.WriteCascade(t, dir, 1)
 	var logBuf syncBuffer
 	s := newTestServer(t, dir, func(c *Config) {
 		c.DisableTracing = true
 		c.AccessLog = &logBuf
 		c.AccessLogEvery = 1
+		c.Cascade = CascadeConfig{Enabled: true}
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	traced := newTestServer(t, dir, func(c *Config) { c.Cascade = CascadeConfig{Enabled: true} })
+	tsTraced := httptest.NewServer(traced.Handler())
+	defer tsTraced.Close()
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequestFor(b, testbundle.Vector(7)))
 	if resp.StatusCode != http.StatusOK {
@@ -662,6 +671,54 @@ func TestDisableTracing(t *testing.T) {
 	if sr.TraceID != "" {
 		t.Fatalf("tracing disabled but trace_id %q in body", sr.TraceID)
 	}
+
+	// withoutTraceID re-encodes a response body without its trace_id.
+	withoutTraceID := func(body []byte) string {
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatalf("body %s: %v", body, err)
+		}
+		delete(top, "trace_id")
+		out, err := json.Marshal(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	malformed := scoreRequestFor(b, testbundle.Vector(8))
+	malformed.ID = "malformed"
+	malformed.FrontEnds["FE0"] = FrontEndInput{Lattice: [][]Slot{{{Phone: 99, Prob: 1}}}}
+	r := rng.New(3)
+	cases := []struct {
+		name, path string
+		body       any
+		fault      string
+	}{
+		{"single", "/v1/score", scoreRequestFor(b, testbundle.Vector(7)), ""},
+		{"batch with a malformed utterance", "/v1/score/batch", BatchRequest{Utterances: []ScoreRequest{
+			scoreRequestFor(b, testbundle.Vector(9)), malformed, latticeRequestFor(b, "confusable", testbundle.CascSeq(r, 2, 40, 0.34)),
+		}}, ""},
+		{"degraded", "/v1/score", scoreRequestFor(b, testbundle.Vector(10)), "serve.score.fe.FE1"},
+		{"cascade", "/v1/score", latticeRequestFor(b, "clean", testbundle.CascSeq(r, 1, 60, 0.8)), ""},
+	}
+	for _, tc := range cases {
+		restore := func() {}
+		if tc.fault != "" {
+			restore = faultinject.Enable(&faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+				{Site: tc.fault, Kind: faultinject.KindError, Prob: 1},
+			}})
+		}
+		dark, darkBody := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)
+		lit, litBody := postJSON(t, tsTraced.Client(), tsTraced.URL+tc.path, tc.body)
+		restore()
+		if dark.StatusCode != lit.StatusCode {
+			t.Fatalf("%s: untraced status %d, traced %d", tc.name, dark.StatusCode, lit.StatusCode)
+		}
+		if got, want := withoutTraceID(darkBody), withoutTraceID(litBody); got != want {
+			t.Fatalf("%s: untraced body\n%s\ntraced body\n%s", tc.name, got, want)
+		}
+	}
+
 	if rep := getTracez(t, ts); rep.Added != 0 || len(rep.Recent) != 0 {
 		t.Fatalf("tracing disabled but /tracez has %d traces", rep.Added)
 	}

@@ -288,7 +288,7 @@ func TestDecodeScoreRequestAllocs(t *testing.T) {
 		body := sixFrontEndBody(t, nnz)
 		return testing.AllocsPerRun(20, func() {
 			r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
-			if _, ok := s.decodeUtterances(httptest.NewRecorder(), r, nil, false); !ok {
+			if _, ok := s.decodeUtterances(httptest.NewRecorder(), r, &reqTrace{}, false); !ok {
 				t.Fatal("body rejected")
 			}
 		})
