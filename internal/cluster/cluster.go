@@ -10,7 +10,8 @@
 // construction. Every utterance is resolved against the routed bundle
 // before the scoring step, so a malformed one is answered there, as a
 // standalone daemon answers it, and a worker only ever receives
-// utterances that resolved; any non-200 from a worker is a peer failure.
+// utterances that resolved, in a body within its limit (the coordinator
+// answers an oversized one 400); any non-200 from a worker is a peer failure.
 // Only its scoring step differs (a serve.Role): it scatters per-front-end scoring
 // RPCs to the workers that own them and gathers the partial score rows
 // under a per-shard deadline, and the shared path fuses the survivors

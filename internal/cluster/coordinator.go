@@ -395,6 +395,7 @@ func (f *fleetRole) Loop(ctx context.Context) {
 type shardCall struct {
 	p      *peer
 	sub    serve.BatchRequest
+	body   []byte // sub, encoded for the RPC
 	uttIdx []int
 	fes    [][]string // per sub-utterance front-end subset
 }
@@ -405,7 +406,9 @@ type shardCall struct {
 // and the shard rows are gathered back per utterance. Degradation stays
 // per utterance end to end: a peer-level failure fails that peer's
 // front-ends for its utterances, and a worker-side per-utterance
-// degradation degrades exactly the utterances it named.
+// degradation degrades exactly the utterances it named. Every body is
+// encoded before any RPC; a body encodeScore refuses goes to no peer and
+// fails its utterances with 400.
 func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
 	calls := make([]*shardCall, len(pl.c.peers))
 	for i, u := range sc.Utts {
@@ -428,10 +431,22 @@ func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
 		}
 	}
 
+	for _, call := range calls {
+		if call == nil {
+			continue
+		}
+		var err error
+		if call.body, err = encodeScore(&call.sub, sc.Batch); err != nil {
+			for _, i := range call.uttIdx {
+				sc.Utts[i].Err, sc.Utts[i].Status = err, http.StatusBadRequest
+			}
+		}
+	}
+
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, call := range calls {
-		if call == nil {
+		if call == nil || call.body == nil {
 			continue
 		}
 		wg.Add(1)
@@ -446,7 +461,7 @@ func (pl *fleetPlan) score(ctx context.Context, sc *serve.Scoring) {
 	wg.Wait()
 
 	for _, u := range sc.Utts {
-		if len(u.Scores) == 0 {
+		if u.Err == nil && len(u.Scores) == 0 {
 			u.Err, u.Status = fmt.Errorf("all shards failed: %v", firstErr(u.FrontEndErrs)), http.StatusServiceUnavailable
 		}
 	}
@@ -481,7 +496,7 @@ func (pl *fleetPlan) scatter(ctx context.Context, sc *serve.Scoring, call *shard
 		sp.SetLabel("span_id", spanID)
 		traceparent = obs.Traceparent(sc.TraceID, spanID)
 	}
-	results, err := call.p.score(ctx, pl.gen, traceparent, &call.sub, sc.Batch)
+	results, err := call.p.score(ctx, pl.gen, traceparent, call.body, len(call.uttIdx), sc.Batch)
 	if err != nil {
 		sp.SetLabel("error", err.Error())
 	}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -153,6 +154,63 @@ func TestFleetBadValueIs400NotPeerFailure(t *testing.T) {
 	rec, sr := f.score(t, scoreRequestFor(f.bundle, testbundle.Vector(8)))
 	if rec.Code != http.StatusOK || sr.Degraded {
 		t.Fatalf("good request after the bad ones: status %d degraded=%v %v", rec.Code, sr.Degraded, sr.FrontEndErrors)
+	}
+}
+
+// TestFleetOversizedIDIsClientError: the coordinator re-encodes each
+// shard's cut of a request, and an utterance ID goes to every shard. An
+// ID of 6 MiB of '<' stays 6 MiB on the wire and scores in full. One of
+// 11 MiB of invalid UTF-8 re-encodes as U+FFFD, three bytes each, past
+// the workers' body limit: the coordinator answers it with 400 (a
+// per-utterance error in a batch) and calls no peer. Every peer is then
+// up with a closed breaker and no failures: a worker 400 would count as
+// one.
+func TestFleetOversizedIDIsClientError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("posts bodies of tens of MiB")
+	}
+	// Collect early: each oversized request holds several copies of its ID.
+	defer debug.SetGCPercent(debug.SetGCPercent(20))
+	f := newFleet(t, 2, nil)
+	mustDistribute(t, f)
+	frontEnds, err := json.Marshal(scoreRequestFor(f.bundle, testbundle.Vector(8)).FrontEnds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, id []byte) *httptest.ResponseRecorder {
+		body := append(append([]byte(`{"id":"`), id...), `","frontends":`...)
+		body = append(body, frontEnds...)
+		body = append(body, '}')
+		if path == "/v1/score/batch" {
+			body = append(append([]byte(`{"utterances":[`), body...), "]}"...)
+		}
+		rec := httptest.NewRecorder()
+		f.coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	angles := bytes.Repeat([]byte("<"), 6<<20)
+	rec := post("/v1/score", angles)
+	var sr serve.ScoreResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sr); rec.Code != http.StatusOK || err != nil || sr.Degraded || sr.ID != string(angles) {
+		t.Fatalf("'<' ID: status %d degraded=%v %v, want a full score echoing the ID", rec.Code, sr.Degraded, sr.FrontEndErrors)
+	}
+	invalid := bytes.Repeat([]byte{0xff}, 11<<20)
+	if rec := post("/v1/score", invalid); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "body limit") {
+		t.Fatalf("invalid-UTF-8 ID: status %d %.200s, want 400 naming the body limit", rec.Code, rec.Body.String())
+	}
+	rec = post("/v1/score/batch", invalid)
+	var br serve.BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); rec.Code != http.StatusOK || err != nil || len(br.Results) != 1 || !strings.Contains(br.Results[0].Error, "body limit") {
+		t.Fatalf("invalid-UTF-8 ID in a batch: status %d, want 200 with a per-utterance error naming the body limit", rec.Code)
+	}
+	for _, host := range f.hosts {
+		if ps := f.peerStatus(t, host); !ps.Up || ps.Breaker != serve.BreakerClosed || ps.Failures != 0 {
+			t.Fatalf("peer %s after oversized IDs: up=%v breaker=%s failures=%d, want up, closed, 0", host, ps.Up, ps.Breaker, ps.Failures)
+		}
+	}
+	rec, sr = f.score(t, scoreRequestFor(f.bundle, testbundle.Vector(8)))
+	if rec.Code != http.StatusOK || sr.Degraded {
+		t.Fatalf("good request after the oversized ones: status %d degraded=%v %v", rec.Code, sr.Degraded, sr.FrontEndErrors)
 	}
 }
 

@@ -173,21 +173,39 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("shard status %d: %s", e.code, e.msg)
 }
 
-// score runs one scoring RPC routed for generation gen and returns one
-// result per utterance of req: /v1/score/batch for a batch, /v1/score for
-// a single utterance. traceparent, when non-empty, propagates the
-// coordinator's trace across the hop. The generation echoed in the
-// response is re-checked so a worker that hot-swapped between routing and
-// admission degrades this shard instead of silently contributing scores
-// from another generation.
-func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *serve.BatchRequest, batch bool) ([]serve.ScoreResult, error) {
-	path, payload := "/v1/score/batch", any(req)
+// encodeScore is the body of a scoring RPC for req: the batch, or its one
+// utterance for a single request, without HTML escaping (each <, > and &
+// would grow sixfold). A body over the workers' limit is the client's
+// error: an ID goes to every shard, and re-encoding can outgrow what the
+// client sent (U+2028, invalid UTF-8, a float written short).
+func encodeScore(req *serve.BatchRequest, batch bool) ([]byte, error) {
+	var payload any = req
 	if !batch {
-		path, payload = "/v1/score", &req.Utterances[0]
+		payload = &req.Utterances[0]
 	}
-	body, err := json.Marshal(payload)
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(payload); err != nil {
 		return nil, err
+	}
+	if buf.Len() > serve.MaxBodyBytes {
+		return nil, fmt.Errorf("request grows to %d bytes for a shard, over the %d-byte body limit", buf.Len(), serve.MaxBodyBytes)
+	}
+	return buf.Bytes(), nil
+}
+
+// score runs one scoring RPC of n utterances (encodeScore's body) routed
+// for generation gen and returns one result per utterance: /v1/score/batch
+// for a batch, /v1/score for a single utterance. traceparent, when
+// non-empty, propagates the coordinator's trace across the hop. The
+// generation echoed in the response is re-checked so a worker that
+// hot-swapped between routing and admission degrades this shard instead
+// of silently contributing scores from another generation.
+func (p *peer) score(ctx context.Context, gen int64, traceparent string, body []byte, n int, batch bool) ([]serve.ScoreResult, error) {
+	path := "/v1/score/batch"
+	if !batch {
+		path = "/v1/score"
 	}
 	// Decodes either response: a ScoreResponse's result is the embedded
 	// ScoreResult, a BatchResponse's are the Results.
@@ -205,8 +223,8 @@ func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *se
 	if !batch {
 		out.Results = []serve.ScoreResult{out.ScoreResult}
 	}
-	if len(out.Results) != len(req.Utterances) {
-		return nil, fmt.Errorf("shard returned %d results for %d utterances", len(out.Results), len(req.Utterances))
+	if len(out.Results) != n {
+		return nil, fmt.Errorf("shard returned %d results for %d utterances", len(out.Results), n)
 	}
 	return out.Results, nil
 }

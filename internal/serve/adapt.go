@@ -66,15 +66,15 @@ func adaptOn(spec string) bool { return spec != "" && spec != "off" }
 // daemon's status logging.
 func (s *Server) Adapter() *adapt.Adapter { return s.adapter }
 
-// observeAdapt offers one scored job to the adaptation buffer: results
-// with no failed front-end only (a degraded row would poison
+// observeAdapt offers one scored utterance to the adaptation buffer:
+// results with no failed front-end only (a degraded row would poison
 // self-training with scores the client was warned about; the adapter
 // itself skips partial batteries, which cannot vote).
-func (s *Server) observeAdapt(j *job) {
-	if s.adapter == nil || len(j.res.feErrs) > 0 {
+func (s *Server) observeAdapt(u *Utterance) {
+	if s.adapter == nil || len(u.FrontEndErrs) > 0 {
 		return
 	}
-	s.adapter.Observe(j.vectors, j.res.scores)
+	s.adapter.Observe(u.Vectors, u.Scores)
 }
 
 func (s *Server) handleAdaptz(w http.ResponseWriter, r *http.Request) {

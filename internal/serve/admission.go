@@ -10,7 +10,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 )
 
 // Admission outcomes that map to HTTP backpressure responses.
@@ -22,31 +21,22 @@ var (
 )
 
 // pass is one admitted request's scoring work: the context and model
-// the request resolved against, one job per utterance that resolved, and
-// done, which the pass closes once every job's res is final. The handler
-// reads res only after done is closed.
+// the request resolved against, its resolved utterances (the pass reads
+// their Vectors and Span), one result per utterance, and done, which the
+// pass closes once every result is final; the handler reads res after.
 type pass struct {
 	ctx   context.Context
 	model *Model
-	jobs  []job
+	utts  []*Utterance
+	res   []uttResult
 	done  chan struct{}
 }
 
-// job is one utterance of a pass: its TFLLR-scaled vectors by front-end
-// index and the result the pass fills in. span is the utterance's trace
-// node, nil when tracing is off; the pass hangs its per-front-end scoring
-// spans off it.
-type job struct {
-	vectors map[int]*sparse.Vector
-	span    *obs.Span
-	res     jobResult
-}
-
-type jobResult struct {
+type uttResult struct {
 	scores map[int][]float64
-	// feErrs records per-front-end failures of a job that still produced
-	// scores for its surviving front-ends (the graceful-degradation path).
-	// err is set only when the job produced nothing at all.
+	// feErrs records per-front-end failures of an utterance that still
+	// scored its surviving front-ends (graceful degradation). err is set
+	// only when the utterance produced nothing at all.
 	feErrs map[int]error
 	err    error
 }
@@ -77,7 +67,7 @@ func newAdmission(slots int) *admission {
 }
 
 // submit admits p without blocking. Unless submit returns an error, p.done
-// is closed once every job's result is final.
+// is closed once every utterance's result is final.
 func (a *admission) submit(p *pass) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -123,7 +113,7 @@ func (a *admission) drain(ctx context.Context) error {
 
 // runPass invokes process with a safety net, then closes p.done: if the
 // whole pass panics (beyond the per-task isolation inside scorePass),
-// every job in it gets an error result so no handler waits out its
+// every utterance in it gets an error result so no handler waits out its
 // deadline.
 func (a *admission) runPass(p *pass) {
 	defer close(p.done)
@@ -131,8 +121,8 @@ func (a *admission) runPass(p *pass) {
 		if r := recover(); r != nil {
 			obsPanics.Inc()
 			err := fmt.Errorf("serve: scoring pass panicked: %v", r)
-			for i := range p.jobs {
-				p.jobs[i].res = jobResult{err: err}
+			for i := range p.res {
+				p.res[i] = uttResult{err: err}
 			}
 		}
 	}()
@@ -143,30 +133,30 @@ func (a *admission) runPass(p *pass) {
 }
 
 // scorePass is the SVM scoring pass: the request's utterances flatten
-// into one (job, front-end) task list scored by a single instrumented
+// into one (utterance, front-end) task list scored by a single instrumented
 // pool of GOMAXPROCS goroutines, so a batch request costs one pool
 // spin-up, not one per utterance. Tasks are ordered front-end-major so a
-// front-end's SVM weight matrices are reused across every job of the
-// pass while they are cache-hot, instead of being re-streamed per job.
+// front-end's SVM weight matrices are reused across every utterance of
+// the pass while they are cache-hot, instead of being re-streamed per
+// utterance.
 func scorePass(p *pass) {
 	if err := p.ctx.Err(); err != nil {
 		// Expired before its pass began: don't waste the pool on it.
-		for i := range p.jobs {
-			j := &p.jobs[i]
+		for i, u := range p.utts {
 			obsExpired.Inc()
-			j.span.SetLabel("error", "expired before scoring: "+err.Error())
-			j.res.err = err
+			u.Span.SetLabel("error", "expired before scoring: "+err.Error())
+			p.res[i].err = err
 		}
 		return
 	}
 	type task struct {
-		j  *job
+		u  int // index into p.utts and p.res
 		fe int
 	}
 	var tasks []task
-	for i := range p.jobs {
-		for fe := range p.jobs[i].vectors {
-			tasks = append(tasks, task{j: &p.jobs[i], fe: fe})
+	for i, u := range p.utts {
+		for fe := range u.Vectors {
+			tasks = append(tasks, task{u: i, fe: fe})
 		}
 	}
 	sort.Slice(tasks, func(a, b int) bool { return tasks[a].fe < tasks[b].fe })
@@ -178,10 +168,11 @@ func scorePass(p *pass) {
 	parallel.ForPool("serve-score", len(tasks), func(i int) {
 		t := tasks[i]
 		fe := &p.model.Bundle.FrontEnds[t.fe]
-		sp := t.j.span.StartChild("score.fe")
+		u := p.utts[t.u]
+		sp := u.Span.StartChild("score.fe")
 		sp.SetLabel("fe", fe.Name)
 		// A panicking task poisons only its own front-end within its own
-		// job, not the pass or the process (parallel.ForWorkers would
+		// utterance, not the pass or the process (parallel.ForWorkers would
 		// re-panic on the pool goroutine).
 		defer func() {
 			if r := recover(); r != nil {
@@ -197,13 +188,13 @@ func scorePass(p *pass) {
 			outs[i].err = err
 			return
 		}
-		outs[i].scores = fe.Scores(t.j.vectors[t.fe])
+		outs[i].scores = fe.Scores(u.Vectors[t.fe])
 	})
-	// A front-end failure degrades only its job's fusion input (the
-	// surviving front-ends still score); the job-level error is reserved
-	// for jobs where nothing survived.
+	// A front-end failure degrades only its utterance's fusion input (the
+	// surviving front-ends still score); the utterance-level error is
+	// reserved for utterances where nothing survived.
 	for i, t := range tasks {
-		res := &t.j.res
+		res := &p.res[t.u]
 		if outs[i].err != nil {
 			if res.feErrs == nil {
 				res.feErrs = make(map[int]error)
@@ -213,12 +204,12 @@ func scorePass(p *pass) {
 			continue
 		}
 		if res.scores == nil {
-			res.scores = make(map[int][]float64, len(t.j.vectors))
+			res.scores = make(map[int][]float64, len(p.utts[t.u].Vectors))
 		}
 		res.scores[t.fe] = outs[i].scores
 	}
-	for i := range p.jobs {
-		res := &p.jobs[i].res
+	for i := range p.res {
+		res := &p.res[i]
 		if len(res.scores) > 0 {
 			continue
 		}

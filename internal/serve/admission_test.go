@@ -18,7 +18,7 @@ import (
 )
 
 func newPass(ctx context.Context) *pass {
-	return &pass{ctx: ctx, jobs: make([]job, 1), done: make(chan struct{})}
+	return &pass{ctx: ctx, utts: []*Utterance{{}}, res: make([]uttResult, 1), done: make(chan struct{})}
 }
 
 // holdPasses makes every scoring pass of s signal entered (without
@@ -74,7 +74,7 @@ func TestBatchRequestAdmitsOnce(t *testing.T) {
 	score := s.passes.process
 	s.passes.process = func(p *pass) {
 		mu.Lock()
-		passes = append(passes, len(p.jobs))
+		passes = append(passes, len(p.utts))
 		mu.Unlock()
 		score(p)
 	}
@@ -325,7 +325,7 @@ func TestScorePassSkipsExpired(t *testing.T) {
 	cancel()
 	p := newPass(ctx)
 	scorePass(p)
-	if err := p.jobs[0].res.err; !errors.Is(err, context.Canceled) {
+	if err := p.res[0].err; !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired job got %v, want context.Canceled", err)
 	}
 }

@@ -125,10 +125,10 @@ type BatchResponse struct {
 	DegradedCount int  `json:"degraded_count,omitempty"`
 }
 
-// resolve builds u's scoring vectors under a "resolve" span. Every role
-// resolves each utterance tier 1 did not answer before its scoring step,
-// so only resolved utterances reach a Pin's Score. Its errors are the
-// client's (HTTP 400).
+// resolve validates u and builds its scoring vectors under a "resolve"
+// span. Every role resolves each utterance tier 1 did not answer before
+// its scoring step, so only resolved utterances reach a Pin's Score. Its
+// errors are the client's (HTTP 400).
 func resolve(m *Model, u *Utterance) (err error) {
 	sp := u.Span.StartChild("resolve")
 	u.Vectors, err = buildVectors(m, u.Req)
@@ -139,7 +139,9 @@ func resolve(m *Model, u *Utterance) (err error) {
 // buildVectors resolves a request against a model: every named front-end
 // must exist in the bundle, and each input becomes a TFLLR-scaled
 // supervector ready for the SVM pass. The returned map is keyed by the
-// bundle's front-end index.
+// bundle's front-end index. A routing model scores nothing, so there
+// resolution only validates: no lattice supervector is built, and the
+// map is nil.
 func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 	if len(req.FrontEnds) == 0 {
 		return nil, fmt.Errorf("request names no front-ends")
@@ -185,6 +187,9 @@ func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 			if err != nil {
 				return nil, fmt.Errorf("front-end %q: %v", name, err)
 			}
+			if m.routing {
+				continue
+			}
 			v = space.Supervector(l)
 			if fe.TFLLR != nil {
 				fe.TFLLR.Apply(v)
@@ -199,6 +204,9 @@ func buildVectors(m *Model, req *ScoreRequest) (map[int]*sparse.Vector, error) {
 			v = fe.Proj.Apply(v)
 		}
 		out[q] = v
+	}
+	if m.routing {
+		return nil, nil
 	}
 	return out, nil
 }

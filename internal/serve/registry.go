@@ -55,6 +55,7 @@ type Model struct {
 	// whose caller closes it.
 	Image *persist.Image
 
+	routing bool // loaded by a routing registry: resolution only validates
 	feIndex map[string]int
 	spaces  []*ngram.Space
 }
@@ -247,7 +248,7 @@ func (r *Registry) Swap(b *persist.Bundle, m *persist.Manifest) *Model {
 func (r *Registry) swap(b *persist.Bundle, m *persist.Manifest, img *persist.Image, info persist.ResolveInfo, took time.Duration) *Model {
 	r.gen++
 	mod := newModel(b, m, r.gen, info)
-	mod.LoadTime, mod.Image = took, img
+	mod.LoadTime, mod.Image, mod.routing = took, img, r.routing
 	r.cur.Store(mod)
 	obs.Inc("serve.model.reloads")
 	obs.SetGauge("serve.model.version", float64(mod.Version))

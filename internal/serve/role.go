@@ -70,7 +70,8 @@ type Utterance struct {
 	// request, an "utt" child in a batch (nil with tracing off).
 	Span *obs.Span
 	// Vectors are the utterance's scoring vectors by bundle front-end
-	// index, as resolution built them against the pinned model.
+	// index, as resolution built them against the pinned model (nil on a
+	// routing model, which scores nothing).
 	Vectors map[int]*sparse.Vector
 
 	Scores       map[int][]float64
@@ -105,10 +106,7 @@ type standalone Server
 // score admits sc's utterances as one scoring pass and waits for the
 // pass to finish or for ctx.
 func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
-	p := &pass{ctx: ctx, model: m, jobs: make([]job, len(sc.Utts)), done: make(chan struct{})}
-	for i, u := range sc.Utts {
-		p.jobs[i] = job{vectors: u.Vectors, span: u.Span}
-	}
+	p := &pass{ctx: ctx, model: m, utts: sc.Utts, res: make([]uttResult, len(sc.Utts)), done: make(chan struct{})}
 	fail := func(err error, status int) {
 		for _, u := range sc.Utts {
 			u.Err, u.Status = err, status
@@ -129,15 +127,14 @@ func (s *standalone) score(ctx context.Context, m *Model, sc *Scoring) {
 		return
 	}
 	for i, u := range sc.Utts {
-		j := &p.jobs[i]
-		switch err := j.res.err; {
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			u.Err, u.Status = err, http.StatusGatewayTimeout
-		case err != nil:
-			u.Err, u.Status = err, http.StatusInternalServerError
+		switch res := &p.res[i]; {
+		case errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled):
+			u.Err, u.Status = res.err, http.StatusGatewayTimeout
+		case res.err != nil:
+			u.Err, u.Status = res.err, http.StatusInternalServerError
 		default:
-			u.Scores, u.FrontEndErrs = j.res.scores, j.res.feErrs
-			(*Server)(s).observeAdapt(j)
+			u.Scores, u.FrontEndErrs = res.scores, res.feErrs
+			(*Server)(s).observeAdapt(u)
 		}
 	}
 }

@@ -394,7 +394,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, tr *reqTrace) *Pi
 // or writes the 400, records it on tr, and returns false.
 func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, tr *reqTrace, batch bool) ([]ScoreRequest, bool) {
 	sp := tr.root.StartChild("read")
-	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength)
 	sp.End()
 	var utts []ScoreRequest
 	if err == nil {
@@ -413,9 +413,9 @@ func (s *Server) decodeUtterances(w http.ResponseWriter, r *http.Request, tr *re
 	return utts, true
 }
 
-// maxBodyBytes bounds request bodies on every role: one byte more is a
+// MaxBodyBytes bounds request bodies on every role: one byte more is a
 // 400.
-const maxBodyBytes = 32 << 20
+const MaxBodyBytes = 32 << 20
 
 // maxBodyHint caps how much readBody allocates on a Content-Length's
 // word alone.

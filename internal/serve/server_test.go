@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -530,5 +531,40 @@ func TestRequestDeadlineWhileScoring(t *testing.T) {
 	var e map[string]string
 	if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
 		t.Fatalf("no error body: %s", body)
+	}
+}
+
+// TestRoutingResolutionOnlyValidates: a routing model judges every input
+// as a scoring model does but builds no vectors. A lattice and an
+// unscaled supervector resolve to nil Vectors there, the supervector's
+// values as sent (the shard that scores it applies TFLLR), and to one
+// vector per front-end on the scoring model; a phone outside the
+// inventory is the same error on both.
+func TestRoutingResolutionOnlyValidates(t *testing.T) {
+	dir := t.TempDir()
+	b := testbundle.Write(t, dir, 3)
+	s := newTestServer(t, dir, nil)
+	routing, err := s.NewRoutingRegistry().Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routing.Image.Close()
+	req := scoreRequestFor(b, testbundle.Vector(3))
+	req.FrontEnds["FE0"] = FrontEndInput{Lattice: [][]Slot{{{Phone: 1, Prob: 0.6}, {Phone: 2, Prob: 0.4}}, {{Phone: 0, Prob: 1}}}}
+	sent := append([]float64(nil), req.FrontEnds["FE1"].Supervector.Val...)
+	u := Utterance{Req: &req}
+	if err := resolve(routing, &u); err != nil || u.Vectors != nil {
+		t.Fatalf("routing resolution: err %v, vectors %v; want nil, nil", err, u.Vectors)
+	}
+	if got := req.FrontEnds["FE1"].Supervector.Val; !reflect.DeepEqual(got, sent) {
+		t.Fatalf("routing resolution changed the supervector: %v, sent %v", got, sent)
+	}
+	if err := resolve(s.reg.Current(), &u); err != nil || len(u.Vectors) != 2 {
+		t.Fatalf("scoring resolution: err %v, %d vectors; want nil, 2", err, len(u.Vectors))
+	}
+	req.FrontEnds["FE0"] = FrontEndInput{Lattice: [][]Slot{{{Phone: 99, Prob: 1}}}}
+	errRouting, errScoring := resolve(routing, &u), resolve(s.reg.Current(), &u)
+	if errRouting == nil || errScoring == nil || errRouting.Error() != errScoring.Error() {
+		t.Fatalf("phone 99: routing %v, scoring %v; want the same error", errRouting, errScoring)
 	}
 }

@@ -236,7 +236,7 @@ func TestDecodeScoreRequestBounds(t *testing.T) {
 	b := testbundle.Write(t, dir, 3)
 	good, _ := json.Marshal(scoreRequestFor(b, testbundle.Vector(7)))
 	nested := `{"x":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `}`
-	const limit = maxBodyBytes
+	const limit = MaxBodyBytes
 	s := newTestServer(t, dir, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
